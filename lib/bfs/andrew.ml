@@ -1,12 +1,5 @@
 type phase = Mkdir | Copy | Stat | Read | Make
 
-let phase_name = function
-  | Mkdir -> "mkdir"
-  | Copy -> "copy"
-  | Stat -> "stat"
-  | Read -> "read"
-  | Make -> "make"
-
 let phases = [ Mkdir; Copy; Stat; Read; Make ]
 
 type step = { phase : phase; op : string; read_only : bool }

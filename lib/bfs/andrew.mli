@@ -17,9 +17,6 @@
 
 type phase = Mkdir | Copy | Stat | Read | Make
 
-val phase_name : phase -> string
-val phases : phase list
-
 type step = { phase : phase; op : string; read_only : bool }
 
 val script : ?scale:int -> ?file_size:int -> ?seed:int64 -> unit -> step list

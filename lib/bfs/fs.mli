@@ -54,9 +54,6 @@ val write : t -> ino:int -> off:int -> data:string -> mtime:int64 -> (int, error
 val truncate : t -> ino:int -> size:int -> mtime:int64 -> (unit, error) result
 val set_mtime : t -> ino:int -> mtime:int64 -> (unit, error) result
 
-val num_inodes : t -> int
-val total_bytes : t -> int
-
 val snapshot : t -> string
 val restore : t -> string -> (unit, string) result
 (** [Error] on a malformed snapshot, in which case the current image is

@@ -120,11 +120,7 @@ type t = {
   lat : Hist.t; (* issue -> reply certificate, virtual us *)
 }
 
-let completed t = t.completed
-let issued t = t.issued
 let latency_hist t = t.lat
-let group_of t = t.group
-let base_id t = t.base
 
 let replica_ids t = Config.replica_ids t.cfg
 let primary t = Config.primary t.cfg ~view:t.view_guess

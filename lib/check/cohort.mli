@@ -62,10 +62,6 @@ val default_closed : k:int -> ops_per_client:int -> spec
 val total_ops : spec -> int
 (** Operations the cohort will issue in total. *)
 
-val op_for : client_slot:int -> index:int -> string
-(** The canonical workload operation string (pairwise mode and the default
-    runner workload). *)
-
 val parse_arrival : string -> (arrival, string) result
 (** Command-line syntax: [closed:<think_us>:<ops_per_client>],
     [open:<rate_per_sec>:<total_ops>],
@@ -95,19 +91,9 @@ val drive :
     with [k] exceeding the cluster's real clients, pairwise with open-loop
     arrivals, or derived keys under [Sig_auth]. *)
 
-val completed : t -> int
-val issued : t -> int
-
 val latency_hist : t -> Bft_obs.Hist.t
 (** Issue-to-reply-certificate latency of completed operations, in
     microseconds of virtual time (both key modes). *)
-
-val base_id : t -> int
-(** First synthesized client id (derived mode); the range is
-    [base_id .. base_id + k - 1]. *)
-
-val group_of : t -> Bft_crypto.Keychain.group option
-(** The key group (derived mode only) — test observation helper. *)
 
 val reset_cpu : t -> unit
 (** Re-apply the cohort's aggregate CPU scaling after

@@ -16,7 +16,6 @@ type t = { cfg : Config.t; mutable h : int; entries : (int, entry) Hashtbl.t }
 
 let create cfg = { cfg; h = 0; entries = Hashtbl.create 64 }
 let low_mark t = t.h
-let config t = t.cfg
 let in_window t n = Config.in_window t.cfg ~h:t.h n
 let entry t n = if in_window t n then Hashtbl.find_opt t.entries n else None
 

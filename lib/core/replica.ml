@@ -135,7 +135,7 @@ type t = {
   acks : (int * int, (int, string) Hashtbl.t) Hashtbl.t;
       (* (view, origin) -> acker -> digest *)
   my_acks : (int, view_change_ack list) Hashtbl.t; (* view -> acks we sent *)
-  mutable new_views : (int, new_view) Hashtbl.t; (* view -> accepted/sent new-view *)
+  new_views : (int, new_view) Hashtbl.t; (* view -> accepted/sent new-view *)
   mutable vc_timer : Engine.handle option;
   mutable vc_timeout_us : float;
   mutable deferred_nv : new_view option; (* waiting for vcs or batches *)
@@ -161,9 +161,6 @@ type t = {
   mutable recovering : recovery option;
   mutable hm_bound : int; (* don't send protocol messages above this while recovering *)
   mutable coproc_counter : int64;
-  mutable last_recovery_reply : (int, int64) Hashtbl.t; (* replica -> counter seen *)
-  (* execution history for linearizability checks *)
-  mutable history : (int * int * string * string) list; (* newest first *)
   (* per-batch execution journal, newest first: every call to
      [execute_batch] appends one record (empty list for null batches), so
      after a view-change rollback the *last* record per sequence number is
@@ -178,16 +175,11 @@ type t = {
   (* primary fills with null batches until this checkpoint is stable, so a
      recovering replica's recovery point can be reached (Section 4.3.2) *)
   mutable null_fill_until : int;
-  (* timers *)
-  mutable status_timer : Engine.handle option;
-  mutable watchdog_timer : Engine.handle option;
-  mutable key_timer : Engine.handle option;
 }
 
 let id t = t.id
 let view t = t.view
 let keychain t = t.d.keychain
-let is_active t = t.active
 let last_executed t = t.last_exec
 let committed_upto t = t.committed_upto
 let stable_checkpoint t = Checkpoint_store.stable_seq t.ckpts
@@ -196,7 +188,6 @@ let checkpoints_held t = Checkpoint_store.held t.ckpts
 let is_recovering t = t.recovering <> None
 let counters t = t.counters
 let service_state t = t.d.service.Bft_sm.Service.snapshot ()
-let executed_ops t = List.rev t.history
 let executed_batches t = List.rev t.batch_journal
 let primary_of t v = Config.primary t.d.cfg ~view:v
 let primary t = primary_of t t.view
@@ -545,21 +536,6 @@ let store_batch t pp =
   d
 
 (* ------------------------------------------------------------------ *)
-(* Forward declarations through references (the handler graph is
-   mutually recursive across protocol sub-modules).                    *)
-(* ------------------------------------------------------------------ *)
-
-let noop_t (_ : t) = ()
-let try_execute_ref : (t -> unit) ref = ref noop_t
-let process_queue_ref : (t -> unit) ref = ref noop_t
-let start_view_change_ref : (t -> int -> unit) ref = ref (fun _ _ -> ())
-let try_new_view_ref : (t -> unit) ref = ref noop_t
-let process_new_view_ref : (t -> unit) ref = ref noop_t
-let check_transfer_done_ref : (t -> unit) ref = ref noop_t
-let recovery_step_ref : (t -> unit) ref = ref noop_t
-let retry_deferred_pps_ref : (t -> unit) ref = ref noop_t
-
-(* ------------------------------------------------------------------ *)
 (* Timers: view-change timer driven by the waiting-request set          *)
 (* ------------------------------------------------------------------ *)
 
@@ -595,117 +571,6 @@ let relay_waiting t =
               Network.send t.d.net ~src:t.id ~dst ~size:(Wire.envelope_size env) env
           | _ -> ())
         (List.sort String.compare (Hashtbl.fold (fun d _ acc -> d :: acc) t.waiting []))
-  end
-
-let start_vc_timer t =
-  (* [Option.is_none], not [= None]: Engine.handle values must never meet
-     the polymorphic comparator (enforced by bftlint's
-     engine-handle-compare rule) *)
-  if Option.is_none t.vc_timer && not t.d.cfg.Config.debug_no_vc_timer then
-    t.vc_timer <-
-      Some
-        (Engine.schedule t.engine
-           ~label:(Printf.sprintf "vc%d" t.id)
-           ~delay:(Engine.of_us_float t.vc_timeout_us)
-           (fun () ->
-             t.vc_timer <- None;
-             if t.active then begin
-               relay_waiting t;
-               !start_view_change_ref t (t.view + 1)
-             end))
-
-let note_waiting t digest =
-  if not (Hashtbl.mem t.waiting digest) then begin
-    Hashtbl.replace t.waiting digest (now t);
-    if t.active then start_vc_timer t
-  end
-
-(* Primary performance watchdog (the slow-primary attack of Chondros et
-   al.): a primary that keeps answering timers but orders requests ever
-   more slowly never trips the silence-based vc timer. Backups smooth
-   the accept->execute latency of each request (EWMA) and keep the best
-   smoothed value ever observed as a baseline; when the current EWMA
-   degrades beyond [perf_factor] times that baseline the backup demands
-   a view change — once per view, from a zero-delay event so the view
-   change never reenters [execute_batch]. *)
-let perf_note_sample t arrival =
-  let cfg = t.d.cfg in
-  if
-    cfg.Config.perf_watchdog && (not (is_primary t))
-    && Int64.compare arrival t.perf_view_start >= 0
-  then begin
-    let sample = Int64.to_float (Int64.sub (now t) arrival) /. 1_000.0 in
-    t.perf_ewma_us <-
-      (if t.perf_samples = 0 then sample
-       else (0.8 *. t.perf_ewma_us) +. (0.2 *. sample));
-    t.perf_samples <- t.perf_samples + 1;
-    if t.perf_samples >= cfg.Config.perf_min_samples then
-      if t.perf_baseline_us = 0.0 || t.perf_ewma_us < t.perf_baseline_us then
-        t.perf_baseline_us <- t.perf_ewma_us
-      else if
-        t.active && t.perf_fired_view < t.view
-        && t.perf_ewma_us > cfg.Config.perf_factor *. t.perf_baseline_us
-      then begin
-        t.perf_fired_view <- t.view;
-        t.counters.n_slowness_vc <- t.counters.n_slowness_vc + 1;
-        if Obs.enabled t.obs then
-          Obs.slowness_view_change t.obs ~now:(now t) ~view:t.view
-            ~ewma_us:t.perf_ewma_us ~baseline_us:t.perf_baseline_us;
-        L.debug (fun m ->
-            m "replica %d: slow primary of view %d (ewma %.1fus baseline %.1fus)"
-              t.id t.view t.perf_ewma_us t.perf_baseline_us);
-        let v = t.view in
-        ignore
-          (Engine.schedule t.engine
-             ~label:(Printf.sprintf "perfvc%d" t.id)
-             ~delay:0L
-             (fun () ->
-               if t.active && t.view = v then !start_view_change_ref t (v + 1)))
-      end
-  end
-
-let clear_waiting t digest =
-  match Hashtbl.find_opt t.waiting digest with
-  | None -> ()
-  | Some arrival ->
-      Hashtbl.remove t.waiting digest;
-      perf_note_sample t arrival;
-      if Hashtbl.length t.waiting = 0 then stop_vc_timer t
-      else if t.active then begin
-        (* restart for the next waiting request (FIFO fairness, 2.3.5) *)
-        stop_vc_timer t;
-        start_vc_timer t
-      end
-
-(* A client's execution advancing to timestamp [ts] supersedes every
-   waiting request it sent with an earlier timestamp: exactly-once
-   execution (the [last_reply] guard above) will never run them, so their
-   claim on the vc timer is dead. Without this purge, an open-loop
-   client whose requests were admission-dropped at the primary but
-   accepted here leaves permanent waiting entries that demand a view
-   change every timeout, forever — views rotate long after the flood
-   stops. Closed-loop clients never supersede (one outstanding request),
-   so the purge finds nothing in clean runs. Not routed through
-   [clear_waiting]: a request that never executed must not feed the
-   performance watchdog's latency EWMA. *)
-let purge_superseded t ~client ~ts =
-  let dead =
-    Hashtbl.fold
-      (fun d (_ : Engine.time) acc ->
-        match Hashtbl.find_opt t.requests d with
-        | Some sr
-          when sr.sr_req.client = client && Int64.compare sr.sr_req.timestamp ts <= 0
-          -> d :: acc
-        | _ -> acc)
-      t.waiting []
-  in
-  if dead <> [] then begin
-    List.iter (Hashtbl.remove t.waiting) dead;
-    if Hashtbl.length t.waiting = 0 then stop_vc_timer t
-    else if t.active then begin
-      stop_vc_timer t;
-      start_vc_timer t
-    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -782,15 +647,388 @@ let announce_checkpoint t seq =
   match Checkpoint_store.tree_at t.ckpts seq with
   | None -> ()
   | Some tree ->
-      let msg =
-        Checkpoint
-          { ck_seq = seq; ck_digest = Partition_tree.root_digest tree; ck_replica = t.id }
-      in
-      Checkpoint_store.add_message t.ckpts
-        { ck_seq = seq; ck_digest = Partition_tree.root_digest tree; ck_replica = t.id };
-      broadcast t msg
+      let ck = { ck_seq = seq; ck_digest = Partition_tree.root_digest tree; ck_replica = t.id } in
+      Checkpoint_store.add_message t.ckpts ck;
+      broadcast t (Checkpoint ck)
 
-let try_stabilize t =
+(* ------------------------------------------------------------------ *)
+(* Execution                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let allowed_seq t n = n <= t.hm_bound
+
+(* Pending read-only requests execute once the state reflects only
+   committed requests (Section 5.1.3). *)
+let flush_read_only t =
+  if t.pending_ro <> [] && t.committed_upto >= t.last_exec then begin
+    let ros = List.rev t.pending_ro in
+    t.pending_ro <- [];
+    List.iter
+      (fun req ->
+        charge t (t.d.service.Bft_sm.Service.exec_cost_us req.op);
+        let result =
+          if not (t.d.service.Bft_sm.Service.has_access ~client:req.client req.op) then
+            Bft_sm.Service.denied
+          else if not (t.d.service.Bft_sm.Service.is_read_only req.op) then
+            Bft_sm.Service.invalid
+          else t.d.service.Bft_sm.Service.execute ~client:req.client ~op:req.op ~nondet:""
+        in
+        let payload =
+          if
+            (not t.d.cfg.Config.digest_replies)
+            || req.replier = t.id
+            || String.length result <= t.d.cfg.Config.digest_replies_threshold
+          then Full result
+          else Result_digest (Wire.result_digest result)
+        in
+        send_to t ~dst:req.client
+          (Reply
+             {
+               rp_view = t.view;
+               rp_timestamp = req.timestamp;
+               rp_client = req.client;
+               rp_replica = t.id;
+               rp_tentative = true;
+               rp_result = payload;
+             }))
+      ros
+  end
+
+let update_committed_upto t =
+  let continue = ref true in
+  while !continue do
+    let n = t.committed_upto + 1 in
+    if Log.committed t.log ~view:t.view ~seq:n then begin
+      t.committed_upto <- n;
+      if Obs.enabled t.obs then
+        Obs.phase t.obs ~now:(now t) Obs.Committed ~view:t.view ~seq:n
+    end
+    else continue := false
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Normal case: primary request queue                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Primary request FIFO (two-list queue; see the field comments). *)
+let queue_push t r =
+  t.queue_back <- r :: t.queue_back;
+  t.queue_len <- t.queue_len + 1
+
+let queue_to_list t = t.queue_front @ List.rev t.queue_back
+
+let queue_clear t =
+  t.queue_front <- [];
+  t.queue_back <- [];
+  t.queue_len <- 0
+
+(* Up to [k] requests in FIFO order, removed from the queue. *)
+let queue_take t k =
+  let rec go k acc =
+    if k <= 0 then List.rev acc
+    else
+      match t.queue_front with
+      | r :: tl ->
+          t.queue_front <- tl;
+          t.queue_len <- t.queue_len - 1;
+          go (k - 1) (r :: acc)
+      | [] ->
+          if t.queue_back = [] then List.rev acc
+          else begin
+            t.queue_front <- List.rev t.queue_back;
+            t.queue_back <- [];
+            go k acc
+          end
+  in
+  go k []
+
+(* Sliding-window bound on concurrent protocol instances (Section 5.1.4):
+   the primary may run at most [window] instances beyond the last executed
+   batch, and never outside the log's water marks. *)
+let in_send_window t n =
+  n > Log.low_mark t.log
+  && n <= t.last_exec + t.d.cfg.Config.window
+  && Log.in_window t.log n
+
+(* ------------------------------------------------------------------ *)
+(* Normal case: prepare and commit                                    *)
+(* ------------------------------------------------------------------ *)
+
+let send_prepare t ~view ~seq digest =
+  if allowed_seq t seq then begin
+    let p = { pr_view = view; pr_seq = seq; pr_digest = digest; pr_replica = t.id } in
+    Log.add_prepare t.log p;
+    (Log.find t.log seq).Log.self_preprepared <- true;
+    broadcast t (Prepare p)
+  end
+
+let send_commit t ~view ~seq digest =
+  if allowed_seq t seq then begin
+    let c = { cm_view = view; cm_seq = seq; cm_digest = digest; cm_replica = t.id } in
+    Log.add_commit t.log c;
+    broadcast t (Commit c)
+  end
+
+let has_new_view t v = v = 0 || Hashtbl.mem t.new_views v
+
+(* ------------------------------------------------------------------ *)
+(* View changes (Section 3.2.4)                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Compute the P and Q sets from the log and the previous sets (Fig 3-2). *)
+let compute_pq t =
+  let h = Log.low_mark t.log in
+  let pset' = Hashtbl.create 16 and qset' = Hashtbl.create 16 in
+  for n = h + 1 to h + t.d.cfg.Config.log_size do
+    let log_prepared, log_preprepared, digest_view =
+      match Log.entry t.log n with
+      | Some e when e.Log.pp_digest <> None ->
+          let d = Option.get e.Log.pp_digest in
+          let v = e.Log.pp_view in
+          ( Log.prepared t.log ~view:v ~seq:n || Log.committed t.log ~view:v ~seq:n,
+            e.Log.self_preprepared,
+            Some (d, v) )
+      | _ -> (false, false, None)
+    in
+    (match (log_prepared, digest_view) with
+    | true, Some (d, v) ->
+        Hashtbl.replace pset' n { pe_seq = n; pe_digest = d; pe_view = v }
+    | _ -> (
+        match Hashtbl.find_opt t.pset n with
+        | Some e -> Hashtbl.replace pset' n e
+        | None -> ()));
+    match (log_preprepared, digest_view) with
+    | true, Some (d, v) ->
+        let prev = match Hashtbl.find_opt t.qset n with Some l -> l | None -> [] in
+        let others = List.filter (fun (d', _) -> not (String.equal d' d)) prev in
+        Hashtbl.replace qset' n ((d, v) :: others)
+    | _ -> (
+        match Hashtbl.find_opt t.qset n with
+        | Some l -> Hashtbl.replace qset' n l
+        | None -> ())
+  done;
+  (pset', qset')
+
+let ack_table t ~view ~origin =
+  match Hashtbl.find_opt t.acks (view, origin) with
+  | Some h -> h
+  | None ->
+      let h = Hashtbl.create 8 in
+      Hashtbl.replace t.acks (view, origin) h;
+      h
+
+let vc_available t v (sender, digest) =
+  match Hashtbl.find_opt t.vcs (v, sender) with
+  | Some (vc, verified) ->
+      if not (String.equal (Wire.view_change_digest vc) digest) then None
+      else if verified then Some vc
+      else begin
+        (* accept an unverified view-change when f acks from other replicas
+           match the digest in the new-view (Section 3.2.4) *)
+        let acks = ack_table t ~view:v ~origin:sender in
+        let matching =
+          Hashtbl.fold
+            (fun acker d n ->
+              if acker <> sender && acker <> t.id && String.equal d digest then n + 1 else n)
+            acks 0
+        in
+        if matching >= t.d.cfg.Config.f then Some vc else None
+      end
+  | None -> None
+
+(* ------------------------------------------------------------------ *)
+(* State transfer (Section 5.3.2)                                       *)
+(* ------------------------------------------------------------------ *)
+
+let pick_replier t =
+  let others = List.filter (fun i -> i <> t.id) (replica_ids t) in
+  List.nth others (Bft_util.Rng.int t.rng (List.length others))
+
+let send_fetch t ~level ~index =
+  match t.transfer with
+  | None -> ()
+  | Some tx ->
+      Hashtbl.replace tx.tx_pending (level, index) ();
+      if Obs.enabled t.obs then Obs.transfer_fetch t.obs ~now:(now t) ~level ~index;
+      broadcast t
+        (Fetch
+           {
+             ft_level = level;
+             ft_index = index;
+             ft_lc = Checkpoint_store.stable_seq t.ckpts;
+             ft_rc = tx.tx_target;
+             ft_replier = tx.tx_replier;
+             ft_replica = t.id;
+           })
+
+let rec transfer_retry t =
+  match t.transfer with
+  | None -> ()
+  | Some tx ->
+      tx.tx_replier <- pick_replier t;
+      Hashtbl.iter (fun (level, index) () -> send_fetch t ~level ~index)
+        (Hashtbl.copy tx.tx_pending);
+      tx.tx_timer <-
+        Some
+          (Engine.schedule t.engine
+             ~label:(Printf.sprintf "tx%d" t.id)
+             ~delay:(Engine.of_us_float 30_000.0) (fun () ->
+               transfer_retry t))
+
+let start_transfer t ~target ~root_digest =
+  match t.transfer with
+  | Some tx when tx.tx_target >= target -> ()
+  | _ ->
+      (match t.transfer with
+      | Some tx -> ( match tx.tx_timer with Some h -> Engine.cancel h | None -> ())
+      | None -> ());
+      t.counters.n_state_transfers <- t.counters.n_state_transfers + 1;
+      L.debug (fun m -> m "replica %d: state transfer to %d" t.id target);
+      if Obs.enabled t.obs then Obs.transfer_start t.obs ~now:(now t) ~target;
+      let tx =
+        {
+          tx_target = target;
+          tx_root_digest = root_digest;
+          tx_expected = Hashtbl.create 32;
+          tx_pending = Hashtbl.create 8;
+          tx_pages = Hashtbl.create 32;
+          tx_page_level = -1;
+          tx_num_pages = 0;
+          tx_ok_pages = Hashtbl.create 32;
+          tx_replier = pick_replier t;
+          tx_timer = None;
+        }
+      in
+      Hashtbl.replace tx.tx_expected (0, 0) (target, root_digest);
+      t.transfer <- Some tx;
+      send_fetch t ~level:0 ~index:0;
+      tx.tx_timer <-
+        Some
+          (Engine.schedule t.engine
+             ~label:(Printf.sprintf "tx%d" t.id)
+             ~delay:(Engine.of_us_float 30_000.0) (fun () ->
+               transfer_retry t))
+
+(* ------------------------------------------------------------------ *)
+(* The protocol core: one recursion group                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The replica's one genuine cycle. Executing a request clears its
+   waiting entry and restarts the vc timer (clear_waiting ->
+   start_vc_timer); when that timer, or the performance watchdog's
+   zero-delay event, fires it starts a view change; the view change ends
+   by entering the new view, which re-runs the chosen batches through
+   check_prepared_to_commit and try_execute. Separately, execution slides
+   the primary's window (try_execute -> process_queue), and each
+   pre-prepare the primary sends executes what it can (send_pre_prepare
+   -> try_execute). The non-recursive helpers sit above the group; the
+   message handlers below call into it. *)
+let rec start_vc_timer t =
+  (* [Option.is_none], not [= None]: Engine.handle values must never meet
+     the polymorphic comparator (enforced by bftlint's
+     engine-handle-compare rule) *)
+  if Option.is_none t.vc_timer && not t.d.cfg.Config.debug_no_vc_timer then
+    t.vc_timer <-
+      Some
+        (Engine.schedule t.engine
+           ~label:(Printf.sprintf "vc%d" t.id)
+           ~delay:(Engine.of_us_float t.vc_timeout_us)
+           (fun () ->
+             t.vc_timer <- None;
+             if t.active then begin
+               relay_waiting t;
+               start_view_change t (t.view + 1)
+             end))
+
+(* Primary performance watchdog (the slow-primary attack of Chondros et
+   al.): a primary that keeps answering timers but orders requests ever
+   more slowly never trips the silence-based vc timer. Backups smooth
+   the accept->execute latency of each request (EWMA) and keep the best
+   smoothed value ever observed as a baseline; when the current EWMA
+   degrades beyond [perf_factor] times that baseline the backup demands
+   a view change — once per view, from a zero-delay event so the view
+   change never reenters [execute_batch]. *)
+and perf_note_sample t arrival =
+  let cfg = t.d.cfg in
+  if
+    cfg.Config.perf_watchdog && (not (is_primary t))
+    && Int64.compare arrival t.perf_view_start >= 0
+  then begin
+    let sample = Int64.to_float (Int64.sub (now t) arrival) /. 1_000.0 in
+    t.perf_ewma_us <-
+      (if t.perf_samples = 0 then sample
+       else (0.8 *. t.perf_ewma_us) +. (0.2 *. sample));
+    t.perf_samples <- t.perf_samples + 1;
+    if t.perf_samples >= cfg.Config.perf_min_samples then
+      if t.perf_baseline_us = 0.0 || t.perf_ewma_us < t.perf_baseline_us then
+        t.perf_baseline_us <- t.perf_ewma_us
+      else if
+        t.active && t.perf_fired_view < t.view
+        && t.perf_ewma_us > cfg.Config.perf_factor *. t.perf_baseline_us
+      then begin
+        t.perf_fired_view <- t.view;
+        t.counters.n_slowness_vc <- t.counters.n_slowness_vc + 1;
+        if Obs.enabled t.obs then
+          Obs.slowness_view_change t.obs ~now:(now t) ~view:t.view
+            ~ewma_us:t.perf_ewma_us ~baseline_us:t.perf_baseline_us;
+        L.debug (fun m ->
+            m "replica %d: slow primary of view %d (ewma %.1fus baseline %.1fus)"
+              t.id t.view t.perf_ewma_us t.perf_baseline_us);
+        let v = t.view in
+        ignore
+          (Engine.schedule t.engine
+             ~label:(Printf.sprintf "perfvc%d" t.id)
+             ~delay:0L
+             (fun () ->
+               if t.active && t.view = v then start_view_change t (v + 1)))
+      end
+  end
+
+and clear_waiting t digest =
+  match Hashtbl.find_opt t.waiting digest with
+  | None -> ()
+  | Some arrival ->
+      Hashtbl.remove t.waiting digest;
+      perf_note_sample t arrival;
+      if Hashtbl.length t.waiting = 0 then stop_vc_timer t
+      else if t.active then begin
+        (* restart for the next waiting request (FIFO fairness, 2.3.5) *)
+        stop_vc_timer t;
+        start_vc_timer t
+      end
+
+(* A client's execution advancing to timestamp [ts] supersedes every
+   waiting request it sent with an earlier timestamp: exactly-once
+   execution (the [last_reply] guard above) will never run them, so their
+   claim on the vc timer is dead. Without this purge, an open-loop
+   client whose requests were admission-dropped at the primary but
+   accepted here leaves permanent waiting entries that demand a view
+   change every timeout, forever — views rotate long after the flood
+   stops. Closed-loop clients never supersede (one outstanding request),
+   so the purge finds nothing in clean runs. Not routed through
+   [clear_waiting]: a request that never executed must not feed the
+   performance watchdog's latency EWMA. *)
+and purge_superseded t ~client ~ts =
+  let dead =
+    Hashtbl.fold
+      (fun d (_ : Engine.time) acc ->
+        match Hashtbl.find_opt t.requests d with
+        | Some sr
+          when sr.sr_req.client = client && Int64.compare sr.sr_req.timestamp ts <= 0
+          -> d :: acc
+        | _ -> acc)
+      t.waiting []
+  in
+  if dead <> [] then begin
+    List.iter (Hashtbl.remove t.waiting) dead;
+    if Hashtbl.length t.waiting = 0 then stop_vc_timer t
+    else if t.active then begin
+      stop_vc_timer t;
+      start_vc_timer t
+    end
+  end
+
+and try_stabilize t =
   match Checkpoint_store.try_stabilize t.ckpts with
   | None -> ()
   | Some (seq, _tree) ->
@@ -815,16 +1053,10 @@ let try_stabilize t =
           if Obs.enabled t.obs then Obs.recovery_phase t.obs ~now:(now t) "complete";
           L.info (fun m -> m "replica %d: recovery complete at %d" t.id seq)
       | _ -> ());
-      !process_queue_ref t
-
-(* ------------------------------------------------------------------ *)
-(* Execution                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let allowed_seq t n = n <= t.hm_bound
+      process_queue t
 
 (* Execute one batch at sequence [n]; [tentative] per Section 5.1.2. *)
-let execute_batch t n ~tentative =
+and execute_batch t n ~tentative =
   let e = Log.find t.log n in
   match (e.Log.pp, e.Log.pp_digest) with
   | Some pp, Some d ->
@@ -878,7 +1110,6 @@ let execute_batch t n ~tentative =
                   end
                 in
                 t.counters.n_executed <- t.counters.n_executed + 1;
-                t.history <- (n, req.client, req.op, result) :: t.history;
                 wave := (req.client, req.op, result) :: !wave;
                 set_last_reply t req.client (req.timestamp, result, t.view);
                 clear_waiting t (Wire.request_digest req);
@@ -945,56 +1176,7 @@ let execute_batch t n ~tentative =
       end
   | _ -> ()
 
-(* Pending read-only requests execute once the state reflects only
-   committed requests (Section 5.1.3). *)
-let flush_read_only t =
-  if t.pending_ro <> [] && t.committed_upto >= t.last_exec then begin
-    let ros = List.rev t.pending_ro in
-    t.pending_ro <- [];
-    List.iter
-      (fun req ->
-        charge t (t.d.service.Bft_sm.Service.exec_cost_us req.op);
-        let result =
-          if not (t.d.service.Bft_sm.Service.has_access ~client:req.client req.op) then
-            Bft_sm.Service.denied
-          else if not (t.d.service.Bft_sm.Service.is_read_only req.op) then
-            Bft_sm.Service.invalid
-          else t.d.service.Bft_sm.Service.execute ~client:req.client ~op:req.op ~nondet:""
-        in
-        let payload =
-          if
-            (not t.d.cfg.Config.digest_replies)
-            || req.replier = t.id
-            || String.length result <= t.d.cfg.Config.digest_replies_threshold
-          then Full result
-          else Result_digest (Wire.result_digest result)
-        in
-        send_to t ~dst:req.client
-          (Reply
-             {
-               rp_view = t.view;
-               rp_timestamp = req.timestamp;
-               rp_client = req.client;
-               rp_replica = t.id;
-               rp_tentative = true;
-               rp_result = payload;
-             }))
-      ros
-  end
-
-let update_committed_upto t =
-  let continue = ref true in
-  while !continue do
-    let n = t.committed_upto + 1 in
-    if Log.committed t.log ~view:t.view ~seq:n then begin
-      t.committed_upto <- n;
-      if Obs.enabled t.obs then
-        Obs.phase t.obs ~now:(now t) Obs.Committed ~view:t.view ~seq:n
-    end
-    else continue := false
-  done
-
-let try_execute t =
+and try_execute t =
   update_committed_upto t;
   (* announce checkpoints whose batches have now committed *)
   let announce, keep =
@@ -1040,55 +1222,9 @@ let try_execute t =
   try_stabilize t;
   flush_read_only t;
   (* execution slides the primary's window forward *)
-  !process_queue_ref t
+  process_queue t
 
-let () = try_execute_ref := try_execute
-
-(* ------------------------------------------------------------------ *)
-(* Normal case: primary                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Primary request FIFO (two-list queue; see the field comments). *)
-let queue_push t r =
-  t.queue_back <- r :: t.queue_back;
-  t.queue_len <- t.queue_len + 1
-
-let queue_to_list t = t.queue_front @ List.rev t.queue_back
-
-let queue_clear t =
-  t.queue_front <- [];
-  t.queue_back <- [];
-  t.queue_len <- 0
-
-(* Up to [k] requests in FIFO order, removed from the queue. *)
-let queue_take t k =
-  let rec go k acc =
-    if k <= 0 then List.rev acc
-    else
-      match t.queue_front with
-      | r :: tl ->
-          t.queue_front <- tl;
-          t.queue_len <- t.queue_len - 1;
-          go (k - 1) (r :: acc)
-      | [] ->
-          if t.queue_back = [] then List.rev acc
-          else begin
-            t.queue_front <- List.rev t.queue_back;
-            t.queue_back <- [];
-            go k acc
-          end
-  in
-  go k []
-
-(* Sliding-window bound on concurrent protocol instances (Section 5.1.4):
-   the primary may run at most [window] instances beyond the last executed
-   batch, and never outside the log's water marks. *)
-let in_send_window t n =
-  n > Log.low_mark t.log
-  && n <= t.last_exec + t.d.cfg.Config.window
-  && Log.in_window t.log n
-
-let send_pre_prepare t batch nondet =
+and send_pre_prepare t batch nondet =
   let n = t.seqno + 1 in
   t.seqno <- n;
   let pp = { pp_view = t.view; pp_seq = n; pp_batch = batch; pp_nondet = nondet } in
@@ -1120,7 +1256,7 @@ let send_pre_prepare t batch nondet =
   else broadcast t (Pre_prepare pp);
   try_execute t
 
-let process_queue t =
+and process_queue t =
   if is_primary t && t.active && not (is_recovering t && t.seqno >= t.hm_bound) then begin
     let continue = ref true in
     while !continue && t.queue_len > 0 && in_send_window t (t.seqno + 1) && allowed_seq t (t.seqno + 1) do
@@ -1184,7 +1320,299 @@ let process_queue t =
     done
   end
 
-let () = process_queue_ref := process_queue
+and check_prepared_to_commit t ~seq =
+  match Log.entry t.log seq with
+  | Some e when e.Log.pp_digest <> None ->
+      let d = Option.get e.Log.pp_digest in
+      if
+        Log.prepared t.log ~view:t.view ~seq
+        && not (Hashtbl.mem e.Log.commits t.id)
+      then begin
+        if Obs.enabled t.obs then
+          Obs.phase t.obs ~now:(now t) Obs.Prepared ~view:t.view ~seq;
+        send_commit t ~view:t.view ~seq d
+      end;
+      try_execute t
+  | _ -> ()
+
+and start_view_change t new_view =
+  if new_view > t.view then begin
+    t.counters.n_view_changes <- t.counters.n_view_changes + 1;
+    L.debug (fun m -> m "replica %d: view change %d -> %d" t.id t.view new_view);
+    if Obs.enabled t.obs then
+      Obs.view_change_start t.obs ~now:(now t) ~from_view:t.view ~to_view:new_view;
+    t.view <- new_view;
+    t.active <- false;
+    stop_vc_timer t;
+    let pset', qset' = compute_pq t in
+    Hashtbl.reset t.pset;
+    Hashtbl.iter (Hashtbl.replace t.pset) pset';
+    Hashtbl.reset t.qset;
+    Hashtbl.iter (Hashtbl.replace t.qset) qset';
+    let pset_list =
+      Hashtbl.fold (fun _ e acc -> e :: acc) t.pset []
+      |> List.sort (fun a b -> compare a.pe_seq b.pe_seq)
+    in
+    let qset_list =
+      Hashtbl.fold (fun n l acc -> { qe_seq = n; qe_entries = l } :: acc) t.qset []
+      |> List.sort (fun a b -> compare a.qe_seq b.qe_seq)
+    in
+    let vc =
+      {
+        vc_view = new_view;
+        vc_h = Checkpoint_store.stable_seq t.ckpts;
+        vc_cset = Checkpoint_store.held t.ckpts;
+        vc_pset = pset_list;
+        vc_qset = qset_list;
+        vc_replica = t.id;
+      }
+    in
+    Hashtbl.replace t.my_vcs new_view vc;
+    Hashtbl.replace t.vcs (new_view, t.id) (vc, true);
+    Log.clear_entries t.log;
+    Hashtbl.reset t.assigned;
+    t.pending_ckpt_announce <- [];
+    (* roll back any tentative executions: they may be replaced by null
+       requests in the new view (Section 5.1.2) *)
+    if t.last_exec > t.committed_upto then begin
+      let candidates =
+        List.filter (fun (s, _) -> s <= t.committed_upto) (Checkpoint_store.held t.ckpts)
+      in
+      match List.rev candidates with
+      | (s, _) :: _ -> (
+          match Checkpoint_store.tree_at t.ckpts s with
+          | Some tree -> (
+              match restore_snapshot t (Partition_tree.snapshot tree) with
+              | Ok () ->
+                  t.last_exec <- s;
+                  t.committed_upto <- min t.committed_upto s
+              | Error _ -> ())
+          | None -> ())
+      | [] -> ()
+    end;
+    broadcast t (View_change vc);
+    (* view-change retry timer: if the new view does not activate in time,
+       move to the next one with a doubled timeout (liveness, 2.3.5) *)
+    t.vc_timeout_us <- t.vc_timeout_us *. 2.0;
+    t.vc_timer <-
+      Some
+        (Engine.schedule t.engine
+           ~label:(Printf.sprintf "vc%d" t.id)
+           ~delay:(Engine.of_us_float t.vc_timeout_us)
+           (fun () ->
+             t.vc_timer <- None;
+             if not t.active then start_view_change t (t.view + 1)));
+    try_new_view t
+  end
+
+(* The new primary assembles S from acknowledged view-changes and tries to
+   decide (Fig 3-3). *)
+and try_new_view t =
+  let v = t.view in
+  if
+    (not t.active) && primary_of t v = t.id
+    && (not (Hashtbl.mem t.new_views v))
+    && not t.muted
+  then begin
+    (* S: our own view-change plus every view-change with 2f-1 acks *)
+    let s =
+      Hashtbl.fold
+        (fun (v', sender) (vc, _verified) acc ->
+          if v' <> v then acc
+          else if sender = t.id then (sender, vc) :: acc
+          else
+            let acks = ack_table t ~view:v ~origin:sender in
+            let d = Wire.view_change_digest vc in
+            let matching =
+              Hashtbl.fold
+                (fun acker d' n -> if acker <> sender && String.equal d d' then n + 1 else n)
+                acks 0
+            in
+            if matching >= (2 * t.d.cfg.Config.f) - 1 then (sender, vc) :: acc else acc)
+        t.vcs []
+    in
+    if List.length s >= quorum t then begin
+      match Nv_decision.decide t.d.cfg s ~has_batch:(fun d -> have_batch_bodies t d) with
+      | Nv_decision.Wait ->
+          (* fetch batch bodies that block decisions *)
+          List.iter
+            (fun (_, vc) ->
+              List.iter
+                (fun e ->
+                  if not (have_batch_bodies t e.pe_digest) then
+                    broadcast t (Fetch_batch { fb_digest = e.pe_digest; fb_replica = t.id }))
+                vc.vc_pset)
+            s
+      | Nv_decision.Decision { start; start_digest; chosen } ->
+          let nv =
+            {
+              nv_view = v;
+              nv_vcs = List.map (fun (sender, vc) -> (sender, Wire.view_change_digest vc)) s;
+              nv_start = start;
+              nv_start_digest = start_digest;
+              nv_chosen = chosen;
+            }
+          in
+          Hashtbl.replace t.new_views v nv;
+          broadcast t (New_view nv);
+          t.deferred_nv <- Some nv;
+          process_new_view t
+    end
+  end
+
+and enter_new_view t (nv : new_view) =
+  let v = nv.nv_view in
+  L.debug (fun m -> m "replica %d: entering view %d (start=%d)" t.id v nv.nv_start);
+  if Obs.enabled t.obs then Obs.new_view_entered t.obs ~now:(now t) ~view:v;
+  t.view <- v;
+  t.active <- true;
+  t.deferred_nv <- None;
+  (* new watchdog epoch: the smoothed latency of the old primary (and of
+     the view-change gap itself) says nothing about the new primary *)
+  t.perf_view_start <- now t;
+  t.perf_ewma_us <- 0.0;
+  t.perf_samples <- 0;
+  stop_vc_timer t;
+  (* prune view-change state for views before this one *)
+  let prune_tbl tbl keep =
+    Hashtbl.iter (fun k _ -> if not (keep k) then Hashtbl.remove tbl k) (Hashtbl.copy tbl)
+  in
+  prune_tbl t.vcs (fun (v', _) -> v' >= v);
+  prune_tbl t.acks (fun (v', _) -> v' >= v);
+  prune_tbl t.my_acks (fun v' -> v' >= v);
+  prune_tbl t.my_vcs (fun v' -> v' >= v);
+  prune_tbl t.new_views (fun v' -> v' >= v);
+  (* align our state with the chosen start checkpoint *)
+  let have_start = Checkpoint_store.tree_at t.ckpts nv.nv_start <> None in
+  if t.last_exec > t.committed_upto then begin
+    (* discard tentative executions *)
+    let candidates =
+      List.filter
+        (fun (s, _) -> s <= t.committed_upto && s >= nv.nv_start)
+        (Checkpoint_store.held t.ckpts)
+    in
+    match List.rev candidates with
+    | (s, _) :: _ -> (
+        match Checkpoint_store.tree_at t.ckpts s with
+        | Some tree -> (
+            match restore_snapshot t (Partition_tree.snapshot tree) with
+            | Ok () ->
+                t.last_exec <- s;
+                t.committed_upto <- s
+            | Error _ -> ())
+        | None -> ())
+    | [] ->
+        if have_start then begin
+          match Checkpoint_store.tree_at t.ckpts nv.nv_start with
+          | Some tree -> (
+              match restore_snapshot t (Partition_tree.snapshot tree) with
+              | Ok () ->
+                  t.last_exec <- nv.nv_start;
+                  t.committed_upto <- nv.nv_start
+              | Error _ -> ())
+          | None -> ()
+        end
+  end;
+  if (not have_start) && t.last_exec < nv.nv_start then
+    start_transfer t ~target:nv.nv_start ~root_digest:nv.nv_start_digest;
+  if t.last_exec < nv.nv_start && have_start then begin
+    (match Checkpoint_store.tree_at t.ckpts nv.nv_start with
+    | Some tree -> (
+        match restore_snapshot t (Partition_tree.snapshot tree) with
+        | Ok () ->
+            t.last_exec <- nv.nv_start;
+            t.committed_upto <- max t.committed_upto nv.nv_start
+        | Error _ -> ())
+    | None -> ())
+  end;
+  if Log.low_mark t.log < nv.nv_start then Log.truncate t.log nv.nv_start;
+  (* install the chosen pre-prepares and (as a backup) send prepares *)
+  let am_primary = primary_of t v = t.id in
+  List.iter
+    (fun c ->
+      let n = c.nc_seq in
+      if Log.in_window t.log n then begin
+        let batch, nondet =
+          if String.equal c.nc_digest Wire.null_batch_digest then ([], "null")
+          else
+            match Hashtbl.find_opt t.batches c.nc_digest with
+            | Some (b, nd) -> (b, nd)
+            | None -> ([], "null")
+        in
+        let pp = { pp_view = v; pp_seq = n; pp_batch = batch; pp_nondet = nondet } in
+        ignore (Log.accept_pre_prepare t.log ~view:v pp c.nc_digest);
+        (Log.find t.log n).Log.self_preprepared <- true;
+        if not am_primary then send_prepare t ~view:v ~seq:n c.nc_digest
+      end)
+    nv.nv_chosen;
+  if am_primary then
+    t.seqno <- List.fold_left (fun acc c -> max acc c.nc_seq) nv.nv_start nv.nv_chosen
+  else t.seqno <- 0;
+  (* redo the protocol; executions <= last_exec are skipped automatically *)
+  List.iter (fun c -> check_prepared_to_commit t ~seq:c.nc_seq) nv.nv_chosen;
+  try_execute t;
+  if Hashtbl.length t.waiting > 0 then start_vc_timer t;
+  process_queue t
+
+(* Validate and adopt a deferred new-view once all its view-changes (and
+   the chosen batches) are locally available. *)
+and process_new_view t =
+  match t.deferred_nv with
+  | None -> ()
+  | Some nv when nv.nv_view < t.view -> t.deferred_nv <- None
+  | Some nv ->
+      let v = nv.nv_view in
+      if primary_of t v = t.id then begin
+        (* the primary already validated its own decision *)
+        if Hashtbl.mem t.new_views v then begin
+          let missing =
+            List.filter (fun c -> not (have_batch_bodies t c.nc_digest)) nv.nv_chosen
+          in
+          if missing = [] then enter_new_view t nv
+          else
+            List.iter
+              (fun c -> broadcast t (Fetch_batch { fb_digest = c.nc_digest; fb_replica = t.id }))
+              missing
+        end
+      end
+      else begin
+        let vcs = List.filter_map (fun p -> vc_available t v p |> Option.map (fun vc -> (fst p, vc))) nv.nv_vcs in
+        if List.length vcs = List.length nv.nv_vcs && List.length vcs >= quorum t then begin
+          match Nv_decision.decide t.d.cfg vcs ~has_batch:(fun _ -> true) with
+          | Nv_decision.Decision { start; start_digest; chosen }
+            when start = nv.nv_start
+                 && String.equal start_digest nv.nv_start_digest
+                 && List.length chosen = List.length nv.nv_chosen
+                 && List.for_all2
+                      (fun a b -> a.nc_seq = b.nc_seq && String.equal a.nc_digest b.nc_digest)
+                      chosen nv.nv_chosen ->
+              let missing =
+                List.filter (fun c -> not (have_batch_bodies t c.nc_digest)) nv.nv_chosen
+              in
+              if missing = [] then begin
+                Hashtbl.replace t.new_views v nv;
+                enter_new_view t nv
+              end
+              else
+                List.iter
+                  (fun c ->
+                    broadcast t (Fetch_batch { fb_digest = c.nc_digest; fb_replica = t.id }))
+                  missing
+          | Nv_decision.Decision _ | Nv_decision.Wait ->
+              (* invalid or undecidable: move to the next view *)
+              start_view_change t (v + 1)
+        end
+      end
+
+(* ------------------------------------------------------------------ *)
+(* Normal case: requests and pre-prepares                             *)
+(* ------------------------------------------------------------------ *)
+
+let note_waiting t digest =
+  if not (Hashtbl.mem t.waiting digest) then begin
+    Hashtbl.replace t.waiting digest (now t);
+    if t.active then start_vc_timer t
+  end
 
 (* Admission control (the client-flood attack of Chondros et al.): the
    number of distinct requests a client currently has in the ordering
@@ -1204,80 +1632,6 @@ let client_inflight t client =
   Hashtbl.iter (fun d () -> note d) t.assigned;
   Hashtbl.iter (fun d (_ : Engine.time) -> note d) t.waiting;
   Hashtbl.length seen
-
-(* Accept and queue a client request (primary) or relay it (backup). *)
-let handle_request t (req : request) token ~verified ~relayed =
-  let d = Wire.request_digest req in
-  charge t (Costs.digest_us t.costs (Wire.size (Request req)));
-  let last_t =
-    match Hashtbl.find_opt t.last_reply req.client with Some (ts, _, _) -> ts | None -> -1L
-  in
-  if Int64.compare req.timestamp last_t < 0 then ()
-  else if Int64.compare req.timestamp last_t = 0 then begin
-    (* already executed: retransmit cached reply *)
-    match Hashtbl.find_opt t.last_reply req.client with
-    | Some (ts, result, _) ->
-        send_to t ~dst:req.client
-          (Reply
-             {
-               rp_view = t.view;
-               rp_timestamp = ts;
-               rp_client = req.client;
-               rp_replica = t.id;
-               rp_tentative = false;
-               rp_result = Full result;
-             })
-    | None -> ()
-  end
-  else if
-    (* Per-client in-flight quota: a new request (retransmissions of a
-       request already in the pipeline always pass) beyond the quota is
-       dropped and counted, so a flooding client saturates its own slice
-       of the pipeline instead of everyone's. Correct clients run
-       closed-loop with one outstanding request and never get near the
-       default quota. The read-only fast path below bypasses the
-       ordering pipeline and is exempt. *)
-    (not (Hashtbl.mem t.queued d))
-    && (not (Hashtbl.mem t.assigned d))
-    && (not (Hashtbl.mem t.waiting d))
-    && (not (req.read_only && t.d.cfg.Config.read_only_opt && verified))
-    && client_inflight t req.client >= t.d.cfg.Config.client_quota
-  then begin
-    t.counters.n_admission_dropped <- t.counters.n_admission_dropped + 1;
-    if Obs.enabled t.obs then Obs.admission_drop t.obs ~now:(now t) ~client:req.client;
-    L.debug (fun m -> m "replica %d: admission drop client=%d" t.id req.client)
-  end
-  else begin
-    ignore (store_request t req token verified);
-    if Obs.enabled t.obs then
-      Obs.request_arrival t.obs ~now:(now t) ~client:req.client ~digest:d;
-    !retry_deferred_pps_ref t;
-    if req.read_only && t.d.cfg.Config.read_only_opt && verified then begin
-      t.pending_ro <- req :: t.pending_ro;
-      flush_read_only t
-    end
-    else if is_primary t then begin
-      if verified && not (Hashtbl.mem t.queued d) && not (Hashtbl.mem t.assigned d) then begin
-        queue_push t req;
-        Hashtbl.replace t.queued d ();
-        process_queue t
-      end
-    end
-    else begin
-      note_waiting t d;
-      if not relayed then
-        (* relay to the primary with the client's token intact *)
-        if not t.muted then begin
-          let env = Message.envelope ~sender:t.id ~auth:token (Request req) in
-          Network.send t.d.net ~src:t.id ~dst:(primary t)
-            ~size:(Wire.envelope_size env) env
-        end
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Normal case: backups                                                 *)
-(* ------------------------------------------------------------------ *)
 
 (* condition 2: f prepares carrying the batch digest vouch for it *)
 let batch_vouched t batch_digest =
@@ -1352,38 +1706,6 @@ let batch_authentic t elems batch_digest =
           (* condition 1, sequential: signatures (and tokenless elements) *)
           verify_token t ~claimed:r.client (Request r) tok || Lazy.force vouched)
     statuses
-
-let send_prepare t ~view ~seq digest =
-  if allowed_seq t seq then begin
-    let p = { pr_view = view; pr_seq = seq; pr_digest = digest; pr_replica = t.id } in
-    Log.add_prepare t.log p;
-    (Log.find t.log seq).Log.self_preprepared <- true;
-    broadcast t (Prepare p)
-  end
-
-let send_commit t ~view ~seq digest =
-  if allowed_seq t seq then begin
-    let c = { cm_view = view; cm_seq = seq; cm_digest = digest; cm_replica = t.id } in
-    Log.add_commit t.log c;
-    broadcast t (Commit c)
-  end
-
-let check_prepared_to_commit t ~seq =
-  match Log.entry t.log seq with
-  | Some e when e.Log.pp_digest <> None ->
-      let d = Option.get e.Log.pp_digest in
-      if
-        Log.prepared t.log ~view:t.view ~seq
-        && not (Hashtbl.mem e.Log.commits t.id)
-      then begin
-        if Obs.enabled t.obs then
-          Obs.phase t.obs ~now:(now t) Obs.Prepared ~view:t.view ~seq;
-        send_commit t ~view:t.view ~seq d
-      end;
-      try_execute t
-  | _ -> ()
-
-let has_new_view t v = v = 0 || Hashtbl.mem t.new_views v
 
 let accept_pre_prepare t (pp : pre_prepare) =
   let v = pp.pp_view and n = pp.pp_seq in
@@ -1464,7 +1786,75 @@ let retry_deferred_pps t =
   t.deferred_pps <- [];
   List.iter (fun pp -> accept_pre_prepare t pp) pps
 
-let () = retry_deferred_pps_ref := retry_deferred_pps
+(* Accept and queue a client request (primary) or relay it (backup). *)
+let handle_request t (req : request) token ~verified ~relayed =
+  let d = Wire.request_digest req in
+  charge t (Costs.digest_us t.costs (Wire.size (Request req)));
+  let last_t =
+    match Hashtbl.find_opt t.last_reply req.client with Some (ts, _, _) -> ts | None -> -1L
+  in
+  if Int64.compare req.timestamp last_t < 0 then ()
+  else if Int64.compare req.timestamp last_t = 0 then begin
+    (* already executed: retransmit cached reply *)
+    match Hashtbl.find_opt t.last_reply req.client with
+    | Some (ts, result, _) ->
+        send_to t ~dst:req.client
+          (Reply
+             {
+               rp_view = t.view;
+               rp_timestamp = ts;
+               rp_client = req.client;
+               rp_replica = t.id;
+               rp_tentative = false;
+               rp_result = Full result;
+             })
+    | None -> ()
+  end
+  else if
+    (* Per-client in-flight quota: a new request (retransmissions of a
+       request already in the pipeline always pass) beyond the quota is
+       dropped and counted, so a flooding client saturates its own slice
+       of the pipeline instead of everyone's. Correct clients run
+       closed-loop with one outstanding request and never get near the
+       default quota. The read-only fast path below bypasses the
+       ordering pipeline and is exempt. *)
+    (not (Hashtbl.mem t.queued d))
+    && (not (Hashtbl.mem t.assigned d))
+    && (not (Hashtbl.mem t.waiting d))
+    && (not (req.read_only && t.d.cfg.Config.read_only_opt && verified))
+    && client_inflight t req.client >= t.d.cfg.Config.client_quota
+  then begin
+    t.counters.n_admission_dropped <- t.counters.n_admission_dropped + 1;
+    if Obs.enabled t.obs then Obs.admission_drop t.obs ~now:(now t) ~client:req.client;
+    L.debug (fun m -> m "replica %d: admission drop client=%d" t.id req.client)
+  end
+  else begin
+    ignore (store_request t req token verified);
+    if Obs.enabled t.obs then
+      Obs.request_arrival t.obs ~now:(now t) ~client:req.client ~digest:d;
+    retry_deferred_pps t;
+    if req.read_only && t.d.cfg.Config.read_only_opt && verified then begin
+      t.pending_ro <- req :: t.pending_ro;
+      flush_read_only t
+    end
+    else if is_primary t then begin
+      if verified && not (Hashtbl.mem t.queued d) && not (Hashtbl.mem t.assigned d) then begin
+        queue_push t req;
+        Hashtbl.replace t.queued d ();
+        process_queue t
+      end
+    end
+    else begin
+      note_waiting t d;
+      if not relayed then
+        (* relay to the primary with the client's token intact *)
+        if not t.muted then begin
+          let env = Message.envelope ~sender:t.id ~auth:token (Request req) in
+          Network.send t.d.net ~src:t.id ~dst:(primary t)
+            ~size:(Wire.envelope_size env) env
+        end
+    end
+  end
 
 let handle_prepare t (p : prepare) =
   if p.pr_view = t.view && Log.in_window t.log p.pr_seq && p.pr_replica <> primary_of t p.pr_view
@@ -1481,122 +1871,8 @@ let handle_commit t (c : commit) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* View changes (Section 3.2.4)                                         *)
+(* View-change and new-view messages                                  *)
 (* ------------------------------------------------------------------ *)
-
-(* Compute the P and Q sets from the log and the previous sets (Fig 3-2). *)
-let compute_pq t =
-  let h = Log.low_mark t.log in
-  let pset' = Hashtbl.create 16 and qset' = Hashtbl.create 16 in
-  for n = h + 1 to h + t.d.cfg.Config.log_size do
-    let log_prepared, log_preprepared, digest_view =
-      match Log.entry t.log n with
-      | Some e when e.Log.pp_digest <> None ->
-          let d = Option.get e.Log.pp_digest in
-          let v = e.Log.pp_view in
-          ( Log.prepared t.log ~view:v ~seq:n || Log.committed t.log ~view:v ~seq:n,
-            e.Log.self_preprepared,
-            Some (d, v) )
-      | _ -> (false, false, None)
-    in
-    (match (log_prepared, digest_view) with
-    | true, Some (d, v) ->
-        Hashtbl.replace pset' n { pe_seq = n; pe_digest = d; pe_view = v }
-    | _ -> (
-        match Hashtbl.find_opt t.pset n with
-        | Some e -> Hashtbl.replace pset' n e
-        | None -> ()));
-    match (log_preprepared, digest_view) with
-    | true, Some (d, v) ->
-        let prev = match Hashtbl.find_opt t.qset n with Some l -> l | None -> [] in
-        let others = List.filter (fun (d', _) -> not (String.equal d' d)) prev in
-        Hashtbl.replace qset' n ((d, v) :: others)
-    | _ -> (
-        match Hashtbl.find_opt t.qset n with
-        | Some l -> Hashtbl.replace qset' n l
-        | None -> ())
-  done;
-  (pset', qset')
-
-let start_view_change t new_view =
-  if new_view > t.view then begin
-    t.counters.n_view_changes <- t.counters.n_view_changes + 1;
-    L.debug (fun m -> m "replica %d: view change %d -> %d" t.id t.view new_view);
-    if Obs.enabled t.obs then
-      Obs.view_change_start t.obs ~now:(now t) ~from_view:t.view ~to_view:new_view;
-    t.view <- new_view;
-    t.active <- false;
-    stop_vc_timer t;
-    let pset', qset' = compute_pq t in
-    Hashtbl.reset t.pset;
-    Hashtbl.iter (Hashtbl.replace t.pset) pset';
-    Hashtbl.reset t.qset;
-    Hashtbl.iter (Hashtbl.replace t.qset) qset';
-    let pset_list =
-      Hashtbl.fold (fun _ e acc -> e :: acc) t.pset []
-      |> List.sort (fun a b -> compare a.pe_seq b.pe_seq)
-    in
-    let qset_list =
-      Hashtbl.fold (fun n l acc -> { qe_seq = n; qe_entries = l } :: acc) t.qset []
-      |> List.sort (fun a b -> compare a.qe_seq b.qe_seq)
-    in
-    let vc =
-      {
-        vc_view = new_view;
-        vc_h = Checkpoint_store.stable_seq t.ckpts;
-        vc_cset = Checkpoint_store.held t.ckpts;
-        vc_pset = pset_list;
-        vc_qset = qset_list;
-        vc_replica = t.id;
-      }
-    in
-    Hashtbl.replace t.my_vcs new_view vc;
-    Hashtbl.replace t.vcs (new_view, t.id) (vc, true);
-    Log.clear_entries t.log;
-    Hashtbl.reset t.assigned;
-    t.pending_ckpt_announce <- [];
-    (* roll back any tentative executions: they may be replaced by null
-       requests in the new view (Section 5.1.2) *)
-    if t.last_exec > t.committed_upto then begin
-      let candidates =
-        List.filter (fun (s, _) -> s <= t.committed_upto) (Checkpoint_store.held t.ckpts)
-      in
-      match List.rev candidates with
-      | (s, _) :: _ -> (
-          match Checkpoint_store.tree_at t.ckpts s with
-          | Some tree -> (
-              match restore_snapshot t (Partition_tree.snapshot tree) with
-              | Ok () ->
-                  t.last_exec <- s;
-                  t.committed_upto <- min t.committed_upto s
-              | Error _ -> ())
-          | None -> ())
-      | [] -> ()
-    end;
-    broadcast t (View_change vc);
-    (* view-change retry timer: if the new view does not activate in time,
-       move to the next one with a doubled timeout (liveness, 2.3.5) *)
-    t.vc_timeout_us <- t.vc_timeout_us *. 2.0;
-    t.vc_timer <-
-      Some
-        (Engine.schedule t.engine
-           ~label:(Printf.sprintf "vc%d" t.id)
-           ~delay:(Engine.of_us_float t.vc_timeout_us)
-           (fun () ->
-             t.vc_timer <- None;
-             if not t.active then !start_view_change_ref t (t.view + 1)));
-    !try_new_view_ref t
-  end
-
-let () = start_view_change_ref := start_view_change
-
-let ack_table t ~view ~origin =
-  match Hashtbl.find_opt t.acks (view, origin) with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 8 in
-      Hashtbl.replace t.acks (view, origin) h;
-      h
 
 let handle_view_change t (vc : view_change) ~verified =
   let v = vc.vc_view in
@@ -1644,146 +1920,29 @@ let handle_view_change t (vc : view_change) ~verified =
         | Some v' -> start_view_change t v'
         | None -> ()
       end;
-      !try_new_view_ref t;
-      !process_new_view_ref t
+      try_new_view t;
+      process_new_view t
     end
   end
 
 let handle_view_change_ack t (a : view_change_ack) =
   if a.va_view >= t.view && primary_of t a.va_view = t.id then begin
     Hashtbl.replace (ack_table t ~view:a.va_view ~origin:a.va_origin) a.va_replica a.va_digest;
-    !try_new_view_ref t
+    try_new_view t
   end
 
-(* The new primary assembles S from acknowledged view-changes and tries to
-   decide (Fig 3-3). *)
-let try_new_view t =
-  let v = t.view in
-  if
-    (not t.active) && primary_of t v = t.id
-    && (not (Hashtbl.mem t.new_views v))
-    && not t.muted
-  then begin
-    (* S: our own view-change plus every view-change with 2f-1 acks *)
-    let s =
-      Hashtbl.fold
-        (fun (v', sender) (vc, _verified) acc ->
-          if v' <> v then acc
-          else if sender = t.id then (sender, vc) :: acc
-          else
-            let acks = ack_table t ~view:v ~origin:sender in
-            let d = Wire.view_change_digest vc in
-            let matching =
-              Hashtbl.fold
-                (fun acker d' n -> if acker <> sender && String.equal d d' then n + 1 else n)
-                acks 0
-            in
-            if matching >= (2 * t.d.cfg.Config.f) - 1 then (sender, vc) :: acc else acc)
-        t.vcs []
-    in
-    if List.length s >= quorum t then begin
-      match Nv_decision.decide t.d.cfg s ~has_batch:(fun d -> have_batch_bodies t d) with
-      | Nv_decision.Wait ->
-          (* fetch batch bodies that block decisions *)
-          List.iter
-            (fun (_, vc) ->
-              List.iter
-                (fun e ->
-                  if not (have_batch_bodies t e.pe_digest) then
-                    broadcast t (Fetch_batch { fb_digest = e.pe_digest; fb_replica = t.id }))
-                vc.vc_pset)
-            s
-      | Nv_decision.Decision { start; start_digest; chosen } ->
-          let nv =
-            {
-              nv_view = v;
-              nv_vcs = List.map (fun (sender, vc) -> (sender, Wire.view_change_digest vc)) s;
-              nv_start = start;
-              nv_start_digest = start_digest;
-              nv_chosen = chosen;
-            }
-          in
-          Hashtbl.replace t.new_views v nv;
-          broadcast t (New_view nv);
-          t.deferred_nv <- Some nv;
-          !process_new_view_ref t
-    end
+let handle_new_view t (nv : new_view) =
+  if nv.nv_view >= t.view && primary_of t nv.nv_view <> t.id && nv.nv_view > 0 then begin
+    if nv.nv_view > t.view then start_view_change t nv.nv_view;
+    (match t.deferred_nv with
+    | Some old when old.nv_view >= nv.nv_view -> ()
+    | _ -> t.deferred_nv <- Some nv);
+    process_new_view t
   end
 
-let () = try_new_view_ref := try_new_view
-
 (* ------------------------------------------------------------------ *)
-(* State transfer (Section 5.3.2)                                       *)
+(* State-transfer messages                                            *)
 (* ------------------------------------------------------------------ *)
-
-let pick_replier t =
-  let others = List.filter (fun i -> i <> t.id) (replica_ids t) in
-  List.nth others (Bft_util.Rng.int t.rng (List.length others))
-
-let send_fetch t ~level ~index =
-  match t.transfer with
-  | None -> ()
-  | Some tx ->
-      Hashtbl.replace tx.tx_pending (level, index) ();
-      if Obs.enabled t.obs then Obs.transfer_fetch t.obs ~now:(now t) ~level ~index;
-      broadcast t
-        (Fetch
-           {
-             ft_level = level;
-             ft_index = index;
-             ft_lc = Checkpoint_store.stable_seq t.ckpts;
-             ft_rc = tx.tx_target;
-             ft_replier = tx.tx_replier;
-             ft_replica = t.id;
-           })
-
-let rec transfer_retry t =
-  match t.transfer with
-  | None -> ()
-  | Some tx ->
-      tx.tx_replier <- pick_replier t;
-      Hashtbl.iter (fun (level, index) () -> send_fetch t ~level ~index)
-        (Hashtbl.copy tx.tx_pending);
-      tx.tx_timer <-
-        Some
-          (Engine.schedule t.engine
-             ~label:(Printf.sprintf "tx%d" t.id)
-             ~delay:(Engine.of_us_float 30_000.0) (fun () ->
-               transfer_retry t))
-
-let start_transfer t ~target ~root_digest =
-  match t.transfer with
-  | Some tx when tx.tx_target >= target -> ()
-  | _ ->
-      (match t.transfer with
-      | Some tx -> ( match tx.tx_timer with Some h -> Engine.cancel h | None -> ())
-      | None -> ());
-      t.counters.n_state_transfers <- t.counters.n_state_transfers + 1;
-      L.debug (fun m -> m "replica %d: state transfer to %d" t.id target);
-      if Obs.enabled t.obs then Obs.transfer_start t.obs ~now:(now t) ~target;
-      let tx =
-        {
-          tx_target = target;
-          tx_root_digest = root_digest;
-          tx_expected = Hashtbl.create 32;
-          tx_pending = Hashtbl.create 8;
-          tx_pages = Hashtbl.create 32;
-          tx_page_level = -1;
-          tx_num_pages = 0;
-          tx_ok_pages = Hashtbl.create 32;
-          tx_replier = pick_replier t;
-          tx_timer = None;
-        }
-      in
-      Hashtbl.replace tx.tx_expected (0, 0) (target, root_digest);
-      t.transfer <- Some tx;
-      send_fetch t ~level:0 ~index:0;
-      tx.tx_timer <-
-        Some
-          (Engine.schedule t.engine
-             ~label:(Printf.sprintf "tx%d" t.id)
-             ~delay:(Engine.of_us_float 30_000.0) (fun () ->
-               transfer_retry t))
 
 let local_tree t = Checkpoint_store.latest t.ckpts
 
@@ -1799,14 +1958,6 @@ let handle_fetch t (f : fetch) =
         end
       end
       else if f.ft_replier = t.id || Partition_tree.seq tree > max f.ft_lc f.ft_rc then begin
-        let width =
-          if f.ft_level = 0 then 1
-          else
-            (* interior width is derivable from children of parents; accept
-               index if within the level *)
-            max_int
-        in
-        ignore width;
         match Partition_tree.children tree ~level:f.ft_level ~index:f.ft_index with
         | children ->
             send_to t ~dst:f.ft_replica
@@ -1840,6 +1991,25 @@ let local_page_matches t ~index ~lm ~digest =
       &&
       let p = Partition_tree.page tree index in
       p.Partition_tree.lm = lm && String.equal p.Partition_tree.digest digest
+
+(* Check and fetch state: rebuild our partition tree from the (possibly
+   corrupt) current state and compare against a certified checkpoint. *)
+let recovery_step t =
+  match t.recovering with
+  | Some rc when rc.rc_phase = `Fetching -> (
+      (* find a certified recent checkpoint to check against *)
+      match
+        Checkpoint_store.certified_digest t.ckpts ~threshold:(weak t)
+      with
+      | Some (seq, digest) when seq > Checkpoint_store.stable_seq t.ckpts || t.transfer = None ->
+          let local =
+            match Checkpoint_store.tree_at t.ckpts seq with
+            | Some tree -> String.equal (Partition_tree.root_digest tree) digest
+            | None -> false
+          in
+          if not local then start_transfer t ~target:seq ~root_digest:digest
+      | _ -> ())
+  | _ -> ()
 
 let check_transfer_done t =
   match t.transfer with
@@ -1899,7 +2069,7 @@ let check_transfer_done t =
               Obs.transfer_done t.obs ~now:(now t) ~target:tx.tx_target;
             L.debug (fun m -> m "replica %d: state transfer to %d complete" t.id tx.tx_target);
             try_execute t;
-            !recovery_step_ref t
+            recovery_step t
           end
           else begin
             (* root mismatch: restart the transfer from scratch *)
@@ -1908,8 +2078,6 @@ let check_transfer_done t =
           end
         end
       end
-
-let () = check_transfer_done_ref := check_transfer_done
 
 let handle_meta_data t (m : meta_data) =
   match t.transfer with
@@ -2026,184 +2194,6 @@ let handle_data t (dmsg : data) =
             t.counters.bytes_fetched <- t.counters.bytes_fetched + String.length dmsg.dt_page;
             check_transfer_done t
           end)
-
-(* ------------------------------------------------------------------ *)
-(* New-view processing (primary and backups)                            *)
-(* ------------------------------------------------------------------ *)
-
-let vc_available t v (sender, digest) =
-  match Hashtbl.find_opt t.vcs (v, sender) with
-  | Some (vc, verified) ->
-      if not (String.equal (Wire.view_change_digest vc) digest) then None
-      else if verified then Some vc
-      else begin
-        (* accept an unverified view-change when f acks from other replicas
-           match the digest in the new-view (Section 3.2.4) *)
-        let acks = ack_table t ~view:v ~origin:sender in
-        let matching =
-          Hashtbl.fold
-            (fun acker d n ->
-              if acker <> sender && acker <> t.id && String.equal d digest then n + 1 else n)
-            acks 0
-        in
-        if matching >= t.d.cfg.Config.f then Some vc else None
-      end
-  | None -> None
-
-let enter_new_view t (nv : new_view) =
-  let v = nv.nv_view in
-  L.debug (fun m -> m "replica %d: entering view %d (start=%d)" t.id v nv.nv_start);
-  if Obs.enabled t.obs then Obs.new_view_entered t.obs ~now:(now t) ~view:v;
-  t.view <- v;
-  t.active <- true;
-  t.deferred_nv <- None;
-  (* new watchdog epoch: the smoothed latency of the old primary (and of
-     the view-change gap itself) says nothing about the new primary *)
-  t.perf_view_start <- now t;
-  t.perf_ewma_us <- 0.0;
-  t.perf_samples <- 0;
-  stop_vc_timer t;
-  (* prune view-change state for views before this one *)
-  let prune_tbl tbl keep =
-    Hashtbl.iter (fun k _ -> if not (keep k) then Hashtbl.remove tbl k) (Hashtbl.copy tbl)
-  in
-  prune_tbl t.vcs (fun (v', _) -> v' >= v);
-  prune_tbl t.acks (fun (v', _) -> v' >= v);
-  prune_tbl t.my_acks (fun v' -> v' >= v);
-  prune_tbl t.my_vcs (fun v' -> v' >= v);
-  prune_tbl t.new_views (fun v' -> v' >= v);
-  (* align our state with the chosen start checkpoint *)
-  let have_start = Checkpoint_store.tree_at t.ckpts nv.nv_start <> None in
-  if t.last_exec > t.committed_upto then begin
-    (* discard tentative executions *)
-    let candidates =
-      List.filter
-        (fun (s, _) -> s <= t.committed_upto && s >= nv.nv_start)
-        (Checkpoint_store.held t.ckpts)
-    in
-    match List.rev candidates with
-    | (s, _) :: _ -> (
-        match Checkpoint_store.tree_at t.ckpts s with
-        | Some tree -> (
-            match restore_snapshot t (Partition_tree.snapshot tree) with
-            | Ok () ->
-                t.last_exec <- s;
-                t.committed_upto <- s
-            | Error _ -> ())
-        | None -> ())
-    | [] ->
-        if have_start then begin
-          match Checkpoint_store.tree_at t.ckpts nv.nv_start with
-          | Some tree -> (
-              match restore_snapshot t (Partition_tree.snapshot tree) with
-              | Ok () ->
-                  t.last_exec <- nv.nv_start;
-                  t.committed_upto <- nv.nv_start
-              | Error _ -> ())
-          | None -> ()
-        end
-  end;
-  if (not have_start) && t.last_exec < nv.nv_start then
-    start_transfer t ~target:nv.nv_start ~root_digest:nv.nv_start_digest;
-  if t.last_exec < nv.nv_start && have_start then begin
-    (match Checkpoint_store.tree_at t.ckpts nv.nv_start with
-    | Some tree -> (
-        match restore_snapshot t (Partition_tree.snapshot tree) with
-        | Ok () ->
-            t.last_exec <- nv.nv_start;
-            t.committed_upto <- max t.committed_upto nv.nv_start
-        | Error _ -> ())
-    | None -> ())
-  end;
-  if Log.low_mark t.log < nv.nv_start then Log.truncate t.log nv.nv_start;
-  (* install the chosen pre-prepares and (as a backup) send prepares *)
-  let am_primary = primary_of t v = t.id in
-  List.iter
-    (fun c ->
-      let n = c.nc_seq in
-      if Log.in_window t.log n then begin
-        let batch, nondet =
-          if String.equal c.nc_digest Wire.null_batch_digest then ([], "null")
-          else
-            match Hashtbl.find_opt t.batches c.nc_digest with
-            | Some (b, nd) -> (b, nd)
-            | None -> ([], "null")
-        in
-        let pp = { pp_view = v; pp_seq = n; pp_batch = batch; pp_nondet = nondet } in
-        ignore (Log.accept_pre_prepare t.log ~view:v pp c.nc_digest);
-        (Log.find t.log n).Log.self_preprepared <- true;
-        if not am_primary then send_prepare t ~view:v ~seq:n c.nc_digest
-      end)
-    nv.nv_chosen;
-  if am_primary then
-    t.seqno <- List.fold_left (fun acc c -> max acc c.nc_seq) nv.nv_start nv.nv_chosen
-  else t.seqno <- 0;
-  (* redo the protocol; executions <= last_exec are skipped automatically *)
-  List.iter (fun c -> check_prepared_to_commit t ~seq:c.nc_seq) nv.nv_chosen;
-  try_execute t;
-  if Hashtbl.length t.waiting > 0 then start_vc_timer t;
-  process_queue t
-
-(* Validate and adopt a deferred new-view once all its view-changes (and
-   the chosen batches) are locally available. *)
-let process_new_view t =
-  match t.deferred_nv with
-  | None -> ()
-  | Some nv when nv.nv_view < t.view -> t.deferred_nv <- None
-  | Some nv ->
-      let v = nv.nv_view in
-      if primary_of t v = t.id then begin
-        (* the primary already validated its own decision *)
-        if Hashtbl.mem t.new_views v then begin
-          let missing =
-            List.filter (fun c -> not (have_batch_bodies t c.nc_digest)) nv.nv_chosen
-          in
-          if missing = [] then enter_new_view t nv
-          else
-            List.iter
-              (fun c -> broadcast t (Fetch_batch { fb_digest = c.nc_digest; fb_replica = t.id }))
-              missing
-        end
-      end
-      else begin
-        let vcs = List.filter_map (fun p -> vc_available t v p |> Option.map (fun vc -> (fst p, vc))) nv.nv_vcs in
-        if List.length vcs = List.length nv.nv_vcs && List.length vcs >= quorum t then begin
-          match Nv_decision.decide t.d.cfg vcs ~has_batch:(fun _ -> true) with
-          | Nv_decision.Decision { start; start_digest; chosen }
-            when start = nv.nv_start
-                 && String.equal start_digest nv.nv_start_digest
-                 && List.length chosen = List.length nv.nv_chosen
-                 && List.for_all2
-                      (fun a b -> a.nc_seq = b.nc_seq && String.equal a.nc_digest b.nc_digest)
-                      chosen nv.nv_chosen ->
-              let missing =
-                List.filter (fun c -> not (have_batch_bodies t c.nc_digest)) nv.nv_chosen
-              in
-              if missing = [] then begin
-                Hashtbl.replace t.new_views v nv;
-                enter_new_view t nv
-              end
-              else
-                List.iter
-                  (fun c ->
-                    broadcast t (Fetch_batch { fb_digest = c.nc_digest; fb_replica = t.id }))
-                  missing
-          | Nv_decision.Decision _ | Nv_decision.Wait ->
-              (* invalid or undecidable: move to the next view *)
-              start_view_change t (v + 1)
-        end
-      end
-
-let () = process_new_view_ref := process_new_view
-
-let handle_new_view t (nv : new_view) =
-  if nv.nv_view >= t.view && primary_of t nv.nv_view <> t.id && nv.nv_view > 0 then begin
-    if nv.nv_view > t.view then start_view_change t nv.nv_view;
-    (match t.deferred_nv with
-    | Some old when old.nv_view >= nv.nv_view -> ()
-    | _ -> t.deferred_nv <- Some nv);
-    process_new_view t
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Status and retransmission (Section 5.2)                              *)
@@ -2503,7 +2493,7 @@ let rec recovery_tick t =
                     ~size:(Wire.envelope_size env) env
               | _ -> ())
           | None -> ())
-      | `Fetching -> !recovery_step_ref t);
+      | `Fetching -> recovery_step t);
       ignore
         (Engine.schedule t.engine
            ~label:(Printf.sprintf "rec%d" t.id)
@@ -2544,32 +2534,11 @@ let handle_recovery_reply t (rp : reply) =
                 t.hm_bound <- h_r;
                 if Obs.enabled t.obs then
                   Obs.recovery_phase t.obs ~now:(now t) "fetching";
-                !recovery_step_ref t
+                recovery_step t
               end
           | None -> ())
       | Result_digest _ -> ())
   | _ -> ()
-
-(* Check and fetch state: rebuild our partition tree from the (possibly
-   corrupt) current state and compare against a certified checkpoint. *)
-let recovery_step t =
-  match t.recovering with
-  | Some rc when rc.rc_phase = `Fetching -> (
-      (* find a certified recent checkpoint to check against *)
-      match
-        Checkpoint_store.certified_digest t.ckpts ~threshold:(weak t)
-      with
-      | Some (seq, digest) when seq > Checkpoint_store.stable_seq t.ckpts || t.transfer = None ->
-          let local =
-            match Checkpoint_store.tree_at t.ckpts seq with
-            | Some tree -> String.equal (Partition_tree.root_digest tree) digest
-            | None -> false
-          in
-          if not local then start_transfer t ~target:seq ~root_digest:digest
-      | _ -> ())
-  | _ -> ()
-
-let () = recovery_step_ref := recovery_step
 
 let begin_recovery t =
   if t.recovering = None then begin
@@ -2625,8 +2594,8 @@ let handle_batch_data t (bd : batch_data) =
         | Inline (r, tok) -> ignore (store_request t r tok false)
         | By_digest _ -> ())
       bd.bd_batch;
-    !retry_deferred_pps_ref t;
-    !try_new_view_ref t;
+    retry_deferred_pps t;
+    try_new_view t;
     process_new_view t;
     try_execute t
   end
@@ -2776,16 +2745,11 @@ let create ?(obs = Obs.null) d ~id =
       recovering = None;
       hm_bound = max_int;
       coproc_counter = 0L;
-      last_recovery_reply = Hashtbl.create 4;
-      history = [];
       batch_journal = [];
       byzantine = false;
       muted = false;
       wrong_mac = false;
       null_fill_until = 0;
-      status_timer = None;
-      watchdog_timer = None;
-      key_timer = None;
     }
   in
   Network.add_node d.net ~id ~handler:(fun env -> handle t env);
@@ -2793,34 +2757,32 @@ let create ?(obs = Obs.null) d ~id =
   ignore (take_checkpoint t 0);
   t
 
+(* The periodic timers are never cancelled, so their handles are not kept. *)
 let rec schedule_status t =
-  t.status_timer <-
-    Some
-      (Engine.schedule t.engine
-         ~label:(Printf.sprintf "status%d" t.id)
-         ~delay:(Engine.of_us_float t.d.cfg.Config.status_interval_us)
-         (fun () ->
-           send_status t;
-           schedule_status t))
+  ignore
+    (Engine.schedule t.engine
+       ~label:(Printf.sprintf "status%d" t.id)
+       ~delay:(Engine.of_us_float t.d.cfg.Config.status_interval_us)
+       (fun () ->
+         send_status t;
+         schedule_status t))
 
 let rec schedule_watchdog t delay_us =
-  t.watchdog_timer <-
-    Some
-      (Engine.schedule t.engine
-         ~label:(Printf.sprintf "wd%d" t.id)
-         ~delay:(Engine.of_us_float delay_us) (fun () ->
-           begin_recovery t;
-           schedule_watchdog t t.d.cfg.Config.watchdog_period_us))
+  ignore
+    (Engine.schedule t.engine
+       ~label:(Printf.sprintf "wd%d" t.id)
+       ~delay:(Engine.of_us_float delay_us) (fun () ->
+         begin_recovery t;
+         schedule_watchdog t t.d.cfg.Config.watchdog_period_us))
 
 let rec schedule_key_refresh t =
-  t.key_timer <-
-    Some
-      (Engine.schedule t.engine
-         ~label:(Printf.sprintf "key%d" t.id)
-         ~delay:(Engine.of_us_float t.d.cfg.Config.key_refresh_us)
-         (fun () ->
-           send_new_key t;
-           schedule_key_refresh t))
+  ignore
+    (Engine.schedule t.engine
+       ~label:(Printf.sprintf "key%d" t.id)
+       ~delay:(Engine.of_us_float t.d.cfg.Config.key_refresh_us)
+       (fun () ->
+         send_new_key t;
+         schedule_key_refresh t))
 
 let start t =
   schedule_status t;
@@ -2837,16 +2799,6 @@ let start t =
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                      *)
 (* ------------------------------------------------------------------ *)
-
-let debug_dump t =
-  Printf.sprintf
-    "r%d v=%d act=%b le=%d cu=%d seqno=%d stable=%d q=%d wait=%d defpp=%d nv=%b rec=%b hm=%d fill=%d"
-    t.id t.view t.active t.last_exec t.committed_upto t.seqno
-    (Checkpoint_store.stable_seq t.ckpts) t.queue_len (Hashtbl.length t.waiting)
-    (List.length t.deferred_pps)
-    (t.deferred_nv <> None) (t.recovering <> None)
-    (if t.hm_bound = max_int then -1 else t.hm_bound)
-    t.null_fill_until
 
 let byzantine_equivocate t b = t.byzantine <- b
 let mute t b = t.muted <- b

@@ -71,5 +71,4 @@ val null_batch_digest : Message.digest
 (** Digest of the null request batch chosen for gaps in new views. *)
 
 val view_change_digest : Message.view_change -> Message.digest
-val checkpoint_value_digest : string -> Message.digest
 val result_digest : string -> Message.digest

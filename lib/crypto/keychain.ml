@@ -20,8 +20,6 @@ let group ~first ~last ~secret =
   if first > last then invalid_arg "Keychain.group: empty range";
   { g_first = first; g_last = last; g_pre = Hmac.precompute ~key:secret; g_derivations = 0 }
 
-let group_first g = g.g_first
-let group_last g = g.g_last
 let group_derivations g = g.g_derivations
 let group_mem g id = id >= g.g_first && id <= g.g_last
 
@@ -80,9 +78,6 @@ let install_out_key t ~peer key =
   end
   else false
 
-let out_key t ~peer = Hashtbl.find_opt t.out_keys peer
-let in_key t ~peer = Hashtbl.find_opt t.in_keys peer
-
 let precomputed cache keys ~peer =
   match Hashtbl.find_opt keys peer with
   | None -> None
@@ -127,7 +122,3 @@ let in_epoch t ~peer =
 let drop_all_in_keys t =
   Hashtbl.reset t.in_keys;
   Hashtbl.reset t.in_pre
-
-let peers_with_out_keys t =
-  Hashtbl.fold (fun peer _ acc -> peer :: acc) t.out_keys []
-  |> List.sort_uniq compare

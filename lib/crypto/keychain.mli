@@ -27,12 +27,6 @@ val install_out_key : t -> peer:int -> key -> bool
     not newer than the currently installed one — stale new-key messages are
     rejected, preventing suppress-replay attacks. *)
 
-val out_key : t -> peer:int -> key option
-(** Current key for authenticating messages we send to [peer]. *)
-
-val in_key : t -> peer:int -> key option
-(** Current key [peer] should be using to send to us. *)
-
 val out_key_pre : t -> peer:int -> (key * Hmac.precomputed) option
 (** Like {!out_key}, paired with the cached HMAC key-block midstates for
     that key. The cache is invalidated automatically when a key with a
@@ -64,10 +58,6 @@ val group : first:int -> last:int -> secret:string -> group
 (** Shared group over principal ids [first..last] (inclusive). Raises
     [Invalid_argument] on an empty range. *)
 
-val group_first : group -> int
-val group_last : group -> int
-val group_mem : group -> int -> bool
-
 val group_derive : group -> src:int -> dst:int -> key * Hmac.precomputed
 (** The directional key [src -> dst] with its key-block midstates.
     Deterministic: every call for the same pair returns the same key. *)
@@ -86,5 +76,3 @@ val group_of : t -> group option
 val drop_all_in_keys : t -> unit
 (** Forget every in-key (used on recovery: the old keys may be known to an
     attacker, so all peers are forced to obtain fresh keys). *)
-
-val peers_with_out_keys : t -> int list

@@ -36,8 +36,6 @@
    domain, and the Vpool worker domains each get their own scratch via
    Domain.DLS; the streaming [ctx] API stays allocation-per-use and safe). *)
 
-let digest_size = 32
-
 external unsafe_get16 : string -> int -> int = "%caml_string_get16u"
 external bswap16 : int -> int = "%bswap16"
 
@@ -468,17 +466,6 @@ type ctx = {
 
 let init () = { h = iv (); buf = Bytes.create 64; buf_len = 0; total = 0L; w = Array.make 64 0 }
 
-(* Snapshot a midstate (HMAC key-block precomputation): the copy owns fresh
-   buffers so feeding it never mutates the original. *)
-let copy ctx =
-  {
-    h = Array.copy ctx.h;
-    buf = Bytes.copy ctx.buf;
-    buf_len = ctx.buf_len;
-    total = ctx.total;
-    w = Array.make 64 0;
-  }
-
 let feed_sub ctx s pos len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Sha256.feed_sub";
@@ -509,14 +496,6 @@ let feed_sub ctx s pos len =
   end
 
 let feed ctx s = feed_sub ctx s 0 (String.length s)
-
-(* Zero-copy feed from a byte buffer (e.g. a Buffer's backing store): the
-   bytes are only read within this call, so the unsafe view is sound even
-   if the caller mutates the buffer afterwards. *)
-let feed_bytes ctx b pos len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then
-    invalid_arg "Sha256.feed_bytes";
-  feed_sub ctx (Bytes.unsafe_to_string b) pos len
 
 let output_digest h8 =
   let out = Bytes.create 32 in

@@ -7,21 +7,9 @@
 
 type ctx
 
-val digest_size : int
-(** 32 bytes. *)
-
 val init : unit -> ctx
 val feed : ctx -> string -> unit
 val feed_sub : ctx -> string -> int -> int -> unit
-
-val feed_bytes : ctx -> Bytes.t -> int -> int -> unit
-(** Zero-copy feed from a byte buffer: no intermediate string is
-    allocated. The bytes are only read during the call. *)
-
-val copy : ctx -> ctx
-(** Independent snapshot of a running context. Feeding or finalizing the
-    copy never affects the original — this is the midstate primitive
-    behind HMAC key-block precomputation. *)
 
 val finalize : ctx -> string
 (** Returns the 32-byte digest. The context must not be reused. *)

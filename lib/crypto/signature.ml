@@ -19,7 +19,6 @@ let register registry rng id =
   { id; pre }
 
 let sign signer msg = { signer_id = signer.id; tag = Hmac.mac_precomputed signer.pre msg }
-let signer_id signer = signer.id
 
 let verify registry t msg =
   match Hashtbl.find_opt registry t.signer_id with

@@ -28,7 +28,6 @@ val register : registry -> Bft_util.Rng.t -> int -> signer
     an id replaces its key (used to model key loss on recovery tests). *)
 
 val sign : signer -> string -> t
-val signer_id : signer -> int
 
 val verify : registry -> t -> string -> bool
 (** Check that the signature was produced by [t.signer_id] over the message. *)

@@ -12,7 +12,9 @@
      alias a top-level binding), and [Pdot] into sibling nested modules;
    - wrapped-library aliases: [Bft_core.Message.encode] and
      [Bft_core__.Message.encode] both normalize to the real unit
-     [Bft_core__Message.encode];
+     [Bft_core__Message.encode]; a path through a top-level module alias
+     ([module Engine = Bft_sim.Engine]) is expanded to the aliased path
+     first;
    - everything else is [External] (classified by the effect tables) when
      the path head is a persistent (compilation-unit) ident, or [Local]
      (a function parameter, let-bound closure, or functor innard — the
@@ -44,6 +46,7 @@ type t = {
   defs : (string, def) Hashtbl.t;
   mutable order : string list;  (** def keys, collection (= source) order *)
   by_ident : (string, string) Hashtbl.t;  (** "<unit>/<stamped ident>" -> key *)
+  aliases : (string, Path.t) Hashtbl.t;  (** "<unit>/<stamped module ident>" -> aliased path *)
 }
 
 let ident_key ~unit_name id = unit_name ^ "/" ^ Ident.unique_name id
@@ -85,13 +88,14 @@ let collect_unit t (u : unit_info) =
     | Tstr_attribute a -> file_allows := Syntactic.attr_allows [ a ] @ !file_allows
     | _ -> ()
   and module_binding ~prefix mb =
-    match mb.mb_name.txt with
-    | Some name -> mod_expr ~prefix:(prefix ^ name ^ ".") mb.mb_expr
-    | None -> ()
-  and mod_expr ~prefix me =
+    match (mb.mb_name.txt, mb.mb_id) with
+    | Some name, Some id -> mod_expr ~prefix:(prefix ^ name ^ ".") ~id mb.mb_expr
+    | _ -> ()
+  and mod_expr ~prefix ~id me =
     match me.mod_desc with
     | Tmod_structure s -> List.iter (item ~prefix) s.str_items
-    | Tmod_constraint (me', _, _, _) -> mod_expr ~prefix me'
+    | Tmod_constraint (me', _, _, _) -> mod_expr ~prefix ~id me'
+    | Tmod_ident (p, _) -> Hashtbl.replace t.aliases (ident_key ~unit_name:u.u_name id) p
     | _ -> ()  (* functors / applications: out of scope *)
   and vb ~prefix b =
     match b.vb_pat.pat_desc with
@@ -104,7 +108,14 @@ let collect_unit t (u : unit_info) =
   List.iter (item ~prefix:"") u.u_str.str_items
 
 let build units =
-  let t = { defs = Hashtbl.create 256; order = []; by_ident = Hashtbl.create 256 } in
+  let t =
+    {
+      defs = Hashtbl.create 256;
+      order = [];
+      by_ident = Hashtbl.create 256;
+      aliases = Hashtbl.create 64;
+    }
+  in
   List.iter (collect_unit t) units;
   t.order <- List.rev t.order;
   t
@@ -120,6 +131,16 @@ type target =
    unit "Bft_core__Message". *)
 let join_units a b = if String.ends_with ~suffix:"__" a then a ^ b else a ^ "__" ^ b
 
+(* Rewrite a module path through the unit's top-level aliases. *)
+let rec unalias t ~unit_name path =
+  match path with
+  | Path.Pident id -> (
+      match Hashtbl.find_opt t.aliases (ident_key ~unit_name id) with
+      | Some p -> unalias t ~unit_name p
+      | None -> path)
+  | Path.Pdot (p, s) -> Path.Pdot (unalias t ~unit_name p, s)
+  | _ -> path
+
 let resolve t ~unit_name path =
   match path with
   | Path.Pident id -> (
@@ -127,7 +148,7 @@ let resolve t ~unit_name path =
       | Some key -> Def (Hashtbl.find t.defs key)
       | None -> if Ident.persistent id then External [ Ident.name id ] else Local)
   | _ -> (
-      match Path.flatten path with
+      match Path.flatten (unalias t ~unit_name path) with
       | `Contains_apply -> Local
       | `Ok (head_id, rest) -> (
           let head = Ident.name head_id in

@@ -79,12 +79,21 @@ let load_cmt path =
         }
   | _ -> None
 
+(* The exported values of one [.cmti] file. *)
+let load_cmti path =
+  let cmt = Cmt_format.read_cmt path in
+  match cmt.Cmt_format.cmt_annots with
+  | Cmt_format.Interface sg -> Exports.of_signature ~unit_name:cmt.Cmt_format.cmt_modname sg
+  | _ -> []
+
 (* The whole-program pass: build the cross-module call graph, run the
-   effect fixpoint, then the transitive-nondet and Vpool escape rules. *)
-let interprocedural units =
+   effect fixpoint, then the transitive-nondet, Vpool escape and
+   unused-export rules. *)
+let interprocedural ?(exports = []) units =
   let cg = Callgraph.build units in
   let summaries = Effects.infer cg in
   Effects.findings cg summaries @ Escape.findings cg summaries
+  @ Exports.findings cg units exports
 
 (* Typecheck a standalone snippet against the initial environment so the
    fixture corpus can exercise the type-aware rules without dune in the
@@ -122,17 +131,47 @@ let lint_source ~filename src =
         Ok () )
   | Error e -> (List.sort Finding.compare_pos syntactic, Error e)
 
-(* Walk [root/path] collecting sources and cmt artifacts. Sources are
-   reported relative to [root]; directory order is sorted so runs are
-   deterministic. [.cmti] files (interfaces) carry no expressions worth
-   checking; wrapper/alias cmts are harmless to scan. Paths matching
+(* The whole-program rules over several units at once, each given as
+   (filename, interface source if any, implementation source). Units are
+   typechecked in order and each is added to the environment as a
+   compilation unit, so a later unit's references resolve the way they do
+   in a dune build. Raises if a unit does not typecheck. *)
+let lint_units units =
+  let env = ref (Lazy.force initial_env) in
+  let loaded =
+    List.map
+      (fun (filename, mli, ml) ->
+        let name = modname_of_filename filename in
+        let tstr, _, _, _, _ = Typemod.type_structure !env (parse_impl ~filename ml) in
+        let sg, exports =
+          match mli with
+          | None -> (tstr.Typedtree.str_type, [])
+          | Some src ->
+              let lexbuf = Lexing.from_string src in
+              Location.init lexbuf (Filename.remove_extension filename ^ ".mli");
+              let tsg = Typemod.transl_signature !env (Parse.interface lexbuf) in
+              (tsg.Typedtree.sig_type, Exports.of_signature ~unit_name:name tsg)
+        in
+        env :=
+          Env.add_module (Ident.create_persistent name) Types.Mp_present
+            (Types.Mty_signature sg) !env;
+        ({ Callgraph.u_name = name; u_file = filename; u_str = tstr }, exports))
+      units
+  in
+  List.sort Finding.compare_pos
+    (interprocedural ~exports:(List.concat_map snd loaded) (List.map fst loaded))
+
+(* Walk [root/path] collecting sources, cmt and cmti artifacts. Sources
+   are reported relative to [root]; directory order is sorted so runs are
+   deterministic. [.cmti] files (interfaces) only feed the unused-export
+   rule; wrapper/alias cmts are harmless to scan. Paths matching
    [exclude] (substring) are skipped — the lint-fixture corpus violates
    the rules on purpose. *)
 let default_exclude = [ "lint_fixtures" ]
 
 let gather ?(exclude = default_exclude) ~root paths =
   let excluded rel = List.exists (fun e -> contains_sub rel e) exclude in
-  let mls = ref [] and cmts = ref [] in
+  let mls = ref [] and cmts = ref [] and cmtis = ref [] in
   let rec walk rel =
     let full = Filename.concat root rel in
     if excluded rel then ()
@@ -144,9 +183,10 @@ let gather ?(exclude = default_exclude) ~root paths =
          names)
     else if String.ends_with ~suffix:".ml" rel then mls := rel :: !mls
     else if String.ends_with ~suffix:".cmt" rel then cmts := rel :: !cmts
+    else if String.ends_with ~suffix:".cmti" rel then cmtis := rel :: !cmtis
   in
   List.iter (fun p -> if Sys.file_exists (Filename.concat root p) then walk p) paths;
-  (List.rev !mls, List.rev !cmts)
+  (List.rev !mls, List.rev !cmts, List.rev !cmtis)
 
 type run = {
   findings : Finding.t list;
@@ -161,7 +201,7 @@ type run = {
    per-directory allowlist with (path-prefix, rule-id) pairs. *)
 let lint_tree ?(allow = []) ?exclude ~root paths =
   let allowlist = allow @ default_allowlist in
-  let mls, cmts = gather ?exclude ~root paths in
+  let mls, cmts, cmtis = gather ?exclude ~root paths in
   let errors = ref [] in
   let of_ml rel =
     match lint_ml_file ~path:(Filename.concat root rel) rel with
@@ -181,8 +221,16 @@ let lint_tree ?(allow = []) ?exclude ~root paths =
         errors := Printf.sprintf "%s: %s" rel (Printexc.to_string exn) :: !errors;
         []
   in
+  let of_cmti rel =
+    match load_cmti (Filename.concat root rel) with
+    | xs -> xs
+    | exception exn ->
+        errors := Printf.sprintf "%s: %s" rel (Printexc.to_string exn) :: !errors;
+        []
+  in
   let raw = List.concat_map of_ml mls @ List.concat_map of_cmt cmts in
-  let raw = raw @ interprocedural (List.rev !units) in
+  let exports = List.concat_map of_cmti cmtis in
+  let raw = raw @ interprocedural ~exports (List.rev !units) in
   let findings =
     List.sort Finding.compare_pos (List.filter (fun f -> not (allowed_by allowlist f)) raw)
   in

@@ -17,6 +17,7 @@ let domain_containment = "domain-containment"
 let transitive_nondet = "transitive-nondet"
 let pool_escape = "pool-escape"
 let mutable_global = "mutable-global"
+let unused_export = "unused-export"
 
 (* id, type-aware?, one-line rationale (the DESIGN.md catalogue mirrors
    this list; test_lint checks every id here has a fixture). *)
@@ -55,6 +56,10 @@ let all =
       true,
       "closure crossing the Vpool/Domain.spawn boundary calls code whose inferred effect \
        writes top-level mutable state; a data race across the deterministic-merge boundary" );
+    ( unused_export,
+      true,
+      "an .mli val no other compilation unit references; un-export it, or delete it if its own \
+       module does not use it either" );
   ]
 
 let ids = List.map (fun (id, _, _) -> id) all

@@ -116,8 +116,6 @@ let add_node_range t ~first ~last ~handler =
   in
   t.ranges <- (first, last, n) :: t.ranges
 
-let set_handler t ~id ~handler = (node t id).handler <- handler
-
 let charge t ~id us =
   let n = node t id in
   let now = Engine.now t.engine in
@@ -127,8 +125,6 @@ let charge t ~id us =
 let set_cpu_factor t ~id f =
   if f <= 0.0 then invalid_arg "Network.set_cpu_factor: factor must be positive";
   (node t id).cpu_factor <- f
-
-let cpu_factor t ~id = (node t id).cpu_factor
 
 let busy_until t ~id = (node t id).busy_until
 let backlog t ~id = Queue.length (node t id).backlog
@@ -311,14 +307,12 @@ let set_link_loss t ~src ~dst p =
   if p <= 0.0 then Hashtbl.remove t.link_loss (src, dst)
   else Hashtbl.replace t.link_loss (src, dst) p
 
-let clear_link_loss t = Hashtbl.reset t.link_loss
 let set_adversary t f = t.adversary <- Some f
 let clear_adversary t = t.adversary <- None
 
 (* --- delivery gate (exhaustive exploration, PR 6) --- *)
 
 let set_gate t on = t.gate <- on
-let gate_on t = t.gate
 let held t = List.map (fun (src, dst, _, msg) -> (src, dst, msg)) t.held
 
 let release_held t ~nth ~pred =

@@ -31,9 +31,6 @@ val stats : 'msg t -> stat
 val add_node : 'msg t -> id:int -> handler:('msg -> unit) -> unit
 (** Register a node. Raises [Invalid_argument] on duplicate ids. *)
 
-val set_handler : 'msg t -> id:int -> handler:('msg -> unit) -> unit
-(** Replace a node's handler (used when a replica reboots on recovery). *)
-
 val add_node_range : 'msg t -> first:int -> last:int -> handler:(int -> 'msg -> unit) -> unit
 (** Register the contiguous id range [first..last] (inclusive) backed by
     ONE shared node record — one CPU, one backlog, one crash flag for the
@@ -57,8 +54,6 @@ val set_cpu_factor : 'msg t -> id:int -> float -> unit
     correct-node speed; factors above [1.0] model a slow-but-correct node —
     the [slow_primary] adversary profile. Raises [Invalid_argument] on
     non-positive factors. Reset to [1.0] by {!reset_faults}. *)
-
-val cpu_factor : 'msg t -> id:int -> float
 
 val backlog : 'msg t -> id:int -> int
 (** Number of messages waiting for the node's CPU. Periodic work in the
@@ -105,8 +100,6 @@ val set_link_loss : 'msg t -> src:int -> dst:int -> float -> unit
 (** Directional per-link loss rate, applied on top of the global rate
     (asymmetric lossy links; [0.0] clears the entry). *)
 
-val clear_link_loss : 'msg t -> unit
-
 val set_adversary :
   'msg t -> (src:int -> dst:int -> 'msg -> [ `Pass | `Drop | `Delay of float ]) -> unit
 (** Per-message adversary decision, consulted before normal loss; [`Delay]
@@ -125,7 +118,6 @@ val clear_adversary : 'msg t -> unit
     messages to itself are internal transitions, not network events. *)
 
 val set_gate : 'msg t -> bool -> unit
-val gate_on : 'msg t -> bool
 
 val held : 'msg t -> (int * int * 'msg) list
 (** Held messages as [(src, dst, msg)], oldest first. *)

@@ -35,7 +35,6 @@ let count t = t.count
 let sum_us t = t.sum
 let mean_us t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
 let max_us t = t.max
-let bucket_count t i = t.buckets.(i)
 
 let percentile_us t p =
   if t.count = 0 then 0.0

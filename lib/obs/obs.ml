@@ -50,7 +50,6 @@ let unmarked = Int64.min_int
 
 type t = {
   t_enabled : bool;
-  t_node : int;
   ring : entry Ring.t;
   (* interval histograms: phase_hists.(i) holds the latency of the
      interval ending at phase i (phase_name i) *)
@@ -76,10 +75,9 @@ type t = {
   mutable n_slowness_vc : int;
 }
 
-let make ~enabled ~node ~capacity =
+let make ~enabled ~capacity =
   {
     t_enabled = enabled;
-    t_node = node;
     ring = Ring.create capacity;
     phase_hists = Array.init num_phases (fun _ -> Hist.create ());
     e2e = Hist.create ();
@@ -99,9 +97,8 @@ let make ~enabled ~node ~capacity =
     n_slowness_vc = 0;
   }
 
-let null = make ~enabled:false ~node:(-1) ~capacity:1
+let null = make ~enabled:false ~capacity:1
 let enabled t = t.t_enabled
-let node t = t.t_node
 
 (* ------------------------------------------------------------------ *)
 (* Recording                                                           *)
@@ -313,16 +310,10 @@ let phase_hist t i = t.phase_hists.(i)
 let e2e_hist t = t.e2e
 let checkpoint_bytes_hist t = t.ckpt_bytes
 let batch_occupancy_hist t = t.batch_occ
-let retransmissions t = t.n_retransmissions
 let snapshot_rejections t = t.n_snapshot_rejected
 let timeouts t = t.n_timeouts
 let checkpoint_dirty_pages t = t.n_ckpt_dirty_pages
 let checkpoint_clean_pages t = t.n_ckpt_clean_pages
-let vpool_batches t = t.n_vpool_batches
-let vpool_items t = t.n_vpool_items
-let admission_dropped t = t.n_admission_dropped
-let retransmit_suppressed t = t.n_retransmit_suppressed
-let slowness_view_changes t = t.n_slowness_vc
 
 let hist_line name h =
   Printf.sprintf "  %-20s count=%-6d mean=%8.1fus p50=%8.1fus p99=%8.1fus max=%8.1fus"
@@ -416,7 +407,7 @@ let for_node r id =
   match Hashtbl.find_opt r.tbl id with
   | Some t -> t
   | None ->
-      let t = make ~enabled:true ~node:id ~capacity:r.cap in
+      let t = make ~enabled:true ~capacity:r.cap in
       Hashtbl.replace r.tbl id t;
       t
 

@@ -23,9 +23,6 @@
 
 type phase = Preprepared | Prepared | Committed | Executed | Replied
 
-val phase_index : phase -> int
-(** 0..4 in pipeline order. *)
-
 val phase_name : int -> string
 (** Name of the interval ending at phase [i], e.g. ["req->preprep"]. *)
 
@@ -62,7 +59,6 @@ val null : t
 (** The shared disabled sink: every record call is a no-op. *)
 
 val enabled : t -> bool
-val node : t -> int
 
 (** {2 Recording} — all no-ops on a disabled [t].
 
@@ -143,7 +139,6 @@ val checkpoint_bytes_hist : t -> Hist.t
 val batch_occupancy_hist : t -> Hist.t
 (** Requests per batch formed at the primary (values are counts, not us). *)
 
-val retransmissions : t -> int
 val snapshot_rejections : t -> int
 val timeouts : t -> int
 
@@ -151,20 +146,8 @@ val checkpoint_dirty_pages : t -> int
 val checkpoint_clean_pages : t -> int
 (** Cumulative page counts across all checkpoints taken. *)
 
-val vpool_batches : t -> int
-val vpool_items : t -> int
-(** Cumulative verification-pool flushes / jobs submitted by this node. *)
-
-val admission_dropped : t -> int
-val retransmit_suppressed : t -> int
-val slowness_view_changes : t -> int
-(** Attack-defense counters (admission control, retransmission budget,
-    primary performance watchdog). *)
-
 val summary_lines : t -> string list
 (** Human-readable per-node metrics block (phase table + counters). *)
-
-val to_json : t -> string
 
 (** {2 Registry} — one [t] per node id, created on demand. *)
 

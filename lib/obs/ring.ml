@@ -8,7 +8,6 @@ let create cap =
   if cap < 1 then invalid_arg "Ring.create: capacity must be >= 1";
   { slots = Array.make cap None; next = 0; total = 0 }
 
-let capacity t = Array.length t.slots
 let length t = min t.total (Array.length t.slots)
 let total t = t.total
 

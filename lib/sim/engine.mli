@@ -80,7 +80,6 @@ val run_while : t -> ?until:time -> (unit -> bool) -> bool
 
 (** {2 Time helpers} *)
 
-val ns : int -> time
 val us : int -> time
 val ms : int -> time
 val sec : int -> time

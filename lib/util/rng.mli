@@ -8,9 +8,6 @@ type t
 val create : int64 -> t
 (** [create seed] is a fresh generator. *)
 
-val copy : t -> t
-(** Independent copy with the same current state. *)
-
 val split : t -> t
 (** [split t] derives a new independent stream and advances [t]. *)
 

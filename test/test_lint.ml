@@ -5,6 +5,8 @@
 module Lint = Bft_lint.Lint
 module Finding = Bft_lint.Finding
 module Rule = Bft_lint.Rule
+module Callgraph = Bft_lint.Callgraph
+module Effects = Bft_lint.Effects
 
 let read_file path =
   let ic = open_in_bin path in
@@ -67,6 +69,28 @@ let corpus =
     ("bad_mutable_global.ml", true, [ (Rule.mutable_global, 10) ]);
   ]
 
+(* Rules that need more than one compilation unit: (case name, units as
+   (filename, interface, implementation), expected (rule, file, line)s). *)
+let multi_unit_corpus =
+  [
+    (* an export referenced only from another unit's [let () =] block is
+       used; one referenced nowhere is flagged at its [val] *)
+    ( "unused_export",
+      [
+        ( "exporter.ml",
+          Some "val used_at_init : int -> int\nval unused : int -> int\n",
+          "let used_at_init x = x + 1\nlet unused x = x * 2\n" );
+        ("consumer.ml", None, "let () = assert (Exporter.used_at_init 1 = 2)\n");
+      ],
+      [ (Rule.unused_export, "exporter.mli", 2) ] );
+  ]
+
+let test_multi_unit (name, units, expected) () =
+  let got =
+    List.map (fun f -> (f.Finding.rule, f.Finding.file, f.Finding.line)) (Lint.lint_units units)
+  in
+  Alcotest.(check (list (triple string string int))) name expected got
+
 let test_fixture (name, needs_typed, expected) () =
   let findings, typechecked = lint_fixture name in
   (if needs_typed then
@@ -80,6 +104,9 @@ let test_catalogue_covered () =
   (* every rule id in the catalogue is exercised by at least one fixture *)
   let covered =
     List.concat_map (fun (_, _, expected) -> List.map fst expected) corpus
+    @ List.concat_map
+        (fun (_, _, expected) -> List.map (fun (rule, _, _) -> rule) expected)
+        multi_unit_corpus
   in
   List.iter
     (fun id ->
@@ -177,14 +204,14 @@ let test_json_output () =
   Alcotest.(check bool) "has count" true (contains json "\"count\": 1");
   Alcotest.(check bool) "names the rule" true (contains json Rule.unix)
 
-(* the merge gate: the repo's own sources (and their cmts, when built)
-   produce zero findings and zero errors — lib/ plus the bin/bench/test
+(* the merge gate: the repo's own sources and their cmts produce zero
+   findings and zero errors — lib/ plus the bin/bench/test/examples
    drivers the @lint alias scans *)
 let test_repo_lints_clean () =
   if not (Sys.file_exists "../lib" && Sys.is_directory "../lib") then
     Alcotest.skip ()
   else begin
-    let run = Lint.lint_tree ~root:".." [ "lib"; "bin"; "bench"; "test" ] in
+    let run = Lint.lint_tree ~root:".." [ "lib"; "bin"; "bench"; "test"; "examples" ] in
     List.iter (fun e -> Printf.eprintf "lint error: %s\n" e) run.Lint.errors;
     List.iter
       (fun f -> Printf.eprintf "finding: %s\n" (Finding.to_string f))
@@ -194,12 +221,35 @@ let test_repo_lints_clean () =
     Alcotest.(check bool) "scanned the tree" true (run.Lint.files_scanned >= 30)
   end
 
+(* The replica's protocol cycle is made of direct calls the call graph
+   can see: the vc timer's closure starts the view change, and execution
+   slides the primary's window. *)
+let test_replica_call_edges () =
+  let _, cmts, _ = Lint.gather ~root:".." [ "lib/core" ] in
+  let units = List.filter_map (fun rel -> Lint.load_cmt (Filename.concat ".." rel)) cmts in
+  let summaries = Effects.infer (Callgraph.build units) in
+  let edge src dst =
+    let key name = "Bft_core__Replica." ^ name in
+    match Hashtbl.find_opt summaries (key src) with
+    | None -> Alcotest.failf "no definition %s in the call graph" (key src)
+    | Some s ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s -> %s" src dst)
+          true
+          (List.exists (fun (k, _) -> String.equal k (key dst)) s.Effects.s_edges)
+  in
+  edge "start_vc_timer" "start_view_change";
+  edge "try_execute" "process_queue"
+
 let suites =
   [
     ( "lint.fixtures",
       List.map
         (fun ((name, _, _) as case) -> Alcotest.test_case name `Quick (test_fixture case))
         corpus
+      @ List.map
+          (fun ((name, _, _) as case) -> Alcotest.test_case name `Quick (test_multi_unit case))
+          multi_unit_corpus
       @ [
           Alcotest.test_case "catalogue covered" `Quick test_catalogue_covered;
           Alcotest.test_case "corpus matches disk" `Quick test_corpus_matches_disk;
@@ -209,5 +259,9 @@ let suites =
           Alcotest.test_case "json output" `Quick test_json_output;
           Alcotest.test_case "sarif output" `Quick test_sarif_output;
         ] );
-    ("lint.repo", [ Alcotest.test_case "tree lints clean" `Quick test_repo_lints_clean ]);
+    ( "lint.repo",
+      [
+        Alcotest.test_case "tree lints clean" `Quick test_repo_lints_clean;
+        Alcotest.test_case "replica call edges" `Quick test_replica_call_edges;
+      ] );
   ]
