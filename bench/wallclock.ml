@@ -20,7 +20,7 @@ module Hist = Bft_obs.Hist
 open Bft_core
 
 (* bench/ measures real elapsed time by definition; the determinism fence
-   (no wall clock, no env, no bare domains) applies to lib/ only. *)
+   (no wall clock, no env) applies to lib/ only. *)
 let wall () = Unix.gettimeofday () [@@lint.allow "determinism-unix"]
 
 type metric = { label : string; units : float; seconds : float }
@@ -323,97 +323,6 @@ let print_checkpoint rows =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* parallel MAC/digest verification throughput across the pool         *)
-(* ------------------------------------------------------------------ *)
-
-(* One receiver, four keyed senders, 64-item flushes of 16 KB messages
-   (MACs with an Item_digest mixed in every 8th slot) pushed through
-   [Auth.verify_batch] at each domain count. The messages are long enough
-   that per-item pool overhead amortizes away, so the single-domain row
-   approximates raw HMAC-SHA256 throughput and the multi-domain rows
-   isolate the pool's scaling. Every verdict must come back true — the
-   MACs are genuine — which doubles as an end-to-end merge check. *)
-
-type pv_row = {
-  pv_domains : int;
-  pv_mb : float;
-  pv_seconds : float;
-  pv_worker_frac : float; (* share of items executed by spawned workers *)
-}
-
-let pv_rate r = r.pv_mb /. r.pv_seconds
-
-let bench_parallel_verify ~domains_list ~iters =
-  let receiver = Bft_crypto.Keychain.create ~my_id:0 in
-  let rng = Bft_util.Rng.create 0x5eedL in
-  let senders =
-    List.map
-      (fun peer ->
-        let kc = Bft_crypto.Keychain.create ~my_id:peer in
-        let key = Bft_crypto.Keychain.fresh_in_key receiver rng ~peer in
-        ignore (Bft_crypto.Keychain.install_out_key kc ~peer:0 key);
-        (peer, kc))
-      [ 1; 2; 3; 4 ]
-  in
-  let msg_len = 16_384 and batch_size = 64 in
-  let items =
-    Array.init batch_size (fun i ->
-        let peer, kc = List.nth senders (i mod List.length senders) in
-        let msg = String.init msg_len (fun j -> Char.chr (((i * 131) + (j * 7)) land 0xff)) in
-        if i mod 8 = 7 then Bft_crypto.Auth.Item_digest { expect = Sha256.digest msg; msg }
-        else
-          let mac = Option.get (Bft_crypto.Auth.compute_mac kc ~peer:0 msg) in
-          Bft_crypto.Auth.Item_mac { peer; mac; msg })
-  in
-  let mb_per_iter = float_of_int (batch_size * msg_len) /. 1.0e6 in
-  List.map
-    (fun d ->
-      let pool = Bft_crypto.Vpool.create ~domains:d in
-      (* warm-up flush: domain spawns and first-touch misses off the clock *)
-      ignore (Bft_crypto.Auth.verify_batch ~pool receiver items);
-      Bft_crypto.Vpool.reset_stats pool;
-      let t0 = wall () in
-      for _ = 1 to iters do
-        Array.iteri
-          (fun i ok ->
-            if not ok then begin
-              Printf.eprintf "wallclock: parallel_verify rejected genuine item %d\n" i;
-              exit 2
-            end)
-          (Bft_crypto.Auth.verify_batch ~pool receiver items)
-      done;
-      let dt = wall () -. t0 in
-      let st = Bft_crypto.Vpool.stats pool in
-      Bft_crypto.Vpool.shutdown pool;
-      {
-        pv_domains = d;
-        pv_mb = float_of_int iters *. mb_per_iter;
-        pv_seconds = dt;
-        pv_worker_frac = Bft_crypto.Vpool.worker_fraction st;
-      })
-    domains_list
-
-let print_parallel_verify ~cores rows =
-  Printf.printf "parallel MAC/digest verification (pool, %d core(s) available):\n" cores;
-  let base = match rows with r :: _ -> pv_rate r | [] -> 0.0 in
-  let costs = Bft_net.Costs.default in
-  let model d =
-    (* the analytic model's prediction for a 64-item flush, for contrast
-       with the measured scaling (it assumes d independent cores) *)
-    Bft_net.Costs.verify_batch_us costs ~domains:1 64
-    /. Bft_net.Costs.verify_batch_us costs ~domains:d 64
-  in
-  List.iter
-    (fun r ->
-      Printf.printf
-        "  domains=%d: %7.2f MB/s (%.2fx vs 1 domain, model %.2fx, worker share %.0f%%)\n"
-        r.pv_domains (pv_rate r)
-        (pv_rate r /. base)
-        (model r.pv_domains)
-        (r.pv_worker_frac *. 100.0))
-    rows
-
-(* ------------------------------------------------------------------ *)
 (* per-phase virtual-time latency breakdown                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -679,12 +588,11 @@ let print_digests () =
 (* JSON output and the regression gate                                 *)
 (* ------------------------------------------------------------------ *)
 
-let emit_json ~mode ~cores ~fuzz ~sim ~enc ~pipe_cached ~pipe_uncached ~pv ~e2e ~phases
+let emit_json ~mode ~fuzz ~sim ~enc ~pipe_cached ~pipe_uncached ~e2e ~phases
     ~ckpt ~atk_clean ~atk_rows ~wl path =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   Buffer.add_string b (Printf.sprintf "  \"mode\": %S,\n" mode);
-  Buffer.add_string b (Printf.sprintf "  \"cores\": %d,\n" cores);
   Buffer.add_string b
     (Printf.sprintf
        "  \"fuzz\": { \"seeds\": %.0f, \"seconds\": %.3f, \"seeds_per_sec\": %.3f },\n"
@@ -704,20 +612,6 @@ let emit_json ~mode ~cores ~fuzz ~sim ~enc ~pipe_cached ~pipe_uncached ~pv ~e2e 
         \"uncached_mb_per_sec\": %.2f, \"speedup\": %.2f },\n"
        pipe_cached.units (rate pipe_cached) (rate pipe_uncached)
        (rate pipe_cached /. rate pipe_uncached));
-  let pv_base = match pv with r :: _ -> pv_rate r | [] -> 0.0 in
-  Buffer.add_string b "  \"parallel_verify\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    { \"domains\": %d, \"megabytes\": %.2f, \"seconds\": %.3f, \
-            \"mb_per_sec\": %.2f, \"speedup_vs_1\": %.2f, \"worker_fraction\": %.3f }%s\n"
-           r.pv_domains r.pv_mb r.pv_seconds (pv_rate r)
-           (pv_rate r /. pv_base)
-           r.pv_worker_frac
-           (if i = List.length pv - 1 then "" else ",")))
-    pv;
-  Buffer.add_string b "  ],\n";
   Buffer.add_string b "  \"phases\": {\n";
   List.iteri
     (fun i (name, h) ->
@@ -814,14 +708,6 @@ let () =
   let digests = ref false in
   let metrics_out = ref "" in
   let latency_out = ref "" in
-  (* the verification pool's domain count: --domains beats BFT_DOMAINS
-     beats the single-domain default; also caps the parallel_verify sweep *)
-  let domains =
-    ref
-      (match (Sys.getenv_opt [@lint.allow "determinism-getenv"]) "BFT_DOMAINS" with
-      | Some s -> ( match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 4)
-      | None -> 4)
-  in
   let rec parse = function
     | [] -> ()
     | "--smoke" :: rest -> mode := "smoke"; parse rest
@@ -831,29 +717,18 @@ let () =
     | "--check" :: p :: rest -> check := p; parse rest
     | "--metrics-out" :: p :: rest -> metrics_out := p; parse rest
     | "--latency-out" :: p :: rest -> latency_out := p; parse rest
-    | "--domains" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some d when d >= 1 -> domains := d; parse rest
-        | _ -> Printf.eprintf "wallclock: bad --domains %s\n" n; exit 64)
     | a :: _ -> Printf.eprintf "wallclock: unknown argument %s\n" a; exit 64
   in
   parse (List.tl (Array.to_list Sys.argv));
-  Bft_crypto.Vpool.set_default_domains !domains;
   if !digests then print_digests ()
   else begin
     let smoke = String.equal !mode "smoke" in
-    let cores = (Domain.recommended_domain_count [@lint.allow "domain-containment"]) () in
     let fuzz = bench_fuzz ~seeds:(if smoke then 8 else 40) in
     let sim = bench_sim_events ~events:(if smoke then 200_000 else 1_000_000) in
     let enc = bench_encode_digest ~iters:(if smoke then 200_000 else 1_000_000) in
     let pipe_iters = if smoke then 50_000 else 250_000 in
     let pipe_cached = bench_pipeline ~iters:pipe_iters ~cached:true in
     let pipe_uncached = bench_pipeline ~iters:pipe_iters ~cached:false in
-    let pv_sweep =
-      List.sort_uniq compare (1 :: List.filter (fun d -> d <= !domains) [ 2; 4; 8 ])
-    in
-    let pv = bench_parallel_verify ~domains_list:pv_sweep ~iters:(if smoke then 8 else 32) in
-    print_parallel_verify ~cores pv;
     let reqs = if smoke then 30 else 150 in
     let e2e = List.map (fun f -> (f, bench_e2e ~f ~requests:reqs)) [ 1; 2; 3 ] in
     let ckpt =
@@ -883,7 +758,7 @@ let () =
       close_out oc;
       Printf.printf "metrics registry written to %s\n" !metrics_out
     end;
-    emit_json ~mode:!mode ~cores ~fuzz ~sim ~enc ~pipe_cached ~pipe_uncached ~pv ~e2e
+    emit_json ~mode:!mode ~fuzz ~sim ~enc ~pipe_cached ~pipe_uncached ~e2e
       ~phases:(phase_rows merged phase_e2e) ~ckpt ~atk_clean ~atk_rows ~wl !out;
     if not (String.equal !check "") then begin
       let base = baseline_float !check "seeds_per_sec" in
@@ -910,42 +785,6 @@ let () =
           "wallclock: FAIL — incremental checkpoint speedup regressed below baseline floor\n";
         exit 1
       end;
-      (* verification-pool gates, live on hosts with >= 4 cores (the CI
-         runners): single-domain throughput keeps a 100 MB/s floor (raw
-         HMAC-SHA256 speed must not rot) and the 4-domain pool must
-         deliver >= 2x the single-domain rate. Smaller hosts — a throttled
-         1-core container spinning 4 domains proves nothing about the
-         pool and sits inside the floor's noise band — print the measured
-         rates but stay ungated. *)
-      let pv1 = List.find_opt (fun r -> r.pv_domains = 1) pv in
-      let pv4 = List.find_opt (fun r -> r.pv_domains = 4) pv in
-      (match pv1 with
-      | Some r1 when cores >= 4 ->
-          Printf.printf "regression gate: parallel_verify 1-domain %.2f MB/s (floor 100.00)\n"
-            (pv_rate r1);
-          if pv_rate r1 < 100.0 then begin
-            Printf.eprintf
-              "wallclock: FAIL — single-domain verification below 100 MB/s\n";
-            exit 1
-          end;
-          (match pv4 with
-          | Some r4 ->
-              let speedup = pv_rate r4 /. pv_rate r1 in
-              Printf.printf
-                "regression gate: parallel_verify 4-domain speedup %.2fx (floor 2.00x, %d cores)\n"
-                speedup cores;
-              if speedup < 2.0 then begin
-                Printf.eprintf
-                  "wallclock: FAIL — 4-domain verification under 2x the single-domain rate\n";
-                exit 1
-              end
-          | None -> ())
-      | Some r1 ->
-          Printf.printf
-            "regression gate: parallel_verify skipped (%d core(s) < 4; 1-domain measured \
-             %.2f MB/s)\n"
-            cores (pv_rate r1)
-      | None -> ());
       (* bounded degradation under attack: with the defenses on, every
          adversary profile must complete the full workload and retain a
          per-profile fraction of clean committed throughput. The ratio is

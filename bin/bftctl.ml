@@ -687,7 +687,7 @@ let metrics_cmd =
       String.concat sep
         (List.map (fun (i, d) -> Printf.sprintf fmt i d) sim.Bft_check.Runner.sc_backlog_hwm)
     in
-    (* the verification pool's global counters for the run just traced
+    (* the process-wide verification counters for the run just traced
        (per-node submission counts live in each node's registry entry) *)
     let vst = Bft_crypto.Vpool.stats (Bft_crypto.Vpool.default ()) in
     if json then
@@ -695,16 +695,13 @@ let metrics_cmd =
       Printf.printf
         "{ \"sim\": { \"dropped\": %d, \"duplicated\": %d, \"events_fired\": %d, \
          \"max_heap\": %d, \"backlog_hwm\": { %s } },\n\
-         \"vpool\": { \"domains\": %d, \"batches\": %d, \"parallel_batches\": %d, \
-         \"items\": %d, \"helped\": %d, \"merge_hwm\": %d, \"worker_fraction\": %.3f },\n\
+         \"vpool\": { \"batches\": %d, \"items\": %d, \"merge_hwm\": %d },\n\
          \"nodes\": %s }\n"
         sim.Bft_check.Runner.sc_dropped sim.Bft_check.Runner.sc_duplicated
         sim.Bft_check.Runner.sc_events_fired sim.Bft_check.Runner.sc_max_heap
         (hwm_str ", " "\"node%d\": %d")
-        vst.Bft_crypto.Vpool.st_domains vst.Bft_crypto.Vpool.st_batches
-        vst.Bft_crypto.Vpool.st_parallel_batches vst.Bft_crypto.Vpool.st_items
-        vst.Bft_crypto.Vpool.st_helped vst.Bft_crypto.Vpool.st_merge_hwm
-        (Bft_crypto.Vpool.worker_fraction vst)
+        vst.Bft_crypto.Vpool.st_batches vst.Bft_crypto.Vpool.st_items
+        vst.Bft_crypto.Vpool.st_merge_hwm
         (Bft_obs.Obs.registry_to_json reg)
     else begin
       Printf.printf "seed %d: %d/%d ops, %d view change(s), max view %d\n" seed
@@ -716,13 +713,9 @@ let metrics_cmd =
         sim.Bft_check.Runner.sc_dropped sim.Bft_check.Runner.sc_duplicated
         sim.Bft_check.Runner.sc_events_fired sim.Bft_check.Runner.sc_max_heap
         (hwm_str " " "%d:%d");
-      Printf.printf
-        "vpool: domains=%d batches=%d (parallel %d) items=%d helped=%d merge_hwm=%d \
-         worker_share=%.0f%%\n"
-        vst.Bft_crypto.Vpool.st_domains vst.Bft_crypto.Vpool.st_batches
-        vst.Bft_crypto.Vpool.st_parallel_batches vst.Bft_crypto.Vpool.st_items
-        vst.Bft_crypto.Vpool.st_helped vst.Bft_crypto.Vpool.st_merge_hwm
-        (Bft_crypto.Vpool.worker_fraction vst *. 100.0);
+      Printf.printf "vpool: batches=%d items=%d merge_hwm=%d\n"
+        vst.Bft_crypto.Vpool.st_batches vst.Bft_crypto.Vpool.st_items
+        vst.Bft_crypto.Vpool.st_merge_hwm;
       List.iter
         (fun (id, o) ->
           Printf.printf "node %d (%s):\n" id
@@ -762,15 +755,6 @@ let model_cmd =
     Term.(const run $ f_arg $ auth_arg)
 
 let () =
-  (* BFT_DOMAINS sizes the default verification pool (entry-point-only env
-     access; lib/ is lint-banned from getenv). Parallelism is wall-clock
-     only, so every subcommand's output is identical at any setting. *)
-  (match (Sys.getenv_opt [@lint.allow "determinism-getenv"]) "BFT_DOMAINS" with
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Bft_crypto.Vpool.set_default_domains n
-      | _ -> ())
-  | None -> ());
   let info = Cmd.info "bftctl" ~version:"1.0" ~doc:"Practical Byzantine Fault Tolerance simulator." in
   exit
     (Cmd.eval

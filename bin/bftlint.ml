@@ -1,7 +1,7 @@
 (* bftlint — static-analysis gate over this repo's sources.
 
    Syntactic rules run on a parse of each .ml file; type-aware and
-   whole-program (call-graph / effect / Vpool-escape) rules run on the
+   whole-program (call-graph / effect / unused-export) rules run on the
    .cmt files dune emits, so run it from a tree where the libraries are
    built (dune build @lint does exactly that). Exit codes: 0 clean,
    1 findings, 2 scan errors or usage errors (e.g. malformed --allow). *)

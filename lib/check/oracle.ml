@@ -13,19 +13,6 @@ let failures report =
     (fun o -> match o.result with Ok () -> None | Error e -> Some (o.name ^ ": " ^ e))
     report
 
-(* final committed content of one replica as [(seq, client, op, result)]:
-   last execution wave per sequence number (see Replica.executed_batches) *)
-let committed_prefix r =
-  let upto = Replica.committed_upto r in
-  let tbl : (int, (int * string * string) list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (seq, recs) -> if seq <= upto then Hashtbl.replace tbl seq recs)
-    (Replica.executed_batches r);
-  Hashtbl.fold (fun seq recs acc -> (seq, recs) :: acc) tbl []
-  |> List.sort compare
-  |> List.concat_map (fun (seq, recs) ->
-         List.map (fun (client, op, result) -> (seq, client, op, result)) recs)
-
 let check_histories cluster =
   if Cluster.committed_histories_consistent cluster then Ok ()
   else Error "correct replicas committed conflicting batches"
@@ -51,7 +38,7 @@ let check_at_most_once cluster ~correct =
                      client op seq' seq)
           | Some _ -> ()
           | None -> Hashtbl.replace seen (client, op) seq)
-        (committed_prefix (Cluster.replica cluster i)))
+        (Cluster.committed_records cluster i))
     correct;
   match !violation with Some e -> Error e | None -> Ok ()
 
@@ -71,7 +58,7 @@ let check_client_results cluster ~correct ~completed =
                      "client %d accepted %S for op %S but replica %d committed %S at seq %d"
                      client accepted op i result seq)
           | _ -> ())
-        (committed_prefix (Cluster.replica cluster i)))
+        (Cluster.committed_records cluster i))
     correct;
   match !violation with Some e -> Error e | None -> Ok ()
 

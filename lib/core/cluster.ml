@@ -134,6 +134,12 @@ let committed_content r =
     (Replica.executed_batches r);
   tbl
 
+let committed_records t i =
+  Hashtbl.fold (fun seq recs acc -> (seq, recs) :: acc) (committed_content t.replicas.(i)) []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.concat_map (fun (seq, recs) ->
+         List.map (fun (client, op, result) -> (seq, client, op, result)) recs)
+
 let committed_histories_consistent t =
   let histories = List.map (fun i -> (i, committed_content t.replicas.(i))) !(t.correct) in
   let ops recs = List.map (fun (cl, op, _res) -> (cl, op)) recs in
@@ -162,37 +168,24 @@ let committed_history_digest t =
   let buf = Buffer.create 4096 in
   List.iter
     (fun i ->
-      let tbl = committed_content t.replicas.(i) in
-      let seqs = Hashtbl.fold (fun s _ acc -> s :: acc) tbl [] |> List.sort compare in
       Buffer.add_string buf (Printf.sprintf "replica %d\n" i);
       List.iter
-        (fun seq ->
-          List.iter
-            (fun (client, op, res) ->
-              Buffer.add_string buf (Printf.sprintf "%d|%d|%S|%S\n" seq client op res))
-            (Hashtbl.find tbl seq))
-        seqs)
+        (fun (seq, client, op, res) ->
+          Buffer.add_string buf (Printf.sprintf "%d|%d|%S|%S\n" seq client op res))
+        (committed_records t i))
     (List.sort compare !(t.correct));
   Bft_crypto.Sha256.hexdigest (Buffer.contents buf)
 
 let check_linearizable ?(replica = 0) t ~service =
-  let by_seq = committed_content t.replicas.(replica) in
   let svc = service () in
-  let seqs = Hashtbl.fold (fun s _ acc -> s :: acc) by_seq [] |> List.sort compare in
   let rec replay = function
     | [] -> Ok ()
-    | seq :: rest ->
-        let rec run = function
-          | [] -> replay rest
-          | (client, op, recorded) :: more ->
-              let replayed = svc.Bft_sm.Service.execute ~client ~op ~nondet:"" in
-              if String.equal replayed recorded then run more
-              else
-                Error
-                  (Printf.sprintf
-                     "seq %d client %d op %S: recorded %S but sequential replay gives %S"
-                     seq client op recorded replayed)
-        in
-        run (Hashtbl.find by_seq seq)
+    | (seq, client, op, recorded) :: rest ->
+        let replayed = svc.Bft_sm.Service.execute ~client ~op ~nondet:"" in
+        if String.equal replayed recorded then replay rest
+        else
+          Error
+            (Printf.sprintf "seq %d client %d op %S: recorded %S but sequential replay gives %S"
+               seq client op recorded replayed)
   in
-  replay seqs
+  replay (committed_records t replica)

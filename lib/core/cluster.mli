@@ -62,6 +62,12 @@ val invoke_sync_latency :
 
 (** {2 Whole-system checks (for tests)} *)
 
+val committed_records : t -> int -> (int * int * string * string) list
+(** [committed_records t i]: replica [i]'s committed prefix as
+    [(seq, client, op, result)] in sequence order — the last execution
+    wave per sequence number, since a view-change rollback re-executes
+    from the restored checkpoint. *)
+
 val committed_histories_consistent : t -> bool
 (** Every pair of replicas agrees on the operations executed at each
     sequence number within their common committed prefix — the safety

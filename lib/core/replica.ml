@@ -334,12 +334,10 @@ let send_plain t ~dst body =
     Network.send t.d.net ~src:t.id ~dst ~size:(Wire.envelope_size env) env
   end
 
-(* MAC verification crosses the verification pool as a one-item batch:
-   [Vpool.run] executes sub-parallel batches inline on the caller, so the
-   verdict and the virtual-time charge are exactly the sequential path's —
-   the pool only changes who does the HMAC arithmetic, never the result
-   order. Signatures stay on the caller (cheap to model, nothing to
-   batch). *)
+(* MAC verification goes through [Auth.verify_batch] as a one-item batch,
+   so the verification counters see every envelope; the verdict and the
+   virtual-time charge are exactly the sequential path's. Signatures are
+   verified directly (cheap to model, nothing to batch). *)
 let pool_verify t item =
   if Obs.enabled t.obs then Obs.vpool_submit t.obs ~items:1;
   (Bft_crypto.Auth.verify_batch t.d.keychain [| item |]).(0)
@@ -1239,7 +1237,7 @@ and send_pre_prepare t batch nondet =
         (function Inline (r, _) -> Wire.request_digest r | By_digest dd -> dd)
         batch
     in
-    Obs.batch_assigned t.obs ~now:(now t) ~seq:n ~digests
+    Obs.batch_assigned t.obs ~now:(now t) ~digests
   end;
   if t.byzantine then begin
     (* equivocation: a conflicting assignment for the same sequence number
@@ -1644,15 +1642,16 @@ let batch_vouched t batch_digest =
 
 (* A batch element is authentic if (1) our MAC entry in the client's token
    verifies, (2) f prepares vouch for the batch digest, or (3) we already
-   verified the stored request body. Evaluated in three passes so the MAC
-   arithmetic fans out through the verification pool without disturbing
-   virtual time: pass 1 resolves the charge-free conditions and classifies
-   the rest, pass 2 flushes every MAC/authenticator token as one pool
-   batch, and pass 3 consumes the verdicts in element order, charging each
-   element exactly where the sequential path would and short-circuiting at
-   the first failure — elements past it were pool-verified for nothing
-   (wall-clock only) but are never charged, so the committed-history
-   digests are byte-identical to the sequential evaluation. *)
+   verified the stored request body. Evaluated in three passes so every
+   MAC/authenticator token goes through one [Auth.verify_batch] flush,
+   whose per-sender key memo shares group-key derivations across the
+   batch: pass 1 resolves the charge-free conditions and classifies the
+   rest, pass 2 flushes the tokens, and pass 3 consumes the verdicts in
+   element order, charging each element exactly where the sequential path
+   would and short-circuiting at the first failure — elements past it were
+   verified for nothing (host time only) but are never charged, so the
+   committed-history digests are byte-identical to the sequential
+   evaluation. *)
 let batch_authentic t elems batch_digest =
   let vouched = lazy (batch_vouched t batch_digest) in
   let items = ref [] and n_items = ref 0 in
@@ -1747,7 +1746,7 @@ let accept_pre_prepare t (pp : pre_prepare) =
                 (function Inline (r, _) -> Wire.request_digest r | By_digest dd -> dd)
                 pp.pp_batch
             in
-            Obs.batch_assigned t.obs ~now:(now t) ~seq:n ~digests
+            Obs.batch_assigned t.obs ~now:(now t) ~digests
           end;
           List.iter
             (fun e ->

@@ -64,8 +64,7 @@ let clear_memos () =
 
 (* Module-scratch arena for context-free encodes (digest/size memo
    compute, [Wire.encode]); per-node encode-once paths pass their own
-   arena to [cached_encode]. Encoding happens only on the simulator
-   domain — Vpool workers verify, they never encode — and no encoder
+   arena to [cached_encode]. Everything runs on one domain, and no encoder
    re-enters another mid-write ([batch_digest] hoists its nested request
    digests before touching the arena). *)
 let scratch = A.create ~size:1024 ()

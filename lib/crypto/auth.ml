@@ -32,19 +32,19 @@ let verify_authenticator keychain ~peer auth msg =
 
 (* Batched verification keyed by sender: one in-key lookup (and hence one
    cached HMAC key-block precompute) per sender per flush, with the actual
-   tag/digest recomputation fanned out through the verification pool.
-   [results.(i)] answers [items.(i)] — the pool's deterministic merge —
-   and is exactly what the sequential [verify_mac]/[verify_authenticator]
-   path would have returned for that item. Items whose key is missing,
-   whose epoch is stale, or whose authenticator has no entry for us are
-   decided false up front without a pool job. *)
+   tag/digest recomputation run through [Vpool.run]. [results.(i)] answers
+   [items.(i)] and is exactly what the sequential
+   [verify_mac]/[verify_authenticator] path would have returned for that
+   item. Items whose key is missing, whose epoch is stale, or whose
+   authenticator has no entry for us are decided false up front without a
+   job. *)
 
 type batch_item =
   | Item_mac of { peer : int; mac : mac; msg : string }
   | Item_auth of { peer : int; auth : authenticator; msg : string }
   | Item_digest of { expect : string; msg : string }
 
-let verify_batch ?pool keychain items =
+let verify_batch keychain items =
   let n = Array.length items in
   let results = Array.make n false in
   if n > 0 then begin
@@ -86,9 +86,7 @@ let verify_batch ?pool keychain items =
       | Item_digest { expect; msg } -> submit i (Vpool.Check_digest { expect; msg })
     done;
     if !n_jobs > 0 then begin
-      let pool = match pool with Some p -> p | None -> Vpool.default () in
-      let job_arr = Array.of_list (List.rev !jobs) in
-      let verdicts = Vpool.run pool job_arr in
+      let verdicts = Vpool.run (Array.of_list (List.rev !jobs)) in
       List.iteri (fun k i -> results.(i) <- verdicts.(k)) (List.rev !slots)
     end
   end;

@@ -35,11 +35,10 @@ val verify_authenticator :
     Receivers accumulate independent verification work and flush it in one
     call: key lookups (and the cached HMAC key-block precomputes behind
     them) are resolved once per sender per flush, and the tag/digest
-    recomputations fan out across the {!Vpool} worker domains. Results are
-    merged deterministically — [results.(i)] answers [items.(i)] and is
-    identical to what the sequential {!verify_mac} /
-    {!verify_authenticator} path returns for that item, at any domain
-    count. *)
+    recomputations run through {!Vpool.run} on the calling domain.
+    [results.(i)] answers [items.(i)] and is identical to what the
+    sequential {!verify_mac} / {!verify_authenticator} path returns for
+    that item. *)
 
 type batch_item =
   | Item_mac of { peer : int; mac : mac; msg : string }
@@ -49,8 +48,8 @@ type batch_item =
   | Item_digest of { expect : string; msg : string }
       (** Does [msg] hash to [expect]? *)
 
-val verify_batch : ?pool:Vpool.t -> Keychain.t -> batch_item array -> bool array
-(** Verify every item ([pool] defaults to {!Vpool.default}). *)
+val verify_batch : Keychain.t -> batch_item array -> bool array
+(** Verify every item, verdicts in submission order. *)
 
 val corrupt_entry : authenticator -> int -> authenticator
 (** Testing/fault-injection helper: flip bits in the MAC destined for the

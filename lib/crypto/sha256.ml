@@ -31,10 +31,9 @@
 
    Full 64-byte blocks compress directly from the source string instead of
    being staged through the context buffer, and the one-shot [digest]
-   bypasses the streaming context entirely, hashing into domain-local
-   scratch state (sound because [digest] never re-enters itself within a
-   domain, and the Vpool worker domains each get their own scratch via
-   Domain.DLS; the streaming [ctx] API stays allocation-per-use and safe). *)
+   bypasses the streaming context entirely, hashing into module-level
+   scratch state (sound because [digest] never re-enters itself; the
+   streaming [ctx] API stays allocation-per-use and safe). *)
 
 external unsafe_get16 : string -> int -> int = "%caml_string_get16u"
 external bswap16 : int -> int = "%bswap16"
@@ -521,21 +520,16 @@ let finalize ctx =
 
 (* One-shot digest: no streaming context, no staging copies, no per-call
    allocation beyond the result -- full blocks compress straight from [s],
-   the padded tail is built in per-domain scratch, and the working state
-   lives in per-domain scratch arrays. [digest] never re-enters itself, so
-   within one domain sharing the scratch is sound; the verification pool
-   (Vpool) runs this concurrently from worker domains, hence the scratch is
-   keyed by Domain.DLS rather than being a plain module global. Callers
-   needing reentrancy use the streaming [ctx] API. *)
+   the padded tail is built in module-level scratch, and the working state
+   lives in module-level scratch arrays. [digest] never re-enters itself,
+   so sharing the scratch is sound. Callers needing reentrancy use the
+   streaming [ctx] API. *)
 type scratch = { sc_h : int array; sc_w : int array; sc_tail : Bytes.t }
 
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
-      { sc_h = Array.make 8 0; sc_w = Array.make 64 0; sc_tail = Bytes.make 128 '\x00' })
+let scratch = { sc_h = Array.make 8 0; sc_w = Array.make 64 0; sc_tail = Bytes.make 128 '\x00' }
 
 let digest_sub s pos len =
-  let sc = Domain.DLS.get scratch_key in
-  let h8 = sc.sc_h and w = sc.sc_w in
+  let h8 = scratch.sc_h and w = scratch.sc_w in
   h8.(0) <- 0x6a09e667; h8.(1) <- 0xbb67ae85;
   h8.(2) <- 0x3c6ef372; h8.(3) <- 0xa54ff53a;
   h8.(4) <- 0x510e527f; h8.(5) <- 0x9b05688c;
@@ -546,7 +540,7 @@ let digest_sub s pos len =
   done;
   let rem = len - (blocks * 64) in
   let tail_len = if rem < 56 then 64 else 128 in
-  let tail = sc.sc_tail in
+  let tail = scratch.sc_tail in
   Bytes.fill tail 0 tail_len '\x00';
   Bytes.blit_string s (pos + (blocks * 64)) tail 0 rem;
   Bytes.set tail rem '\x80';
@@ -579,8 +573,7 @@ let midstate ctx =
   { mh = Array.copy ctx.h; m_fed = Int64.to_int ctx.total }
 
 let digest_from_midstate m s =
-  let sc = Domain.DLS.get scratch_key in
-  let h8 = sc.sc_h and w = sc.sc_w in
+  let h8 = scratch.sc_h and w = scratch.sc_w in
   Array.blit m.mh 0 h8 0 8;
   let len = String.length s in
   let blocks = len / 64 in
@@ -589,7 +582,7 @@ let digest_from_midstate m s =
   done;
   let rem = len - (blocks * 64) in
   let tail_len = if rem < 56 then 64 else 128 in
-  let tail = sc.sc_tail in
+  let tail = scratch.sc_tail in
   Bytes.fill tail 0 tail_len '\x00';
   Bytes.blit_string s (blocks * 64) tail 0 rem;
   Bytes.set tail rem '\x80';

@@ -15,9 +15,8 @@ val finalize : ctx -> string
 (** Returns the 32-byte digest. The context must not be reused. *)
 
 val digest : string -> string
-(** One-shot digest of a full string. Runs on per-domain scratch state
-    (Domain.DLS), so it is safe to call concurrently from Vpool worker
-    domains. *)
+(** One-shot digest of a full string. Runs on module-level scratch
+    state, so it is not reentrant across domains. *)
 
 val digest_bytes : Bytes.t -> int -> int -> string
 (** [digest_bytes b pos len]: one-shot digest of a byte-buffer range with

@@ -1,32 +1,3 @@
-(* Hand-rolled verification pool (no Domainslib): persistent worker domains
-   sleep on a condition variable; each flush publishes one batch record and
-   bumps a generation counter to wake them.
-
-   Determinism comes from the merge boundary: results land in a [bool
-   array] at the submission index of their job, so the simulator consumes
-   them in submission order regardless of completion order. Parallelism is
-   wall-clock only — nothing here can perturb virtual time.
-
-   Correctness notes (OCaml memory model):
-
-   - The batch record (jobs, results, claim/pending atomics) is written by
-     the submitter before it takes the mutex to bump [generation]; a worker
-     reads [current] under the same mutex, so the record and its jobs are
-     fully visible when the worker starts claiming.
-
-   - Claim and completion counters live in the batch record, not the pool:
-     a slow worker waking from batch N holds N's (exhausted) claim counter
-     and can never steal an index from batch N+1. Fresh atomics per flush
-     make stale workers harmless by construction.
-
-   - A worker writes [results.(i)] and then [Atomic.decr pending]; the
-     submitter spins until [pending = 0]. Each decrement reads the one
-     before it, so observing zero happens-after every result write.
-
-   - Jobs are pure reads of immutable strings and HMAC midstates; the
-     SHA-256 one-shot scratch they share is domain-local (Domain.DLS in
-     [Sha256]), so concurrent verification never aliases mutable state. *)
-
 type job =
   | Verify_mac of { pre : Hmac.precomputed; tag : string; msg : string }
   | Check_digest of { expect : string; msg : string }
@@ -35,201 +6,21 @@ let exec = function
   | Verify_mac { pre; tag; msg } -> Hmac.verify_precomputed pre ~tag msg
   | Check_digest { expect; msg } -> String.equal expect (Sha256.digest msg)
 
-type batch = {
-  b_jobs : job array;
-  b_results : bool array;
-  b_next : int Atomic.t;  (* next unclaimed job index *)
-  b_pending : int Atomic.t;  (* jobs not yet completed *)
-}
+type t = { mutable c_batches : int; mutable c_items : int; mutable c_hwm : int }
 
-type t = {
-  n_domains : int;
-  mutable workers : unit Domain.t array;
-  m : Mutex.t;
-  cv : Condition.t;
-  mutable generation : int;  (* bumped once per parallel flush *)
-  mutable current : batch option;
-  mutable stop : bool;
-  (* counters, touched only by the submitting domain *)
-  mutable c_batches : int;
-  mutable c_parallel : int;
-  mutable c_items : int;
-  mutable c_helped : int;
-  mutable c_hwm : int;
-}
+let global = { c_batches = 0; c_items = 0; c_hwm = 0 }
+let default () = global
 
-let domains t = t.n_domains
-
-(* Claim and execute jobs until the batch is exhausted; returns how many
-   this domain executed. *)
-let drain b =
-  let n = Array.length b.b_jobs in
-  let rec claim k =
-    let i = Atomic.fetch_and_add b.b_next 1 in
-    if i < n then begin
-      Array.unsafe_set b.b_results i (exec (Array.unsafe_get b.b_jobs i));
-      Atomic.decr b.b_pending;
-      claim (k + 1)
-    end
-    else k
-  in
-  claim 0
-
-let rec worker_loop t my_gen =
-  Mutex.lock t.m;
-  while (not t.stop) && t.generation = my_gen do
-    Condition.wait t.cv t.m
-  done;
-  let stop = t.stop and gen = t.generation and b = t.current in
-  Mutex.unlock t.m;
-  if not stop then begin
-    (match b with Some b -> ignore (drain b : int) | None -> ());
-    worker_loop t gen
-  end
-
-let max_domains = 16
-
-let create ~domains =
-  let n_domains = max 1 (min max_domains domains) in
-  (* On hosts without real parallelism (recommended_domain_count < 2),
-     worker domains cannot pay for their wake-up/spin overhead: the smoke
-     baseline measured speedup_vs_1 of 0.60/0.68 at 2/4 domains on a
-     1-core box. Spawn no workers there — [run]'s existing
-     [Array.length t.workers = 0] check then routes every batch through
-     the sequential path. [domains t] still reports the requested width,
-     so pool identity and reconfiguration logic are unaffected. *)
-  let spawn_workers = Domain.recommended_domain_count () >= 2 in
-  let t =
-    {
-      n_domains;
-      workers = [||];
-      m = Mutex.create ();
-      cv = Condition.create ();
-      generation = 0;
-      current = None;
-      stop = false;
-      c_batches = 0;
-      c_parallel = 0;
-      c_items = 0;
-      c_helped = 0;
-      c_hwm = 0;
-    }
-  in
-  if spawn_workers then
-    t.workers <- Array.init (n_domains - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t 0));
-  t
-
-let shutdown t =
-  if Array.length t.workers > 0 then begin
-    Mutex.lock t.m;
-    t.stop <- true;
-    Condition.broadcast t.cv;
-    Mutex.unlock t.m;
-    Array.iter Domain.join t.workers;
-    t.workers <- [||]
-  end
-
-let run_inline jobs =
+let run jobs =
   let n = Array.length jobs in
-  let results = Array.make n false in
-  for i = 0 to n - 1 do
-    Array.unsafe_set results i (exec (Array.unsafe_get jobs i))
-  done;
-  results
+  global.c_batches <- global.c_batches + 1;
+  global.c_items <- global.c_items + n;
+  if n > global.c_hwm then global.c_hwm <- n;
+  Array.map exec jobs
 
-let run t jobs =
-  let n = Array.length jobs in
-  t.c_batches <- t.c_batches + 1;
-  t.c_items <- t.c_items + n;
-  if n > t.c_hwm then t.c_hwm <- n;
-  if n = 0 then [||]
-  else if Array.length t.workers = 0 || n < 2 then begin
-    t.c_helped <- t.c_helped + n;
-    run_inline jobs
-  end
-  else begin
-    let b =
-      {
-        b_jobs = jobs;
-        b_results = Array.make n false;
-        b_next = Atomic.make 0;
-        b_pending = Atomic.make n;
-      }
-    in
-    Mutex.lock t.m;
-    t.current <- Some b;
-    t.generation <- t.generation + 1;
-    Condition.broadcast t.cv;
-    Mutex.unlock t.m;
-    (* the submitter always participates; on a saturated host it may end up
-       verifying the whole batch while the workers never get scheduled *)
-    let mine = drain b in
-    while Atomic.get b.b_pending > 0 do
-      Domain.cpu_relax ()
-    done;
-    t.c_parallel <- t.c_parallel + 1;
-    t.c_helped <- t.c_helped + mine;
-    b.b_results
-  end
+type stats = { st_batches : int; st_items : int; st_merge_hwm : int }
 
-type stats = {
-  st_domains : int;
-  st_batches : int;
-  st_parallel_batches : int;
-  st_items : int;
-  st_helped : int;
-  st_merge_hwm : int;
-}
-
-let stats t =
-  {
-    st_domains = t.n_domains;
-    st_batches = t.c_batches;
-    st_parallel_batches = t.c_parallel;
-    st_items = t.c_items;
-    st_helped = t.c_helped;
-    st_merge_hwm = t.c_hwm;
-  }
-
-let reset_stats t =
-  t.c_batches <- 0;
-  t.c_parallel <- 0;
-  t.c_items <- 0;
-  t.c_helped <- 0;
-  t.c_hwm <- 0
-
-let worker_fraction st =
-  if st.st_items = 0 then 0.0
-  else float_of_int (st.st_items - st.st_helped) /. float_of_int st.st_items
-
-(* Default process-wide pool. Entry points (test runner, bench, bftctl)
-   pick the domain count — e.g. from BFT_DOMAINS — and thread it in here;
-   library code never reads the environment (lint: determinism-getenv). *)
-
-let requested = ref 1
-let global : t option ref = ref None
-let cleanup_registered = ref false
-
-let default_domains () = !requested
+let stats t = { st_batches = t.c_batches; st_items = t.c_items; st_merge_hwm = t.c_hwm }
 
 let set_default_domains n =
-  let n = max 1 (min max_domains n) in
-  requested := n;
-  match !global with
-  | Some p when p.n_domains <> n ->
-      shutdown p;
-      global := None
-  | _ -> ()
-
-let default () =
-  match !global with
-  | Some p -> p
-  | None ->
-      let p = create ~domains:!requested in
-      global := Some p;
-      if not !cleanup_registered then begin
-        cleanup_registered := true;
-        (* join workers before runtime teardown *)
-        at_exit (fun () -> match !global with Some p -> shutdown p | None -> ())
-      end;
-      p
+  if n <> 1 then invalid_arg "Vpool.set_default_domains: verification runs on one domain"

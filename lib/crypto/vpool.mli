@@ -1,22 +1,10 @@
-(** Domain-based crypto verification pool with a deterministic merge
-    boundary.
+(** Batched crypto verification on the calling domain.
 
     Receivers batch independent verification work — HMAC tag checks and
-    SHA-256 digest checks — and flush it through {!run}. Jobs are verified
-    by worker domains (plus the submitting domain, which always
-    participates), and results come back as a [bool array] indexed by
-    submission order: [results.(i)] answers [jobs.(i)] no matter which
-    domain computed it or in what order the workers finished. That merge
-    boundary is what keeps the simulator byte-deterministic — virtual time,
-    charge accounting and protocol decisions consume results in submission
-    order, so [BFT_DOMAINS=1] and [BFT_DOMAINS=8] produce identical
-    histories and the parallelism is wall-clock only.
-
-    Jobs must be independent and pure: they read immutable strings and
-    precomputed HMAC midstates, and touch no simulator state. The
-    [domain-containment] lint rule keeps {!Domain}/{!Atomic}/{!Mutex}/
-    {!Condition} usage fenced into this module (plus the domain-local
-    scratch in {!Sha256}). *)
+    SHA-256 digest checks — and flush it through {!run}, which verifies
+    every job inline and returns a [bool array] indexed by submission
+    order: [results.(i)] answers [jobs.(i)]. The process-wide counters
+    below record how much work went through. *)
 
 type job =
   | Verify_mac of { pre : Hmac.precomputed; tag : string; msg : string }
@@ -25,61 +13,28 @@ type job =
   | Check_digest of { expect : string; msg : string }
       (** SHA-256 [msg] and compare against [expect]. *)
 
-type t
-
-val create : domains:int -> t
-(** Pool that verifies with [domains] domains in total: the submitting
-    domain plus [domains - 1] spawned workers (clamped to [1, 16]).
-    [domains = 1] spawns nothing and {!run} executes inline. *)
-
-val domains : t -> int
-
-val run : t -> job array -> bool array
-(** Verify every job, in parallel when the pool has workers and the batch
-    has at least two jobs. [results.(i)] is the verdict for [jobs.(i)]
-    (the deterministic merge). The caller must not mutate [jobs] during
-    the call. Not reentrant: one batch at a time per pool. *)
-
-val shutdown : t -> unit
-(** Stop and join the worker domains. Idempotent; {!run} after shutdown
-    executes inline. *)
+val run : job array -> bool array
+(** Verify every job in order. [results.(i)] is the verdict for
+    [jobs.(i)]. *)
 
 (** {2 Counters}
 
-    Cumulative since creation (or the last {!reset_stats}), maintained
-    only by the submitting domain — reading them never races workers. *)
+    Cumulative over the process, read through {!default}. *)
+
+type t
 
 type stats = {
-  st_domains : int;  (** configured verifying domains *)
   st_batches : int;  (** batches flushed through {!run} *)
-  st_parallel_batches : int;  (** batches that fanned out to workers *)
   st_items : int;  (** total jobs verified *)
-  st_helped : int;  (** jobs executed by the submitting domain *)
-  st_merge_hwm : int;  (** largest single batch merged (high-water mark) *)
+  st_merge_hwm : int;  (** largest single batch (high-water mark) *)
 }
 
+val default : unit -> t
+(** The process-wide counter record {!run} updates. *)
+
 val stats : t -> stats
-val reset_stats : t -> unit
-
-val worker_fraction : stats -> float
-(** Fraction of items verified by spawned workers rather than the
-    submitting domain: [(st_items - st_helped) / st_items], [0.] when no
-    items. Clock-free proxy for worker utilisation. *)
-
-(** {2 Default pool}
-
-    Process-wide pool used by call sites that are not handed one
-    explicitly. The domain count is configured by the entry point (test
-    runner, bench, bftctl) — library code never reads the environment. *)
 
 val set_default_domains : int -> unit
-(** Request [n] total domains for the default pool (clamped to [1, 16]).
-    If a default pool already exists with a different count it is shut
-    down and lazily recreated on the next {!default}. *)
-
-val default_domains : unit -> int
-(** Currently requested default domain count (initially 1). *)
-
-val default : unit -> t
-(** The process-wide pool, created on first use with
-    {!default_domains} domains. *)
+(** Accepts only [1]: verification always runs on the calling domain.
+    Raises [Invalid_argument] for any other width. Kept for the benchmark
+    driver that still calls it; removed with the next benchmark change. *)

@@ -3,7 +3,7 @@
    Nodes are top-level value bindings (including bindings inside plain
    [module X = struct ... end] nesting and [external] declarations),
    keyed by "<compilation unit>.<inner path>", e.g.
-   "Bft_core__Replica.on_request" or "Bad_pool_escape.Vpool.submit".
+   "Bft_core__Replica.on_request" or "Bad_transitive_nondet.Jitter.next".
    Reference resolution handles the three path shapes dune's module
    layout produces:
 
@@ -167,8 +167,6 @@ let resolve t ~unit_name path =
           | Some d -> Def d
           | None -> if Ident.persistent head_id then External comps else Local))
 
-(* --- shared type queries -------------------------------------------- *)
-
 (* The unit name a wrapped library exposes, e.g. "Replica" for
    "Bft_core__Replica" and "Bftctl" for "Dune__exe__Bftctl". *)
 let unit_base u =
@@ -183,53 +181,3 @@ let unit_base u =
       in
       let s = last_sep 0 0 in
       if s >= n then u else String.sub u s (n - s)
-
-(* Is [ty] a mutable container: ref, array, bytes, a record with a
-   mutable field, or one of the stdlib imperative structures? Abstract
-   types (Hashtbl.t & friends) are matched by name because their
-   declarations are opaque here. *)
-let mutable_by_name comps =
-  let norm c =
-    if String.starts_with ~prefix:"Stdlib__" c then
-      String.sub c 8 (String.length c - 8)
-    else c
-  in
-  match List.rev comps with
-  | _ :: mods ->
-      List.exists
-        (fun m ->
-          match norm m with
-          | "Hashtbl" | "Buffer" | "Queue" | "Stack" | "Atomic" | "Dynarray" | "Weak" -> true
-          | _ -> false)
-        mods
-  | [] -> false
-
-let rec path_components p =
-  match p with
-  | Path.Pident id -> [ Ident.name id ]
-  | Path.Pdot (p, s) -> path_components p @ [ s ]
-  | Path.Papply _ | Path.Pextra_ty _ -> []
-
-(* [Ctype.expand_head] raises (compiler-version-dependent exceptions) on
-   types it cannot expand against this env; any failure just means "use
-   the unexpanded type". *)
-let expand_head env ty =
-  (try Ctype.expand_head env ty with _ -> ty) [@lint.allow "swallowed-exception"]
-
-let is_mutable_type env ty =
-  let ty = expand_head env ty in
-  match Types.get_desc ty with
-  | Types.Tconstr (p, _, _) -> (
-      Path.same p Predef.path_array || Path.same p Predef.path_bytes
-      || String.equal (Path.last p) "ref"
-      || mutable_by_name (path_components p)
-      ||
-      match Env.find_type p env with
-      | { Types.type_kind = Types.Type_record (lbls, _); _ } ->
-          List.exists (fun l -> l.Types.ld_mutable = Asttypes.Mutable) lbls
-      | _ -> false
-      | exception Not_found -> false)
-  | _ -> false
-
-let is_arrow_type env ty =
-  match Types.get_desc (expand_head env ty) with Types.Tarrow _ -> true | _ -> false

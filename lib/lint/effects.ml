@@ -1,13 +1,11 @@
 (* Fixpoint effect inference over the whole-program call graph.
 
-   The lattice is four independent booleans joined pointwise — small on
+   The lattice is three independent booleans joined pointwise — small on
    purpose, so the fixpoint is a plain iterate-until-stable loop:
 
      nondet          reaches a wall clock, the global Random state, or an
                      environment lookup — anything two replicas disagree on
      io              reaches the OS (files, channels, processes)
-     mutates_global  writes a top-level ref / mutable field / imperative
-                     container (Hashtbl, Bytes, array, ...)
      unbounded_raise reaches [raise]/[failwith]/[invalid_arg]/[assert]
                      outside any analyzed handler
 
@@ -25,33 +23,20 @@
    cmt of) do widen to ⊤: being honest about code we cannot see beats
    silently assuming purity. *)
 
-type eff = { nondet : bool; io : bool; mutates : bool; raises : bool }
+type eff = { nondet : bool; io : bool; raises : bool }
 
-let bot = { nondet = false; io = false; mutates = false; raises = false }
-let top = { nondet = true; io = true; mutates = true; raises = true }
+let bot = { nondet = false; io = false; raises = false }
+let top = { nondet = true; io = true; raises = true }
 
-let join a b =
-  {
-    nondet = a.nondet || b.nondet;
-    io = a.io || b.io;
-    mutates = a.mutates || b.mutates;
-    raises = a.raises || b.raises;
-  }
+let join a b = { nondet = a.nondet || b.nondet; io = a.io || b.io; raises = a.raises || b.raises }
 
-let eq a b =
-  Bool.equal a.nondet b.nondet && Bool.equal a.io b.io && Bool.equal a.mutates b.mutates
-  && Bool.equal a.raises b.raises
+let eq a b = Bool.equal a.nondet b.nondet && Bool.equal a.io b.io && Bool.equal a.raises b.raises
 
 let to_string e =
   let tags =
     List.filter_map
       (fun (b, t) -> if b then Some t else None)
-      [
-        (e.nondet, "nondet");
-        (e.io, "io");
-        (e.mutates, "mutates_global");
-        (e.raises, "unbounded_raise");
-      ]
+      [ (e.nondet, "nondet"); (e.io, "io"); (e.raises, "unbounded_raise") ]
   in
   if tags = [] then "pure" else String.concat "+" tags
 
@@ -151,26 +136,6 @@ let classify_external comps =
       | head :: _ when List.exists (String.equal head) benign_heads -> Benign
       | _ -> Unknown (String.concat "." comps))
 
-(* Imperative-structure operations whose *target* argument decides
-   whether the write is global. [Map.add]/[Set.add] are pure and
-   deliberately absent. *)
-let is_mutator comps =
-  match strip_stdlib comps with
-  | [ (":=" | "incr" | "decr") ] -> true
-  | [ "Hashtbl"; ("add" | "replace" | "remove" | "reset" | "clear" | "filter_map_inplace") ]
-  | [ "Array";
-      ( "set" | "fill" | "blit" | "sort" | "stable_sort" | "fast_sort" | "unsafe_set"
-      | "unsafe_fill" | "unsafe_blit" ) ]
-  | [ "Bytes"; ("set" | "fill" | "blit" | "blit_string" | "unsafe_set" | "unsafe_fill" | "unsafe_blit") ]
-  | [ "Buffer";
-      ( "add_string" | "add_bytes" | "add_char" | "add_substring" | "add_subbytes"
-      | "add_buffer" | "add_channel" | "clear" | "reset" | "truncate" ) ]
-  | [ "Queue"; ("add" | "push" | "pop" | "take" | "clear" | "transfer" | "drop") ]
-  | [ "Stack"; ("push" | "pop" | "clear" | "drop") ]
-  | [ "Atomic"; ("set" | "incr" | "decr" | "exchange" | "compare_and_set" | "fetch_and_add") ] ->
-      true
-  | _ -> false
-
 (* --- per-definition summaries and the fixpoint ----------------------- *)
 
 type summary = {
@@ -180,18 +145,9 @@ type summary = {
 }
 
 (* Scan one definition body: references become edges (internal) or seeds
-   (classified externals / unknown ⊤); writes whose target resolves to a
-   top-level mutable binding become [mutates] seeds. *)
+   (classified externals / unknown ⊤). *)
 let scan_body (cg : Callgraph.t) ~unit_name body =
   let seeds = ref [] and edges = ref [] in
-  let target_is_global_mutable (arg : Typedtree.expression) =
-    match arg.exp_desc with
-    | Typedtree.Texp_ident (p, _, _) -> (
-        match Callgraph.resolve cg ~unit_name p with
-        | Callgraph.Def d when Callgraph.is_mutable_type arg.exp_env arg.exp_type -> Some d
-        | _ -> None)
-    | _ -> None
-  in
   let expr (it : Tast_iterator.iterator) (e : Typedtree.expression) =
     (match e.exp_desc with
     | Typedtree.Texp_ident (p, { loc; _ }, _) -> (
@@ -204,31 +160,6 @@ let scan_body (cg : Callgraph.t) ~unit_name body =
             | Seed (eff, desc) -> seeds := (eff, desc, loc) :: !seeds
             | Unknown name ->
                 seeds := (top, "unknown external " ^ name ^ " (widened to top)", loc) :: !seeds))
-    | Typedtree.Texp_apply ({ exp_desc = Typedtree.Texp_ident (p, { loc; _ }, _); _ }, args) ->
-        (match Callgraph.resolve cg ~unit_name p with
-        | Callgraph.External comps when is_mutator comps ->
-            List.iter
-              (fun (_, argo) ->
-                match Option.map target_is_global_mutable argo with
-                | Some (Some d) ->
-                    seeds :=
-                      ( { bot with mutates = true },
-                        "writes global " ^ d.Callgraph.d_disp,
-                        loc )
-                      :: !seeds
-                | _ -> ())
-              args
-        | _ -> ())
-    | Typedtree.Texp_setfield (r, { loc; _ }, _, _) -> (
-        match r.exp_desc with
-        | Typedtree.Texp_ident (p, _, _) -> (
-            match Callgraph.resolve cg ~unit_name p with
-            | Callgraph.Def d ->
-                seeds :=
-                  ({ bot with mutates = true }, "writes global " ^ d.Callgraph.d_disp, loc)
-                  :: !seeds
-            | _ -> ())
-        | _ -> ())
     | Typedtree.Texp_assert (_, loc) ->
         seeds := ({ bot with raises = true }, "assert", loc) :: !seeds
     | _ -> ());

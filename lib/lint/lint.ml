@@ -1,17 +1,14 @@
 (* Driver: run the syntactic rules over [.ml] sources, the type-aware
    rules over the [.cmt] files dune leaves under [.objs/byte], then the
-   whole-program pass (call graph -> effect fixpoint -> Vpool escape)
-   over every loaded typedtree at once; apply the per-directory
-   allowlist and report sorted findings. *)
+   whole-program pass (call graph -> effect fixpoint -> transitive-nondet
+   and unused exports) over every loaded typedtree at once; apply the
+   per-directory allowlist and report sorted findings. *)
 
 (* Built-in per-directory allowlist: unchecked accesses are the point of
-   the crypto kernels and the arenas; domain primitives are fenced into
-   the verification pool (and the domain-local digest scratch in Sha256)
-   so the determinism guarantee — parallelism is wall-clock only, merged
-   in submission order — stays auditable at a glance. The pool's own
-   worker closure necessarily captures the (mutable) pool record: that
-   file IS the trust boundary the pool-escape rule defends, so it is the
-   one place allowed to cross it.
+   the crypto kernels and the arenas. Nothing is allowlisted for
+   [domain-containment]: the simulator and its verification run on one
+   domain, so bringing worker domains back means adding an entry here,
+   where a reviewer sees it.
 
    bench/ and bin/ are drivers: wall-clock timing and environment
    lookups are their job (the simulator itself never sees them), so the
@@ -21,9 +18,6 @@ let default_allowlist =
     ("lib/crypto/", Rule.unsafe_op);
     ("lib/statemachine/paged_image.ml", Rule.unsafe_op);
     ("lib/net/wire_arena.ml", Rule.unsafe_op);
-    ("lib/crypto/vpool", Rule.domain_containment);
-    ("lib/crypto/sha256.ml", Rule.domain_containment);
-    ("lib/crypto/vpool", Rule.pool_escape);
   ]
 
 let contains_sub = Bft_util.Strutil.contains_sub
@@ -87,13 +81,11 @@ let load_cmti path =
   | _ -> []
 
 (* The whole-program pass: build the cross-module call graph, run the
-   effect fixpoint, then the transitive-nondet, Vpool escape and
-   unused-export rules. *)
+   effect fixpoint, then the transitive-nondet and unused-export rules. *)
 let interprocedural ?(exports = []) units =
   let cg = Callgraph.build units in
   let summaries = Effects.infer cg in
-  Effects.findings cg summaries @ Escape.findings cg summaries
-  @ Exports.findings cg units exports
+  Effects.findings cg summaries @ Exports.findings cg units exports
 
 (* Typecheck a standalone snippet against the initial environment so the
    fixture corpus can exercise the type-aware rules without dune in the

@@ -15,8 +15,6 @@ let engine_handle_compare = "engine-handle-compare"
 let unsafe_op = "unsafe-op"
 let domain_containment = "domain-containment"
 let transitive_nondet = "transitive-nondet"
-let pool_escape = "pool-escape"
-let mutable_global = "mutable-global"
 let unused_export = "unused-export"
 
 (* id, type-aware?, one-line rationale (the DESIGN.md catalogue mirrors
@@ -40,22 +38,13 @@ let all =
     (unsafe_op, false, "unchecked accesses only in the crypto / Paged_image allowlist");
     ( domain_containment,
       false,
-      "Domain/Atomic/Mutex/Condition only under the Vpool allowlist; parallelism must stay \
-       behind the deterministic-merge boundary" );
+      "Domain/Atomic/Mutex/Condition are banned; the simulator and its verification run on \
+       one domain, so any parallelism must come through an allowlist entry a reviewer sees" );
     ( transitive_nondet,
       true,
       "protocol handler / encoder / service execution transitively reaches a nondeterministic \
        seed (wall clock, global Random, getenv) through the call graph; bftlint --why prints \
        the call-path witness" );
-    ( pool_escape,
-      true,
-      "closure crossing the Vpool/Domain.spawn boundary captures a mutable value (ref, mutable \
-       record, Bytes/array outside the read-only scratch allowlist); parallel jobs must only \
-       read immutable data" );
-    ( mutable_global,
-      true,
-      "closure crossing the Vpool/Domain.spawn boundary calls code whose inferred effect \
-       writes top-level mutable state; a data race across the deterministic-merge boundary" );
     ( unused_export,
       true,
       "an .mli val no other compilation unit references; un-export it, or delete it if its own \

@@ -61,8 +61,8 @@ let classify_ident flat =
   | ("Domain" | "Atomic" | "Mutex" | "Condition") :: _ ->
       Some
         ( Rule.domain_containment,
-          "domain primitive outside the Vpool allowlist; parallelism must stay behind the \
-           verification pool's deterministic-merge boundary" )
+          "domain primitive; the simulator runs on one domain and no file is allowlisted for \
+           parallelism" )
   | [ "Obj"; "magic" ] -> Some (Rule.unsafe_op, "Obj.magic defeats the type system")
   | [ m; f ] when is_unsafe_access m f ->
       Some (Rule.unsafe_op, "bounds-unchecked access outside the crypto/Paged_image allowlist")
@@ -77,7 +77,7 @@ let classify_module flat =
   | ("Domain" | "Atomic" | "Mutex" | "Condition") :: _ ->
       Some
         ( Rule.domain_containment,
-          "domain primitives brought into scope outside the Vpool allowlist" )
+          "domain primitives brought into scope; the simulator runs on one domain" )
   | _ -> None
 
 (* Binding names under which Hashtbl iteration order can reach persisted

@@ -47,16 +47,6 @@ let free =
 
 let digest_us t l = t.digest_fixed_us +. (float_of_int l *. t.digest_per_byte_us)
 let auth_gen_us t n = float_of_int n *. t.mac_us
-
-(* Modeled wall cost of verifying [n] MAC items through a [domains]-wide
-   verification pool: the per-item work spreads across the domains (the
-   caller drains alongside the spawned workers) on top of one mac_us of
-   serial flush/merge overhead. Analytic-model and bench use only —
-   replicas charge virtual time per item ([mac_us] each, in submission
-   order), so committed-history digests never depend on the pool width. *)
-let verify_batch_us t ~domains n =
-  if n <= 0 then 0.0
-  else t.mac_us +. (float_of_int n *. t.mac_us /. float_of_int (max 1 domains))
 let wire_us t l = t.wire_latency_us +. (float_of_int l *. t.wire_per_byte_us)
 let send_cpu_us t l = t.send_fixed_us +. (float_of_int l *. t.cpu_per_byte_us)
 let recv_cpu_us t l = t.recv_fixed_us +. (float_of_int l *. t.cpu_per_byte_us)

@@ -46,13 +46,6 @@ val digest_us : t -> int -> float
 val auth_gen_us : t -> int -> float
 (** Cost of generating an authenticator with [n] entries. *)
 
-val verify_batch_us : t -> domains:int -> int -> float
-(** Modeled wall cost of verifying [n] MAC items through a [domains]-wide
-    verification pool: one [mac_us] of serial flush/merge overhead plus
-    the per-item work spread across the domains. Analytic-model/bench use
-    only — replica virtual-time charging stays per item in submission
-    order, independent of pool width. *)
-
 val wire_us : t -> int -> float
 (** Wire time (excluding jitter) for an [l]-byte message. *)
 

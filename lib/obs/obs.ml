@@ -64,9 +64,9 @@ type t = {
   mutable n_timeouts : int;
   mutable n_ckpt_dirty_pages : int;
   mutable n_ckpt_clean_pages : int;
-  (* verification-pool submissions by this node: batches flushed and items
-     carried (the pool's own global stats — merge hwm, worker share — live
-     in Bft_crypto.Vpool and are joined by the tools at dump time) *)
+  (* verification flushes by this node: batches flushed and items carried
+     (the process-wide counters live in Bft_crypto.Vpool and are joined by
+     the tools at dump time) *)
   mutable n_vpool_batches : int;
   mutable n_vpool_items : int;
   (* defenses against Chondros-style "practicality" attacks *)
@@ -120,9 +120,8 @@ let marks_for t seq =
       Hashtbl.replace t.marks seq a;
       a
 
-let batch_assigned t ~now ~seq ~digests =
-  if t.t_enabled then begin
-    ignore seq;
+let batch_assigned t ~now ~digests =
+  if t.t_enabled then
     List.iter
       (fun d ->
         match Hashtbl.find_opt t.arrivals d with
@@ -130,7 +129,6 @@ let batch_assigned t ~now ~seq ~digests =
             Hist.add t.phase_hists.(0) (Int64.to_float (Int64.sub now at) /. 1_000.0)
         | None -> ())
       digests
-  end
 
 let phase t ~now ph ~view ~seq =
   if t.t_enabled then begin

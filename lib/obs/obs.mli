@@ -67,10 +67,10 @@ val enabled : t -> bool
 
 val request_arrival : t -> now:int64 -> client:int -> digest:string -> unit
 
-val batch_assigned : t -> now:int64 -> seq:int -> digests:string list -> unit
+val batch_assigned : t -> now:int64 -> digests:string list -> unit
 (** Feed the request->preprepared histogram from the arrival times of the
-    requests just pre-prepared at [seq] (digests without a recorded
-    arrival are skipped — e.g. a backup that never saw the request). *)
+    requests just pre-prepared (digests without a recorded arrival are
+    skipped — e.g. a backup that never saw the request). *)
 
 val phase : t -> now:int64 -> phase -> view:int -> seq:int -> unit
 (** Record a phase transition for [seq]. Only the first transition per
@@ -115,9 +115,9 @@ val batch_formed : t -> len:int -> unit
     batch-occupancy histogram behind the adaptive batch sizer. *)
 
 val vpool_submit : t -> items:int -> unit
-(** One verification-pool flush by this node carrying [items] jobs. The
-    pool's own global counters (merge high-water mark, worker share) live
-    in [Bft_crypto.Vpool.stats] and are joined in at dump time. *)
+(** One verification flush by this node carrying [items] jobs. The
+    process-wide counters (batches, items, largest batch) live in
+    [Bft_crypto.Vpool.stats] and are joined in at dump time. *)
 
 (** {2 Reading} *)
 

@@ -7,12 +7,8 @@
     no component ever relies on virtual-time bounds for safety; timers only
     drive retransmissions, view changes and watchdog recoveries.
 
-    The engine and every callback run on a single domain. The one source
-    of parallelism in the tree — [Bft_crypto.Vpool]'s verification
-    workers — executes strictly inside a callback, behind the pool's
-    deterministic-merge boundary, and never schedules, fires, cancels or
-    observes events: virtual time and event order are independent of
-    [BFT_DOMAINS]. *)
+    The engine and every callback run on a single domain; the tree has no
+    other source of parallelism. *)
 
 type t
 
