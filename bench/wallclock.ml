@@ -722,6 +722,8 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   if !digests then print_digests ()
   else begin
+    (* host timings depend on the SHA-256 kernel this CPU runs *)
+    Printf.printf "wallclock %s run, sha256 kernel %s\n%!" !mode (Sha256.kernel ());
     let smoke = String.equal !mode "smoke" in
     let fuzz = bench_fuzz ~seeds:(if smoke then 8 else 40) in
     let sim = bench_sim_events ~events:(if smoke then 200_000 else 1_000_000) in

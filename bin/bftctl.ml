@@ -690,14 +690,16 @@ let metrics_cmd =
     (* the process-wide verification counters for the run just traced
        (per-node submission counts live in each node's registry entry) *)
     let vst = Bft_crypto.Vpool.stats (Bft_crypto.Vpool.default ()) in
+    let kernel = Bft_crypto.Sha256.kernel () in
     if json then
       (* wrap the per-node registry with the system-level counters *)
       Printf.printf
-        "{ \"sim\": { \"dropped\": %d, \"duplicated\": %d, \"events_fired\": %d, \
+        "{ \"sha256_kernel\": %S,\n\
+         \"sim\": { \"dropped\": %d, \"duplicated\": %d, \"events_fired\": %d, \
          \"max_heap\": %d, \"backlog_hwm\": { %s } },\n\
          \"vpool\": { \"batches\": %d, \"items\": %d, \"merge_hwm\": %d },\n\
          \"nodes\": %s }\n"
-        sim.Bft_check.Runner.sc_dropped sim.Bft_check.Runner.sc_duplicated
+        kernel sim.Bft_check.Runner.sc_dropped sim.Bft_check.Runner.sc_duplicated
         sim.Bft_check.Runner.sc_events_fired sim.Bft_check.Runner.sc_max_heap
         (hwm_str ", " "\"node%d\": %d")
         vst.Bft_crypto.Vpool.st_batches vst.Bft_crypto.Vpool.st_items
@@ -713,9 +715,9 @@ let metrics_cmd =
         sim.Bft_check.Runner.sc_dropped sim.Bft_check.Runner.sc_duplicated
         sim.Bft_check.Runner.sc_events_fired sim.Bft_check.Runner.sc_max_heap
         (hwm_str " " "%d:%d");
-      Printf.printf "vpool: batches=%d items=%d merge_hwm=%d\n"
+      Printf.printf "vpool: batches=%d items=%d merge_hwm=%d; sha256 kernel: %s\n"
         vst.Bft_crypto.Vpool.st_batches vst.Bft_crypto.Vpool.st_items
-        vst.Bft_crypto.Vpool.st_merge_hwm;
+        vst.Bft_crypto.Vpool.st_merge_hwm kernel;
       List.iter
         (fun (id, o) ->
           Printf.printf "node %d (%s):\n" id

@@ -1,9 +1,13 @@
-(** SHA-256 (FIPS 180-4), implemented from scratch.
+(** SHA-256 (FIPS 180-4): padding, streaming and midstates in OCaml,
+    block compression in a native kernel ([sha256_stubs.c]) -- SHA-NI when
+    cpuid reports the x86-64 SHA extensions, portable C otherwise, chosen
+    once from cpuid and by nothing else. Both kernels compute the same
+    function, so every digest is byte-identical on every host.
 
     The paper uses MD5 for message and state digests; we substitute SHA-256
     (see DESIGN.md). Digest cost is charged separately by the network cost
-    model, so the choice of hash does not affect reproduced performance
-    shapes. *)
+    model, so neither the choice of hash nor the kernel affects reproduced
+    performance shapes, only host time. *)
 
 type ctx
 
@@ -38,3 +42,23 @@ val digest_from_midstate : midstate -> string -> string
     allocation-free one-shot path. The midstate is not consumed. *)
 
 val hexdigest : string -> string
+
+val kernel : unit -> string
+(** The compression kernel this process runs: ["sha-ni"] or ["portable"].
+    Printed by timing tools so host timings from different machines can be
+    read side by side. *)
+
+(** Test hooks: the one way to run a kernel other than the cpuid choice. *)
+module For_testing : sig
+  val with_kernel : string -> (unit -> 'a) -> 'a option
+  (** [with_kernel name f] runs [f] with every compression on kernel
+      [name] (["portable"] or ["sha-ni"]), then returns to the cpuid choice.
+      [None], without running [f], when this CPU cannot run [name]. Raises
+      [Invalid_argument] on any other name. *)
+
+  val compress : int array -> string -> int -> int -> unit
+  (** [compress h8 s off nblocks] compresses the [nblocks] 64-byte blocks
+      of [s] at [off] into the eight 32-bit words of [h8] -- the checked
+      entry to the native kernel. Raises [Invalid_argument] unless
+      [off >= 0], [nblocks >= 0] and [off + 64 * nblocks <= String.length s]. *)
+end

@@ -40,6 +40,7 @@ type def = {
   d_allows : string list;  (** [@lint.allow] ids in scope at the binding *)
   d_body : expression option;  (** [None] for [external] declarations *)
   d_prim : string list;  (** primitive names for [external], [[]] otherwise *)
+  d_pure : bool;  (** [external] carrying a [@@lint.pure "<reason>"] declaration *)
 }
 
 type t = {
@@ -51,7 +52,7 @@ type t = {
 
 let ident_key ~unit_name id = unit_name ^ "/" ^ Ident.unique_name id
 
-let add_def t ~(u : unit_info) ~prefix ~id ~name ~loc ~allows ~body ~prim =
+let add_def t ~(u : unit_info) ~prefix ~id ~name ~loc ~allows ~body ~prim ~pure =
   let disp = prefix ^ name in
   let key = u.u_name ^ "." ^ disp in
   let d =
@@ -64,6 +65,7 @@ let add_def t ~(u : unit_info) ~prefix ~id ~name ~loc ~allows ~body ~prim =
       d_allows = allows;
       d_body = body;
       d_prim = prim;
+      d_pure = pure;
     }
   in
   if not (Hashtbl.mem t.defs key) then begin
@@ -84,7 +86,7 @@ let collect_unit t (u : unit_info) =
     | Tstr_primitive vd ->
         add_def t ~u ~prefix ~id:vd.val_id ~name:vd.val_name.txt ~loc:vd.val_loc
           ~allows:(Syntactic.attr_allows vd.val_attributes @ !file_allows)
-          ~body:None ~prim:vd.val_prim
+          ~body:None ~prim:vd.val_prim ~pure:(Syntactic.attr_pure vd.val_attributes)
     | Tstr_attribute a -> file_allows := Syntactic.attr_allows [ a ] @ !file_allows
     | _ -> ()
   and module_binding ~prefix mb =
@@ -102,7 +104,7 @@ let collect_unit t (u : unit_info) =
     | Tpat_var (id, _) ->
         add_def t ~u ~prefix ~id ~name:(Ident.name id) ~loc:b.vb_loc
           ~allows:(Syntactic.attr_allows b.vb_attributes @ !file_allows)
-          ~body:(Some b.vb_expr) ~prim:[]
+          ~body:(Some b.vb_expr) ~prim:[] ~pure:false
     | _ -> ()
   in
   List.iter (item ~prefix:"") u.u_str.str_items

@@ -11,10 +11,11 @@
 
    Seeds come from the same ident tables the syntactic pass uses
    ([Syntactic.classify_ident]), an io/raise overlay for Stdlib, and
-   [external] declarations (C stubs are ⊤; [%...] compiler intrinsics are
-   pure). Effects propagate along *references*, not just saturated call
-   sites: passing [f] to [List.iter] charges [f]'s effects to whoever
-   supplied it, which is what makes calls through function parameters and
+   [external] declarations (C stubs are ⊤ unless declared
+   [@@lint.pure "<reason>"]; [%...] compiler intrinsics are pure).
+   Effects propagate along *references*, not just saturated call sites:
+   passing [f] to [List.iter] charges [f]'s effects to whoever supplied
+   it, which is what makes calls through function parameters and
    record fields (the [Service] vtable) sound without widening every
    higher-order call to ⊤. The remaining gaps — closures smuggled through
    top-level mutable state, functor bodies — are documented in DESIGN.md.
@@ -175,9 +176,10 @@ let summarize cg (d : Callgraph.def) =
       let s_seeds, s_edges = scan_body cg ~unit_name:d.Callgraph.d_unit body in
       { s_eff = bot; s_seeds; s_edges }
   | None ->
-      (* [external]: compiler intrinsics are pure; C stubs are opaque, so ⊤. *)
+      (* [external]: compiler intrinsics are pure, and so is a C stub
+         declared [@@lint.pure "<reason>"]; any other C stub is opaque, so ⊤. *)
       let intrinsic = List.for_all (fun p -> String.starts_with ~prefix:"%" p) d.Callgraph.d_prim in
-      if intrinsic then { s_eff = bot; s_seeds = []; s_edges = [] }
+      if intrinsic || d.Callgraph.d_pure then { s_eff = bot; s_seeds = []; s_edges = [] }
       else
         {
           s_eff = bot;

@@ -30,6 +30,25 @@ let attr_allows (attrs : attributes) =
       else [])
     attrs
 
+(* [@@lint.pure "<reason>"] on an [external]: the C stub is declared free
+   of every tracked effect. Only a non-empty reason counts. *)
+let attr_pure (attrs : attributes) =
+  List.exists
+    (fun a ->
+      String.equal a.attr_name.txt "lint.pure"
+      &&
+      match a.attr_payload with
+      | PStr
+          [
+            {
+              pstr_desc = Pstr_eval ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
+              _;
+            };
+          ] ->
+          String.length (String.trim s) > 0
+      | _ -> false)
+    attrs
+
 let report ctx ~loc ~rule msg =
   if not (List.exists (String.equal rule) ctx.allows) then
     ctx.findings <- Finding.v ~rule ~loc msg :: ctx.findings

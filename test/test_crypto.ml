@@ -98,6 +98,104 @@ let test_hmac_truncated_verify () =
   Alcotest.(check bool) "wrong msg" false (Hmac.verify ~key ~tag "payload2");
   Alcotest.(check bool) "wrong key" false (Hmac.verify ~key:"other" ~tag msg)
 
+(* --- Both compression kernels --- *)
+
+(* Every test below runs on the cpuid-chosen kernel; these run the FIPS and
+   RFC vectors again on each kernel by name. A host without SHA-NI reports
+   the SHA-NI case as skipped rather than passing it silently. *)
+let vectors () =
+  List.iter
+    (fun f -> f ())
+    [
+      test_sha256_empty;
+      test_sha256_abc;
+      test_sha256_two_blocks;
+      test_sha256_fox;
+      test_sha256_million_a;
+      test_sha256_incremental_matches_oneshot;
+      test_sha256_boundary_lengths;
+      test_hmac_rfc4231_case1;
+      test_hmac_rfc4231_case2;
+      test_hmac_rfc4231_case3;
+      test_hmac_rfc4231_case6;
+    ]
+
+let test_vectors_on kernel () =
+  match
+    Sha256.For_testing.with_kernel kernel (fun () ->
+        Alcotest.(check string) "kernel in use" kernel (Sha256.kernel ());
+        vectors ())
+  with
+  | Some () -> ()
+  | None ->
+      Printf.printf "%s kernel skipped: this CPU does not report it\n" kernel;
+      Alcotest.skip ()
+
+(* digest, digest_from_midstate and streaming feed_sub in irregular chunks,
+   each on both kernels, all agree; lengths cover short messages and the
+   4 KiB page-digest sizes *)
+let prop_kernels_agree =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (oneof [ int_range 0 300; int_range 4090 4200 ] >>= fun n -> string_size (return n))
+        (list_size (int_range 1 8) (int_range 0 200)))
+  in
+  let print (s, chunks) =
+    Printf.sprintf "len=%d chunks=[%s]" (String.length s)
+      (String.concat ";" (List.map string_of_int chunks))
+  in
+  QCheck.Test.make ~name:"kernels agree" ~count:150 (QCheck.make ~print gen)
+    (fun (msg, chunks) ->
+      let prefix = String.init 64 (fun i -> Char.chr (i * 7 land 0xff)) in
+      let ways () =
+        let streamed =
+          let ctx = Sha256.init () in
+          let pos =
+            List.fold_left
+              (fun pos c ->
+                let c = min c (String.length msg - pos) in
+                Sha256.feed_sub ctx msg pos c;
+                pos + c)
+              0 chunks
+          in
+          Sha256.feed_sub ctx msg pos (String.length msg - pos);
+          Sha256.finalize ctx
+        in
+        let resumed =
+          let ctx = Sha256.init () in
+          Sha256.feed ctx prefix;
+          Sha256.digest_from_midstate (Sha256.midstate ctx) msg
+        in
+        [ Sha256.digest msg; streamed; Sha256.digest (prefix ^ msg); resumed ]
+      in
+      let run k = Option.value (Sha256.For_testing.with_kernel k ways) ~default:[] in
+      match (run "portable", run "sha-ni") with
+      | [ d; s; p; r ], sha_ni ->
+          String.equal d s && String.equal p r
+          && (sha_ni = [] || List.equal String.equal sha_ni [ d; s; p; r ])
+      | _ -> false)
+
+(* the checked entry to the native kernel refuses any block range outside
+   the string before C sees it *)
+let test_compress_bounds () =
+  let h8 = Array.make 8 0 and s = String.make 128 'x' in
+  let raises name off n =
+    match Sha256.For_testing.compress h8 s off n with
+    | () -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "negative offset" (-1) 1;
+  raises "negative count" 0 (-1);
+  raises "one byte past the end" 1 2;
+  raises "offset past the end" 129 0;
+  raises "count overflowing the length" 64 (max_int / 32);
+  Sha256.For_testing.compress h8 s 64 1;
+  Sha256.For_testing.compress h8 s 128 0;
+  Alcotest.check_raises "unknown kernel name"
+    (Invalid_argument "Sha256.For_testing.with_kernel: avx") (fun () ->
+      ignore (Sha256.For_testing.with_kernel "avx" Fun.id))
+
 (* --- Hex --- *)
 
 let test_hex_known () =
@@ -330,6 +428,13 @@ let suites =
         Alcotest.test_case "rfc4231 case3" `Quick test_hmac_rfc4231_case3;
         Alcotest.test_case "rfc4231 case6" `Quick test_hmac_rfc4231_case6;
         Alcotest.test_case "truncated verify" `Quick test_hmac_truncated_verify;
+      ] );
+    ( "crypto.kernel",
+      [
+        Alcotest.test_case "portable vectors" `Quick (test_vectors_on "portable");
+        Alcotest.test_case "sha-ni vectors" `Quick (test_vectors_on "sha-ni");
+        QCheck_alcotest.to_alcotest prop_kernels_agree;
+        Alcotest.test_case "compress bounds" `Quick test_compress_bounds;
       ] );
     ( "crypto.hex",
       [

@@ -64,6 +64,12 @@ let corpus =
        site, then laundered through two modules — only the whole-program
        effect pass can flag the protocol-reachable root *)
     ("bad_transitive_nondet.ml", true, [ (Rule.transitive_nondet, 13) ]);
+    (* C stubs are opaque: reaching one from a protocol root fires unless
+       the [external] itself declares [@@lint.pure "<reason>"] *)
+    ( "bad_c_stub.ml",
+      true,
+      [ (Rule.transitive_nondet, 10); (Rule.transitive_nondet, 12) ] );
+    ("allowed_pure_stub.ml", true, []);
   ]
 
 (* Rules that need more than one compilation unit: (case name, units as
