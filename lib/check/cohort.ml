@@ -148,7 +148,7 @@ let drive_pairwise t ~think_us ~ops_per_client =
   let rec drive slot index =
     if index < ops_per_client then begin
       let cl = Cluster.client t.cluster slot in
-      let label = Printf.sprintf "drive%d" slot in
+      let label = Engine.Id ("drive", slot) in
       if Client.busy cl then
         ignore
           (Engine.schedule t.engine ~label ~delay:(Engine.us 500) (fun () ->
@@ -169,7 +169,7 @@ let drive_pairwise t ~think_us ~ops_per_client =
   for slot = 0 to t.spec.k - 1 do
     ignore
       (Engine.schedule t.engine
-         ~label:(Printf.sprintf "drive%d" slot)
+         ~label:(Engine.Id ("drive", slot))
          ~delay:(Engine.us (137 * (slot + 1)))
          (fun () -> drive slot 0))
   done
@@ -216,7 +216,7 @@ let rec arm_timer t fl =
   let delay = Float.min (base *. expo) t.cfg.Config.client_retry_max_us in
   fl.fl_timer <-
     Some
-      (Engine.schedule t.engine ~label:"cohretx" ~delay:(Engine.of_us_float delay)
+      (Engine.schedule t.engine ~label:(Engine.Name "cohretx") ~delay:(Engine.of_us_float delay)
          (fun () ->
            fl.fl_timer <- None;
            if Hashtbl.mem t.inflight (fl.fl_client, fl.fl_ts) then begin
@@ -323,13 +323,13 @@ let drive_derived_closed t ~think_us ~ops_per_client =
     (fun ~stream ~index ->
       if index + 1 < ops_per_client then
         ignore
-          (Engine.schedule t.engine ~label:"cohthink"
+          (Engine.schedule t.engine ~label:(Engine.Name "cohthink")
              ~delay:(Engine.of_us_float think_us)
              (fun () -> issue_derived t ~stream ~index:(index + 1))));
   if ops_per_client > 0 then
     for stream = 0 to t.spec.k - 1 do
       ignore
-        (Engine.schedule t.engine ~label:"cohstart"
+        (Engine.schedule t.engine ~label:(Engine.Name "cohstart")
            ~delay:(Engine.us (137 * (stream + 1)))
            (fun () -> issue_derived t ~stream ~index:0))
     done
@@ -347,7 +347,8 @@ let drive_derived_open t ~total_ops ~rate_at =
         let rate = Float.max 1e-3 (rate_at (Engine.to_us (Engine.now t.engine))) in
         let gap_us = Rng.exponential t.arrival_rng (1_000_000.0 /. rate) in
         ignore
-          (Engine.schedule t.engine ~label:"coharrive" ~delay:(Engine.of_us_float gap_us)
+          (Engine.schedule t.engine ~label:(Engine.Name "coharrive")
+             ~delay:(Engine.of_us_float gap_us)
              tick)
       end
     end
@@ -356,7 +357,8 @@ let drive_derived_open t ~total_ops ~rate_at =
     let rate0 = Float.max 1e-3 (rate_at 0.0) in
     let gap_us = Rng.exponential t.arrival_rng (1_000_000.0 /. rate0) in
     ignore
-      (Engine.schedule t.engine ~label:"coharrive" ~delay:(Engine.of_us_float gap_us) tick)
+      (Engine.schedule t.engine ~label:(Engine.Name "coharrive")
+         ~delay:(Engine.of_us_float gap_us) tick)
   end
 
 (* ------------------------------------------------------------------ *)

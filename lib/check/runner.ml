@@ -220,7 +220,7 @@ let prepare ?obs ?(monotonic_probes = true) params sched =
   List.iter
     (fun e ->
       ignore
-        (Engine.schedule_at engine ~label:"sched"
+        (Engine.schedule_at engine ~label:(Engine.Name "sched")
            (Engine.of_us_float e.Schedule.at_us)
            (fun () -> apply e.Schedule.action)))
     sched;
@@ -234,7 +234,7 @@ let prepare ?obs ?(monotonic_probes = true) params sched =
   let cohort_ref = ref None in
   if params.quiesce then
     ignore
-      (Engine.schedule_at engine ~label:"quiesce"
+      (Engine.schedule_at engine ~label:(Engine.Name "quiesce")
          (Engine.of_us_float params.horizon_us)
          (fun () ->
            rules := [];
@@ -277,7 +277,7 @@ let prepare ?obs ?(monotonic_probes = true) params sched =
           prev.(i) <- (max v pv, max h ph))
         !(Cluster.correct_replicas cluster);
       if Int64.compare (Engine.now engine) deadline < 0 then
-        ignore (Engine.schedule engine ~label:"probe" ~delay:(Engine.ms 20) probe)
+        ignore (Engine.schedule engine ~label:(Engine.Name "probe") ~delay:(Engine.ms 20) probe)
     in
     probe ()
   end;

@@ -104,7 +104,7 @@ let rec arm_timer t p =
   p.p_timer <-
     Some
       (Engine.schedule t.engine
-         ~label:(Printf.sprintf "cretx%d" t.id)
+         ~label:(Engine.Id ("cretx", t.id))
          ~delay:(Engine.of_us_float delay) (fun () ->
            p.p_timer <- None;
            if (match t.pending with Some p' -> p' == p | None -> false) then begin
@@ -279,7 +279,7 @@ let rec flood_tick t interval_us =
   t.flood_timer <-
     Some
       (Engine.schedule t.engine
-         ~label:(Printf.sprintf "flood%d" t.id)
+         ~label:(Engine.Id ("flood", t.id))
          ~delay:(Engine.of_us_float interval_us)
          (fun () ->
            match t.flood_timer with

@@ -6,40 +6,71 @@ type entry = {
   mutable pp_digest : digest option;
   mutable pp_view : int;
   mutable self_preprepared : bool;
-  prepares : (int, int * digest) Hashtbl.t;
-  commits : (int, int * digest) Hashtbl.t;
+  prepares : (int * digest) option array;
+  commits : (int * digest) option array;
   mutable executed : bool;
   mutable exec_tentative : bool;
 }
 
-type t = { cfg : Config.t; mutable h : int; entries : (int, entry) Hashtbl.t }
+(* A ring of [log_size] slots: sequence number [n] lives in slot
+   [n mod log_size], and a slot holds [n]'s entry only when the entry's
+   [seq] is [n]. The window [h+1 .. h+log_size] covers every slot once, so
+   a stale entry (seq <= h) can never be mistaken for a live one; [truncate]
+   still clears the slots it retires so their batches can be collected. *)
+type t = { cfg : Config.t; mutable h : int; slots : entry array }
 
-let create cfg = { cfg; h = 0; entries = Hashtbl.create 64 }
+let vacant =
+  {
+    seq = min_int;
+    pp = None;
+    pp_digest = None;
+    pp_view = -1;
+    self_preprepared = false;
+    prepares = [||];
+    commits = [||];
+    executed = false;
+    exec_tentative = false;
+  }
+
+let create cfg = { cfg; h = 0; slots = Array.make cfg.Config.log_size vacant }
 let low_mark t = t.h
 let in_window t n = Config.in_window t.cfg ~h:t.h n
-let entry t n = if in_window t n then Hashtbl.find_opt t.entries n else None
+let slot t n = n mod t.cfg.Config.log_size
+
+(* The live entry for [n], or [vacant]; allocation-free. *)
+let live t n =
+  if in_window t n then
+    let e = t.slots.(slot t n) in
+    if e.seq = n then e else vacant
+  else vacant
+
+let entry t n =
+  let e = live t n in
+  if e == vacant then None else Some e
 
 let find t n =
   if not (in_window t n) then
     invalid_arg (Printf.sprintf "Log.find: seq %d outside window (h=%d)" n t.h);
-  match Hashtbl.find_opt t.entries n with
-  | Some e -> e
-  | None ->
-      let e =
-        {
-          seq = n;
-          pp = None;
-          pp_digest = None;
-          pp_view = -1;
-          self_preprepared = false;
-          prepares = Hashtbl.create 8;
-          commits = Hashtbl.create 8;
-          executed = false;
-          exec_tentative = false;
-        }
-      in
-      Hashtbl.replace t.entries n e;
-      e
+  let e = live t n in
+  if e != vacant then e
+  else begin
+    let n_replicas = t.cfg.Config.n in
+    let e =
+      {
+        seq = n;
+        pp = None;
+        pp_digest = None;
+        pp_view = -1;
+        self_preprepared = false;
+        prepares = Array.make n_replicas None;
+        commits = Array.make n_replicas None;
+        executed = false;
+        exec_tentative = false;
+      }
+    in
+    t.slots.(slot t n) <- e;
+    e
+  end
 
 let accept_pre_prepare t ~view pp d =
   let e = find t pp.Message.pp_seq in
@@ -51,61 +82,75 @@ let accept_pre_prepare t ~view pp d =
       e.pp_view <- view;
       true
 
+let is_replica t i = i >= 0 && i < t.cfg.Config.n
+
 (* Prepares and commits may arrive before the pre-prepare is accepted
    (out-of-order delivery, deferred authentication): create the entry. *)
 let add_prepare t (p : Message.prepare) =
-  if in_window t p.pr_seq then
-    Hashtbl.replace (find t p.pr_seq).prepares p.pr_replica (p.pr_view, p.pr_digest)
+  if in_window t p.pr_seq && is_replica t p.pr_replica then
+    (find t p.pr_seq).prepares.(p.pr_replica) <- Some (p.pr_view, p.pr_digest)
 
 let add_commit t (c : Message.commit) =
-  if in_window t c.cm_seq then
-    Hashtbl.replace (find t c.cm_seq).commits c.cm_replica (c.cm_view, c.cm_digest)
+  if in_window t c.cm_seq && is_replica t c.cm_replica then
+    (find t c.cm_seq).commits.(c.cm_replica) <- Some (c.cm_view, c.cm_digest)
 
 let prepared t ~view ~seq =
-  match entry t seq with
-  | None -> false
-  | Some e -> (
-      match e.pp_digest with
-      | Some d when e.pp_view = view ->
-          let primary = Config.primary t.cfg ~view in
-          let matching =
-            Hashtbl.fold
-              (fun replica (v, d') acc ->
-                if replica <> primary && v = view && String.equal d' d then acc + 1
-                else acc)
-              e.prepares 0
-          in
-          matching >= 2 * t.cfg.Config.f
-      | _ -> false)
+  let e = live t seq in
+  match e.pp_digest with
+  | Some d when e.pp_view = view ->
+      let primary = Config.primary t.cfg ~view in
+      let matching = ref 0 in
+      for r = 0 to Array.length e.prepares - 1 do
+        match e.prepares.(r) with
+        | Some (v, d') when r <> primary && v = view && String.equal d' d -> incr matching
+        | _ -> ()
+      done;
+      !matching >= 2 * t.cfg.Config.f
+  | _ -> false
 
 let commit_count t ~seq d =
-  match entry t seq with
-  | None -> 0
-  | Some e ->
-      Hashtbl.fold
-        (fun _ (_, d') acc -> if String.equal d' d then acc + 1 else acc)
-        e.commits 0
+  let e = live t seq in
+  let matching = ref 0 in
+  for r = 0 to Array.length e.commits - 1 do
+    match e.commits.(r) with
+    | Some (_, d') when String.equal d' d -> incr matching
+    | _ -> ()
+  done;
+  !matching
 
 let committed t ~view ~seq =
   prepared t ~view ~seq
   &&
-  match entry t seq with
+  match (live t seq).pp_digest with
+  | Some d -> commit_count t ~seq d >= Config.quorum t.cfg
   | None -> false
-  | Some e -> (
-      match e.pp_digest with
-      | None -> false
-      | Some d -> commit_count t ~seq d >= Config.quorum t.cfg)
 
 let truncate t n =
   if n > t.h then begin
-    t.h <- n;
-    Hashtbl.iter
-      (fun seq _ -> if seq <= n then Hashtbl.remove t.entries seq)
-      (Hashtbl.copy t.entries)
+    for k = t.h + 1 to min n (t.h + t.cfg.Config.log_size) do
+      t.slots.(slot t k) <- vacant
+    done;
+    t.h <- n
   end
 
 let iter_window t f =
-  let seqs = Hashtbl.fold (fun seq _ acc -> seq :: acc) t.entries [] in
-  List.iter (fun seq -> f (Hashtbl.find t.entries seq)) (List.sort compare seqs)
+  for n = t.h + 1 to t.h + t.cfg.Config.log_size do
+    let e = live t n in
+    if e != vacant then f e
+  done
 
-let clear_entries t = Hashtbl.reset t.entries
+let clear_entries t = Array.fill t.slots 0 (Array.length t.slots) vacant
+
+type claim = Unclaimed | Claimed_prepared | Claimed_committed
+
+(* One pass over each list into a window-sized mark; committed overrides
+   prepared. A peer controls these lists (duplicates, any order, any
+   length, seqnos outside our window), so the cost stays O(W + list
+   length) and only in-window seqnos are kept. *)
+let claims t ~prepared ~committed =
+  let h = t.h and l = t.cfg.Config.log_size in
+  let marks = Array.make l Unclaimed in
+  let mark c n = if Config.in_window t.cfg ~h n then marks.(n mod l) <- c in
+  List.iter (mark Claimed_prepared) prepared;
+  List.iter (mark Claimed_committed) committed;
+  fun n -> if Config.in_window t.cfg ~h n then marks.(n mod l) else Unclaimed

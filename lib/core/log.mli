@@ -7,7 +7,11 @@
     questions the protocol asks: is the batch {e prepared} (pre-prepare +
     2f matching prepares from distinct backups), is it {e committed} (2f+1
     matching commits)? Garbage collection truncates everything at or below
-    a new stable checkpoint. *)
+    a new stable checkpoint.
+
+    The log is a ring of [log_size] slots indexed by sequence number, and
+    each entry holds its votes in arrays indexed by replica id, so every
+    certificate question is a loop over [n] slots. *)
 
 type digest = string
 
@@ -18,8 +22,10 @@ type entry = {
   mutable pp_view : int;  (** view of the accepted pre-prepare *)
   mutable self_preprepared : bool;
       (** this replica sent the pre-prepare or a prepare for it *)
-  prepares : (int, int * digest) Hashtbl.t;  (** backup -> (view, digest) *)
-  commits : (int, int * digest) Hashtbl.t;  (** replica -> (view, digest) *)
+  prepares : (int * digest) option array;
+      (** indexed by replica id: that replica's prepare as (view, digest) *)
+  commits : (int * digest) option array;
+      (** indexed by replica id: that replica's commit as (view, digest) *)
   mutable executed : bool;
   mutable exec_tentative : bool;  (** executed tentatively, not yet committed *)
 }
@@ -43,7 +49,12 @@ val accept_pre_prepare : t -> view:int -> Message.pre_prepare -> digest -> bool
     different digest was already accepted for this view and sequence. *)
 
 val add_prepare : t -> Message.prepare -> unit
+(** Record a prepare, replacing the sender's earlier one for that sequence
+    number. Dropped when the sequence number is outside the water marks or
+    the sender id is outside [0 .. n-1]. *)
+
 val add_commit : t -> Message.commit -> unit
+(** As {!add_prepare}, for commits. *)
 
 val prepared : t -> view:int -> seq:int -> bool
 (** Prepared certificate in the given view (Section 2.3.3). *)
@@ -64,3 +75,16 @@ val iter_window : t -> (entry -> unit) -> unit
 val clear_entries : t -> unit
 (** Drop every entry but keep the low water mark (used when a view-change
     message is sent: the paper's "clears its log"). *)
+
+(** {2 A peer's status claims} *)
+
+type claim = Unclaimed | Claimed_prepared | Claimed_committed
+
+val claims : t -> prepared:int list -> committed:int list -> int -> claim
+(** [claims t ~prepared ~committed] reads a peer's status lists once into
+    a mark over the current window and returns the lookup: for a sequence
+    number in the window, [Claimed_committed] if [committed] lists it,
+    else [Claimed_prepared] if [prepared] lists it, else [Unclaimed];
+    [Unclaimed] outside the window. Apply it to the lists once and query
+    the result per sequence number: building costs O(W + list length)
+    whatever the lists hold, each query O(1). *)

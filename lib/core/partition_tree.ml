@@ -16,15 +16,16 @@ type t = {
   digested_bytes : int;
 }
 
+(* A tagged header, then the body, fed to one streaming context: a page is
+   hashed where it lies, never copied into a staging buffer. *)
+let tagged_digest header body =
+  let ctx = Bft_crypto.Sha256.init () in
+  Bft_crypto.Sha256.feed ctx header;
+  Bft_crypto.Sha256.feed ctx body;
+  Bft_crypto.Sha256.finalize ctx
+
 let page_digest ~index ~lm ~data =
-  let b = Buffer.create (String.length data + 24) in
-  Buffer.add_string b "PAGE";
-  Buffer.add_string b (string_of_int index);
-  Buffer.add_char b ':';
-  Buffer.add_string b (string_of_int lm);
-  Buffer.add_char b ':';
-  Buffer.add_string b data;
-  Bft_crypto.Sha256.digest (Buffer.contents b)
+  tagged_digest ("PAGE" ^ string_of_int index ^ ":" ^ string_of_int lm ^ ":") data
 
 let rebuild_page ~index ~lm ~data = { data; lm; digest = page_digest ~index ~lm ~data }
 
@@ -37,16 +38,9 @@ let split_pages page_size s =
       if l <= 0 then "" else String.sub s off l)
 
 let interior_digest_of_acc ~level ~index ~lm acc =
-  let b = Buffer.create 64 in
-  Buffer.add_string b "META";
-  Buffer.add_string b (string_of_int level);
-  Buffer.add_char b ':';
-  Buffer.add_string b (string_of_int index);
-  Buffer.add_char b ':';
-  Buffer.add_string b (string_of_int lm);
-  Buffer.add_char b ':';
-  Buffer.add_string b (Bft_crypto.Adhash.to_string acc);
-  Bft_crypto.Sha256.digest (Buffer.contents b)
+  tagged_digest
+    ("META" ^ string_of_int level ^ ":" ^ string_of_int index ^ ":" ^ string_of_int lm ^ ":")
+    (Bft_crypto.Adhash.to_string acc)
 
 let num_interior_levels ~branching ~num_pages =
   (* levels above the page level, at least 1 (the root) *)

@@ -869,7 +869,7 @@ let rec transfer_retry t =
       tx.tx_timer <-
         Some
           (Engine.schedule t.engine
-             ~label:(Printf.sprintf "tx%d" t.id)
+             ~label:(Engine.Id ("tx", t.id))
              ~delay:(Engine.of_us_float 30_000.0) (fun () ->
                transfer_retry t))
 
@@ -903,7 +903,7 @@ let start_transfer t ~target ~root_digest =
       tx.tx_timer <-
         Some
           (Engine.schedule t.engine
-             ~label:(Printf.sprintf "tx%d" t.id)
+             ~label:(Engine.Id ("tx", t.id))
              ~delay:(Engine.of_us_float 30_000.0) (fun () ->
                transfer_retry t))
 
@@ -929,7 +929,7 @@ let rec start_vc_timer t =
     t.vc_timer <-
       Some
         (Engine.schedule t.engine
-           ~label:(Printf.sprintf "vc%d" t.id)
+           ~label:(Engine.Id ("vc", t.id))
            ~delay:(Engine.of_us_float t.vc_timeout_us)
            (fun () ->
              t.vc_timer <- None;
@@ -975,7 +975,7 @@ and perf_note_sample t arrival =
         let v = t.view in
         ignore
           (Engine.schedule t.engine
-             ~label:(Printf.sprintf "perfvc%d" t.id)
+             ~label:(Engine.Id ("perfvc", t.id))
              ~delay:0L
              (fun () ->
                if t.active && t.view = v then start_view_change t (v + 1)))
@@ -1324,7 +1324,7 @@ and check_prepared_to_commit t ~seq =
       let d = Option.get e.Log.pp_digest in
       if
         Log.prepared t.log ~view:t.view ~seq
-        && not (Hashtbl.mem e.Log.commits t.id)
+        && Option.is_none e.Log.commits.(t.id)
       then begin
         if Obs.enabled t.obs then
           Obs.phase t.obs ~now:(now t) Obs.Prepared ~view:t.view ~seq;
@@ -1395,7 +1395,7 @@ and start_view_change t new_view =
     t.vc_timer <-
       Some
         (Engine.schedule t.engine
-           ~label:(Printf.sprintf "vc%d" t.id)
+           ~label:(Engine.Id ("vc", t.id))
            ~delay:(Engine.of_us_float t.vc_timeout_us)
            (fun () ->
              t.vc_timer <- None;
@@ -1635,8 +1635,8 @@ let client_inflight t client =
 let batch_vouched t batch_digest =
   let count = ref 0 in
   Log.iter_window t.log (fun e ->
-      Hashtbl.iter
-        (fun _ (_, d') -> if String.equal d' batch_digest then incr count)
+      Array.iter
+        (function Some (_, d') when String.equal d' batch_digest -> incr count | _ -> ())
         e.Log.prepares);
   !count >= t.d.cfg.Config.f
 
@@ -2273,30 +2273,33 @@ let handle_status_active t (s : status_active) =
     end
     else if s.sa_view = t.view && t.active then begin
       (* retransmit our own protocol messages the peer is missing *)
+      let claim = Log.claims t.log ~prepared:s.sa_prepared ~committed:s.sa_committed in
       Log.iter_window t.log (fun e ->
           let n = e.Log.seq in
           if n > s.sa_h then begin
             match e.Log.pp_digest with
             | Some _ ->
-                let peer_prepared = List.mem n s.sa_prepared || List.mem n s.sa_committed in
-                if not peer_prepared then begin
-                  (match e.Log.pp with
-                  | Some pp when primary_of t e.Log.pp_view = t.id && e.Log.pp_view = t.view ->
-                      send_retx t ~dst:r (Pre_prepare pp)
-                  | _ -> ());
-                  match Hashtbl.find_opt e.Log.prepares t.id with
-                  | Some (v, d') when v = t.view ->
-                      send_retx t ~dst:r
-                        (Prepare { pr_view = v; pr_seq = n; pr_digest = d'; pr_replica = t.id })
-                  | _ -> ()
-                end;
-                if not (List.mem n s.sa_committed) then begin
-                  match Hashtbl.find_opt e.Log.commits t.id with
-                  | Some (v, d') ->
-                      send_retx t ~dst:r
-                        (Commit { cm_view = v; cm_seq = n; cm_digest = d'; cm_replica = t.id })
-                  | _ -> ()
-                end
+                let claimed = claim n in
+                (match claimed with
+                | Log.Unclaimed -> (
+                    (match e.Log.pp with
+                    | Some pp when primary_of t e.Log.pp_view = t.id && e.Log.pp_view = t.view ->
+                        send_retx t ~dst:r (Pre_prepare pp)
+                    | _ -> ());
+                    match e.Log.prepares.(t.id) with
+                    | Some (v, d') when v = t.view ->
+                        send_retx t ~dst:r
+                          (Prepare { pr_view = v; pr_seq = n; pr_digest = d'; pr_replica = t.id })
+                    | _ -> ())
+                | Log.Claimed_prepared | Log.Claimed_committed -> ());
+                (match claimed with
+                | Log.Unclaimed | Log.Claimed_prepared -> (
+                    match e.Log.commits.(t.id) with
+                    | Some (v, d') ->
+                        send_retx t ~dst:r
+                          (Commit { cm_view = v; cm_seq = n; cm_digest = d'; cm_replica = t.id })
+                    | None -> ())
+                | Log.Claimed_committed -> ())
             | None -> ()
           end)
     end;
@@ -2320,16 +2323,21 @@ let handle_status_pending t (s : status_pending) =
   let r = s.sp_replica in
   if r <> t.id then begin
     if s.sp_view <= t.view then begin
+      (* the peer's list read once, whatever its length *)
+      let seen = Array.make t.d.cfg.Config.n false in
+      List.iter (fun i -> if i >= 0 && i < Array.length seen then seen.(i) <- true) s.sp_vcs_seen;
+      let peer_holds i = i >= 0 && i < Array.length seen && seen.(i) in
       (* our view-change for the peer's pending view (or ours, to pull it
          forward) *)
       (match Hashtbl.find_opt t.my_vcs (max s.sp_view t.view) with
-      | Some vc -> if not (List.mem t.id s.sp_vcs_seen) || s.sp_view < t.view then send_retx t ~dst:r (View_change vc)
+      | Some vc ->
+          if (not (peer_holds t.id)) || s.sp_view < t.view then send_retx t ~dst:r (View_change vc)
       | None -> ());
       (* retransmit acks for view-changes the peer lacks *)
       (match Hashtbl.find_opt t.my_acks s.sp_view with
       | Some acks ->
           List.iter
-            (fun a -> if not (List.mem a.va_origin s.sp_vcs_seen) then send_retx t ~dst:r (View_change_ack a))
+            (fun a -> if not (peer_holds a.va_origin) then send_retx t ~dst:r (View_change_ack a))
             acks
       | None -> ());
       (* the primary retransmits the new-view *)
@@ -2341,7 +2349,7 @@ let handle_status_pending t (s : status_pending) =
       if not s.sp_has_new_view then
         Hashtbl.iter
           (fun (v, sender) (vc, _) ->
-            if v = s.sp_view && not (List.mem sender s.sp_vcs_seen) then
+            if v = s.sp_view && not (peer_holds sender) then
               send_retx t ~dst:r (View_change vc))
           t.vcs
     end
@@ -2495,7 +2503,7 @@ let rec recovery_tick t =
       | `Fetching -> recovery_step t);
       ignore
         (Engine.schedule t.engine
-           ~label:(Printf.sprintf "rec%d" t.id)
+           ~label:(Engine.Id ("rec", t.id))
            ~delay:(Engine.of_us_float 50_000.0) (fun () ->
              recovery_tick t))
 
@@ -2565,7 +2573,7 @@ let begin_recovery t =
     broadcast t (Query_stable { qs_replica = t.id; qs_nonce = nonce });
     ignore
       (Engine.schedule t.engine
-         ~label:(Printf.sprintf "rec%d" t.id)
+         ~label:(Engine.Id ("rec", t.id))
          ~delay:(Engine.of_us_float 50_000.0) (fun () ->
            recovery_tick t))
   end
@@ -2646,7 +2654,16 @@ let verify_envelope t (env : envelope) =
       | _ -> false)
   | _ -> verify_token_bytes t ~claimed:env.sender (Wire.envelope_bytes env) env.auth
 
-let handle t (env : envelope) =
+(* Only replicas speak the replica protocol. Clients hold session keys with
+   every replica, so a client's MAC on a prepare or commit verifies; every
+   body but a request is dropped, unverified, unless its sender is a
+   replica id. *)
+let from_replica t (env : envelope) =
+  match env.body with
+  | Request _ -> true
+  | _ -> env.sender >= 0 && env.sender < t.d.cfg.Config.n
+
+let dispatch t (env : envelope) =
   let verified = verify_envelope t env in
   match env.body with
   | Request r ->
@@ -2673,6 +2690,8 @@ let handle t (env : envelope) =
   | Fetch_batch f -> if verified && env.sender = f.fb_replica then handle_fetch_batch t f
   | Batch_data bd -> if verified then handle_batch_data t bd
   | Fetch_request f -> if verified && env.sender = f.fr_replica then handle_fetch_request t f
+
+let handle t env = if from_replica t env then dispatch t env
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
@@ -2760,7 +2779,7 @@ let create ?(obs = Obs.null) d ~id =
 let rec schedule_status t =
   ignore
     (Engine.schedule t.engine
-       ~label:(Printf.sprintf "status%d" t.id)
+       ~label:(Engine.Id ("status", t.id))
        ~delay:(Engine.of_us_float t.d.cfg.Config.status_interval_us)
        (fun () ->
          send_status t;
@@ -2769,7 +2788,7 @@ let rec schedule_status t =
 let rec schedule_watchdog t delay_us =
   ignore
     (Engine.schedule t.engine
-       ~label:(Printf.sprintf "wd%d" t.id)
+       ~label:(Engine.Id ("wd", t.id))
        ~delay:(Engine.of_us_float delay_us) (fun () ->
          begin_recovery t;
          schedule_watchdog t t.d.cfg.Config.watchdog_period_us))
@@ -2777,7 +2796,7 @@ let rec schedule_watchdog t delay_us =
 let rec schedule_key_refresh t =
   ignore
     (Engine.schedule t.engine
-       ~label:(Printf.sprintf "key%d" t.id)
+       ~label:(Engine.Id ("key", t.id))
        ~delay:(Engine.of_us_float t.d.cfg.Config.key_refresh_us)
        (fun () ->
          send_new_key t;
@@ -2895,18 +2914,14 @@ let state_digest t =
       add "L%d pv=%d self=%b ex=%b tent=%b d=%s(" e.Log.seq e.Log.pp_view
         e.Log.self_preprepared e.Log.executed e.Log.exec_tentative
         (match e.Log.pp_digest with Some d -> hexd d | None -> "-");
-      List.iter
-        (fun k ->
-          match Hashtbl.find_opt e.Log.prepares k with
-          | Some (v, d) -> add "p%d:%d:%s;" k v (hexd d)
-          | None -> ())
-        (sorted_int_keys e.Log.prepares);
-      List.iter
-        (fun k ->
-          match Hashtbl.find_opt e.Log.commits k with
-          | Some (v, d) -> add "c%d:%d:%s;" k v (hexd d)
-          | None -> ())
-        (sorted_int_keys e.Log.commits);
+      Array.iteri
+        (fun k vote ->
+          match vote with Some (v, d) -> add "p%d:%d:%s;" k v (hexd d) | None -> ())
+        e.Log.prepares;
+      Array.iteri
+        (fun k vote ->
+          match vote with Some (v, d) -> add "c%d:%d:%s;" k v (hexd d) | None -> ())
+        e.Log.commits;
       add ")");
   add "|ck:";
   List.iter (fun (s, d) -> add "%d:%s;" s (hexd d)) (checkpoints_held t);

@@ -29,7 +29,9 @@ type 'msg t = {
   engine : Engine.t;
   costs : Costs.t;
   rng : Bft_util.Rng.t;
-  nodes : (int, 'msg node) Hashtbl.t;
+  (* explicitly added nodes, indexed by id ([None] where no node was
+     added); ids here are the dense replica and client ids *)
+  mutable nodes : 'msg node option array;
   stat : stat;
   mutable loss_rate : float;
   mutable dup_rate : float;
@@ -54,7 +56,7 @@ let create ~engine ~costs ~rng () =
     engine;
     costs;
     rng;
-    nodes = Hashtbl.create 32;
+    nodes = [||];
     stat = { sent = 0; delivered = 0; dropped = 0; duplicated = 0; bytes_sent = 0 };
     loss_rate = 0.0;
     dup_rate = 0.0;
@@ -71,8 +73,10 @@ let engine t = t.engine
 let costs t = t.costs
 let stats t = t.stat
 
+let added t id = if id >= 0 && id < Array.length t.nodes then t.nodes.(id) else None
+
 let node t id =
-  match Hashtbl.find_opt t.nodes id with
+  match added t id with
   | Some n -> n
   | None ->
       let rec scan = function
@@ -82,9 +86,16 @@ let node t id =
       scan t.ranges
 
 let add_node t ~id ~handler =
-  if Hashtbl.mem t.nodes id then
+  if id < 0 then invalid_arg (Printf.sprintf "Network.add_node: negative id %d" id);
+  if Option.is_some (added t id) then
     invalid_arg (Printf.sprintf "Network.add_node: duplicate id %d" id);
-  Hashtbl.replace t.nodes id
+  let len = Array.length t.nodes in
+  if id >= len then begin
+    let grown = Array.make (max (id + 1) (2 * len)) None in
+    Array.blit t.nodes 0 grown 0 len;
+    t.nodes <- grown
+  end;
+  let n =
     {
       handler;
       busy_until = 0L;
@@ -95,12 +106,19 @@ let add_node t ~id ~handler =
       cpu_factor = 1.0;
       range_handler = None;
     }
+  in
+  t.nodes.(id) <- Some n
+
+let added_between t ~first ~last =
+  let last = min last (Array.length t.nodes - 1) in
+  let rec go id = id <= last && (Option.is_some t.nodes.(id) || go (id + 1)) in
+  go (max first 0)
 
 let add_node_range t ~first ~last ~handler =
   if first > last then invalid_arg "Network.add_node_range: empty range";
   if
     List.exists (fun (f, l, _) -> first <= l && last >= f) t.ranges
-    || Hashtbl.fold (fun id _ hit -> hit || (id >= first && id <= last)) t.nodes false
+    || added_between t ~first ~last
   then invalid_arg "Network.add_node_range: overlapping ids";
   let n =
     {
@@ -158,7 +176,7 @@ let rec drain t ~dst =
     if Int64.compare n.busy_until now > 0 then
       ignore
         (Engine.schedule_at t.engine
-           ~label:(Printf.sprintf "drain%d" dst)
+           ~label:(Engine.Id ("drain", dst))
            n.busy_until
            (fun () -> drain t ~dst))
     else
@@ -170,13 +188,13 @@ let rec drain t ~dst =
           else if Int64.compare n.busy_until now > 0 then
             ignore
               (Engine.schedule_at t.engine
-                 ~label:(Printf.sprintf "drain%d" dst)
+                 ~label:(Engine.Id ("drain", dst))
                  n.busy_until
                  (fun () -> drain t ~dst))
           else
             ignore
               (Engine.schedule_at t.engine
-                 ~label:(Printf.sprintf "drain%d" dst)
+                 ~label:(Engine.Id ("drain", dst))
                  now
                  (fun () -> drain t ~dst))
   end
@@ -193,7 +211,7 @@ let deliver t ~dst ~size msg =
         n.draining <- true;
         ignore
           (Engine.schedule_at t.engine
-             ~label:(Printf.sprintf "drain%d" dst)
+             ~label:(Engine.Id ("drain", dst))
              n.busy_until
              (fun () -> drain t ~dst))
       end
@@ -214,7 +232,8 @@ let transmit t ~src ~dst ~size ~depart msg =
     | `Drop -> t.stat.dropped <- t.stat.dropped + 1
     | (`Pass | `Delay _) as v ->
         let link_rate =
-          Option.value ~default:0.0 (Hashtbl.find_opt t.link_loss (src, dst))
+          if Hashtbl.length t.link_loss = 0 then 0.0
+          else Option.value ~default:0.0 (Hashtbl.find_opt t.link_loss (src, dst))
         in
         if
           Bft_util.Rng.bernoulli t.rng t.loss_rate
@@ -231,7 +250,7 @@ let transmit t ~src ~dst ~size ~depart msg =
           else
             ignore
               (Engine.schedule_at t.engine
-                 ~label:(Printf.sprintf "wire%d>%d" src dst)
+                 ~label:(Engine.Link ("wire", src, dst))
                  arrival
                  (fun () -> deliver t ~dst ~size msg));
           if Bft_util.Rng.bernoulli t.rng t.dup_rate then begin
@@ -242,7 +261,7 @@ let transmit t ~src ~dst ~size ~depart msg =
             else
               ignore
                 (Engine.schedule_at t.engine
-                   ~label:(Printf.sprintf "wire%d>%d" src dst)
+                   ~label:(Engine.Link ("wire", src, dst))
                    arrival2
                    (fun () -> deliver t ~dst ~size msg))
           end
@@ -280,7 +299,7 @@ let multicast t ~src ~dsts ~size msg =
           (* loopback: no wire, deliver as soon as the CPU is free *)
           ignore
             (Engine.schedule_at t.engine
-               ~label:(Printf.sprintf "loop%d" dst)
+               ~label:(Engine.Id ("loop", dst))
                depart
                (fun () -> deliver t ~dst ~size msg))
         else transmit t ~src ~dst ~size ~depart msg)
@@ -352,10 +371,12 @@ let reset_faults t =
   t.partition <- None;
   t.adversary <- None;
   Hashtbl.reset t.link_loss;
-  Hashtbl.iter
-    (fun id n ->
-      n.cpu_factor <- 1.0;
-      if n.crashed then restart t ~id)
+  Array.iteri
+    (fun id -> function
+      | Some n ->
+          n.cpu_factor <- 1.0;
+          if n.crashed then restart t ~id
+      | None -> ())
     t.nodes;
   List.iter
     (fun (first, _, n) ->

@@ -29,7 +29,9 @@ val costs : 'msg t -> Costs.t
 val stats : 'msg t -> stat
 
 val add_node : 'msg t -> id:int -> handler:('msg -> unit) -> unit
-(** Register a node. Raises [Invalid_argument] on duplicate ids. *)
+(** Register a node. Nodes are found through an array indexed by id, so
+    ids should be small and dense (replicas [0 .. n-1], then clients).
+    Raises [Invalid_argument] on duplicate or negative ids. *)
 
 val add_node_range : 'msg t -> first:int -> last:int -> handler:(int -> 'msg -> unit) -> unit
 (** Register the contiguous id range [first..last] (inclusive) backed by

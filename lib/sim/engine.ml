@@ -1,5 +1,12 @@
 type time = int64
 
+type label = Name of string | Id of string * int | Link of string * int * int
+
+let render = function
+  | Name s -> s
+  | Id (prefix, id) -> prefix ^ string_of_int id
+  | Link (prefix, src, dst) -> prefix ^ string_of_int src ^ ">" ^ string_of_int dst
+
 (* The heap below is the simulator's hottest loop (PR 2, lifted again in
    PR 9): every index is kept in bounds by the size counter, so the
    unchecked array accesses are justified here. *)
@@ -39,7 +46,7 @@ type t = {
   mutable at_a : int array;
   mutable seq_a : int array;
   mutable handle_a : handle array;
-  mutable label_a : string option array;
+  mutable label_a : label option array;
   mutable thunk_a : (unit -> unit) array;
   mutable size : int;
   mutable seq : int;
@@ -258,7 +265,8 @@ let max_heap_size t = t.max_size
 (* Live-event introspection for the explorer: an O(size) scan of the heap
    arrays (slots [0, size) hold the queue in heap order, not sorted
    order), skipping lazily-cancelled entries. Builds one list per call —
-   for the explorer's step loop, not the simulation hot path. *)
+   for the explorer's step loop, not the simulation hot path — and is the
+   only place a label becomes text. *)
 let live_events t =
   let acc = ref [] in
   for i = t.size - 1 downto 0 do
@@ -271,7 +279,7 @@ let live_events t =
     (fun (a, sa, _) (b, sb, _) ->
       match Int.compare a b with 0 -> Int.compare sa sb | c -> c)
     !acc
-  |> List.map (fun (at, _, label) -> (Int64.of_int at, label))
+  |> List.map (fun (at, _, label) -> (Int64.of_int at, Option.map render label))
 
 (* Sentinel scan: a plain int minimum over the live slots, allocating only
    the final [Some] — nothing per candidate (the old option-accumulating

@@ -23,12 +23,19 @@ val now : t -> time
 val rng : t -> Bft_util.Rng.t
 (** The engine's root RNG; derive sub-streams with {!Bft_util.Rng.split}. *)
 
-val schedule : ?label:string -> t -> delay:time -> (unit -> unit) -> handle
+(** An event's tag, kept as data and rendered to text only by
+    {!live_events}, so scheduling never formats a string. *)
+type label =
+  | Name of string  (** rendered as is *)
+  | Id of string * int  (** [Id ("drain", 3)] renders ["drain3"] *)
+  | Link of string * int * int  (** [Link ("wire", 0, 2)] renders ["wire0>2"] *)
+
+val schedule : ?label:label -> t -> delay:time -> (unit -> unit) -> handle
 (** Run the thunk [delay] nanoseconds from now. [delay < 0] is an error.
     [label] tags the event for {!live_events}; it has no effect on
     execution. *)
 
-val schedule_at : ?label:string -> t -> time -> (unit -> unit) -> handle
+val schedule_at : ?label:label -> t -> time -> (unit -> unit) -> handle
 (** Run the thunk at an absolute time (clamped to [now]). *)
 
 val cancel : handle -> unit
@@ -51,7 +58,7 @@ val max_heap_size : t -> int
 
 val live_events : t -> (time * string option) list
 (** The enabled-event set: every live (pending) event as
-    [(fire time, label)], sorted by (time, scheduling order). Cancelled
+    [(fire time, rendered label)], sorted by (time, scheduling order). Cancelled
     events awaiting lazy removal are excluded. O(heap size) — intended for
     the exhaustive explorer's step loop, not the simulation hot path. *)
 

@@ -343,6 +343,59 @@ let test_forged_signature_rejected () =
   Alcotest.(check bool) "forged request not executed" true
     (Array.for_all (fun r -> Replica.last_executed r = 0) (Cluster.replicas c))
 
+(* Only replicas speak the replica protocol. Clients hold session keys
+   with every replica, so a prepare or commit a client sends under its own
+   id carries MACs that verify. With replicas 2 and 3 muted, the primary's
+   batch can execute only if such votes count toward a quorum. *)
+let test_client_votes_ignored () =
+  let cfg, c = make ~tentative:false ~clients:3 () in
+  let net = Cluster.network c in
+  let replicas = Config.replica_ids cfg in
+  Replica.mute (Cluster.replica c 2) true;
+  Replica.mute (Cluster.replica c 3) true;
+  let rng = Bft_util.Rng.create 7L in
+  (* client [id]'s session keys with every replica, as the key exchange
+     gives every client *)
+  let keys_of id =
+    let kc = Bft_crypto.Keychain.create ~my_id:id in
+    List.iter
+      (fun r ->
+        let chain = Replica.keychain (Cluster.replica c r) in
+        let k = Bft_crypto.Keychain.fresh_in_key chain rng ~peer:id in
+        ignore (Bft_crypto.Keychain.install_out_key kc ~peer:r k))
+      replicas;
+    kc
+  in
+  let send_from kc body =
+    let auth = Bft_crypto.Auth.compute_authenticator kc ~receivers:replicas (Wire.encode body) in
+    let id = Bft_crypto.Keychain.my_id kc in
+    let env = Message.envelope ~sender:id ~auth:(Message.Auth_vector auth) body in
+    Bft_net.Network.multicast net ~src:id ~dsts:replicas ~size:(Wire.envelope_size env) env
+  in
+  (* learn the primary's batch digest from replica 1's prepare *)
+  let seen = ref None in
+  Bft_net.Network.set_adversary net (fun ~src:_ ~dst:_ env ->
+      (match env.Message.body with
+      | Message.Prepare p when Option.is_none !seen -> seen := Some p
+      | _ -> ());
+      `Pass);
+  Client.invoke (Cluster.client c 0) ~op:(null_op ()) (fun ~result:_ ~latency_us:_ -> ());
+  Alcotest.(check bool) "backup prepared the batch" true
+    (Cluster.run_until ~timeout_us:5_000.0 c (fun () -> Option.is_some !seen));
+  let p = Option.get !seen in
+  List.iter
+    (fun id ->
+      let kc = keys_of id in
+      send_from kc (Message.Prepare { p with pr_replica = id });
+      send_from kc
+        (Message.Commit
+           { cm_view = p.pr_view; cm_seq = p.pr_seq; cm_digest = p.pr_digest; cm_replica = id }))
+    [ cfg.Config.n + 1; cfg.Config.n + 2 ];
+  let executed () = List.map (fun i -> Replica.last_executed (Cluster.replica c i)) [ 0; 1 ] in
+  ignore
+    (Cluster.run_until ~timeout_us:20_000.0 c (fun () -> List.for_all (( < ) 0) (executed ())));
+  Alcotest.(check (list int)) "nothing executes on client votes" [ 0; 0 ] (executed ())
+
 (* --- partitions --- *)
 
 let test_partition_blocks_then_heals () =
@@ -666,6 +719,7 @@ let suites =
           test_byzantine_primary_view_change_linearizable;
         Alcotest.test_case "byzantine client" `Quick test_byzantine_client_partial_auth;
         Alcotest.test_case "forged signature rejected" `Quick test_forged_signature_rejected;
+        Alcotest.test_case "client votes ignored" `Quick test_client_votes_ignored;
         Alcotest.test_case "partition then heal" `Slow test_partition_blocks_then_heals;
       ] );
     ( "integration.load",
