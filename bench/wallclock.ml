@@ -33,13 +33,11 @@ let rate m = m.units /. m.seconds
 
 let sample_messages () =
   let req i =
-    {
-      Message.op = Printf.sprintf "put key%04d %s" i (String.make 64 'v');
-      timestamp = Int64.of_int (1000 + i);
-      client = 4 + (i mod 3);
-      read_only = false;
-      replier = i mod 4;
-    }
+    Message.request
+      ~op:(Printf.sprintf "put key%04d %s" i (String.make 64 'v'))
+      ~timestamp:(Int64.of_int (1000 + i))
+      ~client:(4 + (i mod 3))
+      ~read_only:false ~replier:(i mod 4)
   in
   let batch =
     List.init 8 (fun i -> Message.Inline (req i, Message.Auth_none))

@@ -181,13 +181,8 @@ let drive_pairwise t ~think_us ~ops_per_client =
 let send_flight t fl ~to_all =
   let g = Option.get t.group in
   let req =
-    {
-      Message.op = fl.fl_op;
-      timestamp = fl.fl_ts;
-      client = fl.fl_client;
-      read_only = false;
-      replier = fl.fl_client mod t.cfg.Config.n;
-    }
+    Message.request ~op:fl.fl_op ~timestamp:fl.fl_ts ~client:fl.fl_client ~read_only:false
+      ~replier:(fl.fl_client mod t.cfg.Config.n)
   in
   let enc = Message.no_cache () in
   let bytes = Wire.cached_encode ~arena:t.arena enc (Message.Request req) in

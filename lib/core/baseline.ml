@@ -45,7 +45,7 @@ let server_handle t (env : envelope) =
   match env.body with
   | Request r when verify t ~me:server_id ~peer:r.client env ->
       Network.charge t.net ~id:server_id
-        (Costs.digest_us t.costs (Wire.size env.body)
+        (Costs.digest_us t.costs (String.length (Wire.envelope_bytes env))
         +. t.service.Bft_sm.Service.exec_cost_us r.op);
       let result =
         t.service.Bft_sm.Service.execute ~client:r.client ~op:r.op
@@ -118,11 +118,12 @@ let invoke t ~client:k op callback =
   c.c_started <- Engine.now t.engine;
   let req =
     Request
-      { op; timestamp = c.c_timestamp; client = c.c_id; read_only = false; replier = 0 }
+      (Message.request ~op ~timestamp:c.c_timestamp ~client:c.c_id ~read_only:false ~replier:0)
   in
-  Network.charge t.net ~id:c.c_id (Costs.digest_us t.costs (Wire.size req));
   let enc = Message.no_cache () in
-  let auth = mac t ~src:c.c_id ~dst:server_id (Wire.cached_encode enc req) in
+  let bytes = Wire.cached_encode enc req in
+  Network.charge t.net ~id:c.c_id (Costs.digest_us t.costs (String.length bytes));
+  let auth = mac t ~src:c.c_id ~dst:server_id bytes in
   let env = { sender = c.c_id; body = req; auth; enc } in
   Network.send t.net ~src:c.c_id ~dst:server_id ~size:(Wire.envelope_size env) env
 

@@ -121,7 +121,10 @@ let rec arm_timer t p =
                Hashtbl.reset p.p_replies
              end;
              let req =
-               if p.p_promoted then { p.p_req with read_only = false } else p.p_req
+               if p.p_promoted then
+                 Message.request ~op:p.p_req.op ~timestamp:p.p_req.timestamp
+                   ~client:p.p_req.client ~read_only:false ~replier:p.p_req.replier
+               else p.p_req
              in
              if Obs.enabled t.obs then
                Obs.client_retransmit t.obs ~now:(Engine.now t.engine)
@@ -287,13 +290,10 @@ let rec flood_tick t interval_us =
            | Some _ ->
                t.last_timestamp <- Int64.add t.last_timestamp 1L;
                let req =
-                 {
-                   op = Printf.sprintf "flood c%d.%Ld" t.id t.last_timestamp;
-                   timestamp = t.last_timestamp;
-                   client = t.id;
-                   read_only = false;
-                   replier = t.id mod t.d.cfg.Config.n;
-                 }
+                 Message.request
+                   ~op:(Printf.sprintf "flood c%d.%Ld" t.id t.last_timestamp)
+                   ~timestamp:t.last_timestamp ~client:t.id ~read_only:false
+                   ~replier:(t.id mod t.d.cfg.Config.n)
                in
                send_request t req ~to_all:true;
                flood_tick t interval_us))
@@ -315,13 +315,9 @@ let invoke t ?(read_only = false) ~op callback =
   let replier = t.next_replier in
   t.next_replier <- (t.next_replier + 1) mod t.d.cfg.Config.n;
   let req =
-    {
-      op;
-      timestamp = t.last_timestamp;
-      client = t.id;
-      read_only = read_only && t.d.cfg.Config.read_only_opt;
-      replier;
-    }
+    Message.request ~op ~timestamp:t.last_timestamp ~client:t.id
+      ~read_only:(read_only && t.d.cfg.Config.read_only_opt)
+      ~replier
   in
   let p =
     {

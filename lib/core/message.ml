@@ -6,15 +6,65 @@
 
 type digest = string
 
-(** Client request (Section 2.3.2). [replier] designates the replica that
-    returns the full result under the digest-replies optimization. *)
-type request = {
+(** Client requests (Section 2.3.2). A request is named by its digest
+    d = D(m), which pre-prepares, batches and the request tables carry; it
+    is computed once, here, by the type's only constructor, so no code —
+    byzantine paths and the wire decoder included — can hold a request
+    whose [rq_digest] disagrees with its content. *)
+module Req : sig
+  type t = private {
+    op : string;
+    timestamp : int64;
+    client : int;
+    read_only : bool;
+    replier : int;
+        (** the replica that returns the full result under the
+            digest-replies optimization *)
+    rq_digest : digest;
+        (** SHA-256 of ['R'] followed by the request's wire encoding *)
+  }
+
+  val make :
+    op:string -> timestamp:int64 -> client:int -> read_only:bool -> replier:int -> t
+end = struct
+  type t = {
+    op : string;
+    timestamp : int64;
+    client : int;
+    read_only : bool;
+    replier : int;
+    rq_digest : digest;
+  }
+
+  module A = Bft_net.Wire_arena
+
+  (* The bytes [Wire] encodes a request body as (client, timestamp, flag,
+     replier, length-prefixed op), behind the digest's domain tag. *)
+  let scratch = A.create ~size:64 ()
+
+  let make ~op ~timestamp ~client ~read_only ~replier =
+    let b = scratch in
+    A.reset b;
+    A.add_char b 'R';
+    A.add_int64_le b (Int64.of_int client);
+    A.add_int64_le b timestamp;
+    A.add_char b (if read_only then '\x01' else '\x00');
+    A.add_int64_le b (Int64.of_int replier);
+    A.add_int64_le b (Int64.of_int (String.length op));
+    A.add_string b op;
+    { op; timestamp; client; read_only; replier; rq_digest = A.digest b }
+end
+
+type request = Req.t = private {
   op : string;
   timestamp : int64;
   client : int;
   read_only : bool;
   replier : int;
+  rq_digest : digest;
 }
+
+let request = Req.make
 
 (** Authentication token attached to a message on the wire. Defined early
     because inline requests carry the client's own token inside

@@ -122,7 +122,9 @@ type t = {
      set is relative to; [None] (or a mismatch with the latest tree) forces
      the next paged checkpoint to byte-compare every page *)
   mutable paged_sync : int option;
-  mutable deferred_pps : pre_prepare list;
+  (* pre-prepares awaiting authentication or bodies, each with its
+     charged wire size *)
+  mutable deferred_pps : (pre_prepare * int) list;
   mutable pending_ro : request list;
   (* checkpoints whose CHECKPOINT message is deferred until commit *)
   mutable pending_ckpt_announce : int list;
@@ -247,10 +249,10 @@ let corrupt_auth t auth ~dsts =
 
 (* Multicast to all replicas (including self: the paper's replicas process
    their own protocol messages through the log). The body is encoded once;
-   the single precomputed [envelope_size] covers every destination. *)
-let broadcast t body =
+   the single precomputed [envelope_size] covers every destination. [enc]
+   is a cache the caller already filled with the body's encoding. *)
+let broadcast ?(enc = Message.no_cache ()) t body =
   if not t.muted then begin
-    let enc = Message.no_cache () in
     let bytes = Wire.cached_encode ~arena:t.arena enc body in
     let auth =
       match (t.d.cfg.Config.auth_mode, body) with
@@ -520,18 +522,18 @@ let resolve_elem t elem =
 let have_batch_bodies t digest =
   match Hashtbl.find_opt t.batches digest with
   | None -> String.equal digest Wire.null_batch_digest
-  | Some (batch, _) -> List.for_all (fun e -> resolve_elem t e <> None) batch
+  | Some (batch, _) -> List.for_all (fun e -> Option.is_some (resolve_elem t e)) batch
 
-let store_batch t pp =
-  let d = Wire.batch_digest pp.pp_batch pp.pp_nondet in
-  Hashtbl.replace t.batches d (pp.pp_batch, pp.pp_nondet);
+(* [d] is the batch's digest, computed where the batch was built or
+   received. *)
+let store_batch t d batch nondet =
+  Hashtbl.replace t.batches d (batch, nondet);
   List.iter
     (fun e ->
       match e with
       | Inline (r, tok) -> ignore (store_request t r tok false)
       | By_digest _ -> ())
-    pp.pp_batch;
-  d
+    batch
 
 (* ------------------------------------------------------------------ *)
 (* Timers: view-change timer driven by the waiting-request set          *)
@@ -658,7 +660,7 @@ let allowed_seq t n = n <= t.hm_bound
 (* Pending read-only requests execute once the state reflects only
    committed requests (Section 5.1.3). *)
 let flush_read_only t =
-  if t.pending_ro <> [] && t.committed_upto >= t.last_exec then begin
+  if (not (List.is_empty t.pending_ro)) && t.committed_upto >= t.last_exec then begin
     let ros = List.rev t.pending_ro in
     t.pending_ro <- [];
     List.iter
@@ -731,7 +733,7 @@ let queue_take t k =
           t.queue_len <- t.queue_len - 1;
           go (k - 1) (r :: acc)
       | [] ->
-          if t.queue_back = [] then List.rev acc
+          if List.is_empty t.queue_back then List.rev acc
           else begin
             t.queue_front <- List.rev t.queue_back;
             t.queue_back <- [];
@@ -1226,8 +1228,12 @@ and send_pre_prepare t batch nondet =
   let n = t.seqno + 1 in
   t.seqno <- n;
   let pp = { pp_view = t.view; pp_seq = n; pp_batch = batch; pp_nondet = nondet } in
-  let d = store_batch t pp in
-  charge t (Costs.digest_us t.costs (Wire.size (Pre_prepare pp)));
+  let d = Wire.batch_digest batch nondet in
+  store_batch t d batch nondet;
+  (* encoded once, into the cache the broadcast below sends *)
+  let enc = Message.no_cache () in
+  let bytes = Wire.cached_encode ~arena:t.arena enc (Pre_prepare pp) in
+  charge t (Costs.digest_us t.costs (String.length bytes));
   ignore (Log.accept_pre_prepare t.log ~view:t.view pp d);
   (Log.find t.log n).Log.self_preprepared <- true;
   if Obs.enabled t.obs then begin
@@ -1244,14 +1250,14 @@ and send_pre_prepare t batch nondet =
        is sent to half the backups *)
     let batch2 = [] and nondet2 = nondet ^ "evil" in
     let pp2 = { pp with pp_batch = batch2; pp_nondet = nondet2 } in
-    ignore (store_batch t pp2);
+    store_batch t (Wire.batch_digest batch2 nondet2) batch2 nondet2;
     let others = List.filter (fun i -> i <> t.id) (replica_ids t) in
     let g1 = List.filteri (fun i _ -> i mod 2 = 0) others in
     let g2 = List.filteri (fun i _ -> i mod 2 = 1) others in
     List.iter (fun dst -> send_to t ~dst (Pre_prepare pp)) g1;
     List.iter (fun dst -> send_to t ~dst (Pre_prepare pp2)) g2
   end
-  else broadcast t (Pre_prepare pp);
+  else broadcast ~enc t (Pre_prepare pp);
   try_execute t
 
 and process_queue t =
@@ -1283,7 +1289,7 @@ and process_queue t =
           Hashtbl.remove t.queued d;
           Hashtbl.replace t.assigned d ())
         chosen;
-      if chosen = [] then continue := false
+      if List.is_empty chosen then continue := false
       else begin
         if Obs.enabled t.obs then Obs.batch_formed t.obs ~len:(List.length chosen);
         let elems =
@@ -1706,7 +1712,9 @@ let batch_authentic t elems batch_digest =
           verify_token t ~claimed:r.client (Request r) tok || Lazy.force vouched)
     statuses
 
-let accept_pre_prepare t (pp : pre_prepare) =
+(* [size] is the pre-prepare's wire size (its envelope's cached
+   encoding), charged for digesting it. *)
+let accept_pre_prepare t (pp : pre_prepare) ~size =
   let v = pp.pp_view and n = pp.pp_seq in
   if
     t.active && v = t.view
@@ -1716,7 +1724,7 @@ let accept_pre_prepare t (pp : pre_prepare) =
     && not t.byzantine
   then begin
     let d = Wire.batch_digest pp.pp_batch pp.pp_nondet in
-    charge t (Costs.digest_us t.costs (Wire.size (Pre_prepare pp)));
+    charge t (Costs.digest_us t.costs size);
     (* backups vet the primary's non-deterministic choice (Section 5.4):
        here, the virtual timestamp must not be in the future *)
     let nondet_ok =
@@ -1737,7 +1745,7 @@ let accept_pre_prepare t (pp : pre_prepare) =
           pp.pp_batch
       in
       if authentic && have_bodies then begin
-        ignore (store_batch t pp);
+        store_batch t d pp.pp_batch pp.pp_nondet;
         if Log.accept_pre_prepare t.log ~view:v pp d then begin
           if Obs.enabled t.obs then begin
             Obs.phase t.obs ~now:(now t) Obs.Preprepared ~view:v ~seq:n;
@@ -1768,7 +1776,7 @@ let accept_pre_prepare t (pp : pre_prepare) =
       else begin
         (* cannot authenticate yet: defer and fetch missing bodies
            (Sections 3.2.2 and 5.1.5) *)
-        t.deferred_pps <- pp :: t.deferred_pps;
+        t.deferred_pps <- (pp, size) :: t.deferred_pps;
         List.iter
           (fun e ->
             match e with
@@ -1783,12 +1791,13 @@ let accept_pre_prepare t (pp : pre_prepare) =
 let retry_deferred_pps t =
   let pps = t.deferred_pps in
   t.deferred_pps <- [];
-  List.iter (fun pp -> accept_pre_prepare t pp) pps
+  List.iter (fun (pp, size) -> accept_pre_prepare t pp ~size) pps
 
-(* Accept and queue a client request (primary) or relay it (backup). *)
-let handle_request t (req : request) token ~verified ~relayed =
+(* Accept and queue a client request (primary) or relay it (backup);
+   [size] is its wire size, charged for digesting it. *)
+let handle_request t (req : request) token ~verified ~relayed ~size =
   let d = Wire.request_digest req in
-  charge t (Costs.digest_us t.costs (Wire.size (Request req)));
+  charge t (Costs.digest_us t.costs size);
   let last_t =
     match Hashtbl.find_opt t.last_reply req.client with Some (ts, _, _) -> ts | None -> -1L
   in
@@ -2078,7 +2087,7 @@ let check_transfer_done t =
         end
       end
 
-let handle_meta_data t (m : meta_data) =
+let handle_meta_data t (m : meta_data) ~size =
   match t.transfer with
   | None -> ()
   | Some tx when m.md_checkpoint = tx.tx_target -> (
@@ -2110,7 +2119,7 @@ let handle_meta_data t (m : meta_data) =
           if lm = exp_lm && String.equal recomputed exp_digest then begin
             Hashtbl.remove tx.tx_pending (m.md_level, m.md_index);
             t.counters.bytes_fetched <-
-              t.counters.bytes_fetched + Wire.size (Meta_data m);
+              t.counters.bytes_fetched + size;
             (* determine whether children are pages: replies at level
                [depth-2] describe pages; we learn depth when a child has no
                further fan-out. Heuristic: ask for each mismatching child;
@@ -2457,13 +2466,9 @@ let try_finish_estimation t =
              co-processor *)
           t.coproc_counter <- Int64.add t.coproc_counter 1L;
           let req =
-            {
-              op = "\x00RECOVERY:" ^ Int64.to_string t.coproc_counter;
-              timestamp = t.coproc_counter;
-              client = t.id;
-              read_only = false;
-              replier = t.id;
-            }
+            Message.request
+              ~op:("\x00RECOVERY:" ^ Int64.to_string t.coproc_counter)
+              ~timestamp:t.coproc_counter ~client:t.id ~read_only:false ~replier:t.id
           in
           let enc = Message.no_cache () in
           let token =
@@ -2590,17 +2595,11 @@ let handle_fetch_batch t (f : fetch_batch) =
           (Batch_data { bd_digest = f.fb_digest; bd_batch = batch; bd_nondet = nondet })
     | None -> ()
 
-let handle_batch_data t (bd : batch_data) =
+let handle_batch_data t (bd : batch_data) ~size =
   let d = Wire.batch_digest bd.bd_batch bd.bd_nondet in
-  charge t (Costs.digest_us t.costs (Wire.size (Batch_data bd)));
+  charge t (Costs.digest_us t.costs size);
   if String.equal d bd.bd_digest then begin
-    Hashtbl.replace t.batches d (bd.bd_batch, bd.bd_nondet);
-    List.iter
-      (fun e ->
-        match e with
-        | Inline (r, tok) -> ignore (store_request t r tok false)
-        | By_digest _ -> ())
-      bd.bd_batch;
+    store_batch t d bd.bd_batch bd.bd_nondet;
     retry_deferred_pps t;
     try_new_view t;
     process_new_view t;
@@ -2663,15 +2662,18 @@ let from_replica t (env : envelope) =
   | Request _ -> true
   | _ -> env.sender >= 0 && env.sender < t.d.cfg.Config.n
 
+(* The wire size a handler charges is the envelope's cached encoding
+   length: the sender encoded the bytes once, and verification read them. *)
 let dispatch t (env : envelope) =
   let verified = verify_envelope t env in
+  let size = String.length (Wire.envelope_bytes env) in
   match env.body with
   | Request r ->
       let relayed = env.sender <> r.client in
-      if verified || is_primary t then handle_request t r env.auth ~verified ~relayed
+      if verified || is_primary t then handle_request t r env.auth ~verified ~relayed ~size
   | Reply rp -> if verified && rp.rp_client = t.id then handle_recovery_reply t rp
   | Pre_prepare pp ->
-      if verified && env.sender = primary_of t pp.pp_view then accept_pre_prepare t pp
+      if verified && env.sender = primary_of t pp.pp_view then accept_pre_prepare t pp ~size
   | Prepare p -> if verified && env.sender = p.pr_replica then handle_prepare t p
   | Commit c -> if verified && env.sender = c.cm_replica then handle_commit t c
   | Checkpoint c -> if verified && env.sender = c.ck_replica then handle_checkpoint_msg t c
@@ -2680,7 +2682,7 @@ let dispatch t (env : envelope) =
   | View_change_ack a -> if verified && env.sender = a.va_replica then handle_view_change_ack t a
   | New_view nv -> if verified && env.sender = primary_of t nv.nv_view then handle_new_view t nv
   | Fetch f -> if verified && env.sender = f.ft_replica then handle_fetch t f
-  | Meta_data m -> if verified && env.sender = m.md_replica then handle_meta_data t m
+  | Meta_data m -> if verified && env.sender = m.md_replica then handle_meta_data t m ~size
   | Data d -> handle_data t d
   | Status_active s -> if verified && env.sender = s.sa_replica then handle_status_active t s
   | Status_pending s -> if verified && env.sender = s.sp_replica then handle_status_pending t s
@@ -2688,7 +2690,7 @@ let dispatch t (env : envelope) =
   | Query_stable q -> if verified && env.sender = q.qs_replica then handle_query_stable t q
   | Reply_stable r -> if verified && env.sender = r.rs_replica then handle_reply_stable t r
   | Fetch_batch f -> if verified && env.sender = f.fb_replica then handle_fetch_batch t f
-  | Batch_data bd -> if verified then handle_batch_data t bd
+  | Batch_data bd -> if verified then handle_batch_data t bd ~size
   | Fetch_request f -> if verified && env.sender = f.fr_replica then handle_fetch_request t f
 
 let handle t env = if from_replica t env then dispatch t env
@@ -2949,7 +2951,7 @@ let state_digest t =
   List.iter (fun d -> add "%s;" (hexd d)) (sorted_string_keys t.waiting);
   add "|defpp:";
   List.iter
-    (fun pp -> add "%s;" (hstr (Wire.encode (Pre_prepare pp))))
+    (fun (pp, _) -> add "%s;" (hstr (Wire.encode (Pre_prepare pp))))
     t.deferred_pps;
   add "|ro:";
   List.iter (fun r -> add "%s;" (hexd (Wire.request_digest r))) t.pending_ro;

@@ -28,54 +28,24 @@ let encode_request b r =
   add_int b r.replier;
   add_string b r.op
 
-(* ------------------------------------------------------------------ *)
-(* Digest memoization                                                  *)
-(*                                                                     *)
-(* Request, batch and view-change digests are pure functions of message *)
-(* structure, recomputed at many call sites (a request is digested on   *)
-(* receipt, at batching, at execution, in replies...). Bounded          *)
-(* structural Hashtbls make each digest a one-time cost per distinct    *)
-(* value; memoizing a pure function cannot perturb determinism. Tables  *)
-(* are reset wholesale at a size cap rather than evicted — simulator    *)
-(* working sets are small and the reset path is effectively cold.       *)
-(* ------------------------------------------------------------------ *)
+(* A request carries its own digest ([Message.request] computes it once);
+   a batch digest hashes those carried digests, so neither depends on the
+   size of the operations. The view-change digest is memoized: a
+   view-change is digested by every replica that acks or certifies it,
+   off the per-message path. The table is bounded by a reset at a size
+   cap; memoizing a pure function cannot perturb determinism. *)
 
-let memo_cap = 8192
-
-let memoize tbl key compute =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
-      if Hashtbl.length tbl >= memo_cap then Hashtbl.reset tbl;
-      let v = compute key in
-      Hashtbl.add tbl key v;
-      v
-
-let request_memo : (request, digest) Hashtbl.t = Hashtbl.create 256
-let batch_memo : (batch_elem list * string, digest) Hashtbl.t = Hashtbl.create 256
+let vc_memo_cap = 8192
 let vc_memo : (view_change, digest) Hashtbl.t = Hashtbl.create 64
-let size_memo : (Message.t, int) Hashtbl.t = Hashtbl.create 256
+let clear_memos () = Hashtbl.reset vc_memo
 
-let clear_memos () =
-  Hashtbl.reset request_memo;
-  Hashtbl.reset batch_memo;
-  Hashtbl.reset vc_memo;
-  Hashtbl.reset size_memo
-
-(* Module-scratch arena for context-free encodes (digest/size memo
-   compute, [Wire.encode]); per-node encode-once paths pass their own
-   arena to [cached_encode]. Everything runs on one domain, and no encoder
-   re-enters another mid-write ([batch_digest] hoists its nested request
-   digests before touching the arena). *)
+(* Module-scratch arena for context-free encodes (digests, [size],
+   [Wire.encode]); per-node encode-once paths pass their own arena to
+   [cached_encode]. Everything runs on one domain, and no encoder
+   re-enters another mid-write. *)
 let scratch = A.create ~size:1024 ()
 
-let request_digest r =
-  memoize request_memo r (fun r ->
-      let b = scratch in
-      A.reset b;
-      A.add_char b 'R';
-      encode_request b r;
-      A.digest b)
+let request_digest r = r.rq_digest
 
 let encode_batch_elem b = function
   | Inline (r, _tok) ->
@@ -85,27 +55,16 @@ let encode_batch_elem b = function
       A.add_char b 'D';
       add_string b d
 
-(* the memo key includes inline auth tokens (they are part of the
-   structure) even though the digest ignores them: token variants of the
-   same batch land in separate entries with identical values, which is
-   harmless *)
 let batch_digest batch nondet =
-  memoize batch_memo (batch, nondet) (fun (batch, nondet) ->
-      (* hoisted: [request_digest] shares the scratch arena, so resolve
-         every element digest before starting this encode *)
-      let ds =
-        List.map
-          (fun elem ->
-            match elem with Inline (r, _) -> request_digest r | By_digest d -> d)
-          batch
-      in
-      let b = scratch in
-      A.reset b;
-      A.add_char b 'B';
-      add_int b (List.length batch);
-      List.iter (A.add_string b) ds;
-      add_string b nondet;
-      A.digest b)
+  let b = scratch in
+  A.reset b;
+  A.add_char b 'B';
+  add_int b (List.length batch);
+  List.iter
+    (function Inline (r, _) -> A.add_string b r.rq_digest | By_digest d -> A.add_string b d)
+    batch;
+  add_string b nondet;
+  A.digest b
 
 let null_batch_digest = Bft_crypto.Sha256.digest "NULL-BATCH"
 
@@ -272,15 +231,11 @@ let encode m =
   encode_body scratch m;
   A.contents scratch
 
-(* memoized: the size model charges per encoded byte at several hot call
-   sites (request receipt, pre-prepare accept, state transfer), and the
-   charged size of a given message never changes. Sizing never leaves the
-   arena: no string is allocated. *)
+(* Sizing never leaves the arena: no string is allocated. *)
 let size m =
-  memoize size_memo m (fun m ->
-      A.reset scratch;
-      encode_body scratch m;
-      A.length scratch)
+  A.reset scratch;
+  encode_body scratch m;
+  A.length scratch
 
 let auth_size = function
   | Auth_none -> 0
@@ -322,10 +277,15 @@ let envelope_size e =
   8 (* header *) + String.length (envelope_bytes e) + auth_size e.auth
 
 let view_change_digest v =
-  memoize vc_memo v (fun v ->
+  match Hashtbl.find_opt vc_memo v with
+  | Some d -> d
+  | None ->
+      if Hashtbl.length vc_memo >= vc_memo_cap then Hashtbl.reset vc_memo;
       A.reset scratch;
       encode_body scratch (View_change v);
-      A.digest scratch)
+      let d = A.digest scratch in
+      Hashtbl.add vc_memo v d;
+      d
 
 (* domain-tagged digests, built in the arena to skip the "TAG" ^ s
    concatenation (the bytes hashed are identical) *)
@@ -391,7 +351,7 @@ let get_request c =
   let read_only = get_bool c in
   let replier = get_int c in
   let op = get_string c in
-  { client; timestamp; read_only; replier; op }
+  Message.request ~op ~timestamp ~client ~read_only ~replier
 
 let get_batch_elem c =
   match get_byte c with

@@ -21,9 +21,10 @@ val decode : string -> (Message.t, string) result
     human-readable [Error]. *)
 
 val size : Message.t -> int
-(** [size m = String.length (encode m)], memoized per distinct message so
-    the per-byte cost model does not pay a fresh serialization on every
-    charge. *)
+(** [size m = String.length (encode m)], encoded into a scratch buffer
+    without allocating a string: O(size of [m]) per call, for cost models
+    and tests. Replicas charge a received message by its envelope's cached
+    encoding instead ([String.length (envelope_bytes e)]). *)
 
 val auth_size : Message.auth_token -> int
 
@@ -54,18 +55,23 @@ val envelope_size : Message.envelope -> int
     first call on a given envelope. *)
 
 val clear_memos : unit -> unit
-(** Drop every digest/size memo table (tests use this to compare cached
-    against freshly computed values; never needed for correctness). *)
+(** Drop the one memo table left, the view-change digests (tests use this
+    to compare cached against freshly computed values; never needed for
+    correctness). Request digests travel with requests and batch digests
+    are computed where a batch is built or received, so neither has a
+    table. *)
 
 val request_digest : Message.request -> Message.digest
-(** Digest identifying a request: covers client, timestamp, operation and
-    flags. *)
+(** Digest identifying a request, covering client, timestamp, operation
+    and flags: a read of the [rq_digest] that {!Message.request} computed
+    when the request was built or decoded. *)
 
 val batch_digest : Message.batch_elem list -> string -> Message.digest
 (** [batch_digest batch nondet] identifies the ordered content of a
     pre-prepare independently of its view/sequence assignment, so a
     re-proposal in a later view keeps the same digest. Inline requests
-    contribute their request digest. *)
+    contribute their carried request digest, so the cost does not grow
+    with operation sizes. *)
 
 val null_batch_digest : Message.digest
 (** Digest of the null request batch chosen for gaps in new views. *)

@@ -11,13 +11,8 @@ type prediction = { latency_us : float; throughput_ops : float; bottleneck : str
    and the simulator agree on sizes exactly. *)
 
 let sample_request ~arg_size =
-  {
-    Message.op = String.make (max 0 arg_size) 'x';
-    timestamp = 1L;
-    client = 1000;
-    read_only = false;
-    replier = 0;
-  }
+  Message.request ~op:(String.make (max 0 arg_size) 'x') ~timestamp:1L ~client:1000
+    ~read_only:false ~replier:0
 
 let auth_bytes ~cfg =
   match cfg.Config.auth_mode with

@@ -12,24 +12,27 @@ let render = function
    unchecked array accesses are justified here. *)
 [@@@lint.allow "unsafe-op"]
 
-(* The event queue is a struct-of-arrays binary min-heap ordered by
-   (fire time, scheduling sequence): the sequence number breaks ties so
-   same-time events fire in FIFO scheduling order. Cancellation is lazy —
-   a cancelled event stays in the heap and is discarded when it surfaces.
-   To keep observable behavior identical to the boxed-record queue this
-   replaces, a surfacing cancelled event still advances the clock and
-   counts as a step (only its thunk is skipped); [pending_events] counts
-   live events only, via a shared counter the handle can reach (a cancel
-   has no engine in scope).
+(* The event queue is a binary min-heap ordered by (fire time, scheduling
+   sequence): the sequence number breaks ties so same-time events fire in
+   FIFO scheduling order. Cancellation is lazy — a cancelled event stays in
+   the heap and is discarded when it surfaces. To keep observable behavior
+   identical to the boxed-record queue this replaces, a surfacing cancelled
+   event still advances the clock and counts as a step (only its thunk is
+   skipped); [pending_events] counts live events only, via a shared counter
+   the handle can reach (a cancel has no engine in scope).
 
-   Layout: fire times and sequence numbers live in plain [int array]s so
-   the sift loops compare unboxed ints with no pointer chasing (virtual
-   nanoseconds fit comfortably in 63 bits — ~146 years); the handle,
-   label and thunk for each slot live in parallel payload arrays that are
-   only touched when a slot actually moves. There is no per-event record
-   at all — scheduling allocates exactly one [handle] — and vacated tail
-   slots are scrubbed on pop so fired thunks and their closures are never
-   retained by the heap. *)
+   Layout: the heap is three [int array]s — fire time, sequence number and
+   payload slot — so a sift compares and moves unboxed ints only and pays
+   no write barrier (virtual nanoseconds fit comfortably in 63 bits, ~146
+   years). An event's handle, label and thunk live in a slot pool beside
+   the heap: written once when the event is pushed, scrubbed once when it
+   is popped (so fired thunks and their closures are never retained), and
+   never moved. Heap and pool share one capacity, and [slot_a] holds a
+   permutation of the slots: positions [0, size) name the queued events'
+   slots, positions [size, capacity) the free ones, so a push takes the
+   free slot at position [size] and a pop leaves the freed slot at the
+   position the heap gave up. There is no per-event record — scheduling
+   allocates exactly one [handle]. *)
 
 type handle = {
   mutable state : [ `Pending | `Fired | `Cancelled ];
@@ -42,12 +45,14 @@ type t = {
      clock with a plain int store, and the box is (re)allocated at most
      once per observed clock change instead of once per event *)
   mutable clock_box : time;
-  (* struct-of-arrays heap; slots [0, size) are the queue *)
+  (* the heap; positions [0, size) are the queue *)
   mutable at_a : int array;
   mutable seq_a : int array;
-  mutable handle_a : handle array;
-  mutable label_a : label option array;
-  mutable thunk_a : (unit -> unit) array;
+  mutable slot_a : int array;
+  (* the slot pool, indexed by slot *)
+  mutable handle_p : handle array;
+  mutable label_p : label option array;
+  mutable thunk_p : (unit -> unit) array;
   mutable size : int;
   mutable seq : int;
   live : int ref;
@@ -65,9 +70,10 @@ let create ?(seed = 1L) () =
     clock_box = 0L;
     at_a = [||];
     seq_a = [||];
-    handle_a = [||];
-    label_a = [||];
-    thunk_a = [||];
+    slot_a = [||];
+    handle_p = [||];
+    label_p = [||];
+    thunk_p = [||];
     size = 0;
     seq = 0;
     live = ref 0;
@@ -82,29 +88,12 @@ let now t =
 
 let rng t = t.rng
 
-(* Hole-movement sift on the parallel arrays: comparisons touch only the
-   int arrays; payload slots are written once per level moved. *)
+(* Hole-movement sifts over the three int arrays. *)
 let sift_up t i =
-  let at_a = t.at_a
-  and seq_a = t.seq_a
-  and handle_a = t.handle_a
-  and label_a = t.label_a
-  and thunk_a = t.thunk_a in
-  let at = Array.unsafe_get at_a i and sq = Array.unsafe_get seq_a i in
-  (* fast path: a freshly pushed event that is not earlier than its parent
-     (the common case — most schedules land in the future) stays put, with
-     no payload rewrite *)
-  if
-    i = 0
-    ||
-    let parent = (i - 1) / 2 in
-    let pat = Array.unsafe_get at_a parent in
-    pat < at || (pat = at && Array.unsafe_get seq_a parent < sq)
-  then ()
-  else begin
-  let h = Array.unsafe_get handle_a i
-  and lb = Array.unsafe_get label_a i
-  and th = Array.unsafe_get thunk_a i in
+  let at_a = t.at_a and seq_a = t.seq_a and slot_a = t.slot_a in
+  let at = Array.unsafe_get at_a i
+  and sq = Array.unsafe_get seq_a i
+  and sl = Array.unsafe_get slot_a i in
   let i = ref i in
   let continue = ref true in
   while !continue && !i > 0 do
@@ -113,30 +102,20 @@ let sift_up t i =
     if pat > at || (pat = at && Array.unsafe_get seq_a parent > sq) then begin
       Array.unsafe_set at_a !i pat;
       Array.unsafe_set seq_a !i (Array.unsafe_get seq_a parent);
-      Array.unsafe_set handle_a !i (Array.unsafe_get handle_a parent);
-      Array.unsafe_set label_a !i (Array.unsafe_get label_a parent);
-      Array.unsafe_set thunk_a !i (Array.unsafe_get thunk_a parent);
+      Array.unsafe_set slot_a !i (Array.unsafe_get slot_a parent);
       i := parent
     end
     else continue := false
   done;
-    Array.unsafe_set at_a !i at;
-    Array.unsafe_set seq_a !i sq;
-    Array.unsafe_set handle_a !i h;
-    Array.unsafe_set label_a !i lb;
-    Array.unsafe_set thunk_a !i th
-  end
+  Array.unsafe_set at_a !i at;
+  Array.unsafe_set seq_a !i sq;
+  Array.unsafe_set slot_a !i sl
 
 let sift_down t size i =
-  let at_a = t.at_a
-  and seq_a = t.seq_a
-  and handle_a = t.handle_a
-  and label_a = t.label_a
-  and thunk_a = t.thunk_a in
-  let at = Array.unsafe_get at_a i and sq = Array.unsafe_get seq_a i in
-  let h = Array.unsafe_get handle_a i
-  and lb = Array.unsafe_get label_a i
-  and th = Array.unsafe_get thunk_a i in
+  let at_a = t.at_a and seq_a = t.seq_a and slot_a = t.slot_a in
+  let at = Array.unsafe_get at_a i
+  and sq = Array.unsafe_get seq_a i
+  and sl = Array.unsafe_get slot_a i in
   let i = ref i in
   let continue = ref true in
   while !continue do
@@ -157,9 +136,7 @@ let sift_down t size i =
       if cat < at || (cat = at && Array.unsafe_get seq_a child < sq) then begin
         Array.unsafe_set at_a !i cat;
         Array.unsafe_set seq_a !i (Array.unsafe_get seq_a child);
-        Array.unsafe_set handle_a !i (Array.unsafe_get handle_a child);
-        Array.unsafe_set label_a !i (Array.unsafe_get label_a child);
-        Array.unsafe_set thunk_a !i (Array.unsafe_get thunk_a child);
+        Array.unsafe_set slot_a !i (Array.unsafe_get slot_a child);
         i := child
       end
       else continue := false
@@ -167,36 +144,35 @@ let sift_down t size i =
   done;
   Array.unsafe_set at_a !i at;
   Array.unsafe_set seq_a !i sq;
-  Array.unsafe_set handle_a !i h;
-  Array.unsafe_set label_a !i lb;
-  Array.unsafe_set thunk_a !i th
+  Array.unsafe_set slot_a !i sl
 
+(* Called when the heap is full, so every slot is in use: double
+   everything; the new positions hold the new, free slots. *)
 let grow t =
-  let cap = max 64 (2 * Array.length t.at_a) in
-  let at_a = Array.make cap 0
-  and seq_a = Array.make cap 0
-  and handle_a = Array.make cap dummy_handle
-  and label_a = Array.make cap None
-  and thunk_a = Array.make cap dummy_thunk in
-  Array.blit t.at_a 0 at_a 0 t.size;
-  Array.blit t.seq_a 0 seq_a 0 t.size;
-  Array.blit t.handle_a 0 handle_a 0 t.size;
-  Array.blit t.label_a 0 label_a 0 t.size;
-  Array.blit t.thunk_a 0 thunk_a 0 t.size;
-  t.at_a <- at_a;
-  t.seq_a <- seq_a;
-  t.handle_a <- handle_a;
-  t.label_a <- label_a;
-  t.thunk_a <- thunk_a
+  let old = Array.length t.at_a in
+  let cap = max 64 (2 * old) in
+  let extend a fill =
+    let a' = Array.make cap fill in
+    Array.blit a 0 a' 0 old;
+    a'
+  in
+  t.at_a <- extend t.at_a 0;
+  t.seq_a <- extend t.seq_a 0;
+  let slot_a = t.slot_a in
+  t.slot_a <- Array.init cap (fun i -> if i < old then slot_a.(i) else i);
+  t.handle_p <- extend t.handle_p dummy_handle;
+  t.label_p <- extend t.label_p None;
+  t.thunk_p <- extend t.thunk_p dummy_thunk
 
 let push t ~at ~seq ~handle ~label ~thunk =
   if t.size = Array.length t.at_a then grow t;
   let i = t.size in
+  let slot = Array.unsafe_get t.slot_a i in
+  Array.unsafe_set t.handle_p slot handle;
+  Array.unsafe_set t.label_p slot label;
+  Array.unsafe_set t.thunk_p slot thunk;
   Array.unsafe_set t.at_a i at;
   Array.unsafe_set t.seq_a i seq;
-  Array.unsafe_set t.handle_a i handle;
-  Array.unsafe_set t.label_a i label;
-  Array.unsafe_set t.thunk_a i thunk;
   t.size <- i + 1;
   sift_up t i;
   if t.size > t.max_size then t.max_size <- t.size
@@ -229,23 +205,21 @@ let step t =
   if t.size = 0 then false
   else begin
     let at = Array.unsafe_get t.at_a 0 in
-    let handle = Array.unsafe_get t.handle_a 0 in
-    let thunk = Array.unsafe_get t.thunk_a 0 in
+    let slot = Array.unsafe_get t.slot_a 0 in
     let last = t.size - 1 in
     t.size <- last;
     if last > 0 then begin
       Array.unsafe_set t.at_a 0 (Array.unsafe_get t.at_a last);
       Array.unsafe_set t.seq_a 0 (Array.unsafe_get t.seq_a last);
-      Array.unsafe_set t.handle_a 0 (Array.unsafe_get t.handle_a last);
-      Array.unsafe_set t.label_a 0 (Array.unsafe_get t.label_a last);
-      Array.unsafe_set t.thunk_a 0 (Array.unsafe_get t.thunk_a last)
+      Array.unsafe_set t.slot_a 0 (Array.unsafe_get t.slot_a last);
+      Array.unsafe_set t.slot_a last slot;
+      if last > 1 then sift_down t last 0
     end;
-    (* scrub the vacated tail slot so the heap never retains a fired
-       event's closure or handle *)
-    Array.unsafe_set t.handle_a last dummy_handle;
-    Array.unsafe_set t.label_a last None;
-    Array.unsafe_set t.thunk_a last dummy_thunk;
-    if last > 1 then sift_down t last 0;
+    let handle = Array.unsafe_get t.handle_p slot in
+    let thunk = Array.unsafe_get t.thunk_p slot in
+    Array.unsafe_set t.handle_p slot dummy_handle;
+    Array.unsafe_set t.label_p slot None;
+    Array.unsafe_set t.thunk_p slot dummy_thunk;
     if at <> t.clock then begin
       t.clock <- at;
       t.clock_box <- Int64.of_int at
@@ -262,17 +236,22 @@ let step t =
 let events_fired t = t.fired
 let max_heap_size t = t.max_size
 
+let slot_pending t i =
+  (Array.unsafe_get t.handle_p (Array.unsafe_get t.slot_a i)).state = `Pending
+
 (* Live-event introspection for the explorer: an O(size) scan of the heap
-   arrays (slots [0, size) hold the queue in heap order, not sorted
-   order), skipping lazily-cancelled entries. Builds one list per call —
-   for the explorer's step loop, not the simulation hot path — and is the
-   only place a label becomes text. *)
+   (positions [0, size) hold the queue in heap order, not sorted order),
+   skipping lazily-cancelled entries. Builds one list per call — for the
+   explorer's step loop, not the simulation hot path — and is the only
+   place a label becomes text. *)
 let live_events t =
   let acc = ref [] in
   for i = t.size - 1 downto 0 do
-    if (Array.unsafe_get t.handle_a i).state = `Pending then
+    if slot_pending t i then
       acc :=
-        (Array.unsafe_get t.at_a i, Array.unsafe_get t.seq_a i, Array.unsafe_get t.label_a i)
+        ( Array.unsafe_get t.at_a i,
+          Array.unsafe_get t.seq_a i,
+          Array.unsafe_get t.label_p (Array.unsafe_get t.slot_a i) )
         :: !acc
   done;
   List.sort
@@ -281,14 +260,13 @@ let live_events t =
     !acc
   |> List.map (fun (at, _, label) -> (Int64.of_int at, Option.map render label))
 
-(* Sentinel scan: a plain int minimum over the live slots, allocating only
-   the final [Some] — nothing per candidate (the old option-accumulating
-   scan allocated on every improvement). *)
+(* Sentinel scan: a plain int minimum over the live entries, allocating
+   only the final [Some]. *)
 let next_live_time t =
   let best = ref max_int in
   for i = 0 to t.size - 1 do
     let at = Array.unsafe_get t.at_a i in
-    if at < !best && (Array.unsafe_get t.handle_a i).state = `Pending then best := at
+    if at < !best && slot_pending t i then best := at
   done;
   if !best = max_int then None else Some (Int64.of_int !best)
 

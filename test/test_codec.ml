@@ -19,7 +19,7 @@ module Gen = struct
   let request =
     map
       (fun (op, (timestamp, client, read_only, replier)) ->
-        { op; timestamp; client; read_only; replier })
+        Message.request ~op ~timestamp ~client ~read_only ~replier)
       (pair short_string (quad ts client bool replica))
 
   let batch_elem =
@@ -204,14 +204,15 @@ module R = struct
   let ts rng = Int64.of_int (Rng.int rng 1_000_001)
   let list rng ~max f = List.init (Rng.int rng (max + 1)) (fun _ -> f rng)
 
+  (* drawn last field first, the order the record literal this replaced
+     evaluated in, so the generated stream is unchanged *)
   let request rng =
-    {
-      op = str rng;
-      timestamp = ts rng;
-      client = client rng;
-      read_only = Rng.bool rng;
-      replier = replica rng;
-    }
+    let replier = replica rng in
+    let read_only = Rng.bool rng in
+    let client = client rng in
+    let timestamp = ts rng in
+    let op = str rng in
+    Message.request ~op ~timestamp ~client ~read_only ~replier
 
   let batch_elem rng =
     if Rng.int rng 4 < 3 then Inline (request rng, Auth_none) else By_digest (digest rng)
@@ -377,7 +378,7 @@ let test_rng_roundtrip_boundary_payloads () =
           | Error e -> Alcotest.failf "size %d: %s: %s" n (Message.tag m) e)
         [
           Request
-            { op = payload; timestamp = 1L; client = 100; read_only = false; replier = 0 };
+            (Message.request ~op:payload ~timestamp:1L ~client:100 ~read_only:false ~replier:0);
           Reply
             {
               rp_view = 0;

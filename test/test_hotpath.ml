@@ -123,6 +123,71 @@ let test_hmac_precomputed_bit_identical () =
       (Hmac.mac_truncated_precomputed pre 10 msg)
   done
 
+(* A request's carried digest is SHA-256 of 'R' and its wire encoding
+   (the body [Wire.encode] writes after the message tag byte), whether the
+   request was built by a client or decoded from wire bytes. *)
+let test_carried_request_digest () =
+  let expect r =
+    let wire = Wire.encode (Message.Request r) in
+    Sha256.digest ("R" ^ String.sub wire 1 (String.length wire - 1))
+  in
+  let check what r =
+    Alcotest.(check string) what (expect r) r.Message.rq_digest;
+    Alcotest.(check string) (what ^ " via Wire") (expect r) (Wire.request_digest r)
+  in
+  let decoded m =
+    match Wire.decode (Wire.encode m) with Ok m -> m | Error e -> Alcotest.fail e
+  in
+  let rng = Bft_util.Rng.create 1618033988L in
+  let sized =
+    List.map
+      (fun n ->
+        Message.request ~op:(String.make n 'x') ~timestamp:7L ~client:100 ~read_only:false
+          ~replier:1)
+      [ 0; 1; 4096 ]
+  in
+  List.iter
+    (fun r ->
+      check "built" r;
+      (match decoded (Message.Request r) with
+      | Message.Request r' -> check "decoded request" r'
+      | _ -> Alcotest.fail "decoded a request as another kind");
+      let pp =
+        Message.Pre_prepare
+          { pp_view = 0; pp_seq = 1; pp_batch = [ Inline (r, Auth_none) ]; pp_nondet = "0" }
+      in
+      match decoded pp with
+      | Message.Pre_prepare { pp_batch = [ Inline (r', _) ]; _ } -> check "decoded inline" r'
+      | _ -> Alcotest.fail "decoded pre-prepare lost its batch")
+    (sized @ List.init 200 (fun _ -> Test_codec.R.request rng))
+
+(* Replicas charge a request, pre-prepare, batch or meta-data message by
+   its envelope's cached encoding: that length is the fresh encode's, for
+   the sender's envelope and for one rebuilt from the wire bytes. *)
+let test_charged_sizes_are_encode_lengths () =
+  let arena = Bft_net.Wire_arena.create () in
+  let rng = Bft_util.Rng.create 141421356L in
+  for _ = 1 to 50 do
+    List.iter
+      (fun k ->
+        let body = Test_codec.R.message rng k in
+        let enc = Message.no_cache () in
+        ignore (Wire.cached_encode ~arena enc body);
+        let sent = { Message.sender = 0; body; auth = Auth_none; enc } in
+        let fresh = String.length (Wire.encode body) in
+        let charged env = String.length (Wire.envelope_bytes env) in
+        if charged sent <> fresh || Wire.size body <> fresh then
+          Alcotest.failf "%s: charged %d, size %d, encode %d" (Message.tag body) (charged sent)
+            (Wire.size body) fresh;
+        match Wire.decode (Wire.encode body) with
+        | Ok body' ->
+            let rebuilt = Message.envelope ~sender:0 ~auth:Auth_none body' in
+            if charged rebuilt <> fresh then
+              Alcotest.failf "%s: decoded charge %d <> %d" (Message.tag body) (charged rebuilt) fresh
+        | Error e -> Alcotest.fail e)
+      [ 0; 2; 10; 18 ]
+  done
+
 (* Golden committed-history digests recorded from the pre-optimization seed
    build: the encode-once pipeline, memo tables, heap engine and SHA-256
    rewrite must not perturb a single committed operation on any of these
@@ -158,6 +223,10 @@ let suites =
           test_cancelled_events_keep_clock_semantics;
         Alcotest.test_case "heap preserves FIFO tie-break" `Quick
           test_heap_order_matches_schedule_order;
+        Alcotest.test_case "carried request digest = SHA-256('R' ++ encoding)" `Quick
+          test_carried_request_digest;
+        Alcotest.test_case "charged sizes = encode lengths" `Quick
+          test_charged_sizes_are_encode_lengths;
         Alcotest.test_case "precomputed HMAC bit-identical" `Quick
           test_hmac_precomputed_bit_identical;
         Alcotest.test_case "pinned fuzz seeds: committed histories unchanged" `Slow

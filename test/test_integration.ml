@@ -323,13 +323,8 @@ let test_forged_signature_rejected () =
   let cfg, c = make ~auth_mode:Config.Sig_auth ~service:counter () in
   let net = Cluster.network c in
   let req =
-    {
-      Message.op = "inc";
-      timestamp = 99L;
-      client = cfg.Config.n; (* impersonate client 0 *)
-      read_only = false;
-      replier = 0;
-    }
+    (* client = n impersonates client 0 *)
+    Message.request ~op:"inc" ~timestamp:99L ~client:cfg.Config.n ~read_only:false ~replier:0
   in
   let env =
     Message.envelope ~sender:cfg.Config.n
@@ -684,6 +679,19 @@ let prop_random_faults_keep_histories_consistent =
       done;
       !completed >= 1 && Cluster.committed_histories_consistent c)
 
+(* A client names a result size larger than any replica should allocate:
+   every replica executes the op to EINVAL instead of raising (the ordered
+   path) or allocating it (the read-only path). *)
+let test_oversized_null_result () =
+  let _, c = make ~read_only_opt:true () in
+  List.iter
+    (fun (ro, op) ->
+      Alcotest.(check string) op Bft_sm.Service.invalid
+        (Cluster.invoke_sync c ~client:0 ~read_only:ro op))
+    [ (true, "ro:4611686018427387903:"); (false, "rw:200000000:") ];
+  Alcotest.(check bool) "all executed" true
+    (Array.for_all (fun r -> Replica.last_executed r = 1) (Cluster.replicas c))
+
 let suites =
   [
     ( "integration.normal",
@@ -720,6 +728,7 @@ let suites =
         Alcotest.test_case "byzantine client" `Quick test_byzantine_client_partial_auth;
         Alcotest.test_case "forged signature rejected" `Quick test_forged_signature_rejected;
         Alcotest.test_case "client votes ignored" `Quick test_client_votes_ignored;
+        Alcotest.test_case "oversized null result" `Quick test_oversized_null_result;
         Alcotest.test_case "partition then heal" `Slow test_partition_blocks_then_heals;
       ] );
     ( "integration.load",

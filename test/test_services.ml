@@ -11,7 +11,7 @@ let test_null_result_size () =
     (fun r ->
       let op = Bft_sm.Null_service.op ~read_only:false ~arg_size:0 ~result_size:r in
       Alcotest.(check int) (Printf.sprintf "result %d" r) r (String.length (exec s op)))
-    [ 0; 1; 32; 4096 ]
+    [ 0; 1; 32; 4096; Bft_sm.Null_service.max_result ]
 
 let test_null_arg_padding () =
   let op = Bft_sm.Null_service.op ~read_only:false ~arg_size:100 ~result_size:0 in
@@ -27,7 +27,14 @@ let test_null_read_only_flag () =
 let test_null_invalid () =
   let s = Bft_sm.Null_service.create () in
   Alcotest.(check string) "garbage" Bft_sm.Service.invalid (exec s "garbage");
-  Alcotest.(check string) "negative" Bft_sm.Service.invalid (exec s "rw:-4:")
+  Alcotest.(check string) "negative" Bft_sm.Service.invalid (exec s "rw:-4:");
+  List.iter
+    (fun op -> Alcotest.(check string) op Bft_sm.Service.invalid (exec s op))
+    [
+      Printf.sprintf "rw:%d:" (Bft_sm.Null_service.max_result + 1);
+      "rw:200000000:";
+      "ro:4611686018427387903:";
+    ]
 
 let test_null_snapshot () =
   let s = Bft_sm.Null_service.create () in
@@ -36,6 +43,34 @@ let test_null_snapshot () =
   ignore (exec s (Bft_sm.Null_service.op ~read_only:false ~arg_size:0 ~result_size:0));
   s.Bft_sm.Service.restore snap;
   Alcotest.(check string) "restored" snap (s.Bft_sm.Service.snapshot ())
+
+(* The rule [parse] replaced: split the whole op on ':'. *)
+let split_parse op =
+  match String.split_on_char ':' op with
+  | tag :: size :: _ when String.equal tag "ro" || String.equal tag "rw" -> (
+      match int_of_string_opt size with
+      | Some r when r >= 0 -> Some (String.equal tag "ro", r)
+      | _ -> None)
+  | _ -> None
+
+(* ops shaped like headers (tags, sizes, separators the rule reads) and
+   arbitrary strings over the same alphabet *)
+let gen_op =
+  QCheck.Gen.(
+    let piece =
+      oneofl
+        [ "ro"; "rw"; "r"; "rx"; "row"; "RO"; ""; ":"; "0"; "12"; "-5"; "+3"; "abc"; "0x1f";
+          "1_000"; "4611686018427387903"; "4611686018427387904"; "99999999999999999999";
+          " 7"; "xxxx" ]
+    in
+    let shaped = map (String.concat "") (list_size (int_range 0 6) piece) in
+    let arbitrary = string_size ~gen:(oneofl [ 'r'; 'o'; 'w'; ':'; '0'; '7'; '-'; 'x' ]) (int_range 0 12) in
+    frequency [ (3, shaped); (1, arbitrary); (1, string_size (int_range 0 8)) ])
+
+let prop_null_parse_matches_split =
+  QCheck.Test.make ~name:"header parse matches the split rule" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_op)
+    (fun op -> Bft_sm.Null_service.parse op = split_parse op)
 
 (* --- counter --- *)
 
@@ -141,6 +176,7 @@ let suites =
         Alcotest.test_case "read-only flag" `Quick test_null_read_only_flag;
         Alcotest.test_case "invalid ops" `Quick test_null_invalid;
         Alcotest.test_case "snapshot" `Quick test_null_snapshot;
+        QCheck_alcotest.to_alcotest prop_null_parse_matches_split;
       ] );
     ( "sm.counter",
       [

@@ -4,7 +4,7 @@ open Bft_core
 open Message
 
 let req ?(op = "op") ?(ts = 1L) ?(client = 100) ?(ro = false) ?(replier = 0) () =
-  { op; timestamp = ts; client; read_only = ro; replier }
+  Message.request ~op ~timestamp:ts ~client ~read_only:ro ~replier
 
 let test_request_digest_distinguishes_fields () =
   let base = Wire.request_digest (req ()) in
