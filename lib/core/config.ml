@@ -42,6 +42,9 @@ let make ?(auth_mode = Mac_auth) ?(checkpoint_interval = 128) ?log_size ?(max_ba
     ?(debug_no_vc_timer = false) ?(client_quota = 64) ?retransmit_budget
     ?(perf_watchdog = false) ?(perf_factor = 6.0) ?(perf_min_samples = 8) ~f () =
   if f < 1 then invalid_arg "Config.make: f must be >= 1";
+  if checkpoint_interval < 1 then invalid_arg "Config.make: checkpoint_interval must be >= 1";
+  if max_batch < 1 then invalid_arg "Config.make: max_batch must be >= 1";
+  if window < 1 then invalid_arg "Config.make: window must be >= 1";
   if client_quota < 1 then invalid_arg "Config.make: client_quota must be >= 1";
   (match retransmit_budget with
   | Some b when b < 1 -> invalid_arg "Config.make: retransmit_budget must be >= 1"

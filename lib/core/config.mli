@@ -109,6 +109,10 @@ val make :
   f:int ->
   unit ->
   t
+(** Raises [Invalid_argument] when [f], [checkpoint_interval], [max_batch],
+    [window], [client_quota] or [retransmit_budget] is below 1,
+    [perf_factor] is not above 1, or [log_size] is below
+    [checkpoint_interval]. *)
 
 val primary : t -> view:int -> int
 val is_primary : t -> view:int -> id:int -> bool

@@ -23,9 +23,6 @@
 
 type phase = Preprepared | Prepared | Committed | Executed | Replied
 
-val phase_name : int -> string
-(** Name of the interval ending at phase [i], e.g. ["req->preprep"]. *)
-
 type event =
   | Request_arrival of { client : int; digest : string }
   | Phase_transition of { phase : phase; view : int; seq : int }
@@ -127,7 +124,9 @@ val events : ?last:int -> t -> entry list
 val entry_to_string : entry -> string
 
 val phase_hist : t -> int -> Hist.t
-(** Histogram of pipeline interval [i] (see {!phase_name}), 0..4. *)
+(** Histogram of pipeline interval [i], 0..4. Interval [i] ends at the
+    [i]-th constructor of {!phase}: 0 is request -> pre-prepared, 4 is
+    executed -> replied. *)
 
 val e2e_hist : t -> Hist.t
 

@@ -101,6 +101,41 @@ let test_fast_primary_watchdog_silent () =
     (sum_counter lv (fun c -> c.Replica.n_slowness_vc));
   Alcotest.(check int) "workload completed" r.Runner.total_ops r.Runner.completed_ops
 
+(* --- bounded degradation under each profile --- *)
+
+let test_profiles_bounded_degradation () =
+  (* Every profile runs against the defenses that ship with the profiles,
+     with no random fault schedule on top, so each ratio isolates that
+     attack's residual cost. Committed ops per virtual second is a pure
+     function of (params, schedule), so the floors are absolute.
+     client_flood's floor is the lowest: a flooding client still costs each
+     replica the digest and MAC check of every dropped request, plus one
+     bounded view rotation over divergently admitted requests. *)
+  let ops_per_vsec events =
+    let lv, r =
+      run_attack ~client_quota:8 ~retransmit_budget:8 ~perf_watchdog:true
+        (Schedule.to_string events)
+    in
+    Alcotest.(check int) "workload completed" r.Runner.total_ops r.Runner.completed_ops;
+    let now = Bft_sim.Engine.now (Cluster.engine lv.Runner.lv_cluster) in
+    float_of_int r.Runner.completed_ops /. (Bft_sim.Engine.to_us now /. 1.0e6)
+  in
+  let clean = ops_per_vsec [] in
+  let floors = [ ("slow_primary", 0.35); ("client_flood", 0.10); ("mac_storm", 0.25) ] in
+  List.iter
+    (fun p ->
+      let name = p.Schedule.pr_name in
+      match List.assoc_opt name floors with
+      | None -> Alcotest.failf "profile %s has no degradation floor" name
+      | Some floor ->
+          let ratio =
+            ops_per_vsec (p.Schedule.pr_events ~f:1 ~n:4 ~horizon_us:60_000.0) /. clean
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %.3fx clean >= %.2fx" name ratio floor)
+            true (ratio >= floor))
+    Schedule.profiles
+
 (* --- client adaptive timeout across a view change --- *)
 
 let test_client_timeout_stable_across_view_change () =
@@ -206,6 +241,8 @@ let suites =
           test_slow_primary_view_changed_away;
         Alcotest.test_case "fast primary: watchdog silent" `Quick
           test_fast_primary_watchdog_silent;
+        Alcotest.test_case "profiles: bounded degradation" `Quick
+          test_profiles_bounded_degradation;
         Alcotest.test_case "client timeout stable across vc" `Quick
           test_client_timeout_stable_across_view_change;
         Alcotest.test_case "attack actions round-trip" `Quick test_attack_actions_roundtrip;

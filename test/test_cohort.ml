@@ -129,6 +129,62 @@ let test_derived_rejects_sig_auth () =
       ignore
         (Cohort.drive cluster spec ~on_complete:(fun ~client:_ ~op:_ ~result:_ -> ())))
 
+(* --- a 10^6-client cohort: latency vs offered load (W4) --- *)
+
+let test_million_client_sweep () =
+  (* Open-loop arrivals round-robin over 10^6 synthesized clients, so each
+     client issues at most one op and every sweep point must complete.
+     Adaptive batching is on: deep queues at overload want big batches,
+     light load small ones. The curve is a pure function of (params,
+     rate), so the floor and the shape are exact. *)
+  let point rate =
+    let spec =
+      {
+        Cohort.k = 1_000_000;
+        arrival = Open { rate_per_sec = rate; total_ops = 250 };
+        keys = Derived;
+      }
+    in
+    let p =
+      {
+        (Runner.default_params ~seed:2 ~f:1) with
+        Runner.adaptive_batch = true;
+        cohort = Some spec;
+      }
+    in
+    let lv = Runner.prepare p [] in
+    ignore
+      (Bft_core.Cluster.run_until ~timeout_us:(p.Runner.horizon_us +. p.Runner.drain_us)
+         lv.Runner.lv_cluster (fun () ->
+           !(lv.Runner.lv_n_completed) >= lv.Runner.lv_total_ops));
+    let r = Runner.finish lv in
+    if r.Runner.failures <> [] then
+      Alcotest.failf "rate %.0f: oracles failed: %s" rate
+        (String.concat "; " r.Runner.failures);
+    Alcotest.(check int)
+      (Printf.sprintf "rate %.0f: all ops commit" rate)
+      250 r.Runner.completed_ops;
+    let now = Bft_sim.Engine.now (Bft_core.Cluster.engine lv.Runner.lv_cluster) in
+    ( float_of_int r.Runner.completed_ops /. (Bft_sim.Engine.to_us now /. 1.0e6),
+      Hist.mean_us (Cohort.latency_hist lv.Runner.lv_cohort) )
+  in
+  let curve = List.map point [ 2_000.0; 5_000.0; 10_000.0; 20_000.0; 50_000.0 ] in
+  let peak = List.fold_left (fun a (c, _) -> Float.max a c) 0.0 curve in
+  Alcotest.(check bool)
+    (Printf.sprintf "peak %.1f ops/vsec >= 7192.05" peak)
+    true (peak >= 7192.05);
+  (* committed throughput and mean latency both rise with offered load *)
+  ignore
+    (List.fold_left
+       (fun (c0, m0) (c, m) ->
+         Alcotest.(check bool)
+           (Printf.sprintf "committed %.1f -> %.1f and mean %.1fus -> %.1fus non-decreasing"
+              c0 c m0 m)
+           true
+           (c >= c0 && m >= m0);
+         (c, m))
+       (List.hd curve) (List.tl curve))
+
 (* --- qcheck: cohort-vs-k-clients op counts --- *)
 
 let prop_op_counts =
@@ -267,6 +323,7 @@ let suites =
           test_derived_rejects_sig_auth;
         Alcotest.test_case "group derivations observed" `Quick
           test_group_derivations_observed;
+        Alcotest.test_case "10^6-client sweep" `Quick test_million_client_sweep;
         QCheck_alcotest.to_alcotest prop_op_counts;
         QCheck_alcotest.to_alcotest prop_arrival_roundtrip;
       ] );

@@ -175,6 +175,65 @@ let test_kv_paged_acl_sync () =
   s2.Bft_sm.Service.restore (s.Bft_sm.Service.snapshot ());
   Alcotest.(check string) "acl restored" "ok" (exec s2 ~client:6 "put y 2")
 
+(* --- checkpoint cost tracks the modified pages (Section 5.3) --- *)
+
+let test_kv_checkpoint_cost_tracks_dirty_pages () =
+  (* 1 KiB values at 256 KiB, 1 MiB and 4 MiB of state; each interval
+     overwrites the same 4 keys of a rotating window, drains the dirty set
+     and updates the partition tree. Only the drained pages are digested,
+     so the per-interval cost is the same at every state size. *)
+  let page_size = 4096 and branching = 16 and vlen = 1024 and intervals = 8 in
+  let run total =
+    let n_keys = total / (vlen + 16) in
+    let svc = Bft_sm.Kv_service.create ~paged:page_size () in
+    let put i c =
+      ignore (exec svc (Printf.sprintf "put key%06d %s" i (String.make vlen c)))
+    in
+    for i = 0 to n_keys - 1 do
+      put i 'a'
+    done;
+    let pg = Option.get svc.Bft_sm.Service.paged in
+    ignore (pg.Bft_sm.Service.pg_drain_dirty ());
+    let tree =
+      ref
+        (Partition_tree.build_pages ~seq:0 ~page_size ~branching
+           (pg.Bft_sm.Service.pg_pages ()))
+    in
+    let counts =
+      List.init intervals (fun i ->
+          let seq = i + 1 in
+          for k = 0 to 3 do
+            put (((seq * 4) + k) mod n_keys) (Char.chr (Char.code 'b' + seq))
+          done;
+          let pages = pg.Bft_sm.Service.pg_pages () in
+          let dirty = pg.Bft_sm.Service.pg_drain_dirty () in
+          let next = Partition_tree.update !tree ~seq ~pages ~dirty in
+          Alcotest.(check int)
+            (Printf.sprintf "%d B, interval %d: digested = dirty pages" total seq)
+            (List.length dirty * page_size)
+            (Partition_tree.digested_bytes next);
+          (* the copy-on-write rebuild over the same pages, not a
+             from-scratch build: clean pages keep their lm *)
+          Alcotest.(check string)
+            (Printf.sprintf "%d B, interval %d: root = build_pages ~prev" total seq)
+            (Partition_tree.root_digest
+               (Partition_tree.build_pages ~prev:!tree ~seq ~page_size ~branching pages))
+            (Partition_tree.root_digest next);
+          tree := next;
+          List.length dirty)
+    in
+    (Partition_tree.num_pages !tree, counts)
+  in
+  let sizes = [ 262_144; 1_048_576; 4_194_304 ] in
+  let runs = List.map run sizes in
+  Alcotest.(check (list int)) "state pages" [ 128; 512; 2048 ] (List.map fst runs);
+  let counts = snd (List.hd runs) in
+  List.iter
+    (fun (_, c) -> Alcotest.(check (list int)) "dirty pages independent of state size" counts c)
+    runs;
+  Alcotest.(check bool) "a handful of pages per interval" true
+    (List.for_all (fun n -> n >= 1 && n <= 3) counts)
+
 (* --- paged BFS --- *)
 
 let test_bfs_paged_equiv_flat () =
@@ -321,6 +380,8 @@ let suites =
         Alcotest.test_case "kv: snapshot roundtrip" `Quick test_kv_paged_snapshot_roundtrip;
         Alcotest.test_case "kv: malformed restore rejected" `Quick test_kv_paged_restore_rejects_malformed;
         Alcotest.test_case "kv: acl through arena" `Quick test_kv_paged_acl_sync;
+        Alcotest.test_case "kv: checkpoint cost tracks dirty pages" `Quick
+          test_kv_checkpoint_cost_tracks_dirty_pages;
         Alcotest.test_case "bfs: paged = flat" `Quick test_bfs_paged_equiv_flat;
       ] );
     ( "core.paged_replica",
