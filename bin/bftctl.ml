@@ -687,9 +687,8 @@ let metrics_cmd =
       String.concat sep
         (List.map (fun (i, d) -> Printf.sprintf fmt i d) sim.Bft_check.Runner.sc_backlog_hwm)
     in
-    (* the process-wide verification counters for the run just traced
-       (per-node submission counts live in each node's registry entry) *)
-    let vst = Bft_crypto.Vpool.stats (Bft_crypto.Vpool.default ()) in
+    (* process-wide: the run just traced is the process's only run *)
+    let macs = Bft_crypto.Auth.mac_verifications () in
     let kernel = Bft_crypto.Sha256.kernel () in
     if json then
       (* wrap the per-node registry with the system-level counters *)
@@ -697,14 +696,12 @@ let metrics_cmd =
         "{ \"sha256_kernel\": %S,\n\
          \"sim\": { \"dropped\": %d, \"duplicated\": %d, \"events_fired\": %d, \
          \"max_heap\": %d, \"backlog_hwm\": { %s } },\n\
-         \"vpool\": { \"batches\": %d, \"items\": %d, \"merge_hwm\": %d },\n\
+         \"mac_verifications\": %d,\n\
          \"nodes\": %s }\n"
         kernel sim.Bft_check.Runner.sc_dropped sim.Bft_check.Runner.sc_duplicated
         sim.Bft_check.Runner.sc_events_fired sim.Bft_check.Runner.sc_max_heap
         (hwm_str ", " "\"node%d\": %d")
-        vst.Bft_crypto.Vpool.st_batches vst.Bft_crypto.Vpool.st_items
-        vst.Bft_crypto.Vpool.st_merge_hwm
-        (Bft_obs.Obs.registry_to_json reg)
+        macs (Bft_obs.Obs.registry_to_json reg)
     else begin
       Printf.printf "seed %d: %d/%d ops, %d view change(s), max view %d\n" seed
         r.Bft_check.Runner.completed_ops r.Bft_check.Runner.total_ops
@@ -715,9 +712,7 @@ let metrics_cmd =
         sim.Bft_check.Runner.sc_dropped sim.Bft_check.Runner.sc_duplicated
         sim.Bft_check.Runner.sc_events_fired sim.Bft_check.Runner.sc_max_heap
         (hwm_str " " "%d:%d");
-      Printf.printf "vpool: batches=%d items=%d merge_hwm=%d; sha256 kernel: %s\n"
-        vst.Bft_crypto.Vpool.st_batches vst.Bft_crypto.Vpool.st_items
-        vst.Bft_crypto.Vpool.st_merge_hwm kernel;
+      Printf.printf "mac_verifications=%d; sha256 kernel: %s\n" macs kernel;
       List.iter
         (fun (id, o) ->
           Printf.printf "node %d (%s):\n" id

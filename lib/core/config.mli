@@ -30,7 +30,6 @@ type t = {
   tentative_execution : bool;  (** Section 5.1.2 *)
   read_only_opt : bool;  (** Section 5.1.3 *)
   digest_replies : bool;  (** Section 5.1.1 *)
-  digest_replies_threshold : int;  (** results below this are sent in full *)
   separate_tx_threshold : int;
       (** requests above this size are multicast by the client and carried
           by digest in pre-prepares (Section 5.1.5) *)
@@ -42,7 +41,6 @@ type t = {
   recovery : bool;  (** BFT-PR proactive recovery (Chapter 4) *)
   watchdog_period_us : float;
   key_refresh_us : float;  (** session-key refresh period *)
-  null_exec_cost_us : float;
   debug_no_vc_timer : bool;
       (** Injected bug for explorer/fuzzer validation: backups never arm
           the view-change timer, so a faulty primary is never displaced —
@@ -67,17 +65,13 @@ type t = {
   perf_watchdog : bool;
       (** Primary performance monitoring: backups track the latency from
           accepting a request to executing it and trigger a view change
-          when the smoothed latency degrades beyond [perf_factor] times
-          the best baseline observed, even though the primary is not
+          when the smoothed latency degrades beyond a fixed factor (6×)
+          of the best baseline observed, even though the primary is not
           silent (the slow-primary attack). Off by default: it is not the
           paper's behaviour (the paper displaces only a primary that stops
           ordering), and enabling it changes pinned results — under jitter
           and loss, backups demand view changes the paper's replicas would
           not (15 of the 200 pinned fuzz seeds run extra view changes). *)
-  perf_factor : float;
-      (** Slowness threshold multiplier over the observed baseline. *)
-  perf_min_samples : int;
-      (** Executions observed before the watchdog baseline is trusted. *)
 }
 
 val make :
@@ -91,7 +85,6 @@ val make :
   ?tentative_execution:bool ->
   ?read_only_opt:bool ->
   ?digest_replies:bool ->
-  ?digest_replies_threshold:int ->
   ?separate_tx_threshold:int ->
   ?client_retry_us:float ->
   ?client_retry_max_us:float ->
@@ -104,15 +97,19 @@ val make :
   ?client_quota:int ->
   ?retransmit_budget:int ->
   ?perf_watchdog:bool ->
-  ?perf_factor:float ->
-  ?perf_min_samples:int ->
   f:int ->
   unit ->
   t
 (** Raises [Invalid_argument] when [f], [checkpoint_interval], [max_batch],
-    [window], [client_quota] or [retransmit_budget] is below 1,
-    [perf_factor] is not above 1, or [log_size] is below
-    [checkpoint_interval]. *)
+    [window], [client_quota] or [retransmit_budget] is below 1, when
+    [client_retry_us], [client_retry_max_us], [vc_timeout_us],
+    [status_interval_us], [watchdog_period_us] or [key_refresh_us] is not
+    finite and above 0 (a timer that re-arms at the same instant livelocks
+    the simulation), or when [log_size] is below [checkpoint_interval]. *)
+
+val digest_replies_threshold : int
+(** With [digest_replies], results of at most this many bytes are still
+    sent in full (Section 5.1.1): 32. *)
 
 val primary : t -> view:int -> int
 val is_primary : t -> view:int -> id:int -> bool

@@ -8,6 +8,12 @@ let src = Logs.Src.create "bft.replica" ~doc:"BFT replica"
 
 module L = (val Logs.src_log src : Logs.LOG)
 
+(* Performance watchdog ([Config.perf_watchdog]): a backup trusts its
+   latency baseline after [perf_min_samples] executions and calls the
+   primary slow once the smoothed latency exceeds [perf_factor] times it. *)
+let perf_factor = 6.0
+let perf_min_samples = 8
+
 type deps = {
   cfg : Config.t;
   net : Message.envelope Network.t;
@@ -336,14 +342,9 @@ let send_plain t ~dst body =
     Network.send t.d.net ~src:t.id ~dst ~size:(Wire.envelope_size env) env
   end
 
-(* MAC verification goes through [Auth.verify_batch] as a one-item batch,
-   so the verification counters see every envelope; the verdict and the
-   virtual-time charge are exactly the sequential path's. Signatures are
-   verified directly (cheap to model, nothing to batch). *)
-let pool_verify t item =
-  if Obs.enabled t.obs then Obs.vpool_submit t.obs ~items:1;
-  (Bft_crypto.Auth.verify_batch t.d.keychain [| item |]).(0)
-
+(* Check the token's claim that [claimed] sent [bytes], charging the
+   receiver's CPU for it. A MAC or authenticator costs one [mac_us]: the
+   receiver checks only its own entry (Section 3.2.1). *)
 let verify_token_bytes t ~claimed bytes token =
   match token with
   | Auth_none -> false
@@ -353,10 +354,10 @@ let verify_token_bytes t ~claimed bytes token =
       && Bft_crypto.Signature.verify t.d.registry s bytes
   | Auth_mac m ->
       charge t t.costs.Costs.mac_us;
-      pool_verify t (Bft_crypto.Auth.Item_mac { peer = claimed; mac = m; msg = bytes })
+      Bft_crypto.Auth.verify_mac t.d.keychain ~peer:claimed m bytes
   | Auth_vector a ->
       charge t t.costs.Costs.mac_us;
-      pool_verify t (Bft_crypto.Auth.Item_auth { peer = claimed; auth = a; msg = bytes })
+      Bft_crypto.Auth.verify_authenticator t.d.keychain ~peer:claimed a bytes
 
 let verify_token t ~claimed body token =
   verify_token_bytes t ~claimed (Wire.encode body) token
@@ -677,7 +678,7 @@ let flush_read_only t =
           if
             (not t.d.cfg.Config.digest_replies)
             || req.replier = t.id
-            || String.length result <= t.d.cfg.Config.digest_replies_threshold
+            || String.length result <= Config.digest_replies_threshold
           then Full result
           else Result_digest (Wire.result_digest result)
         in
@@ -959,12 +960,12 @@ and perf_note_sample t arrival =
       (if t.perf_samples = 0 then sample
        else (0.8 *. t.perf_ewma_us) +. (0.2 *. sample));
     t.perf_samples <- t.perf_samples + 1;
-    if t.perf_samples >= cfg.Config.perf_min_samples then
+    if t.perf_samples >= perf_min_samples then
       if t.perf_baseline_us = 0.0 || t.perf_ewma_us < t.perf_baseline_us then
         t.perf_baseline_us <- t.perf_ewma_us
       else if
         t.active && t.perf_fired_view < t.view
-        && t.perf_ewma_us > cfg.Config.perf_factor *. t.perf_baseline_us
+        && t.perf_ewma_us > perf_factor *. t.perf_baseline_us
       then begin
         t.perf_fired_view <- t.view;
         t.counters.n_slowness_vc <- t.counters.n_slowness_vc + 1;
@@ -1120,7 +1121,7 @@ and execute_batch t n ~tentative =
                   if
                     (not t.d.cfg.Config.digest_replies)
                     || req.replier = t.id
-                    || String.length result <= t.d.cfg.Config.digest_replies_threshold
+                    || String.length result <= Config.digest_replies_threshold
                   then Full result
                   else begin
                     charge t (Costs.digest_us t.costs (String.length result));
@@ -1646,71 +1647,21 @@ let batch_vouched t batch_digest =
         e.Log.prepares);
   !count >= t.d.cfg.Config.f
 
-(* A batch element is authentic if (1) our MAC entry in the client's token
-   verifies, (2) f prepares vouch for the batch digest, or (3) we already
-   verified the stored request body. Evaluated in three passes so every
-   MAC/authenticator token goes through one [Auth.verify_batch] flush,
-   whose per-sender key memo shares group-key derivations across the
-   batch: pass 1 resolves the charge-free conditions and classifies the
-   rest, pass 2 flushes the tokens, and pass 3 consumes the verdicts in
-   element order, charging each element exactly where the sequential path
-   would and short-circuiting at the first failure — elements past it were
-   verified for nothing (host time only) but are never charged, so the
-   committed-history digests are byte-identical to the sequential
-   evaluation. *)
+(* A batch element is authentic if (3) we already verified the stored
+   request body, (1) our MAC entry in the client's token verifies, or (2) f
+   prepares vouch for the batch digest. Elements are checked in order and
+   the first failure stops the check, so nothing past it is charged. *)
 let batch_authentic t elems batch_digest =
   let vouched = lazy (batch_vouched t batch_digest) in
-  let items = ref [] and n_items = ref 0 in
-  let statuses =
-    List.map
-      (fun elem ->
-        match elem with
-        | By_digest d -> (
-            match Hashtbl.find_opt t.requests d with
-            | Some sr -> `Done sr.sr_verified
-            | None -> `Done false)
-        | Inline (r, tok) -> (
-            match Hashtbl.find_opt t.requests (Wire.request_digest r) with
-            | Some sr when sr.sr_verified -> `Done true (* condition 3 *)
-            | _ -> (
-                match tok with
-                | Auth_mac m ->
-                    let k = !n_items in
-                    incr n_items;
-                    items :=
-                      Bft_crypto.Auth.Item_mac
-                        { peer = r.client; mac = m; msg = Wire.encode (Request r) }
-                      :: !items;
-                    `Pool k
-                | Auth_vector a ->
-                    let k = !n_items in
-                    incr n_items;
-                    items :=
-                      Bft_crypto.Auth.Item_auth
-                        { peer = r.client; auth = a; msg = Wire.encode (Request r) }
-                      :: !items;
-                    `Pool k
-                | Auth_none | Auth_sig _ -> `Seq (r, tok))))
-      elems
-  in
-  let verdicts =
-    if !n_items = 0 then [||]
-    else begin
-      if Obs.enabled t.obs then Obs.vpool_submit t.obs ~items:!n_items;
-      Bft_crypto.Auth.verify_batch t.d.keychain (Array.of_list (List.rev !items))
-    end
-  in
   List.for_all
-    (fun st ->
-      match st with
-      | `Done b -> b
-      | `Pool k ->
-          charge t t.costs.Costs.mac_us;
-          verdicts.(k) || Lazy.force vouched
-      | `Seq (r, tok) ->
-          (* condition 1, sequential: signatures (and tokenless elements) *)
-          verify_token t ~claimed:r.client (Request r) tok || Lazy.force vouched)
-    statuses
+    (function
+      | By_digest d -> (
+          match Hashtbl.find_opt t.requests d with Some sr -> sr.sr_verified | None -> false)
+      | Inline (r, tok) -> (
+          match Hashtbl.find_opt t.requests (Wire.request_digest r) with
+          | Some sr when sr.sr_verified -> true
+          | _ -> verify_token t ~claimed:r.client (Request r) tok || Lazy.force vouched))
+    elems
 
 (* [size] is the pre-prepare's wire size (its envelope's cached
    encoding), charged for digesting it. *)

@@ -30,26 +30,10 @@ val verify_authenticator :
   Keychain.t -> peer:int -> authenticator -> string -> bool
 (** Verify our own entry in an authenticator sent by [peer]. *)
 
-(** {2 Batched verification}
-
-    Receivers accumulate independent verification work and flush it in one
-    call: key lookups (and the cached HMAC key-block precomputes behind
-    them) are resolved once per sender per flush, and the tag/digest
-    recomputations run through {!Vpool.run} on the calling domain.
-    [results.(i)] answers [items.(i)] and is identical to what the
-    sequential {!verify_mac} / {!verify_authenticator} path returns for
-    that item. *)
-
-type batch_item =
-  | Item_mac of { peer : int; mac : mac; msg : string }
-      (** Same question as [verify_mac ~peer mac msg]. *)
-  | Item_auth of { peer : int; auth : authenticator; msg : string }
-      (** Same question as [verify_authenticator ~peer auth msg]. *)
-  | Item_digest of { expect : string; msg : string }
-      (** Does [msg] hash to [expect]? *)
-
-val verify_batch : Keychain.t -> batch_item array -> bool array
-(** Verify every item, verdicts in submission order. *)
+val mac_verifications : unit -> int
+(** Tag recomputations so far, process-wide: one per {!verify_mac} (or
+    {!verify_authenticator}) call that found a current key for the sender
+    and, for authenticators, an entry for us. *)
 
 val corrupt_entry : authenticator -> int -> authenticator
 (** Testing/fault-injection helper: flip bits in the MAC destined for the

@@ -6,9 +6,8 @@ type key = { secret : string; epoch : int }
    [HMAC(group_secret, "key:src>dst")] at epoch 1, resuming the group
    secret's cached key-block midstates for every derivation. Derived keys
    are deliberately NOT cached: at 10^6 clients a per-peer cache at each
-   replica would cost gigabytes, while [Auth.verify_batch]'s per-flush
-   sender memo already shares each derivation (and its precompute) across
-   a whole batch. *)
+   replica would cost gigabytes, so every verification of a group-keyed
+   MAC derives its key (and precompute) afresh. *)
 type group = {
   g_first : int;
   g_last : int;

@@ -48,9 +48,8 @@ val in_epoch : t -> peer:int -> int
     midstate caches) is out of the question. A directional key is derived
     on demand as [HMAC(group_secret, "key:src>dst")] at epoch 1, resuming
     the group secret's cached key-block midstates. Derived keys are not
-    cached at the keychain: {!Auth.verify_batch}'s per-flush sender memo
-    already shares one derivation (and its precompute) across a batch,
-    which keeps replica-side memory O(1) in the range size. *)
+    cached at the keychain, which keeps replica-side memory O(1) in the
+    range size: each verification of a group-keyed MAC derives once. *)
 
 type group
 

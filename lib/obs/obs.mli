@@ -111,11 +111,6 @@ val batch_formed : t -> len:int -> unit
 (** One batch formed by the primary carrying [len] requests — feeds the
     batch-occupancy histogram behind the adaptive batch sizer. *)
 
-val vpool_submit : t -> items:int -> unit
-(** One verification flush by this node carrying [items] jobs. The
-    process-wide counters (batches, items, largest batch) live in
-    [Bft_crypto.Vpool.stats] and are joined in at dump time. *)
-
 (** {2 Reading} *)
 
 val events : ?last:int -> t -> entry list

@@ -52,6 +52,22 @@ let test_validation () =
       ("window", fun () -> Config.make ~f:1 ~window:0 ());
       ("window", fun () -> Config.make ~f:1 ~window:(-1) ());
     ];
+  (* a timer period of zero re-arms at the same virtual instant forever *)
+  List.iter
+    (fun (field, make) ->
+      Alcotest.check_raises field
+        (Invalid_argument (Printf.sprintf "Config.make: %s must be finite and > 0" field))
+        (fun () -> ignore (make ())))
+    [
+      ("client_retry_us", fun () -> Config.make ~f:1 ~client_retry_us:0.0 ());
+      ("client_retry_max_us", fun () -> Config.make ~f:1 ~client_retry_max_us:(-1.0) ());
+      ("vc_timeout_us", fun () -> Config.make ~f:1 ~vc_timeout_us:0.0 ());
+      ("vc_timeout_us", fun () -> Config.make ~f:1 ~vc_timeout_us:Float.nan ());
+      ("status_interval_us", fun () -> Config.make ~f:1 ~status_interval_us:0.0 ());
+      ("status_interval_us", fun () -> Config.make ~f:1 ~status_interval_us:Float.infinity ());
+      ("watchdog_period_us", fun () -> Config.make ~f:1 ~watchdog_period_us:(-0.5) ());
+      ("key_refresh_us", fun () -> Config.make ~f:1 ~key_refresh_us:0.0 ());
+    ];
   Alcotest.check_raises "log size"
     (Invalid_argument "Config.make: log_size must be >= checkpoint_interval") (fun () ->
       ignore (Config.make ~f:1 ~checkpoint_interval:10 ~log_size:5 ()))

@@ -391,6 +391,115 @@ let test_client_votes_ignored () =
     (Cluster.run_until ~timeout_us:20_000.0 c (fun () -> List.for_all (( < ) 0) (executed ())));
   Alcotest.(check (list int)) "nothing executes on client votes" [ 0; 0 ] (executed ())
 
+(* A backup accepts each inline request of a pre-prepare if (3) it already
+   verified the request, (1) its own entry in the client's authenticator
+   verifies, or (2) f prepares vouch for the batch digest. Replica 1 is
+   driven by hand: the delivery gate holds every message, and [deliver]
+   releases one envelope to it and returns the virtual CPU it spent. Only
+   MACs cost anything, one microsecond each. *)
+let test_batch_authentication () =
+  let mac_us = 1.0 in
+  let cfg = Config.make ~f:1 () in
+  let replicas = Config.replica_ids cfg and backup = 1 in
+  let fresh () =
+    let c = Cluster.create ~costs:{ Bft_net.Costs.free with mac_us } ~num_clients:3 cfg in
+    Bft_net.Network.set_gate (Cluster.network c) true;
+    c
+  in
+  let sign c ~sender body =
+    let kc = Replica.keychain (Cluster.replica c sender) in
+    let auth = Bft_crypto.Auth.compute_authenticator kc ~receivers:replicas (Wire.encode body) in
+    Message.envelope ~sender ~auth:(Message.Auth_vector auth) body
+  in
+  let deliver c env =
+    let net = Cluster.network c in
+    let src = env.Message.sender and size = Wire.envelope_size env in
+    Bft_net.Network.send net ~src ~dst:backup ~size env;
+    let now = Bft_sim.Engine.now (Cluster.engine c) in
+    Alcotest.(check bool) "backup idle" true
+      (Int64.compare (Bft_net.Network.busy_until net ~id:backup) now <= 0);
+    Alcotest.(check bool) "released" true
+      (Bft_net.Network.release_held net ~nth:0 ~pred:(fun ~src:_ ~dst:_ m -> m == env));
+    let busy = Bft_net.Network.busy_until net ~id:backup in
+    (* let what the envelope set off settle, leaving the backup idle *)
+    let until = Int64.add busy (Bft_sim.Engine.of_us_float 100.0) in
+    ignore (Bft_sim.Engine.schedule_at (Cluster.engine c) until ignore);
+    Cluster.run ~timeout_us:(Bft_sim.Engine.to_us until) c;
+    Int64.sub busy now
+  in
+  let prepared c =
+    List.exists
+      (fun (src, _, env) ->
+        src = backup && match env.Message.body with Message.Prepare _ -> true | _ -> false)
+      (Bft_net.Network.held (Cluster.network c))
+  in
+  (* requests from clients n..n+2, each authenticated by a keychain whose
+     keys the replicas install, as the key exchange gives every client *)
+  let rng = Bft_util.Rng.create 11L in
+  let request c i =
+    let id = cfg.Config.n + i in
+    let kc = Bft_crypto.Keychain.create ~my_id:id in
+    List.iter
+      (fun r ->
+        let chain = Replica.keychain (Cluster.replica c r) in
+        let k = Bft_crypto.Keychain.fresh_in_key chain rng ~peer:id in
+        ignore (Bft_crypto.Keychain.install_out_key kc ~peer:r k))
+      replicas;
+    let r =
+      Message.request ~op:(null_op ()) ~timestamp:1L ~client:id ~read_only:false ~replier:0
+    in
+    let bytes = Wire.encode (Message.Request r) in
+    (r, Bft_crypto.Auth.compute_authenticator kc ~receivers:replicas bytes)
+  in
+  (* the primary's pre-prepare for sequence number 1, carrying [reqs]; the
+     one at [bad] has its entry for the backup corrupted *)
+  let pre_prepare c reqs ~bad =
+    let batch =
+      List.mapi
+        (fun i (r, a) ->
+          let a = if i = bad then Bft_crypto.Auth.corrupt_entry a backup else a in
+          Message.Inline (r, Message.Auth_vector a))
+        reqs
+    in
+    let pp = { Message.pp_view = 0; pp_seq = 1; pp_batch = batch; pp_nondet = "0" } in
+    (sign c ~sender:0 (Message.Pre_prepare pp), Wire.batch_digest batch "0")
+  in
+  (* refused, then accepted once f prepares carry the batch digest; every
+     element up to and including the first failure costs one MAC, beside
+     the envelope's own, and none after it does *)
+  List.iter
+    (fun bad ->
+      let c = fresh () in
+      let reqs = List.init 3 (request c) in
+      let pp, d = pre_prepare c reqs ~bad in
+      let spent = deliver c pp in
+      Alcotest.(check bool) (Printf.sprintf "bad=%d refused" bad) false (prepared c);
+      Alcotest.(check int64)
+        (Printf.sprintf "bad=%d charged up to the failure" bad)
+        (Bft_sim.Engine.of_us_float (float_of_int (bad + 2) *. mac_us))
+        spent;
+      let vouch =
+        Message.Prepare { Message.pr_view = 0; pr_seq = 1; pr_digest = d; pr_replica = 2 }
+      in
+      ignore (deliver c (sign c ~sender:2 vouch));
+      Alcotest.(check bool) (Printf.sprintf "bad=%d accepted when vouched" bad) true
+        (prepared c))
+    [ 0; 1; 2 ];
+  (* accepted unvouched when the backup already verified the request *)
+  let c = fresh () in
+  let reqs = List.init 3 (request c) in
+  let r, a = List.nth reqs 1 in
+  ignore
+    (deliver c
+       (Message.envelope ~sender:r.client ~auth:(Message.Auth_vector a) (Message.Request r)));
+  let pp, _ = pre_prepare c reqs ~bad:1 in
+  let spent = deliver c pp in
+  Alcotest.(check bool) "held request accepted" true (prepared c);
+  (* the envelope and the two other requests, then the backup's prepare *)
+  Alcotest.(check int64) "held request not re-verified"
+    (Bft_sim.Engine.of_us_float ((3.0 +. float_of_int cfg.Config.n) *. mac_us))
+    spent
+
 (* --- partitions --- *)
 
 let test_partition_blocks_then_heals () =
@@ -728,6 +837,7 @@ let suites =
         Alcotest.test_case "byzantine client" `Quick test_byzantine_client_partial_auth;
         Alcotest.test_case "forged signature rejected" `Quick test_forged_signature_rejected;
         Alcotest.test_case "client votes ignored" `Quick test_client_votes_ignored;
+        Alcotest.test_case "batch authentication" `Quick test_batch_authentication;
         Alcotest.test_case "oversized null result" `Quick test_oversized_null_result;
         Alcotest.test_case "partition then heal" `Slow test_partition_blocks_then_heals;
       ] );
