@@ -416,8 +416,10 @@ let e13 () =
 let component_benchmarks () =
   section "C0 (8.2): crypto component wall-clock costs (Bechamel, this machine)";
   let open Bechamel in
-  let key = String.make 16 'k' in
+  let key = Bft_crypto.Hmac.precompute ~key:(String.make 16 'k') in
   let msg64 = String.make 64 'm' in
+  (* what the library MACs and signs: a message's 32-byte digest *)
+  let digest = Bft_crypto.Sha256.digest msg64 in
   let msg4k = String.make 4096 'm' in
   let rng = Bft_util.Rng.create 3L in
   let registry = Bft_crypto.Signature.create_registry () in
@@ -432,13 +434,13 @@ let component_benchmarks () =
     [
       Test.make ~name:"sha256 64B" (Staged.stage (fun () -> Bft_crypto.Sha256.digest msg64));
       Test.make ~name:"sha256 4KB" (Staged.stage (fun () -> Bft_crypto.Sha256.digest msg4k));
-      Test.make ~name:"hmac tag 64B"
-        (Staged.stage (fun () -> Bft_crypto.Hmac.mac_truncated ~key 8 msg64));
+      Test.make ~name:"hmac tag 32B digest"
+        (Staged.stage (fun () -> Bft_crypto.Hmac.mac_digest key 8 digest));
       Test.make ~name:"authenticator n=4"
         (Staged.stage (fun () ->
-             Bft_crypto.Auth.compute_authenticator chains.(0) ~receivers:[ 0; 1; 2; 3 ] msg64));
-      Test.make ~name:"signature 64B"
-        (Staged.stage (fun () -> Bft_crypto.Signature.sign signer msg64));
+             Bft_crypto.Auth.compute_authenticator chains.(0) ~receivers:[ 0; 1; 2; 3 ] digest));
+      Test.make ~name:"signature 32B digest"
+        (Staged.stage (fun () -> Bft_crypto.Signature.sign signer digest));
       Test.make ~name:"partition tree 64KB"
         (Staged.stage (fun () -> Partition_tree.build ~seq:1 ~page_size:4096 ~branching:16 state64k));
     ]

@@ -111,7 +111,6 @@ type t = {
      and the whole id range shares one network node. *)
   group : Keychain.group option;
   base : int; (* first derived client id *)
-  arena : Bft_net.Wire_arena.t;
   inflight : (int * int64, flight) Hashtbl.t; (* (client, timestamp) *)
   arrival_rng : Rng.t;
   mutable view_guess : int;
@@ -184,8 +183,7 @@ let send_flight t fl ~to_all =
     Message.request ~op:fl.fl_op ~timestamp:fl.fl_ts ~client:fl.fl_client ~read_only:false
       ~replier:(fl.fl_client mod t.cfg.Config.n)
   in
-  let enc = Message.no_cache () in
-  let bytes = Wire.cached_encode ~arena:t.arena enc (Message.Request req) in
+  let d = Wire.request_digest req in
   Network.charge t.net ~id:fl.fl_client (Costs.auth_gen_us t.costs t.cfg.Config.n);
   let auth =
     List.map
@@ -193,13 +191,13 @@ let send_flight t fl ~to_all =
         let key, pre = Keychain.group_derive g ~src:fl.fl_client ~dst:r in
         ( r,
           {
-            Auth.tag = Hmac.mac_truncated_precomputed pre Auth.tag_size bytes;
+            Auth.tag = Hmac.mac_digest pre Auth.tag_size d;
             epoch = key.Keychain.epoch;
           } ))
       (replica_ids t)
   in
   let env =
-    { Message.sender = fl.fl_client; body = Request req; auth = Auth_vector auth; enc }
+    Message.envelope ~sender:fl.fl_client ~auth:(Auth_vector auth) (Request req)
   in
   let size = Wire.envelope_size env in
   if to_all then Network.multicast t.net ~src:fl.fl_client ~dsts:(replica_ids t) ~size env
@@ -266,7 +264,7 @@ let handle_reply t dst (env : Message.envelope) =
                 let g = Option.get t.group in
                 let key, pre = Keychain.group_derive g ~src:rp.rp_replica ~dst in
                 key.Keychain.epoch = m.Auth.epoch
-                && Hmac.verify_precomputed pre ~tag:m.Auth.tag (Wire.envelope_bytes env)
+                && Hmac.verify_digest pre ~tag:m.Auth.tag (Wire.envelope_digest env)
             | _ -> false
           in
           if verified then begin
@@ -400,7 +398,6 @@ let drive ?(seed = 1) cluster spec ~on_complete =
               (Keychain.group ~first:base ~last:(base + spec.k - 1)
                  ~secret:(Rng.bytes grng 32)));
       base;
-      arena = Bft_net.Wire_arena.create ~size:256 ();
       inflight = Hashtbl.create 64;
       arrival_rng = Rng.create (Int64.add (mix_seed seed) 9176L);
       view_guess = 0;

@@ -25,12 +25,12 @@ type t = {
 let engine t = t.engine
 let client_completed t k = t.clients.(k).c_completed
 
-(* encode-once, as in the replicated stack: the MAC is computed over the
-   envelope's cached bytes and the receiver verifies the same string *)
-let mac t ~src ~dst bytes =
+(* as in the replicated stack: the MAC covers the envelope's cached
+   digest and the receiver verifies the same digest *)
+let mac t ~src ~dst d =
   let chain = Hashtbl.find t.chains src in
   Network.charge t.net ~id:src t.costs.Costs.mac_us;
-  match Bft_crypto.Auth.compute_mac chain ~peer:dst bytes with
+  match Bft_crypto.Auth.compute_mac chain ~peer:dst d with
   | Some m -> Auth_mac m
   | None -> Auth_none
 
@@ -38,7 +38,7 @@ let verify t ~me ~peer (env : envelope) =
   let chain = Hashtbl.find t.chains me in
   Network.charge t.net ~id:me t.costs.Costs.mac_us;
   match env.auth with
-  | Auth_mac m -> Bft_crypto.Auth.verify_mac chain ~peer m (Wire.envelope_bytes env)
+  | Auth_mac m -> Bft_crypto.Auth.verify_mac chain ~peer m (Wire.envelope_digest env)
   | Auth_none | Auth_vector _ | Auth_sig _ -> false
 
 let server_handle t (env : envelope) =
@@ -63,7 +63,7 @@ let server_handle t (env : envelope) =
           }
       in
       let enc = Message.no_cache () in
-      let auth = mac t ~src:server_id ~dst:r.client (Wire.cached_encode enc reply) in
+      let auth = mac t ~src:server_id ~dst:r.client (Wire.cached_digest enc reply) in
       let env' = { sender = server_id; body = reply; auth; enc } in
       Network.send t.net ~src:server_id ~dst:r.client ~size:(Wire.envelope_size env') env'
   | _ -> ()
@@ -123,7 +123,7 @@ let invoke t ~client:k op callback =
   let enc = Message.no_cache () in
   let bytes = Wire.cached_encode enc req in
   Network.charge t.net ~id:c.c_id (Costs.digest_us t.costs (String.length bytes));
-  let auth = mac t ~src:c.c_id ~dst:server_id bytes in
+  let auth = mac t ~src:c.c_id ~dst:server_id (Wire.cached_digest enc req) in
   let env = { sender = c.c_id; body = req; auth; enc } in
   Network.send t.net ~src:c.c_id ~dst:server_id ~size:(Wire.envelope_size env) env
 

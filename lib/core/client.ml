@@ -34,8 +34,6 @@ type t = {
   obs : Obs.t;
   engine : Engine.t;
   costs : Costs.t;
-  (* allocate-once wire buffer for this client's outgoing request encodes *)
-  arena : Bft_net.Wire_arena.t;
   mutable view_guess : int;
   mutable last_timestamp : int64;
   mutable pending : pending option;
@@ -62,18 +60,18 @@ let charge t us = Network.charge t.d.net ~id:t.id us
 let replica_ids t = Config.replica_ids t.d.cfg
 let primary t = Config.primary t.d.cfg ~view:t.view_guess
 
-(* encode once: the request bytes under the token are the same string the
-   envelope carries and every replica verifies *)
-let request_token t enc req =
-  let bytes = Wire.cached_encode ~arena:t.arena enc (Request req) in
+(* the token covers the request's carried digest, which every replica
+   verifies: nothing is encoded or hashed to authenticate a request *)
+let request_token t req =
+  let d = Wire.request_digest req in
   match t.d.cfg.Config.auth_mode with
   | Config.Sig_auth ->
       charge t t.costs.Costs.sig_gen_us;
-      Auth_sig (Bft_crypto.Signature.sign t.d.signer bytes)
+      Auth_sig (Bft_crypto.Signature.sign t.d.signer d)
   | Config.Mac_auth ->
       charge t (Costs.auth_gen_us t.costs t.d.cfg.Config.n);
       let auth =
-        Bft_crypto.Auth.compute_authenticator t.d.keychain ~receivers:(replica_ids t) bytes
+        Bft_crypto.Auth.compute_authenticator t.d.keychain ~receivers:(replica_ids t) d
       in
       let auth =
         if t.byz_partial then
@@ -86,9 +84,7 @@ let request_token t enc req =
       Auth_vector auth
 
 let send_request t req ~to_all =
-  let enc = Message.no_cache () in
-  let token = request_token t enc req in
-  let env = { sender = t.id; body = Request req; auth = token; enc } in
+  let env = Message.envelope ~sender:t.id ~auth:(request_token t req) (Request req) in
   let size = Wire.envelope_size env in
   if to_all then Network.multicast t.d.net ~src:t.id ~dsts:(replica_ids t) ~size env
   else Network.send t.d.net ~src:t.id ~dst:(primary t) ~size env
@@ -206,7 +202,7 @@ let handle t (env : envelope) =
       | Auth_sig s
         when s.Bft_crypto.Signature.signer_id = nk.nk_replica
              && (charge t t.costs.Costs.sig_verify_us;
-                 Bft_crypto.Signature.verify t.d.registry s (Wire.envelope_bytes env)) -> (
+                 Bft_crypto.Signature.verify t.d.registry s (Wire.envelope_digest env)) -> (
           match List.assoc_opt t.id nk.nk_keys with
           | Some key ->
               ignore (Bft_crypto.Keychain.install_out_key t.d.keychain ~peer:nk.nk_replica key)
@@ -220,11 +216,11 @@ let handle t (env : envelope) =
             | _, Auth_sig s ->
                 charge t t.costs.Costs.sig_verify_us;
                 s.Bft_crypto.Signature.signer_id = rp.rp_replica
-                && Bft_crypto.Signature.verify t.d.registry s (Wire.envelope_bytes env)
+                && Bft_crypto.Signature.verify t.d.registry s (Wire.envelope_digest env)
             | _, Auth_mac m ->
                 charge t t.costs.Costs.mac_us;
                 Bft_crypto.Auth.verify_mac t.d.keychain ~peer:rp.rp_replica m
-                  (Wire.envelope_bytes env)
+                  (Wire.envelope_digest env)
             | _, (Auth_none | Auth_vector _) -> false
           in
           if verified then begin
@@ -251,7 +247,6 @@ let create ?(obs = Obs.null) d ~id =
       obs;
       engine = Network.engine d.net;
       costs = Network.costs d.net;
-      arena = Bft_net.Wire_arena.create ~size:256 ();
       view_guess = 0;
       last_timestamp = 0L;
       pending = None;

@@ -264,10 +264,11 @@ let no_cache () = { enc_bytes = None; enc_digest = None }
 (** What actually travels on the simulated network. For [Request] and
     [Request_data] the token belongs to the request's client (requests may
     be relayed by backups with the client token intact). [enc] memoizes the
-    body's wire encoding: the sender fills it when authenticating, and —
-    because the same physical envelope is what the simulated network
-    delivers — every receiver's verification reuses the same bytes, so a
-    message is serialized exactly once per lifetime. *)
+    body's wire encoding and the digest its token covers: the sender fills
+    them when sizing and authenticating, and — because the same physical
+    envelope is what the simulated network delivers — every receiver's
+    verification reuses the same digest, so a message is serialized and
+    digested at most once per lifetime. *)
 type envelope = { sender : int; body : t; auth : auth_token; enc : enc_cache }
 
 let envelope ~sender ~auth body = { sender; body; auth; enc = no_cache () }

@@ -210,24 +210,25 @@ let now t = Engine.now t.engine
 (* Authentication                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Authentication operates on the body's wire bytes. Each helper takes the
-   envelope's encoding cache so the serialization happens exactly once:
-   the auth token, [envelope_size], and every receiver's verification all
-   reuse the same string. *)
+(* Authentication covers the body's 32-byte digest ([Wire.cached_digest]),
+   as the paper's library MACs a fixed-size header holding it. The digest
+   is memoized in the envelope's encoding cache next to the bytes, so the
+   auth token, [envelope_size] and every receiver's verification share
+   one serialization and one digest. *)
 
-let sign_bytes t bytes =
+let sign_digest t d =
   charge t t.costs.Costs.sig_gen_us;
-  Auth_sig (Bft_crypto.Signature.sign t.d.signer bytes)
+  Auth_sig (Bft_crypto.Signature.sign t.d.signer d)
 
-let mac_bytes t ~dst bytes =
+let mac_digest t ~dst d =
   charge t t.costs.Costs.mac_us;
-  match Bft_crypto.Auth.compute_mac t.d.keychain ~peer:dst bytes with
+  match Bft_crypto.Auth.compute_mac t.d.keychain ~peer:dst d with
   | Some m -> Auth_mac m
   | None -> Auth_none
 
-let vector_bytes t ~dsts bytes =
+let vector_digest t ~dsts d =
   charge t (Costs.auth_gen_us t.costs (List.length dsts));
-  Auth_vector (Bft_crypto.Auth.compute_authenticator t.d.keychain ~receivers:dsts bytes)
+  Auth_vector (Bft_crypto.Auth.compute_authenticator t.d.keychain ~receivers:dsts d)
 
 (* mac_storm fault injection (the paper's Section 3.2.2 partial
    authenticators, mounted by a replica): corrupt the authentication
@@ -259,12 +260,12 @@ let corrupt_auth t auth ~dsts =
    is a cache the caller already filled with the body's encoding. *)
 let broadcast ?(enc = Message.no_cache ()) t body =
   if not t.muted then begin
-    let bytes = Wire.cached_encode ~arena:t.arena enc body in
+    let d = Wire.cached_digest ~arena:t.arena enc body in
     let auth =
       match (t.d.cfg.Config.auth_mode, body) with
-      | _, New_key _ -> sign_bytes t bytes
-      | Config.Sig_auth, _ -> sign_bytes t bytes
-      | Config.Mac_auth, _ -> vector_bytes t ~dsts:(replica_ids t) bytes
+      | _, New_key _ -> sign_digest t d
+      | Config.Sig_auth, _ -> sign_digest t d
+      | Config.Mac_auth, _ -> vector_digest t ~dsts:(replica_ids t) d
     in
     let auth = if t.wrong_mac then corrupt_auth t auth ~dsts:(replica_ids t) else auth in
     let env = { sender = t.id; body; auth; enc } in
@@ -275,11 +276,11 @@ let broadcast ?(enc = Message.no_cache ()) t body =
 let send_to t ~dst body =
   if not t.muted then begin
     let enc = Message.no_cache () in
-    let bytes = Wire.cached_encode ~arena:t.arena enc body in
+    let d = Wire.cached_digest ~arena:t.arena enc body in
     let auth =
       match t.d.cfg.Config.auth_mode with
-      | Config.Sig_auth -> sign_bytes t bytes
-      | Config.Mac_auth -> mac_bytes t ~dst bytes
+      | Config.Sig_auth -> sign_digest t d
+      | Config.Mac_auth -> mac_digest t ~dst d
     in
     let auth = if t.wrong_mac then corrupt_auth t auth ~dsts:[ dst ] else auth in
     let env = { sender = t.id; body; auth; enc } in
@@ -342,25 +343,22 @@ let send_plain t ~dst body =
     Network.send t.d.net ~src:t.id ~dst ~size:(Wire.envelope_size env) env
   end
 
-(* Check the token's claim that [claimed] sent [bytes], charging the
-   receiver's CPU for it. A MAC or authenticator costs one [mac_us]: the
-   receiver checks only its own entry (Section 3.2.1). *)
-let verify_token_bytes t ~claimed bytes token =
+(* Check the token's claim that [claimed] sent the message with digest
+   [d], charging the receiver's CPU for it. A MAC or authenticator costs
+   one [mac_us]: the receiver checks only its own entry (Section 3.2.1). *)
+let verify_token t ~claimed d token =
   match token with
   | Auth_none -> false
   | Auth_sig s ->
       charge t t.costs.Costs.sig_verify_us;
       s.Bft_crypto.Signature.signer_id = claimed
-      && Bft_crypto.Signature.verify t.d.registry s bytes
+      && Bft_crypto.Signature.verify t.d.registry s d
   | Auth_mac m ->
       charge t t.costs.Costs.mac_us;
-      Bft_crypto.Auth.verify_mac t.d.keychain ~peer:claimed m bytes
+      Bft_crypto.Auth.verify_mac t.d.keychain ~peer:claimed m d
   | Auth_vector a ->
       charge t t.costs.Costs.mac_us;
-      Bft_crypto.Auth.verify_authenticator t.d.keychain ~peer:claimed a bytes
-
-let verify_token t ~claimed body token =
-  verify_token_bytes t ~claimed (Wire.encode body) token
+      Bft_crypto.Auth.verify_authenticator t.d.keychain ~peer:claimed a d
 
 (* ------------------------------------------------------------------ *)
 (* State snapshots: service state + reply cache (the paper's checkpoints
@@ -1626,17 +1624,24 @@ let note_waiting t digest =
    counter so it can never leak and permanently starve a client; the
    tables are quota-bounded per client, so the scan stays small. *)
 let client_inflight t client =
-  let seen = Hashtbl.create 16 in
-  let note d =
-    if not (Hashtbl.mem seen d) then
-      match Hashtbl.find_opt t.requests d with
-      | Some sr when sr.sr_req.client = client -> Hashtbl.replace seen d ()
-      | _ -> ()
+  let mine d =
+    match Hashtbl.find_opt t.requests d with
+    | Some sr -> sr.sr_req.client = client
+    | None -> false
   in
-  Hashtbl.iter (fun d () -> note d) t.queued;
-  Hashtbl.iter (fun d () -> note d) t.assigned;
-  Hashtbl.iter (fun d (_ : Engine.time) -> note d) t.waiting;
-  Hashtbl.length seen
+  (* a digest counts in the first table that holds it, so no seen-set;
+     [mine] goes first because most entries are other clients' *)
+  let queued = Hashtbl.fold (fun d () n -> if mine d then n + 1 else n) t.queued 0 in
+  let assigned =
+    Hashtbl.fold
+      (fun d () n -> if mine d && not (Hashtbl.mem t.queued d) then n + 1 else n)
+      t.assigned 0
+  in
+  Hashtbl.fold
+    (fun d (_ : Engine.time) n ->
+      if mine d && (not (Hashtbl.mem t.queued d)) && not (Hashtbl.mem t.assigned d) then n + 1
+      else n)
+    t.waiting (queued + assigned)
 
 (* condition 2: f prepares carrying the batch digest vouch for it *)
 let batch_vouched t batch_digest =
@@ -1660,7 +1665,7 @@ let batch_authentic t elems batch_digest =
       | Inline (r, tok) -> (
           match Hashtbl.find_opt t.requests (Wire.request_digest r) with
           | Some sr when sr.sr_verified -> true
-          | _ -> verify_token t ~claimed:r.client (Request r) tok || Lazy.force vouched))
+          | _ -> verify_token t ~claimed:r.client (Wire.request_digest r) tok || Lazy.force vouched))
     elems
 
 (* [size] is the pre-prepare's wire size (its envelope's cached
@@ -2362,7 +2367,7 @@ let send_new_key ?(drop_clients = false) t =
         in
         if not t.muted then begin
           let enc = Message.no_cache () in
-          let auth = sign_bytes t (Wire.cached_encode enc body) in
+          let auth = sign_digest t (Wire.cached_digest enc body) in
           let env = { sender = t.id; body; auth; enc } in
           Network.send t.d.net ~src:t.id ~dst:client ~size:(Wire.envelope_size env) env
         end)
@@ -2421,16 +2426,12 @@ let try_finish_estimation t =
               ~op:("\x00RECOVERY:" ^ Int64.to_string t.coproc_counter)
               ~timestamp:t.coproc_counter ~client:t.id ~read_only:false ~replier:t.id
           in
-          let enc = Message.no_cache () in
-          let token =
-            Auth_sig
-              (Bft_crypto.Signature.sign t.d.signer (Wire.cached_encode enc (Request req)))
-          in
+          let token = Auth_sig (Bft_crypto.Signature.sign t.d.signer (Wire.request_digest req)) in
           charge t t.costs.Costs.sig_gen_us;
           ignore (store_request t req token true);
           rc.rc_request <- Some req;
           if not t.muted then begin
-            let env = { sender = t.id; body = Request req; auth = token; enc } in
+            let env = Message.envelope ~sender:t.id ~auth:token (Request req) in
             Network.multicast t.d.net ~src:t.id ~dsts:(replica_ids t)
               ~size:(Wire.envelope_size env) env
           end
@@ -2588,21 +2589,18 @@ let handle_checkpoint_msg t (c : checkpoint) =
 (* Dispatcher                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Verification reuses the envelope's cached bytes: the sender filled the
+(* Verification reuses the envelope's cached digest: the sender filled the
    cache when authenticating, and the simulator delivers the same physical
-   envelope, so no receiver ever re-serializes the body. *)
+   envelope, so no receiver ever re-serializes or re-digests the body. *)
 let verify_envelope t (env : envelope) =
   match env.body with
-  | Request r -> verify_token_bytes t ~claimed:r.client (Wire.envelope_bytes env) env.auth
+  | Request r -> verify_token t ~claimed:r.client (Wire.envelope_digest env) env.auth
   | Data _ -> true (* verified against digests, Section 5.3.2 *)
   | New_key nk -> (
       match env.auth with
-      | Auth_sig s ->
-          charge t t.costs.Costs.sig_verify_us;
-          s.Bft_crypto.Signature.signer_id = nk.nk_replica
-          && Bft_crypto.Signature.verify t.d.registry s (Wire.envelope_bytes env)
+      | Auth_sig _ -> verify_token t ~claimed:nk.nk_replica (Wire.envelope_digest env) env.auth
       | _ -> false)
-  | _ -> verify_token_bytes t ~claimed:env.sender (Wire.envelope_bytes env) env.auth
+  | _ -> verify_token t ~claimed:env.sender (Wire.envelope_digest env) env.auth
 
 (* Only replicas speak the replica protocol. Clients hold session keys with
    every replica, so a client's MAC on a prepare or commit verifies; every

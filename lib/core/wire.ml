@@ -40,7 +40,7 @@ let vc_memo : (view_change, digest) Hashtbl.t = Hashtbl.create 64
 let clear_memos () = Hashtbl.reset vc_memo
 
 (* Module-scratch arena for context-free encodes (digests, [size],
-   [Wire.encode]); per-node encode-once paths pass their own arena to
+   [Wire.encode]); replicas' encode-once paths pass their own arena to
    [cached_encode]. Everything runs on one domain, and no encoder
    re-enters another mid-write. *)
 let scratch = A.create ~size:1024 ()
@@ -265,13 +265,22 @@ let cached_encode ?arena (cache : enc_cache) body =
 
 let envelope_bytes (e : envelope) = cached_encode e.enc e.body
 
-let envelope_digest (e : envelope) =
-  match e.enc.enc_digest with
-  | Some d -> d
-  | None ->
-      let d = Bft_crypto.Sha256.digest (envelope_bytes e) in
-      e.enc.enc_digest <- Some d;
-      d
+(* The MAC and signature input. A request's is the digest it carries,
+   SHA-256 of 'R' and its fields, which no body's encoding (tags
+   0x01-0x14) can collide with; any other body's is the digest of its
+   cached encoding, computed once. *)
+let cached_digest ?arena (cache : enc_cache) body =
+  match body with
+  | Request r -> r.rq_digest
+  | _ -> (
+      match cache.enc_digest with
+      | Some d -> d
+      | None ->
+          let d = Bft_crypto.Sha256.digest (cached_encode ?arena cache body) in
+          cache.enc_digest <- Some d;
+          d)
+
+let envelope_digest (e : envelope) = cached_digest e.enc e.body
 
 let envelope_size e =
   8 (* header *) + String.length (envelope_bytes e) + auth_size e.auth

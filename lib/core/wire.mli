@@ -1,11 +1,11 @@
 (** Canonical wire encoding of protocol messages.
 
     The encoding serves three purposes:
-    - the byte string over which MACs, authenticators and signatures are
-      computed (injective per message type, so authenticating the encoding
-      authenticates the message);
     - the basis for message digests (request digests, batch digests,
-      view-change digests);
+      view-change digests), and for {!envelope_digest}, the 32-byte
+      digest that MACs, authenticators and signatures cover (injective
+      per message type, so authenticating the digest authenticates the
+      message);
     - the size model: the simulated network charges wire and CPU time per
       encoded byte, plus the authentication token's own size.
 
@@ -31,24 +31,33 @@ val auth_size : Message.auth_token -> int
 (** {2 Encode-once envelopes}
 
     An envelope carries a {!Message.enc_cache}; these helpers fill it at
-    most once. The sender encodes the body to authenticate it, and since
-    the simulated network delivers the same physical envelope, receivers
-    verify against the identical string — one serialization per message
-    lifetime, shared by sign/MAC, [envelope_size], transmission and
-    verification. *)
+    most once. The sender encodes the body to size it and digests it to
+    authenticate it, and since the simulated network delivers the same
+    physical envelope, receivers read the identical string and digest —
+    one serialization and at most one digest per message lifetime, shared
+    by sign/MAC, [envelope_size], transmission and verification. *)
 
 val cached_encode :
   ?arena:Bft_net.Wire_arena.t -> Message.enc_cache -> Message.t -> string
 (** Canonical encoding of the body, memoized in the cache. [arena] routes
-    the encode through a caller-owned allocate-once buffer (each node keeps
-    its own); the default is a module-scratch arena. The bytes produced are
+    the encode through a caller-owned allocate-once buffer (each replica
+    keeps its own); the default is a module-scratch arena. The bytes produced are
     identical either way. *)
 
 val envelope_bytes : Message.envelope -> string
 (** [cached_encode e.enc e.body]. *)
 
+val cached_digest :
+  ?arena:Bft_net.Wire_arena.t -> Message.enc_cache -> Message.t -> Message.digest
+(** The 32-byte digest every MAC and signature covers. For a [Request] it
+    is the request's carried [rq_digest] (SHA-256 of ['R'] and the
+    request's fields; ['R'] is no body's tag byte, so it cannot collide
+    with another body's digest), and nothing is encoded. For any other
+    body it is the SHA-256 of {!cached_encode}'s bytes, memoized in the
+    cache's [enc_digest]. *)
+
 val envelope_digest : Message.envelope -> Message.digest
-(** Digest of {!envelope_bytes}, also memoized. *)
+(** [cached_digest e.enc e.body]. *)
 
 val envelope_size : Message.envelope -> int
 (** Header + cached body bytes + authentication token size; O(1) after the

@@ -3,37 +3,45 @@ let tag_size = 8
 type mac = { tag : string; epoch : int }
 type authenticator = (int * mac) list
 
-let compute_mac keychain ~peer msg =
+(* Every MAC covers a message's 32-byte digest: one HMAC path, the
+   one-block one. *)
+let check_digest d =
+  if String.length d <> 32 then invalid_arg "Auth: MACs cover a 32-byte message digest"
+
+let compute_mac keychain ~peer d =
+  check_digest d;
   match Keychain.out_key_pre keychain ~peer with
   | None -> None
-  | Some (key, pre) ->
-      Some { tag = Hmac.mac_truncated_precomputed pre tag_size msg; epoch = key.epoch }
+  | Some (key, pre) -> Some { tag = Hmac.mac_digest pre tag_size d; epoch = key.epoch }
 
 (* counted only once the key and epoch pass, where the HMAC runs *)
 let n_verifications = ref 0
 let mac_verifications () = !n_verifications
 
-let verify_mac keychain ~peer mac msg =
+let verify_mac keychain ~peer mac d =
+  check_digest d;
   match Keychain.in_key_pre keychain ~peer with
   | Some (key, pre) when key.epoch = mac.epoch ->
       incr n_verifications;
-      Hmac.verify_precomputed pre ~tag:mac.tag msg
+      Hmac.verify_digest pre ~tag:mac.tag d
   | _ -> false
 
-let compute_authenticator keychain ~receivers msg =
+let compute_authenticator keychain ~receivers d =
+  check_digest d;
   List.filter_map
     (fun peer ->
       if peer = Keychain.my_id keychain then None
       else
-        match compute_mac keychain ~peer msg with
+        match compute_mac keychain ~peer d with
         | None -> None
         | Some mac -> Some (peer, mac))
     receivers
 
-let verify_authenticator keychain ~peer auth msg =
+let verify_authenticator keychain ~peer auth d =
+  check_digest d;
   match List.assoc_opt (Keychain.my_id keychain) auth with
   | None -> false
-  | Some mac -> verify_mac keychain ~peer mac msg
+  | Some mac -> verify_mac keychain ~peer mac d
 
 let corrupt_entry auth receiver =
   List.map

@@ -4,7 +4,13 @@
     computed with the pairwise session key for that receiver (Section 3.2.1
     of the paper). The receiver verifies only its own entry. Tags carry the
     key epoch they were generated under so that receivers can enforce
-    authentication freshness (Section 4.3.1). *)
+    authentication freshness (Section 4.3.1).
+
+    Every MAC covers a message's 32-byte digest ([Wire.envelope_digest]),
+    not its bytes, as the paper's library MACs a fixed-size header holding
+    the digest; {!Hmac.mac_digest} computes it in two compressions. Every
+    function below raises [Invalid_argument] when handed anything but 32
+    bytes, so there is one MAC path. *)
 
 val tag_size : int
 (** 8 bytes, matching the UMAC32 tags of the paper's implementation. *)
@@ -15,20 +21,23 @@ type authenticator = (int * mac) list
 (** Association list from receiver id to its MAC entry. *)
 
 val compute_mac : Keychain.t -> peer:int -> string -> mac option
-(** MAC over the message with the current out-key for [peer]. [None] when no
-    session key is established yet. *)
+(** MAC over the 32-byte digest with the current out-key for [peer].
+    [None] when no session key is established yet. *)
 
 val verify_mac : Keychain.t -> peer:int -> mac -> string -> bool
-(** Verify a MAC from [peer] against our current in-key for them. Fails if
-    the epoch is stale (key was refreshed since) or the tag is wrong. *)
+(** Verify a MAC from [peer] over the 32-byte digest against our current
+    in-key for them. Fails if the epoch is stale (key was refreshed since)
+    or the tag is wrong. *)
 
 val compute_authenticator :
   Keychain.t -> receivers:int list -> string -> authenticator
-(** One MAC per receiver (skipping self and receivers without keys). *)
+(** One MAC over the 32-byte digest per receiver (skipping self and
+    receivers without keys). *)
 
 val verify_authenticator :
   Keychain.t -> peer:int -> authenticator -> string -> bool
-(** Verify our own entry in an authenticator sent by [peer]. *)
+(** Verify our own entry in an authenticator sent by [peer] over the
+    32-byte digest. *)
 
 val mac_verifications : unit -> int
 (** Tag recomputations so far, process-wide: one per {!verify_mac} (or

@@ -1,4 +1,10 @@
-(** HMAC-SHA256 (RFC 2104). *)
+(** HMAC-SHA256 (RFC 2104).
+
+    The library MACs and signs only 32-byte message digests, through the
+    one-block path at the end of this interface. The general functions
+    stay for the RFC test vectors, for deriving group keys
+    ({!Keychain.group_derive} uses [mac_precomputed]) and for timing a MAC
+    over arbitrary bytes. *)
 
 val mac : key:string -> string -> string
 (** [mac ~key msg] is the 32-byte HMAC-SHA256 tag. *)
@@ -23,4 +29,25 @@ type precomputed
 val precompute : key:string -> precomputed
 val mac_precomputed : precomputed -> string -> string
 val mac_truncated_precomputed : precomputed -> int -> string -> string
-val verify_precomputed : precomputed -> tag:string -> string -> bool
+
+(** {2 The one-block path}
+
+    What the library MACs and signs is a message's 32-byte digest
+    ([Wire.envelope_digest]), never its bytes, as the paper's library
+    MACs a fixed-size header holding the digest. From the key-block
+    midstates, HMAC over 32 bytes is one compression for the inner hash
+    and one for the outer, with constant padding; both run in module
+    scratch. Tags are bit-identical to RFC 2104: [mac_digest pre n d] is
+    the first [n] bytes of [mac ~key d]. *)
+
+val mac_digest : precomputed -> int -> string -> string
+(** [mac_digest pre n d]: the first [n] bytes (1..32) of the HMAC of the
+    32-byte [d]. Allocates only the tag. Raises [Invalid_argument] if [d]
+    is not 32 bytes or [n] is out of range. *)
+
+val verify_digest : precomputed -> tag:string -> string -> bool
+(** Does [tag] equal the first [String.length tag] bytes of the HMAC of
+    the 32-byte [d]? Compares whole 32-bit words without an early exit and
+    allocates nothing; a tag that is empty, longer than 32 bytes or not a
+    whole number of words never verifies. Raises [Invalid_argument] if
+    [d] is not 32 bytes. *)

@@ -149,4 +149,12 @@ let digest_from_midstate m s =
   Array.blit m.mh 0 scratch_h 0 8;
   finish scratch_h ~fed:m.m_fed s 0 (String.length s)
 
+(* One block resumed from a midstate, straight into the caller's words:
+   the caller has laid out the block, padding included (HMAC over a
+   digest), so this is one kernel call and no allocation. *)
+let compress_from m block h8 =
+  if Bytes.length block <> 64 || Array.length h8 <> 8 then invalid_arg "Sha256.compress_from";
+  Array.blit m.mh 0 h8 0 8;
+  c_compress h8 (Bytes.unsafe_to_string block) 0 1
+
 let hexdigest s = Bft_util.Hex.encode (digest s)

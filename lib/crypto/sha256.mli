@@ -41,6 +41,14 @@ val digest_from_midstate : midstate -> string -> string
     feeding [s] to the context [m] was captured from — but runs on the
     allocation-free one-shot path. The midstate is not consumed. *)
 
+val compress_from : midstate -> Bytes.t -> int array -> unit
+(** [compress_from m block h8] sets the eight 32-bit words of [h8] to
+    [m]'s, then compresses the one 64-byte [block] into them. The caller
+    lays out the block, padding included: it is the last block of a
+    message whose earlier bytes [m] absorbed (HMAC's one-block path).
+    Allocates nothing. Raises [Invalid_argument] unless [block] is 64
+    bytes and [h8] has 8 elements. *)
+
 val hexdigest : string -> string
 
 val kernel : unit -> string

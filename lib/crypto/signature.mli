@@ -28,9 +28,13 @@ val register : registry -> Bft_util.Rng.t -> int -> signer
     an id replaces its key (used to model key loss on recovery tests). *)
 
 val sign : signer -> string -> t
+(** Sign a message's 32-byte digest ([Wire.envelope_digest]), as the
+    paper's library signs a digest. Raises [Invalid_argument] on any other
+    length. *)
 
 val verify : registry -> t -> string -> bool
-(** Check that the signature was produced by [t.signer_id] over the message. *)
+(** Check that the signature was produced by [t.signer_id] over the
+    32-byte digest. Raises [Invalid_argument] on any other length. *)
 
 val forge : signer_id:int -> t
 (** A structurally invalid signature, for fault-injection tests: it never

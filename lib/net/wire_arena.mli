@@ -1,6 +1,6 @@
 (** Allocate-once bump buffer for the encode-once wire pipeline.
 
-    One arena per node (plus module-scratch fallbacks): [reset] rewinds
+    One arena per replica (plus module-scratch fallbacks): [reset] rewinds
     the bump pointer without shrinking the backing buffer, the wire
     encoders write bytes directly into it, and the encode finishes with
     either one [contents] copy (when an immutable string must escape, e.g.

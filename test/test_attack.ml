@@ -68,6 +68,43 @@ let test_clean_run_admits_everything () =
     (sum_counter lv (fun c -> c.Replica.n_admission_dropped));
   Alcotest.(check int) "workload completed" r.Runner.total_ops r.Runner.completed_ops
 
+(* At quota 1 a client's one request in flight fills its slice: a
+   retransmission of it still passes, a second distinct request is
+   dropped. A backup is driven by hand through the delivery gate; the
+   request it admits waits there for the primary's pre-prepare. *)
+let test_quota_one () =
+  let module Config = Bft_core.Config in
+  let module Network = Bft_net.Network in
+  let module Message = Bft_core.Message in
+  let cfg = Config.make ~f:1 ~client_quota:1 () in
+  let c = Cluster.create ~num_clients:1 cfg in
+  let net = Cluster.network c and backup = Cluster.replica c 1 in
+  Network.set_gate net true;
+  let client = cfg.Config.n and rng = Bft_util.Rng.create 5L in
+  let kc = Bft_crypto.Keychain.create ~my_id:client in
+  List.iter
+    (fun i ->
+      let chain = Replica.keychain (Cluster.replica c i) in
+      assert (
+        Bft_crypto.Keychain.install_out_key kc ~peer:i
+          (Bft_crypto.Keychain.fresh_in_key chain rng ~peer:client)))
+    (Config.replica_ids cfg);
+  let deliver ts =
+    let r = Message.request ~op:"op" ~timestamp:ts ~client ~read_only:false ~replier:1 in
+    let auth =
+      Bft_crypto.Auth.compute_authenticator kc ~receivers:(Config.replica_ids cfg)
+        (Bft_core.Wire.request_digest r)
+    in
+    let env = Message.envelope ~sender:client ~auth:(Message.Auth_vector auth) (Message.Request r) in
+    Network.send net ~src:client ~dst:1 ~size:(Bft_core.Wire.envelope_size env) env;
+    assert (Network.release_held net ~nth:0 ~pred:(fun ~src:_ ~dst:_ m -> m == env));
+    Cluster.run ~timeout_us:(Bft_sim.Engine.to_us (Bft_sim.Engine.now (Cluster.engine c)) +. 100.0) c;
+    (Replica.counters backup).Replica.n_admission_dropped
+  in
+  Alcotest.(check int) "first request admitted" 0 (deliver 1L);
+  Alcotest.(check int) "its retransmission passes" 0 (deliver 1L);
+  Alcotest.(check int) "a second distinct request is dropped" 1 (deliver 2L)
+
 (* --- mac_storm vs the retransmission budget --- *)
 
 let test_wrong_mac_exhausts_budget () =
@@ -236,6 +273,8 @@ let suites =
       [
         Alcotest.test_case "flood dropped and counted" `Quick test_flood_dropped_and_counted;
         Alcotest.test_case "clean run admits everything" `Quick test_clean_run_admits_everything;
+        Alcotest.test_case "quota 1: retransmission passes, second request dropped" `Quick
+          test_quota_one;
         Alcotest.test_case "wrong-MAC peer exhausts budget" `Quick test_wrong_mac_exhausts_budget;
         Alcotest.test_case "slow primary view-changed away" `Quick
           test_slow_primary_view_changed_away;

@@ -61,6 +61,25 @@ let test_single_outstanding () =
       Baseline.invoke b ~client:0 (null 0 0) (fun ~result:_ ~latency_us:_ -> ()));
   ignore (Baseline.run_until ~timeout_us:100_000.0 b (fun () -> false))
 
+(* The virtual charges are the cost model's, whatever the host hashes or
+   MACs: the client's digest charge is sized by the request's encoding and
+   the server's by the envelope's bytes, never by the 32-byte digest the
+   MACs cover. Pinned exactly (int64 ns of virtual time) at default costs,
+   one op of each shape in turn on one baseline. *)
+let test_pinned_virtual_latency () =
+  let b = Baseline.create () in
+  let e = Baseline.engine b in
+  let latency op =
+    let start = Bft_sim.Engine.now e and finish = ref None in
+    Baseline.invoke b ~client:0 op (fun ~result:_ ~latency_us:_ ->
+        finish := Some (Bft_sim.Engine.now e));
+    ignore (Baseline.run_until b (fun () -> Option.is_some !finish));
+    Int64.sub (Option.get !finish) start
+  in
+  List.iter
+    (fun (label, op, expect) -> Alcotest.(check int64) label expect (latency op))
+    [ ("0/0", null 0 0, 161_742L); ("4K/0", null 4096 0, 557_741L); ("0/4K", null 0 4096, 513_690L) ]
+
 let suites =
   [
     ( "core.baseline",
@@ -71,5 +90,6 @@ let suites =
         Alcotest.test_case "cheaper than BFT" `Quick test_latency_below_bft;
         Alcotest.test_case "size scaling" `Quick test_latency_scales_with_size;
         Alcotest.test_case "single outstanding" `Quick test_single_outstanding;
+        Alcotest.test_case "pinned virtual latency" `Quick test_pinned_virtual_latency;
       ] );
   ]

@@ -254,18 +254,21 @@ let make_pair () =
   assert (Keychain.install_out_key kc1 ~peer:0 k10);
   (rng, kc0, kc1)
 
+(* MACs cover a message's 32-byte digest, as the library's callers pass
+   [Wire.envelope_digest] *)
 let test_mac_roundtrip () =
   let _, kc0, kc1 = make_pair () in
-  let msg = "pre-prepare v0 n1" in
+  let msg = Sha256.digest "pre-prepare v0 n1" in
   match Auth.compute_mac kc0 ~peer:1 msg with
   | None -> Alcotest.fail "no out key"
   | Some mac ->
       Alcotest.(check bool) "verifies at 1" true (Auth.verify_mac kc1 ~peer:0 mac msg);
-      Alcotest.(check bool) "wrong msg" false (Auth.verify_mac kc1 ~peer:0 mac "other")
+      Alcotest.(check bool) "wrong msg" false
+        (Auth.verify_mac kc1 ~peer:0 mac (Sha256.digest "other"))
 
 let test_mac_stale_epoch_rejected () =
   let rng, kc0, kc1 = make_pair () in
-  let msg = "checkpoint n100" in
+  let msg = Sha256.digest "checkpoint n100" in
   let mac = Option.get (Auth.compute_mac kc0 ~peer:1 msg) in
   (* 1 refreshes the key 0 should use: old-epoch MACs must now be rejected *)
   let _new_key = Keychain.fresh_in_key kc1 rng ~peer:0 in
@@ -291,7 +294,7 @@ let test_authenticator () =
       end
     done
   done;
-  let msg = "view-change v3" in
+  let msg = Sha256.digest "view-change v3" in
   let receivers = List.init n Fun.id in
   let auth = Auth.compute_authenticator chains.(0) ~receivers msg in
   Alcotest.(check int) "n-1 entries" (n - 1) (List.length auth);
@@ -318,8 +321,8 @@ let test_group_keys () =
      same directional key, so the MAC round-trips *)
   let client = 100_000 in
   let key, pre = Keychain.group_derive g ~src:client ~dst:1 in
-  let msg = "put k v" in
-  let tag = Hmac.mac_truncated_precomputed pre Auth.tag_size msg in
+  let msg = Sha256.digest "put k v" in
+  let tag = Hmac.mac_digest pre Auth.tag_size msg in
   let mac = { Auth.tag; epoch = key.Keychain.epoch } in
   Alcotest.(check bool) "replica verifies derived mac" true
     (Auth.verify_mac replica ~peer:client mac msg);
@@ -344,12 +347,60 @@ let test_group_derivation_per_verify () =
   let _, pre = Keychain.group_derive g ~src:sender ~dst:0 in
   let before = Keychain.group_derivations g in
   for i = 1 to 8 do
-    let msg = Printf.sprintf "op-%d" i in
-    let mac = { Auth.tag = Hmac.mac_truncated_precomputed pre Auth.tag_size msg; epoch = 1 } in
-    Alcotest.(check bool) (msg ^ " verifies") true (Auth.verify_mac replica ~peer:sender mac msg);
-    Alcotest.(check int) (msg ^ ": one derivation each") (before + i)
+    let label = Printf.sprintf "op-%d" i in
+    let msg = Sha256.digest label in
+    let mac = { Auth.tag = Hmac.mac_digest pre Auth.tag_size msg; epoch = 1 } in
+    Alcotest.(check bool) (label ^ " verifies") true (Auth.verify_mac replica ~peer:sender mac msg);
+    Alcotest.(check int) (label ^ ": one derivation each") (before + i)
       (Keychain.group_derivations g)
   done
+
+(* --- The one-block path: HMAC over a 32-byte digest --- *)
+
+(* The fast tag is standard HMAC (RFC 2104) truncated, under both
+   kernels; verification rejects every single-bit flip of the tag; and
+   [Auth] refuses anything but a 32-byte input, so the one-block path is
+   the only MAC path. *)
+let prop_one_block_is_hmac =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (int_range 1 100 >>= fun n -> string_size (return n))
+        (string_size (return 32))
+        (oneof [ string_size (return 31); string_size (return 33) ]))
+  in
+  let print (key, d, bad) =
+    Printf.sprintf "key=%s d=%s bad=%d bytes" (Bft_util.Hex.encode key) (Bft_util.Hex.encode d)
+      (String.length bad)
+  in
+  QCheck.Test.make ~name:"one-block HMAC = RFC 2104" ~count:200 (QCheck.make ~print gen)
+    (fun (key, d, bad) ->
+      let pre = Hmac.precompute ~key in
+      let full = Hmac.mac ~key d in
+      let on kernel =
+        Option.value ~default:true
+          (Sha256.For_testing.with_kernel kernel (fun () ->
+               String.equal (Hmac.mac_digest pre Auth.tag_size d) (String.sub full 0 Auth.tag_size)
+               && String.equal (Hmac.mac_digest pre 32 d) full))
+      in
+      let tag = Hmac.mac_digest pre Auth.tag_size d in
+      let flipped bit =
+        String.mapi
+          (fun i c -> if i = bit / 8 then Char.chr (Char.code c lxor (1 lsl (bit mod 8))) else c)
+          tag
+      in
+      let refused f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      let kc = Keychain.create ~my_id:0 in
+      let mac = { Auth.tag; epoch = 1 } in
+      on "portable" && on "sha-ni"
+      && Hmac.verify_digest pre ~tag d
+      && List.for_all
+           (fun bit -> not (Hmac.verify_digest pre ~tag:(flipped bit) d))
+           (List.init (8 * Auth.tag_size) Fun.id)
+      && refused (fun () -> Auth.compute_mac kc ~peer:1 bad)
+      && refused (fun () -> Auth.verify_mac kc ~peer:1 mac bad)
+      && refused (fun () -> Auth.compute_authenticator kc ~receivers:[ 1 ] bad)
+      && refused (fun () -> Auth.verify_authenticator kc ~peer:1 [ (0, mac) ] bad))
 
 (* --- Signatures --- *)
 
@@ -358,10 +409,10 @@ let test_signature_roundtrip () =
   let reg = Signature.create_registry () in
   let s0 = Signature.register reg rng 0 in
   let s1 = Signature.register reg rng 1 in
-  let msg = "new-key i=0 t=5" in
+  let msg = Sha256.digest "new-key i=0 t=5" in
   let sig0 = Signature.sign s0 msg in
   Alcotest.(check bool) "valid" true (Signature.verify reg sig0 msg);
-  Alcotest.(check bool) "wrong msg" false (Signature.verify reg sig0 "tampered");
+  Alcotest.(check bool) "wrong msg" false (Signature.verify reg sig0 (Sha256.digest "tampered"));
   let sig1 = Signature.sign s1 msg in
   Alcotest.(check bool) "other signer valid" true (Signature.verify reg sig1 msg);
   Alcotest.(check bool) "claimed id mismatch" false
@@ -372,12 +423,12 @@ let test_signature_forgery_fails () =
   let reg = Signature.create_registry () in
   let _ = Signature.register reg rng 0 in
   Alcotest.(check bool) "forgery rejected" false
-    (Signature.verify reg (Signature.forge ~signer_id:0) "request")
+    (Signature.verify reg (Signature.forge ~signer_id:0) (Sha256.digest "request"))
 
 let test_signature_unregistered () =
   let reg = Signature.create_registry () in
   Alcotest.(check bool) "unknown signer" false
-    (Signature.verify reg (Signature.forge ~signer_id:9) "x")
+    (Signature.verify reg (Signature.forge ~signer_id:9) (Sha256.digest "x"))
 
 (* --- Rng sanity --- *)
 
@@ -448,6 +499,7 @@ let suites =
         Alcotest.test_case "group-derived keys" `Quick test_group_keys;
         Alcotest.test_case "group derivation sharing: none, one per verify" `Quick
           test_group_derivation_per_verify;
+        QCheck_alcotest.to_alcotest prop_one_block_is_hmac;
       ] );
     ( "crypto.signature",
       [

@@ -1,7 +1,8 @@
 (* Hot-path invariants for the encode-once pipeline (PR 2):
 
    - an envelope's cached wire bytes, size and digest are byte-identical to
-     a fresh [Wire.encode] / [Sha256.digest] for every message constructor;
+     a fresh [Wire.encode] / [Sha256.digest] for every message constructor
+     (a request's digest, the MAC input, is the one it carries);
    - the digest/size memo tables never change answers;
    - the heap-based engine counts only live events in [pending_events] while
      preserving the clock semantics of cancelled events;
@@ -23,7 +24,10 @@ let test_cached_envelope_matches_fresh_encode () =
       (* fresh values with every memo table dropped *)
       Wire.clear_memos ();
       let fresh_bytes = Wire.encode m in
-      let fresh_digest = Sha256.digest fresh_bytes in
+      (* what MACs cover: a request's carried digest, else the bytes' *)
+      let fresh_digest =
+        match m with Message.Request r -> r.Message.rq_digest | _ -> Sha256.digest fresh_bytes
+      in
       let env = Message.envelope ~sender:1 ~auth:Message.Auth_none m in
       let cached = Wire.envelope_bytes env in
       if not (String.equal cached fresh_bytes) then

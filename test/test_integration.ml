@@ -362,7 +362,8 @@ let test_client_votes_ignored () =
     kc
   in
   let send_from kc body =
-    let auth = Bft_crypto.Auth.compute_authenticator kc ~receivers:replicas (Wire.encode body) in
+    let d = Wire.cached_digest (Message.no_cache ()) body in
+    let auth = Bft_crypto.Auth.compute_authenticator kc ~receivers:replicas d in
     let id = Bft_crypto.Keychain.my_id kc in
     let env = Message.envelope ~sender:id ~auth:(Message.Auth_vector auth) body in
     Bft_net.Network.multicast net ~src:id ~dsts:replicas ~size:(Wire.envelope_size env) env
@@ -408,7 +409,8 @@ let test_batch_authentication () =
   in
   let sign c ~sender body =
     let kc = Replica.keychain (Cluster.replica c sender) in
-    let auth = Bft_crypto.Auth.compute_authenticator kc ~receivers:replicas (Wire.encode body) in
+    let d = Wire.cached_digest (Message.no_cache ()) body in
+    let auth = Bft_crypto.Auth.compute_authenticator kc ~receivers:replicas d in
     Message.envelope ~sender ~auth:(Message.Auth_vector auth) body
   in
   let deliver c env =
@@ -448,8 +450,7 @@ let test_batch_authentication () =
     let r =
       Message.request ~op:(null_op ()) ~timestamp:1L ~client:id ~read_only:false ~replier:0
     in
-    let bytes = Wire.encode (Message.Request r) in
-    (r, Bft_crypto.Auth.compute_authenticator kc ~receivers:replicas bytes)
+    (r, Bft_crypto.Auth.compute_authenticator kc ~receivers:replicas (Wire.request_digest r))
   in
   (* the primary's pre-prepare for sequence number 1, carrying [reqs]; the
      one at [bad] has its entry for the backup corrupted *)

@@ -11,7 +11,7 @@ let test_stats_counters () =
   let rng = Bft_util.Rng.create 0xBEEFL in
   let recv = Keychain.create ~my_id:0 and sender = Keychain.create ~my_id:5 in
   assert (Keychain.install_out_key sender ~peer:0 (Keychain.fresh_in_key recv rng ~peer:5));
-  let msg = "payload" in
+  let msg = Bft_crypto.Sha256.digest "payload" in
   let mac = Option.get (Auth.compute_mac sender ~peer:0 msg) in
   let wrong =
     { mac with Auth.tag = String.map (fun c -> Char.chr (Char.code c lxor 0x55)) mac.Auth.tag }
