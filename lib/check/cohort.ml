@@ -3,7 +3,6 @@ module Network = Bft_net.Network
 module Costs = Bft_net.Costs
 module Keychain = Bft_crypto.Keychain
 module Auth = Bft_crypto.Auth
-module Hmac = Bft_crypto.Hmac
 module Rng = Bft_util.Rng
 module Hist = Bft_obs.Hist
 open Bft_core
@@ -79,9 +78,6 @@ let op_for ~client_slot ~index = Printf.sprintf "put c%d.%d v%d" client_slot ind
    coexist with real clients (flood slots) without KV-key collisions. *)
 let op_for_derived ~stream ~index = Printf.sprintf "put d%d.%d v%d" stream index index
 
-(* Per-replica reply record, as in [Client]. *)
-type reply_info = { ri_tentative : bool; ri_digest : string; ri_full : string option }
-
 type flight = {
   fl_client : int;
   fl_ts : int64;
@@ -89,9 +85,8 @@ type flight = {
   fl_index : int;
   fl_op : string;
   fl_issued : Engine.time;
-  fl_replies : (int, reply_info) Hashtbl.t;
+  fl_cert : Proxy.t; (* replies and retry count, as a real client keeps *)
   mutable fl_timer : Engine.handle option;
-  mutable fl_retries : int;
 }
 
 type t = {
@@ -123,15 +118,6 @@ let latency_hist t = t.lat
 
 let replica_ids t = Config.replica_ids t.cfg
 let primary t = Config.primary t.cfg ~view:t.view_guess
-
-(* Aggregate client capacity: the shared range node stands in for [k]
-   single-CPU clients, so each charge costs 1/k of a real client CPU. *)
-let cpu_factor_of t = Float.max 1e-9 (1.0 /. float_of_int (max 1 t.spec.k))
-
-let reset_cpu t =
-  match t.spec.keys with
-  | Pairwise -> ()
-  | Derived -> Network.set_cpu_factor t.net ~id:t.base (cpu_factor_of t)
 
 (* ------------------------------------------------------------------ *)
 (* Pairwise mode: drive the cluster's real clients                     *)
@@ -178,78 +164,42 @@ let drive_pairwise t ~think_us ~ops_per_client =
 (* ------------------------------------------------------------------ *)
 
 let send_flight t fl ~to_all =
-  let g = Option.get t.group in
   let req =
     Message.request ~op:fl.fl_op ~timestamp:fl.fl_ts ~client:fl.fl_client ~read_only:false
       ~replier:(fl.fl_client mod t.cfg.Config.n)
   in
-  let d = Wire.request_digest req in
   Network.charge t.net ~id:fl.fl_client (Costs.auth_gen_us t.costs t.cfg.Config.n);
   let auth =
-    List.map
-      (fun r ->
-        let key, pre = Keychain.group_derive g ~src:fl.fl_client ~dst:r in
-        ( r,
-          {
-            Auth.tag = Hmac.mac_digest pre Auth.tag_size d;
-            epoch = key.Keychain.epoch;
-          } ))
-      (replica_ids t)
+    Auth.group_authenticator (Option.get t.group) ~src:fl.fl_client ~receivers:(replica_ids t)
+      (Wire.request_digest req)
   in
-  let env =
-    Message.envelope ~sender:fl.fl_client ~auth:(Auth_vector auth) (Request req)
-  in
+  let env = Message.envelope ~sender:fl.fl_client ~auth:(Auth_vector auth) (Request req) in
   let size = Wire.envelope_size env in
   if to_all then Network.multicast t.net ~src:fl.fl_client ~dsts:(replica_ids t) ~size env
   else Network.send t.net ~src:fl.fl_client ~dst:(primary t) ~size env
 
 let rec arm_timer t fl =
-  let base = t.cfg.Config.client_retry_us in
-  let expo = 2.0 ** float_of_int (min fl.fl_retries 30) in
-  let delay = Float.min (base *. expo) t.cfg.Config.client_retry_max_us in
+  (* [srtt_us:0.]: a cohort keeps no per-client state, so there is no
+     response-time estimate and the configured floor is the base *)
+  let delay = Proxy.retry_delay t.cfg ~srtt_us:0. ~retries:(Proxy.retries fl.fl_cert) in
   fl.fl_timer <-
     Some
       (Engine.schedule t.engine ~label:(Engine.Name "cohretx") ~delay:(Engine.of_us_float delay)
          (fun () ->
            fl.fl_timer <- None;
            if Hashtbl.mem t.inflight (fl.fl_client, fl.fl_ts) then begin
-             fl.fl_retries <- fl.fl_retries + 1;
+             ignore (Proxy.retry fl.fl_cert);
              send_flight t fl ~to_all:true;
              arm_timer t fl
            end))
 
-let try_complete t fl =
-  let groups = Hashtbl.create 4 in
-  Hashtbl.iter
-    (fun _replica ri ->
-      let total, nontent, full =
-        match Hashtbl.find_opt groups ri.ri_digest with
-        | Some (a, b, f) -> (a, b, f)
-        | None -> (0, 0, None)
-      in
-      let full = match (full, ri.ri_full) with Some f, _ -> Some f | None, f -> f in
-      Hashtbl.replace groups ri.ri_digest
-        (total + 1, (if ri.ri_tentative then nontent else nontent + 1), full))
-    fl.fl_replies;
-  let needed_weak = Config.weak t.cfg and needed_quorum = Config.quorum t.cfg in
-  let winner = ref None in
-  Hashtbl.iter
-    (fun _d (total, nontent, full) ->
-      match full with
-      | Some result when nontent >= needed_weak || total >= needed_quorum ->
-          winner := Some result
-      | _ -> ())
-    groups;
-  match !winner with
-  | Some result ->
-      (match fl.fl_timer with Some h -> Engine.cancel h | None -> ());
-      Hashtbl.remove t.inflight (fl.fl_client, fl.fl_ts);
-      Hist.add t.lat
-        (Engine.to_us (Engine.now t.engine) -. Engine.to_us fl.fl_issued);
-      t.completed <- t.completed + 1;
-      t.on_complete ~client:fl.fl_client ~op:fl.fl_op ~result;
-      t.stream_done ~stream:fl.fl_stream ~index:fl.fl_index
-  | None -> ()
+let complete t fl result =
+  (match fl.fl_timer with Some h -> Engine.cancel h | None -> ());
+  Hashtbl.remove t.inflight (fl.fl_client, fl.fl_ts);
+  Hist.add t.lat (Engine.to_us (Engine.now t.engine) -. Engine.to_us fl.fl_issued);
+  t.completed <- t.completed + 1;
+  t.on_complete ~client:fl.fl_client ~op:fl.fl_op ~result;
+  t.stream_done ~stream:fl.fl_stream ~index:fl.fl_index
 
 let handle_reply t dst (env : Message.envelope) =
   match env.body with
@@ -257,32 +207,19 @@ let handle_reply t dst (env : Message.envelope) =
       match Hashtbl.find_opt t.inflight (rp.rp_client, rp.rp_timestamp) with
       | None -> ()
       | Some fl ->
-          let verified =
+          let verify () =
             match env.auth with
             | Auth_mac m ->
                 Network.charge t.net ~id:dst t.costs.Costs.mac_us;
-                let g = Option.get t.group in
-                let key, pre = Keychain.group_derive g ~src:rp.rp_replica ~dst in
-                key.Keychain.epoch = m.Auth.epoch
-                && Hmac.verify_digest pre ~tag:m.Auth.tag (Wire.envelope_digest env)
+                Auth.verify_group_mac (Option.get t.group) ~src:rp.rp_replica ~dst m
+                  (Wire.envelope_digest env)
             | _ -> false
           in
-          if verified then begin
-            if rp.rp_view > t.view_guess then t.view_guess <- rp.rp_view;
-            let info =
-              match rp.rp_result with
-              | Full s ->
-                  Network.charge t.net ~id:dst (Costs.digest_us t.costs (String.length s));
-                  {
-                    ri_tentative = rp.rp_tentative;
-                    ri_digest = Wire.result_digest s;
-                    ri_full = Some s;
-                  }
-              | Result_digest d ->
-                  { ri_tentative = rp.rp_tentative; ri_digest = d; ri_full = None }
-            in
-            Hashtbl.replace fl.fl_replies rp.rp_replica info;
-            try_complete t fl
+          if Proxy.accept fl.fl_cert t.net ~id:dst ~verify rp then begin
+            t.view_guess <- Proxy.note_view fl.fl_cert ~guess:t.view_guess rp.rp_view;
+            match Proxy.result fl.fl_cert t.cfg ~read_only:false with
+            | Some result -> complete t fl result
+            | None -> ()
           end)
   | _ -> ()
 
@@ -299,9 +236,8 @@ let issue_derived t ~stream ~index =
       fl_index = index;
       fl_op = op_for_derived ~stream ~index;
       fl_issued = Engine.now t.engine;
-      fl_replies = Hashtbl.create 8;
+      fl_cert = Proxy.create t.cfg;
       fl_timer = None;
-      fl_retries = 0;
     }
   in
   Hashtbl.replace t.inflight (client, ts) fl;
@@ -409,11 +345,11 @@ let drive ?(seed = 1) cluster spec ~on_complete =
   | None -> ()
   | Some g ->
       (* replicas derive the cohort's session keys on demand; the whole id
-         range shares one network node record and one scaled CPU *)
+         range shares one network node record, whose CPU aggregates the k
+         clients' CPUs *)
       Array.iter (fun r -> Keychain.set_group (Replica.keychain r) g) (Cluster.replicas cluster);
       Network.add_node_range net ~first:base ~last:(base + spec.k - 1)
-        ~handler:(fun dst env -> handle_reply t dst env);
-      Network.set_cpu_factor net ~id:base (cpu_factor_of t));
+        ~handler:(fun dst env -> handle_reply t dst env));
   (match spec.arrival with
   | Closed { think_us; ops_per_client } -> (
       match spec.keys with

@@ -7,10 +7,10 @@
     the population: client identity and request timestamp are synthesized
     from an issue counter, session keys are derived on demand from one
     group secret (see {!Bft_crypto.Keychain.group}), and the whole client
-    id range shares a single network node whose CPU is scaled to aggregate
-    [k] client CPUs. Memory is O(1) in [k] plus O(in-flight operations) —
-    Little's law bounds the latter by offered load, not population — which
-    is what makes million-client workloads tractable.
+    id range shares a single network node whose CPU aggregates [k] client
+    CPUs. Memory is O(1) in [k] plus O(in-flight operations) — Little's
+    law bounds the latter by offered load, not population — which is what
+    makes million-client workloads tractable.
 
     Two key modes:
     - {!Pairwise} drives the cluster's real clients with the classic
@@ -20,7 +20,10 @@
       traffic.
     - {!Derived} synthesizes requests over group-derived MAC keys;
       replicas verify them through the {!Bft_crypto.Keychain.set_group}
-      fallback. Requires [Mac_auth].
+      fallback. Requires [Mac_auth]. A flight runs {!Bft_core.Client}'s
+      core, {!Bft_core.Proxy}, with [srtt_us = 0] (a cohort keeps no
+      per-client state), and makes and checks its MACs through
+      {!Bft_crypto.Auth}'s group-keyed entry points.
 
     Arrival processes: closed-loop (fixed think time per stream),
     open-loop Poisson (rate independent of completions — exposes the
@@ -33,7 +36,12 @@
     replicas deduplicate at execution by last-reply timestamp, so the
     earlier operation is dropped and never completes. Open-loop
     experiments therefore measure committed throughput and completed-op
-    latency, not per-op completion. *)
+    latency, not per-op completion.
+
+    Trust caveat (by design): every replica holds the group secret, so a
+    faulty replica can derive any replica's key toward a cohort client.
+    Derived cohorts model load from honest replicas, not clients facing
+    Byzantine replicas. *)
 
 type arrival =
   | Closed of { think_us : float; ops_per_client : int }
@@ -94,8 +102,3 @@ val drive :
 val latency_hist : t -> Bft_obs.Hist.t
 (** Issue-to-reply-certificate latency of completed operations, in
     microseconds of virtual time (both key modes). *)
-
-val reset_cpu : t -> unit
-(** Re-apply the cohort's aggregate CPU scaling after
-    {!Bft_net.Network.reset_faults} (which resets per-node factors); no-op
-    in pairwise mode. *)

@@ -229,18 +229,14 @@ let prepare ?obs ?(monotonic_probes = true) params sched =
      run can finish its workload within the drain window.  Liveness-probe
      runs disable this: the question there is whether the system makes
      progress once the network turns timely, with replica faults intact. *)
-  (* the cohort is created below (after the probes), but the quiesce hook
-     must restore its aggregate CPU scaling — reset_faults wipes it *)
-  let cohort_ref = ref None in
   if params.quiesce then
     ignore
       (Engine.schedule_at engine ~label:(Engine.Name "quiesce")
          (Engine.of_us_float params.horizon_us)
          (fun () ->
            rules := [];
-           (* reset_faults also restores every node's cpu factor to 1.0 *)
+           (* reset_faults also restores every node's own cpu factor *)
            Network.reset_faults net;
-           (match !cohort_ref with Some c -> Cohort.reset_cpu c | None -> ());
            List.iter
              (fun i ->
                Replica.byzantine_equivocate (Cluster.replica cluster i) false;
@@ -296,7 +292,6 @@ let prepare ?obs ?(monotonic_probes = true) params sched =
         completed := (client, op, result) :: !completed;
         incr n_completed)
   in
-  cohort_ref := Some cohort;
   {
     lv_params = params;
     lv_sched = sched;

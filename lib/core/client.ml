@@ -13,17 +13,12 @@ type deps = {
   rng : Bft_util.Rng.t;
 }
 
-(* Per-replica reply record: tentative flag, result digest, full result if
-   it carried one. *)
-type reply_info = { ri_tentative : bool; ri_digest : string; ri_full : string option }
-
 type pending = {
   p_req : request;
   p_started : Engine.time;
-  p_replies : (int, reply_info) Hashtbl.t;
+  p_cert : Proxy.t; (* replies and retry count *)
   p_callback : result:string -> latency_us:float -> unit;
   mutable p_timer : Engine.handle option;
-  mutable p_retries : int;
   mutable p_broadcast : bool; (* already retransmitted to all replicas *)
   mutable p_promoted : bool; (* read-only retried as a regular request *)
 }
@@ -54,7 +49,7 @@ let retransmissions t = t.retransmissions
 let srtt_us t = t.srtt_us
 
 let pending_retries t =
-  match t.pending with Some p -> Some p.p_retries | None -> None
+  match t.pending with Some p -> Some (Proxy.retries p.p_cert) | None -> None
 let byzantine_partial_auth t b = t.byz_partial <- b
 let charge t us = Network.charge t.d.net ~id:t.id us
 let replica_ids t = Config.replica_ids t.d.cfg
@@ -90,13 +85,7 @@ let send_request t req ~to_all =
   else Network.send t.d.net ~src:t.id ~dst:(primary t) ~size env
 
 let rec arm_timer t p =
-  (* adaptive timeout: a multiple of the smoothed measured response time,
-     floored by the configured minimum, with exponential backoff capped at
-     [client_retry_max_us] (an uncapped 2^retries overflows to infinity and
-     the client stops retrying forever) *)
-  let base = Float.max t.d.cfg.Config.client_retry_us (3.0 *. t.srtt_us) in
-  let expo = 2.0 ** float_of_int (min p.p_retries 30) in
-  let delay = Float.min (base *. expo) t.d.cfg.Config.client_retry_max_us in
+  let delay = Proxy.retry_delay t.d.cfg ~srtt_us:t.srtt_us ~retries:(Proxy.retries p.p_cert) in
   p.p_timer <-
     Some
       (Engine.schedule t.engine
@@ -105,16 +94,16 @@ let rec arm_timer t p =
            p.p_timer <- None;
            if (match t.pending with Some p' -> p' == p | None -> false) then begin
              t.retransmissions <- t.retransmissions + 1;
-             p.p_retries <- p.p_retries + 1;
+             let retries = Proxy.retry p.p_cert in
              p.p_broadcast <- true;
              (* a read-only request that keeps failing is retried as a
                 regular request (Section 5.1.3); replies to the read-only
                 version are void at that point, but on an ordinary
                 retransmission matching replies already collected for this
                 timestamp stay valid and are kept *)
-             if p.p_req.read_only && (not p.p_promoted) && p.p_retries >= 2 then begin
+             if p.p_req.read_only && (not p.p_promoted) && retries >= 2 then begin
                p.p_promoted <- true;
-               Hashtbl.reset p.p_replies
+               Proxy.clear p.p_cert
              end;
              let req =
                if p.p_promoted then
@@ -124,74 +113,32 @@ let rec arm_timer t p =
              in
              if Obs.enabled t.obs then
                Obs.client_retransmit t.obs ~now:(Engine.now t.engine)
-                 ~timestamp:p.p_req.timestamp ~retries:p.p_retries ~delay_us:delay;
+                 ~timestamp:p.p_req.timestamp ~retries ~delay_us:delay;
              send_request t req ~to_all:true;
              arm_timer t p
            end))
 
-let try_complete t p =
-  (* group matching replies by result digest *)
-  let groups = Hashtbl.create 4 in
-  Hashtbl.iter
-    (fun replica ri ->
-      let total, nontent, full =
-        match Hashtbl.find_opt groups ri.ri_digest with
-        | Some (a, b, f) -> (a, b, f)
-        | None -> (0, 0, None)
-      in
-      ignore replica;
-      let full = match (full, ri.ri_full) with Some f, _ -> Some f | None, f -> f in
-      Hashtbl.replace groups ri.ri_digest
-        (total + 1, (if ri.ri_tentative then nontent else nontent + 1), full))
-    p.p_replies;
-  let cfg = t.d.cfg in
-  let needed_weak = Config.weak cfg and needed_quorum = Config.quorum cfg in
-  let winner = ref None in
-  Hashtbl.iter
-    (fun _d (total, nontent, full) ->
-      match full with
-      | Some result ->
-          let ok =
-            if p.p_req.read_only && not p.p_promoted then total >= needed_quorum
-            else nontent >= needed_weak || total >= needed_quorum
-          in
-          if ok then winner := Some result
-      | None -> ())
-    groups;
-  match !winner with
-  | Some result ->
-      (match p.p_timer with Some h -> Engine.cancel h | None -> ());
-      t.pending <- None;
-      t.completed <- t.completed + 1;
-      let latency = Engine.to_us (Int64.sub (Engine.now t.engine) p.p_started) in
-      (* clamp each sample to [srtt/4, 4*srtt]: one outlier reply (the
-         first after a view change, or a locally-served read) must not
-         collapse or blow up the smoothed RTT — a collapsed SRTT makes the
-         adaptive timeout fire before genuine replies can arrive and the
-         client thrashes with broadcast retransmissions *)
-      let sample =
-        if t.srtt_us > 0.0 then
-          Float.min (4.0 *. t.srtt_us) (Float.max (0.25 *. t.srtt_us) latency)
-        else latency
-      in
-      t.srtt_us <-
-        (if t.srtt_us = 0.0 then sample else (0.8 *. t.srtt_us) +. (0.2 *. sample));
-      if Obs.enabled t.obs then
-        Obs.client_complete t.obs ~now:(Engine.now t.engine)
-          ~timestamp:p.p_req.timestamp ~latency_us:latency;
-      p.p_callback ~result ~latency_us:latency
-  | None -> ()
-
-(* A verified reply from a later view means a new primary is in charge:
-   besides bumping the view guess, reset the in-flight retry exponent —
-   the backoff measured the old primary, and carrying it into the new view
-   leaves the client stuck at a near-maximal timeout against a primary it
-   has never observed. *)
-let note_view t view =
-  if view > t.view_guess then begin
-    t.view_guess <- view;
-    match t.pending with Some p -> p.p_retries <- 0 | None -> ()
-  end
+let complete t p result =
+  (match p.p_timer with Some h -> Engine.cancel h | None -> ());
+  t.pending <- None;
+  t.completed <- t.completed + 1;
+  let latency = Engine.to_us (Int64.sub (Engine.now t.engine) p.p_started) in
+  (* clamp each sample to [srtt/4, 4*srtt]: one outlier reply (the
+     first after a view change, or a locally-served read) must not
+     collapse or blow up the smoothed RTT — a collapsed SRTT makes the
+     adaptive timeout fire before genuine replies can arrive and the
+     client thrashes with broadcast retransmissions *)
+  let sample =
+    if t.srtt_us > 0.0 then
+      Float.min (4.0 *. t.srtt_us) (Float.max (0.25 *. t.srtt_us) latency)
+    else latency
+  in
+  t.srtt_us <-
+    (if t.srtt_us = 0.0 then sample else (0.8 *. t.srtt_us) +. (0.2 *. sample));
+  if Obs.enabled t.obs then
+    Obs.client_complete t.obs ~now:(Engine.now t.engine)
+      ~timestamp:p.p_req.timestamp ~latency_us:latency;
+  p.p_callback ~result ~latency_us:latency
 
 let handle t (env : envelope) =
   match env.body with
@@ -211,30 +158,24 @@ let handle t (env : envelope) =
   | Reply rp when rp.rp_client = t.id -> (
       match t.pending with
       | Some p when Int64.equal rp.rp_timestamp p.p_req.timestamp ->
-          let verified =
-            match (t.d.cfg.Config.auth_mode, env.auth) with
-            | _, Auth_sig s ->
+          let verify () =
+            match env.auth with
+            | Auth_sig s ->
                 charge t t.costs.Costs.sig_verify_us;
                 s.Bft_crypto.Signature.signer_id = rp.rp_replica
                 && Bft_crypto.Signature.verify t.d.registry s (Wire.envelope_digest env)
-            | _, Auth_mac m ->
+            | Auth_mac m ->
                 charge t t.costs.Costs.mac_us;
                 Bft_crypto.Auth.verify_mac t.d.keychain ~peer:rp.rp_replica m
                   (Wire.envelope_digest env)
-            | _, (Auth_none | Auth_vector _) -> false
+            | Auth_none | Auth_vector _ -> false
           in
-          if verified then begin
-            note_view t rp.rp_view;
-            let info =
-              match rp.rp_result with
-              | Full s ->
-                  charge t (Costs.digest_us t.costs (String.length s));
-                  { ri_tentative = rp.rp_tentative; ri_digest = Wire.result_digest s; ri_full = Some s }
-              | Result_digest d ->
-                  { ri_tentative = rp.rp_tentative; ri_digest = d; ri_full = None }
-            in
-            Hashtbl.replace p.p_replies rp.rp_replica info;
-            try_complete t p
+          if Proxy.accept p.p_cert t.d.net ~id:t.id ~verify rp then begin
+            t.view_guess <- Proxy.note_view p.p_cert ~guess:t.view_guess rp.rp_view;
+            let read_only = p.p_req.read_only && not p.p_promoted in
+            match Proxy.result p.p_cert t.d.cfg ~read_only with
+            | Some result -> complete t p result
+            | None -> ()
           end
       | _ -> ())
   | _ -> ()
@@ -312,10 +253,9 @@ let invoke t ?(read_only = false) ~op callback =
     {
       p_req = req;
       p_started = Engine.now t.engine;
-      p_replies = Hashtbl.create 8;
+      p_cert = Proxy.create t.d.cfg;
       p_callback = callback;
       p_timer = None;
-      p_retries = 0;
       p_broadcast = false;
       p_promoted = false;
     }
@@ -330,7 +270,7 @@ let invoke t ?(read_only = false) ~op callback =
   arm_timer t p
 
 (* Canonical, time-abstract fingerprint for the exhaustive explorer: the
-   request in flight, replies collected so far (sorted by replica), and the
+   request in flight, replies collected so far (in replica order), and the
    completion count. Clock-derived values (start time, smoothed RTT) and
    retry counters that only stretch future timeouts are excluded — the
    explorer abstracts timer durations away. *)
@@ -345,16 +285,6 @@ let state_digest t =
       add "req=%s ts=%Ld ro=%b repl=%d bcast=%b promo=%b timer=%b(" p.p_req.op
         p.p_req.timestamp p.p_req.read_only p.p_req.replier p.p_broadcast p.p_promoted
         (match p.p_timer with Some h -> Engine.is_pending h | None -> false);
-      let replicas =
-        List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) p.p_replies [])
-      in
-      List.iter
-        (fun r ->
-          match Hashtbl.find_opt p.p_replies r with
-          | Some ri ->
-              add "%d:%b:%s:%b;" r ri.ri_tentative (Bft_util.Hex.encode ri.ri_digest)
-                (ri.ri_full <> None)
-          | None -> ())
-        replicas;
+      Proxy.render b p.p_cert;
       add ")");
   Bft_crypto.Sha256.hexdigest (Buffer.contents b)

@@ -1,16 +1,18 @@
 (** Client proxy (Section 2.3.2 and the proxy automaton of Section 2.4.4).
 
     [invoke] sends a request to the primary (or multicasts it when the
-    operation is large or read-only), collects replies, and fires the
-    callback once a correct result is certain:
+    operation is large or read-only), collects replies in a {!Proxy}
+    certificate, and fires the callback once a correct result is certain:
     - f+1 matching non-tentative replies (weak certificate), or
     - 2f+1 matching replies when any are tentative (Section 5.1.2) or the
       request was read-only (Section 5.1.3).
+    Replies from ids outside [0..n-1] are refused unchecked.
 
     Under the digest-replies optimization only the designated replier
     returns the full result; the client matches the rest by digest. On
-    timeout the request is retransmitted to all replicas with exponential
-    backoff capped at [Config.client_retry_max_us]; replies already
+    timeout the request is retransmitted to all replicas after
+    {!Proxy.retry_delay} with the client's smoothed response time; a
+    verified reply from a newer view resets the backoff. Replies already
     collected for the same timestamp are kept across retransmissions. A
     read-only request that cannot assemble a quorum is retried as a
     regular read-write request (promotion), which voids the read-only
@@ -69,5 +71,5 @@ val flood_stop : t -> unit
 
 val state_digest : t -> string
 (** Canonical, time-abstract fingerprint of the client-proxy state for the
-    exhaustive explorer (in-flight request, collected replies sorted by
+    exhaustive explorer (in-flight request, collected replies in order of
     replica, completion count; no clock-derived values). *)

@@ -8,23 +8,29 @@ type authenticator = (int * mac) list
 let check_digest d =
   if String.length d <> 32 then invalid_arg "Auth: MACs cover a 32-byte message digest"
 
-let compute_mac keychain ~peer d =
-  check_digest d;
-  match Keychain.out_key_pre keychain ~peer with
-  | None -> None
-  | Some (key, pre) -> Some { tag = Hmac.mac_digest pre tag_size d; epoch = key.epoch }
+(* Every entry point tags and checks through these two, whatever the
+   key's source: an installed pairwise key or a group-derived one. *)
+let tag_with ((key : Keychain.key), pre) d =
+  { tag = Hmac.mac_digest pre tag_size d; epoch = key.epoch }
 
 (* counted only once the key and epoch pass, where the HMAC runs *)
 let n_verifications = ref 0
 let mac_verifications () = !n_verifications
 
+let check_with ((key : Keychain.key), pre) mac d =
+  key.epoch = mac.epoch && (incr n_verifications; Hmac.verify_digest pre ~tag:mac.tag d)
+
+let compute_mac keychain ~peer d =
+  check_digest d;
+  match Keychain.out_key_pre keychain ~peer with
+  | Some kp -> Some (tag_with kp d)
+  | None -> None
+
 let verify_mac keychain ~peer mac d =
   check_digest d;
   match Keychain.in_key_pre keychain ~peer with
-  | Some (key, pre) when key.epoch = mac.epoch ->
-      incr n_verifications;
-      Hmac.verify_digest pre ~tag:mac.tag d
-  | _ -> false
+  | Some kp -> check_with kp mac d
+  | None -> false
 
 let compute_authenticator keychain ~receivers d =
   check_digest d;
@@ -42,6 +48,14 @@ let verify_authenticator keychain ~peer auth d =
   match List.assoc_opt (Keychain.my_id keychain) auth with
   | None -> false
   | Some mac -> verify_mac keychain ~peer mac d
+
+let group_authenticator g ~src ~receivers d =
+  check_digest d;
+  List.map (fun dst -> (dst, tag_with (Keychain.group_derive g ~src ~dst) d)) receivers
+
+let verify_group_mac g ~src ~dst mac d =
+  check_digest d;
+  check_with (Keychain.group_derive g ~src ~dst) mac d
 
 let corrupt_entry auth receiver =
   List.map

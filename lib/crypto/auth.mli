@@ -39,10 +39,19 @@ val verify_authenticator :
 (** Verify our own entry in an authenticator sent by [peer] over the
     32-byte digest. *)
 
+val group_authenticator :
+  Keychain.group -> src:int -> receivers:int list -> string -> authenticator
+(** {!compute_authenticator} for a sender in a {!Keychain.group}, under
+    the derived keys [src -> receiver]. *)
+
+val verify_group_mac : Keychain.group -> src:int -> dst:int -> mac -> string -> bool
+(** {!verify_mac} under the group-derived key [src -> dst]. Any [src]
+    derives a key; the caller decides who may send. *)
+
 val mac_verifications : unit -> int
-(** Tag recomputations so far, process-wide: one per {!verify_mac} (or
-    {!verify_authenticator}) call that found a current key for the sender
-    and, for authenticators, an entry for us. *)
+(** Tag recomputations so far, process-wide: one per {!verify_mac},
+    {!verify_authenticator} or {!verify_group_mac} call that found a current
+    key for the sender and, for authenticators, an entry for us. *)
 
 val corrupt_entry : authenticator -> int -> authenticator
 (** Testing/fault-injection helper: flip bits in the MAC destined for the

@@ -63,7 +63,8 @@ val group_derive : group -> src:int -> dst:int -> key * Hmac.precomputed
 
 val group_derivations : group -> int
 (** Number of on-demand derivations performed through this group — lets
-    tests assert that a batched flush derives each sender's key once. *)
+    tests assert that each check of a group-keyed MAC derives its key
+    exactly once. *)
 
 val set_group : t -> group -> unit
 (** Install the group as a fallback: {!in_key_pre} / {!out_key_pre} /

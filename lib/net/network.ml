@@ -16,8 +16,8 @@ type 'msg node = {
   backlog : (int * 'msg) Queue.t;
   mutable draining : bool;
   mutable backlog_hwm : int; (* deepest backlog ever observed *)
-  (* multiplier on every CPU charge at this node; 1.0 is a correct node,
-     > 1.0 models a slow-but-correct node (adversary profiles) *)
+  (* multiplier on every CPU charge at this node; 1.0 is a correct node (1/s
+     for a range of s ids), larger is slow-but-correct (adversary profiles) *)
   mutable cpu_factor : float;
   (* set when this record backs a whole id range ({!add_node_range}): one
      shared CPU/backlog stands in for k virtual nodes, and delivery passes
@@ -114,6 +114,9 @@ let added_between t ~first ~last =
   let rec go id = id <= last && (Option.is_some t.nodes.(id) || go (id + 1)) in
   go (max first 0)
 
+(* one CPU per id: a charge at a range of s ids costs 1/s *)
+let range_factor ~first ~last = 1.0 /. float_of_int (last - first + 1)
+
 let add_node_range t ~first ~last ~handler =
   if first > last then invalid_arg "Network.add_node_range: empty range";
   if
@@ -128,7 +131,7 @@ let add_node_range t ~first ~last ~handler =
       backlog = Queue.create ();
       draining = false;
       backlog_hwm = 0;
-      cpu_factor = 1.0;
+      cpu_factor = range_factor ~first ~last;
       range_handler = Some handler;
     }
   in
@@ -379,8 +382,8 @@ let reset_faults t =
       | None -> ())
     t.nodes;
   List.iter
-    (fun (first, _, n) ->
-      n.cpu_factor <- 1.0;
+    (fun (first, last, n) ->
+      n.cpu_factor <- range_factor ~first ~last;
       if n.crashed then restart t ~id:first)
     t.ranges;
   if t.gate || t.held <> [] then release_all_held t

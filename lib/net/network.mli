@@ -38,9 +38,9 @@ val add_node_range : 'msg t -> first:int -> last:int -> handler:(int -> 'msg -> 
     ONE shared node record — one CPU, one backlog, one crash flag for the
     whole range. The handler receives the concrete destination id along
     with the message. This is the million-client cohort's network
-    footprint: O(1) state for k virtual clients. The cohort models the
-    aggregate CPU of its clients by scaling the shared node's
-    {!set_cpu_factor} (any range id addresses the shared record). Raises
+    footprint: O(1) state for k virtual clients. The shared CPU aggregates
+    one CPU per id: for a range of [s] ids its {!set_cpu_factor} is [1/s]
+    (any range id addresses the shared record). Raises
     [Invalid_argument] if the range is empty or overlaps an existing node
     or range. *)
 
@@ -55,7 +55,8 @@ val set_cpu_factor : 'msg t -> id:int -> float -> unit
     send processing, and protocol-layer {!charge}). [1.0] is the default
     correct-node speed; factors above [1.0] model a slow-but-correct node —
     the [slow_primary] adversary profile. Raises [Invalid_argument] on
-    non-positive factors. Reset to [1.0] by {!reset_faults}. *)
+    non-positive factors. Reset by {!reset_faults} to [1.0] ([1/s] for a
+    range of [s] ids). *)
 
 val backlog : 'msg t -> id:int -> int
 (** Number of messages waiting for the node's CPU. Periodic work in the
@@ -136,6 +137,6 @@ val release_all_held : 'msg t -> unit
 val reset_faults : 'msg t -> unit
 (** Return the network to a fault-free state in one call: zero loss and
     duplication, default jitter, no partition, no per-link loss, no
-    adversary, every CPU factor back to [1.0], and every crashed node
-    restarted. Used by the fuzzer to quiesce after the fault-injection
-    window. *)
+    adversary, every CPU factor back to [1.0] ([1/s] for a range of [s]
+    ids), and every crashed node restarted. Used by the fuzzer to quiesce
+    after the fault-injection window. *)

@@ -7,6 +7,9 @@ open Bft_check
 module Obs = Bft_obs.Obs
 module Hist = Bft_obs.Hist
 module Keychain = Bft_crypto.Keychain
+module Auth = Bft_crypto.Auth
+module Engine = Bft_sim.Engine
+open Bft_core
 
 let params ?(seed = 1) ?(clients = 2) ?(ops = 10) () =
   { (Runner.default_params ~seed ~f:1) with Runner.clients; ops_per_client = ops }
@@ -129,6 +132,60 @@ let test_derived_rejects_sig_auth () =
       ignore
         (Cohort.drive cluster spec ~on_complete:(fun ~client:_ ~op:_ ~result:_ -> ())))
 
+let test_derived_refuses_non_replica_ids () =
+  (* every replica is muted, so only forged replies reach the cohort: two
+     group-keyed replies claiming ids n and n+1 would make a weak
+     certificate for "forged" if ids were not checked against [0, n) *)
+  let spec =
+    { Cohort.k = 1; arrival = Closed { think_us = 100.0; ops_per_client = 1 }; keys = Derived }
+  in
+  let lv = Runner.prepare { (params ()) with Runner.cohort = Some spec } [] in
+  let cluster = lv.Runner.lv_cluster in
+  Array.iter (fun r -> Replica.mute r true) (Cluster.replicas cluster);
+  let n = (Cluster.config cluster).Config.n in
+  let client = n + Cluster.num_clients cluster in
+  let g = Option.get (Keychain.group_of (Replica.keychain (Cluster.replica cluster 0))) in
+  let forge replica =
+    let body =
+      Message.Reply
+        {
+          rp_view = 0;
+          rp_timestamp = 1L;
+          rp_client = client;
+          rp_replica = replica;
+          rp_tentative = false;
+          rp_result = Full "forged";
+        }
+    in
+    let d = Wire.envelope_digest (Message.envelope ~sender:replica ~auth:Auth_none body) in
+    let auth = Auth.group_authenticator g ~src:replica ~receivers:[ client ] d in
+    let mac = List.assoc client auth in
+    let env = Message.envelope ~sender:replica ~auth:(Auth_mac mac) body in
+    Bft_net.Network.send (Cluster.network cluster) ~src:0 ~dst:client
+      ~size:(Wire.envelope_size env) env
+  in
+  ignore
+    (Engine.schedule_at (Cluster.engine cluster) ~label:(Engine.Name "forge") (Engine.us 2000)
+       (fun () ->
+         forge n;
+         forge (n + 1)));
+  ignore
+    (Cluster.run_until ~timeout_us:200_000.0 cluster (fun () ->
+         !(lv.Runner.lv_n_completed) >= 1));
+  Alcotest.(check (list string))
+    "no op completes" []
+    (List.map (fun (_, _, result) -> result) !(lv.Runner.lv_completed))
+
+let test_derived_under_faults () =
+  (* generated fault schedules (crashes, partitions, loss, Byzantine
+     primaries) against a 64-client derived cohort *)
+  let spec =
+    { Cohort.k = 64; arrival = Closed { think_us = 100.0; ops_per_client = 3 }; keys = Derived }
+  in
+  let o = Runner.fuzz { (params ()) with Runner.cohort = Some spec } ~seeds:10 in
+  Alcotest.(check (list int)) "no failing seed" [] (List.map fst o.Runner.failing);
+  Alcotest.(check int) "every op commits" (10 * 64 * 3) o.Runner.total_completed
+
 (* --- a 10^6-client cohort: latency vs offered load (W4) --- *)
 
 let test_million_client_sweep () =
@@ -165,10 +222,24 @@ let test_million_client_sweep () =
       (Printf.sprintf "rate %.0f: all ops commit" rate)
       250 r.Runner.completed_ops;
     let now = Bft_sim.Engine.now (Bft_core.Cluster.engine lv.Runner.lv_cluster) in
-    ( float_of_int r.Runner.completed_ops /. (Bft_sim.Engine.to_us now /. 1.0e6),
-      Hist.mean_us (Cohort.latency_hist lv.Runner.lv_cohort) )
+    let committed = float_of_int r.Runner.completed_ops /. (Bft_sim.Engine.to_us now /. 1.0e6) in
+    ( Printf.sprintf "%.0f -> %.4f %s" rate committed r.Runner.history_digest,
+      (committed, Hist.mean_us (Cohort.latency_hist lv.Runner.lv_cohort)) )
   in
-  let curve = List.map point [ 2_000.0; 5_000.0; 10_000.0; 20_000.0; 50_000.0 ] in
+  let pinned, curve =
+    List.split (List.map point [ 2_000.0; 5_000.0; 10_000.0; 20_000.0; 50_000.0 ])
+  in
+  (* offered rate -> committed ops/vsec and history digest, exact *)
+  Alcotest.(check (list string))
+    "pinned sweep"
+    [
+      "2000 -> 1897.8128 ab239e383a3cd0da6427797404072a491eb61700a05a5a0b4e243fc9f2431cfa";
+      "5000 -> 4446.6574 11fdf20235f7df4b4a5ce239d4a894403fba593f3bee4aa5d308c46f76e8973c";
+      "10000 -> 7873.5099 d823adc753589b5e29181a5f37a2fb3d0ee639f6000a5759fbbff18dc5d22bb4";
+      "20000 -> 11800.0778 76ffd9fff370031287f270aa1028449603733cc27d7ce305672f246e73d182a4";
+      "50000 -> 14384.1280 c14d4ca8b1bf5f2b4eb044b4f4023d84c8d42d95193959e0ed50350e97a771da";
+    ]
+    pinned;
   let peak = List.fold_left (fun a (c, _) -> Float.max a c) 0.0 curve in
   Alcotest.(check bool)
     (Printf.sprintf "peak %.1f ops/vsec >= 7192.05" peak)
@@ -321,6 +392,9 @@ let suites =
         Alcotest.test_case "derived deterministic" `Quick test_derived_deterministic;
         Alcotest.test_case "derived rejects signatures" `Quick
           test_derived_rejects_sig_auth;
+        Alcotest.test_case "derived refuses non-replica ids" `Quick
+          test_derived_refuses_non_replica_ids;
+        Alcotest.test_case "derived under faults" `Quick test_derived_under_faults;
         Alcotest.test_case "group derivations observed" `Quick
           test_group_derivations_observed;
         Alcotest.test_case "10^6-client sweep" `Quick test_million_client_sweep;

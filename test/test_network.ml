@@ -133,6 +133,25 @@ let test_charge_monotone () =
   Alcotest.(check (float 0.01)) "sum" 150.0 (Engine.to_us b2);
   ignore engine
 
+let test_range_cpu_per_id () =
+  (* a range of k ids keeps one CPU per id: a 100us charge advances the
+     shared record by 100/k us, and reset_faults restores that factor
+     after an adversary profile slowed the range down *)
+  let k = 4 in
+  let _, net, _ = setup 1 in
+  Network.add_node_range net ~first:10 ~last:(10 + k - 1) ~handler:(fun _ _ -> ());
+  let advance () =
+    let before = Network.busy_until net ~id:11 in
+    Network.charge net ~id:12 100.0;
+    Engine.to_us (Int64.sub (Network.busy_until net ~id:11) before)
+  in
+  let per_id = 100.0 /. float_of_int k in
+  Alcotest.(check (float 0.0)) "charge costs 1/k" per_id (advance ());
+  Network.set_cpu_factor net ~id:10 3.0;
+  Alcotest.(check (float 0.0)) "slowed" 300.0 (advance ());
+  Network.reset_faults net;
+  Alcotest.(check (float 0.0)) "reset restores 1/k" per_id (advance ())
+
 let test_reordering_with_jitter () =
   (* with jitter enabled, a burst of messages can arrive out of order *)
   let costs = { Costs.free with Costs.jitter_us = 100.0 } in
@@ -161,6 +180,7 @@ let suites =
         Alcotest.test_case "wire time" `Quick test_wire_time_scales_with_size;
         Alcotest.test_case "cpu serialization" `Quick test_cpu_serialization;
         Alcotest.test_case "charge monotone" `Quick test_charge_monotone;
+        Alcotest.test_case "range cpu per id" `Quick test_range_cpu_per_id;
         Alcotest.test_case "jitter reordering" `Quick test_reordering_with_jitter;
       ] );
   ]
