@@ -8,6 +8,10 @@ type t = {
   net : Message.envelope Network.t;
   cfg : Config.t;
   replicas : Replica.t array;
+  (* the execution tap: per replica, seq -> the last [(client, op, result)]
+     wave executed there. A view-change rollback re-executes from the
+     restored checkpoint, so the last wave is the content that stands. *)
+  executed : (int, (int * string * string) list) Hashtbl.t array;
   clients : Client.t array;
   correct : int list ref;
   obs : Obs.registry option;
@@ -55,6 +59,7 @@ let create ?(seed = 42L) ?(costs = Costs.default) ?service ?(page_size = 4096)
   Array.iter
     (fun cchain -> Array.iter (fun rchain -> establish_keys rng cchain rchain) replica_chains)
     client_chains;
+  let executed = Array.init n (fun _ -> Hashtbl.create 64) in
   let replicas =
     Array.init n (fun i ->
         let deps =
@@ -71,7 +76,7 @@ let create ?(seed = 42L) ?(costs = Costs.default) ?service ?(page_size = 4096)
           }
         in
         let node_obs = Option.map (fun reg -> Obs.for_node reg i) obs in
-        Replica.create ?obs:node_obs deps ~id:i)
+        Replica.create ?obs:node_obs deps ~id:i ~on_execute:(Hashtbl.replace executed.(i)))
   in
   let clients =
     Array.init num_clients (fun k ->
@@ -89,7 +94,7 @@ let create ?(seed = 42L) ?(costs = Costs.default) ?service ?(page_size = 4096)
         Client.create ?obs:node_obs deps ~id:(n + k))
   in
   Array.iter Replica.start replicas;
-  { engine; net; cfg; replicas; clients; correct = ref (List.init n Fun.id); obs }
+  { engine; net; cfg; replicas; executed; clients; correct = ref (List.init n Fun.id); obs }
 
 let run ?(timeout_us = 10_000_000.0) t =
   Engine.run ~until:(Engine.of_us_float timeout_us) t.engine
@@ -122,42 +127,47 @@ let invoke_sync_latency ?timeout_us t ~client ?read_only op =
 let invoke_sync ?timeout_us t ~client ?read_only op =
   fst (invoke_sync_latency ?timeout_us t ~client ?read_only op)
 
-(* Final execution per sequence number within the committed prefix: the
-   batch journal records every execution wave (including null batches), and
-   a view-change rollback re-executes from the restored checkpoint, so the
-   last record per sequence number is the content that stands. *)
-let committed_content r =
-  let upto = Replica.committed_upto r in
-  let tbl : (int, (int * string * string) list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (seq, recs) -> if seq <= upto then Hashtbl.replace tbl seq recs)
-    (Replica.executed_batches r);
-  tbl
+(* Replica [i]'s wave at [seq], if [seq] is in its committed prefix. *)
+let committed_wave t i seq =
+  if seq <= Replica.committed_upto t.replicas.(i) then Hashtbl.find_opt t.executed.(i) seq
+  else None
 
 let committed_records t i =
-  Hashtbl.fold (fun seq recs acc -> (seq, recs) :: acc) (committed_content t.replicas.(i)) []
+  Hashtbl.fold
+    (fun seq _ acc ->
+      match committed_wave t i seq with Some recs -> (seq, recs) :: acc | None -> acc)
+    t.executed.(i) []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.concat_map (fun (seq, recs) ->
          List.map (fun (client, op, result) -> (seq, client, op, result)) recs)
 
 let committed_histories_consistent t =
-  let histories = List.map (fun i -> (i, committed_content t.replicas.(i))) !(t.correct) in
-  let ops recs = List.map (fun (cl, op, _res) -> (cl, op)) recs in
-  let ok = ref true in
+  let ops = List.map (fun (cl, op, _res) -> (cl, op)) in
+  let agree i j =
+    Hashtbl.fold
+      (fun seq _ ok ->
+        ok
+        &&
+        match (committed_wave t i seq, committed_wave t j seq) with
+        | Some a, Some b -> ops a = ops b
+        | _ -> true)
+      t.executed.(i) true
+  in
+  List.for_all (fun i -> List.for_all (fun j -> i >= j || agree i j) !(t.correct)) !(t.correct)
+
+let tap_digest t i =
+  let b = Buffer.create 256 in
   List.iter
-    (fun (i, h1) ->
+    (fun (seq, recs) ->
+      Printf.bprintf b "%d(" seq;
       List.iter
-        (fun (j, h2) ->
-          if i < j then
-            Hashtbl.iter
-              (fun seq recs1 ->
-                match Hashtbl.find_opt h2 seq with
-                | Some recs2 -> if ops recs1 <> ops recs2 then ok := false
-                | None -> ())
-              h1)
-        histories)
-    histories;
-  !ok
+        (fun (c, op, res) -> Printf.bprintf b "%d:%s:%s;" c op (Bft_crypto.Sha256.hexdigest res))
+        recs;
+      Buffer.add_char b ')')
+    (List.sort
+       (fun (a, _) (b, _) -> Int.compare a b)
+       (Hashtbl.fold (fun seq recs acc -> (seq, recs) :: acc) t.executed.(i) []));
+  Bft_crypto.Sha256.hexdigest (Buffer.contents b)
 
 (* Canonical fingerprint of the committed histories of every correct
    replica: the surviving execution record per sequence number within each

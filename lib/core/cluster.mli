@@ -62,11 +62,21 @@ val invoke_sync_latency :
 
 (** {2 Whole-system checks (for tests)} *)
 
+(** Every replica reports each batch it executes to the cluster's
+    execution tap ([Replica.create]'s [on_execute]). The tap keeps, per
+    replica and sequence number, only the last wave reported: a
+    view-change rollback re-executes from the restored checkpoint, so the
+    last wave is the content that stands. The checks below read the tap
+    up to each replica's [committed_upto]. *)
+
 val committed_records : t -> int -> (int * int * string * string) list
 (** [committed_records t i]: replica [i]'s committed prefix as
-    [(seq, client, op, result)] in sequence order — the last execution
-    wave per sequence number, since a view-change rollback re-executes
-    from the restored checkpoint. *)
+    [(seq, client, op, result)] in sequence order. *)
+
+val tap_digest : t -> int -> string
+(** Hex SHA-256 of replica [i]'s whole tap (committed or not), in
+    sequence order — the explorer's fingerprint of what the replica has
+    executed. *)
 
 val committed_histories_consistent : t -> bool
 (** Every pair of replicas agrees on the operations executed at each

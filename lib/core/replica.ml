@@ -39,12 +39,6 @@ type counters = {
   mutable n_slowness_vc : int;
 }
 
-type stored_request = {
-  sr_req : request;
-  sr_token : auth_token;
-  sr_verified : bool; (* we checked our MAC / the signature directly *)
-}
-
 (* One in-flight state transfer (Section 5.3.2). *)
 type transfer = {
   tx_target : int; (* checkpoint sequence number being fetched *)
@@ -103,23 +97,11 @@ type t = {
   mutable committed_upto : int;
   log : Log.t;
   ckpts : Checkpoint_store.t;
-  batches : (string, batch_elem list * string) Hashtbl.t; (* digest -> batch, nondet *)
-  requests : (string, stored_request) Hashtbl.t; (* request digest -> body *)
-  (* primary FIFO of requests awaiting assignment: two-list queue so that
-     enqueue is O(1) — the plain-list [q @ [r]] append cost O(n) per arrival
-     and O(n^2) across a deep open-loop backlog. [queue_back] is reversed;
-     FIFO order is [queue_front @ List.rev queue_back]. *)
-  mutable queue_front : request list;
-  mutable queue_back : request list;
-  mutable queue_len : int;
+  rq : Request_store.t; (* requests, batches, queue, waiting set *)
   (* adaptive batch sizer target (Config.adaptive_batch); depends only on
      the queue depths observed at batch-formation points, so it is as
      deterministic as the queue itself *)
   mutable batch_target : int;
-  queued : (string, unit) Hashtbl.t; (* digests present in the queue *)
-  (* digests assigned to a batch but not yet executed: retransmissions of
-     an in-flight request must not be assigned a second sequence number *)
-  assigned : (string, unit) Hashtbl.t;
   last_reply : (int, int64 * string * int) Hashtbl.t; (* client -> t, result, view *)
   (* client ids present in [last_reply], kept sorted ascending so snapshot
      encoding streams the cache without a per-checkpoint sort *)
@@ -128,30 +110,13 @@ type t = {
      set is relative to; [None] (or a mismatch with the latest tree) forces
      the next paged checkpoint to byte-compare every page *)
   mutable paged_sync : int option;
-  (* pre-prepares awaiting authentication or bodies, each with its
-     charged wire size *)
-  mutable deferred_pps : (pre_prepare * int) list;
-  mutable pending_ro : request list;
   (* checkpoints whose CHECKPOINT message is deferred until commit *)
   mutable pending_ckpt_announce : int list;
   (* view change state *)
   mutable active : bool;
-  pset : (int, pset_entry) Hashtbl.t;
-  qset : (int, (string * int) list) Hashtbl.t;
-  my_vcs : (int, view_change) Hashtbl.t; (* view -> our view-change *)
-  vcs : (int * int, view_change * bool) Hashtbl.t; (* (view, sender) -> vc, verified *)
-  acks : (int * int, (int, string) Hashtbl.t) Hashtbl.t;
-      (* (view, origin) -> acker -> digest *)
-  my_acks : (int, view_change_ack list) Hashtbl.t; (* view -> acks we sent *)
-  new_views : (int, new_view) Hashtbl.t; (* view -> accepted/sent new-view *)
+  vc : View_change_store.t; (* P/Q sets, view-changes, acks, new-views *)
   mutable vc_timer : Engine.handle option;
   mutable vc_timeout_us : float;
-  mutable deferred_nv : new_view option; (* waiting for vcs or batches *)
-  (* client-request waiting set: request digest -> arrival time; drives
-     the vc timer. The arrival time feeds the primary performance
-     watchdog only — state digests serialize the keys alone, so the
-     clock values never leak into explorer state identity. *)
-  waiting : (string, Engine.time) Hashtbl.t;
   (* per-peer retransmission budget state (see [retx_state]) *)
   retx : (int, retx_state) Hashtbl.t;
   (* primary performance watchdog (Config.perf_watchdog): smoothed
@@ -169,11 +134,9 @@ type t = {
   mutable recovering : recovery option;
   mutable hm_bound : int; (* don't send protocol messages above this while recovering *)
   mutable coproc_counter : int64;
-  (* per-batch execution journal, newest first: every call to
-     [execute_batch] appends one record (empty list for null batches), so
-     after a view-change rollback the *last* record per sequence number is
-     the content that stands — rollback-proof committed history *)
-  mutable batch_journal : (int * (int * string * string) list) list;
+  (* told [(client, op, result)] of every executed batch, null batches
+     included (empty list) *)
+  on_execute : int -> (int * string * string) list -> unit;
   (* fault injection *)
   mutable byzantine : bool;
   mutable muted : bool;
@@ -196,7 +159,6 @@ let checkpoints_held t = Checkpoint_store.held t.ckpts
 let is_recovering t = t.recovering <> None
 let counters t = t.counters
 let service_state t = t.d.service.Bft_sm.Service.snapshot ()
-let executed_batches t = List.rev t.batch_journal
 let primary_of t v = Config.primary t.d.cfg ~view:v
 let primary t = primary_of t t.view
 let is_primary t = primary t = t.id
@@ -287,6 +249,18 @@ let send_to t ~dst body =
     Network.send t.d.net ~src:t.id ~dst ~size:(Wire.envelope_size env) env
   end
 
+let send_reply t ~client ~ts ~tentative result =
+  send_to t ~dst:client
+    (Reply
+       {
+         rp_view = t.view;
+         rp_timestamp = ts;
+         rp_client = client;
+         rp_replica = t.id;
+         rp_tentative = tentative;
+         rp_result = result;
+       })
+
 (* Per-peer retransmission budget (see [retx_state]): inert when
    [Config.retransmit_budget] is [None]. *)
 let retx_allow t peer =
@@ -364,6 +338,10 @@ let verify_token t ~claimed d token =
 (* State snapshots: service state + reply cache (the paper's checkpoints
    snapshot val, last-rep and last-rep-t together, Section 2.4.4).       *)
 (* ------------------------------------------------------------------ *)
+
+(* Timestamp of the client's last executed request, -1 before any. *)
+let last_ts t client =
+  match Hashtbl.find_opt t.last_reply client with Some (ts, _, _) -> ts | None -> -1L
 
 (* Record the reply for a client, keeping [reply_clients] sorted. *)
 let set_last_reply t client entry =
@@ -500,41 +478,6 @@ let restore_snapshot t s =
           | exception _ -> reject "service refused snapshot"))
 
 (* ------------------------------------------------------------------ *)
-(* Requests and batches                                                *)
-(* ------------------------------------------------------------------ *)
-
-let store_request t req token verified =
-  let d = Wire.request_digest req in
-  (match Hashtbl.find_opt t.requests d with
-  | Some sr when sr.sr_verified -> ()
-  | _ -> Hashtbl.replace t.requests d { sr_req = req; sr_token = token; sr_verified = verified });
-  d
-
-let resolve_elem t elem =
-  match elem with
-  | Inline (r, _) -> Some r
-  | By_digest d -> (
-      match Hashtbl.find_opt t.requests d with
-      | Some sr -> Some sr.sr_req
-      | None -> None)
-
-let have_batch_bodies t digest =
-  match Hashtbl.find_opt t.batches digest with
-  | None -> String.equal digest Wire.null_batch_digest
-  | Some (batch, _) -> List.for_all (fun e -> Option.is_some (resolve_elem t e)) batch
-
-(* [d] is the batch's digest, computed where the batch was built or
-   received. *)
-let store_batch t d batch nondet =
-  Hashtbl.replace t.batches d (batch, nondet);
-  List.iter
-    (fun e ->
-      match e with
-      | Inline (r, tok) -> ignore (store_request t r tok false)
-      | By_digest _ -> ())
-    batch
-
-(* ------------------------------------------------------------------ *)
 (* Timers: view-change timer driven by the waiting-request set          *)
 (* ------------------------------------------------------------------ *)
 
@@ -561,15 +504,12 @@ let relay_waiting t =
     let dst = primary_of t (t.view + 1) in
     if dst <> t.id then
       List.iter
-        (fun d ->
-          match Hashtbl.find_opt t.requests d with
-          | Some sr when retx_allow t dst ->
-              let env =
-                Message.envelope ~sender:t.id ~auth:sr.sr_token (Request sr.sr_req)
-              in
-              Network.send t.d.net ~src:t.id ~dst ~size:(Wire.envelope_size env) env
-          | _ -> ())
-        (List.sort String.compare (Hashtbl.fold (fun d _ acc -> d :: acc) t.waiting []))
+        (fun (sr : Request_store.stored) ->
+          if retx_allow t dst then begin
+            let env = Message.envelope ~sender:t.id ~auth:sr.sr_token (Request sr.sr_req) in
+            Network.send t.d.net ~src:t.id ~dst ~size:(Wire.envelope_size env) env
+          end)
+        (Request_store.waiting_requests t.rq)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -655,13 +595,19 @@ let announce_checkpoint t seq =
 (* ------------------------------------------------------------------ *)
 
 let allowed_seq t n = n <= t.hm_bound
+let elem_digest = function Inline (r, _) -> Wire.request_digest r | By_digest d -> d
+
+(* A reply carries the full result from the designated replier or when it
+   is small, its digest otherwise (Section 5.1.1). *)
+let full_reply t (req : request) result =
+  (not t.d.cfg.Config.digest_replies)
+  || req.replier = t.id
+  || String.length result <= Config.digest_replies_threshold
 
 (* Pending read-only requests execute once the state reflects only
    committed requests (Section 5.1.3). *)
 let flush_read_only t =
-  if (not (List.is_empty t.pending_ro)) && t.committed_upto >= t.last_exec then begin
-    let ros = List.rev t.pending_ro in
-    t.pending_ro <- [];
+  if Request_store.has_read_only t.rq && t.committed_upto >= t.last_exec then
     List.iter
       (fun req ->
         charge t (t.d.service.Bft_sm.Service.exec_cost_us req.op);
@@ -673,25 +619,11 @@ let flush_read_only t =
           else t.d.service.Bft_sm.Service.execute ~client:req.client ~op:req.op ~nondet:""
         in
         let payload =
-          if
-            (not t.d.cfg.Config.digest_replies)
-            || req.replier = t.id
-            || String.length result <= Config.digest_replies_threshold
-          then Full result
+          if full_reply t req result then Full result
           else Result_digest (Wire.result_digest result)
         in
-        send_to t ~dst:req.client
-          (Reply
-             {
-               rp_view = t.view;
-               rp_timestamp = req.timestamp;
-               rp_client = req.client;
-               rp_replica = t.id;
-               rp_tentative = true;
-               rp_result = payload;
-             }))
-      ros
-  end
+        send_reply t ~client:req.client ~ts:req.timestamp ~tentative:true payload)
+      (Request_store.take_read_only t.rq)
 
 let update_committed_upto t =
   let continue = ref true in
@@ -704,42 +636,6 @@ let update_committed_upto t =
     end
     else continue := false
   done
-
-(* ------------------------------------------------------------------ *)
-(* Normal case: primary request queue                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Primary request FIFO (two-list queue; see the field comments). *)
-let queue_push t r =
-  t.queue_back <- r :: t.queue_back;
-  t.queue_len <- t.queue_len + 1
-
-let queue_to_list t = t.queue_front @ List.rev t.queue_back
-
-let queue_clear t =
-  t.queue_front <- [];
-  t.queue_back <- [];
-  t.queue_len <- 0
-
-(* Up to [k] requests in FIFO order, removed from the queue. *)
-let queue_take t k =
-  let rec go k acc =
-    if k <= 0 then List.rev acc
-    else
-      match t.queue_front with
-      | r :: tl ->
-          t.queue_front <- tl;
-          t.queue_len <- t.queue_len - 1;
-          go (k - 1) (r :: acc)
-      | [] ->
-          if List.is_empty t.queue_back then List.rev acc
-          else begin
-            t.queue_front <- List.rev t.queue_back;
-            t.queue_back <- [];
-            go k acc
-          end
-  in
-  go k []
 
 (* Sliding-window bound on concurrent protocol instances (Section 5.1.4):
    the primary may run at most [window] instances beyond the last executed
@@ -768,72 +664,18 @@ let send_commit t ~view ~seq digest =
     broadcast t (Commit c)
   end
 
-let has_new_view t v = v = 0 || Hashtbl.mem t.new_views v
-
-(* ------------------------------------------------------------------ *)
-(* View changes (Section 3.2.4)                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Compute the P and Q sets from the log and the previous sets (Fig 3-2). *)
-let compute_pq t =
-  let h = Log.low_mark t.log in
-  let pset' = Hashtbl.create 16 and qset' = Hashtbl.create 16 in
-  for n = h + 1 to h + t.d.cfg.Config.log_size do
-    let log_prepared, log_preprepared, digest_view =
-      match Log.entry t.log n with
-      | Some e when e.Log.pp_digest <> None ->
-          let d = Option.get e.Log.pp_digest in
-          let v = e.Log.pp_view in
-          ( Log.prepared t.log ~view:v ~seq:n || Log.committed t.log ~view:v ~seq:n,
-            e.Log.self_preprepared,
-            Some (d, v) )
-      | _ -> (false, false, None)
-    in
-    (match (log_prepared, digest_view) with
-    | true, Some (d, v) ->
-        Hashtbl.replace pset' n { pe_seq = n; pe_digest = d; pe_view = v }
-    | _ -> (
-        match Hashtbl.find_opt t.pset n with
-        | Some e -> Hashtbl.replace pset' n e
-        | None -> ()));
-    match (log_preprepared, digest_view) with
-    | true, Some (d, v) ->
-        let prev = match Hashtbl.find_opt t.qset n with Some l -> l | None -> [] in
-        let others = List.filter (fun (d', _) -> not (String.equal d' d)) prev in
-        Hashtbl.replace qset' n ((d, v) :: others)
-    | _ -> (
-        match Hashtbl.find_opt t.qset n with
-        | Some l -> Hashtbl.replace qset' n l
-        | None -> ())
-  done;
-  (pset', qset')
-
-let ack_table t ~view ~origin =
-  match Hashtbl.find_opt t.acks (view, origin) with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 8 in
-      Hashtbl.replace t.acks (view, origin) h;
-      h
-
-let vc_available t v (sender, digest) =
-  match Hashtbl.find_opt t.vcs (v, sender) with
-  | Some (vc, verified) ->
-      if not (String.equal (Wire.view_change_digest vc) digest) then None
-      else if verified then Some vc
-      else begin
-        (* accept an unverified view-change when f acks from other replicas
-           match the digest in the new-view (Section 3.2.4) *)
-        let acks = ack_table t ~view:v ~origin:sender in
-        let matching =
-          Hashtbl.fold
-            (fun acker d n ->
-              if acker <> sender && acker <> t.id && String.equal d digest then n + 1 else n)
-            acks 0
-        in
-        if matching >= t.d.cfg.Config.f then Some vc else None
-      end
-  | None -> None
+(* Restore the held checkpoint [s] and resume execution from it, rolling
+   back tentative executions or catching up to a new view's start; each
+   caller picks the new [committed_upto]. *)
+let rollback_to t s ~committed =
+  match Checkpoint_store.tree_at t.ckpts s with
+  | Some tree -> (
+      match restore_snapshot t (Partition_tree.snapshot tree) with
+      | Ok () ->
+          t.last_exec <- s;
+          t.committed_upto <- committed
+      | Error _ -> ())
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* State transfer (Section 5.3.2)                                       *)
@@ -983,18 +825,20 @@ and perf_note_sample t arrival =
       end
   end
 
+and restart_vc_timer t =
+  if Request_store.waiting_empty t.rq then stop_vc_timer t
+  else if t.active then begin
+    (* restart for the next waiting request (FIFO fairness, 2.3.5) *)
+    stop_vc_timer t;
+    start_vc_timer t
+  end
+
 and clear_waiting t digest =
-  match Hashtbl.find_opt t.waiting digest with
+  match Request_store.clear_waiting t.rq digest with
   | None -> ()
   | Some arrival ->
-      Hashtbl.remove t.waiting digest;
       perf_note_sample t arrival;
-      if Hashtbl.length t.waiting = 0 then stop_vc_timer t
-      else if t.active then begin
-        (* restart for the next waiting request (FIFO fairness, 2.3.5) *)
-        stop_vc_timer t;
-        start_vc_timer t
-      end
+      restart_vc_timer t
 
 (* A client's execution advancing to timestamp [ts] supersedes every
    waiting request it sent with an earlier timestamp: exactly-once
@@ -1008,24 +852,7 @@ and clear_waiting t digest =
    [clear_waiting]: a request that never executed must not feed the
    performance watchdog's latency EWMA. *)
 and purge_superseded t ~client ~ts =
-  let dead =
-    Hashtbl.fold
-      (fun d (_ : Engine.time) acc ->
-        match Hashtbl.find_opt t.requests d with
-        | Some sr
-          when sr.sr_req.client = client && Int64.compare sr.sr_req.timestamp ts <= 0
-          -> d :: acc
-        | _ -> acc)
-      t.waiting []
-  in
-  if dead <> [] then begin
-    List.iter (Hashtbl.remove t.waiting) dead;
-    if Hashtbl.length t.waiting = 0 then stop_vc_timer t
-    else if t.active then begin
-      stop_vc_timer t;
-      start_vc_timer t
-    end
-  end
+  if Request_store.purge_superseded t.rq ~client ~ts then restart_vc_timer t
 
 and try_stabilize t =
   match Checkpoint_store.try_stabilize t.ckpts with
@@ -1033,12 +860,7 @@ and try_stabilize t =
   | Some (seq, _tree) ->
       Log.truncate t.log seq;
       (* drop PSet/QSet information at or below the new low mark *)
-      Hashtbl.iter
-        (fun n _ -> if n <= seq then Hashtbl.remove t.pset n)
-        (Hashtbl.copy t.pset);
-      Hashtbl.iter
-        (fun n _ -> if n <= seq then Hashtbl.remove t.qset n)
-        (Hashtbl.copy t.qset);
+      View_change_store.prune_stable t.vc seq;
       L.debug (fun m -> m "replica %d: checkpoint %d stable" t.id seq);
       if Obs.enabled t.obs then Obs.checkpoint_stable t.obs ~now:(now t) ~seq;
       (* recovery completes when the checkpoint at the recovery point is
@@ -1066,15 +888,11 @@ and execute_batch t n ~tentative =
       let wave = ref [] in
       List.iter
         (fun elem ->
-          match resolve_elem t elem with
+          match Request_store.resolve_elem t.rq elem with
           | None -> () (* cannot happen: execution gated on have_batch_bodies *)
           | Some req ->
-              Hashtbl.remove t.assigned (Wire.request_digest req);
-              let last_t =
-                match Hashtbl.find_opt t.last_reply req.client with
-                | Some (ts, _, _) -> ts
-                | None -> -1L
-              in
+              Request_store.unassign t.rq (Wire.request_digest req);
+              let last_t = last_ts t req.client in
               if Int64.compare req.timestamp last_t > 0 then begin
                 let result =
                   if String.length req.op >= 9 && String.equal (String.sub req.op 0 9) "\x00RECOVERY"
@@ -1113,14 +931,8 @@ and execute_batch t n ~tentative =
                 set_last_reply t req.client (req.timestamp, result, t.view);
                 clear_waiting t (Wire.request_digest req);
                 purge_superseded t ~client:req.client ~ts:req.timestamp;
-                (* reply: full result from the designated replier or for small
-                   results; digest otherwise (Section 5.1.1) *)
                 let payload =
-                  if
-                    (not t.d.cfg.Config.digest_replies)
-                    || req.replier = t.id
-                    || String.length result <= Config.digest_replies_threshold
-                  then Full result
+                  if full_reply t req result then Full result
                   else begin
                     charge t (Costs.digest_us t.costs (String.length result));
                     Result_digest (Wire.result_digest result)
@@ -1129,16 +941,7 @@ and execute_batch t n ~tentative =
                 if Obs.enabled t.obs then
                   Obs.reply_sent t.obs ~now:(now t) ~client:req.client ~seq:n
                     ~digest:(Wire.request_digest req) ~tentative;
-                send_to t ~dst:req.client
-                  (Reply
-                     {
-                       rp_view = t.view;
-                       rp_timestamp = req.timestamp;
-                       rp_client = req.client;
-                       rp_replica = t.id;
-                       rp_tentative = tentative;
-                       rp_result = payload;
-                     })
+                send_reply t ~client:req.client ~ts:req.timestamp ~tentative payload
               end
               else begin
                 (* duplicate or superseded assignment: the client is no
@@ -1147,20 +950,11 @@ and execute_batch t n ~tentative =
                 if Int64.compare req.timestamp last_t = 0 then
                 match Hashtbl.find_opt t.last_reply req.client with
                 | Some (ts, result, _) ->
-                    send_to t ~dst:req.client
-                      (Reply
-                         {
-                           rp_view = t.view;
-                           rp_timestamp = ts;
-                           rp_client = req.client;
-                           rp_replica = t.id;
-                           rp_tentative = tentative;
-                           rp_result = Full result;
-                         })
+                    send_reply t ~client:req.client ~ts ~tentative (Full result)
                 | None -> ()
               end)
         elems;
-      t.batch_journal <- (n, List.rev !wave) :: t.batch_journal;
+      t.on_execute n (List.rev !wave);
       t.counters.n_batches <- t.counters.n_batches + 1;
       (* executing a request proves the view is live: reset the view-change
          timeout to its initial value (liveness rule, Section 2.3.5) *)
@@ -1191,7 +985,7 @@ and try_execute t =
       match Log.entry t.log n with
       | Some e when e.Log.pp_digest <> None && not e.Log.executed ->
           let d = Option.get e.Log.pp_digest in
-          if have_batch_bodies t d then begin
+          if Request_store.have_batch_bodies t.rq d then begin
             if Log.committed t.log ~view:t.view ~seq:n then begin
               execute_batch t n ~tentative:false;
               update_committed_upto t;
@@ -1228,7 +1022,7 @@ and send_pre_prepare t batch nondet =
   t.seqno <- n;
   let pp = { pp_view = t.view; pp_seq = n; pp_batch = batch; pp_nondet = nondet } in
   let d = Wire.batch_digest batch nondet in
-  store_batch t d batch nondet;
+  Request_store.store_batch t.rq d batch nondet;
   (* encoded once, into the cache the broadcast below sends *)
   let enc = Message.no_cache () in
   let bytes = Wire.cached_encode ~arena:t.arena enc (Pre_prepare pp) in
@@ -1237,19 +1031,14 @@ and send_pre_prepare t batch nondet =
   (Log.find t.log n).Log.self_preprepared <- true;
   if Obs.enabled t.obs then begin
     Obs.phase t.obs ~now:(now t) Obs.Preprepared ~view:t.view ~seq:n;
-    let digests =
-      List.map
-        (function Inline (r, _) -> Wire.request_digest r | By_digest dd -> dd)
-        batch
-    in
-    Obs.batch_assigned t.obs ~now:(now t) ~digests
+    Obs.batch_assigned t.obs ~now:(now t) ~digests:(List.map elem_digest batch)
   end;
   if t.byzantine then begin
     (* equivocation: a conflicting assignment for the same sequence number
        is sent to half the backups *)
     let batch2 = [] and nondet2 = nondet ^ "evil" in
     let pp2 = { pp with pp_batch = batch2; pp_nondet = nondet2 } in
-    store_batch t (Wire.batch_digest batch2 nondet2) batch2 nondet2;
+    Request_store.store_batch t.rq (Wire.batch_digest batch2 nondet2) batch2 nondet2;
     let others = List.filter (fun i -> i <> t.id) (replica_ids t) in
     let g1 = List.filteri (fun i _ -> i mod 2 = 0) others in
     let g2 = List.filteri (fun i _ -> i mod 2 = 1) others in
@@ -1262,7 +1051,7 @@ and send_pre_prepare t batch nondet =
 and process_queue t =
   if is_primary t && t.active && not (is_recovering t && t.seqno >= t.hm_bound) then begin
     let continue = ref true in
-    while !continue && t.queue_len > 0 && in_send_window t (t.seqno + 1) && allowed_seq t (t.seqno + 1) do
+    while !continue && Request_store.queue_len t.rq > 0 && in_send_window t (t.seqno + 1) && allowed_seq t (t.seqno + 1) do
       let cfg = t.d.cfg in
       let take =
         if cfg.Config.adaptive_batch then begin
@@ -1272,7 +1061,7 @@ and process_queue t =
              the queue falls short the target decays toward the observed
              depth (latency mode — do not hold requests back waiting for
              a big batch that is not coming) *)
-          let depth = t.queue_len in
+          let depth = Request_store.queue_len t.rq in
           if depth >= t.batch_target then
             t.batch_target <- min cfg.Config.max_batch (t.batch_target * 2)
           else t.batch_target <- max 1 ((t.batch_target + depth + 1) / 2);
@@ -1281,13 +1070,7 @@ and process_queue t =
         else if cfg.Config.batching then cfg.Config.max_batch
         else 1
       in
-      let chosen = queue_take t take in
-      List.iter
-        (fun r ->
-          let d = Wire.request_digest r in
-          Hashtbl.remove t.queued d;
-          Hashtbl.replace t.assigned d ())
-        chosen;
+      let chosen = Request_store.take t.rq take in
       if List.is_empty chosen then continue := false
       else begin
         if Obs.enabled t.obs then Obs.batch_formed t.obs ~len:(List.length chosen);
@@ -1298,7 +1081,7 @@ and process_queue t =
               if String.length r.op > cfg.Config.separate_tx_threshold then By_digest d
               else
                 let tok =
-                  match Hashtbl.find_opt t.requests d with
+                  match Request_store.find t.rq d with
                   | Some sr -> sr.sr_token
                   | None -> Auth_none
                 in
@@ -1313,7 +1096,7 @@ and process_queue t =
     done;
     (* null-request filler during recoveries *)
     while
-      t.queue_len = 0
+      Request_store.queue_len t.rq = 0
       && Checkpoint_store.stable_seq t.ckpts < t.null_fill_until
       && t.seqno < t.null_fill_until
       && in_send_window t (t.seqno + 1)
@@ -1347,19 +1130,8 @@ and start_view_change t new_view =
     t.view <- new_view;
     t.active <- false;
     stop_vc_timer t;
-    let pset', qset' = compute_pq t in
-    Hashtbl.reset t.pset;
-    Hashtbl.iter (Hashtbl.replace t.pset) pset';
-    Hashtbl.reset t.qset;
-    Hashtbl.iter (Hashtbl.replace t.qset) qset';
-    let pset_list =
-      Hashtbl.fold (fun _ e acc -> e :: acc) t.pset []
-      |> List.sort (fun a b -> compare a.pe_seq b.pe_seq)
-    in
-    let qset_list =
-      Hashtbl.fold (fun n l acc -> { qe_seq = n; qe_entries = l } :: acc) t.qset []
-      |> List.sort (fun a b -> compare a.qe_seq b.qe_seq)
-    in
+    View_change_store.compute_pq t.vc t.log ~log_size:t.d.cfg.Config.log_size;
+    let pset_list, qset_list = View_change_store.pq_lists t.vc in
     let vc =
       {
         vc_view = new_view;
@@ -1370,10 +1142,9 @@ and start_view_change t new_view =
         vc_replica = t.id;
       }
     in
-    Hashtbl.replace t.my_vcs new_view vc;
-    Hashtbl.replace t.vcs (new_view, t.id) (vc, true);
+    View_change_store.record_own t.vc vc;
     Log.clear_entries t.log;
-    Hashtbl.reset t.assigned;
+    Request_store.clear_assigned t.rq;
     t.pending_ckpt_announce <- [];
     (* roll back any tentative executions: they may be replaced by null
        requests in the new view (Section 5.1.2) *)
@@ -1382,15 +1153,7 @@ and start_view_change t new_view =
         List.filter (fun (s, _) -> s <= t.committed_upto) (Checkpoint_store.held t.ckpts)
       in
       match List.rev candidates with
-      | (s, _) :: _ -> (
-          match Checkpoint_store.tree_at t.ckpts s with
-          | Some tree -> (
-              match restore_snapshot t (Partition_tree.snapshot tree) with
-              | Ok () ->
-                  t.last_exec <- s;
-                  t.committed_upto <- min t.committed_upto s
-              | Error _ -> ())
-          | None -> ())
+      | (s, _) :: _ -> rollback_to t s ~committed:(min t.committed_upto s)
       | [] -> ()
     end;
     broadcast t (View_change vc);
@@ -1414,35 +1177,22 @@ and try_new_view t =
   let v = t.view in
   if
     (not t.active) && primary_of t v = t.id
-    && (not (Hashtbl.mem t.new_views v))
+    && Option.is_none (View_change_store.new_view t.vc v)
     && not t.muted
   then begin
     (* S: our own view-change plus every view-change with 2f-1 acks *)
-    let s =
-      Hashtbl.fold
-        (fun (v', sender) (vc, _verified) acc ->
-          if v' <> v then acc
-          else if sender = t.id then (sender, vc) :: acc
-          else
-            let acks = ack_table t ~view:v ~origin:sender in
-            let d = Wire.view_change_digest vc in
-            let matching =
-              Hashtbl.fold
-                (fun acker d' n -> if acker <> sender && String.equal d d' then n + 1 else n)
-                acks 0
-            in
-            if matching >= (2 * t.d.cfg.Config.f) - 1 then (sender, vc) :: acc else acc)
-        t.vcs []
-    in
+    let s = View_change_store.s_set t.vc ~self:t.id ~f:t.d.cfg.Config.f v in
     if List.length s >= quorum t then begin
-      match Nv_decision.decide t.d.cfg s ~has_batch:(fun d -> have_batch_bodies t d) with
+      match
+        Nv_decision.decide t.d.cfg s ~has_batch:(Request_store.have_batch_bodies t.rq)
+      with
       | Nv_decision.Wait ->
           (* fetch batch bodies that block decisions *)
           List.iter
             (fun (_, vc) ->
               List.iter
                 (fun e ->
-                  if not (have_batch_bodies t e.pe_digest) then
+                  if not (Request_store.have_batch_bodies t.rq e.pe_digest) then
                     broadcast t (Fetch_batch { fb_digest = e.pe_digest; fb_replica = t.id }))
                 vc.vc_pset)
             s
@@ -1456,9 +1206,9 @@ and try_new_view t =
               nv_chosen = chosen;
             }
           in
-          Hashtbl.replace t.new_views v nv;
+          View_change_store.accept_new_view t.vc nv;
           broadcast t (New_view nv);
-          t.deferred_nv <- Some nv;
+          View_change_store.set_deferred_nv t.vc (Some nv);
           process_new_view t
     end
   end
@@ -1469,7 +1219,7 @@ and enter_new_view t (nv : new_view) =
   if Obs.enabled t.obs then Obs.new_view_entered t.obs ~now:(now t) ~view:v;
   t.view <- v;
   t.active <- true;
-  t.deferred_nv <- None;
+  View_change_store.set_deferred_nv t.vc None;
   (* new watchdog epoch: the smoothed latency of the old primary (and of
      the view-change gap itself) says nothing about the new primary *)
   t.perf_view_start <- now t;
@@ -1477,14 +1227,7 @@ and enter_new_view t (nv : new_view) =
   t.perf_samples <- 0;
   stop_vc_timer t;
   (* prune view-change state for views before this one *)
-  let prune_tbl tbl keep =
-    Hashtbl.iter (fun k _ -> if not (keep k) then Hashtbl.remove tbl k) (Hashtbl.copy tbl)
-  in
-  prune_tbl t.vcs (fun (v', _) -> v' >= v);
-  prune_tbl t.acks (fun (v', _) -> v' >= v);
-  prune_tbl t.my_acks (fun v' -> v' >= v);
-  prune_tbl t.my_vcs (fun v' -> v' >= v);
-  prune_tbl t.new_views (fun v' -> v' >= v);
+  View_change_store.prune_below t.vc v;
   (* align our state with the chosen start checkpoint *)
   let have_start = Checkpoint_store.tree_at t.ckpts nv.nv_start <> None in
   if t.last_exec > t.committed_upto then begin
@@ -1495,39 +1238,13 @@ and enter_new_view t (nv : new_view) =
         (Checkpoint_store.held t.ckpts)
     in
     match List.rev candidates with
-    | (s, _) :: _ -> (
-        match Checkpoint_store.tree_at t.ckpts s with
-        | Some tree -> (
-            match restore_snapshot t (Partition_tree.snapshot tree) with
-            | Ok () ->
-                t.last_exec <- s;
-                t.committed_upto <- s
-            | Error _ -> ())
-        | None -> ())
-    | [] ->
-        if have_start then begin
-          match Checkpoint_store.tree_at t.ckpts nv.nv_start with
-          | Some tree -> (
-              match restore_snapshot t (Partition_tree.snapshot tree) with
-              | Ok () ->
-                  t.last_exec <- nv.nv_start;
-                  t.committed_upto <- nv.nv_start
-              | Error _ -> ())
-          | None -> ()
-        end
+    | (s, _) :: _ -> rollback_to t s ~committed:s
+    | [] -> if have_start then rollback_to t nv.nv_start ~committed:nv.nv_start
   end;
   if (not have_start) && t.last_exec < nv.nv_start then
     start_transfer t ~target:nv.nv_start ~root_digest:nv.nv_start_digest;
-  if t.last_exec < nv.nv_start && have_start then begin
-    (match Checkpoint_store.tree_at t.ckpts nv.nv_start with
-    | Some tree -> (
-        match restore_snapshot t (Partition_tree.snapshot tree) with
-        | Ok () ->
-            t.last_exec <- nv.nv_start;
-            t.committed_upto <- max t.committed_upto nv.nv_start
-        | Error _ -> ())
-    | None -> ())
-  end;
+  if t.last_exec < nv.nv_start && have_start then
+    rollback_to t nv.nv_start ~committed:(max t.committed_upto nv.nv_start);
   if Log.low_mark t.log < nv.nv_start then Log.truncate t.log nv.nv_start;
   (* install the chosen pre-prepares and (as a backup) send prepares *)
   let am_primary = primary_of t v = t.id in
@@ -1538,7 +1255,7 @@ and enter_new_view t (nv : new_view) =
         let batch, nondet =
           if String.equal c.nc_digest Wire.null_batch_digest then ([], "null")
           else
-            match Hashtbl.find_opt t.batches c.nc_digest with
+            match Request_store.find_batch t.rq c.nc_digest with
             | Some (b, nd) -> (b, nd)
             | None -> ([], "null")
         in
@@ -1554,32 +1271,45 @@ and enter_new_view t (nv : new_view) =
   (* redo the protocol; executions <= last_exec are skipped automatically *)
   List.iter (fun c -> check_prepared_to_commit t ~seq:c.nc_seq) nv.nv_chosen;
   try_execute t;
-  if Hashtbl.length t.waiting > 0 then start_vc_timer t;
+  if not (Request_store.waiting_empty t.rq) then start_vc_timer t;
   process_queue t
 
 (* Validate and adopt a deferred new-view once all its view-changes (and
    the chosen batches) are locally available. *)
 and process_new_view t =
-  match t.deferred_nv with
+  match View_change_store.deferred_nv t.vc with
   | None -> ()
-  | Some nv when nv.nv_view < t.view -> t.deferred_nv <- None
+  | Some nv when nv.nv_view < t.view -> View_change_store.set_deferred_nv t.vc None
   | Some nv ->
       let v = nv.nv_view in
-      if primary_of t v = t.id then begin
-        (* the primary already validated its own decision *)
-        if Hashtbl.mem t.new_views v then begin
-          let missing =
-            List.filter (fun c -> not (have_batch_bodies t c.nc_digest)) nv.nv_chosen
-          in
-          if missing = [] then enter_new_view t nv
-          else
+      (* enter once every chosen batch is here (accepting it again is a
+         no-op for the primary, whose decision is recorded), else fetch *)
+      let enter_or_fetch () =
+        match
+          List.filter
+            (fun c -> not (Request_store.have_batch_bodies t.rq c.nc_digest))
+            nv.nv_chosen
+        with
+        | [] ->
+            View_change_store.accept_new_view t.vc nv;
+            enter_new_view t nv
+        | missing ->
             List.iter
               (fun c -> broadcast t (Fetch_batch { fb_digest = c.nc_digest; fb_replica = t.id }))
               missing
-        end
+      in
+      if primary_of t v = t.id then begin
+        (* the primary already validated its own decision *)
+        if Option.is_some (View_change_store.new_view t.vc v) then enter_or_fetch ()
       end
       else begin
-        let vcs = List.filter_map (fun p -> vc_available t v p |> Option.map (fun vc -> (fst p, vc))) nv.nv_vcs in
+        let vcs =
+          List.filter_map
+            (fun p ->
+              View_change_store.available t.vc ~self:t.id ~f:t.d.cfg.Config.f v p
+              |> Option.map (fun vc -> (fst p, vc)))
+            nv.nv_vcs
+        in
         if List.length vcs = List.length nv.nv_vcs && List.length vcs >= quorum t then begin
           match Nv_decision.decide t.d.cfg vcs ~has_batch:(fun _ -> true) with
           | Nv_decision.Decision { start; start_digest; chosen }
@@ -1589,18 +1319,7 @@ and process_new_view t =
                  && List.for_all2
                       (fun a b -> a.nc_seq = b.nc_seq && String.equal a.nc_digest b.nc_digest)
                       chosen nv.nv_chosen ->
-              let missing =
-                List.filter (fun c -> not (have_batch_bodies t c.nc_digest)) nv.nv_chosen
-              in
-              if missing = [] then begin
-                Hashtbl.replace t.new_views v nv;
-                enter_new_view t nv
-              end
-              else
-                List.iter
-                  (fun c ->
-                    broadcast t (Fetch_batch { fb_digest = c.nc_digest; fb_replica = t.id }))
-                  missing
+              enter_or_fetch ()
           | Nv_decision.Decision _ | Nv_decision.Wait ->
               (* invalid or undecidable: move to the next view *)
               start_view_change t (v + 1)
@@ -1612,36 +1331,7 @@ and process_new_view t =
 (* ------------------------------------------------------------------ *)
 
 let note_waiting t digest =
-  if not (Hashtbl.mem t.waiting digest) then begin
-    Hashtbl.replace t.waiting digest (now t);
-    if t.active then start_vc_timer t
-  end
-
-(* Admission control (the client-flood attack of Chondros et al.): the
-   number of distinct requests a client currently has in the ordering
-   pipeline at this replica — queued, assigned to a batch, or awaited
-   from the primary. Computed from the live tables rather than a shadow
-   counter so it can never leak and permanently starve a client; the
-   tables are quota-bounded per client, so the scan stays small. *)
-let client_inflight t client =
-  let mine d =
-    match Hashtbl.find_opt t.requests d with
-    | Some sr -> sr.sr_req.client = client
-    | None -> false
-  in
-  (* a digest counts in the first table that holds it, so no seen-set;
-     [mine] goes first because most entries are other clients' *)
-  let queued = Hashtbl.fold (fun d () n -> if mine d then n + 1 else n) t.queued 0 in
-  let assigned =
-    Hashtbl.fold
-      (fun d () n -> if mine d && not (Hashtbl.mem t.queued d) then n + 1 else n)
-      t.assigned 0
-  in
-  Hashtbl.fold
-    (fun d (_ : Engine.time) n ->
-      if mine d && (not (Hashtbl.mem t.queued d)) && not (Hashtbl.mem t.assigned d) then n + 1
-      else n)
-    t.waiting (queued + assigned)
+  if Request_store.note_waiting t.rq digest ~now:(now t) && t.active then start_vc_timer t
 
 (* condition 2: f prepares carrying the batch digest vouch for it *)
 let batch_vouched t batch_digest =
@@ -1661,9 +1351,9 @@ let batch_authentic t elems batch_digest =
   List.for_all
     (function
       | By_digest d -> (
-          match Hashtbl.find_opt t.requests d with Some sr -> sr.sr_verified | None -> false)
+          match Request_store.find t.rq d with Some sr -> sr.sr_verified | None -> false)
       | Inline (r, tok) -> (
-          match Hashtbl.find_opt t.requests (Wire.request_digest r) with
+          match Request_store.find t.rq (Wire.request_digest r) with
           | Some sr when sr.sr_verified -> true
           | _ -> verify_token t ~claimed:r.client (Wire.request_digest r) tok || Lazy.force vouched))
     elems
@@ -1676,7 +1366,7 @@ let accept_pre_prepare t (pp : pre_prepare) ~size =
     t.active && v = t.view
     && (not (is_primary t))
     && Log.in_window t.log n
-    && has_new_view t v
+    && View_change_store.has_new_view t.vc v
     && not t.byzantine
   then begin
     let d = Wire.batch_digest pp.pp_batch pp.pp_nondet in
@@ -1697,31 +1387,21 @@ let accept_pre_prepare t (pp : pre_prepare) ~size =
       let authentic = batch_authentic t pp.pp_batch d in
       let have_bodies =
         List.for_all
-          (fun e -> match e with By_digest dd -> Hashtbl.mem t.requests dd | Inline _ -> true)
+          (fun e -> match e with By_digest dd -> Request_store.mem t.rq dd | Inline _ -> true)
           pp.pp_batch
       in
       if authentic && have_bodies then begin
-        store_batch t d pp.pp_batch pp.pp_nondet;
+        Request_store.store_batch t.rq d pp.pp_batch pp.pp_nondet;
         if Log.accept_pre_prepare t.log ~view:v pp d then begin
           if Obs.enabled t.obs then begin
             Obs.phase t.obs ~now:(now t) Obs.Preprepared ~view:v ~seq:n;
-            let digests =
-              List.map
-                (function Inline (r, _) -> Wire.request_digest r | By_digest dd -> dd)
-                pp.pp_batch
-            in
-            Obs.batch_assigned t.obs ~now:(now t) ~digests
+            Obs.batch_assigned t.obs ~now:(now t) ~digests:(List.map elem_digest pp.pp_batch)
           end;
           List.iter
             (fun e ->
-              match resolve_elem t e with
+              match Request_store.resolve_elem t.rq e with
               | Some r ->
-                  let last =
-                    match Hashtbl.find_opt t.last_reply r.client with
-                    | Some (ts, _, _) -> ts
-                    | None -> -1L
-                  in
-                  if Int64.compare r.timestamp last > 0 then
+                  if Int64.compare r.timestamp (last_ts t r.client) > 0 then
                     note_waiting t (Wire.request_digest r)
               | None -> ())
             pp.pp_batch;
@@ -1732,11 +1412,11 @@ let accept_pre_prepare t (pp : pre_prepare) ~size =
       else begin
         (* cannot authenticate yet: defer and fetch missing bodies
            (Sections 3.2.2 and 5.1.5) *)
-        t.deferred_pps <- (pp, size) :: t.deferred_pps;
+        Request_store.defer_pre_prepare t.rq pp ~size;
         List.iter
           (fun e ->
             match e with
-            | By_digest dd when not (Hashtbl.mem t.requests dd) ->
+            | By_digest dd when not (Request_store.mem t.rq dd) ->
                 broadcast t (Fetch_request { fr_digest = dd; fr_replica = t.id })
             | _ -> ())
           pp.pp_batch
@@ -1745,33 +1425,19 @@ let accept_pre_prepare t (pp : pre_prepare) ~size =
   end
 
 let retry_deferred_pps t =
-  let pps = t.deferred_pps in
-  t.deferred_pps <- [];
-  List.iter (fun (pp, size) -> accept_pre_prepare t pp ~size) pps
+  List.iter (fun (pp, size) -> accept_pre_prepare t pp ~size) (Request_store.take_deferred t.rq)
 
 (* Accept and queue a client request (primary) or relay it (backup);
    [size] is its wire size, charged for digesting it. *)
 let handle_request t (req : request) token ~verified ~relayed ~size =
   let d = Wire.request_digest req in
   charge t (Costs.digest_us t.costs size);
-  let last_t =
-    match Hashtbl.find_opt t.last_reply req.client with Some (ts, _, _) -> ts | None -> -1L
-  in
+  let last_t = last_ts t req.client in
   if Int64.compare req.timestamp last_t < 0 then ()
   else if Int64.compare req.timestamp last_t = 0 then begin
     (* already executed: retransmit cached reply *)
     match Hashtbl.find_opt t.last_reply req.client with
-    | Some (ts, result, _) ->
-        send_to t ~dst:req.client
-          (Reply
-             {
-               rp_view = t.view;
-               rp_timestamp = ts;
-               rp_client = req.client;
-               rp_replica = t.id;
-               rp_tentative = false;
-               rp_result = Full result;
-             })
+    | Some (ts, result, _) -> send_reply t ~client:req.client ~ts ~tentative:false (Full result)
     | None -> ()
   end
   else if
@@ -1781,32 +1447,28 @@ let handle_request t (req : request) token ~verified ~relayed ~size =
        of the pipeline instead of everyone's. Correct clients run
        closed-loop with one outstanding request and never get near the
        default quota. The read-only fast path below bypasses the
-       ordering pipeline and is exempt. *)
-    (not (Hashtbl.mem t.queued d))
-    && (not (Hashtbl.mem t.assigned d))
-    && (not (Hashtbl.mem t.waiting d))
+       ordering pipeline and is exempt. The count is the client's distinct
+       requests queued, assigned to a batch, or awaited from the primary
+       (the client-flood attack of Chondros et al.). *)
+    (not (Request_store.in_pipeline t.rq d))
     && (not (req.read_only && t.d.cfg.Config.read_only_opt && verified))
-    && client_inflight t req.client >= t.d.cfg.Config.client_quota
+    && Request_store.client_inflight t.rq req.client >= t.d.cfg.Config.client_quota
   then begin
     t.counters.n_admission_dropped <- t.counters.n_admission_dropped + 1;
     if Obs.enabled t.obs then Obs.admission_drop t.obs ~now:(now t) ~client:req.client;
     L.debug (fun m -> m "replica %d: admission drop client=%d" t.id req.client)
   end
   else begin
-    ignore (store_request t req token verified);
+    ignore (Request_store.store_request t.rq req token verified);
     if Obs.enabled t.obs then
       Obs.request_arrival t.obs ~now:(now t) ~client:req.client ~digest:d;
     retry_deferred_pps t;
     if req.read_only && t.d.cfg.Config.read_only_opt && verified then begin
-      t.pending_ro <- req :: t.pending_ro;
+      Request_store.push_read_only t.rq req;
       flush_read_only t
     end
     else if is_primary t then begin
-      if verified && not (Hashtbl.mem t.queued d) && not (Hashtbl.mem t.assigned d) then begin
-        queue_push t req;
-        Hashtbl.replace t.queued d ();
-        process_queue t
-      end
+      if verified && Request_store.enqueue t.rq req then process_queue t
     end
     else begin
       note_waiting t d;
@@ -1850,37 +1512,20 @@ let handle_view_change t (vc : view_change) ~verified =
            vc.vc_qset
     in
     if tuples_ok then begin
-      (match Hashtbl.find_opt t.vcs (v, vc.vc_replica) with
-      | Some (_, true) -> ()
-      | _ -> Hashtbl.replace t.vcs (v, vc.vc_replica) (vc, verified));
+      View_change_store.add t.vc vc ~verified;
       if verified then begin
         (* acknowledge to the new primary (Section 3.2.4) *)
         let d = Wire.view_change_digest vc in
         let ack =
           { va_view = v; va_replica = t.id; va_origin = vc.vc_replica; va_digest = d }
         in
-        let prev = match Hashtbl.find_opt t.my_acks v with Some l -> l | None -> [] in
-        if not (List.exists (fun a -> a.va_origin = vc.vc_replica) prev) then begin
-          Hashtbl.replace t.my_acks v (ack :: prev);
+        if View_change_store.note_my_ack t.vc ack then
           send_to t ~dst:(primary_of t v) (View_change_ack ack)
-        end
       end;
       (* liveness rule: f+1 view-changes for views above ours force us to
          join the smallest such view *)
       if v > t.view then begin
-        let views =
-          Hashtbl.fold
-            (fun (v', sender) _ acc -> if v' > t.view && sender <> t.id then v' :: acc else acc)
-            t.vcs []
-        in
-        let senders v' =
-          Hashtbl.fold
-            (fun (v'', sender) _ acc -> if v'' = v' && sender <> t.id then sender :: acc else acc)
-            t.vcs []
-          |> List.sort_uniq compare
-        in
-        let candidate = List.sort_uniq compare views in
-        match List.find_opt (fun v' -> List.length (senders v') >= weak t) candidate with
+        match View_change_store.join_view t.vc ~above:t.view ~self:t.id ~weak:(weak t) with
         | Some v' -> start_view_change t v'
         | None -> ()
       end;
@@ -1891,16 +1536,16 @@ let handle_view_change t (vc : view_change) ~verified =
 
 let handle_view_change_ack t (a : view_change_ack) =
   if a.va_view >= t.view && primary_of t a.va_view = t.id then begin
-    Hashtbl.replace (ack_table t ~view:a.va_view ~origin:a.va_origin) a.va_replica a.va_digest;
+    View_change_store.add_ack t.vc a;
     try_new_view t
   end
 
 let handle_new_view t (nv : new_view) =
   if nv.nv_view >= t.view && primary_of t nv.nv_view <> t.id && nv.nv_view > 0 then begin
     if nv.nv_view > t.view then start_view_change t nv.nv_view;
-    (match t.deferred_nv with
+    (match View_change_store.deferred_nv t.vc with
     | Some old when old.nv_view >= nv.nv_view -> ()
-    | _ -> t.deferred_nv <- Some nv);
+    | _ -> View_change_store.set_deferred_nv t.vc (Some nv));
     process_new_view t
   end
 
@@ -2210,11 +1855,7 @@ let send_status t =
          })
   end
   else begin
-    let seen =
-      Hashtbl.fold
-        (fun (v, sender) _ acc -> if v = t.view then sender :: acc else acc)
-        t.vcs []
-    in
+    let seen = View_change_store.senders t.vc t.view in
     broadcast t
       (Status_pending
          {
@@ -2222,7 +1863,7 @@ let send_status t =
            sp_view = t.view;
            sp_h = Log.low_mark t.log;
            sp_last_exec = t.last_exec;
-           sp_has_new_view = has_new_view t t.view;
+           sp_has_new_view = View_change_store.has_new_view t.vc t.view;
            sp_vcs_seen = seen;
          })
   end
@@ -2232,7 +1873,7 @@ let handle_status_active t (s : status_active) =
   if r <> t.id then begin
     if s.sa_view < t.view then begin
       (* bring the replica to our view *)
-      match Hashtbl.find_opt t.my_vcs t.view with
+      match View_change_store.my_vc t.vc t.view with
       | Some vc -> send_retx t ~dst:r (View_change vc)
       | None -> ()
     end
@@ -2294,29 +1935,23 @@ let handle_status_pending t (s : status_pending) =
       let peer_holds i = i >= 0 && i < Array.length seen && seen.(i) in
       (* our view-change for the peer's pending view (or ours, to pull it
          forward) *)
-      (match Hashtbl.find_opt t.my_vcs (max s.sp_view t.view) with
+      (match View_change_store.my_vc t.vc (max s.sp_view t.view) with
       | Some vc ->
           if (not (peer_holds t.id)) || s.sp_view < t.view then send_retx t ~dst:r (View_change vc)
       | None -> ());
       (* retransmit acks for view-changes the peer lacks *)
-      (match Hashtbl.find_opt t.my_acks s.sp_view with
-      | Some acks ->
-          List.iter
-            (fun a -> if not (peer_holds a.va_origin) then send_retx t ~dst:r (View_change_ack a))
-            acks
-      | None -> ());
+      List.iter
+        (fun a -> if not (peer_holds a.va_origin) then send_retx t ~dst:r (View_change_ack a))
+        (View_change_store.my_acks t.vc s.sp_view);
       (* the primary retransmits the new-view *)
-      (match Hashtbl.find_opt t.new_views s.sp_view with
+      (match View_change_store.new_view t.vc s.sp_view with
       | Some nv when primary_of t s.sp_view = t.id && not s.sp_has_new_view ->
           send_retx t ~dst:r (New_view nv)
       | _ -> ());
       (* and the view-change messages backing it *)
       if not s.sp_has_new_view then
-        Hashtbl.iter
-          (fun (v, sender) (vc, _) ->
-            if v = s.sp_view && not (peer_holds sender) then
-              send_retx t ~dst:r (View_change vc))
-          t.vcs
+        View_change_store.iter_view t.vc s.sp_view (fun sender vc ->
+            if not (peer_holds sender) then send_retx t ~dst:r (View_change vc))
     end
     else begin
       (* the peer is ahead: catch up by joining its view change *)
@@ -2428,7 +2063,7 @@ let try_finish_estimation t =
           in
           let token = Auth_sig (Bft_crypto.Signature.sign t.d.signer (Wire.request_digest req)) in
           charge t t.costs.Costs.sig_gen_us;
-          ignore (store_request t req token true);
+          ignore (Request_store.store_request t.rq req token true);
           rc.rc_request <- Some req;
           if not t.muted then begin
             let env = Message.envelope ~sender:t.id ~auth:token (Request req) in
@@ -2450,7 +2085,7 @@ let rec recovery_tick t =
       | `Waiting_recovery_reply -> (
           match rc.rc_request with
           | Some req -> (
-              match Hashtbl.find_opt t.requests (Wire.request_digest req) with
+              match Request_store.find t.rq (Wire.request_digest req) with
               | Some sr when not t.muted ->
                   let env = Message.envelope ~sender:t.id ~auth:sr.sr_token (Request req) in
                   Network.multicast t.d.net ~src:t.id ~dsts:(replica_ids t)
@@ -2541,7 +2176,7 @@ let begin_recovery t =
 
 let handle_fetch_batch t (f : fetch_batch) =
   if f.fb_replica <> t.id then
-    match Hashtbl.find_opt t.batches f.fb_digest with
+    match Request_store.find_batch t.rq f.fb_digest with
     | Some (batch, nondet) ->
         send_retx t ~dst:f.fb_replica
           (Batch_data { bd_digest = f.fb_digest; bd_batch = batch; bd_nondet = nondet })
@@ -2551,7 +2186,7 @@ let handle_batch_data t (bd : batch_data) ~size =
   let d = Wire.batch_digest bd.bd_batch bd.bd_nondet in
   charge t (Costs.digest_us t.costs size);
   if String.equal d bd.bd_digest then begin
-    store_batch t d bd.bd_batch bd.bd_nondet;
+    Request_store.store_batch t.rq d bd.bd_batch bd.bd_nondet;
     retry_deferred_pps t;
     try_new_view t;
     process_new_view t;
@@ -2560,7 +2195,7 @@ let handle_batch_data t (bd : batch_data) ~size =
 
 let handle_fetch_request t (f : fetch_request) =
   if f.fr_replica <> t.id then
-    match Hashtbl.find_opt t.requests f.fr_digest with
+    match Request_store.find t.rq f.fr_digest with
     | Some sr ->
         if (not t.muted) && retx_allow t f.fr_replica then begin
           let env = Message.envelope ~sender:t.id ~auth:sr.sr_token (Request sr.sr_req) in
@@ -2648,7 +2283,7 @@ let handle t env = if from_replica t env then dispatch t env
 (* Construction                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let create ?(obs = Obs.null) d ~id =
+let create ?(obs = Obs.null) d ~id ~on_execute =
   let engine = Network.engine d.net in
   let t =
     {
@@ -2678,32 +2313,16 @@ let create ?(obs = Obs.null) d ~id =
       committed_upto = 0;
       log = Log.create d.cfg;
       ckpts = Checkpoint_store.create d.cfg ~page_size:d.page_size ~branching:d.branching;
-      batches = Hashtbl.create 64;
-      requests = Hashtbl.create 64;
-      queue_front = [];
-      queue_back = [];
-      queue_len = 0;
+      rq = Request_store.create ();
       batch_target = 1;
-      queued = Hashtbl.create 16;
-      assigned = Hashtbl.create 16;
       last_reply = Hashtbl.create 16;
       reply_clients = [];
       paged_sync = None;
-      deferred_pps = [];
-      pending_ro = [];
       pending_ckpt_announce = [];
       active = true;
-      pset = Hashtbl.create 16;
-      qset = Hashtbl.create 16;
-      my_vcs = Hashtbl.create 4;
-      vcs = Hashtbl.create 16;
-      acks = Hashtbl.create 16;
-      my_acks = Hashtbl.create 4;
-      new_views = Hashtbl.create 4;
+      vc = View_change_store.create ();
       vc_timer = None;
       vc_timeout_us = d.cfg.Config.vc_timeout_us;
-      deferred_nv = None;
-      waiting = Hashtbl.create 16;
       retx = Hashtbl.create 8;
       perf_ewma_us = 0.0;
       perf_samples = 0;
@@ -2714,7 +2333,7 @@ let create ?(obs = Obs.null) d ~id =
       recovering = None;
       hm_bound = max_int;
       coproc_counter = 0L;
-      batch_journal = [];
+      on_execute;
       byzantine = false;
       muted = false;
       wrong_mac = false;
@@ -2806,15 +2425,9 @@ let force_recovery t = begin_recovery t
 let crash_reboot t =
   (* lose volatile state; keep identity and keys; rejoin via state transfer *)
   Log.clear_entries t.log;
-  Hashtbl.reset t.batches;
-  Hashtbl.reset t.requests;
-  queue_clear t;
+  Request_store.crash_reset t.rq;
   t.batch_target <- 1;
-  Hashtbl.reset t.queued;
-  t.deferred_pps <- [];
-  t.pending_ro <- [];
-  t.deferred_nv <- None;
-  Hashtbl.reset t.waiting;
+  View_change_store.crash_reset t.vc;
   Hashtbl.reset t.retx;
   t.perf_ewma_us <- 0.0;
   t.perf_samples <- 0;
@@ -2829,39 +2442,48 @@ let crash_reboot t =
 (* Canonical state fingerprint (exhaustive exploration)                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Sorted views of Hashtbl contents so iteration order never reaches the
-   fingerprint. *)
-let hexd = Bft_util.Hex.encode
-let hstr s = Bft_crypto.Sha256.hexdigest s
-
-let sorted_int_keys h = List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) h [])
-
-let sorted_string_keys h =
-  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) h [])
-
-let sorted_pair_keys h =
-  List.sort
-    (fun (a, b) (c, d) -> match Int.compare a c with 0 -> Int.compare b d | x -> x)
-    (Hashtbl.fold (fun k _ acc -> k :: acc) h [])
-
 (* Time-abstract digest of the full protocol state: everything that can
    influence future behavior or an oracle verdict, nothing derived from the
    virtual clock (no deadlines, no latencies). Two explorer states with
    equal digests must be behaviorally equivalent, so every unordered
    container is serialized in sorted order; ordered structures (FIFOs,
    deferred lists) keep their order because the protocol consumes them in
-   order. *)
-let state_digest t =
+   order. Every field is named below, so a new one is a build error until
+   it is digested or bound to [_] with its reason. *)
+let state_digest
+    ({
+       id; view; seqno; last_exec; committed_upto; log; ckpts; rq; batch_target; paged_sync;
+       pending_ckpt_announce; active; vc; vc_timer; vc_timeout_us; retx; perf_samples;
+       perf_fired_view; transfer; recovering; hm_bound; coproc_counter; byzantine; muted;
+       wrong_mac; null_fill_until;
+       d = _ (* configuration and handles; the service enters through the snapshot *);
+       obs = _ (* tracing sink, inert *);
+       engine = _ (* the clock; Explore digests the pending events' labels *);
+       costs = _ (* constant cost model *);
+       rng = _
+       (* drawn only by state transfer, key refresh and recovery, which the
+          digest sees through tx_replier, coproc_counter and rc_nonce *);
+       counters = _ (* statistics the protocol never reads *);
+       arena = _ (* encode scratch buffer *);
+       last_reply = _ (* in the snapshot's reply cache *);
+       reply_clients = _ (* the reply cache's key order *);
+       perf_ewma_us = _ (* a latency: clock-derived *);
+       perf_baseline_us = _ (* a latency: clock-derived *);
+       perf_view_start = _ (* a time *);
+       on_execute = _ (* the harness's tap; Explore digests what it recorded *);
+     } as t) =
   let b = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "r%d v=%d act=%b seqno=%d le=%d cu=%d lw=%d byz=%b muted=%b wmac=%b fill=%d hmb=%d vct=%h vcarm=%b|"
-    t.id t.view t.active t.seqno t.last_exec t.committed_upto (Log.low_mark t.log)
-    t.byzantine t.muted t.wrong_mac t.null_fill_until
-    (if t.hm_bound = max_int then -1 else t.hm_bound)
-    t.vc_timeout_us
-    (match t.vc_timer with Some h -> Engine.is_pending h | None -> false);
+  let hexd = Bft_util.Hex.encode in
+  add "r%d v=%d act=%b seqno=%d le=%d cu=%d lw=%d byz=%b muted=%b wmac=%b fill=%d hmb=%d vct=%h vcarm=%b bt=%d ctr=%Ld|"
+    id view active seqno last_exec committed_upto (Log.low_mark log)
+    byzantine muted wrong_mac null_fill_until
+    (if hm_bound = max_int then -1 else hm_bound)
+    vc_timeout_us
+    (match vc_timer with Some h -> Engine.is_pending h | None -> false)
+    batch_target coproc_counter;
   (* message log, ascending sequence *)
-  Log.iter_window t.log (fun e ->
+  Log.iter_window log (fun e ->
       add "L%d pv=%d self=%b ex=%b tent=%b d=%s(" e.Log.seq e.Log.pp_view
         e.Log.self_preprepared e.Log.executed e.Log.exec_tentative
         (match e.Log.pp_digest with Some d -> hexd d | None -> "-");
@@ -2875,130 +2497,64 @@ let state_digest t =
         e.Log.commits;
       add ")");
   add "|ck:";
-  List.iter (fun (s, d) -> add "%d:%s;" s (hexd d)) (checkpoints_held t);
-  add "stable=%d votes:" (Checkpoint_store.stable_seq t.ckpts);
+  List.iter (fun (s, d) -> add "%d:%s;" s (hexd d)) (Checkpoint_store.held ckpts);
+  add "stable=%d votes:" (Checkpoint_store.stable_seq ckpts);
   List.iter
     (fun (seq, vs) ->
       add "%d(" seq;
       List.iter (fun (r, d) -> add "%d:%s;" r (hexd d)) vs;
       add ")")
-    (Checkpoint_store.votes_canonical t.ckpts);
-  add "|req:";
-  List.iter
-    (fun d ->
-      match Hashtbl.find_opt t.requests d with
-      | Some sr -> add "%s:%b;" (hexd d) sr.sr_verified
-      | None -> ())
-    (sorted_string_keys t.requests);
-  add "|bat:";
-  List.iter (fun d -> add "%s;" (hexd d)) (sorted_string_keys t.batches);
-  add "|queue:";
-  List.iter (fun r -> add "%s;" (hexd (Wire.request_digest r))) (queue_to_list t);
-  add "|assigned:";
-  List.iter (fun d -> add "%s;" (hexd d)) (sorted_string_keys t.assigned);
-  add "|waiting:";
-  List.iter (fun d -> add "%s;" (hexd d)) (sorted_string_keys t.waiting);
-  add "|defpp:";
-  List.iter
-    (fun (pp, _) -> add "%s;" (hstr (Wire.encode (Pre_prepare pp))))
-    t.deferred_pps;
-  add "|ro:";
-  List.iter (fun r -> add "%s;" (hexd (Wire.request_digest r))) t.pending_ro;
+    (Checkpoint_store.votes_canonical ckpts);
+  Request_store.digest rq b;
   add "|ckann:";
-  List.iter (fun s -> add "%d;" s) t.pending_ckpt_announce;
-  add "|psync=%s" (match t.paged_sync with Some s -> string_of_int s | None -> "-");
-  (* view-change state *)
-  add "|pset:";
+  List.iter (fun s -> add "%d;" s) pending_ckpt_announce;
+  add "|psync=%s" (match paged_sync with Some s -> string_of_int s | None -> "-");
+  View_change_store.digest vc b;
+  (* retransmission budgets, without their clock-derived window starts *)
+  add "|retx:";
   List.iter
-    (fun k ->
-      match Hashtbl.find_opt t.pset k with
-      | Some pe ->
-          add "%d:%d:%d:%s;" k pe.pe_seq pe.pe_view (hexd pe.pe_digest)
-      | None -> ())
-    (sorted_int_keys t.pset);
-  add "|qset:";
-  List.iter
-    (fun k ->
-      match Hashtbl.find_opt t.qset k with
-      | Some l ->
-          add "%d(" k;
-          List.iter (fun (d, v) -> add "%s:%d;" (hexd d) v) l;
-          add ")"
-      | None -> ())
-    (sorted_int_keys t.qset);
-  add "|myvc:";
-  List.iter
-    (fun v ->
-      match Hashtbl.find_opt t.my_vcs v with
-      | Some vc -> add "%d:%s;" v (hexd (Wire.view_change_digest vc))
-      | None -> ())
-    (sorted_int_keys t.my_vcs);
-  add "|vcs:";
-  List.iter
-    (fun ((v, s) as k) ->
-      match Hashtbl.find_opt t.vcs k with
-      | Some (vc, verified) ->
-          add "%d:%d:%s:%b;" v s (hexd (Wire.view_change_digest vc)) verified
-      | None -> ())
-    (sorted_pair_keys t.vcs);
-  add "|acks:";
-  List.iter
-    (fun ((v, o) as k) ->
-      match Hashtbl.find_opt t.acks k with
-      | Some inner ->
-          add "%d:%d(" v o;
-          List.iter
-            (fun a ->
-              match Hashtbl.find_opt inner a with
-              | Some d -> add "%d:%s;" a (hexd d)
-              | None -> ())
-            (sorted_int_keys inner);
-          add ")"
-      | None -> ())
-    (sorted_pair_keys t.acks);
-  add "|myacks:";
-  List.iter
-    (fun v ->
-      match Hashtbl.find_opt t.my_acks v with
-      | Some l -> add "%d:%d;" v (List.length l)
-      | None -> ())
-    (sorted_int_keys t.my_acks);
-  add "|nv:";
-  List.iter
-    (fun v ->
-      match Hashtbl.find_opt t.new_views v with
-      | Some nv -> add "%d:%s;" v (hstr (Wire.encode (New_view nv)))
-      | None -> ())
-    (sorted_int_keys t.new_views);
-  add "|defnv=%s"
-    (match t.deferred_nv with
-    | Some nv -> hstr (Wire.encode (New_view nv))
-    | None -> "-");
+    (fun (peer, { rx_tokens; rx_window_start = _; rx_backoff; rx_exhausted }) ->
+      add "%d:%d:%h:%b;" peer rx_tokens rx_backoff rx_exhausted)
+    (List.sort
+       (fun (a, _) (b, _) -> Int.compare a b)
+       (Hashtbl.fold (fun p st acc -> (p, st) :: acc) retx []));
+  add "|perf=%d:%d" perf_samples perf_fired_view;
   (* state transfer / recovery, coarse but canonical *)
-  (match t.transfer with
+  (match transfer with
   | None -> add "|tx=-"
-  | Some tx ->
-      add "|tx=%d:%d:%d:%d:pend%d:pages%d:ok%d" tx.tx_target tx.tx_replier tx.tx_page_level
-        tx.tx_num_pages (Hashtbl.length tx.tx_pending) (Hashtbl.length tx.tx_pages)
-        (Hashtbl.length tx.tx_ok_pages));
-  (match t.recovering with
+  | Some
+      {
+        tx_target;
+        tx_root_digest;
+        tx_expected;
+        tx_pending;
+        tx_pages;
+        tx_page_level;
+        tx_num_pages;
+        tx_ok_pages;
+        tx_replier;
+        tx_timer = _ (* its label is among the pending events *);
+      } ->
+      add "|tx=%d:%s:%d:%d:%d:pend%d:pages%d:ok%d(" tx_target (hexd tx_root_digest) tx_replier
+        tx_page_level tx_num_pages (Hashtbl.length tx_pending) (Hashtbl.length tx_pages)
+        (Hashtbl.length tx_ok_pages);
+      List.iter
+        (fun ((l, i), (lm, d)) -> add "%d:%d:%d:%s;" l i lm (hexd d))
+        (List.sort
+           (fun (a, _) (b, _) -> compare a b)
+           (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tx_expected []));
+      add ")");
+  (match recovering with
   | None -> add "|rec=-"
-  | Some rc ->
-      add "|rec=%s:%d:%d:est%d:rep%d"
-        (match rc.rc_phase with
+  | Some { rc_phase; rc_request; rc_nonce; rc_est; rc_est_hm; rc_recovery_point; rc_replies } ->
+      add "|rec=%s:%Ld:%s:%d:%d:est%d:rep%d"
+        (match rc_phase with
         | `Estimating -> "est"
         | `Waiting_recovery_reply -> "wait"
         | `Fetching -> "fetch")
-        rc.rc_est_hm rc.rc_recovery_point (Hashtbl.length rc.rc_est)
-        (Hashtbl.length rc.rc_replies));
-  (* execution journal: rollback-proof committed content, newest first *)
-  add "|journal:";
-  List.iter
-    (fun (seq, recs) ->
-      add "%d(" seq;
-      List.iter (fun (c, op, res) -> add "%d:%s:%s;" c op (hstr res)) recs;
-      add ")")
-    t.batch_journal;
+        rc_nonce
+        (match rc_request with Some r -> hexd (Wire.request_digest r) | None -> "-")
+        rc_est_hm rc_recovery_point (Hashtbl.length rc_est) (Hashtbl.length rc_replies));
   (* service state + reply cache *)
-  add "|snap:%s" (hstr (full_snapshot t));
+  add "|snap:%s" (Bft_crypto.Sha256.hexdigest (full_snapshot t));
   Bft_crypto.Sha256.hexdigest (Buffer.contents b)

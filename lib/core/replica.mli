@@ -17,7 +17,13 @@
       protocol, recovery requests and state checking (Chapter 4).
 
     All messages are authenticated per [cfg.auth_mode]; crypto and
-    execution costs are charged to the replica's virtual CPU. *)
+    execution costs are charged to the replica's virtual CPU.
+
+    The replica's state lives with the modules that own it: {!Log} (the
+    message log), {!Checkpoint_store} (checkpoints and their proofs),
+    {!Request_store} (the request pipeline) and {!View_change_store} (the
+    view-change evidence); each contributes its slice of
+    {!state_digest}. *)
 
 type t
 
@@ -33,10 +39,20 @@ type deps = {
   branching : int;
 }
 
-val create : ?obs:Bft_obs.Obs.t -> deps -> id:int -> t
+val create :
+  ?obs:Bft_obs.Obs.t ->
+  deps ->
+  id:int ->
+  on_execute:(int -> (int * string * string) list -> unit) ->
+  t
 (** Create the replica and register its handler with the network. Timers
     (status, key refresh, watchdog) start on {!start}. [obs] defaults to
-    the disabled sink (zero-cost tracing). *)
+    the disabled sink (zero-cost tracing). [on_execute seq wave] is called
+    once per batch execution with the batch's [(client, op, result)]
+    records in order, an empty list for a null batch or one whose
+    requests were all duplicates. A view-change rollback re-executes from
+    the restored checkpoint, so a sequence number can be reported more
+    than once; the last report is the content that stands. *)
 
 val start : t -> unit
 
@@ -76,14 +92,6 @@ val restore_snapshot : t -> string -> (unit, string) result
     and reply-cache records are validated before anything is mutated: a
     malformed snapshot returns [Error reason], counts as a rejected
     snapshot in the metrics, and leaves the replica state untouched. *)
-
-val executed_batches : t -> (int * (int * string * string) list) list
-(** Per-batch execution journal, oldest first: one
-    [(seq, [(client, op, result); ...])] record for every batch execution,
-    including null batches (empty list). A view-change rollback re-executes
-    from the restored checkpoint, appending fresh records, so the {e last}
-    record for a sequence number is the content that stands — the
-    rollback-proof basis for the whole-system safety checks. *)
 
 (** {2 Fault injection (testing / benchmarks)} *)
 
@@ -144,8 +152,10 @@ val verify_envelope : t -> Message.envelope -> bool
 
 val state_digest : t -> string
 (** Canonical, time-abstract fingerprint of the replica's protocol state
-    (log, certificates, view-change state, queues, journal, service
-    snapshot, reply cache) for the exhaustive explorer. Every unordered
+    (log, certificates, view-change state, queues, service snapshot,
+    reply cache) for the exhaustive explorer. What the replica has
+    executed is reported through [on_execute], so the explorer digests
+    it from the caller's record. Every unordered
     container is serialized in sorted order, so two logically identical
     states reached through different message interleavings hash equal; no
     clock- or deadline-derived value is included. *)

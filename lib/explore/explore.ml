@@ -249,6 +249,7 @@ let state_of lv horizon_ns =
   let b = Buffer.create 4096 in
   for i = 0 to cfg.Config.n - 1 do
     Buffer.add_string b (Replica.state_digest (Cluster.replica cluster i));
+    Buffer.add_string b (Cluster.tap_digest cluster i);
     Buffer.add_char b '|'
   done;
   for k = 0 to Cluster.num_clients cluster - 1 do

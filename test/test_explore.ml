@@ -132,6 +132,55 @@ let test_injected_bug_found_and_replays () =
       Alcotest.(check (list string)) "clean build passes" [] r.Runner.failures;
       Alcotest.(check int) "clean build commits" r.Runner.total_ops r.Runner.completed_ops
 
+(* --- view change under exploration: a budgeted run ---
+
+   The pinned configuration never leaves view 0, so it never fingerprints
+   view-change state. Muting the primary with a 5ms view-change timeout
+   drives explored paths through views 1 and 2 (it does not exhaust); the
+   distinct and hash-pruned counts pin how the view-change fingerprint
+   deduplicates those states. *)
+
+let test_view_change_budgeted () =
+  let o =
+    run
+      {
+        (default_config ~seed:42) with
+        vc_timeout_us = 5_000.0;
+        tick_horizon_us = 40_000.0;
+        max_states = 5_000;
+        max_wall_s = 240.0;
+        strategy = Dfs;
+        prefix = sched_of "0@mute:0";
+      }
+  in
+  Alcotest.(check int) "no violations" 0 (List.length o.o_violations);
+  Alcotest.(check bool) "budget-bound, not exhausted" false o.o_exhausted;
+  Alcotest.(check int) "states built" 5_000 o.o_stats.states_built;
+  Alcotest.(check int) "distinct states" 2_882 o.o_stats.states_visited;
+  Alcotest.(check int) "hash pruned" 2_091 o.o_stats.hash_pruned;
+  Alcotest.(check int) "max depth" 22 o.o_stats.max_depth_seen
+
+(* --- fingerprint coverage: fields that steer later messages ---
+
+   On an idle cluster with recovery on, the first key refresh moves only
+   the replica's co-processor counter, which every later New_key carries:
+   the fingerprint must tell the two states apart. *)
+
+let test_key_refresh_moves_fingerprint () =
+  let open Bft_core in
+  let cfg =
+    Config.make ~recovery:true ~key_refresh_us:10_000.0 ~watchdog_period_us:1e9 ~f:1 ()
+  in
+  let c = Cluster.create cfg in
+  let fingerprint_at us =
+    Cluster.run ~timeout_us:us c;
+    Replica.state_digest (Cluster.replica c 0)
+  in
+  let idle = fingerprint_at 5_000.0 in
+  Alcotest.(check string) "idle cluster: fingerprint still" idle (fingerprint_at 9_000.0);
+  Alcotest.(check bool) "key refresh moves the fingerprint" false
+    (String.equal idle (fingerprint_at 15_000.0))
+
 (* --- handcrafted livelocks straight through the runner --- *)
 
 let liveness_params ~seed =
@@ -233,6 +282,9 @@ let suites =
         Alcotest.test_case "order/POR invariance" `Slow test_order_and_por_invariance;
         Alcotest.test_case "injected bug yields replayable counterexample" `Quick
           test_injected_bug_found_and_replays;
+        Alcotest.test_case "view change: budgeted run" `Slow test_view_change_budgeted;
+        Alcotest.test_case "key refresh moves the fingerprint" `Quick
+          test_key_refresh_moves_fingerprint;
       ] );
     ( "explore.liveness",
       [

@@ -120,6 +120,54 @@ let test_regression_seed_replays_from_string () =
       Alcotest.(check int) "same view changes" a.Runner.view_changes b.Runner.view_changes;
       Alcotest.(check (list string)) "same failures" a.Runner.failures b.Runner.failures
 
+(* --- the execution tap across a view-change rollback ---
+
+   Seed 3569's replica 1 (a correct replica: the schedule's only replica
+   fault is on 2) tentatively executes client 4's "put c0.7 v7" at
+   sequence 11, rolls it back in a view change, and executes sequence 11
+   again with client 5's "put c1.3 v3". The tap keeps the last wave per
+   sequence number, so only the re-executed one is committed history. *)
+
+let test_tap_keeps_surviving_wave () =
+  let p = params ~seed:3569 () in
+  let obs = Bft_obs.Obs.registry ~capacity:100_000 () in
+  let lv = Runner.prepare ~obs p (Runner.generate p) in
+  let cluster = lv.Runner.lv_cluster in
+  ignore
+    (Bft_core.Cluster.run_until
+       ~timeout_us:(p.Runner.horizon_us +. p.Runner.drain_us)
+       cluster
+       (fun () -> !(lv.Runner.lv_n_completed) >= lv.Runner.lv_total_ops));
+  let r = Runner.finish lv in
+  Alcotest.(check (list string)) "no oracle failures" [] r.Runner.failures;
+  Alcotest.(check bool) "replica 1 counted correct" true
+    (List.mem 1 !(Bft_core.Cluster.correct_replicas cluster));
+  (* the trace keeps every reply (phase marks only the first execution):
+     one to each wave's client proves both waves ran at sequence 11 *)
+  let answered_at_11 =
+    List.filter_map
+      (fun (e : Bft_obs.Obs.entry) ->
+        match e.ev with
+        | Bft_obs.Obs.Reply_sent { client; seq = 11; _ } -> Some client
+        | _ -> None)
+      (Bft_obs.Obs.events (Bft_obs.Obs.for_node obs 1))
+  in
+  Alcotest.(check (list int)) "replica 1 executed both waves at sequence 11" [ 4; 5 ]
+    (List.sort_uniq Int.compare answered_at_11);
+  let at seq =
+    List.filter_map
+      (fun (s, client, op, _) -> if s = seq then Some (client, op) else None)
+      (Bft_core.Cluster.committed_records cluster 1)
+  in
+  Alcotest.(check (list (pair int string))) "only the re-executed wave" [ (5, "put c1.3 v3") ]
+    (at 11);
+  Alcotest.(check bool) "the rolled-back request commits elsewhere" true
+    (List.exists
+       (fun (_, client, op, _) -> client = 4 && String.equal op "put c0.7 v7")
+       (Bft_core.Cluster.committed_records cluster 1));
+  Alcotest.(check bool) "histories consistent" true
+    (Bft_core.Cluster.committed_histories_consistent cluster)
+
 (* --- shrinker self-test --- *)
 
 let test_shrinker_minimizes () =
@@ -162,6 +210,7 @@ let suites =
           test_liveness_flag_clean_seeds;
         Alcotest.test_case "view-change seed regression" `Quick test_view_change_seed_regression;
         Alcotest.test_case "replay from schedule string" `Quick test_regression_seed_replays_from_string;
+        Alcotest.test_case "tap keeps the surviving wave" `Quick test_tap_keeps_surviving_wave;
         Alcotest.test_case "shrinker minimizes" `Slow test_shrinker_minimizes;
       ] );
   ]

@@ -257,7 +257,7 @@ let fixture () =
       branching = 16;
     }
   in
-  { replica = Replica.create deps ~id:receiver; chains; signers }
+  { replica = Replica.create deps ~id:receiver ~on_execute:(fun _ _ -> ()); chains; signers }
 
 (* whom the receiver checks the token against *)
 let claimed = function Request r -> r.client | New_key k -> k.nk_replica | _ -> 0
