@@ -442,7 +442,10 @@ let fuzz_cmd =
               exit 1
             end)
     | None ->
+        (* per-seed committed-history digests, in seed order *)
+        let histories = Buffer.create 4096 in
         let progress ~seed (r : Bft_check.Runner.run_result) =
+          Buffer.add_string histories r.history_digest;
           if verbose then
             Printf.printf "seed %d: %d/%d ops, %d vc, %s  [%s]\n%!" seed r.completed_ops
               r.total_ops r.view_changes
@@ -459,6 +462,8 @@ let fuzz_cmd =
           (List.length outcome.Bft_check.Runner.failing)
           outcome.Bft_check.Runner.total_completed outcome.Bft_check.Runner.total_view_changes
           outcome.Bft_check.Runner.live_incomplete;
+        Printf.printf "histories: %s\n"
+          (Bft_crypto.Sha256.hexdigest (Buffer.contents histories));
         List.iter
           (fun (seed, r) ->
             Printf.printf "--- seed %d ---\n" seed;

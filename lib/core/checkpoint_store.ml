@@ -117,14 +117,20 @@ let certified_digest t ~threshold =
 let drop_above t bound =
   t.trees <- List.filter (fun tr -> Partition_tree.seq tr <= bound) t.trees
 
-let votes_canonical t =
-  Hashtbl.fold
-    (fun seq h acc ->
-      let vs =
-        List.sort
-          (fun (a, _) (b, _) -> Int.compare a b)
-          (Hashtbl.fold (fun r d a -> (r, d) :: a) h [])
-      in
-      (seq, vs) :: acc)
-    t.votes []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+let digest { trees; stable; votes; cfg = _; page_size = _; branching = _ (* constants *) } b =
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let hexd = Bft_util.Hex.encode in
+  let sorted h =
+    List.sort (fun (a, _) (b, _) -> Int.compare a b) (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
+  in
+  add "|ck:";
+  List.iter
+    (fun tr -> add "%d:%s;" (Partition_tree.seq tr) (hexd (Partition_tree.root_digest tr)))
+    trees;
+  add "stable=%d votes:" stable;
+  List.iter
+    (fun (seq, h) ->
+      add "%d(" seq;
+      List.iter (fun (r, d) -> add "%d:%s;" r (hexd d)) (sorted h);
+      add ")")
+    (sorted votes)

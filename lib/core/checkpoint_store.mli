@@ -57,7 +57,7 @@ val drop_above : t -> int -> unit
 (** Discard trees with sequence numbers above the bound (recovery
     estimation, Section 4.3.2). *)
 
-val votes_canonical : t -> (int * (int * string) list) list
-(** Every retained CHECKPOINT vote as [(seq, [(replica, digest); ...])],
-    both levels sorted ascending — a canonical view of the certificate
-    state for the explorer's state fingerprint. *)
+val digest : t -> Buffer.t -> unit
+(** Append the store's slice of the replica's canonical fingerprint: the
+    held checkpoints, the stable one, and every CHECKPOINT vote in
+    ascending order. *)

@@ -139,6 +139,24 @@ let iter_window t f =
     if e != vacant then f e
   done
 
+let digest t b =
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let hexd = Bft_util.Hex.encode in
+  let votes tag =
+    Array.iteri (fun k vote ->
+        match vote with Some (v, d) -> add "%s%d:%d:%s;" tag k v (hexd d) | None -> ())
+  in
+  iter_window t
+    (fun
+      { seq; pp_view; self_preprepared; executed; exec_tentative; pp_digest; prepares; commits;
+        pp = _ (* identified by pp_digest *) }
+    ->
+      add "L%d pv=%d self=%b ex=%b tent=%b d=%s(" seq pp_view self_preprepared executed
+        exec_tentative (match pp_digest with Some d -> hexd d | None -> "-");
+      votes "p" prepares;
+      votes "c" commits;
+      add ")")
+
 let clear_entries t = Array.fill t.slots 0 (Array.length t.slots) vacant
 
 type claim = Unclaimed | Claimed_prepared | Claimed_committed

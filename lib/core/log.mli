@@ -72,6 +72,10 @@ val truncate : t -> int -> unit
 val iter_window : t -> (entry -> unit) -> unit
 (** Iterate existing entries in increasing sequence order. *)
 
+val digest : t -> Buffer.t -> unit
+(** Append the log's slice of the replica's canonical fingerprint: the
+    window's entries in ascending sequence order. *)
+
 val clear_entries : t -> unit
 (** Drop every entry but keep the low water mark (used when a view-change
     message is sent: the paper's "clears its log"). *)

@@ -42,6 +42,22 @@ let interior_digest_of_acc ~level ~index ~lm acc =
     ("META" ^ string_of_int level ^ ":" ^ string_of_int index ^ ":" ^ string_of_int lm ^ ":")
     (Bft_crypto.Adhash.to_string acc)
 
+(* The interior node over its children's [(index, lm, digest)]: the
+   largest child lm, and the tagged digest of the AdHash sum of the child
+   digests. *)
+let interior_node ~level ~index children =
+  let lm, acc =
+    List.fold_left
+      (fun (lm, acc) (_, clm, cd) ->
+        (max lm clm, Bft_crypto.Adhash.add acc (Bft_crypto.Adhash.of_digest cd)))
+      (0, Bft_crypto.Adhash.zero) children
+  in
+  { n_lm = lm; n_digest = interior_digest_of_acc ~level ~index ~lm acc; n_acc = acc }
+
+let interior_digest ~level ~index children =
+  let n = interior_node ~level ~index children in
+  (n.n_lm, n.n_digest)
+
 let num_interior_levels ~branching ~num_pages =
   (* levels above the page level, at least 1 (the root) *)
   let rec go width acc = if width <= 1 then acc else go ((width + branching - 1) / branching) (acc + 1) in
@@ -60,15 +76,10 @@ let build_interior ~branching pages =
       Array.init width (fun i ->
           let first = i * branching in
           let last = min ((i + 1) * branching) (Array.length lower) - 1 in
-          let lm = ref 0 and acc = ref Bft_crypto.Adhash.zero in
-          for c = first to last do
-            let clm, cd = lower.(c) in
-            if clm > !lm then lm := clm;
-            acc := Bft_crypto.Adhash.add !acc (Bft_crypto.Adhash.of_digest cd)
-          done;
-          { n_lm = !lm;
-            n_digest = interior_digest_of_acc ~level:l ~index:i ~lm:!lm !acc;
-            n_acc = !acc })
+          interior_node ~level:l ~index:i
+            (List.init (last - first + 1) (fun k ->
+                 let clm, cd = lower.(first + k) in
+                 (first + k, clm, cd))))
     in
     interior.(l) <- nodes;
     lower_lm_digest := Array.map (fun n -> (n.n_lm, n.n_digest)) nodes

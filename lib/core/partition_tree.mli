@@ -80,6 +80,13 @@ val children : t -> level:int -> index:int -> (int * int * digest) list
 (** [(child_index, lm, digest)] list for an interior partition — the
     contents of a META-DATA reply. [level] must be an interior level. *)
 
+val interior_digest : level:int -> index:int -> (int * int * digest) list -> int * digest
+(** [(lm, digest)] of the interior node at [(level, index)] whose children
+    are the given [(child_index, lm, digest)] — what the fetcher of a
+    META-DATA reply checks against the digest it expects. Interior digests
+    depend on the node's level and index and are domain-separated from
+    page digests, which depend only on the page's index. *)
+
 val child_range : t -> level:int -> index:int -> int * int
 (** Child index range [(first, last)] of an interior node. *)
 

@@ -39,45 +39,6 @@ type counters = {
   mutable n_slowness_vc : int;
 }
 
-(* One in-flight state transfer (Section 5.3.2). *)
-type transfer = {
-  tx_target : int; (* checkpoint sequence number being fetched *)
-  tx_root_digest : string;
-  (* (level, index) -> expected (lm, digest), discovered walking down *)
-  tx_expected : (int * int, int * string) Hashtbl.t;
-  tx_pending : (int * int, unit) Hashtbl.t; (* partitions fetched but unanswered *)
-  tx_pages : (int, Partition_tree.page) Hashtbl.t; (* verified fetched pages *)
-  mutable tx_page_level : int; (* depth of the remote tree, learnt from metas *)
-  mutable tx_num_pages : int;
-  tx_ok_pages : (int, unit) Hashtbl.t; (* local pages proven up-to-date *)
-  mutable tx_replier : int;
-  mutable tx_timer : Engine.handle option;
-}
-
-(* Per-peer retransmission token bucket (active only when
-   [Config.retransmit_budget = Some b]): [b] retransmissions per refill
-   window, windows stretched exponentially while the peer keeps draining
-   its bucket dry — a wrong-MAC peer whose status always claims to be
-   behind gets geometrically less amplification out of us. *)
-type retx_state = {
-  mutable rx_tokens : int;
-  mutable rx_window_start : Engine.time;
-  mutable rx_backoff : float; (* multiplier on the status interval *)
-  mutable rx_exhausted : bool; (* bucket ran dry within this window *)
-}
-
-(* Recovery (Chapter 4) progress. *)
-type recovery = {
-  mutable rc_phase : [ `Estimating | `Waiting_recovery_reply | `Fetching ];
-  mutable rc_request : request option; (* the signed recovery request, for retransmission *)
-  rc_nonce : int64;
-  (* replica -> (min c, max p) collected by the estimation protocol *)
-  rc_est : (int, int * int) Hashtbl.t;
-  mutable rc_est_hm : int; (* H_M once estimated *)
-  mutable rc_recovery_point : int; (* H_R *)
-  rc_replies : (int, int) Hashtbl.t; (* replica -> seqno in recovery reply *)
-}
-
 type t = {
   d : deps;
   id : int;
@@ -117,8 +78,7 @@ type t = {
   vc : View_change_store.t; (* P/Q sets, view-changes, acks, new-views *)
   mutable vc_timer : Engine.handle option;
   mutable vc_timeout_us : float;
-  (* per-peer retransmission budget state (see [retx_state]) *)
-  retx : (int, retx_state) Hashtbl.t;
+  retx : Retransmit_budget.t; (* per-peer retransmission budgets *)
   (* primary performance watchdog (Config.perf_watchdog): smoothed
      accept->execute latency vs the best smoothed latency ever seen *)
   mutable perf_ewma_us : float;
@@ -128,10 +88,9 @@ type t = {
   mutable perf_view_start : Engine.time;
       (* when the current view was entered: requests that arrived earlier
          waited under the previous primary and must not feed the EWMA *)
-  (* state transfer *)
-  mutable transfer : transfer option;
-  (* recovery *)
-  mutable recovering : recovery option;
+  mutable transfer : State_transfer.t option;
+  mutable tx_timer : Engine.handle option; (* the transfer's retry timer *)
+  mutable recovering : Recovery.t option;
   mutable hm_bound : int; (* don't send protocol messages above this while recovering *)
   mutable coproc_counter : int64;
   (* told [(client, op, result)] of every executed batch, null batches
@@ -225,8 +184,7 @@ let broadcast ?(enc = Message.no_cache ()) t body =
     let d = Wire.cached_digest ~arena:t.arena enc body in
     let auth =
       match (t.d.cfg.Config.auth_mode, body) with
-      | _, New_key _ -> sign_digest t d
-      | Config.Sig_auth, _ -> sign_digest t d
+      | _, New_key _ | Config.Sig_auth, _ -> sign_digest t d
       | Config.Mac_auth, _ -> vector_digest t ~dsts:(replica_ids t) d
     in
     let auth = if t.wrong_mac then corrupt_auth t auth ~dsts:(replica_ids t) else auth in
@@ -240,9 +198,9 @@ let send_to t ~dst body =
     let enc = Message.no_cache () in
     let d = Wire.cached_digest ~arena:t.arena enc body in
     let auth =
-      match t.d.cfg.Config.auth_mode with
-      | Config.Sig_auth -> sign_digest t d
-      | Config.Mac_auth -> mac_digest t ~dst d
+      match (t.d.cfg.Config.auth_mode, body) with
+      | _, New_key _ | Config.Sig_auth, _ -> sign_digest t d
+      | Config.Mac_auth, _ -> mac_digest t ~dst d
     in
     let auth = if t.wrong_mac then corrupt_auth t auth ~dsts:[ dst ] else auth in
     let env = { sender = t.id; body; auth; enc } in
@@ -261,45 +219,15 @@ let send_reply t ~client ~ts ~tentative result =
          rp_result = result;
        })
 
-(* Per-peer retransmission budget (see [retx_state]): inert when
-   [Config.retransmit_budget] is [None]. *)
+(* Per-peer retransmission budget, refilled every status interval: inert
+   when [Config.retransmit_budget] is [None]. *)
 let retx_allow t peer =
   match t.d.cfg.Config.retransmit_budget with
   | None -> true
-  | Some b ->
-      let st =
-        match Hashtbl.find_opt t.retx peer with
-        | Some st -> st
-        | None ->
-            let st =
-              {
-                rx_tokens = b;
-                rx_window_start = now t;
-                rx_backoff = 1.0;
-                rx_exhausted = false;
-              }
-            in
-            Hashtbl.replace t.retx peer st;
-            st
-      in
-      let window =
-        Engine.of_us_float (st.rx_backoff *. t.d.cfg.Config.status_interval_us)
-      in
-      if Int64.compare (Int64.sub (now t) st.rx_window_start) window >= 0 then begin
-        (* refill; a peer that drained the previous window dry waits
-           geometrically longer for the next one (capped) *)
-        st.rx_backoff <-
-          (if st.rx_exhausted then Float.min 16.0 (st.rx_backoff *. 2.0) else 1.0);
-        st.rx_tokens <- b;
-        st.rx_window_start <- now t;
-        st.rx_exhausted <- false
-      end;
-      if st.rx_tokens > 0 then begin
-        st.rx_tokens <- st.rx_tokens - 1;
-        true
-      end
-      else begin
-        st.rx_exhausted <- true;
+  | Some budget ->
+      Retransmit_budget.allow t.retx ~budget ~interval_us:t.d.cfg.Config.status_interval_us
+        ~now:(now t) peer
+      || begin
         t.counters.n_retransmit_suppressed <- t.counters.n_retransmit_suppressed + 1;
         if Obs.enabled t.obs then Obs.retransmit_suppress t.obs ~now:(now t) ~peer;
         false
@@ -315,6 +243,17 @@ let send_plain t ~dst body =
   if not t.muted then begin
     let env = Message.envelope ~sender:t.id ~auth:Auth_none body in
     Network.send t.d.net ~src:t.id ~dst ~size:(Wire.envelope_size env) env
+  end
+
+(* Forward a request with its client's token intact, to [dst] or to every
+   replica: each receiver checks the client's own MAC or signature. *)
+let forward_request ?dst t (req : request) token =
+  if not t.muted then begin
+    let env = Message.envelope ~sender:t.id ~auth:token (Request req) in
+    let size = Wire.envelope_size env in
+    match dst with
+    | Some dst -> Network.send t.d.net ~src:t.id ~dst ~size env
+    | None -> Network.multicast t.d.net ~src:t.id ~dsts:(replica_ids t) ~size env
   end
 
 (* Check the token's claim that [claimed] sent the message with digest
@@ -342,6 +281,12 @@ let verify_token t ~claimed d token =
 (* Timestamp of the client's last executed request, -1 before any. *)
 let last_ts t client =
   match Hashtbl.find_opt t.last_reply client with Some (ts, _, _) -> ts | None -> -1L
+
+(* Re-send the client's cached reply, if any. *)
+let resend_last_reply t client ~tentative =
+  match Hashtbl.find_opt t.last_reply client with
+  | Some (ts, result, _) -> send_reply t ~client ~ts ~tentative (Full result)
+  | None -> ()
 
 (* Record the reply for a client, keeping [reply_clients] sorted. *)
 let set_last_reply t client entry =
@@ -477,6 +422,13 @@ let restore_snapshot t s =
               Ok ()
           | exception _ -> reject "service refused snapshot"))
 
+(* A new watchdog epoch: the smoothed latency of the old primary (and of
+   the view-change gap itself) says nothing about the new one. *)
+let new_perf_epoch t =
+  t.perf_view_start <- now t;
+  t.perf_ewma_us <- 0.0;
+  t.perf_samples <- 0
+
 (* ------------------------------------------------------------------ *)
 (* Timers: view-change timer driven by the waiting-request set          *)
 (* ------------------------------------------------------------------ *)
@@ -487,6 +439,17 @@ let stop_vc_timer t =
       Engine.cancel h;
       t.vc_timer <- None
   | None -> ()
+
+(* Arm the view-change timer with the current timeout. *)
+let arm_vc_timer t fire =
+  t.vc_timer <-
+    Some
+      (Engine.schedule t.engine
+         ~label:(Engine.Id ("vc", t.id))
+         ~delay:(Engine.of_us_float t.vc_timeout_us)
+         (fun () ->
+           t.vc_timer <- None;
+           fire ()))
 
 (* Before demanding a view change over requests the primary failed to
    order, re-relay them to the *next* primary: admission control makes
@@ -505,10 +468,7 @@ let relay_waiting t =
     if dst <> t.id then
       List.iter
         (fun (sr : Request_store.stored) ->
-          if retx_allow t dst then begin
-            let env = Message.envelope ~sender:t.id ~auth:sr.sr_token (Request sr.sr_req) in
-            Network.send t.d.net ~src:t.id ~dst ~size:(Wire.envelope_size env) env
-          end)
+          if retx_allow t dst then forward_request ~dst t sr.sr_req sr.sr_token)
         (Request_store.waiting_requests t.rq)
   end
 
@@ -552,13 +512,13 @@ let take_checkpoint_paged t seq (pg : Bft_sm.Service.paged) =
       :: (List.map (fun i -> i + 1) svc_dirty
           @ List.init n_reply (fun i -> 1 + n_svc + i))
   in
-  charge t (Costs.digest_us t.costs 0);
   let tree = Checkpoint_store.take_pages t.ckpts ~seq ~pages ~dirty in
-  charge t (Costs.digest_us t.costs (Partition_tree.digested_bytes tree));
   t.paged_sync <- Some seq;
   tree
 
+(* Digesting costs a fixed overhead plus the bytes actually re-hashed. *)
 let take_checkpoint t seq =
+  charge t (Costs.digest_us t.costs 0);
   let tree =
     match t.d.service.Bft_sm.Service.paged with
     | Some pg
@@ -566,13 +526,9 @@ let take_checkpoint t seq =
            && String.length (Printf.sprintf "PAGED %d %d\n" max_int max_int)
               <= t.d.page_size ->
         take_checkpoint_paged t seq pg
-    | _ ->
-        let snap = full_snapshot t in
-        charge t (Costs.digest_us t.costs 0);
-        let tree = Checkpoint_store.take t.ckpts ~seq ~snapshot:snap in
-        charge t (Costs.digest_us t.costs (Partition_tree.digested_bytes tree));
-        tree
+    | _ -> Checkpoint_store.take t.ckpts ~seq ~snapshot:(full_snapshot t)
   in
+  charge t (Costs.digest_us t.costs (Partition_tree.digested_bytes tree));
   t.counters.n_checkpoints <- t.counters.n_checkpoints + 1;
   if Obs.enabled t.obs then begin
     let dirty = Partition_tree.pages_modified_at tree ~seq in
@@ -582,13 +538,22 @@ let take_checkpoint t seq =
   end;
   tree
 
+let checkpoint_msg t tree =
+  { ck_seq = Partition_tree.seq tree; ck_digest = Partition_tree.root_digest tree; ck_replica = t.id }
+
 let announce_checkpoint t seq =
-  match Checkpoint_store.tree_at t.ckpts seq with
-  | None -> ()
-  | Some tree ->
-      let ck = { ck_seq = seq; ck_digest = Partition_tree.root_digest tree; ck_replica = t.id } in
+  Option.iter
+    (fun tree ->
+      let ck = checkpoint_msg t tree in
       Checkpoint_store.add_message t.ckpts ck;
-      broadcast t (Checkpoint ck)
+      broadcast t (Checkpoint ck))
+    (Checkpoint_store.tree_at t.ckpts seq)
+
+(* Announce the checkpoints whose batches have now committed. *)
+let announce_committed t =
+  let announce, keep = List.partition (fun n -> n <= t.committed_upto) t.pending_ckpt_announce in
+  t.pending_ckpt_announce <- keep;
+  List.iter (announce_checkpoint t) (List.sort compare announce)
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -625,17 +590,13 @@ let flush_read_only t =
         send_reply t ~client:req.client ~ts:req.timestamp ~tentative:true payload)
       (Request_store.take_read_only t.rq)
 
-let update_committed_upto t =
-  let continue = ref true in
-  while !continue do
-    let n = t.committed_upto + 1 in
-    if Log.committed t.log ~view:t.view ~seq:n then begin
-      t.committed_upto <- n;
-      if Obs.enabled t.obs then
-        Obs.phase t.obs ~now:(now t) Obs.Committed ~view:t.view ~seq:n
-    end
-    else continue := false
-  done
+let rec update_committed_upto t =
+  let n = t.committed_upto + 1 in
+  if Log.committed t.log ~view:t.view ~seq:n then begin
+    t.committed_upto <- n;
+    if Obs.enabled t.obs then Obs.phase t.obs ~now:(now t) Obs.Committed ~view:t.view ~seq:n;
+    update_committed_upto t
+  end
 
 (* Sliding-window bound on concurrent protocol instances (Section 5.1.4):
    the primary may run at most [window] instances beyond the last executed
@@ -685,70 +646,66 @@ let pick_replier t =
   let others = List.filter (fun i -> i <> t.id) (replica_ids t) in
   List.nth others (Bft_util.Rng.int t.rng (List.length others))
 
-let send_fetch t ~level ~index =
-  match t.transfer with
-  | None -> ()
-  | Some tx ->
-      Hashtbl.replace tx.tx_pending (level, index) ();
-      if Obs.enabled t.obs then Obs.transfer_fetch t.obs ~now:(now t) ~level ~index;
-      broadcast t
-        (Fetch
-           {
-             ft_level = level;
-             ft_index = index;
-             ft_lc = Checkpoint_store.stable_seq t.ckpts;
-             ft_rc = tx.tx_target;
-             ft_replier = tx.tx_replier;
-             ft_replica = t.id;
-           })
+let send_fetch t tx ((level, index) as node) =
+  if Obs.enabled t.obs then Obs.transfer_fetch t.obs ~now:(now t) ~level ~index;
+  broadcast t (State_transfer.fetch tx ~stable:(Checkpoint_store.stable_seq t.ckpts) ~self:t.id node)
 
-let rec transfer_retry t =
+(* Every 30 ms, re-send the unanswered fetches to a freshly drawn
+   replier. *)
+let rec arm_transfer_retry t =
+  t.tx_timer <-
+    Some
+      (Engine.schedule t.engine
+         ~label:(Engine.Id ("tx", t.id))
+         ~delay:(Engine.of_us_float 30_000.0) (fun () -> transfer_retry t))
+
+and transfer_retry t =
   match t.transfer with
   | None -> ()
   | Some tx ->
-      tx.tx_replier <- pick_replier t;
-      Hashtbl.iter (fun (level, index) () -> send_fetch t ~level ~index)
-        (Hashtbl.copy tx.tx_pending);
-      tx.tx_timer <-
-        Some
-          (Engine.schedule t.engine
-             ~label:(Engine.Id ("tx", t.id))
-             ~delay:(Engine.of_us_float 30_000.0) (fun () ->
-               transfer_retry t))
+      State_transfer.set_replier tx (pick_replier t);
+      List.iter (send_fetch t tx) (State_transfer.pending tx);
+      arm_transfer_retry t
 
 let start_transfer t ~target ~root_digest =
   match t.transfer with
-  | Some tx when tx.tx_target >= target -> ()
-  | _ ->
-      (match t.transfer with
-      | Some tx -> ( match tx.tx_timer with Some h -> Engine.cancel h | None -> ())
-      | None -> ());
+  | Some tx when State_transfer.target tx >= target -> ()
+  | current ->
+      if Option.is_some current then Option.iter Engine.cancel t.tx_timer;
       t.counters.n_state_transfers <- t.counters.n_state_transfers + 1;
       L.debug (fun m -> m "replica %d: state transfer to %d" t.id target);
       if Obs.enabled t.obs then Obs.transfer_start t.obs ~now:(now t) ~target;
-      let tx =
-        {
-          tx_target = target;
-          tx_root_digest = root_digest;
-          tx_expected = Hashtbl.create 32;
-          tx_pending = Hashtbl.create 8;
-          tx_pages = Hashtbl.create 32;
-          tx_page_level = -1;
-          tx_num_pages = 0;
-          tx_ok_pages = Hashtbl.create 32;
-          tx_replier = pick_replier t;
-          tx_timer = None;
-        }
-      in
-      Hashtbl.replace tx.tx_expected (0, 0) (target, root_digest);
+      let tx = State_transfer.start ~target ~root_digest ~replier:(pick_replier t) in
       t.transfer <- Some tx;
-      send_fetch t ~level:0 ~index:0;
-      tx.tx_timer <-
-        Some
-          (Engine.schedule t.engine
-             ~label:(Engine.Id ("tx", t.id))
-             ~delay:(Engine.of_us_float 30_000.0) (fun () ->
-               transfer_retry t))
+      send_fetch t tx (0, 0);
+      arm_transfer_retry t
+
+(* Key refresh (Section 4.3.1): replace the keys other replicas use to
+   send to us. Client-shared keys are refreshed by clients; they are only
+   discarded on recovery, when the attacker may know them. *)
+let send_new_key ?(drop_clients = false) t =
+  if drop_clients then Bft_crypto.Keychain.drop_all_in_keys t.d.keychain;
+  t.coproc_counter <- Int64.add t.coproc_counter 1L;
+  let keys =
+    List.filter_map
+      (fun peer ->
+        if peer = t.id then None
+        else Some (peer, Bft_crypto.Keychain.fresh_in_key t.d.keychain t.rng ~peer))
+      (replica_ids t)
+  in
+  broadcast t (New_key { nk_replica = t.id; nk_keys = keys; nk_counter = t.coproc_counter });
+  if drop_clients then
+    (* re-key every client we have served: each gets a fresh key to reach
+       us, in a signed point-to-point new-key message *)
+    List.iter
+      (fun client ->
+        if client >= t.d.cfg.Config.n then begin
+          t.coproc_counter <- Int64.add t.coproc_counter 1L;
+          let key = Bft_crypto.Keychain.fresh_in_key t.d.keychain t.rng ~peer:client in
+          send_to t ~dst:client
+            (New_key { nk_replica = t.id; nk_keys = [ (client, key) ]; nk_counter = t.coproc_counter })
+        end)
+      t.reply_clients
 
 (* ------------------------------------------------------------------ *)
 (* The protocol core: one recursion group                              *)
@@ -769,17 +726,11 @@ let rec start_vc_timer t =
      the polymorphic comparator (enforced by bftlint's
      engine-handle-compare rule) *)
   if Option.is_none t.vc_timer && not t.d.cfg.Config.debug_no_vc_timer then
-    t.vc_timer <-
-      Some
-        (Engine.schedule t.engine
-           ~label:(Engine.Id ("vc", t.id))
-           ~delay:(Engine.of_us_float t.vc_timeout_us)
-           (fun () ->
-             t.vc_timer <- None;
-             if t.active then begin
-               relay_waiting t;
-               start_view_change t (t.view + 1)
-             end))
+    arm_vc_timer t (fun () ->
+        if t.active then begin
+          relay_waiting t;
+          start_view_change t (t.view + 1)
+        end)
 
 (* Primary performance watchdog (the slow-primary attack of Chondros et
    al.): a primary that keeps answering timers but orders requests ever
@@ -866,8 +817,7 @@ and try_stabilize t =
       (* recovery completes when the checkpoint at the recovery point is
          stable (Section 4.3.2) *)
       (match t.recovering with
-      | Some rc
-        when rc.rc_phase = `Fetching && seq >= rc.rc_recovery_point ->
+      | Some rc when Recovery.completes rc ~stable:seq ->
           t.recovering <- None;
           t.hm_bound <- max_int;
           t.counters.n_recoveries <- t.counters.n_recoveries + 1;
@@ -895,27 +845,13 @@ and execute_batch t n ~tentative =
               let last_t = last_ts t req.client in
               if Int64.compare req.timestamp last_t > 0 then begin
                 let result =
-                  if String.length req.op >= 9 && String.equal (String.sub req.op 0 9) "\x00RECOVERY"
-                  then begin
-                    (* recovery request (Section 4.3.2): refresh our keys and
-                       reply with the sequence number it executed at *)
-                    let k = t.d.cfg.Config.checkpoint_interval in
-                    t.null_fill_until <-
-                      max t.null_fill_until (((n + k - 1) / k * k) + t.d.cfg.Config.log_size);
-                    if req.client <> t.id then begin
-                      t.coproc_counter <- Int64.add t.coproc_counter 1L;
-                      let keys =
-                        List.filter_map
-                          (fun peer ->
-                            if peer = t.id then None
-                            else
-                              Some
-                                (peer, Bft_crypto.Keychain.fresh_in_key t.d.keychain t.rng ~peer))
-                          (replica_ids t)
-                      in
-                      broadcast t
-                        (New_key { nk_replica = t.id; nk_keys = keys; nk_counter = t.coproc_counter })
-                    end;
+                  if Recovery.is_request t.d.cfg req then begin
+                    (* recovery request (Section 4.3.2): refresh our keys,
+                       reply with the sequence number it executed at, and
+                       (as primary) fill null batches up to its recovery
+                       point *)
+                    t.null_fill_until <- max t.null_fill_until (Recovery.point_for t.d.cfg n);
+                    if req.client <> t.id then send_new_key t;
                     string_of_int n
                   end
                   else if not (t.d.service.Bft_sm.Service.has_access ~client:req.client req.op)
@@ -948,10 +884,7 @@ and execute_batch t n ~tentative =
                    longer waiting for this request *)
                 clear_waiting t (Wire.request_digest req);
                 if Int64.compare req.timestamp last_t = 0 then
-                match Hashtbl.find_opt t.last_reply req.client with
-                | Some (ts, result, _) ->
-                    send_reply t ~client:req.client ~ts ~tentative (Full result)
-                | None -> ()
+                  resend_last_reply t req.client ~tentative
               end)
         elems;
       t.on_execute n (List.rev !wave);
@@ -971,20 +904,14 @@ and execute_batch t n ~tentative =
 
 and try_execute t =
   update_committed_upto t;
-  (* announce checkpoints whose batches have now committed *)
-  let announce, keep =
-    List.partition (fun n -> n <= t.committed_upto) t.pending_ckpt_announce
-  in
-  t.pending_ckpt_announce <- keep;
-  List.iter (fun n -> announce_checkpoint t n) (List.sort compare announce);
+  announce_committed t;
   let progress = ref true in
   while !progress do
     progress := false;
     let n = t.last_exec + 1 in
     if Log.in_window t.log n || n <= Log.low_mark t.log then begin
       match Log.entry t.log n with
-      | Some e when e.Log.pp_digest <> None && not e.Log.executed ->
-          let d = Option.get e.Log.pp_digest in
+      | Some { Log.pp_digest = Some d; executed = false; _ } ->
           if Request_store.have_batch_bodies t.rq d then begin
             if Log.committed t.log ~view:t.view ~seq:n then begin
               execute_batch t n ~tentative:false;
@@ -1007,11 +934,7 @@ and try_execute t =
   update_committed_upto t;
   (* newly committed tentative executions can trigger checkpoint
      announcements *)
-  let announce, keep =
-    List.partition (fun n -> n <= t.committed_upto) t.pending_ckpt_announce
-  in
-  t.pending_ckpt_announce <- keep;
-  List.iter (fun n -> announce_checkpoint t n) (List.sort compare announce);
+  announce_committed t;
   try_stabilize t;
   flush_read_only t;
   (* execution slides the primary's window forward *)
@@ -1108,8 +1031,7 @@ and process_queue t =
 
 and check_prepared_to_commit t ~seq =
   match Log.entry t.log seq with
-  | Some e when e.Log.pp_digest <> None ->
-      let d = Option.get e.Log.pp_digest in
+  | Some ({ Log.pp_digest = Some d; _ } as e) ->
       if
         Log.prepared t.log ~view:t.view ~seq
         && Option.is_none e.Log.commits.(t.id)
@@ -1160,14 +1082,7 @@ and start_view_change t new_view =
     (* view-change retry timer: if the new view does not activate in time,
        move to the next one with a doubled timeout (liveness, 2.3.5) *)
     t.vc_timeout_us <- t.vc_timeout_us *. 2.0;
-    t.vc_timer <-
-      Some
-        (Engine.schedule t.engine
-           ~label:(Engine.Id ("vc", t.id))
-           ~delay:(Engine.of_us_float t.vc_timeout_us)
-           (fun () ->
-             t.vc_timer <- None;
-             if not t.active then start_view_change t (t.view + 1)));
+    arm_vc_timer t (fun () -> if not t.active then start_view_change t (t.view + 1));
     try_new_view t
   end
 
@@ -1220,11 +1135,7 @@ and enter_new_view t (nv : new_view) =
   t.view <- v;
   t.active <- true;
   View_change_store.set_deferred_nv t.vc None;
-  (* new watchdog epoch: the smoothed latency of the old primary (and of
-     the view-change gap itself) says nothing about the new primary *)
-  t.perf_view_start <- now t;
-  t.perf_ewma_us <- 0.0;
-  t.perf_samples <- 0;
+  new_perf_epoch t;
   stop_vc_timer t;
   (* prune view-change state for views before this one *)
   View_change_store.prune_below t.vc v;
@@ -1434,12 +1345,9 @@ let handle_request t (req : request) token ~verified ~relayed ~size =
   charge t (Costs.digest_us t.costs size);
   let last_t = last_ts t req.client in
   if Int64.compare req.timestamp last_t < 0 then ()
-  else if Int64.compare req.timestamp last_t = 0 then begin
+  else if Int64.compare req.timestamp last_t = 0 then
     (* already executed: retransmit cached reply *)
-    match Hashtbl.find_opt t.last_reply req.client with
-    | Some (ts, result, _) -> send_reply t ~client:req.client ~ts ~tentative:false (Full result)
-    | None -> ()
-  end
+    resend_last_reply t req.client ~tentative:false
   else if
     (* Per-client in-flight quota: a new request (retransmissions of a
        request already in the pipeline always pass) beyond the quota is
@@ -1472,13 +1380,8 @@ let handle_request t (req : request) token ~verified ~relayed ~size =
     end
     else begin
       note_waiting t d;
-      if not relayed then
-        (* relay to the primary with the client's token intact *)
-        if not t.muted then begin
-          let env = Message.envelope ~sender:t.id ~auth:token (Request req) in
-          Network.send t.d.net ~src:t.id ~dst:(primary t)
-            ~size:(Wire.envelope_size env) env
-        end
+      (* relay to the primary with the client's token intact *)
+      if not relayed then forward_request ~dst:(primary t) t req token
     end
   end
 
@@ -1499,6 +1402,11 @@ let handle_commit t (c : commit) =
 (* ------------------------------------------------------------------ *)
 (* View-change and new-view messages                                  *)
 (* ------------------------------------------------------------------ *)
+
+(* A view-change carrying no certificates: a recovering primary's
+   abdication, or what a peer's status says it sent. *)
+let bare_view_change ~view ~h replica =
+  { vc_view = view; vc_h = h; vc_cset = []; vc_pset = []; vc_qset = []; vc_replica = replica }
 
 let handle_view_change t (vc : view_change) ~verified =
   let v = vc.vc_view in
@@ -1556,253 +1464,88 @@ let handle_new_view t (nv : new_view) =
 let local_tree t = Checkpoint_store.latest t.ckpts
 
 let handle_fetch t (f : fetch) =
-  if f.ft_replica <> t.id then begin
-    let reply_from_tree tree =
-      let page_level = Partition_tree.depth tree - 1 in
-      if f.ft_level >= page_level then begin
-        if f.ft_index < Partition_tree.num_pages tree && f.ft_replier = t.id then begin
-          let p = Partition_tree.page tree f.ft_index in
-          send_plain t ~dst:f.ft_replica
-            (Data { dt_index = f.ft_index; dt_lm = p.Partition_tree.lm; dt_page = p.Partition_tree.data })
-        end
-      end
-      else if f.ft_replier = t.id || Partition_tree.seq tree > max f.ft_lc f.ft_rc then begin
-        match Partition_tree.children tree ~level:f.ft_level ~index:f.ft_index with
-        | children ->
-            send_to t ~dst:f.ft_replica
-              (Meta_data
-                 {
-                   md_checkpoint = Partition_tree.seq tree;
-                   md_level = f.ft_level;
-                   md_index = f.ft_index;
-                   md_subparts = children;
-                   md_replica = t.id;
-                 })
-        | exception Invalid_argument _ -> ()
-      end
-    in
-    match Checkpoint_store.tree_at t.ckpts f.ft_rc with
-    | Some tree -> reply_from_tree tree
-    | None -> (
-        (* help with a newer stable checkpoint when the requested one is
-           gone (Section 5.3.2) *)
-        match Checkpoint_store.stable_tree t.ckpts with
-        | Some tree when Partition_tree.seq tree > max f.ft_lc f.ft_rc -> reply_from_tree tree
-        | _ -> ())
-  end
-
-(* Does the local current state already match the expected page digest? *)
-let local_page_matches t ~index ~lm ~digest =
-  match local_tree t with
-  | None -> false
-  | Some tree ->
-      index < Partition_tree.num_pages tree
-      &&
-      let p = Partition_tree.page tree index in
-      p.Partition_tree.lm = lm && String.equal p.Partition_tree.digest digest
-
-(* Check and fetch state: rebuild our partition tree from the (possibly
-   corrupt) current state and compare against a certified checkpoint. *)
-let recovery_step t =
-  match t.recovering with
-  | Some rc when rc.rc_phase = `Fetching -> (
-      (* find a certified recent checkpoint to check against *)
-      match
-        Checkpoint_store.certified_digest t.ckpts ~threshold:(weak t)
-      with
-      | Some (seq, digest) when seq > Checkpoint_store.stable_seq t.ckpts || t.transfer = None ->
-          let local =
-            match Checkpoint_store.tree_at t.ckpts seq with
-            | Some tree -> String.equal (Partition_tree.root_digest tree) digest
-            | None -> false
-          in
-          if not local then start_transfer t ~target:seq ~root_digest:digest
-      | _ -> ())
-  | _ -> ()
-
-let check_transfer_done t =
-  match t.transfer with
+  match State_transfer.answer t.ckpts ~self:t.id f with
+  | Some (Data _ as page) -> send_plain t ~dst:f.ft_replica page
+  | Some meta -> send_to t ~dst:f.ft_replica meta
   | None -> ()
-  | Some tx ->
-      if Hashtbl.length tx.tx_pending = 0 && tx.tx_num_pages > 0 then begin
-        (* assemble the page records: fetched pages where we fetched, local
-           pages where they were proven current — each keeps its own lm, so
-           the rebuilt tree reproduces the sender's digests even when clean
-           pages predate the target checkpoint *)
-        let ok = ref true in
-        let acc = ref [] in
-        for i = 0 to tx.tx_num_pages - 1 do
-          match Hashtbl.find_opt tx.tx_pages i with
-          | Some p -> acc := p :: !acc
-          | None ->
-              if Hashtbl.mem tx.tx_ok_pages i then begin
-                match local_tree t with
-                | Some tree -> acc := Partition_tree.page tree i :: !acc
-                | None -> ok := false
-              end
-              else ok := false
-        done;
-        if !ok then begin
-          let pages = Array.of_list (List.rev !acc) in
-          match
-            Partition_tree.of_pages ~seq:tx.tx_target ~page_size:t.d.page_size
-              ~branching:t.d.branching pages
-          with
-          | exception Invalid_argument _ ->
-              (* fetched pages do not form a valid image: start over *)
-              t.transfer <- None;
-              start_transfer t ~target:tx.tx_target ~root_digest:tx.tx_root_digest
-          | tree ->
-          charge t (Costs.digest_us t.costs (Partition_tree.digested_bytes tree));
-          if String.equal (Partition_tree.root_digest tree) tx.tx_root_digest then begin
-            let snapshot = Partition_tree.snapshot tree in
-            (match tx.tx_timer with Some h -> Engine.cancel h | None -> ());
-            t.transfer <- None;
-            Checkpoint_store.install t.ckpts tree;
-            (match restore_snapshot t snapshot with
-            | Ok () -> ()
-            | Error _ ->
-                (* quorum-certified bytes our own decoder rejects: the local
-                   state stays behind, but the installed tree is valid and
-                   the protocol continues; recovery will retry *)
-                ());
-            t.last_exec <- tx.tx_target;
-            t.committed_upto <- max t.committed_upto tx.tx_target;
-            t.seqno <- max t.seqno tx.tx_target;
-            Checkpoint_store.add_message t.ckpts
-              { ck_seq = tx.tx_target; ck_digest = tx.tx_root_digest; ck_replica = t.id };
-            announce_checkpoint t tx.tx_target;
-            try_stabilize t;
-            Log.truncate t.log tx.tx_target;
-            if Obs.enabled t.obs then
-              Obs.transfer_done t.obs ~now:(now t) ~target:tx.tx_target;
-            L.debug (fun m -> m "replica %d: state transfer to %d complete" t.id tx.tx_target);
-            try_execute t;
-            recovery_step t
-          end
-          else begin
-            (* root mismatch: restart the transfer from scratch *)
-            t.transfer <- None;
-            start_transfer t ~target:tx.tx_target ~root_digest:tx.tx_root_digest
-          end
-        end
-      end
+
+(* Check and fetch state: compare ours, possibly corrupt, against a
+   certified checkpoint, and fetch what differs. *)
+let recovery_step t =
+  let transferring = Option.is_some t.transfer in
+  match
+    Option.bind t.recovering (fun rc ->
+        Recovery.fetch_target rc t.ckpts ~weak:(weak t) ~transferring)
+  with
+  | Some (target, root_digest) -> start_transfer t ~target ~root_digest
+  | None -> ()
+
+(* Install the target checkpoint once every partition is in; a bad image
+   or root starts the transfer over. *)
+let check_transfer_done t tx =
+  let target = State_transfer.target tx and root_digest = State_transfer.root_digest tx in
+  let charge_tree tree = charge t (Costs.digest_us t.costs (Partition_tree.digested_bytes tree)) in
+  let restart () =
+    t.transfer <- None;
+    start_transfer t ~target ~root_digest
+  in
+  match
+    State_transfer.assemble tx ~local:(local_tree t) ~page_size:t.d.page_size
+      ~branching:t.d.branching
+  with
+  | State_transfer.Incomplete -> ()
+  | State_transfer.Malformed -> restart ()
+  | State_transfer.Wrong_root tree ->
+      charge_tree tree;
+      restart ()
+  | State_transfer.Rebuilt tree ->
+      charge_tree tree;
+      Option.iter Engine.cancel t.tx_timer;
+      t.transfer <- None;
+      Checkpoint_store.install t.ckpts tree;
+      (match restore_snapshot t (Partition_tree.snapshot tree) with
+      | Ok () -> ()
+      | Error _ ->
+          (* quorum-certified bytes our own decoder rejects: the local
+             state stays behind, but the installed tree is valid and the
+             protocol continues; recovery will retry *)
+          ());
+      t.last_exec <- target;
+      t.committed_upto <- max t.committed_upto target;
+      t.seqno <- max t.seqno target;
+      announce_checkpoint t target;
+      try_stabilize t;
+      Log.truncate t.log target;
+      if Obs.enabled t.obs then Obs.transfer_done t.obs ~now:(now t) ~target;
+      L.debug (fun m -> m "replica %d: state transfer to %d complete" t.id target);
+      try_execute t;
+      recovery_step t
+
+(* A META-DATA or DATA for the transfer: checking it costs a digest over
+   [cost] bytes; a verified one counts its [bytes] and sends the fetches
+   it opens. *)
+let transfer_reply t tx verdict ~cost ~bytes =
+  match verdict with
+  | State_transfer.Unexpected -> ()
+  | State_transfer.Bad -> charge t (Costs.digest_us t.costs cost)
+  | State_transfer.Good fetches ->
+      charge t (Costs.digest_us t.costs cost);
+      t.counters.bytes_fetched <- t.counters.bytes_fetched + bytes;
+      List.iter (send_fetch t tx) fetches;
+      check_transfer_done t tx
 
 let handle_meta_data t (m : meta_data) ~size =
-  match t.transfer with
-  | None -> ()
-  | Some tx when m.md_checkpoint = tx.tx_target -> (
-      match Hashtbl.find_opt tx.tx_expected (m.md_level, m.md_index) with
-      | None -> ()
-      | Some (exp_lm, exp_digest) ->
-          (* verify: recompute the parent digest from the children *)
-          let lm = List.fold_left (fun acc (_, lm, _) -> max acc lm) 0 m.md_subparts in
-          let child_digests = List.map (fun (_, _, d) -> d) m.md_subparts in
-          let recomputed =
-            (* same construction as Partition_tree's interior digest *)
-            let acc =
-              List.fold_left
-                (fun acc d -> Bft_crypto.Adhash.add acc (Bft_crypto.Adhash.of_digest d))
-                Bft_crypto.Adhash.zero child_digests
-            in
-            let b = Buffer.create 64 in
-            Buffer.add_string b "META";
-            Buffer.add_string b (string_of_int m.md_level);
-            Buffer.add_char b ':';
-            Buffer.add_string b (string_of_int m.md_index);
-            Buffer.add_char b ':';
-            Buffer.add_string b (string_of_int lm);
-            Buffer.add_char b ':';
-            Buffer.add_string b (Bft_crypto.Adhash.to_string acc);
-            Bft_crypto.Sha256.digest (Buffer.contents b)
-          in
-          charge t (Costs.digest_us t.costs (32 * List.length child_digests));
-          if lm = exp_lm && String.equal recomputed exp_digest then begin
-            Hashtbl.remove tx.tx_pending (m.md_level, m.md_index);
-            t.counters.bytes_fetched <-
-              t.counters.bytes_fetched + size;
-            (* determine whether children are pages: replies at level
-               [depth-2] describe pages; we learn depth when a child has no
-               further fan-out. Heuristic: ask for each mismatching child;
-               if the child turns out to be a page the replier answers DATA
-               (we request pages at [tx_page_level]). To keep the walk
-               simple we learn the remote depth from the local tree when
-               geometries match, else assume children of the lowest meta
-               level are pages. *)
-            let remote_page_level =
-              match local_tree t with
-              | Some tree -> Partition_tree.depth tree - 1
-              | None -> m.md_level + 1
-            in
-            if m.md_level + 1 >= remote_page_level then begin
-              tx.tx_page_level <- m.md_level + 1;
-              List.iter
-                (fun (idx, clm, cd) ->
-                  tx.tx_num_pages <- max tx.tx_num_pages (idx + 1);
-                  if local_page_matches t ~index:idx ~lm:clm ~digest:cd then
-                    Hashtbl.replace tx.tx_ok_pages idx ()
-                  else begin
-                    Hashtbl.replace tx.tx_expected (m.md_level + 1, idx) (clm, cd);
-                    send_fetch t ~level:(m.md_level + 1) ~index:idx
-                  end)
-                m.md_subparts
-            end
-            else
-              List.iter
-                (fun (idx, clm, cd) ->
-                  let local_match =
-                    match local_tree t with
-                    | Some tree -> (
-                        match Partition_tree.node_info tree ~level:(m.md_level + 1) ~index:idx with
-                        | llm, ld -> llm = clm && String.equal ld cd
-                        | exception Invalid_argument _ -> false)
-                    | None -> false
-                  in
-                  if local_match then begin
-                    (* whole subtree is current: mark its pages ok *)
-                    match local_tree t with
-                    | Some tree ->
-                        let rec mark level index =
-                          let page_level = Partition_tree.depth tree - 1 in
-                          if level = page_level then begin
-                            tx.tx_num_pages <- max tx.tx_num_pages (index + 1);
-                            Hashtbl.replace tx.tx_ok_pages index ()
-                          end
-                          else
-                            let first, last = Partition_tree.child_range tree ~level ~index in
-                            for c = first to last do
-                              mark (level + 1) c
-                            done
-                        in
-                        mark (m.md_level + 1) idx
-                    | None -> ()
-                  end
-                  else begin
-                    Hashtbl.replace tx.tx_expected (m.md_level + 1, idx) (clm, cd);
-                    send_fetch t ~level:(m.md_level + 1) ~index:idx
-                  end)
-                m.md_subparts;
-            check_transfer_done t
-          end)
-  | Some _ -> ()
+  Option.iter
+    (fun tx ->
+      transfer_reply t tx (State_transfer.on_meta_data tx ~local:(local_tree t) m)
+        ~cost:(32 * List.length m.md_subparts) ~bytes:size)
+    t.transfer
 
 let handle_data t (dmsg : data) =
-  match t.transfer with
-  | None -> ()
-  | Some tx -> (
-      match Hashtbl.find_opt tx.tx_expected (tx.tx_page_level, dmsg.dt_index) with
-      | None -> ()
-      | Some (exp_lm, exp_digest) ->
-          let page =
-            Partition_tree.rebuild_page ~index:dmsg.dt_index ~lm:dmsg.dt_lm ~data:dmsg.dt_page
-          in
-          charge t (Costs.digest_us t.costs (String.length dmsg.dt_page));
-          if dmsg.dt_lm = exp_lm && String.equal page.Partition_tree.digest exp_digest then begin
-            Hashtbl.replace tx.tx_pages dmsg.dt_index page;
-            Hashtbl.remove tx.tx_pending (tx.tx_page_level, dmsg.dt_index);
-            t.counters.bytes_fetched <- t.counters.bytes_fetched + String.length dmsg.dt_page;
-            check_transfer_done t
-          end)
+  let len = String.length dmsg.dt_page in
+  Option.iter
+    (fun tx -> transfer_reply t tx (State_transfer.on_data tx dmsg) ~cost:len ~bytes:len)
+    t.transfer
 
 (* ------------------------------------------------------------------ *)
 (* Status and retransmission (Section 5.2)                              *)
@@ -1818,38 +1561,28 @@ let send_status t =
        > 0
   in
   if backlogged then ()
-  else if t.active && t.wrong_mac then
-    (* mac_storm: understate our protocol state — claim an empty window
+  else if t.active then begin
+    (* sa_prepared: prepared but not committed; sa_committed: committed.
+       Under mac_storm we understate our protocol state — an empty window
        and nothing executed — so every peer re-sends its whole window to
        us at each status beat (the amplification the per-peer
-       retransmission budget bounds) *)
-    broadcast t
-      (Status_active
-         {
-           sa_replica = t.id;
-           sa_view = t.view;
-           sa_h = Log.low_mark t.log;
-           sa_last_exec = Log.low_mark t.log;
-           sa_prepared = [];
-           sa_committed = [];
-         })
-  else if t.active then begin
-    (* sa_prepared: prepared but not committed; sa_committed: committed *)
+       retransmission budget bounds). *)
     let prepared = ref [] and committed = ref [] in
-    Log.iter_window t.log (fun e ->
-        match e.Log.pp_digest with
-        | Some _ when Log.committed t.log ~view:t.view ~seq:e.Log.seq ->
-            committed := e.Log.seq :: !committed
-        | Some _ when Log.prepared t.log ~view:t.view ~seq:e.Log.seq ->
-            prepared := e.Log.seq :: !prepared
-        | _ -> ());
+    if not t.wrong_mac then
+      Log.iter_window t.log (fun e ->
+          match e.Log.pp_digest with
+          | Some _ when Log.committed t.log ~view:t.view ~seq:e.Log.seq ->
+              committed := e.Log.seq :: !committed
+          | Some _ when Log.prepared t.log ~view:t.view ~seq:e.Log.seq ->
+              prepared := e.Log.seq :: !prepared
+          | _ -> ());
     broadcast t
       (Status_active
          {
            sa_replica = t.id;
            sa_view = t.view;
            sa_h = Log.low_mark t.log;
-           sa_last_exec = t.last_exec;
+           sa_last_exec = (if t.wrong_mac then Log.low_mark t.log else t.last_exec);
            sa_prepared = !prepared;
            sa_committed = !committed;
          })
@@ -1910,19 +1643,10 @@ let handle_status_active t (s : status_active) =
           end)
     end;
     (* peer behind on checkpoints: retransmit our checkpoint message *)
-    let stable = Checkpoint_store.stable_seq t.ckpts in
-    if s.sa_h < stable then begin
-      match Checkpoint_store.stable_tree t.ckpts with
-      | Some tree ->
-          send_retx t ~dst:r
-            (Checkpoint
-               {
-                 ck_seq = stable;
-                 ck_digest = Partition_tree.root_digest tree;
-                 ck_replica = t.id;
-               })
-      | None -> ()
-    end
+    if s.sa_h < Checkpoint_store.stable_seq t.ckpts then
+      Option.iter
+        (fun tree -> send_retx t ~dst:r (Checkpoint (checkpoint_msg t tree)))
+        (Checkpoint_store.stable_tree t.ckpts)
   end
 
 let handle_status_pending t (s : status_pending) =
@@ -1955,59 +1679,13 @@ let handle_status_pending t (s : status_pending) =
     end
     else begin
       (* the peer is ahead: catch up by joining its view change *)
-      handle_view_change t
-        {
-          vc_view = s.sp_view;
-          vc_h = s.sp_h;
-          vc_cset = [];
-          vc_pset = [];
-          vc_qset = [];
-          vc_replica = r;
-        }
-        ~verified:false
+      handle_view_change t (bare_view_change ~view:s.sp_view ~h:s.sp_h r) ~verified:false
     end
   end
 
 (* ------------------------------------------------------------------ *)
 (* Proactive recovery (Chapter 4)                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* Periodic key refresh (Section 4.3.1): replace the keys other replicas
-   use to send to us. Client-shared keys are refreshed by clients; they are
-   only discarded on recovery, when the attacker may know them. *)
-let send_new_key ?(drop_clients = false) t =
-  if drop_clients then Bft_crypto.Keychain.drop_all_in_keys t.d.keychain;
-  t.coproc_counter <- Int64.add t.coproc_counter 1L;
-  let keys =
-    List.filter_map
-      (fun peer ->
-        if peer = t.id then None
-        else Some (peer, Bft_crypto.Keychain.fresh_in_key t.d.keychain t.rng ~peer))
-      (replica_ids t)
-  in
-  broadcast t (New_key { nk_replica = t.id; nk_keys = keys; nk_counter = t.coproc_counter });
-  if drop_clients then begin
-    (* re-key every client we have served: each gets a fresh key to reach
-       us, in a signed point-to-point new-key message *)
-    let clients =
-      Hashtbl.fold (fun c _ acc -> if c >= t.d.cfg.Config.n then c :: acc else acc) t.last_reply []
-      |> List.sort_uniq compare
-    in
-    List.iter
-      (fun client ->
-        t.coproc_counter <- Int64.add t.coproc_counter 1L;
-        let key = Bft_crypto.Keychain.fresh_in_key t.d.keychain t.rng ~peer:client in
-        let body =
-          New_key { nk_replica = t.id; nk_keys = [ (client, key) ]; nk_counter = t.coproc_counter }
-        in
-        if not t.muted then begin
-          let enc = Message.no_cache () in
-          let auth = sign_digest t (Wire.cached_digest enc body) in
-          let env = { sender = t.id; body; auth; enc } in
-          Network.send t.d.net ~src:t.id ~dst:client ~size:(Wire.envelope_size env) env
-        end)
-      clients
-  end
 
 let handle_new_key t (nk : new_key) =
   if nk.nk_replica <> t.id then begin
@@ -2016,158 +1694,93 @@ let handle_new_key t (nk : new_key) =
     | None -> ()
   end
 
+(* The estimation's report: our stable checkpoint and the last sequence
+   number prepared or committed. *)
 let handle_query_stable t (q : query_stable) =
   if q.qs_replica <> t.id then begin
-    let prepared_max = ref 0 in
+    let prepared = ref t.committed_upto in
     Log.iter_window t.log (fun e ->
-        if Log.prepared t.log ~view:t.view ~seq:e.Log.seq then
-          prepared_max := max !prepared_max e.Log.seq);
+        if Log.prepared t.log ~view:t.view ~seq:e.Log.seq then prepared := max !prepared e.Log.seq);
     send_to t ~dst:q.qs_replica
       (Reply_stable
          {
            rs_checkpoint = Checkpoint_store.stable_seq t.ckpts;
-           rs_prepared = max !prepared_max t.committed_upto;
+           rs_prepared = !prepared;
            rs_replica = t.id;
            rs_nonce = q.qs_nonce;
          })
   end
 
-(* Estimation (Section 4.3.2): find c_M such that 2f other replicas report
-   c <= c_M and f other replicas report p >= c_M; H_M = L + c_M. *)
-let try_finish_estimation t =
-  match t.recovering with
-  | Some rc when rc.rc_phase = `Estimating ->
-      let entries = Hashtbl.fold (fun r cp acc -> (r, cp) :: acc) rc.rc_est [] in
-      let candidates = List.map (fun (_, (c, _)) -> c) entries |> List.sort_uniq compare in
-      let viable c_m =
-        let others = List.filter (fun (r, _) -> r <> t.id) entries in
-        List.length (List.filter (fun (_, (c, _)) -> c <= c_m) others) >= 2 * t.d.cfg.Config.f
-        && List.length (List.filter (fun (_, (_, p)) -> p >= c_m) others) >= t.d.cfg.Config.f
-      in
-      (match List.rev (List.filter viable candidates) with
-      | c_m :: _ ->
-          let hm = c_m + t.d.cfg.Config.log_size in
-          rc.rc_est_hm <- hm;
-          t.hm_bound <- hm;
-          Checkpoint_store.drop_above t.ckpts hm;
-          rc.rc_phase <- `Waiting_recovery_reply;
-          if Obs.enabled t.obs then
-            Obs.recovery_phase t.obs ~now:(now t) "recovery-request";
-          (* recovery request through the normal protocol, signed by the
-             co-processor *)
-          t.coproc_counter <- Int64.add t.coproc_counter 1L;
-          let req =
-            Message.request
-              ~op:("\x00RECOVERY:" ^ Int64.to_string t.coproc_counter)
-              ~timestamp:t.coproc_counter ~client:t.id ~read_only:false ~replier:t.id
-          in
-          let token = Auth_sig (Bft_crypto.Signature.sign t.d.signer (Wire.request_digest req)) in
-          charge t t.costs.Costs.sig_gen_us;
-          ignore (Request_store.store_request t.rq req token true);
-          rc.rc_request <- Some req;
-          if not t.muted then begin
-            let env = Message.envelope ~sender:t.id ~auth:token (Request req) in
-            Network.multicast t.d.net ~src:t.id ~dsts:(replica_ids t)
-              ~size:(Wire.envelope_size env) env
-          end
-      | [] -> ())
-  | _ -> ()
-
 (* Recovery pacing: retransmit the current phase's message until it gets a
    response (the paper's replica "keeps retransmitting the query message",
    Section 4.3.2). *)
-let rec recovery_tick t =
+let rec arm_recovery_tick t =
+  ignore
+    (Engine.schedule t.engine
+       ~label:(Engine.Id ("rec", t.id))
+       ~delay:(Engine.of_us_float 50_000.0) (fun () -> recovery_tick t))
+
+and recovery_tick t =
   match t.recovering with
   | None -> ()
   | Some rc ->
-      (match rc.rc_phase with
-      | `Estimating -> broadcast t (Query_stable { qs_replica = t.id; qs_nonce = rc.rc_nonce })
-      | `Waiting_recovery_reply -> (
-          match rc.rc_request with
-          | Some req -> (
-              match Request_store.find t.rq (Wire.request_digest req) with
-              | Some sr when not t.muted ->
-                  let env = Message.envelope ~sender:t.id ~auth:sr.sr_token (Request req) in
-                  Network.multicast t.d.net ~src:t.id ~dsts:(replica_ids t)
-                    ~size:(Wire.envelope_size env) env
-              | _ -> ())
+      (match Recovery.phase rc with
+      | Recovery.Estimating ->
+          broadcast t (Query_stable { qs_replica = t.id; qs_nonce = Recovery.nonce rc })
+      | Recovery.Requesting -> (
+          match
+            Option.bind (Recovery.request rc) (fun req ->
+                Request_store.find t.rq (Wire.request_digest req))
+          with
+          | Some sr -> forward_request t sr.sr_req sr.sr_token
           | None -> ())
-      | `Fetching -> recovery_step t);
-      ignore
-        (Engine.schedule t.engine
-           ~label:(Engine.Id ("rec", t.id))
-           ~delay:(Engine.of_us_float 50_000.0) (fun () ->
-             recovery_tick t))
+      | Recovery.Fetching -> recovery_step t);
+      arm_recovery_tick t
 
+(* Once H_M is estimated, the recovery request goes through the normal
+   protocol, signed by the co-processor. *)
 let handle_reply_stable t (r : reply_stable) =
-  match t.recovering with
-  | Some rc when rc.rc_phase = `Estimating && Int64.equal r.rs_nonce rc.rc_nonce ->
-      let c, p =
-        match Hashtbl.find_opt rc.rc_est r.rs_replica with
-        | Some (c0, p0) -> (min c0 r.rs_checkpoint, max p0 r.rs_prepared)
-        | None -> (r.rs_checkpoint, r.rs_prepared)
-      in
-      Hashtbl.replace rc.rc_est r.rs_replica (c, p);
-      try_finish_estimation t
-  | _ -> ()
+  Option.iter
+    (fun rc ->
+      match Recovery.note_reply_stable rc t.d.cfg ~self:t.id r with
+      | None -> ()
+      | Some hm ->
+          t.hm_bound <- hm;
+          Checkpoint_store.drop_above t.ckpts hm;
+          if Obs.enabled t.obs then Obs.recovery_phase t.obs ~now:(now t) "recovery-request";
+          t.coproc_counter <- Int64.add t.coproc_counter 1L;
+          let req = Recovery.make_request rc ~self:t.id ~counter:t.coproc_counter in
+          let token = sign_digest t (Wire.request_digest req) in
+          ignore (Request_store.store_request t.rq req token true);
+          forward_request t req token)
+    t.recovering
 
 (* After the recovery request commits, other replicas' replies tell us the
-   sequence number it executed at; recovery point H_R follows. *)
+   sequence number it executed at; the recovery point H_R follows. *)
 let handle_recovery_reply t (rp : reply) =
-  match t.recovering with
-  | Some rc when rc.rc_phase = `Waiting_recovery_reply -> (
-      match rp.rp_result with
-      | Full s -> (
-          match int_of_string_opt s with
-          | Some seq ->
-              Hashtbl.replace rc.rc_replies rp.rp_replica seq;
-              if Hashtbl.length rc.rc_replies >= quorum t then begin
-                let seqs = Hashtbl.fold (fun _ s acc -> s :: acc) rc.rc_replies [] in
-                let l_r = List.fold_left max 0 seqs in
-                let k = t.d.cfg.Config.checkpoint_interval in
-                let h_r =
-                  max rc.rc_est_hm (((l_r + k - 1) / k * k) + t.d.cfg.Config.log_size)
-                in
-                rc.rc_recovery_point <- h_r;
-                rc.rc_phase <- `Fetching;
-                t.hm_bound <- h_r;
-                if Obs.enabled t.obs then
-                  Obs.recovery_phase t.obs ~now:(now t) "fetching";
-                recovery_step t
-              end
-          | None -> ())
-      | Result_digest _ -> ())
-  | _ -> ()
+  match Option.bind t.recovering (fun rc -> Recovery.note_reply rc t.d.cfg rp) with
+  | Some h_r ->
+      t.hm_bound <- h_r;
+      if Obs.enabled t.obs then Obs.recovery_phase t.obs ~now:(now t) "fetching";
+      recovery_step t
+  | None -> ()
 
 let begin_recovery t =
-  if t.recovering = None then begin
+  if Option.is_none t.recovering then begin
     L.info (fun m -> m "replica %d: proactive recovery begins" t.id);
     if Obs.enabled t.obs then Obs.recovery_phase t.obs ~now:(now t) "estimating";
     (* a recovering primary abdicates first (Section 4.3.2) *)
-    if is_primary t && t.active then broadcast t (View_change
-      { vc_view = t.view + 1; vc_h = Checkpoint_store.stable_seq t.ckpts;
-        vc_cset = []; vc_pset = []; vc_qset = []; vc_replica = t.id });
+    if is_primary t && t.active then
+      broadcast t
+        (View_change
+           (bare_view_change ~view:(t.view + 1) ~h:(Checkpoint_store.stable_seq t.ckpts) t.id));
     (* reboot: rebuild the partition tree from saved (possibly corrupt)
        state so corruption is detectable *)
     send_new_key ~drop_clients:true t;
     let nonce = Bft_util.Rng.int64 t.rng in
-    t.recovering <-
-      Some
-        {
-          rc_phase = `Estimating;
-          rc_request = None;
-          rc_nonce = nonce;
-          rc_est = Hashtbl.create 8;
-          rc_est_hm = max_int;
-          rc_recovery_point = max_int;
-          rc_replies = Hashtbl.create 8;
-        };
+    t.recovering <- Some (Recovery.create ~nonce);
     broadcast t (Query_stable { qs_replica = t.id; qs_nonce = nonce });
-    ignore
-      (Engine.schedule t.engine
-         ~label:(Engine.Id ("rec", t.id))
-         ~delay:(Engine.of_us_float 50_000.0) (fun () ->
-           recovery_tick t))
+    arm_recovery_tick t
   end
 
 (* ------------------------------------------------------------------ *)
@@ -2197,10 +1810,9 @@ let handle_fetch_request t (f : fetch_request) =
   if f.fr_replica <> t.id then
     match Request_store.find t.rq f.fr_digest with
     | Some sr ->
-        if (not t.muted) && retx_allow t f.fr_replica then begin
-          let env = Message.envelope ~sender:t.id ~auth:sr.sr_token (Request sr.sr_req) in
-          Network.send t.d.net ~src:t.id ~dst:f.fr_replica ~size:(Wire.envelope_size env) env
-        end
+        (* a muted replica spends no budget *)
+        if (not t.muted) && retx_allow t f.fr_replica then
+          forward_request ~dst:f.fr_replica t sr.sr_req sr.sr_token
     | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -2255,7 +1867,9 @@ let dispatch t (env : envelope) =
   | Request r ->
       let relayed = env.sender <> r.client in
       if verified || is_primary t then handle_request t r env.auth ~verified ~relayed ~size
-  | Reply rp -> if verified && rp.rp_client = t.id then handle_recovery_reply t rp
+  | Reply rp ->
+      if verified && env.sender = rp.rp_replica && rp.rp_client = t.id then
+        handle_recovery_reply t rp
   | Pre_prepare pp ->
       if verified && env.sender = primary_of t pp.pp_view then accept_pre_prepare t pp ~size
   | Prepare p -> if verified && env.sender = p.pr_replica then handle_prepare t p
@@ -2323,13 +1937,14 @@ let create ?(obs = Obs.null) d ~id ~on_execute =
       vc = View_change_store.create ();
       vc_timer = None;
       vc_timeout_us = d.cfg.Config.vc_timeout_us;
-      retx = Hashtbl.create 8;
+      retx = Retransmit_budget.create ();
       perf_ewma_us = 0.0;
       perf_samples = 0;
       perf_baseline_us = 0.0;
       perf_view_start = 0L;
       perf_fired_view = -1;
       transfer = None;
+      tx_timer = None;
       recovering = None;
       hm_bound = max_int;
       coproc_counter = 0L;
@@ -2345,43 +1960,28 @@ let create ?(obs = Obs.null) d ~id ~on_execute =
   ignore (take_checkpoint t 0);
   t
 
-(* The periodic timers are never cancelled, so their handles are not kept. *)
-let rec schedule_status t =
+(* A periodic timer: [fire] after [first_us], then every [period_us]. It
+   is never cancelled, so its handle is not kept. *)
+let rec every t label ~first_us ~period_us fire =
   ignore
     (Engine.schedule t.engine
-       ~label:(Engine.Id ("status", t.id))
-       ~delay:(Engine.of_us_float t.d.cfg.Config.status_interval_us)
+       ~label:(Engine.Id (label, t.id))
+       ~delay:(Engine.of_us_float first_us)
        (fun () ->
-         send_status t;
-         schedule_status t))
-
-let rec schedule_watchdog t delay_us =
-  ignore
-    (Engine.schedule t.engine
-       ~label:(Engine.Id ("wd", t.id))
-       ~delay:(Engine.of_us_float delay_us) (fun () ->
-         begin_recovery t;
-         schedule_watchdog t t.d.cfg.Config.watchdog_period_us))
-
-let rec schedule_key_refresh t =
-  ignore
-    (Engine.schedule t.engine
-       ~label:(Engine.Id ("key", t.id))
-       ~delay:(Engine.of_us_float t.d.cfg.Config.key_refresh_us)
-       (fun () ->
-         send_new_key t;
-         schedule_key_refresh t))
+         fire t;
+         every t label ~first_us:period_us ~period_us fire))
 
 let start t =
-  schedule_status t;
-  if t.d.cfg.Config.recovery then begin
+  let cfg = t.d.cfg in
+  every t "status" ~first_us:cfg.Config.status_interval_us
+    ~period_us:cfg.Config.status_interval_us send_status;
+  if cfg.Config.recovery then begin
     (* stagger watchdogs so at most f replicas recover at once (4.3.3) *)
-    let offset =
-      t.d.cfg.Config.watchdog_period_us
-      *. (float_of_int (t.id + 1) /. float_of_int t.d.cfg.Config.n)
-    in
-    schedule_watchdog t (t.d.cfg.Config.watchdog_period_us +. offset);
-    schedule_key_refresh t
+    let period_us = cfg.Config.watchdog_period_us in
+    let offset = period_us *. (float_of_int (t.id + 1) /. float_of_int cfg.Config.n) in
+    every t "wd" ~first_us:(period_us +. offset) ~period_us begin_recovery;
+    every t "key" ~first_us:cfg.Config.key_refresh_us ~period_us:cfg.Config.key_refresh_us
+      (fun t -> send_new_key t)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -2428,12 +2028,10 @@ let crash_reboot t =
   Request_store.crash_reset t.rq;
   t.batch_target <- 1;
   View_change_store.crash_reset t.vc;
-  Hashtbl.reset t.retx;
-  t.perf_ewma_us <- 0.0;
-  t.perf_samples <- 0;
+  Retransmit_budget.reset t.retx;
+  new_perf_epoch t;
   t.perf_baseline_us <- 0.0;
   t.perf_fired_view <- -1;
-  t.perf_view_start <- now t;
   stop_vc_timer t;
   t.active <- true;
   send_status t
@@ -2456,13 +2054,14 @@ let state_digest
        pending_ckpt_announce; active; vc; vc_timer; vc_timeout_us; retx; perf_samples;
        perf_fired_view; transfer; recovering; hm_bound; coproc_counter; byzantine; muted;
        wrong_mac; null_fill_until;
+       tx_timer = _ (* its label is among the pending events *);
        d = _ (* configuration and handles; the service enters through the snapshot *);
        obs = _ (* tracing sink, inert *);
        engine = _ (* the clock; Explore digests the pending events' labels *);
        costs = _ (* constant cost model *);
        rng = _
        (* drawn only by state transfer, key refresh and recovery, which the
-          digest sees through tx_replier, coproc_counter and rc_nonce *);
+          digest sees through the replier, coproc_counter and the nonce *);
        counters = _ (* statistics the protocol never reads *);
        arena = _ (* encode scratch buffer *);
        last_reply = _ (* in the snapshot's reply cache *);
@@ -2474,7 +2073,6 @@ let state_digest
      } as t) =
   let b = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let hexd = Bft_util.Hex.encode in
   add "r%d v=%d act=%b seqno=%d le=%d cu=%d lw=%d byz=%b muted=%b wmac=%b fill=%d hmb=%d vct=%h vcarm=%b bt=%d ctr=%Ld|"
     id view active seqno last_exec committed_upto (Log.low_mark log)
     byzantine muted wrong_mac null_fill_until
@@ -2482,79 +2080,18 @@ let state_digest
     vc_timeout_us
     (match vc_timer with Some h -> Engine.is_pending h | None -> false)
     batch_target coproc_counter;
-  (* message log, ascending sequence *)
-  Log.iter_window log (fun e ->
-      add "L%d pv=%d self=%b ex=%b tent=%b d=%s(" e.Log.seq e.Log.pp_view
-        e.Log.self_preprepared e.Log.executed e.Log.exec_tentative
-        (match e.Log.pp_digest with Some d -> hexd d | None -> "-");
-      Array.iteri
-        (fun k vote ->
-          match vote with Some (v, d) -> add "p%d:%d:%s;" k v (hexd d) | None -> ())
-        e.Log.prepares;
-      Array.iteri
-        (fun k vote ->
-          match vote with Some (v, d) -> add "c%d:%d:%s;" k v (hexd d) | None -> ())
-        e.Log.commits;
-      add ")");
-  add "|ck:";
-  List.iter (fun (s, d) -> add "%d:%s;" s (hexd d)) (Checkpoint_store.held ckpts);
-  add "stable=%d votes:" (Checkpoint_store.stable_seq ckpts);
-  List.iter
-    (fun (seq, vs) ->
-      add "%d(" seq;
-      List.iter (fun (r, d) -> add "%d:%s;" r (hexd d)) vs;
-      add ")")
-    (Checkpoint_store.votes_canonical ckpts);
+  Log.digest log b;
+  Checkpoint_store.digest ckpts b;
   Request_store.digest rq b;
   add "|ckann:";
   List.iter (fun s -> add "%d;" s) pending_ckpt_announce;
   add "|psync=%s" (match paged_sync with Some s -> string_of_int s | None -> "-");
   View_change_store.digest vc b;
-  (* retransmission budgets, without their clock-derived window starts *)
-  add "|retx:";
-  List.iter
-    (fun (peer, { rx_tokens; rx_window_start = _; rx_backoff; rx_exhausted }) ->
-      add "%d:%d:%h:%b;" peer rx_tokens rx_backoff rx_exhausted)
-    (List.sort
-       (fun (a, _) (b, _) -> Int.compare a b)
-       (Hashtbl.fold (fun p st acc -> (p, st) :: acc) retx []));
+  Retransmit_budget.digest retx b;
   add "|perf=%d:%d" perf_samples perf_fired_view;
   (* state transfer / recovery, coarse but canonical *)
-  (match transfer with
-  | None -> add "|tx=-"
-  | Some
-      {
-        tx_target;
-        tx_root_digest;
-        tx_expected;
-        tx_pending;
-        tx_pages;
-        tx_page_level;
-        tx_num_pages;
-        tx_ok_pages;
-        tx_replier;
-        tx_timer = _ (* its label is among the pending events *);
-      } ->
-      add "|tx=%d:%s:%d:%d:%d:pend%d:pages%d:ok%d(" tx_target (hexd tx_root_digest) tx_replier
-        tx_page_level tx_num_pages (Hashtbl.length tx_pending) (Hashtbl.length tx_pages)
-        (Hashtbl.length tx_ok_pages);
-      List.iter
-        (fun ((l, i), (lm, d)) -> add "%d:%d:%d:%s;" l i lm (hexd d))
-        (List.sort
-           (fun (a, _) (b, _) -> compare a b)
-           (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tx_expected []));
-      add ")");
-  (match recovering with
-  | None -> add "|rec=-"
-  | Some { rc_phase; rc_request; rc_nonce; rc_est; rc_est_hm; rc_recovery_point; rc_replies } ->
-      add "|rec=%s:%Ld:%s:%d:%d:est%d:rep%d"
-        (match rc_phase with
-        | `Estimating -> "est"
-        | `Waiting_recovery_reply -> "wait"
-        | `Fetching -> "fetch")
-        rc_nonce
-        (match rc_request with Some r -> hexd (Wire.request_digest r) | None -> "-")
-        rc_est_hm rc_recovery_point (Hashtbl.length rc_est) (Hashtbl.length rc_replies));
+  (match transfer with None -> add "|tx=-" | Some tx -> State_transfer.digest tx b);
+  (match recovering with None -> add "|rec=-" | Some rc -> Recovery.digest rc b);
   (* service state + reply cache *)
   add "|snap:%s" (Bft_crypto.Sha256.hexdigest (full_snapshot t));
   Bft_crypto.Sha256.hexdigest (Buffer.contents b)

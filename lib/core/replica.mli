@@ -21,9 +21,14 @@
 
     The replica's state lives with the modules that own it: {!Log} (the
     message log), {!Checkpoint_store} (checkpoints and their proofs),
-    {!Request_store} (the request pipeline) and {!View_change_store} (the
-    view-change evidence); each contributes its slice of
-    {!state_digest}. *)
+    {!Request_store} (the request pipeline), {!View_change_store} (the
+    view-change evidence) and {!Retransmit_budget} (the per-peer
+    retransmission budgets). Two sub-protocols own their records and
+    decisions: {!State_transfer} (the fetch walk and the replier's
+    answers) and {!Recovery} (the H_M estimate, the recovery request and
+    the recovery point); the replica sends what they decide, arms their
+    timers, signs, and installs the fetched tree. Each contributes its
+    slice of {!state_digest}. *)
 
 type t
 

@@ -628,6 +628,73 @@ let test_recovery_of_healthy_replica_harmless () =
   Alcotest.(check bool) "no lost increments" true (int_of_string v > 10);
   Alcotest.(check bool) "consistent" true (Cluster.committed_histories_consistent c)
 
+(* One faulty replica must not set a recovering replica's recovery point.
+   Replica 3 drops its own reply to replica 2's recovery request and sends
+   three MAC-valid replies that claim sequence number 1,000,000 under the
+   names of replicas 0, 1 and 3; the genuine replies of 0 and 1 arrive
+   later. Neither filing replies under a name the MAC does not vouch for
+   nor taking the largest report may let them through. *)
+let test_recovery_point_not_set_by_one_replica () =
+  let _, c = make ~k:8 ~service:kv () in
+  for i = 1 to 20 do
+    ignore (Cluster.invoke_sync c ~client:0 (Printf.sprintf "put k%d v%d" i i))
+  done;
+  let net = Cluster.network c in
+  let forged = "1000000" in
+  let forge (rp : Message.reply) =
+    List.iter
+      (fun named ->
+        let body = Message.Reply { rp with rp_replica = named; rp_result = Message.Full forged } in
+        let d = Wire.envelope_digest (Message.envelope ~sender:3 ~auth:Message.Auth_none body) in
+        match Bft_crypto.Auth.compute_mac (Replica.keychain (Cluster.replica c 3)) ~peer:2 d with
+        | Some m ->
+            let env = Message.envelope ~sender:3 ~auth:(Message.Auth_mac m) body in
+            Bft_net.Network.send net ~src:3 ~dst:2 ~size:(Wire.envelope_size env) env
+        | None -> Alcotest.fail "replica 3 holds no key for replica 2")
+      [ 0; 1; 3 ]
+  in
+  let sent = ref false in
+  Bft_net.Network.set_adversary net (fun ~src ~dst env ->
+      match env.Message.body with
+      | Message.Reply ({ rp_client = 2; rp_result = Message.Full r; _ } as rp) when dst = 2 ->
+          if String.equal r forged then `Pass
+          else if src = 3 then begin
+            if not !sent then begin
+              sent := true;
+              ignore (Bft_sim.Engine.schedule (Cluster.engine c) ~delay:0L (fun () -> forge rp))
+            end;
+            `Drop
+          end
+          else if src <> 2 then `Delay 5_000.0
+          else `Pass
+      | _ -> `Pass);
+  Replica.force_recovery (Cluster.replica c 2);
+  let recovered =
+    Cluster.run_until ~timeout_us:3_000_000.0 c (fun () ->
+        not (Replica.is_recovering (Cluster.replica c 2)))
+  in
+  Alcotest.(check bool) "forged replies delivered" true !sent;
+  Alcotest.(check bool) "recovery completed" true recovered;
+  Alcotest.(check bool) "recovery point near the request" true
+    (Replica.stable_checkpoint (Cluster.replica c 2) < 1_000)
+
+(* A client's op that looks like a recovery request is an ordinary op: it
+   refreshes no keys, fills no null batches, and the service runs it. *)
+let test_client_recovery_op_is_ordinary () =
+  let _, c = make ~service:counter () in
+  let new_keys = ref 0 in
+  Bft_net.Network.set_adversary (Cluster.network c) (fun ~src:_ ~dst:_ env ->
+      (match env.Message.body with Message.New_key _ -> incr new_keys | _ -> ());
+      `Pass);
+  let r = Cluster.invoke_sync c ~client:0 "\x00RECOVERY:7" in
+  ignore (Cluster.run_until ~timeout_us:100_000.0 c (fun () -> false));
+  Alcotest.(check string) "the service ran it" Bft_sm.Service.invalid r;
+  Alcotest.(check int) "no key refresh" 0 !new_keys;
+  Array.iter
+    (fun rep -> Alcotest.(check int) "one batch executed" 1 (Replica.last_executed rep))
+    (Cluster.replicas c);
+  Alcotest.(check string) "next op" "1" (Cluster.invoke_sync c ~client:0 "inc")
+
 (* --- load behaviour: batching, window, fairness --- *)
 
 let test_batching_aggregates_under_load () =
@@ -863,6 +930,10 @@ let suites =
         Alcotest.test_case "recover corrupt replica" `Slow test_recovery_of_corrupt_replica;
         Alcotest.test_case "corrupt snapshot rejected loudly" `Slow test_corrupt_state_rejected_loudly;
         Alcotest.test_case "recover healthy replica" `Slow test_recovery_of_healthy_replica_harmless;
+        Alcotest.test_case "one replica cannot set the recovery point" `Quick
+          test_recovery_point_not_set_by_one_replica;
+        Alcotest.test_case "client recovery op is ordinary" `Quick
+          test_client_recovery_op_is_ordinary;
         QCheck_alcotest.to_alcotest prop_random_faults_keep_histories_consistent;
       ] );
   ]

@@ -83,6 +83,19 @@ let test_children_consistent_with_node_info () =
       children
   done
 
+(* The fetcher checks a META-DATA's children with the same digest the tree
+   builds its interior nodes with. *)
+let test_interior_digest_matches_nodes () =
+  let t = build (String.make 300 'q') in
+  for level = 0 to Partition_tree.depth t - 2 do
+    for index = 0 to Partition_tree.level_width t level - 1 do
+      let lm, d = Partition_tree.interior_digest ~level ~index (Partition_tree.children t ~level ~index) in
+      let lm', d' = Partition_tree.node_info t ~level ~index in
+      Alcotest.(check int) "lm" lm' lm;
+      Alcotest.(check bool) (Printf.sprintf "digest at %d/%d" level index) true (String.equal d d')
+    done
+  done
+
 let test_rebuild_page_matches () =
   let t = build ~seq:5 (String.make 40 'k') in
   let p = Partition_tree.page t 1 in
@@ -276,6 +289,7 @@ let suites =
         Alcotest.test_case "copy-on-write reuse" `Quick test_copy_on_write_reuse;
         Alcotest.test_case "incremental = scratch" `Quick test_incremental_equals_scratch;
         Alcotest.test_case "children consistent" `Quick test_children_consistent_with_node_info;
+        Alcotest.test_case "interior digest of children" `Quick test_interior_digest_matches_nodes;
         Alcotest.test_case "rebuild page" `Quick test_rebuild_page_matches;
         Alcotest.test_case "index in digest" `Quick test_page_index_in_digest;
         Alcotest.test_case "growth and shrink" `Quick test_growth_and_shrink;
