@@ -13,12 +13,15 @@ let check_digest d =
 let tag_with ((key : Keychain.key), pre) d =
   { tag = Hmac.mac_digest pre tag_size d; epoch = key.epoch }
 
-(* counted only once the key and epoch pass, where the HMAC runs *)
+(* counted only once the key, epoch and tag length pass, where the HMAC
+   runs *)
 let n_verifications = ref 0
 let mac_verifications () = !n_verifications
 
 let check_with ((key : Keychain.key), pre) mac d =
-  key.epoch = mac.epoch && (incr n_verifications; Hmac.verify_digest pre ~tag:mac.tag d)
+  key.epoch = mac.epoch
+  && String.length mac.tag = tag_size
+  && (incr n_verifications; Hmac.verify_digest pre ~tag:mac.tag d)
 
 let compute_mac keychain ~peer d =
   check_digest d;
@@ -32,22 +35,29 @@ let verify_mac keychain ~peer mac d =
   | Some kp -> check_with kp mac d
   | None -> false
 
+(* One entry per receiver but ourselves that has a key, in [receivers]
+   order; no closure and no option per entry. *)
+let rec entries keychain me d = function
+  | [] -> []
+  | peer :: rest when peer = me -> entries keychain me d rest
+  | peer :: rest -> (
+      match Keychain.out_key_pre keychain ~peer with
+      | Some kp -> (peer, tag_with kp d) :: entries keychain me d rest
+      | None -> entries keychain me d rest)
+
 let compute_authenticator keychain ~receivers d =
   check_digest d;
-  List.filter_map
-    (fun peer ->
-      if peer = Keychain.my_id keychain then None
-      else
-        match compute_mac keychain ~peer d with
-        | None -> None
-        | Some mac -> Some (peer, mac))
-    receivers
+  entries keychain (Keychain.my_id keychain) d receivers
+
+(* our entry is the first one addressed to us *)
+let rec verify_entry keychain ~peer me d = function
+  | [] -> false
+  | (id, mac) :: _ when id = me -> verify_mac keychain ~peer mac d
+  | _ :: rest -> verify_entry keychain ~peer me d rest
 
 let verify_authenticator keychain ~peer auth d =
   check_digest d;
-  match List.assoc_opt (Keychain.my_id keychain) auth with
-  | None -> false
-  | Some mac -> verify_mac keychain ~peer mac d
+  verify_entry keychain ~peer (Keychain.my_id keychain) d auth
 
 let group_authenticator g ~src ~receivers d =
   check_digest d;

@@ -8,9 +8,9 @@
 
     Every MAC covers a message's 32-byte digest ([Wire.envelope_digest]),
     not its bytes, as the paper's library MACs a fixed-size header holding
-    the digest; {!Hmac.mac_digest} computes it in two compressions. Every
-    function below raises [Invalid_argument] when handed anything but 32
-    bytes, so there is one MAC path. *)
+    the digest; {!Hmac.mac_digest} computes it in one native call of two
+    compressions. Every function below raises [Invalid_argument] when
+    handed anything but 32 bytes, so there is one MAC path. *)
 
 val tag_size : int
 (** 8 bytes, matching the UMAC32 tags of the paper's implementation. *)
@@ -26,8 +26,8 @@ val compute_mac : Keychain.t -> peer:int -> string -> mac option
 
 val verify_mac : Keychain.t -> peer:int -> mac -> string -> bool
 (** Verify a MAC from [peer] over the 32-byte digest against our current
-    in-key for them. Fails if the epoch is stale (key was refreshed since)
-    or the tag is wrong. *)
+    in-key for them. Fails if the epoch is stale (key was refreshed since),
+    the tag is not exactly {!tag_size} bytes, or the tag is wrong. *)
 
 val compute_authenticator :
   Keychain.t -> receivers:int list -> string -> authenticator
@@ -51,7 +51,8 @@ val verify_group_mac : Keychain.group -> src:int -> dst:int -> mac -> string -> 
 val mac_verifications : unit -> int
 (** Tag recomputations so far, process-wide: one per {!verify_mac},
     {!verify_authenticator} or {!verify_group_mac} call that found a current
-    key for the sender and, for authenticators, an entry for us. *)
+    key for the sender, a tag of {!tag_size} bytes and, for
+    authenticators, an entry for us. *)
 
 val corrupt_entry : authenticator -> int -> authenticator
 (** Testing/fault-injection helper: flip bits in the MAC destined for the

@@ -49,50 +49,20 @@ let verify ~key ~tag msg =
   let n = String.length tag in
   constant_time_eq tag (mac_truncated ~key n msg)
 
-(* The one-block path: HMAC over a 32-byte message digest. After the
-   64-byte key block, the inner hash has 32 message bytes left and the
-   outer hash the 32-byte inner digest, so each is exactly one
-   compression of a block whose padding (0x80, zeros, the 768-bit length)
-   never changes. Both run in module scratch: [block] keeps its constant
-   tail, and [words] ends holding the tag. Nothing here re-enters itself,
-   and everything runs on one domain, so sharing the scratch is sound. *)
+(* The one-block path: HMAC over a 32-byte message digest, one native
+   call per tag ([Sha256.hmac_digest]). *)
 let digest_size = 32
-let block = Bytes.make block_size '\x00'
-
-let () =
-  Bytes.set block digest_size '\x80';
-  Bytes.set_int64_be block (block_size - 8) (Int64.of_int ((block_size + digest_size) * 8))
-
-let words = Array.make 8 0
-
-let hash_digest pre d =
-  if String.length d <> digest_size then invalid_arg "Hmac: the one-block path MACs a 32-byte digest";
-  Bytes.blit_string d 0 block 0 digest_size;
-  Sha256.compress_from pre.p_inner block words;
-  for i = 0 to 7 do
-    Bytes.set_int32_be block (4 * i) (Int32.of_int words.(i))
-  done;
-  Sha256.compress_from pre.p_outer block words
 
 let mac_digest pre n d =
   if n < 1 || n > digest_size then invalid_arg "Hmac.mac_digest: tag length";
-  hash_digest pre d;
   let out = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.set out i (Char.chr ((words.(i / 4) lsr (24 - (8 * (i mod 4)))) land 0xff))
-  done;
+  ignore (Sha256.hmac_digest ~inner:pre.p_inner ~outer:pre.p_outer d out ~verify:false);
   Bytes.unsafe_to_string out
 
-(* word by word, without an early exit *)
+(* The C code only reads [tag], so the unsafe view is sound. *)
 let verify_digest pre ~tag d =
-  hash_digest pre d;
+  if String.length d <> digest_size then invalid_arg "Hmac: the one-block path MACs a 32-byte digest";
   let n = String.length tag in
-  n > 0 && n <= digest_size && n land 3 = 0
-  && begin
-       let acc = ref 0 in
-       for i = 0 to (n / 4) - 1 do
-         let w = Int32.to_int (String.get_int32_be tag (4 * i)) land 0xffffffff in
-         acc := !acc lor (w lxor words.(i))
-       done;
-       !acc = 0
-     end
+  n >= 1 && n <= digest_size
+  && Sha256.hmac_digest ~inner:pre.p_inner ~outer:pre.p_outer d (Bytes.unsafe_of_string tag)
+       ~verify:true

@@ -36,9 +36,9 @@ val mac_truncated_precomputed : precomputed -> int -> string -> string
     ([Wire.envelope_digest]), never its bytes, as the paper's library
     MACs a fixed-size header holding the digest. From the key-block
     midstates, HMAC over 32 bytes is one compression for the inner hash
-    and one for the outer, with constant padding; both run in module
-    scratch. Tags are bit-identical to RFC 2104: [mac_digest pre n d] is
-    the first [n] bytes of [mac ~key d]. *)
+    and one for the outer, with constant padding; both run in one native
+    call ({!Sha256.hmac_digest}). Tags are bit-identical to RFC 2104:
+    [mac_digest pre n d] is the first [n] bytes of [mac ~key d]. *)
 
 val mac_digest : precomputed -> int -> string -> string
 (** [mac_digest pre n d]: the first [n] bytes (1..32) of the HMAC of the
@@ -47,7 +47,8 @@ val mac_digest : precomputed -> int -> string -> string
 
 val verify_digest : precomputed -> tag:string -> string -> bool
 (** Does [tag] equal the first [String.length tag] bytes of the HMAC of
-    the 32-byte [d]? Compares whole 32-bit words without an early exit and
-    allocates nothing; a tag that is empty, longer than 32 bytes or not a
-    whole number of words never verifies. Raises [Invalid_argument] if
-    [d] is not 32 bytes. *)
+    the 32-byte [d]? Compares every byte without an early exit and
+    allocates nothing; an empty tag or one longer than 32 bytes never
+    verifies. A prefix of any length from 1 to 32 does, so a caller that
+    expects a fixed tag size checks the length itself ({!Auth} and
+    {!Signature} do). Raises [Invalid_argument] if [d] is not 32 bytes. *)

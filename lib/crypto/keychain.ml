@@ -28,68 +28,76 @@ let group_derive g ~src ~dst =
   let key = { secret; epoch = 1 } in
   (key, Hmac.precompute ~key:secret)
 
+(* One slot per peer and direction, indexed by peer id. Most of a
+   cluster's pairwise keys never MAC anything, so a key's HMAC midstates
+   are computed by its first lookup and stored with it in [keyed], which
+   every later lookup returns as it is. Keys stay plain records (they
+   are wire-serialized inside new-key messages). *)
+type slot = {
+  (* in-keys only: the highest epoch ever issued to this peer; it survives
+     [drop_all_in_keys], so post-recovery keys supersede the dropped ones *)
+  mutable issued : int;
+  mutable key : key option;
+  mutable keyed : (key * Hmac.precomputed) option; (* [key] and its midstates *)
+}
+
 type t = {
   my_id : int;
-  in_keys : (int, key) Hashtbl.t; (* peer -> key peer uses to send to us *)
-  out_keys : (int, key) Hashtbl.t; (* peer -> key we use to send to peer *)
-  (* highest epoch ever issued per peer; survives drop_all_in_keys so that
-     post-recovery refreshed keys supersede the dropped ones *)
-  issued_epochs : (int, int) Hashtbl.t;
-  (* HMAC key-block midstates, cached per peer and validated against the
-     installed key's epoch. Keys themselves stay plain records (they are
-     wire-serialized inside new-key messages); the midstates live only
-     here, beside the keychain that uses them. *)
-  in_pre : (int, int * Hmac.precomputed) Hashtbl.t;
-  out_pre : (int, int * Hmac.precomputed) Hashtbl.t;
+  mutable in_slots : slot array; (* peer -> key peer uses to send to us *)
+  mutable out_slots : slot array; (* peer -> key we use to send to peer *)
   (* fallback for peers in the group's id range when no pairwise key is
      installed; explicitly installed keys always win *)
   mutable group : group option;
 }
 
-let create ~my_id =
-  {
-    my_id;
-    in_keys = Hashtbl.create 16;
-    out_keys = Hashtbl.create 16;
-    issued_epochs = Hashtbl.create 16;
-    in_pre = Hashtbl.create 16;
-    out_pre = Hashtbl.create 16;
-    group = None;
-  }
+let create ~my_id = { my_id; in_slots = [||]; out_slots = [||]; group = None }
 let my_id t = t.my_id
+(* [slots] with room for [peer]: grown by doubling, new slots vacant *)
+let room slots peer =
+  let len = Array.length slots in
+  if peer < len then slots
+  else
+    Array.init (max (peer + 1) (2 * len)) (fun i ->
+        if i < len then slots.(i) else { issued = 0; key = None; keyed = None })
+
+let installed slots peer = if peer >= 0 && peer < Array.length slots then slots.(peer).key else None
+
+let install s key =
+  s.key <- Some key;
+  s.keyed <- None
 
 let fresh_in_key t rng ~peer =
-  let epoch =
-    (match Hashtbl.find_opt t.issued_epochs peer with Some e -> e | None -> 0) + 1
-  in
-  Hashtbl.replace t.issued_epochs peer epoch;
-  let key = { secret = Bft_util.Rng.bytes rng 16; epoch } in
-  Hashtbl.replace t.in_keys peer key;
+  if peer < 0 then invalid_arg "Keychain.fresh_in_key: negative peer";
+  t.in_slots <- room t.in_slots peer;
+  let s = t.in_slots.(peer) in
+  s.issued <- s.issued + 1;
+  let key = { secret = Bft_util.Rng.bytes rng 16; epoch = s.issued } in
+  install s key;
   key
 
 let install_out_key t ~peer key =
-  let current_epoch =
-    match Hashtbl.find_opt t.out_keys peer with Some k -> k.epoch | None -> 0
-  in
-  if key.epoch > current_epoch then begin
-    Hashtbl.replace t.out_keys peer key;
-    true
-  end
-  else false
+  let current_epoch = match installed t.out_slots peer with Some k -> k.epoch | None -> 0 in
+  peer >= 0 && key.epoch > current_epoch
+  && begin
+       t.out_slots <- room t.out_slots peer;
+       install t.out_slots.(peer) key;
+       true
+     end
 
-let precomputed cache keys ~peer =
-  match Hashtbl.find_opt keys peer with
-  | None -> None
-  | Some key ->
-      let pre =
-        match Hashtbl.find_opt cache peer with
-        | Some (epoch, pre) when epoch = key.epoch -> pre
-        | _ ->
-            let pre = Hmac.precompute ~key:key.secret in
-            Hashtbl.replace cache peer (key.epoch, pre);
-            pre
-      in
-      Some (key, pre)
+(* an installed key with its midstates, computing them on first use *)
+let lookup slots peer =
+  if peer < 0 || peer >= Array.length slots then None
+  else
+    let s = slots.(peer) in
+    match s.keyed with
+    | Some _ as kp -> kp
+    | None -> (
+        match s.key with
+        | None -> None
+        | Some key ->
+            let kp = Some (key, Hmac.precompute ~key:key.secret) in
+            s.keyed <- kp;
+            kp)
 
 let set_group t g = t.group <- Some g
 let group_of t = t.group
@@ -103,21 +111,23 @@ let group_fallback t ~peer dir =
   | _ -> None
 
 let out_key_pre t ~peer =
-  match precomputed t.out_pre t.out_keys ~peer with
+  match lookup t.out_slots peer with
   | Some _ as r -> r
   | None -> group_fallback t ~peer `Out
 
 let in_key_pre t ~peer =
-  match precomputed t.in_pre t.in_keys ~peer with
+  match lookup t.in_slots peer with
   | Some _ as r -> r
   | None -> group_fallback t ~peer `In
 
 let in_epoch t ~peer =
-  match Hashtbl.find_opt t.in_keys peer with
+  match installed t.in_slots peer with
   | Some k -> k.epoch
-  | None -> (
-      match t.group with Some g when group_mem g peer -> 1 | _ -> 0)
+  | None -> ( match t.group with Some g when group_mem g peer -> 1 | _ -> 0)
 
 let drop_all_in_keys t =
-  Hashtbl.reset t.in_keys;
-  Hashtbl.reset t.in_pre
+  Array.iter
+    (fun s ->
+      s.key <- None;
+      s.keyed <- None)
+    t.in_slots

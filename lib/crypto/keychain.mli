@@ -19,21 +19,32 @@ val my_id : t -> int
 val fresh_in_key : t -> Bft_util.Rng.t -> peer:int -> key
 (** Generate a new key that [peer] must use to send to us, advance the
     local epoch for that direction, install it as the current in-key, and
-    return it so that it can be shipped to [peer] in a new-key message. *)
+    return it so that it can be shipped to [peer] in a new-key message.
+    Raises [Invalid_argument] on a negative [peer]. *)
 
 val install_out_key : t -> peer:int -> key -> bool
 (** Install the key we must use to send to [peer], as received from a
     new-key message. Returns [false] (and ignores the key) if its epoch is
     not newer than the currently installed one — stale new-key messages are
-    rejected, preventing suppress-replay attacks. *)
+    rejected, preventing suppress-replay attacks — or if [peer] is
+    negative. *)
+
+(** {2 Lookups}
+
+    Each direction keeps one slot per peer, in an array indexed by peer
+    id. A slot holds the installed key beside its HMAC key-block
+    midstates, which the first lookup computes and stores, and which go
+    with the key when a newer epoch replaces it. Every later lookup
+    returns the value stored in the slot: it hashes and allocates
+    nothing. A negative or never-installed peer id has no key; it reads
+    no slot past the array's end and grows nothing. *)
 
 val out_key_pre : t -> peer:int -> (key * Hmac.precomputed) option
-(** Like {!out_key}, paired with the cached HMAC key-block midstates for
-    that key. The cache is invalidated automatically when a key with a
-    newer epoch is installed. *)
+(** The key we use to send to [peer], with its midstates; the {!group}
+    fallback for an in-range peer without one; [None] otherwise. *)
 
 val in_key_pre : t -> peer:int -> (key * Hmac.precomputed) option
-(** Like {!in_key}, with cached midstates (see {!out_key_pre}). *)
+(** The key [peer] uses to send to us, as {!out_key_pre}. *)
 
 val in_epoch : t -> peer:int -> int
 (** Epoch of the current in-key for [peer]; 0 when none. Peers covered

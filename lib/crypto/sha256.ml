@@ -6,10 +6,15 @@
    once from cpuid and by nothing else. This module does the buffering,
    padding and length encoding around it, and hands each run of full
    64-byte blocks to the kernel in one call, straight from the source
-   string. *)
+   string. One-block HMACs over a 32-byte digest run wholly in native
+   code, padding and both compressions in one call ([hmac_digest]). *)
 
 external c_compress : int array -> string -> int -> int -> unit = "caml_bft_sha256_compress"
 [@@noalloc] [@@lint.pure "deterministic SHA-256 block compression; no I/O, no raise"]
+
+external c_hmac_digest : int array -> int array -> string -> Bytes.t -> bool -> bool
+  = "caml_bft_hmac_digest"
+[@@noalloc] [@@lint.pure "deterministic one-block HMAC-SHA256; no I/O, no raise"]
 
 external c_kernel : unit -> int = "caml_bft_sha256_kernel" [@@noalloc]
 external c_force : int -> bool = "caml_bft_sha256_force" [@@noalloc]
@@ -149,12 +154,14 @@ let digest_from_midstate m s =
   Array.blit m.mh 0 scratch_h 0 8;
   finish scratch_h ~fed:m.m_fed s 0 (String.length s)
 
-(* One block resumed from a midstate, straight into the caller's words:
-   the caller has laid out the block, padding included (HMAC over a
-   digest), so this is one kernel call and no allocation. *)
-let compress_from m block h8 =
-  if Bytes.length block <> 64 || Array.length h8 <> 8 then invalid_arg "Sha256.compress_from";
-  Array.blit m.mh 0 h8 0 8;
-  c_compress h8 (Bytes.unsafe_to_string block) 0 1
+(* The one-block HMAC over a 32-byte digest: the only caller of
+   [c_hmac_digest], so the lengths the C code trusts are checked here.
+   Both midstates must have absorbed exactly one 64-byte block, the key
+   pad: the C code's constant padding encodes that length. *)
+let hmac_digest ~inner ~outer d tag ~verify =
+  let n = Bytes.length tag in
+  if inner.m_fed <> 64 || outer.m_fed <> 64 || String.length d <> 32 || n < 1 || n > 32 then
+    invalid_arg "Sha256.hmac_digest";
+  c_hmac_digest inner.mh outer.mh d tag verify
 
 let hexdigest s = Bft_util.Hex.encode (digest s)

@@ -1,7 +1,8 @@
 (** SHA-256 (FIPS 180-4): padding, streaming and midstates in OCaml,
     block compression in a native kernel ([sha256_stubs.c]) -- SHA-NI when
     cpuid reports the x86-64 SHA extensions, portable C otherwise, chosen
-    once from cpuid and by nothing else. Both kernels compute the same
+    once from cpuid and by nothing else. The one-block HMAC over a 32-byte
+    digest ({!hmac_digest}) runs wholly in native code. Both kernels compute the same
     function, so every digest is byte-identical on every host.
 
     The paper uses MD5 for message and state digests; we substitute SHA-256
@@ -41,13 +42,17 @@ val digest_from_midstate : midstate -> string -> string
     feeding [s] to the context [m] was captured from — but runs on the
     allocation-free one-shot path. The midstate is not consumed. *)
 
-val compress_from : midstate -> Bytes.t -> int array -> unit
-(** [compress_from m block h8] sets the eight 32-bit words of [h8] to
-    [m]'s, then compresses the one 64-byte [block] into them. The caller
-    lays out the block, padding included: it is the last block of a
-    message whose earlier bytes [m] absorbed (HMAC's one-block path).
-    Allocates nothing. Raises [Invalid_argument] unless [block] is 64
-    bytes and [h8] has 8 elements. *)
+val hmac_digest :
+  inner:midstate -> outer:midstate -> string -> Bytes.t -> verify:bool -> bool
+(** [hmac_digest ~inner ~outer d tag ~verify]: the HMAC of the 32-byte
+    [d] resumed from the key-block midstates [inner] and [outer], in one
+    native call that pads and runs both compressions. Let [n] be
+    [Bytes.length tag]. With [verify] false it writes the tag's first [n]
+    bytes into [tag] and returns [true]; with [verify] true it returns
+    whether [tag] equals them, comparing every byte without an early exit.
+    Allocates nothing. Raises [Invalid_argument] unless [d] is 32 bytes,
+    [n] is 1..32 and each midstate has absorbed exactly one 64-byte
+    block (an HMAC key pad). *)
 
 val hexdigest : string -> string
 

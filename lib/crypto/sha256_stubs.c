@@ -12,10 +12,15 @@
    - portable C, everywhere else.
    The choice is made once, from cpuid alone, on first use.
    [caml_bft_sha256_force] exists only so tests can run each kernel on
-   one host (Sha256.For_testing.with_kernel). */
+   one host (Sha256.For_testing.with_kernel).
+
+   [caml_bft_hmac_digest] is the whole one-block HMAC over a 32-byte
+   message digest -- padding and both compressions -- in one call, the
+   MAC every authenticator entry and signature costs. */
 
 #include <stdint.h>
 #include <stddef.h>
+#include <string.h>
 #include <caml/mlvalues.h>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -137,19 +142,75 @@ static int active_kernel(void)
   return kernel;
 }
 
+static void compress(uint32_t st[8], const uint8_t *p, size_t n)
+{
+#ifdef HAVE_SHANI_KERNEL
+  if (active_kernel() == KERNEL_SHANI) compress_shani(st, p, n);
+  else
+#endif
+    compress_portable(st, p, n);
+}
+
+static void load_words(uint32_t st[8], value h)
+{
+  for (int i = 0; i < 8; i++) st[i] = (uint32_t)Long_val(Field(h, i));
+}
+
 value caml_bft_sha256_compress(value h, value s, value off, value n)
 {
   uint32_t st[8];
-  for (int i = 0; i < 8; i++) st[i] = (uint32_t)Long_val(Field(h, i));
-  const uint8_t *p = (const uint8_t *)String_val(s) + Long_val(off);
-#ifdef HAVE_SHANI_KERNEL
-  if (active_kernel() == KERNEL_SHANI) compress_shani(st, p, Long_val(n));
-  else
-#endif
-    compress_portable(st, p, Long_val(n));
+  load_words(st, h);
+  compress(st, (const uint8_t *)String_val(s) + Long_val(off), Long_val(n));
   /* immediates need no write barrier */
   for (int i = 0; i < 8; i++) Field(h, i) = Val_long(st[i]);
   return Val_unit;
+}
+
+/* --- one-block HMAC over a 32-byte digest ------------------------------ */
+
+static void store_be32(uint8_t *p, const uint32_t st[8])
+{
+  for (int i = 0; i < 8; i++) {
+    p[4 * i] = (uint8_t)(st[i] >> 24);
+    p[4 * i + 1] = (uint8_t)(st[i] >> 16);
+    p[4 * i + 2] = (uint8_t)(st[i] >> 8);
+    p[4 * i + 3] = (uint8_t)st[i];
+  }
+}
+
+/* [caml_bft_hmac_digest inner outer d tag verify]: HMAC-SHA256 of the
+   32-byte [d], resumed from the key-block midstates [inner] and [outer]
+   (eight-word int arrays, each having absorbed exactly one 64-byte pad
+   block). After the key block, the inner hash has the 32 digest bytes
+   left and the outer hash the 32-byte inner digest, so each is one
+   compression of a block whose padding never changes: 0x80, zeros and
+   the 768-bit length. With [verify] false, the first [n] tag bytes,
+   [n] being [tag]'s length, are written into [tag] and the result is
+   true; with [verify] true, they are compared with [tag] without an
+   early exit. The OCaml caller has checked every length. */
+value caml_bft_hmac_digest(value inner, value outer, value d, value tag, value verify)
+{
+  uint8_t block[64] = { 0 };
+  uint8_t mac[32];
+  uint32_t st[8];
+  memcpy(block, String_val(d), 32);
+  block[32] = 0x80;
+  block[62] = 0x03; /* (64 + 32) * 8 = 0x300 bits */
+  load_words(st, inner);
+  compress(st, block, 1);
+  store_be32(block, st);
+  load_words(st, outer);
+  compress(st, block, 1);
+  store_be32(mac, st);
+  size_t n = caml_string_length(tag);
+  unsigned char *t = Bytes_val(tag);
+  if (!Bool_val(verify)) {
+    memcpy(t, mac, n);
+    return Val_true;
+  }
+  uint8_t acc = 0;
+  for (size_t i = 0; i < n; i++) acc |= mac[i] ^ t[i];
+  return Val_bool(acc == 0);
 }
 
 value caml_bft_sha256_kernel(value unit)

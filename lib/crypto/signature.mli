@@ -34,7 +34,8 @@ val sign : signer -> string -> t
 
 val verify : registry -> t -> string -> bool
 (** Check that the signature was produced by [t.signer_id] over the
-    32-byte digest. Raises [Invalid_argument] on any other length. *)
+    32-byte digest. A tag that is not exactly 32 bytes never verifies.
+    Raises [Invalid_argument] on a digest of any other length. *)
 
 val forge : signer_id:int -> t
 (** A structurally invalid signature, for fault-injection tests: it never

@@ -48,10 +48,13 @@ let decode_snapshot st s =
                 Hashtbl.replace st.table k v))
     lines
 
-let mutating op =
-  match String.split_on_char ' ' op with
-  | verb :: _ -> not (String.equal verb "get" || String.equal verb "size")
-  | [] -> true
+(* Is [w] the first space-separated word of [op]? Reads [op] in place,
+   so deciding access does not split it. *)
+let verb_is op w =
+  String.starts_with ~prefix:w op
+  && (String.length op = String.length w || op.[String.length w] = ' ')
+
+let mutating op = not (verb_is op "get" || verb_is op "size")
 
 (* Paged-arena record layout: one record per binding under key "B"<k>,
    plus the ACL under "A" ("open", "acl", or "acl 1,2,..."). *)

@@ -10,23 +10,21 @@ type t = {
   mutable buf : Bytes.t; (* capacity is always a multiple of page_size *)
   mutable used : int; (* bump pointer, includes the header *)
   index : (string, int * int) Hashtbl.t; (* key -> (offset, record length) *)
-  dirty : (int, unit) Hashtbl.t; (* pages touched since last drain *)
-  stale : (int, unit) Hashtbl.t; (* pages whose cached string is outdated *)
+  mutable flags : Bytes.t; (* one byte per page: [dirty] lor [stale] bits *)
   mutable cache : string array; (* one immutable string per page *)
 }
+
+let dirty = 1 (* touched since the last drain *)
+let stale = 2 (* cached string outdated *)
 
 let header_len = 19 (* "ARENA " ^ 12 digits ^ "\n" *)
 
 let min_page_size = 32
 
-let header_bytes used = Printf.sprintf "ARENA %012d\n" used
-
 let num_pages t = Bytes.length t.buf / t.page_size
 let page_size t = t.page_size
 
-let touch t pg =
-  Hashtbl.replace t.dirty pg ();
-  Hashtbl.replace t.stale pg ()
+let touch t pg = Bytes.set t.flags pg (Char.unsafe_chr (dirty lor stale))
 
 let touch_range t off len =
   if len > 0 then
@@ -34,9 +32,20 @@ let touch_range t off len =
       touch t pg
     done
 
+(* The header's constant bytes are written once per fresh buffer; each
+   allocation rewrites only the bump pointer's 12 digits, in place. *)
 let write_header t =
-  Bytes.blit_string (header_bytes t.used) 0 t.buf 0 header_len;
+  let n = ref t.used in
+  for i = header_len - 2 downto 6 do
+    Bytes.set t.buf i (Char.unsafe_chr (Char.code '0' + (!n mod 10)));
+    n := !n / 10
+  done;
   touch_range t 0 header_len
+
+let init_header t =
+  Bytes.blit_string "ARENA " 0 t.buf 0 6;
+  Bytes.set t.buf (header_len - 1) '\n';
+  write_header t
 
 let create ?(initial_pages = 1) ~page_size () =
   if page_size < min_page_size then invalid_arg "Paged_image.create: page_size";
@@ -47,27 +56,38 @@ let create ?(initial_pages = 1) ~page_size () =
       buf = Bytes.make (initial_pages * page_size) '\x00';
       used = header_len;
       index = Hashtbl.create 64;
-      dirty = Hashtbl.create 16;
-      stale = Hashtbl.create 16;
+      flags = Bytes.make initial_pages '\x00';
       cache = Array.make initial_pages "";
     }
   in
-  write_header t;
+  init_header t;
   t
 
-let record_string key value =
-  let b =
-    Buffer.create (String.length key + String.length value + 16)
-  in
-  Buffer.add_string b "R ";
-  Buffer.add_string b (string_of_int (String.length key));
-  Buffer.add_char b ' ';
-  Buffer.add_string b (string_of_int (String.length value));
-  Buffer.add_char b '\n';
-  Buffer.add_string b key;
-  Buffer.add_string b value;
-  Buffer.add_char b '\n';
-  Buffer.contents b
+(* A record is "R <klen> <vlen>\n<key><value>\n". *)
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+let record_len klen vlen = 2 + digits klen + 1 + digits vlen + 1 + klen + vlen + 1
+
+(* decimal [n] at [pos]; returns the position after it *)
+let put_int b pos n =
+  let d = digits n in
+  let n = ref n in
+  for i = pos + d - 1 downto pos do
+    Bytes.set b i (Char.unsafe_chr (Char.code '0' + (!n mod 10)));
+    n := !n / 10
+  done;
+  pos + d
+
+let write_record b off key value =
+  let klen = String.length key and vlen = String.length value in
+  Bytes.set b off 'R';
+  Bytes.set b (off + 1) ' ';
+  let pos = put_int b (off + 2) klen in
+  Bytes.set b pos ' ';
+  let pos = put_int b (pos + 1) vlen in
+  Bytes.set b pos '\n';
+  Bytes.blit_string key 0 b (pos + 1) klen;
+  Bytes.blit_string value 0 b (pos + 1 + klen) vlen;
+  Bytes.set b (pos + 1 + klen + vlen) '\n'
 
 let grow t needed =
   let cap = Bytes.length t.buf in
@@ -85,29 +105,30 @@ let grow t needed =
     let nc = Array.make pages "" in
     Array.blit t.cache 0 nc 0 old_pages;
     t.cache <- nc;
+    let nf = Bytes.make pages '\x00' in
+    Bytes.blit t.flags 0 nf 0 old_pages;
+    t.flags <- nf;
     (* fresh pages enter the image: they count as dirty *)
     for pg = old_pages to pages - 1 do
       touch t pg
     done
   end
 
-(* Overwrite [off, off+len) with [r], dirtying only pages whose bytes
+(* Overwrite [off, off+len) with [value], dirtying only pages whose bytes
    actually change. *)
-let diff_write t off r =
-  let len = String.length r in
+let diff_write t off value =
+  let len = String.length value in
   if len > 0 then begin
     let last = off + len - 1 in
     for pg = off / t.page_size to last / t.page_size do
       let seg_start = max off (pg * t.page_size) in
       let seg_end = min (off + len) ((pg + 1) * t.page_size) in
-      let seg_len = seg_end - seg_start in
-      let same =
-        String.equal
-          (Bytes.sub_string t.buf seg_start seg_len)
-          (String.sub r (seg_start - off) seg_len)
-      in
-      if not same then begin
-        Bytes.blit_string r (seg_start - off) t.buf seg_start seg_len;
+      let i = ref seg_start in
+      while !i < seg_end && Bytes.get t.buf !i = String.get value (!i - off) do
+        incr i
+      done;
+      if !i < seg_end then begin
+        Bytes.blit_string value (seg_start - off) t.buf seg_start (seg_end - seg_start);
         touch t pg
       end
     done
@@ -117,27 +138,28 @@ let free_region t off len =
   Bytes.fill t.buf off len '\x00';
   touch_range t off len
 
-let append t r =
-  let len = String.length r in
+let append t key value len =
   grow t (t.used + len);
   let off = t.used in
-  Bytes.blit_string r 0 t.buf off len;
+  write_record t.buf off key value;
   touch_range t off len;
   t.used <- t.used + len;
   write_header t;
   off
 
 let set t ~key ~value =
-  let r = record_string key value in
+  let vlen = String.length value in
+  let len = record_len (String.length key) vlen in
   match Hashtbl.find_opt t.index key with
-  | Some (off, len) when String.length r = len -> diff_write t off r
-  | Some (off, len) ->
-      free_region t off len;
-      let off = append t r in
-      Hashtbl.replace t.index key (off, String.length r)
-  | None ->
-      let off = append t r in
-      Hashtbl.replace t.index key (off, String.length r)
+  | Some (off, l) when l = len ->
+      (* same key and record size, so the same value length (v + digits v
+         is increasing): the header and key bytes are unchanged, and only
+         the value can differ *)
+      diff_write t (off + len - 1 - vlen) value
+  | Some (off, l) ->
+      free_region t off l;
+      Hashtbl.replace t.index key (append t key value len, len)
+  | None -> Hashtbl.replace t.index key (append t key value len, len)
 
 let remove t ~key =
   match Hashtbl.find_opt t.index key with
@@ -147,17 +169,15 @@ let remove t ~key =
       Hashtbl.remove t.index key;
       true
 
+(* the value is the [vlen] bytes before the record's closing newline *)
 let find t ~key =
   match Hashtbl.find_opt t.index key with
   | None -> None
   | Some (off, len) ->
-      (* re-parse lengths from the record header *)
       let sp1 = Bytes.index_from t.buf (off + 2) ' ' in
       let nl = Bytes.index_from t.buf (sp1 + 1) '\n' in
-      let klen = int_of_string (Bytes.sub_string t.buf (off + 2) (sp1 - off - 2)) in
       let vlen = int_of_string (Bytes.sub_string t.buf (sp1 + 1) (nl - sp1 - 1)) in
-      ignore len;
-      Some (Bytes.sub_string t.buf (nl + 1 + klen) vlen)
+      Some (Bytes.sub_string t.buf (off + len - 1 - vlen) vlen)
 
 let iter t f =
   Hashtbl.iter
@@ -165,17 +185,25 @@ let iter t f =
     t.index
 
 let pages t =
-  Hashtbl.iter
-    (fun pg () ->
-      t.cache.(pg) <- Bytes.sub_string t.buf (pg * t.page_size) t.page_size)
-    t.stale;
-  Hashtbl.reset t.stale;
+  for pg = 0 to num_pages t - 1 do
+    let f = Char.code (Bytes.get t.flags pg) in
+    if f land stale <> 0 then begin
+      t.cache.(pg) <- Bytes.sub_string t.buf (pg * t.page_size) t.page_size;
+      Bytes.set t.flags pg (Char.unsafe_chr (f land lnot stale))
+    end
+  done;
   Array.copy t.cache
 
 let drain_dirty t =
-  let l = Hashtbl.fold (fun pg () acc -> pg :: acc) t.dirty [] in
-  Hashtbl.reset t.dirty;
-  List.sort compare l
+  let l = ref [] in
+  for pg = num_pages t - 1 downto 0 do
+    let f = Char.code (Bytes.get t.flags pg) in
+    if f land dirty <> 0 then begin
+      l := pg :: !l;
+      Bytes.set t.flags pg (Char.unsafe_chr (f land lnot dirty))
+    end
+  done;
+  !l
 
 let mark_all_dirty t =
   for pg = 0 to num_pages t - 1 do
@@ -186,11 +214,9 @@ let reset t =
   t.buf <- Bytes.make t.page_size '\x00';
   t.used <- header_len;
   Hashtbl.reset t.index;
-  Hashtbl.reset t.dirty;
-  Hashtbl.reset t.stale;
+  t.flags <- Bytes.make 1 '\x00';
   t.cache <- Array.make 1 "";
-  write_header t;
-  touch t 0
+  init_header t
 
 let image t = Bytes.to_string t.buf
 
@@ -281,7 +307,6 @@ let restore t s =
       Hashtbl.reset t.index;
       List.iter (fun (k, _, off, len) -> Hashtbl.replace t.index k (off, len)) records;
       t.cache <- Array.make (String.length s / t.page_size) "";
-      Hashtbl.reset t.dirty;
-      Hashtbl.reset t.stale;
+      t.flags <- Bytes.make (String.length s / t.page_size) '\x00';
       mark_all_dirty t;
       Ok (List.map (fun (k, v, _, _) -> (k, v)) records)

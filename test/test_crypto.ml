@@ -377,11 +377,17 @@ let prop_one_block_is_hmac =
     (fun (key, d, bad) ->
       let pre = Hmac.precompute ~key in
       let full = Hmac.mac ~key d in
+      (* every tag length, written and checked by the native call, is a
+         prefix of the RFC tag *)
       let on kernel =
         Option.value ~default:true
           (Sha256.For_testing.with_kernel kernel (fun () ->
-               String.equal (Hmac.mac_digest pre Auth.tag_size d) (String.sub full 0 Auth.tag_size)
-               && String.equal (Hmac.mac_digest pre 32 d) full))
+               List.for_all
+                 (fun n ->
+                   let prefix = String.sub full 0 n in
+                   String.equal (Hmac.mac_digest pre n d) prefix
+                   && Hmac.verify_digest pre ~tag:prefix d)
+                 (List.init 32 succ)))
       in
       let tag = Hmac.mac_digest pre Auth.tag_size d in
       let flipped bit =
@@ -401,6 +407,130 @@ let prop_one_block_is_hmac =
       && refused (fun () -> Auth.verify_mac kc ~peer:1 mac bad)
       && refused (fun () -> Auth.compute_authenticator kc ~receivers:[ 1 ] bad)
       && refused (fun () -> Auth.verify_authenticator kc ~peer:1 [ (0, mac) ] bad))
+
+(* A tag shorter than the full size is a prefix of the right MAC, and
+   [Hmac.verify_digest] accepts prefixes; a 4-byte one would cut
+   forgery resistance to 2^-32. [Auth] takes exactly [tag_size] bytes
+   and [Signature] exactly 32, and a wrong length is refused before the
+   HMAC runs, so it does not count as a verification. *)
+let test_truncated_tags_refused () =
+  let _, kc0, kc1 = make_pair () in
+  let d = Sha256.digest "commit v0 n7" in
+  let mac = Option.get (Auth.compute_mac kc0 ~peer:1 d) in
+  let cut n = { mac with Auth.tag = String.sub mac.Auth.tag 0 n } in
+  let before = Auth.mac_verifications () in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-byte MAC prefix refused" n)
+        false
+        (Auth.verify_mac kc1 ~peer:0 (cut n) d))
+    [ 0; 1; 4; 7 ];
+  Alcotest.(check bool) "longer tag refused" false
+    (Auth.verify_mac kc1 ~peer:0 { mac with Auth.tag = mac.Auth.tag ^ "\x00" } d);
+  Alcotest.(check bool) "truncated authenticator entry refused" false
+    (Auth.verify_authenticator kc1 ~peer:0 [ (1, cut 4) ] d);
+  Alcotest.(check int) "wrong lengths are not counted" before (Auth.mac_verifications ());
+  Alcotest.(check bool) "full tag verifies" true (Auth.verify_mac kc1 ~peer:0 mac d);
+  Alcotest.(check int) "a full tag is counted" (before + 1) (Auth.mac_verifications ());
+  let reg = Signature.create_registry () in
+  let s = Signature.sign (Signature.register reg (Bft_util.Rng.create 3L) 0) d in
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d-byte signature prefix refused" n)
+        false
+        (Signature.verify reg { s with Signature.tag = String.sub s.Signature.tag 0 n } d))
+    [ 1; 4; 8; 31 ];
+  Alcotest.(check bool) "full signature verifies" true (Signature.verify reg s d)
+
+(* --- Keychain slots --- *)
+
+let epoch_of = function Some ((k : Keychain.key), _) -> k.epoch | None -> 0
+let secret_of = function Some ((k : Keychain.key), _) -> Some k.secret | None -> None
+
+let test_slot_epochs () =
+  let rng = Bft_util.Rng.create 21L in
+  let recv = Keychain.create ~my_id:1 and send = Keychain.create ~my_id:0 in
+  let k1 = Keychain.fresh_in_key recv rng ~peer:0 in
+  let k2 = Keychain.fresh_in_key recv rng ~peer:0 in
+  Alcotest.(check (pair int int)) "fresh epochs count up" (1, 2) (k1.epoch, k2.epoch);
+  Alcotest.(check int) "newest in-key installed" 2 (epoch_of (Keychain.in_key_pre recv ~peer:0));
+  Alcotest.(check bool) "epoch 1 installed" true (Keychain.install_out_key send ~peer:1 k1);
+  let d = Sha256.digest "prepare v0 n3" in
+  let old_mac = Option.get (Auth.compute_mac send ~peer:1 d) in
+  Alcotest.(check bool) "newer epoch replaces it" true (Keychain.install_out_key send ~peer:1 k2);
+  Alcotest.(check (option string)) "the slot holds the newer key" (Some k2.secret)
+    (secret_of (Keychain.out_key_pre send ~peer:1));
+  Alcotest.(check bool) "stale epoch refused" false (Keychain.install_out_key send ~peer:1 k1);
+  Alcotest.(check int) "newer key kept" 2 (epoch_of (Keychain.out_key_pre send ~peer:1));
+  let mac = Option.get (Auth.compute_mac send ~peer:1 d) in
+  Alcotest.(check bool) "MACs under the newer key verify" true (Auth.verify_mac recv ~peer:0 mac d);
+  Alcotest.(check bool) "MACs under the replaced key do not" false
+    (Auth.verify_mac recv ~peer:0 old_mac d)
+
+let test_slot_drop_in_keys () =
+  let rng = Bft_util.Rng.create 22L in
+  let kc = Keychain.create ~my_id:0 in
+  let a = Keychain.fresh_in_key kc rng ~peer:1 in
+  ignore (Keychain.fresh_in_key kc rng ~peer:2);
+  let out = Keychain.fresh_in_key (Keychain.create ~my_id:3) rng ~peer:0 in
+  assert (Keychain.install_out_key kc ~peer:3 out);
+  Keychain.drop_all_in_keys kc;
+  Alcotest.(check bool) "in-keys forgotten" true
+    (Keychain.in_key_pre kc ~peer:1 = None && Keychain.in_key_pre kc ~peer:2 = None);
+  Alcotest.(check int) "no in-epoch" 0 (Keychain.in_epoch kc ~peer:1);
+  Alcotest.(check int) "out-keys kept" 1 (epoch_of (Keychain.out_key_pre kc ~peer:3));
+  let b = Keychain.fresh_in_key kc rng ~peer:1 in
+  Alcotest.(check int) "the next epoch continues past the dropped one" (a.epoch + 1) b.epoch;
+  Alcotest.(check int) "and is installed" b.epoch (Keychain.in_epoch kc ~peer:1)
+
+let test_slot_group_fallback () =
+  let g = Keychain.group ~first:10 ~last:19 ~secret:"cohort" in
+  let kc = Keychain.create ~my_id:2 in
+  Keychain.set_group kc g;
+  let derived_in, _ = Keychain.group_derive g ~src:12 ~dst:2 in
+  let derived_out, _ = Keychain.group_derive g ~src:2 ~dst:12 in
+  Alcotest.(check (option string)) "in-range in-key derived" (Some derived_in.secret)
+    (secret_of (Keychain.in_key_pre kc ~peer:12));
+  Alcotest.(check (option string)) "in-range out-key derived" (Some derived_out.secret)
+    (secret_of (Keychain.out_key_pre kc ~peer:12));
+  Alcotest.(check bool) "below the range: none" true (Keychain.in_key_pre kc ~peer:9 = None);
+  Alcotest.(check bool) "above the range: none" true (Keychain.out_key_pre kc ~peer:20 = None);
+  let rng = Bft_util.Rng.create 23L in
+  let k_in = Keychain.fresh_in_key kc rng ~peer:12 in
+  let k_out = Keychain.fresh_in_key (Keychain.create ~my_id:12) rng ~peer:2 in
+  let k_out = { k_out with Keychain.epoch = 5 } in
+  assert (Keychain.install_out_key kc ~peer:12 k_out);
+  Alcotest.(check (option string)) "installed in-key wins" (Some k_in.secret)
+    (secret_of (Keychain.in_key_pre kc ~peer:12));
+  Alcotest.(check (option string)) "installed out-key wins" (Some k_out.secret)
+    (secret_of (Keychain.out_key_pre kc ~peer:12));
+  Alcotest.(check (option string)) "other in-range peers still derive"
+    (Some (fst (Keychain.group_derive g ~src:13 ~dst:2)).secret)
+    (secret_of (Keychain.in_key_pre kc ~peer:13))
+
+let test_slot_bad_peer_ids () =
+  let rng = Bft_util.Rng.create 24L in
+  let kc = Keychain.create ~my_id:0 in
+  ignore (Keychain.fresh_in_key kc rng ~peer:3);
+  assert (Keychain.install_out_key kc ~peer:3 (Keychain.fresh_in_key kc rng ~peer:1));
+  let words = Obj.reachable_words (Obj.repr kc) in
+  let d = Sha256.digest "x" in
+  List.iter
+    (fun peer ->
+      let name = Printf.sprintf "peer %d" peer in
+      Alcotest.(check bool) (name ^ ": no in-key") true (Keychain.in_key_pre kc ~peer = None);
+      Alcotest.(check bool) (name ^ ": no out-key") true (Keychain.out_key_pre kc ~peer = None);
+      Alcotest.(check int) (name ^ ": no epoch") 0 (Keychain.in_epoch kc ~peer);
+      Alcotest.(check bool) (name ^ ": no MAC") true (Auth.compute_mac kc ~peer d = None);
+      Alcotest.(check bool)
+        (name ^ ": nothing verifies") false
+        (Auth.verify_mac kc ~peer { Auth.tag = String.make Auth.tag_size 'x'; epoch = 1 } d))
+    [ -1; min_int; 4; 1_000_000; max_int ];
+  Alcotest.(check bool) "negative out-key refused" false
+    (Keychain.install_out_key kc ~peer:(-1) { Keychain.secret = "s"; epoch = 1 });
+  Alcotest.(check int) "no array grew" words (Obj.reachable_words (Obj.repr kc))
 
 (* --- Signatures --- *)
 
@@ -500,6 +630,14 @@ let suites =
         Alcotest.test_case "group derivation sharing: none, one per verify" `Quick
           test_group_derivation_per_verify;
         QCheck_alcotest.to_alcotest prop_one_block_is_hmac;
+        Alcotest.test_case "truncated tags refused" `Quick test_truncated_tags_refused;
+      ] );
+    ( "crypto.keychain",
+      [
+        Alcotest.test_case "newer epoch replaces, stale refused" `Quick test_slot_epochs;
+        Alcotest.test_case "drop in-keys, epochs continue" `Quick test_slot_drop_in_keys;
+        Alcotest.test_case "group fallback, installed keys win" `Quick test_slot_group_fallback;
+        Alcotest.test_case "bad peer ids" `Quick test_slot_bad_peer_ids;
       ] );
     ( "crypto.signature",
       [
