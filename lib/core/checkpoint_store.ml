@@ -1,3 +1,4 @@
+[@@@lint.protocol_core]
 type t = {
   cfg : Config.t;
   page_size : int;

@@ -245,9 +245,7 @@ let invoke t ?(read_only = false) ~op callback =
   let replier = t.next_replier in
   t.next_replier <- (t.next_replier + 1) mod t.d.cfg.Config.n;
   let req =
-    Message.request ~op ~timestamp:t.last_timestamp ~client:t.id
-      ~read_only:(read_only && t.d.cfg.Config.read_only_opt)
-      ~replier
+    Message.request ~op ~timestamp:t.last_timestamp ~client:t.id ~read_only ~replier
   in
   let p =
     {

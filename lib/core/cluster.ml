@@ -36,6 +36,44 @@ let establish_keys rng a_chain b_chain =
   let k_ba = Bft_crypto.Keychain.fresh_in_key a_chain rng ~peer:b in
   ignore (Bft_crypto.Keychain.install_out_key b_chain ~peer:a k_ba)
 
+(* The engine label each replica timer is scheduled under. *)
+let timer_label : Replica.timer -> string = function
+  | Vc_active | Vc_pending -> "vc"
+  | Transfer_retry -> "tx"
+  | Recovery_tick -> "rec"
+  | Status -> "status"
+  | Watchdog -> "wd"
+  | Key_refresh -> "key"
+  | Perf_vc _ -> "perfvc"
+
+(* Replica [id]'s shell: its network node, its CPU and its timers. Only
+   the "vc" and "tx" timers are ever cancelled, so only their last
+   handles are kept. *)
+let port engine net id =
+  let vc = ref None and tx = ref None in
+  let slot : Replica.timer -> _ = function
+    | Vc_active | Vc_pending -> vc
+    | Transfer_retry -> tx
+    | Recovery_tick | Status | Watchdog | Key_refresh | Perf_vc _ -> ref None
+  in
+  {
+    Replica.send = (fun ~dst ~size env -> Network.send net ~src:id ~dst ~size env);
+    multicast = (fun ~dsts ~size env -> Network.multicast net ~src:id ~dsts ~size env);
+    charge = (fun us -> Network.charge net ~id us);
+    arm =
+      (fun r timer ~delay_us ->
+        slot timer :=
+          Some
+            (Engine.schedule engine
+               ~label:(Engine.Id (timer_label timer, id))
+               ~delay:(Engine.of_us_float delay_us)
+               (fun () -> Replica.on_timer r timer)));
+    cancel = (fun timer -> Option.iter Engine.cancel !(slot timer));
+    now = (fun () -> Engine.now engine);
+    backlog = (fun () -> Network.backlog net ~id);
+    busy_until = (fun () -> Network.busy_until net ~id);
+  }
+
 let create ?(seed = 42L) ?(costs = Costs.default) ?service ?(page_size = 4096)
     ?(branching = 16) ?(num_clients = 1) ?obs cfg =
   let engine = Engine.create ~seed () in
@@ -65,7 +103,7 @@ let create ?(seed = 42L) ?(costs = Costs.default) ?service ?(page_size = 4096)
         let deps =
           {
             Replica.cfg;
-            net;
+            costs;
             registry;
             keychain = replica_chains.(i);
             signer = Bft_crypto.Signature.register registry rng i;
@@ -76,7 +114,12 @@ let create ?(seed = 42L) ?(costs = Costs.default) ?service ?(page_size = 4096)
           }
         in
         let node_obs = Option.map (fun reg -> Obs.for_node reg i) obs in
-        Replica.create ?obs:node_obs deps ~id:i ~on_execute:(Hashtbl.replace executed.(i)))
+        let r =
+          Replica.create ?obs:node_obs deps ~port:(port engine net i) ~id:i
+            ~on_execute:(Hashtbl.replace executed.(i))
+        in
+        Network.add_node net ~id:i ~handler:(Replica.handle r);
+        r)
   in
   let clients =
     Array.init num_clients (fun k ->

@@ -1,6 +1,7 @@
 type auth_mode = Mac_auth | Sig_auth
 
 let digest_replies_threshold = 32
+let max_batch = 16
 
 type t = {
   f : int;
@@ -8,12 +9,10 @@ type t = {
   auth_mode : auth_mode;
   checkpoint_interval : int;
   log_size : int;
-  max_batch : int;
   batching : bool;
   adaptive_batch : bool;
   window : int;
   tentative_execution : bool;
-  read_only_opt : bool;
   digest_replies : bool;
   separate_tx_threshold : int;
   client_retry_us : float;
@@ -29,10 +28,9 @@ type t = {
   perf_watchdog : bool;
 }
 
-let make ?(auth_mode = Mac_auth) ?(checkpoint_interval = 128) ?log_size ?(max_batch = 16)
+let make ?(auth_mode = Mac_auth) ?(checkpoint_interval = 128)
     ?(batching = true) ?(adaptive_batch = false) ?(window = 16)
-    ?(tentative_execution = true) ?(read_only_opt = true)
-    ?(digest_replies = true) ?(separate_tx_threshold = 255)
+    ?(tentative_execution = true) ?(digest_replies = true) ?(separate_tx_threshold = 255)
     ?(client_retry_us = 20_000.0) ?(client_retry_max_us = 60_000_000.0)
     ?(vc_timeout_us = 50_000.0)
     ?(status_interval_us = 10_000.0) ?(recovery = false)
@@ -41,7 +39,6 @@ let make ?(auth_mode = Mac_auth) ?(checkpoint_interval = 128) ?log_size ?(max_ba
     ?(perf_watchdog = false) ~f () =
   if f < 1 then invalid_arg "Config.make: f must be >= 1";
   if checkpoint_interval < 1 then invalid_arg "Config.make: checkpoint_interval must be >= 1";
-  if max_batch < 1 then invalid_arg "Config.make: max_batch must be >= 1";
   if window < 1 then invalid_arg "Config.make: window must be >= 1";
   if client_quota < 1 then invalid_arg "Config.make: client_quota must be >= 1";
   (match retransmit_budget with
@@ -59,21 +56,16 @@ let make ?(auth_mode = Mac_auth) ?(checkpoint_interval = 128) ?log_size ?(max_ba
       ("watchdog_period_us", watchdog_period_us);
       ("key_refresh_us", key_refresh_us);
     ];
-  let log_size = match log_size with Some l -> l | None -> 2 * checkpoint_interval in
-  if log_size < checkpoint_interval then
-    invalid_arg "Config.make: log_size must be >= checkpoint_interval";
   {
     f;
     n = (3 * f) + 1;
     auth_mode;
     checkpoint_interval;
-    log_size;
-    max_batch;
+    log_size = 2 * checkpoint_interval;
     batching;
     adaptive_batch;
     window;
     tentative_execution;
-    read_only_opt;
     digest_replies;
     separate_tx_threshold;
     client_retry_us;

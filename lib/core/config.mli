@@ -12,14 +12,13 @@ type t = {
   n : int;  (** number of replicas, 3f+1 *)
   auth_mode : auth_mode;
   checkpoint_interval : int;  (** K: checkpoint every K sequence numbers *)
-  log_size : int;  (** L: high water mark is [h + L]; typically 2K *)
-  max_batch : int;  (** max requests batched in one pre-prepare *)
+  log_size : int;  (** L: high water mark is [h + L]; 2K *)
   batching : bool;  (** Section 5.1.4; off = one request per instance *)
   adaptive_batch : bool;
       (** Queue-depth-tracking batch sizer at the primary: the batch target
           doubles while the request queue keeps up with it (congestion) and
-          decays toward the observed depth when it does not, within
-          [1 .. max_batch]. Deterministic — the target depends only on the
+          decays toward the observed depth when it does not, between
+          1 and {!max_batch}. Deterministic — the target depends only on the
           sequence of queue depths at batch-formation points. Off by
           default: enabling it changes batch boundaries and hence the
           pinned committed-history digests. *)
@@ -28,7 +27,6 @@ type t = {
           executed batch; once full, arriving requests queue at the primary
           and are batched (Section 5.1.4) *)
   tentative_execution : bool;  (** Section 5.1.2 *)
-  read_only_opt : bool;  (** Section 5.1.3 *)
   digest_replies : bool;  (** Section 5.1.1 *)
   separate_tx_threshold : int;
       (** requests above this size are multicast by the client and carried
@@ -77,13 +75,10 @@ type t = {
 val make :
   ?auth_mode:auth_mode ->
   ?checkpoint_interval:int ->
-  ?log_size:int ->
-  ?max_batch:int ->
   ?batching:bool ->
   ?adaptive_batch:bool ->
   ?window:int ->
   ?tentative_execution:bool ->
-  ?read_only_opt:bool ->
   ?digest_replies:bool ->
   ?separate_tx_threshold:int ->
   ?client_retry_us:float ->
@@ -100,16 +95,20 @@ val make :
   f:int ->
   unit ->
   t
-(** Raises [Invalid_argument] when [f], [checkpoint_interval], [max_batch],
-    [window], [client_quota] or [retransmit_budget] is below 1, when
+(** Raises [Invalid_argument] when [f], [checkpoint_interval], [window],
+    [client_quota] or [retransmit_budget] is below 1, or when
     [client_retry_us], [client_retry_max_us], [vc_timeout_us],
     [status_interval_us], [watchdog_period_us] or [key_refresh_us] is not
     finite and above 0 (a timer that re-arms at the same instant livelocks
-    the simulation), or when [log_size] is below [checkpoint_interval]. *)
+    the simulation). Read-only requests always take the Section 5.1.3
+    fast path. *)
 
 val digest_replies_threshold : int
 (** With [digest_replies], results of at most this many bytes are still
     sent in full (Section 5.1.1): 32. *)
+
+val max_batch : int
+(** Most requests batched in one pre-prepare (Section 5.1.4): 16. *)
 
 val primary : t -> view:int -> int
 val is_primary : t -> view:int -> id:int -> bool

@@ -1,3 +1,4 @@
+[@@@lint.protocol_core]
 open Message
 
 type result =

@@ -1,3 +1,4 @@
+[@@@lint.protocol_core]
 type digest = string
 type page = { data : string; lm : int; digest : digest }
 

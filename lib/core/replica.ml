@@ -1,5 +1,4 @@
-module Engine = Bft_sim.Engine
-module Network = Bft_net.Network
+[@@@lint.protocol_core]
 module Costs = Bft_net.Costs
 module Obs = Bft_obs.Obs
 open Message
@@ -16,7 +15,7 @@ let perf_min_samples = 8
 
 type deps = {
   cfg : Config.t;
-  net : Message.envelope Network.t;
+  costs : Costs.t;
   registry : Bft_crypto.Signature.registry;
   keychain : Bft_crypto.Keychain.t;
   signer : Bft_crypto.Signature.signer;
@@ -25,6 +24,18 @@ type deps = {
   page_size : int;
   branching : int;
 }
+
+(* The replica's timers. [Cluster] schedules each under its engine label
+   and fires it back through [on_timer] (the table is in DESIGN.md). *)
+type timer =
+  | Vc_active
+  | Vc_pending
+  | Transfer_retry
+  | Recovery_tick
+  | Status
+  | Watchdog
+  | Key_refresh
+  | Perf_vc of int
 
 type counters = {
   mutable n_executed : int;
@@ -43,8 +54,7 @@ type t = {
   d : deps;
   id : int;
   obs : Obs.t;
-  engine : Engine.t;
-  costs : Costs.t;
+  port : port;
   rng : Bft_util.Rng.t;
   counters : counters;
   (* allocate-once wire buffer for this node's outgoing encodes: broadcast
@@ -76,7 +86,7 @@ type t = {
   (* view change state *)
   mutable active : bool;
   vc : View_change_store.t; (* P/Q sets, view-changes, acks, new-views *)
-  mutable vc_timer : Engine.handle option;
+  mutable vc_timer : timer option; (* the case armed in the "vc" slot *)
   mutable vc_timeout_us : float;
   retx : Retransmit_budget.t; (* per-peer retransmission budgets *)
   (* primary performance watchdog (Config.perf_watchdog): smoothed
@@ -85,11 +95,10 @@ type t = {
   mutable perf_samples : int;
   mutable perf_baseline_us : float; (* 0.0 = not yet established *)
   mutable perf_fired_view : int; (* last view the watchdog fired in *)
-  mutable perf_view_start : Engine.time;
+  mutable perf_view_start : int64;
       (* when the current view was entered: requests that arrived earlier
          waited under the previous primary and must not feed the EWMA *)
   mutable transfer : State_transfer.t option;
-  mutable tx_timer : Engine.handle option; (* the transfer's retry timer *)
   mutable recovering : Recovery.t option;
   mutable hm_bound : int; (* don't send protocol messages above this while recovering *)
   mutable coproc_counter : int64;
@@ -105,6 +114,18 @@ type t = {
   (* primary fills with null batches until this checkpoint is stable, so a
      recovering replica's recovery point can be reached (Section 4.3.2) *)
   mutable null_fill_until : int;
+}
+
+(* The replica's one way to the simulator; every effect runs at the call. *)
+and port = {
+  send : dst:int -> size:int -> envelope -> unit;
+  multicast : dsts:int list -> size:int -> envelope -> unit;
+  charge : float -> unit;
+  arm : t -> timer -> delay_us:float -> unit;
+  cancel : timer -> unit;
+  now : unit -> int64;
+  backlog : unit -> int;
+  busy_until : unit -> int64;
 }
 
 let id t = t.id
@@ -124,8 +145,8 @@ let is_primary t = primary t = t.id
 let quorum t = Config.quorum t.d.cfg
 let weak t = Config.weak t.d.cfg
 let replica_ids t = Config.replica_ids t.d.cfg
-let charge t us = Network.charge t.d.net ~id:t.id us
-let now t = Engine.now t.engine
+let charge t us = t.port.charge us
+let now t = t.port.now ()
 
 (* ------------------------------------------------------------------ *)
 (* Authentication                                                      *)
@@ -138,17 +159,17 @@ let now t = Engine.now t.engine
    one serialization and one digest. *)
 
 let sign_digest t d =
-  charge t t.costs.Costs.sig_gen_us;
+  charge t t.d.costs.Costs.sig_gen_us;
   Auth_sig (Bft_crypto.Signature.sign t.d.signer d)
 
 let mac_digest t ~dst d =
-  charge t t.costs.Costs.mac_us;
+  charge t t.d.costs.Costs.mac_us;
   match Bft_crypto.Auth.compute_mac t.d.keychain ~peer:dst d with
   | Some m -> Auth_mac m
   | None -> Auth_none
 
 let vector_digest t ~dsts d =
-  charge t (Costs.auth_gen_us t.costs (List.length dsts));
+  charge t (Costs.auth_gen_us t.d.costs (List.length dsts));
   Auth_vector (Bft_crypto.Auth.compute_authenticator t.d.keychain ~receivers:dsts d)
 
 (* mac_storm fault injection (the paper's Section 3.2.2 partial
@@ -175,36 +196,35 @@ let corrupt_auth t auth ~dsts =
   | Auth_mac m when List.exists (wrong_mac_target t) dsts -> Auth_mac (corrupt_mac_tag m)
   | auth -> auth
 
+(* The body's envelope, authenticated per [cfg.auth_mode] for [dsts]: a
+   signature, a MAC for one destination or an authenticator for several.
+   [enc] caches the body's encoding and digest. *)
+let seal t enc body ~dsts =
+  let d = Wire.cached_digest ~arena:t.arena enc body in
+  let auth =
+    match (t.d.cfg.Config.auth_mode, body, dsts) with
+    | _, New_key _, _ | Config.Sig_auth, _, _ -> sign_digest t d
+    | Config.Mac_auth, _, [ dst ] -> mac_digest t ~dst d
+    | Config.Mac_auth, _, dsts -> vector_digest t ~dsts d
+  in
+  let auth = if t.wrong_mac then corrupt_auth t auth ~dsts else auth in
+  { sender = t.id; body; auth; enc }
+
 (* Multicast to all replicas (including self: the paper's replicas process
    their own protocol messages through the log). The body is encoded once;
    the single precomputed [envelope_size] covers every destination. [enc]
    is a cache the caller already filled with the body's encoding. *)
 let broadcast ?(enc = Message.no_cache ()) t body =
   if not t.muted then begin
-    let d = Wire.cached_digest ~arena:t.arena enc body in
-    let auth =
-      match (t.d.cfg.Config.auth_mode, body) with
-      | _, New_key _ | Config.Sig_auth, _ -> sign_digest t d
-      | Config.Mac_auth, _ -> vector_digest t ~dsts:(replica_ids t) d
-    in
-    let auth = if t.wrong_mac then corrupt_auth t auth ~dsts:(replica_ids t) else auth in
-    let env = { sender = t.id; body; auth; enc } in
-    Network.multicast t.d.net ~src:t.id ~dsts:(replica_ids t)
-      ~size:(Wire.envelope_size env) env
+    let dsts = replica_ids t in
+    let env = seal t enc body ~dsts in
+    t.port.multicast ~dsts ~size:(Wire.envelope_size env) env
   end
 
 let send_to t ~dst body =
   if not t.muted then begin
-    let enc = Message.no_cache () in
-    let d = Wire.cached_digest ~arena:t.arena enc body in
-    let auth =
-      match (t.d.cfg.Config.auth_mode, body) with
-      | _, New_key _ | Config.Sig_auth, _ -> sign_digest t d
-      | Config.Mac_auth, _ -> mac_digest t ~dst d
-    in
-    let auth = if t.wrong_mac then corrupt_auth t auth ~dsts:[ dst ] else auth in
-    let env = { sender = t.id; body; auth; enc } in
-    Network.send t.d.net ~src:t.id ~dst ~size:(Wire.envelope_size env) env
+    let env = seal t (Message.no_cache ()) body ~dsts:[ dst ] in
+    t.port.send ~dst ~size:(Wire.envelope_size env) env
   end
 
 let send_reply t ~client ~ts ~tentative result =
@@ -242,7 +262,7 @@ let send_retx t ~dst body = if retx_allow t dst then send_to t ~dst body
 let send_plain t ~dst body =
   if not t.muted then begin
     let env = Message.envelope ~sender:t.id ~auth:Auth_none body in
-    Network.send t.d.net ~src:t.id ~dst ~size:(Wire.envelope_size env) env
+    t.port.send ~dst ~size:(Wire.envelope_size env) env
   end
 
 (* Forward a request with its client's token intact, to [dst] or to every
@@ -252,8 +272,8 @@ let forward_request ?dst t (req : request) token =
     let env = Message.envelope ~sender:t.id ~auth:token (Request req) in
     let size = Wire.envelope_size env in
     match dst with
-    | Some dst -> Network.send t.d.net ~src:t.id ~dst ~size env
-    | None -> Network.multicast t.d.net ~src:t.id ~dsts:(replica_ids t) ~size env
+    | Some dst -> t.port.send ~dst ~size env
+    | None -> t.port.multicast ~dsts:(replica_ids t) ~size env
   end
 
 (* Check the token's claim that [claimed] sent the message with digest
@@ -263,14 +283,14 @@ let verify_token t ~claimed d token =
   match token with
   | Auth_none -> false
   | Auth_sig s ->
-      charge t t.costs.Costs.sig_verify_us;
+      charge t t.d.costs.Costs.sig_verify_us;
       s.Bft_crypto.Signature.signer_id = claimed
       && Bft_crypto.Signature.verify t.d.registry s d
   | Auth_mac m ->
-      charge t t.costs.Costs.mac_us;
+      charge t t.d.costs.Costs.mac_us;
       Bft_crypto.Auth.verify_mac t.d.keychain ~peer:claimed m d
   | Auth_vector a ->
-      charge t t.costs.Costs.mac_us;
+      charge t t.d.costs.Costs.mac_us;
       Bft_crypto.Auth.verify_authenticator t.d.keychain ~peer:claimed a d
 
 (* ------------------------------------------------------------------ *)
@@ -433,23 +453,15 @@ let new_perf_epoch t =
 (* Timers: view-change timer driven by the waiting-request set          *)
 (* ------------------------------------------------------------------ *)
 
-let stop_vc_timer t =
-  match t.vc_timer with
-  | Some h ->
-      Engine.cancel h;
-      t.vc_timer <- None
-  | None -> ()
+(* Arm the "vc" slot with the current timeout, in its active or pending
+   case; the slot holds one timer at a time. *)
+let arm_vc t timer =
+  t.vc_timer <- Some timer;
+  t.port.arm t timer ~delay_us:t.vc_timeout_us
 
-(* Arm the view-change timer with the current timeout. *)
-let arm_vc_timer t fire =
-  t.vc_timer <-
-    Some
-      (Engine.schedule t.engine
-         ~label:(Engine.Id ("vc", t.id))
-         ~delay:(Engine.of_us_float t.vc_timeout_us)
-         (fun () ->
-           t.vc_timer <- None;
-           fire ()))
+let stop_vc_timer t =
+  Option.iter t.port.cancel t.vc_timer;
+  t.vc_timer <- None
 
 (* Before demanding a view change over requests the primary failed to
    order, re-relay them to the *next* primary: admission control makes
@@ -471,6 +483,76 @@ let relay_waiting t =
           if retx_allow t dst then forward_request ~dst t sr.sr_req sr.sr_token)
         (Request_store.waiting_requests t.rq)
   end
+
+let start_vc_timer t =
+  if Option.is_none t.vc_timer && not t.d.cfg.Config.debug_no_vc_timer then arm_vc t Vc_active
+
+(* Primary performance watchdog (the slow-primary attack of Chondros et
+   al.): a primary that keeps answering timers but orders requests ever
+   more slowly never trips the silence-based vc timer. Backups smooth
+   the accept->execute latency of each request (EWMA) and keep the best
+   smoothed value ever observed as a baseline; when the current EWMA
+   degrades beyond [perf_factor] times that baseline the backup demands
+   a view change — once per view, from a zero-delay event so the view
+   change never reenters [execute_batch]. *)
+let perf_note_sample t arrival =
+  let cfg = t.d.cfg in
+  if
+    cfg.Config.perf_watchdog && (not (is_primary t))
+    && Int64.compare arrival t.perf_view_start >= 0
+  then begin
+    let sample = Int64.to_float (Int64.sub (now t) arrival) /. 1_000.0 in
+    t.perf_ewma_us <-
+      (if t.perf_samples = 0 then sample
+       else (0.8 *. t.perf_ewma_us) +. (0.2 *. sample));
+    t.perf_samples <- t.perf_samples + 1;
+    if t.perf_samples >= perf_min_samples then
+      if t.perf_baseline_us = 0.0 || t.perf_ewma_us < t.perf_baseline_us then
+        t.perf_baseline_us <- t.perf_ewma_us
+      else if
+        t.active && t.perf_fired_view < t.view
+        && t.perf_ewma_us > perf_factor *. t.perf_baseline_us
+      then begin
+        t.perf_fired_view <- t.view;
+        t.counters.n_slowness_vc <- t.counters.n_slowness_vc + 1;
+        if Obs.enabled t.obs then
+          Obs.slowness_view_change t.obs ~now:(now t) ~view:t.view
+            ~ewma_us:t.perf_ewma_us ~baseline_us:t.perf_baseline_us;
+        L.debug (fun m ->
+            m "replica %d: slow primary of view %d (ewma %.1fus baseline %.1fus)"
+              t.id t.view t.perf_ewma_us t.perf_baseline_us);
+        t.port.arm t (Perf_vc t.view) ~delay_us:0.0
+      end
+  end
+
+let restart_vc_timer t =
+  if Request_store.waiting_empty t.rq then stop_vc_timer t
+  else if t.active then begin
+    (* restart for the next waiting request (FIFO fairness, 2.3.5) *)
+    stop_vc_timer t;
+    start_vc_timer t
+  end
+
+let clear_waiting t digest =
+  match Request_store.clear_waiting t.rq digest with
+  | None -> ()
+  | Some arrival ->
+      perf_note_sample t arrival;
+      restart_vc_timer t
+
+(* A client's execution advancing to timestamp [ts] supersedes every
+   waiting request it sent with an earlier timestamp: exactly-once
+   execution (the [last_reply] guard above) will never run them, so their
+   claim on the vc timer is dead. Without this purge, an open-loop
+   client whose requests were admission-dropped at the primary but
+   accepted here leaves permanent waiting entries that demand a view
+   change every timeout, forever — views rotate long after the flood
+   stops. Closed-loop clients never supersede (one outstanding request),
+   so the purge finds nothing in clean runs. Not routed through
+   [clear_waiting]: a request that never executed must not feed the
+   performance watchdog's latency EWMA. *)
+let purge_superseded t ~client ~ts =
+  if Request_store.purge_superseded t.rq ~client ~ts then restart_vc_timer t
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoints and garbage collection                                   *)
@@ -518,7 +600,7 @@ let take_checkpoint_paged t seq (pg : Bft_sm.Service.paged) =
 
 (* Digesting costs a fixed overhead plus the bytes actually re-hashed. *)
 let take_checkpoint t seq =
-  charge t (Costs.digest_us t.costs 0);
+  charge t (Costs.digest_us t.d.costs 0);
   let tree =
     match t.d.service.Bft_sm.Service.paged with
     | Some pg
@@ -528,7 +610,7 @@ let take_checkpoint t seq =
         take_checkpoint_paged t seq pg
     | _ -> Checkpoint_store.take t.ckpts ~seq ~snapshot:(full_snapshot t)
   in
-  charge t (Costs.digest_us t.costs (Partition_tree.digested_bytes tree));
+  charge t (Costs.digest_us t.d.costs (Partition_tree.digested_bytes tree));
   t.counters.n_checkpoints <- t.counters.n_checkpoints + 1;
   if Obs.enabled t.obs then begin
     let dirty = Partition_tree.pages_modified_at tree ~seq in
@@ -652,33 +734,28 @@ let send_fetch t tx ((level, index) as node) =
 
 (* Every 30 ms, re-send the unanswered fetches to a freshly drawn
    replier. *)
-let rec arm_transfer_retry t =
-  t.tx_timer <-
-    Some
-      (Engine.schedule t.engine
-         ~label:(Engine.Id ("tx", t.id))
-         ~delay:(Engine.of_us_float 30_000.0) (fun () -> transfer_retry t))
+let transfer_retry_us = 30_000.0
 
-and transfer_retry t =
+let transfer_retry t =
   match t.transfer with
   | None -> ()
   | Some tx ->
       State_transfer.set_replier tx (pick_replier t);
       List.iter (send_fetch t tx) (State_transfer.pending tx);
-      arm_transfer_retry t
+      t.port.arm t Transfer_retry ~delay_us:transfer_retry_us
 
 let start_transfer t ~target ~root_digest =
   match t.transfer with
   | Some tx when State_transfer.target tx >= target -> ()
   | current ->
-      if Option.is_some current then Option.iter Engine.cancel t.tx_timer;
+      if Option.is_some current then t.port.cancel Transfer_retry;
       t.counters.n_state_transfers <- t.counters.n_state_transfers + 1;
       L.debug (fun m -> m "replica %d: state transfer to %d" t.id target);
       if Obs.enabled t.obs then Obs.transfer_start t.obs ~now:(now t) ~target;
       let tx = State_transfer.start ~target ~root_digest ~replier:(pick_replier t) in
       t.transfer <- Some tx;
       send_fetch t tx (0, 0);
-      arm_transfer_retry t
+      t.port.arm t Transfer_retry ~delay_us:transfer_retry_us
 
 (* Key refresh (Section 4.3.1): replace the keys other replicas use to
    send to us. Client-shared keys are refreshed by clients; they are only
@@ -711,101 +788,17 @@ let send_new_key ?(drop_clients = false) t =
 (* The protocol core: one recursion group                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The replica's one genuine cycle. Executing a request clears its
-   waiting entry and restarts the vc timer (clear_waiting ->
-   start_vc_timer); when that timer, or the performance watchdog's
-   zero-delay event, fires it starts a view change; the view change ends
-   by entering the new view, which re-runs the chosen batches through
-   check_prepared_to_commit and try_execute. Separately, execution slides
-   the primary's window (try_execute -> process_queue), and each
-   pre-prepare the primary sends executes what it can (send_pre_prepare
-   -> try_execute). The non-recursive helpers sit above the group; the
+(* The replica's one genuine cycle: a view change ends by entering the
+   new view, which re-runs the chosen batches through
+   check_prepared_to_commit and try_execute, and an invalid new view
+   starts the next view change. Separately, execution slides the
+   primary's window (try_execute -> process_queue), and each pre-prepare
+   the primary sends executes what it can (send_pre_prepare ->
+   try_execute). Timers leave the group through the port: the vc timer
+   and the performance watchdog start their view change from
+   [on_timer]. The non-recursive helpers sit above the group; the
    message handlers below call into it. *)
-let rec start_vc_timer t =
-  (* [Option.is_none], not [= None]: Engine.handle values must never meet
-     the polymorphic comparator (enforced by bftlint's
-     engine-handle-compare rule) *)
-  if Option.is_none t.vc_timer && not t.d.cfg.Config.debug_no_vc_timer then
-    arm_vc_timer t (fun () ->
-        if t.active then begin
-          relay_waiting t;
-          start_view_change t (t.view + 1)
-        end)
-
-(* Primary performance watchdog (the slow-primary attack of Chondros et
-   al.): a primary that keeps answering timers but orders requests ever
-   more slowly never trips the silence-based vc timer. Backups smooth
-   the accept->execute latency of each request (EWMA) and keep the best
-   smoothed value ever observed as a baseline; when the current EWMA
-   degrades beyond [perf_factor] times that baseline the backup demands
-   a view change — once per view, from a zero-delay event so the view
-   change never reenters [execute_batch]. *)
-and perf_note_sample t arrival =
-  let cfg = t.d.cfg in
-  if
-    cfg.Config.perf_watchdog && (not (is_primary t))
-    && Int64.compare arrival t.perf_view_start >= 0
-  then begin
-    let sample = Int64.to_float (Int64.sub (now t) arrival) /. 1_000.0 in
-    t.perf_ewma_us <-
-      (if t.perf_samples = 0 then sample
-       else (0.8 *. t.perf_ewma_us) +. (0.2 *. sample));
-    t.perf_samples <- t.perf_samples + 1;
-    if t.perf_samples >= perf_min_samples then
-      if t.perf_baseline_us = 0.0 || t.perf_ewma_us < t.perf_baseline_us then
-        t.perf_baseline_us <- t.perf_ewma_us
-      else if
-        t.active && t.perf_fired_view < t.view
-        && t.perf_ewma_us > perf_factor *. t.perf_baseline_us
-      then begin
-        t.perf_fired_view <- t.view;
-        t.counters.n_slowness_vc <- t.counters.n_slowness_vc + 1;
-        if Obs.enabled t.obs then
-          Obs.slowness_view_change t.obs ~now:(now t) ~view:t.view
-            ~ewma_us:t.perf_ewma_us ~baseline_us:t.perf_baseline_us;
-        L.debug (fun m ->
-            m "replica %d: slow primary of view %d (ewma %.1fus baseline %.1fus)"
-              t.id t.view t.perf_ewma_us t.perf_baseline_us);
-        let v = t.view in
-        ignore
-          (Engine.schedule t.engine
-             ~label:(Engine.Id ("perfvc", t.id))
-             ~delay:0L
-             (fun () ->
-               if t.active && t.view = v then start_view_change t (v + 1)))
-      end
-  end
-
-and restart_vc_timer t =
-  if Request_store.waiting_empty t.rq then stop_vc_timer t
-  else if t.active then begin
-    (* restart for the next waiting request (FIFO fairness, 2.3.5) *)
-    stop_vc_timer t;
-    start_vc_timer t
-  end
-
-and clear_waiting t digest =
-  match Request_store.clear_waiting t.rq digest with
-  | None -> ()
-  | Some arrival ->
-      perf_note_sample t arrival;
-      restart_vc_timer t
-
-(* A client's execution advancing to timestamp [ts] supersedes every
-   waiting request it sent with an earlier timestamp: exactly-once
-   execution (the [last_reply] guard above) will never run them, so their
-   claim on the vc timer is dead. Without this purge, an open-loop
-   client whose requests were admission-dropped at the primary but
-   accepted here leaves permanent waiting entries that demand a view
-   change every timeout, forever — views rotate long after the flood
-   stops. Closed-loop clients never supersede (one outstanding request),
-   so the purge finds nothing in clean runs. Not routed through
-   [clear_waiting]: a request that never executed must not feed the
-   performance watchdog's latency EWMA. *)
-and purge_superseded t ~client ~ts =
-  if Request_store.purge_superseded t.rq ~client ~ts then restart_vc_timer t
-
-and try_stabilize t =
+let rec try_stabilize t =
   match Checkpoint_store.try_stabilize t.ckpts with
   | None -> ()
   | Some (seq, _tree) ->
@@ -870,7 +863,7 @@ and execute_batch t n ~tentative =
                 let payload =
                   if full_reply t req result then Full result
                   else begin
-                    charge t (Costs.digest_us t.costs (String.length result));
+                    charge t (Costs.digest_us t.d.costs (String.length result));
                     Result_digest (Wire.result_digest result)
                   end
                 in
@@ -949,7 +942,7 @@ and send_pre_prepare t batch nondet =
   (* encoded once, into the cache the broadcast below sends *)
   let enc = Message.no_cache () in
   let bytes = Wire.cached_encode ~arena:t.arena enc (Pre_prepare pp) in
-  charge t (Costs.digest_us t.costs (String.length bytes));
+  charge t (Costs.digest_us t.d.costs (String.length bytes));
   ignore (Log.accept_pre_prepare t.log ~view:t.view pp d);
   (Log.find t.log n).Log.self_preprepared <- true;
   if Obs.enabled t.obs then begin
@@ -986,11 +979,11 @@ and process_queue t =
              a big batch that is not coming) *)
           let depth = Request_store.queue_len t.rq in
           if depth >= t.batch_target then
-            t.batch_target <- min cfg.Config.max_batch (t.batch_target * 2)
+            t.batch_target <- min Config.max_batch (t.batch_target * 2)
           else t.batch_target <- max 1 ((t.batch_target + depth + 1) / 2);
           t.batch_target
         end
-        else if cfg.Config.batching then cfg.Config.max_batch
+        else if cfg.Config.batching then Config.max_batch
         else 1
       in
       let chosen = Request_store.take t.rq take in
@@ -1082,7 +1075,7 @@ and start_view_change t new_view =
     (* view-change retry timer: if the new view does not activate in time,
        move to the next one with a doubled timeout (liveness, 2.3.5) *)
     t.vc_timeout_us <- t.vc_timeout_us *. 2.0;
-    arm_vc_timer t (fun () -> if not t.active then start_view_change t (t.view + 1));
+    arm_vc t Vc_pending;
     try_new_view t
   end
 
@@ -1281,7 +1274,7 @@ let accept_pre_prepare t (pp : pre_prepare) ~size =
     && not t.byzantine
   then begin
     let d = Wire.batch_digest pp.pp_batch pp.pp_nondet in
-    charge t (Costs.digest_us t.costs size);
+    charge t (Costs.digest_us t.d.costs size);
     (* backups vet the primary's non-deterministic choice (Section 5.4):
        here, the virtual timestamp must not be in the future *)
     let nondet_ok =
@@ -1342,7 +1335,7 @@ let retry_deferred_pps t =
    [size] is its wire size, charged for digesting it. *)
 let handle_request t (req : request) token ~verified ~relayed ~size =
   let d = Wire.request_digest req in
-  charge t (Costs.digest_us t.costs size);
+  charge t (Costs.digest_us t.d.costs size);
   let last_t = last_ts t req.client in
   if Int64.compare req.timestamp last_t < 0 then ()
   else if Int64.compare req.timestamp last_t = 0 then
@@ -1359,7 +1352,7 @@ let handle_request t (req : request) token ~verified ~relayed ~size =
        requests queued, assigned to a batch, or awaited from the primary
        (the client-flood attack of Chondros et al.). *)
     (not (Request_store.in_pipeline t.rq d))
-    && (not (req.read_only && t.d.cfg.Config.read_only_opt && verified))
+    && (not (req.read_only && verified))
     && Request_store.client_inflight t.rq req.client >= t.d.cfg.Config.client_quota
   then begin
     t.counters.n_admission_dropped <- t.counters.n_admission_dropped + 1;
@@ -1371,7 +1364,7 @@ let handle_request t (req : request) token ~verified ~relayed ~size =
     if Obs.enabled t.obs then
       Obs.request_arrival t.obs ~now:(now t) ~client:req.client ~digest:d;
     retry_deferred_pps t;
-    if req.read_only && t.d.cfg.Config.read_only_opt && verified then begin
+    if req.read_only && verified then begin
       Request_store.push_read_only t.rq req;
       flush_read_only t
     end
@@ -1484,7 +1477,7 @@ let recovery_step t =
    or root starts the transfer over. *)
 let check_transfer_done t tx =
   let target = State_transfer.target tx and root_digest = State_transfer.root_digest tx in
-  let charge_tree tree = charge t (Costs.digest_us t.costs (Partition_tree.digested_bytes tree)) in
+  let charge_tree tree = charge t (Costs.digest_us t.d.costs (Partition_tree.digested_bytes tree)) in
   let restart () =
     t.transfer <- None;
     start_transfer t ~target ~root_digest
@@ -1500,7 +1493,7 @@ let check_transfer_done t tx =
       restart ()
   | State_transfer.Rebuilt tree ->
       charge_tree tree;
-      Option.iter Engine.cancel t.tx_timer;
+      t.port.cancel Transfer_retry;
       t.transfer <- None;
       Checkpoint_store.install t.ckpts tree;
       (match restore_snapshot t (Partition_tree.snapshot tree) with
@@ -1527,9 +1520,9 @@ let check_transfer_done t tx =
 let transfer_reply t tx verdict ~cost ~bytes =
   match verdict with
   | State_transfer.Unexpected -> ()
-  | State_transfer.Bad -> charge t (Costs.digest_us t.costs cost)
+  | State_transfer.Bad -> charge t (Costs.digest_us t.d.costs cost)
   | State_transfer.Good fetches ->
-      charge t (Costs.digest_us t.costs cost);
+      charge t (Costs.digest_us t.d.costs cost);
       t.counters.bytes_fetched <- t.counters.bytes_fetched + bytes;
       List.iter (send_fetch t tx) fetches;
       check_transfer_done t tx
@@ -1555,9 +1548,9 @@ let send_status t =
   (* a saturated single-threaded replica gets to its periodic work late;
      skip the beat instead of accumulating unbounded CPU debt *)
   let backlogged =
-    Network.backlog t.d.net ~id:t.id > 8
-    || Int64.compare (Network.busy_until t.d.net ~id:t.id)
-         (Int64.add (now t) (Engine.of_us_float t.d.cfg.Config.status_interval_us))
+    t.port.backlog () > 8
+    || Int64.compare (t.port.busy_until ())
+         (Int64.add (now t) (Int64.of_float (t.d.cfg.Config.status_interval_us *. 1_000.0)))
        > 0
   in
   if backlogged then ()
@@ -1714,13 +1707,9 @@ let handle_query_stable t (q : query_stable) =
 (* Recovery pacing: retransmit the current phase's message until it gets a
    response (the paper's replica "keeps retransmitting the query message",
    Section 4.3.2). *)
-let rec arm_recovery_tick t =
-  ignore
-    (Engine.schedule t.engine
-       ~label:(Engine.Id ("rec", t.id))
-       ~delay:(Engine.of_us_float 50_000.0) (fun () -> recovery_tick t))
+let recovery_tick_us = 50_000.0
 
-and recovery_tick t =
+let recovery_tick t =
   match t.recovering with
   | None -> ()
   | Some rc ->
@@ -1735,7 +1724,7 @@ and recovery_tick t =
           | Some sr -> forward_request t sr.sr_req sr.sr_token
           | None -> ())
       | Recovery.Fetching -> recovery_step t);
-      arm_recovery_tick t
+      t.port.arm t Recovery_tick ~delay_us:recovery_tick_us
 
 (* Once H_M is estimated, the recovery request goes through the normal
    protocol, signed by the co-processor. *)
@@ -1777,10 +1766,9 @@ let begin_recovery t =
     (* reboot: rebuild the partition tree from saved (possibly corrupt)
        state so corruption is detectable *)
     send_new_key ~drop_clients:true t;
-    let nonce = Bft_util.Rng.int64 t.rng in
-    t.recovering <- Some (Recovery.create ~nonce);
-    broadcast t (Query_stable { qs_replica = t.id; qs_nonce = nonce });
-    arm_recovery_tick t
+    t.recovering <- Some (Recovery.create ~nonce:(Bft_util.Rng.int64 t.rng));
+    (* the first estimation query goes out now, then once per tick *)
+    recovery_tick t
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1797,7 +1785,7 @@ let handle_fetch_batch t (f : fetch_batch) =
 
 let handle_batch_data t (bd : batch_data) ~size =
   let d = Wire.batch_digest bd.bd_batch bd.bd_nondet in
-  charge t (Costs.digest_us t.costs size);
+  charge t (Costs.digest_us t.d.costs size);
   if String.equal d bd.bd_digest then begin
     Request_store.store_batch t.rq d bd.bd_batch bd.bd_nondet;
     retry_deferred_pps t;
@@ -1897,92 +1885,98 @@ let handle t env = if from_replica t env then dispatch t env
 (* Construction                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let create ?(obs = Obs.null) d ~id ~on_execute =
-  let engine = Network.engine d.net in
-  let t =
-    {
-      d;
-      id;
-      obs;
-      engine;
-      costs = Network.costs d.net;
-      rng = Bft_util.Rng.split d.rng;
-      arena = Bft_net.Wire_arena.create ~size:1024 ();
-      counters =
-        {
-          n_executed = 0;
-          n_batches = 0;
-          n_view_changes = 0;
-          n_checkpoints = 0;
-          n_state_transfers = 0;
-          n_recoveries = 0;
-          bytes_fetched = 0;
-          n_admission_dropped = 0;
-          n_retransmit_suppressed = 0;
-          n_slowness_vc = 0;
-        };
-      view = 0;
-      seqno = 0;
-      last_exec = 0;
-      committed_upto = 0;
-      log = Log.create d.cfg;
-      ckpts = Checkpoint_store.create d.cfg ~page_size:d.page_size ~branching:d.branching;
-      rq = Request_store.create ();
-      batch_target = 1;
-      last_reply = Hashtbl.create 16;
-      reply_clients = [];
-      paged_sync = None;
-      pending_ckpt_announce = [];
-      active = true;
-      vc = View_change_store.create ();
-      vc_timer = None;
-      vc_timeout_us = d.cfg.Config.vc_timeout_us;
-      retx = Retransmit_budget.create ();
-      perf_ewma_us = 0.0;
-      perf_samples = 0;
-      perf_baseline_us = 0.0;
-      perf_view_start = 0L;
-      perf_fired_view = -1;
-      transfer = None;
-      tx_timer = None;
-      recovering = None;
-      hm_bound = max_int;
-      coproc_counter = 0L;
-      on_execute;
-      byzantine = false;
-      muted = false;
-      wrong_mac = false;
-      null_fill_until = 0;
-    }
-  in
-  Network.add_node d.net ~id ~handler:(fun env -> handle t env);
-  (* checkpoint 0: the genesis state, considered stable by construction *)
-  ignore (take_checkpoint t 0);
-  t
-
-(* A periodic timer: [fire] after [first_us], then every [period_us]. It
-   is never cancelled, so its handle is not kept. *)
-let rec every t label ~first_us ~period_us fire =
-  ignore
-    (Engine.schedule t.engine
-       ~label:(Engine.Id (label, t.id))
-       ~delay:(Engine.of_us_float first_us)
-       (fun () ->
-         fire t;
-         every t label ~first_us:period_us ~period_us fire))
+let create ?(obs = Obs.null) d ~port ~id ~on_execute =
+  {
+    d;
+    id;
+    obs;
+    port;
+    rng = Bft_util.Rng.split d.rng;
+    arena = Bft_net.Wire_arena.create ~size:1024 ();
+    counters =
+      {
+        n_executed = 0;
+        n_batches = 0;
+        n_view_changes = 0;
+        n_checkpoints = 0;
+        n_state_transfers = 0;
+        n_recoveries = 0;
+        bytes_fetched = 0;
+        n_admission_dropped = 0;
+        n_retransmit_suppressed = 0;
+        n_slowness_vc = 0;
+      };
+    view = 0;
+    seqno = 0;
+    last_exec = 0;
+    committed_upto = 0;
+    log = Log.create d.cfg;
+    ckpts = Checkpoint_store.create d.cfg ~page_size:d.page_size ~branching:d.branching;
+    rq = Request_store.create ();
+    batch_target = 1;
+    last_reply = Hashtbl.create 16;
+    reply_clients = [];
+    paged_sync = None;
+    pending_ckpt_announce = [];
+    active = true;
+    vc = View_change_store.create ();
+    vc_timer = None;
+    vc_timeout_us = d.cfg.Config.vc_timeout_us;
+    retx = Retransmit_budget.create ();
+    perf_ewma_us = 0.0;
+    perf_samples = 0;
+    perf_baseline_us = 0.0;
+    perf_view_start = 0L;
+    perf_fired_view = -1;
+    transfer = None;
+    recovering = None;
+    hm_bound = max_int;
+    coproc_counter = 0L;
+    on_execute;
+    byzantine = false;
+    muted = false;
+    wrong_mac = false;
+    null_fill_until = 0;
+  }
 
 let start t =
+  (* checkpoint 0: the genesis state, considered stable by construction *)
+  ignore (take_checkpoint t 0);
   let cfg = t.d.cfg in
-  every t "status" ~first_us:cfg.Config.status_interval_us
-    ~period_us:cfg.Config.status_interval_us send_status;
+  t.port.arm t Status ~delay_us:cfg.Config.status_interval_us;
   if cfg.Config.recovery then begin
     (* stagger watchdogs so at most f replicas recover at once (4.3.3) *)
     let period_us = cfg.Config.watchdog_period_us in
     let offset = period_us *. (float_of_int (t.id + 1) /. float_of_int cfg.Config.n) in
-    every t "wd" ~first_us:(period_us +. offset) ~period_us begin_recovery;
-    every t "key" ~first_us:cfg.Config.key_refresh_us ~period_us:cfg.Config.key_refresh_us
-      (fun t -> send_new_key t)
+    t.port.arm t Watchdog ~delay_us:(period_us +. offset);
+    t.port.arm t Key_refresh ~delay_us:cfg.Config.key_refresh_us
   end
+
+(* A fired timer; the periodic ones re-arm after their work. *)
+let on_timer t timer =
+  let cfg = t.d.cfg in
+  match timer with
+  | Vc_active ->
+      t.vc_timer <- None;
+      if t.active then begin
+        relay_waiting t;
+        start_view_change t (t.view + 1)
+      end
+  | Vc_pending ->
+      t.vc_timer <- None;
+      if not t.active then start_view_change t (t.view + 1)
+  | Perf_vc v -> if t.active && t.view = v then start_view_change t (v + 1)
+  | Transfer_retry -> transfer_retry t
+  | Recovery_tick -> recovery_tick t
+  | Status ->
+      send_status t;
+      t.port.arm t Status ~delay_us:cfg.Config.status_interval_us
+  | Watchdog ->
+      begin_recovery t;
+      t.port.arm t Watchdog ~delay_us:cfg.Config.watchdog_period_us
+  | Key_refresh ->
+      send_new_key t;
+      t.port.arm t Key_refresh ~delay_us:cfg.Config.key_refresh_us
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                      *)
@@ -2054,11 +2048,9 @@ let state_digest
        pending_ckpt_announce; active; vc; vc_timer; vc_timeout_us; retx; perf_samples;
        perf_fired_view; transfer; recovering; hm_bound; coproc_counter; byzantine; muted;
        wrong_mac; null_fill_until;
-       tx_timer = _ (* its label is among the pending events *);
-       d = _ (* configuration and handles; the service enters through the snapshot *);
+       d = _ (* configuration and cost model; the service enters through the snapshot *);
        obs = _ (* tracing sink, inert *);
-       engine = _ (* the clock; Explore digests the pending events' labels *);
-       costs = _ (* constant cost model *);
+       port = _ (* the shell; Explore digests the pending timers' labels *);
        rng = _
        (* drawn only by state transfer, key refresh and recovery, which the
           digest sees through the replier, coproc_counter and the nonce *);
@@ -2078,7 +2070,7 @@ let state_digest
     byzantine muted wrong_mac null_fill_until
     (if hm_bound = max_int then -1 else hm_bound)
     vc_timeout_us
-    (match vc_timer with Some h -> Engine.is_pending h | None -> false)
+    (Option.is_some vc_timer)
     batch_target coproc_counter;
   Log.digest log b;
   Checkpoint_store.digest ckpts b;

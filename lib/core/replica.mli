@@ -28,13 +28,48 @@
     answers) and {!Recovery} (the H_M estimate, the recovery request and
     the recovery point); the replica sends what they decide, arms their
     timers, signs, and installs the fetched tree. Each contributes its
-    slice of {!state_digest}. *)
+    slice of {!state_digest}.
+
+    The replica never touches the simulator itself: it reaches the
+    network, its CPU and its timers only through the {!port} it is
+    created with, and is driven by {!handle} and {!on_timer}. *)
 
 type t
 
+(** The replica's timers. The shell schedules each under an engine label
+    ([Cluster] uses ["vc"], ["tx"], ["rec"], ["status"], ["wd"], ["key"]
+    and ["perfvc"]) and fires it back through {!on_timer}. *)
+type timer =
+  | Vc_active  (** no waiting request executed in time: start a view change *)
+  | Vc_pending  (** the new view did not activate in time: move to the next *)
+  | Transfer_retry  (** re-send a state transfer's unanswered fetches *)
+  | Recovery_tick  (** re-send the current recovery phase's message *)
+  | Status  (** the periodic status message (Section 5.2) *)
+  | Watchdog  (** the proactive-recovery watchdog (Section 4.3) *)
+  | Key_refresh  (** the periodic key refresh (Section 4.3.1) *)
+  | Perf_vc of int  (** the performance watchdog fired in this view *)
+
+(** The replica's one way to the simulator, bound to its node. Every
+    effect is performed at the call, in the order the replica makes them,
+    so there is nothing to drain. *)
+type port = {
+  send : dst:int -> size:int -> Message.envelope -> unit;
+  multicast : dsts:int list -> size:int -> Message.envelope -> unit;
+  charge : float -> unit;  (** microseconds of the node's virtual CPU *)
+  arm : t -> timer -> delay_us:float -> unit;
+      (** [arm r timer ~delay_us]: call [on_timer r timer] after [delay_us] *)
+  cancel : timer -> unit;
+      (** cancel the last [Vc_active]/[Vc_pending] (one shared slot) or
+          [Transfer_retry] armed; a no-op once it fired, and for the
+          other timers *)
+  now : unit -> int64;  (** virtual nanoseconds *)
+  backlog : unit -> int;  (** messages waiting for the node's CPU *)
+  busy_until : unit -> int64;  (** when the node's CPU frees up *)
+}
+
 type deps = {
   cfg : Config.t;
-  net : Message.envelope Bft_net.Network.t;
+  costs : Bft_net.Costs.t;
   registry : Bft_crypto.Signature.registry;
   keychain : Bft_crypto.Keychain.t;
   signer : Bft_crypto.Signature.signer;
@@ -47,11 +82,11 @@ type deps = {
 val create :
   ?obs:Bft_obs.Obs.t ->
   deps ->
+  port:port ->
   id:int ->
   on_execute:(int -> (int * string * string) list -> unit) ->
   t
-(** Create the replica and register its handler with the network. Timers
-    (status, key refresh, watchdog) start on {!start}. [obs] defaults to
+(** Create the replica; it performs no effect until {!start}. [obs] defaults to
     the disabled sink (zero-cost tracing). [on_execute seq wave] is called
     once per batch execution with the batch's [(client, op, result)]
     records in order, an empty list for a null batch or one whose
@@ -60,6 +95,15 @@ val create :
     than once; the last report is the content that stands. *)
 
 val start : t -> unit
+(** Take the genesis checkpoint (charged to the node's CPU) and arm the
+    periodic timers: status, and with [cfg.recovery] the watchdog and key
+    refresh. *)
+
+val handle : t -> Message.envelope -> unit
+(** Deliver one envelope: verify it, then run its handler. *)
+
+val on_timer : t -> timer -> unit
+(** Fire a timer armed through the port. The periodic ones re-arm. *)
 
 val id : t -> int
 val view : t -> int

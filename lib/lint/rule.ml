@@ -16,6 +16,7 @@ let unsafe_op = "unsafe-op"
 let domain_containment = "domain-containment"
 let transitive_nondet = "transitive-nondet"
 let unused_export = "unused-export"
+let protocol_core = "protocol-core"
 
 (* id, type-aware?, one-line rationale (the DESIGN.md catalogue mirrors
    this list; test_lint checks every id here has a fixture). *)
@@ -49,6 +50,10 @@ let all =
       true,
       "an .mli val no other compilation unit references; un-export it, or delete it if its own \
        module does not use it either" );
+    ( protocol_core,
+      false,
+      "a file marked [@@@lint.protocol_core] names Bft_sim or Bft_net.Network; the protocol \
+       reaches the simulator only through the replica's port" );
   ]
 
 let ids = List.map (fun (id, _, _) -> id) all

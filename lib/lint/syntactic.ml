@@ -10,6 +10,7 @@ type ctx = {
   mutable allows : string list;  (* active [@lint.allow] ids, innermost first *)
   mutable bindings : string list;  (* enclosing let-binding names, innermost first *)
   mutable sorted : bool;  (* true inside an argument of List.sort* *)
+  protocol_core : bool;  (* the file carries [@@@lint.protocol_core] *)
 }
 
 let attr_allows (attrs : attributes) =
@@ -107,6 +108,19 @@ let encoder_name n =
 
 let in_encoder ctx = List.exists encoder_name ctx.bindings
 
+(* The simulator a protocol-core file must reach only through its port. *)
+let rec path = function
+  | Longident.Lident s -> [ s ]
+  | Ldot (l, s) -> path l @ [ s ]
+  | Lapply (l, _) -> path l
+
+let check_seam ctx ({ txt; loc } : Longident.t Location.loc) =
+  match path txt with
+  | "Bft_sim" :: _ | "Bft_net" :: "Network" :: _ when ctx.protocol_core ->
+      report ctx ~loc ~rule:Rule.protocol_core
+        "Bft_sim or Bft_net.Network in a protocol-core file; reach the simulator through the port"
+  | _ -> ()
+
 let ident_flat e =
   match e.pexp_desc with Pexp_ident { txt; _ } -> Some (Longident.flatten txt) | _ -> None
 
@@ -124,10 +138,12 @@ let expr ctx (it : Ast_iterator.iterator) e =
   let saved_allows = ctx.allows in
   ctx.allows <- attr_allows e.pexp_attributes @ ctx.allows;
   (match e.pexp_desc with
-  | Pexp_ident { txt; loc } -> (
+  | Pexp_ident ({ txt; loc } as lid) -> (
+      check_seam ctx lid;
       match classify_ident (Longident.flatten txt) with
       | Some (rule, msg) -> report ctx ~loc ~rule msg
       | None -> ())
+  | Pexp_construct (lid, _) -> check_seam ctx lid
   | Pexp_try (_, cases) ->
       List.iter
         (fun c ->
@@ -181,12 +197,17 @@ let value_binding ctx (it : Ast_iterator.iterator) vb =
 
 let module_expr ctx (it : Ast_iterator.iterator) me =
   (match me.pmod_desc with
-  | Pmod_ident { txt; loc } -> (
+  | Pmod_ident ({ txt; loc } as lid) -> (
+      check_seam ctx lid;
       match classify_module (Longident.flatten txt) with
       | Some (rule, msg) -> report ctx ~loc ~rule msg
       | None -> ())
   | _ -> ());
   Ast_iterator.default_iterator.module_expr it me
+
+let typ ctx (it : Ast_iterator.iterator) ty =
+  (match ty.ptyp_desc with Ptyp_constr (lid, _) -> check_seam ctx lid | _ -> ());
+  Ast_iterator.default_iterator.typ it ty
 
 let structure_item ctx (it : Ast_iterator.iterator) item =
   (match item.pstr_desc with
@@ -209,13 +230,21 @@ let structure ctx (it : Ast_iterator.iterator) items =
   ctx.allows <- saved
 
 let lint (str : structure) : Finding.t list =
-  let ctx = { findings = []; allows = []; bindings = []; sorted = false } in
+  let protocol_core =
+    List.exists
+      (function
+        | { pstr_desc = Pstr_attribute a; _ } -> String.equal a.attr_name.txt "lint.protocol_core"
+        | _ -> false)
+      str
+  in
+  let ctx = { findings = []; allows = []; bindings = []; sorted = false; protocol_core } in
   let it =
     {
       Ast_iterator.default_iterator with
       expr = expr ctx;
       value_binding = value_binding ctx;
       module_expr = module_expr ctx;
+      typ = typ ctx;
       structure_item = structure_item ctx;
       structure = structure ctx;
     }

@@ -25,7 +25,7 @@ let decode_snapshot st s =
   let lines = String.split_on_char '\n' s in
   (match lines with
   | first :: _ when String.equal first "open" -> st.acl <- None
-  | first :: _ when String.length first > 4 && String.equal (String.sub first 0 4) "acl " ->
+  | first :: _ when String.length first >= 4 && String.equal (String.sub first 0 4) "acl " ->
       let ids = String.sub first 4 (String.length first - 4) in
       st.acl <-
         Some
@@ -76,11 +76,24 @@ let acl_of_payload s =
 let create ?restrict ?paged () =
   let st = { table = Hashtbl.create 64; acl = restrict } in
   let arena = Option.map (fun page_size -> Paged_image.create ~page_size ()) paged in
+  (* The bindings live in one index: the table (flat) or the arena
+     (paged), whose records also hold the ACL. *)
+  let find, put, del, size =
+    match arena with
+    | None ->
+        ( Hashtbl.find_opt st.table,
+          Hashtbl.replace st.table,
+          (fun k -> Hashtbl.mem st.table k && (Hashtbl.remove st.table k; true)),
+          fun () -> Hashtbl.length st.table )
+    | Some a ->
+        ( (fun k -> Paged_image.find a ~key:("B" ^ k)),
+          (fun k v -> Paged_image.set a ~key:("B" ^ k) ~value:v),
+          (fun k -> Paged_image.remove a ~key:("B" ^ k)),
+          fun () -> Paged_image.length a - 1 )
+  in
   let sync_acl () =
     Option.iter (fun a -> Paged_image.set a ~key:"A" ~value:(acl_payload st.acl)) arena
   in
-  let sync_put k v = Option.iter (fun a -> Paged_image.set a ~key:("B" ^ k) ~value:v) arena in
-  let sync_del k = Option.iter (fun a -> ignore (Paged_image.remove a ~key:("B" ^ k))) arena in
   sync_acl ();
   let has_access ~client op =
     if client = admin_client then true
@@ -92,29 +105,19 @@ let create ?restrict ?paged () =
     else
       match String.split_on_char ' ' op with
       | [ "put"; k; v ] ->
-          Hashtbl.replace st.table k v;
-          sync_put k v;
+          put k v;
           "ok"
-      | [ "get"; k ] -> (
-          match Hashtbl.find_opt st.table k with Some v -> v | None -> "ENOENT")
-      | [ "del"; k ] ->
-          if Hashtbl.mem st.table k then begin
-            Hashtbl.remove st.table k;
-            sync_del k;
-            "ok"
-          end
-          else "ENOENT"
+      | [ "get"; k ] -> ( match find k with Some v -> v | None -> "ENOENT")
+      | [ "del"; k ] -> if del k then "ok" else "ENOENT"
       | [ "cas"; k; old_v; new_v ] -> (
-          match Hashtbl.find_opt st.table k with
+          match find k with
           | None -> "ENOENT"
           | Some v when String.equal v old_v ->
-              Hashtbl.replace st.table k new_v;
-              sync_put k new_v;
+              put k new_v;
               "ok"
           | Some _ -> "EAGAIN")
       | [ "touch"; k ] ->
-          Hashtbl.replace st.table k nondet;
-          sync_put k nondet;
+          put k nondet;
           nondet
       | [ "grant"; c ] -> (
           if client <> admin_client then Service.denied
@@ -138,11 +141,11 @@ let create ?restrict ?paged () =
                 | Some l -> st.acl <- Some (List.filter (fun x -> x <> c) l));
                 sync_acl ();
                 "ok")
-      | [ "size" ] -> string_of_int (Hashtbl.length st.table)
+      | [ "size" ] -> string_of_int (size ())
       | _ -> Service.invalid
   in
   (* Arena-image restore: validate every record before committing, so a
-     malformed snapshot leaves both the arena and the table untouched. *)
+     malformed snapshot leaves both the arena and the ACL untouched. *)
   let restore_paged a s =
     match Paged_image.decode ~page_size:(Paged_image.page_size a) s with
     | Error _ -> ()
@@ -159,12 +162,9 @@ let create ?restrict ?paged () =
           match Paged_image.restore a s with
           | Error _ -> ()
           | Ok records ->
-              Hashtbl.reset st.table;
               List.iter
                 (fun (k, v) ->
-                  if String.equal k "A" then
-                    st.acl <- Option.get (acl_of_payload v)
-                  else Hashtbl.replace st.table (String.sub k 1 (String.length k - 1)) v)
+                  if String.equal k "A" then st.acl <- Option.get (acl_of_payload v))
                 records
   in
   {

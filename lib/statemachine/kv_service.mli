@@ -20,7 +20,7 @@
 
 val create : ?restrict:int list -> ?paged:int -> unit -> Service.t
 (** [paged] (a page size, >= 32) opts into the dirty-aware checkpoint
-    interface: the store mirrors its bindings into a {!Paged_image} arena
+    interface: the store keeps its bindings in a {!Paged_image} arena
     and snapshots become arena images (a different format from the flat
     default — all replicas of a cluster must agree on the mode). Without
     it the flat sorted-line snapshot format is byte-identical to previous

@@ -179,10 +179,7 @@ let find t ~key =
       let vlen = int_of_string (Bytes.sub_string t.buf (sp1 + 1) (nl - sp1 - 1)) in
       Some (Bytes.sub_string t.buf (off + len - 1 - vlen) vlen)
 
-let iter t f =
-  Hashtbl.iter
-    (fun key _ -> match find t ~key with Some v -> f key v | None -> ())
-    t.index
+let length t = Hashtbl.length t.index
 
 let pages t =
   for pg = 0 to num_pages t - 1 do

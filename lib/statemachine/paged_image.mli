@@ -42,9 +42,9 @@ val remove : t -> key:string -> bool
 (** Zero the record's region; [false] if the key was absent. *)
 
 val find : t -> key:string -> string option
-val iter : t -> (string -> string -> unit) -> unit
-(** Iteration order is unspecified — callers rebuild unordered native
-    state from it. *)
+
+val length : t -> int
+(** The number of records. *)
 
 val page_size : t -> int
 

@@ -39,16 +39,15 @@ let test_in_window () =
 let test_validation () =
   Alcotest.check_raises "f >= 1" (Invalid_argument "Config.make: f must be >= 1") (fun () ->
       ignore (Config.make ~f:0 ()));
-  (* replicas divide by the checkpoint interval, and a zero batch or
-     window orders nothing *)
+  (* replicas divide by the checkpoint interval, and a zero window
+     orders nothing *)
   List.iter
     (fun (field, make) ->
       Alcotest.check_raises field
         (Invalid_argument (Printf.sprintf "Config.make: %s must be >= 1" field))
         (fun () -> ignore (make ())))
     [
-      ("checkpoint_interval", fun () -> Config.make ~f:1 ~checkpoint_interval:0 ~log_size:16 ());
-      ("max_batch", fun () -> Config.make ~f:1 ~max_batch:0 ());
+      ("checkpoint_interval", fun () -> Config.make ~f:1 ~checkpoint_interval:0 ());
       ("window", fun () -> Config.make ~f:1 ~window:0 ());
       ("window", fun () -> Config.make ~f:1 ~window:(-1) ());
     ];
@@ -67,10 +66,7 @@ let test_validation () =
       ("status_interval_us", fun () -> Config.make ~f:1 ~status_interval_us:Float.infinity ());
       ("watchdog_period_us", fun () -> Config.make ~f:1 ~watchdog_period_us:(-0.5) ());
       ("key_refresh_us", fun () -> Config.make ~f:1 ~key_refresh_us:0.0 ());
-    ];
-  Alcotest.check_raises "log size"
-    (Invalid_argument "Config.make: log_size must be >= checkpoint_interval") (fun () ->
-      ignore (Config.make ~f:1 ~checkpoint_interval:10 ~log_size:5 ()))
+    ]
 
 let test_replica_ids () =
   let cfg = Config.make ~f:2 () in

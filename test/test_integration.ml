@@ -11,9 +11,9 @@ let counter () = Bft_sm.Counter_service.create ()
 let kv () = Bft_sm.Kv_service.create ()
 
 let make ?(f = 1) ?(seed = 42L) ?service ?(clients = 1) ?(k = 16) ?auth_mode
-    ?(vc_timeout = 30_000.0) ?tentative ?read_only_opt ?digest_replies ?batching () =
+    ?(vc_timeout = 30_000.0) ?tentative ?digest_replies ?batching () =
   let cfg =
-    Config.make ?auth_mode ?tentative_execution:tentative ?read_only_opt ?digest_replies
+    Config.make ?auth_mode ?tentative_execution:tentative ?digest_replies
       ?batching ~checkpoint_interval:k ~vc_timeout_us:vc_timeout ~f ()
   in
   (cfg, Cluster.create ~seed ?service ~num_clients:clients cfg)
@@ -860,7 +860,7 @@ let prop_random_faults_keep_histories_consistent =
    every replica executes the op to EINVAL instead of raising (the ordered
    path) or allocating it (the read-only path). *)
 let test_oversized_null_result () =
-  let _, c = make ~read_only_opt:true () in
+  let _, c = make () in
   List.iter
     (fun (ro, op) ->
       Alcotest.(check string) op Bft_sm.Service.invalid

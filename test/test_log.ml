@@ -6,7 +6,7 @@ open Message
 let cfg = Config.make ~f:1 ~checkpoint_interval:10 ()
 
 (* a small window, so random seqnos wrap the ring and leave the window *)
-let qcfg = Config.make ~f:1 ~checkpoint_interval:4 ~log_size:8 ()
+let qcfg = Config.make ~f:1 ~checkpoint_interval:4 ()
 let d1 = String.make 32 'a'
 let d2 = String.make 32 'b'
 

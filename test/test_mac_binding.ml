@@ -212,7 +212,8 @@ let tweaks m =
 
 (* Replica 1 alone, holding session keys from, and the signing registry
    of, every principal the generators name: replicas 0..6 and clients
-   100..120. Its verdict is the one its message handler acts on. *)
+   100..120. Its verdict is the one its message handler acts on. It runs
+   on a recording port: no network, no engine. *)
 let receiver = 1
 
 type fixture = {
@@ -223,11 +224,7 @@ type fixture = {
 
 let fixture () =
   let cfg = Config.make ~f:1 () in
-  let engine = Engine.create ~seed:7L () in
-  let rng = Engine.rng engine in
-  let net =
-    Network.create ~engine ~costs:Bft_net.Costs.default ~rng:(Bft_util.Rng.split rng) ()
-  in
+  let rng = Bft_util.Rng.create 7L in
   let registry = Signature.create_registry () in
   let chains = Hashtbl.create 32 and signers = Hashtbl.create 32 in
   let ids = List.init 7 Fun.id @ List.init 21 (fun i -> 100 + i) in
@@ -247,7 +244,7 @@ let fixture () =
   let deps =
     {
       Replica.cfg;
-      net;
+      costs = Bft_net.Costs.default;
       registry;
       keychain = mine;
       signer = Hashtbl.find signers receiver;
@@ -257,7 +254,8 @@ let fixture () =
       branching = 16;
     }
   in
-  { replica = Replica.create deps ~id:receiver ~on_execute:(fun _ _ -> ()); chains; signers }
+  let port = Recording_port.port (Recording_port.create ()) in
+  { replica = Replica.create deps ~port ~id:receiver ~on_execute:(fun _ _ -> ()); chains; signers }
 
 (* whom the receiver checks the token against *)
 let claimed = function Request r -> r.client | New_key k -> k.nk_replica | _ -> 0
