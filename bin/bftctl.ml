@@ -310,14 +310,6 @@ let fuzz_cmd =
             "Enable the primary performance watchdog: backups view-change a primary whose \
              smoothed request latency degrades well beyond the observed baseline.")
   in
-  let adaptive_batch_arg =
-    Arg.(
-      value & flag
-      & info [ "adaptive-batch" ]
-          ~doc:
-            "Enable the queue-depth-tracking batch sizer at the primary (deterministic; \
-             changes batch boundaries, so pinned digests do not apply).")
-  in
   let cohort_k_arg =
     Arg.(
       value & opt (some int) None
@@ -367,7 +359,7 @@ let fuzz_cmd =
   let run verbose f seed seeds clients ops horizon_us schedule expect_no_view_change
       drain_us checkpoint_interval vc_timeout_us status_interval_us check_liveness
       view_bound free_costs no_quiesce inject_no_vc_timer profile client_quota
-      retransmit_budget perf_watchdog adaptive_batch cohort_k arrival cohort_keys =
+      retransmit_budget perf_watchdog cohort_k arrival cohort_keys =
     setup_logs verbose;
     let bad msg =
       Printf.eprintf "%s\n" msg;
@@ -415,7 +407,6 @@ let fuzz_cmd =
         client_quota;
         retransmit_budget;
         perf_watchdog;
-        adaptive_batch;
         cohort;
       }
     in
@@ -479,7 +470,7 @@ let fuzz_cmd =
       const run $ verbose $ f_arg $ seed_arg $ seeds_arg $ clients_arg $ ops_arg $ horizon_arg
       $ schedule_arg $ no_vc_arg $ drain_arg $ ckpt_arg $ vc_timeout_arg $ status_arg
       $ liveness_arg $ view_bound_arg $ free_costs_arg $ no_quiesce_arg $ inject_arg
-      $ profile_arg $ quota_arg $ retx_budget_arg $ perf_vc_arg $ adaptive_batch_arg
+      $ profile_arg $ quota_arg $ retx_budget_arg $ perf_vc_arg
       $ cohort_k_arg $ arrival_arg $ cohort_keys_arg)
 
 (* --- explore --- *)

@@ -23,7 +23,6 @@ type params = {
   client_quota : int option;  (* override Config.client_quota *)
   retransmit_budget : int option;  (* enable the per-peer retransmission budget *)
   perf_watchdog : bool;  (* enable the primary performance watchdog *)
-  adaptive_batch : bool;  (* enable Config.adaptive_batch at the replicas *)
   cohort : Cohort.spec option;
       (* workload generator; None = pairwise closed-loop over
          [clients] x [ops_per_client], the classic driver *)
@@ -52,7 +51,6 @@ let default_params ~seed ~f =
     client_quota = None;
     retransmit_budget = None;
     perf_watchdog = false;
-    adaptive_batch = false;
     cohort = None;
   }
 
@@ -125,7 +123,7 @@ let prepare ?obs ?(monotonic_probes = true) params sched =
       ~vc_timeout_us:params.vc_timeout_us ~status_interval_us:params.status_interval_us
       ~debug_no_vc_timer:params.suppress_vc_timer
       ?client_quota:params.client_quota ?retransmit_budget:params.retransmit_budget
-      ~perf_watchdog:params.perf_watchdog ~adaptive_batch:params.adaptive_batch ()
+      ~perf_watchdog:params.perf_watchdog ()
   in
   (* flood-client slot [k] maps to cluster client index [params.clients + k]:
      flooders are extra clients beyond the workload set, created here so
@@ -449,7 +447,7 @@ let replay_line params sched =
      time, and floods are not idempotent — replay carries the expanded
      schedule only *)
   Printf.sprintf
-    "bftctl fuzz --seed %d -f %d --clients %d --ops %d --horizon-us %.0f --schedule '%s'%s%s%s%s%s%s%s%s%s%s%s%s%s%s%s"
+    "bftctl fuzz --seed %d -f %d --clients %d --ops %d --horizon-us %.0f --schedule '%s'%s%s%s%s%s%s%s%s%s%s%s%s%s%s"
     params.seed params.f params.clients params.ops_per_client params.horizon_us
     (Schedule.to_string sched)
     (opt (params.drain_us <> d.drain_us) (Printf.sprintf " --drain-us %.0f" params.drain_us))
@@ -477,7 +475,6 @@ let replay_line params sched =
     | Some b -> Printf.sprintf " --retx-budget %d" b
     | None -> "")
     (opt params.perf_watchdog " --perf-vc")
-    (opt params.adaptive_batch " --adaptive-batch")
     (match params.cohort with
     | Some s ->
         Printf.sprintf " --cohort-k %d --arrival %s --cohort-keys %s" s.Cohort.k

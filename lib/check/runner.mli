@@ -57,10 +57,6 @@ type params = {
   perf_watchdog : bool;
       (** enable the primary performance watchdog
           ({!Bft_core.Config.perf_watchdog}) *)
-  adaptive_batch : bool;
-      (** enable the queue-depth-tracking batch sizer
-          ({!Bft_core.Config.adaptive_batch}). Off by default: it changes
-          batch boundaries and hence the pinned history digests. *)
   cohort : Cohort.spec option;
       (** Workload generator. [None] (default) drives [clients] pairwise
           closed-loop streams through [ops_per_client] unique writes each —

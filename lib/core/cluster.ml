@@ -48,7 +48,8 @@ let timer_label : Replica.timer -> string = function
 
 (* Replica [id]'s shell: its network node, its CPU and its timers. Only
    the "vc" and "tx" timers are ever cancelled, so only their last
-   handles are kept. *)
+   handles are kept; arming one cancels the handle pending in its slot,
+   so each slot drives at most one chain. *)
 let port engine net id =
   let vc = ref None and tx = ref None in
   let slot : Replica.timer -> _ = function
@@ -62,7 +63,9 @@ let port engine net id =
     charge = (fun us -> Network.charge net ~id us);
     arm =
       (fun r timer ~delay_us ->
-        slot timer :=
+        let slot = slot timer in
+        Option.iter Engine.cancel !slot;
+        slot :=
           Some
             (Engine.schedule engine
                ~label:(Engine.Id (timer_label timer, id))
@@ -74,8 +77,7 @@ let port engine net id =
     busy_until = (fun () -> Network.busy_until net ~id);
   }
 
-let create ?(seed = 42L) ?(costs = Costs.default) ?service ?(page_size = 4096)
-    ?(branching = 16) ?(num_clients = 1) ?obs cfg =
+let create ?(seed = 42L) ?(costs = Costs.default) ?service ?(num_clients = 1) ?obs cfg =
   let engine = Engine.create ~seed () in
   let rng = Engine.rng engine in
   let net = Network.create ~engine ~costs ~rng:(Bft_util.Rng.split rng) () in
@@ -109,8 +111,6 @@ let create ?(seed = 42L) ?(costs = Costs.default) ?service ?(page_size = 4096)
             signer = Bft_crypto.Signature.register registry rng i;
             service = service ();
             rng = Bft_util.Rng.split rng;
-            page_size;
-            branching;
           }
         in
         let node_obs = Option.map (fun reg -> Obs.for_node reg i) obs in

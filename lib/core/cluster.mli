@@ -8,8 +8,6 @@ val create :
   ?seed:int64 ->
   ?costs:Bft_net.Costs.t ->
   ?service:(unit -> Bft_sm.Service.t) ->
-  ?page_size:int ->
-  ?branching:int ->
   ?num_clients:int ->
   ?obs:Bft_obs.Obs.registry ->
   Config.t ->

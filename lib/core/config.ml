@@ -10,7 +10,6 @@ type t = {
   checkpoint_interval : int;
   log_size : int;
   batching : bool;
-  adaptive_batch : bool;
   window : int;
   tentative_execution : bool;
   digest_replies : bool;
@@ -29,7 +28,7 @@ type t = {
 }
 
 let make ?(auth_mode = Mac_auth) ?(checkpoint_interval = 128)
-    ?(batching = true) ?(adaptive_batch = false) ?(window = 16)
+    ?(batching = true) ?(window = 16)
     ?(tentative_execution = true) ?(digest_replies = true) ?(separate_tx_threshold = 255)
     ?(client_retry_us = 20_000.0) ?(client_retry_max_us = 60_000_000.0)
     ?(vc_timeout_us = 50_000.0)
@@ -63,7 +62,6 @@ let make ?(auth_mode = Mac_auth) ?(checkpoint_interval = 128)
     checkpoint_interval;
     log_size = 2 * checkpoint_interval;
     batching;
-    adaptive_batch;
     window;
     tentative_execution;
     digest_replies;

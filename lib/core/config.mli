@@ -13,15 +13,10 @@ type t = {
   auth_mode : auth_mode;
   checkpoint_interval : int;  (** K: checkpoint every K sequence numbers *)
   log_size : int;  (** L: high water mark is [h + L]; 2K *)
-  batching : bool;  (** Section 5.1.4; off = one request per instance *)
-  adaptive_batch : bool;
-      (** Queue-depth-tracking batch sizer at the primary: the batch target
-          doubles while the request queue keeps up with it (congestion) and
-          decays toward the observed depth when it does not, between
-          1 and {!max_batch}. Deterministic — the target depends only on the
-          sequence of queue depths at batch-formation points. Off by
-          default: enabling it changes batch boundaries and hence the
-          pinned committed-history digests. *)
+  batching : bool;
+      (** Section 5.1.4: the primary packs up to {!max_batch} queued
+          requests into each pre-prepare and never waits for more; off =
+          one request per instance *)
   window : int;
       (** sliding window of concurrent protocol instances beyond the last
           executed batch; once full, arriving requests queue at the primary
@@ -76,7 +71,6 @@ val make :
   ?auth_mode:auth_mode ->
   ?checkpoint_interval:int ->
   ?batching:bool ->
-  ?adaptive_batch:bool ->
   ?window:int ->
   ?tentative_execution:bool ->
   ?digest_replies:bool ->

@@ -21,8 +21,6 @@ type deps = {
   signer : Bft_crypto.Signature.signer;
   service : Bft_sm.Service.t;
   rng : Bft_util.Rng.t;
-  page_size : int;
-  branching : int;
 }
 
 (* The replica's timers. [Cluster] schedules each under its engine label
@@ -69,10 +67,6 @@ type t = {
   log : Log.t;
   ckpts : Checkpoint_store.t;
   rq : Request_store.t; (* requests, batches, queue, waiting set *)
-  (* adaptive batch sizer target (Config.adaptive_batch); depends only on
-     the queue depths observed at batch-formation points, so it is as
-     deterministic as the queue itself *)
-  mutable batch_target : int;
   last_reply : (int, int64 * string * int) Hashtbl.t; (* client -> t, result, view *)
   (* client ids present in [last_reply], kept sorted ascending so snapshot
      encoding streams the cache without a per-checkpoint sort *)
@@ -375,6 +369,13 @@ let parse_reply_cache s ~pos ~len =
 
 let paged_magic = "PAGED "
 
+(* Checkpoint pages are the paged service's own, so each service page is
+   one leaf; a flat snapshot is cut into 4096-byte pages. *)
+let page_size (d : deps) =
+  match d.service.Bft_sm.Service.paged with Some pg -> pg.Bft_sm.Service.pg_page_size | None -> 4096
+
+let branching = 16
+
 (* Split a snapshot string into (service region, reply-cache parse span).
    Flat layout: "<svc_len>\n<svc><reply records>". Paged layout (produced
    by paged checkpoints, page-aligned): one header page
@@ -395,7 +396,7 @@ let split_snapshot t s =
           && String.equal (String.sub s 0 (String.length paged_magic)) paged_magic)
   then flat ()
   else
-    let p = t.d.page_size in
+    let p = page_size t.d in
     if len < p then Error "bad paged snapshot header"
     else
     match String.index_opt s '\n' with
@@ -565,7 +566,7 @@ let purge_superseded t ~client ~ts =
    otherwise every page is passed as dirty, which degrades to the
    byte-comparing copy-on-write build. *)
 let take_checkpoint_paged t seq (pg : Bft_sm.Service.paged) =
-  let p = t.d.page_size in
+  let p = pg.Bft_sm.Service.pg_page_size in
   let svc_pages = pg.Bft_sm.Service.pg_pages () in
   let svc_dirty = pg.Bft_sm.Service.pg_drain_dirty () in
   let n_svc = Array.length svc_pages in
@@ -603,12 +604,8 @@ let take_checkpoint t seq =
   charge t (Costs.digest_us t.d.costs 0);
   let tree =
     match t.d.service.Bft_sm.Service.paged with
-    | Some pg
-      when pg.Bft_sm.Service.pg_page_size = t.d.page_size
-           && String.length (Printf.sprintf "PAGED %d %d\n" max_int max_int)
-              <= t.d.page_size ->
-        take_checkpoint_paged t seq pg
-    | _ -> Checkpoint_store.take t.ckpts ~seq ~snapshot:(full_snapshot t)
+    | Some pg -> take_checkpoint_paged t seq pg
+    | None -> Checkpoint_store.take t.ckpts ~seq ~snapshot:(full_snapshot t)
   in
   charge t (Costs.digest_us t.d.costs (Partition_tree.digested_bytes tree));
   t.counters.n_checkpoints <- t.counters.n_checkpoints + 1;
@@ -747,8 +744,7 @@ let transfer_retry t =
 let start_transfer t ~target ~root_digest =
   match t.transfer with
   | Some tx when State_transfer.target tx >= target -> ()
-  | current ->
-      if Option.is_some current then t.port.cancel Transfer_retry;
+  | _ ->
       t.counters.n_state_transfers <- t.counters.n_state_transfers + 1;
       L.debug (fun m -> m "replica %d: state transfer to %d" t.id target);
       if Obs.enabled t.obs then Obs.transfer_start t.obs ~now:(now t) ~target;
@@ -969,23 +965,7 @@ and process_queue t =
     let continue = ref true in
     while !continue && Request_store.queue_len t.rq > 0 && in_send_window t (t.seqno + 1) && allowed_seq t (t.seqno + 1) do
       let cfg = t.d.cfg in
-      let take =
-        if cfg.Config.adaptive_batch then begin
-          (* queue-depth-tracking sizer: while arrivals keep the queue at
-             or above the current target the target doubles (throughput
-             mode — amortize protocol overhead over bigger batches); when
-             the queue falls short the target decays toward the observed
-             depth (latency mode — do not hold requests back waiting for
-             a big batch that is not coming) *)
-          let depth = Request_store.queue_len t.rq in
-          if depth >= t.batch_target then
-            t.batch_target <- min Config.max_batch (t.batch_target * 2)
-          else t.batch_target <- max 1 ((t.batch_target + depth + 1) / 2);
-          t.batch_target
-        end
-        else if cfg.Config.batching then Config.max_batch
-        else 1
-      in
+      let take = if cfg.Config.batching then Config.max_batch else 1 in
       let chosen = Request_store.take t.rq take in
       if List.is_empty chosen then continue := false
       else begin
@@ -1483,8 +1463,7 @@ let check_transfer_done t tx =
     start_transfer t ~target ~root_digest
   in
   match
-    State_transfer.assemble tx ~local:(local_tree t) ~page_size:t.d.page_size
-      ~branching:t.d.branching
+    State_transfer.assemble tx ~local:(local_tree t) ~page_size:(page_size t.d) ~branching
   with
   | State_transfer.Incomplete -> ()
   | State_transfer.Malformed -> restart ()
@@ -1886,6 +1865,8 @@ let handle t env = if from_replica t env then dispatch t env
 (* ------------------------------------------------------------------ *)
 
 let create ?(obs = Obs.null) d ~port ~id ~on_execute =
+  if page_size d < String.length (Printf.sprintf "%s%d %d\n" paged_magic max_int max_int) then
+    invalid_arg "Replica.create: page too small for the paged checkpoint header";
   {
     d;
     id;
@@ -1911,9 +1892,8 @@ let create ?(obs = Obs.null) d ~port ~id ~on_execute =
     last_exec = 0;
     committed_upto = 0;
     log = Log.create d.cfg;
-    ckpts = Checkpoint_store.create d.cfg ~page_size:d.page_size ~branching:d.branching;
+    ckpts = Checkpoint_store.create d.cfg ~page_size:(page_size d) ~branching;
     rq = Request_store.create ();
-    batch_target = 1;
     last_reply = Hashtbl.create 16;
     reply_clients = [];
     paged_sync = None;
@@ -2007,9 +1987,7 @@ let corrupt_state t =
      from the corrupted bytes directly makes the node's checkpoint digests
      diverge even when the service refused the image *)
   let stable = Checkpoint_store.stable_seq t.ckpts in
-  let tree =
-    Partition_tree.build ~seq:stable ~page_size:t.d.page_size ~branching:t.d.branching s'
-  in
+  let tree = Partition_tree.build ~seq:stable ~page_size:(page_size t.d) ~branching s' in
   Checkpoint_store.install t.ckpts tree;
   (* the installed tree no longer matches the service's dirty accounting *)
   t.paged_sync <- None
@@ -2020,7 +1998,6 @@ let crash_reboot t =
   (* lose volatile state; keep identity and keys; rejoin via state transfer *)
   Log.clear_entries t.log;
   Request_store.crash_reset t.rq;
-  t.batch_target <- 1;
   View_change_store.crash_reset t.vc;
   Retransmit_budget.reset t.retx;
   new_perf_epoch t;
@@ -2044,7 +2021,7 @@ let crash_reboot t =
    it is digested or bound to [_] with its reason. *)
 let state_digest
     ({
-       id; view; seqno; last_exec; committed_upto; log; ckpts; rq; batch_target; paged_sync;
+       id; view; seqno; last_exec; committed_upto; log; ckpts; rq; paged_sync;
        pending_ckpt_announce; active; vc; vc_timer; vc_timeout_us; retx; perf_samples;
        perf_fired_view; transfer; recovering; hm_bound; coproc_counter; byzantine; muted;
        wrong_mac; null_fill_until;
@@ -2065,13 +2042,13 @@ let state_digest
      } as t) =
   let b = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "r%d v=%d act=%b seqno=%d le=%d cu=%d lw=%d byz=%b muted=%b wmac=%b fill=%d hmb=%d vct=%h vcarm=%b bt=%d ctr=%Ld|"
+  add "r%d v=%d act=%b seqno=%d le=%d cu=%d lw=%d byz=%b muted=%b wmac=%b fill=%d hmb=%d vct=%h vcarm=%b ctr=%Ld|"
     id view active seqno last_exec committed_upto (Log.low_mark log)
     byzantine muted wrong_mac null_fill_until
     (if hm_bound = max_int then -1 else hm_bound)
     vc_timeout_us
     (Option.is_some vc_timer)
-    batch_target coproc_counter;
+    coproc_counter;
   Log.digest log b;
   Checkpoint_store.digest ckpts b;
   Request_store.digest rq b;

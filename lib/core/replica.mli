@@ -57,7 +57,9 @@ type port = {
   multicast : dsts:int list -> size:int -> Message.envelope -> unit;
   charge : float -> unit;  (** microseconds of the node's virtual CPU *)
   arm : t -> timer -> delay_us:float -> unit;
-      (** [arm r timer ~delay_us]: call [on_timer r timer] after [delay_us] *)
+      (** [arm r timer ~delay_us]: call [on_timer r timer] after
+          [delay_us]; for a cancellable timer this replaces the one
+          pending in its slot *)
   cancel : timer -> unit;
       (** cancel the last [Vc_active]/[Vc_pending] (one shared slot) or
           [Transfer_retry] armed; a no-op once it fired, and for the
@@ -75,8 +77,6 @@ type deps = {
   signer : Bft_crypto.Signature.signer;
   service : Bft_sm.Service.t;
   rng : Bft_util.Rng.t;
-  page_size : int;
-  branching : int;
 }
 
 val create :
@@ -86,7 +86,11 @@ val create :
   id:int ->
   on_execute:(int -> (int * string * string) list -> unit) ->
   t
-(** Create the replica; it performs no effect until {!start}. [obs] defaults to
+(** Create the replica; it performs no effect until {!start}. Checkpoints
+    are cut into the paged service's own pages, or into 4096-byte pages
+    for a flat service, under a partition tree of fan-out 16. Raises
+    [Invalid_argument] when the service's page cannot hold the paged
+    checkpoint header ["PAGED <svc_len> <reply_len>\n"]. [obs] defaults to
     the disabled sink (zero-cost tracing). [on_execute seq wave] is called
     once per batch execution with the batch's [(client, op, result)]
     records in order, an empty list for a null batch or one whose

@@ -1,3 +1,4 @@
+[@@@lint.protocol_core]
 open Message
 
 type stored = {
@@ -20,11 +21,11 @@ type t = {
   (* digests assigned to a batch but not yet executed: retransmissions of
      an in-flight request must not be assigned a second sequence number *)
   assigned : (string, unit) Hashtbl.t;
-  (* client-request waiting set: request digest -> arrival time; drives
-     the vc timer. The arrival time feeds the primary performance
-     watchdog only — the digest serializes the keys alone, so the clock
-     values never leak into explorer state identity. *)
-  waiting : (string, Bft_sim.Engine.time) Hashtbl.t;
+  (* client-request waiting set: request digest -> arrival time (virtual
+     nanoseconds); drives the vc timer. The arrival time feeds the primary
+     performance watchdog only — the digest serializes the keys alone, so
+     the clock values never leak into explorer state identity. *)
+  waiting : (string, int64) Hashtbl.t;
   mutable pending_ro : request list; (* newest first *)
   (* pre-prepares awaiting authentication or bodies, each with its
      charged wire size, newest first *)
@@ -135,7 +136,7 @@ let client_inflight t client =
       t.assigned 0
   in
   Hashtbl.fold
-    (fun d (_ : Bft_sim.Engine.time) n ->
+    (fun d (_ : int64) n ->
       if mine d && (not (Hashtbl.mem t.queued d)) && not (Hashtbl.mem t.assigned d) then n + 1
       else n)
     t.waiting (queued + assigned)
@@ -157,7 +158,7 @@ let waiting_empty t = Hashtbl.length t.waiting = 0
 let purge_superseded t ~client ~ts =
   let dead =
     Hashtbl.fold
-      (fun d (_ : Bft_sim.Engine.time) acc ->
+      (fun d (_ : int64) acc ->
         match Hashtbl.find_opt t.requests d with
         | Some sr
           when sr.sr_req.client = client && Int64.compare sr.sr_req.timestamp ts <= 0 ->

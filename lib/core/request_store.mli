@@ -71,10 +71,11 @@ val client_inflight : t -> int -> int
 
 (** {2 Waiting set} *)
 
-val note_waiting : t -> string -> now:Bft_sim.Engine.time -> bool
-(** Start waiting for a request; [false] when it was already waited for. *)
+val note_waiting : t -> string -> now:int64 -> bool
+(** Start waiting for a request that arrived at [now] (virtual
+    nanoseconds); [false] when it was already waited for. *)
 
-val clear_waiting : t -> string -> Bft_sim.Engine.time option
+val clear_waiting : t -> string -> int64 option
 (** Stop waiting; the arrival time when it was waited for. *)
 
 val waiting_empty : t -> bool

@@ -1,8 +1,8 @@
-module Engine = Bft_sim.Engine
+[@@@lint.protocol_core]
 
 type bucket = {
   mutable tokens : int;
-  mutable window_start : Engine.time;
+  mutable window_start : int64; (* virtual nanoseconds *)
   mutable backoff : float; (* multiplier on the refill interval *)
   mutable exhausted : bool; (* the bucket ran dry within this window *)
 }
@@ -20,7 +20,7 @@ let allow t ~budget ~interval_us ~now peer =
         Hashtbl.replace t peer b;
         b
   in
-  let window = Engine.of_us_float (b.backoff *. interval_us) in
+  let window = Int64.of_float (b.backoff *. interval_us *. 1_000.0) in
   if Int64.compare (Int64.sub now b.window_start) window >= 0 then begin
     (* refill; a peer that drained the previous window dry waits
        geometrically longer for the next one (capped) *)

@@ -9,10 +9,10 @@ type t
 
 val create : unit -> t
 
-val allow : t -> budget:int -> interval_us:float -> now:Bft_sim.Engine.time -> int -> bool
+val allow : t -> budget:int -> interval_us:float -> now:int64 -> int -> bool
 (** Spend one of the peer's tokens, refilling its bucket first when its
-    window (the backoff times [interval_us]) has passed; [false] when none
-    is left. *)
+    window (the backoff times [interval_us]) has passed by [now], in
+    virtual nanoseconds; [false] when none is left. *)
 
 val reset : t -> unit
 (** Forget every bucket, as a reboot does. *)

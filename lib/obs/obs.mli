@@ -109,7 +109,7 @@ val checkpoint_taken :
 
 val batch_formed : t -> len:int -> unit
 (** One batch formed by the primary carrying [len] requests — feeds the
-    batch-occupancy histogram behind the adaptive batch sizer. *)
+    batch-occupancy histogram. *)
 
 (** {2 Reading} *)
 

@@ -1,7 +1,6 @@
-(* Client cohorts and adaptive batching: the pairwise cohort must be
-   event-for-event identical to the per-client driver it replaced, derived
-   cohorts must commit their workload through group-derived keys, and the
-   adaptive batch sizer must stay deterministic (and invisible when off). *)
+(* Client cohorts: the pairwise cohort must be event-for-event identical
+   to the per-client driver it replaced, and derived cohorts must commit
+   their workload through group-derived keys. *)
 
 open Bft_check
 module Obs = Bft_obs.Obs
@@ -191,9 +190,10 @@ let test_derived_under_faults () =
 let test_million_client_sweep () =
   (* Open-loop arrivals round-robin over 10^6 synthesized clients, so each
      client issues at most one op and every sweep point must complete.
-     Adaptive batching is on: deep queues at overload want big batches,
-     light load small ones. The curve is a pure function of (params,
-     rate), so the floor and the shape are exact. *)
+     The primary batches whatever queued while its window was full, up to
+     Config.max_batch, and never waits for a batch to fill. The curve is
+     a pure function of (params, rate), so the floor and the shape are
+     exact. *)
   let point rate =
     let spec =
       {
@@ -202,13 +202,7 @@ let test_million_client_sweep () =
         keys = Derived;
       }
     in
-    let p =
-      {
-        (Runner.default_params ~seed:2 ~f:1) with
-        Runner.adaptive_batch = true;
-        cohort = Some spec;
-      }
-    in
+    let p = { (Runner.default_params ~seed:2 ~f:1) with Runner.cohort = Some spec } in
     let lv = Runner.prepare p [] in
     ignore
       (Bft_core.Cluster.run_until ~timeout_us:(p.Runner.horizon_us +. p.Runner.drain_us)
@@ -234,10 +228,10 @@ let test_million_client_sweep () =
     "pinned sweep"
     [
       "2000 -> 1897.8128 ab239e383a3cd0da6427797404072a491eb61700a05a5a0b4e243fc9f2431cfa";
-      "5000 -> 4446.6574 11fdf20235f7df4b4a5ce239d4a894403fba593f3bee4aa5d308c46f76e8973c";
-      "10000 -> 7873.5099 d823adc753589b5e29181a5f37a2fb3d0ee639f6000a5759fbbff18dc5d22bb4";
-      "20000 -> 11800.0778 76ffd9fff370031287f270aa1028449603733cc27d7ce305672f246e73d182a4";
-      "50000 -> 14384.1280 c14d4ca8b1bf5f2b4eb044b4f4023d84c8d42d95193959e0ed50350e97a771da";
+      "5000 -> 4471.8786 1c2f75cfdc71405633534b8f9910aca4c6b8a824d90022fb776520c3552e53c9";
+      "10000 -> 8000.5476 6da6217677b7d8ad030d8d1d7f4edf8525af98ea2c3eb8696330b32128c9c527";
+      "20000 -> 11231.4342 36bdd6966fd2938bde6d4ab260c3698c74f5e39faa5c75ac24658e40a4988a94";
+      "50000 -> 14227.1035 2c3248685f291af746c11a36284536655bf44dc3233805bfff40caacfbf2a1f4";
     ]
     pinned;
   let peak = List.fold_left (fun a (c, _) -> Float.max a c) 0.0 curve in
@@ -305,32 +299,9 @@ let prop_arrival_roundtrip =
     (QCheck.make ~print:Cohort.arrival_to_string gen)
     (fun a -> Cohort.parse_arrival (Cohort.arrival_to_string a) = Ok a)
 
-(* --- adaptive batching --- *)
+(* --- batch occupancy --- *)
 
-let test_adaptive_deterministic_and_safe () =
-  (* a real generated fault schedule, twice, with the sizer on: identical
-     digests and clean oracles *)
-  let p =
-    { (params ~seed:21 ~clients:3 ~ops:8 ()) with Runner.adaptive_batch = true }
-  in
-  let sched = Runner.generate p in
-  let a = Runner.run_schedule p sched and b = Runner.run_schedule p sched in
-  if a.Runner.failures <> [] then
-    Alcotest.failf "oracles failed under adaptive batching: %s"
-      (String.concat "; " a.Runner.failures);
-  Alcotest.(check string) "adaptive batching is deterministic" a.Runner.history_digest
-    b.Runner.history_digest
-
-let test_adaptive_off_is_identity () =
-  (* the flag default must leave the classic path untouched (the pinned
-     golden digests in the fuzz suite enforce the absolute values; this
-     checks the field plumbing specifically) *)
-  let base = clean_run (params ~seed:2 ()) in
-  let off = clean_run { (params ~seed:2 ()) with Runner.adaptive_batch = false } in
-  Alcotest.(check string) "off = default" base.Runner.history_digest
-    off.Runner.history_digest
-
-let test_adaptive_feeds_occupancy_hist () =
+let test_batches_feed_occupancy_hist () =
   let obs = Obs.registry () in
   let spec =
     {
@@ -339,10 +310,7 @@ let test_adaptive_feeds_occupancy_hist () =
       keys = Derived;
     }
   in
-  let _ =
-    clean_run ~obs
-      { (params ~seed:4 ()) with Runner.cohort = Some spec; adaptive_batch = true }
-  in
+  let _ = clean_run ~obs { (params ~seed:4 ()) with Runner.cohort = Some spec } in
   let batches =
     List.fold_left
       (fun acc (_, o) -> acc + Hist.count (Obs.batch_occupancy_hist o))
@@ -398,14 +366,8 @@ let suites =
         Alcotest.test_case "group derivations observed" `Quick
           test_group_derivations_observed;
         Alcotest.test_case "10^6-client sweep" `Quick test_million_client_sweep;
+        Alcotest.test_case "occupancy histogram" `Quick test_batches_feed_occupancy_hist;
         QCheck_alcotest.to_alcotest prop_op_counts;
         QCheck_alcotest.to_alcotest prop_arrival_roundtrip;
-      ] );
-    ( "adaptive-batch",
-      [
-        Alcotest.test_case "deterministic and safe" `Quick
-          test_adaptive_deterministic_and_safe;
-        Alcotest.test_case "off is identity" `Quick test_adaptive_off_is_identity;
-        Alcotest.test_case "occupancy histogram" `Quick test_adaptive_feeds_occupancy_hist;
       ] );
   ]

@@ -536,6 +536,29 @@ let test_lagging_replica_state_transfer () =
   Alcotest.(check bool) "used state transfer" true
     ((Replica.counters (Cluster.replica c 3)).Replica.n_state_transfers >= 1)
 
+(* A transfer has one retry chain. A restarted transfer (bad image or
+   root) re-arms its retry while the old one is still pending, so arming
+   must replace the one pending in its slot. *)
+let test_transfer_one_retry_chain () =
+  let _, c = make ~k:8 ~service:kv () in
+  Bft_net.Network.crash (Cluster.network c) ~id:3;
+  for i = 1 to 30 do
+    ignore (Cluster.invoke_sync c ~client:0 (Printf.sprintf "put k%d v%d" i i))
+  done;
+  Bft_net.Network.restart (Cluster.network c) ~id:3;
+  let r = Cluster.replica c 3 in
+  Replica.crash_reboot r;
+  Alcotest.(check bool) "transfer started" true
+    (Cluster.run_until ~timeout_us:20_000_000.0 c (fun () ->
+         (Replica.counters r).Replica.n_state_transfers >= 1));
+  Replica.on_timer r Transfer_retry;
+  let retries =
+    List.filter
+      (fun (_, label) -> label = Some "tx3")
+      (Bft_sim.Engine.live_events (Cluster.engine c))
+  in
+  Alcotest.(check int) "one retry pending" 1 (List.length retries)
+
 let test_recovery_of_corrupt_replica () =
   let _, c = make ~k:8 ~service:kv () in
   for i = 1 to 20 do
@@ -927,6 +950,7 @@ let suites =
     ( "integration.recovery",
       [
         Alcotest.test_case "state transfer" `Quick test_lagging_replica_state_transfer;
+        Alcotest.test_case "one retry chain per transfer" `Quick test_transfer_one_retry_chain;
         Alcotest.test_case "recover corrupt replica" `Slow test_recovery_of_corrupt_replica;
         Alcotest.test_case "corrupt snapshot rejected loudly" `Slow test_corrupt_state_rejected_loudly;
         Alcotest.test_case "recover healthy replica" `Slow test_recovery_of_healthy_replica_harmless;

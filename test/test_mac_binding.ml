@@ -250,8 +250,6 @@ let fixture () =
       signer = Hashtbl.find signers receiver;
       service = Bft_sm.Null_service.create ();
       rng = Bft_util.Rng.split rng;
-      page_size = 4096;
-      branching = 16;
     }
   in
   let port = Recording_port.port (Recording_port.create ()) in

@@ -313,9 +313,9 @@ let test_bfs_paged_equiv_flat () =
 
 (* --- replica snapshot hardening --- *)
 
-let make ?(f = 1) ?(seed = 42L) ?service ?(clients = 1) ?(k = 8) ?page_size () =
+let make ?(f = 1) ?(seed = 42L) ?service ?(clients = 1) ?(k = 8) () =
   let cfg = Config.make ~checkpoint_interval:k ~vc_timeout_us:30_000.0 ~f () in
-  (cfg, Cluster.create ~seed ?service ?page_size ~num_clients:clients cfg)
+  (cfg, Cluster.create ~seed ?service ~num_clients:clients cfg)
 
 let test_replica_restore_malformed () =
   let _, c = make ~service:(fun () -> Bft_sm.Kv_service.create ()) () in
@@ -352,10 +352,23 @@ let test_replica_restore_malformed () =
 
 let paged_kv () = Bft_sm.Kv_service.create ~paged:256 ()
 
+(* The paged checkpoint's header page must hold its longest header,
+   "PAGED <max_int> <max_int>\n" (46 bytes); a smaller service page is
+   refused at creation. *)
+let test_page_too_small_for_header () =
+  let cluster page () =
+    let cfg = Config.make ~f:1 () in
+    ignore (Cluster.create ~service:(fun () -> Bft_sm.Kv_service.create ~paged:page ()) cfg)
+  in
+  Alcotest.check_raises "45-byte page"
+    (Invalid_argument "Replica.create: page too small for the paged checkpoint header")
+    (cluster 45);
+  cluster 46 ()
+
 let test_paged_cluster_checkpoints () =
   (* checkpoint digests over the paged image must agree across replicas:
      stability requires a quorum of matching roots *)
-  let _, c = make ~service:paged_kv ~page_size:256 () in
+  let _, c = make ~service:paged_kv () in
   for i = 1 to 30 do
     Alcotest.(check string) "put" "ok"
       (Cluster.invoke_sync c ~client:0 (Printf.sprintf "put key%d value%d" i i))
@@ -377,7 +390,7 @@ let test_paged_cluster_checkpoints () =
 let test_paged_cluster_state_transfer () =
   (* a rebooted replica fetches a paged checkpoint whose clean pages carry
      older lm values — the rebuilt tree must still match the quorum root *)
-  let _, c = make ~service:paged_kv ~page_size:256 () in
+  let _, c = make ~service:paged_kv () in
   Bft_net.Network.crash (Cluster.network c) ~id:3;
   for i = 1 to 30 do
     ignore (Cluster.invoke_sync c ~client:0 (Printf.sprintf "put k%d v%d" i i))
@@ -396,7 +409,7 @@ let test_paged_cluster_state_transfer () =
     (Cluster.invoke_sync ~timeout_us:30_000_000.0 c ~client:0 "get k3")
 
 let test_paged_cluster_view_change () =
-  let _, c = make ~service:paged_kv ~page_size:256 () in
+  let _, c = make ~service:paged_kv () in
   ignore (Cluster.invoke_sync c ~client:0 "put survived yes");
   Replica.mute (Cluster.replica c 0) true;
   ignore (Cluster.invoke_sync ~timeout_us:30_000_000.0 c ~client:0 "put extra 1");
@@ -427,6 +440,7 @@ let suites =
     ( "core.paged_replica",
       [
         Alcotest.test_case "restore_snapshot rejects malformed" `Quick test_replica_restore_malformed;
+        Alcotest.test_case "page too small for header" `Quick test_page_too_small_for_header;
         Alcotest.test_case "paged checkpoints stabilize" `Quick test_paged_cluster_checkpoints;
         Alcotest.test_case "paged state transfer" `Quick test_paged_cluster_state_transfer;
         Alcotest.test_case "paged view change" `Quick test_paged_cluster_view_change;

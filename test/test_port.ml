@@ -30,8 +30,6 @@ let created ~id =
       signer = Bft_crypto.Signature.register registry rng id;
       service = Bft_sm.Null_service.create ();
       rng;
-      page_size = 4096;
-      branching = 16;
     }
   in
   let io = P.create () in
