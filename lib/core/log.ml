@@ -17,8 +17,20 @@ type entry = {
    [n mod log_size], and a slot holds [n]'s entry only when the entry's
    [seq] is [n]. The window [h+1 .. h+log_size] covers every slot once, so
    a stale entry (seq <= h) can never be mistaken for a live one; [truncate]
-   still clears the slots it retires so their batches can be collected. *)
-type t = { cfg : Config.t; mutable h : int; slots : entry array }
+   still clears the slots it retires so their batches can be collected.
+
+   Beside each slot's entry, the log counts the votes that make its
+   certificates as they arrive: prepares from backups of the accepted
+   pre-prepare's view matching its (view, digest), and commits matching
+   its digest. Only this module writes them, so [prepared] and
+   [committed] read two integers. *)
+type t = {
+  cfg : Config.t;
+  mutable h : int;
+  slots : entry array;
+  n_prepares : int array; (* per slot: matching prepares from backups *)
+  n_commits : int array; (* per slot: commits matching the digest *)
+}
 
 let vacant =
   {
@@ -33,7 +45,9 @@ let vacant =
     exec_tentative = false;
   }
 
-let create cfg = { cfg; h = 0; slots = Array.make cfg.Config.log_size vacant }
+let create cfg =
+  let l = cfg.Config.log_size in
+  { cfg; h = 0; slots = Array.make l vacant; n_prepares = Array.make l 0; n_commits = Array.make l 0 }
 let low_mark t = t.h
 let in_window t n = Config.in_window t.cfg ~h:t.h n
 let slot t n = n mod t.cfg.Config.log_size
@@ -69,9 +83,24 @@ let find t n =
         exec_tentative = false;
       }
     in
-    t.slots.(slot t n) <- e;
+    let i = slot t n in
+    t.slots.(i) <- e;
+    t.n_prepares.(i) <- 0;
+    t.n_commits.(i) <- 0;
     e
   end
+
+(* Does replica [r]'s vote count towards [e]'s certificates? *)
+let prepare_counts t e r = function
+  | Some (v, d') -> (
+      match e.pp_digest with
+      | Some d -> v = e.pp_view && r <> Config.primary t.cfg ~view:v && String.equal d' d
+      | None -> false)
+  | None -> false
+
+let commit_counts e = function
+  | Some (_, d') -> ( match e.pp_digest with Some d -> String.equal d' d | None -> false)
+  | None -> false
 
 let accept_pre_prepare t ~view pp d =
   let e = find t pp.Message.pp_seq in
@@ -81,50 +110,53 @@ let accept_pre_prepare t ~view pp d =
       e.pp <- Some pp;
       e.pp_digest <- Some d;
       e.pp_view <- view;
+      let np = ref 0 and nc = ref 0 in
+      for r = 0 to Array.length e.prepares - 1 do
+        if prepare_counts t e r e.prepares.(r) then incr np;
+        if commit_counts e e.commits.(r) then incr nc
+      done;
+      t.n_prepares.(slot t e.seq) <- !np;
+      t.n_commits.(slot t e.seq) <- !nc;
       true
 
 let is_replica t i = i >= 0 && i < t.cfg.Config.n
 
 (* Prepares and commits may arrive before the pre-prepare is accepted
-   (out-of-order delivery, deferred authentication): create the entry. *)
+   (out-of-order delivery, deferred authentication): create the entry. A
+   vote replaces the sender's earlier one, and the slot's count moves by
+   the difference. *)
 let add_prepare t (p : Message.prepare) =
-  if in_window t p.pr_seq && is_replica t p.pr_replica then
-    (find t p.pr_seq).prepares.(p.pr_replica) <- Some (p.pr_view, p.pr_digest)
+  if in_window t p.pr_seq && is_replica t p.pr_replica then begin
+    let e = find t p.pr_seq and r = p.pr_replica and i = slot t p.pr_seq in
+    let vote = Some (p.pr_view, p.pr_digest) in
+    t.n_prepares.(i) <-
+      t.n_prepares.(i)
+      + Bool.to_int (prepare_counts t e r vote)
+      - Bool.to_int (prepare_counts t e r e.prepares.(r));
+    e.prepares.(r) <- vote
+  end
 
 let add_commit t (c : Message.commit) =
-  if in_window t c.cm_seq && is_replica t c.cm_replica then
-    (find t c.cm_seq).commits.(c.cm_replica) <- Some (c.cm_view, c.cm_digest)
+  if in_window t c.cm_seq && is_replica t c.cm_replica then begin
+    let e = find t c.cm_seq and r = c.cm_replica and i = slot t c.cm_seq in
+    let vote = Some (c.cm_view, c.cm_digest) in
+    t.n_commits.(i) <-
+      t.n_commits.(i) + Bool.to_int (commit_counts e vote) - Bool.to_int (commit_counts e e.commits.(r));
+    e.commits.(r) <- vote
+  end
+
+let counts t ~seq =
+  let e = live t seq in
+  if e == vacant then (0, 0) else (t.n_prepares.(slot t seq), t.n_commits.(slot t seq))
 
 let prepared t ~view ~seq =
   let e = live t seq in
-  match e.pp_digest with
-  | Some d when e.pp_view = view ->
-      let primary = Config.primary t.cfg ~view in
-      let matching = ref 0 in
-      for r = 0 to Array.length e.prepares - 1 do
-        match e.prepares.(r) with
-        | Some (v, d') when r <> primary && v = view && String.equal d' d -> incr matching
-        | _ -> ()
-      done;
-      !matching >= 2 * t.cfg.Config.f
-  | _ -> false
+  e != vacant && e.pp_view = view && Option.is_some e.pp_digest
+  && t.n_prepares.(slot t seq) >= 2 * t.cfg.Config.f
 
-let commit_count t ~seq d =
-  let e = live t seq in
-  let matching = ref 0 in
-  for r = 0 to Array.length e.commits - 1 do
-    match e.commits.(r) with
-    | Some (_, d') when String.equal d' d -> incr matching
-    | _ -> ()
-  done;
-  !matching
-
+(* [prepared] implies a live entry, so its slot's count is [seq]'s *)
 let committed t ~view ~seq =
-  prepared t ~view ~seq
-  &&
-  match (live t seq).pp_digest with
-  | Some d -> commit_count t ~seq d >= Config.quorum t.cfg
-  | None -> false
+  prepared t ~view ~seq && t.n_commits.(slot t seq) >= Config.quorum t.cfg
 
 let truncate t n =
   if n > t.h then begin

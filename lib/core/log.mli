@@ -10,8 +10,9 @@
     a new stable checkpoint.
 
     The log is a ring of [log_size] slots indexed by sequence number, and
-    each entry holds its votes in arrays indexed by replica id, so every
-    certificate question is a loop over [n] slots. *)
+    each entry holds its votes in arrays indexed by replica id. The log
+    counts each entry's matching votes as they arrive, so the certificate
+    questions read two counts instead of looping over the votes. *)
 
 type digest = string
 
@@ -64,7 +65,12 @@ val committed : t -> view:int -> seq:int -> bool
     commits may trail the current view after a view change, so commits are
     matched on digest and sequence only. *)
 
-val commit_count : t -> seq:int -> digest -> int
+val counts : t -> seq:int -> int * int
+(** [(prepares, commits)]: the votes counted towards [seq]'s certificates
+    as they arrived — prepares from backups of the accepted pre-prepare's
+    view that match its (view, digest), and commits that match its
+    digest. [(0, 0)] for an absent entry, and both count 0 until a
+    pre-prepare is accepted. {!prepared} and {!committed} read these. *)
 
 val truncate : t -> int -> unit
 (** [truncate t n]: new low water mark [n]; drop entries [<= n]. *)

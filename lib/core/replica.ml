@@ -575,7 +575,21 @@ let take_checkpoint_paged t seq (pg : Bft_sm.Service.paged) =
   let reply = Buffer.contents rb in
   let reply_len = String.length reply in
   let header_line = Printf.sprintf "PAGED %d %d\n" (n_svc * p) reply_len in
-  let header = header_line ^ String.make (p - String.length header_line) '\000' in
+  let prev = Checkpoint_store.latest t.ckpts in
+  let in_sync =
+    match (t.paged_sync, prev) with
+    | Some s, Some prev -> Partition_tree.seq prev = s
+    | _ -> false
+  in
+  (* An in-sync tree's page 0 is the header page built here; keep it while
+     its line is unchanged (the line's one newline ends it). *)
+  let header =
+    match prev with
+    | Some prev
+      when in_sync && String.starts_with ~prefix:header_line (Partition_tree.page prev 0).data ->
+        (Partition_tree.page prev 0).data
+    | _ -> header_line ^ String.make (p - String.length header_line) '\000'
+  in
   let n_reply = (reply_len + p - 1) / p in
   let pages = Array.make (1 + n_svc + n_reply) header in
   Array.blit svc_pages 0 pages 1 n_svc;
@@ -583,11 +597,6 @@ let take_checkpoint_paged t seq (pg : Bft_sm.Service.paged) =
     let off = i * p in
     pages.(1 + n_svc + i) <- String.sub reply off (min p (reply_len - off))
   done;
-  let in_sync =
-    match (t.paged_sync, Checkpoint_store.latest t.ckpts) with
-    | Some s, Some prev -> Partition_tree.seq prev = s
-    | _ -> false
-  in
   let dirty =
     if not in_sync then List.init (Array.length pages) Fun.id
     else
@@ -630,9 +639,11 @@ let announce_checkpoint t seq =
 
 (* Announce the checkpoints whose batches have now committed. *)
 let announce_committed t =
-  let announce, keep = List.partition (fun n -> n <= t.committed_upto) t.pending_ckpt_announce in
-  t.pending_ckpt_announce <- keep;
-  List.iter (announce_checkpoint t) (List.sort compare announce)
+  if t.pending_ckpt_announce <> [] then begin
+    let announce, keep = List.partition (fun n -> n <= t.committed_upto) t.pending_ckpt_announce in
+    t.pending_ckpt_announce <- keep;
+    List.iter (announce_checkpoint t) (List.sort compare announce)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)

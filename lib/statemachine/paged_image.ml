@@ -3,61 +3,69 @@
    constraints are: pure bump allocation (no free-list), freed regions
    zeroed in place, and the bump pointer persisted in a fixed-width
    header so a restored arena is byte-identical and continues to allocate
-   at the same offsets. *)
+   at the same offsets.
+
+   Each page is its own buffer, and the image is their concatenation.
+   [pages] hands every buffer out as a string without copying it and
+   marks it frozen; the next write to a frozen page copies the page first
+   ([writable]), so a handed-out string never changes. Every page past the
+   bump pointer is one shared zero page, frozen from the start. *)
 
 type t = {
   page_size : int;
-  mutable buf : Bytes.t; (* capacity is always a multiple of page_size *)
+  zero : Bytes.t; (* the page past the bump pointer; never written *)
+  mutable pages : Bytes.t array; (* page count doubles with capacity *)
+  mutable flags : Bytes.t; (* one byte per page: [dirty] lor [frozen] bits *)
   mutable used : int; (* bump pointer, includes the header *)
   index : (string, int * int) Hashtbl.t; (* key -> (offset, record length) *)
-  mutable flags : Bytes.t; (* one byte per page: [dirty] lor [stale] bits *)
-  mutable cache : string array; (* one immutable string per page *)
 }
 
 let dirty = 1 (* touched since the last drain *)
-let stale = 2 (* cached string outdated *)
+let frozen = 2 (* shared with a string [pages] returned, or the zero page *)
 
 let header_len = 19 (* "ARENA " ^ 12 digits ^ "\n" *)
 
 let min_page_size = 32
 
-let num_pages t = Bytes.length t.buf / t.page_size
+let num_pages t = Array.length t.pages
 let page_size t = t.page_size
 
-let touch t pg = Bytes.set t.flags pg (Char.unsafe_chr (dirty lor stale))
+(* Every write goes through here: the page becomes dirty, and a frozen
+   page is copied first so that no string handed out by [pages] changes. *)
+let writable t pg =
+  if Char.code (Bytes.get t.flags pg) land frozen <> 0 then
+    t.pages.(pg) <- Bytes.copy t.pages.(pg);
+  Bytes.set t.flags pg (Char.unsafe_chr dirty);
+  t.pages.(pg)
 
-let touch_range t off len =
-  if len > 0 then
-    for pg = off / t.page_size to (off + len - 1) / t.page_size do
-      touch t pg
-    done
-
-(* The header's constant bytes are written once per fresh buffer; each
+(* The header's constant bytes are written once per fresh page 0; each
    allocation rewrites only the bump pointer's 12 digits, in place. *)
 let write_header t =
+  let b = writable t 0 in
   let n = ref t.used in
   for i = header_len - 2 downto 6 do
-    Bytes.set t.buf i (Char.unsafe_chr (Char.code '0' + (!n mod 10)));
+    Bytes.set b i (Char.unsafe_chr (Char.code '0' + (!n mod 10)));
     n := !n / 10
-  done;
-  touch_range t 0 header_len
+  done
 
 let init_header t =
-  Bytes.blit_string "ARENA " 0 t.buf 0 6;
-  Bytes.set t.buf (header_len - 1) '\n';
+  let b = writable t 0 in
+  Bytes.blit_string "ARENA " 0 b 0 6;
+  Bytes.set b (header_len - 1) '\n';
   write_header t
 
 let create ?(initial_pages = 1) ~page_size () =
   if page_size < min_page_size then invalid_arg "Paged_image.create: page_size";
   if initial_pages < 1 then invalid_arg "Paged_image.create: initial_pages";
+  let zero = Bytes.make page_size '\x00' in
   let t =
     {
       page_size;
-      buf = Bytes.make (initial_pages * page_size) '\x00';
+      zero;
+      pages = Array.make initial_pages zero;
+      flags = Bytes.make initial_pages (Char.unsafe_chr frozen);
       used = header_len;
       index = Hashtbl.create 64;
-      flags = Bytes.make initial_pages '\x00';
-      cache = Array.make initial_pages "";
     }
   in
   init_header t;
@@ -89,60 +97,68 @@ let write_record b off key value =
   Bytes.blit_string value 0 b (pos + 1 + klen) vlen;
   Bytes.set b (pos + 1 + klen + vlen) '\n'
 
-let grow t needed =
-  let cap = Bytes.length t.buf in
-  let new_cap = ref (max cap t.page_size) in
-  while !new_cap < needed do
-    new_cap := !new_cap * 2
-  done;
-  (* round up to a page multiple (already one: cap and doubling keep it) *)
-  if !new_cap > cap then begin
-    let nb = Bytes.make !new_cap '\x00' in
-    Bytes.blit t.buf 0 nb 0 cap;
-    t.buf <- nb;
-    let old_pages = Array.length t.cache in
-    let pages = !new_cap / t.page_size in
-    let nc = Array.make pages "" in
-    Array.blit t.cache 0 nc 0 old_pages;
-    t.cache <- nc;
-    let nf = Bytes.make pages '\x00' in
-    Bytes.blit t.flags 0 nf 0 old_pages;
-    t.flags <- nf;
-    (* fresh pages enter the image: they count as dirty *)
-    for pg = old_pages to pages - 1 do
-      touch t pg
+(* [f pg lo hi] for each page that [off, off+len) meets, with [lo, hi)
+   the page-relative span *)
+let iter_span t off len f =
+  let p = t.page_size in
+  if len > 0 then
+    for pg = off / p to (off + len - 1) / p do
+      let base = pg * p in
+      f pg (max off base - base) (min (off + len) (base + p) - base)
     done
+
+let byte t off = Bytes.get t.pages.(off / t.page_size) (off mod t.page_size)
+
+(* the [len] image bytes at [off], which may span pages *)
+let read t off len =
+  let b = Bytes.create len in
+  iter_span t off len (fun pg lo hi ->
+      Bytes.blit t.pages.(pg) lo b (pg * t.page_size + lo - off) (hi - lo));
+  Bytes.unsafe_to_string b
+
+let grow t needed =
+  let old_pages = num_pages t in
+  let n = ref old_pages in
+  while !n * t.page_size < needed do
+    n := !n * 2
+  done;
+  if !n > old_pages then begin
+    t.pages <- Array.init !n (fun pg -> if pg < old_pages then t.pages.(pg) else t.zero);
+    (* fresh pages enter the image: they count as dirty *)
+    let nf = Bytes.make !n (Char.unsafe_chr (dirty lor frozen)) in
+    Bytes.blit t.flags 0 nf 0 old_pages;
+    t.flags <- nf
   end
 
 (* Overwrite [off, off+len) with [value], dirtying only pages whose bytes
    actually change. *)
 let diff_write t off value =
-  let len = String.length value in
-  if len > 0 then begin
-    let last = off + len - 1 in
-    for pg = off / t.page_size to last / t.page_size do
-      let seg_start = max off (pg * t.page_size) in
-      let seg_end = min (off + len) ((pg + 1) * t.page_size) in
-      let i = ref seg_start in
-      while !i < seg_end && Bytes.get t.buf !i = String.get value (!i - off) do
+  iter_span t off (String.length value) (fun pg lo hi ->
+      let base = pg * t.page_size in
+      let page = t.pages.(pg) in
+      let i = ref lo in
+      while !i < hi && Bytes.get page !i = String.get value (base + !i - off) do
         incr i
       done;
-      if !i < seg_end then begin
-        Bytes.blit_string value (seg_start - off) t.buf seg_start (seg_end - seg_start);
-        touch t pg
-      end
-    done
-  end
+      if !i < hi then Bytes.blit_string value (base + lo - off) (writable t pg) lo (hi - lo))
 
 let free_region t off len =
-  Bytes.fill t.buf off len '\x00';
-  touch_range t off len
+  iter_span t off len (fun pg lo hi -> Bytes.fill (writable t pg) lo (hi - lo) '\x00')
 
 let append t key value len =
   grow t (t.used + len);
   let off = t.used in
-  write_record t.buf off key value;
-  touch_range t off len;
+  let p = t.page_size in
+  let pg = off / p in
+  if (off + len - 1) / p = pg then write_record (writable t pg) (off - (pg * p)) key value
+  else begin
+    (* a record across a page boundary is built once, then split *)
+    let b = Bytes.create len in
+    write_record b 0 key value;
+    let s = Bytes.unsafe_to_string b in
+    iter_span t off len (fun pg lo hi ->
+        Bytes.blit_string s ((pg * p) + lo - off) (writable t pg) lo (hi - lo))
+  end;
   t.used <- t.used + len;
   write_header t;
   off
@@ -169,27 +185,28 @@ let remove t ~key =
       Hashtbl.remove t.index key;
       true
 
-(* the value is the [vlen] bytes before the record's closing newline *)
+(* the value is the [vlen] bytes before the record's closing newline;
+   [vlen]'s digits follow the key length's and end at a newline *)
 let find t ~key =
   match Hashtbl.find_opt t.index key with
   | None -> None
   | Some (off, len) ->
-      let sp1 = Bytes.index_from t.buf (off + 2) ' ' in
-      let nl = Bytes.index_from t.buf (sp1 + 1) '\n' in
-      let vlen = int_of_string (Bytes.sub_string t.buf (sp1 + 1) (nl - sp1 - 1)) in
-      Some (Bytes.sub_string t.buf (off + len - 1 - vlen) vlen)
+      let pos = ref (off + 2 + digits (String.length key) + 1) and vlen = ref 0 in
+      while byte t !pos <> '\n' do
+        vlen := (!vlen * 10) + Char.code (byte t !pos) - Char.code '0';
+        incr pos
+      done;
+      Some (read t (off + len - 1 - !vlen) !vlen)
 
 let length t = Hashtbl.length t.index
 
 let pages t =
-  for pg = 0 to num_pages t - 1 do
-    let f = Char.code (Bytes.get t.flags pg) in
-    if f land stale <> 0 then begin
-      t.cache.(pg) <- Bytes.sub_string t.buf (pg * t.page_size) t.page_size;
-      Bytes.set t.flags pg (Char.unsafe_chr (f land lnot stale))
-    end
-  done;
-  Array.copy t.cache
+  Array.mapi
+    (fun pg page ->
+      Bytes.set t.flags pg
+        (Char.unsafe_chr (Char.code (Bytes.get t.flags pg) lor frozen));
+      Bytes.unsafe_to_string page)
+    t.pages
 
 let drain_dirty t =
   let l = ref [] in
@@ -202,20 +219,14 @@ let drain_dirty t =
   done;
   !l
 
-let mark_all_dirty t =
-  for pg = 0 to num_pages t - 1 do
-    touch t pg
-  done
-
 let reset t =
-  t.buf <- Bytes.make t.page_size '\x00';
+  t.pages <- [| t.zero |];
+  t.flags <- Bytes.make 1 (Char.unsafe_chr frozen);
   t.used <- header_len;
   Hashtbl.reset t.index;
-  t.flags <- Bytes.make 1 '\x00';
-  t.cache <- Array.make 1 "";
   init_header t
 
-let image t = Bytes.to_string t.buf
+let image t = read t 0 (num_pages t * t.page_size)
 
 (* --- decoding ------------------------------------------------------- *)
 
@@ -299,11 +310,17 @@ let restore t s =
   match decode_raw ~page_size:t.page_size s with
   | Error _ as e -> e
   | Ok (used, records) ->
-      t.buf <- Bytes.of_string s;
+      let p = t.page_size in
+      let n = String.length s / p in
+      (* pages past the bump pointer are zero: decode checked the tail *)
+      t.pages <-
+        Array.init n (fun pg ->
+            if pg * p >= used then t.zero
+            else Bytes.unsafe_of_string (String.sub s (pg * p) p));
+      t.flags <-
+        Bytes.init n (fun pg ->
+            Char.unsafe_chr (if pg * p >= used then dirty lor frozen else dirty));
       t.used <- used;
       Hashtbl.reset t.index;
       List.iter (fun (k, _, off, len) -> Hashtbl.replace t.index k (off, len)) records;
-      t.cache <- Array.make (String.length s / t.page_size) "";
-      t.flags <- Bytes.make (String.length s / t.page_size) '\x00';
-      mark_all_dirty t;
       Ok (List.map (fun (k, v, _, _) -> (k, v)) records)

@@ -25,14 +25,19 @@
     leak. This is the simulator-grade trade-off for exact reproducibility.
 
     Page 0 is dirtied by every allocation (the header's bump pointer
-    changes); in-place overwrites dirty only the pages they touch. *)
+    changes); in-place overwrites dirty only the pages they touch.
+
+    The arena holds its state once, copy-on-write: each page is one
+    buffer, {!pages} hands the buffers out without copying them, and the
+    first write to a page after that copies the page before writing it.
+    Every page past the bump pointer is one shared zero page. *)
 
 type t
 
 val create : ?initial_pages:int -> page_size:int -> unit -> t
 (** [page_size] must be at least 32 bytes (the header must fit in page
-    0). Capacity grows by doubling; fresh pages are zero and marked
-    dirty. *)
+    0). Capacity grows by doubling; fresh pages are the shared zero page
+    and marked dirty. *)
 
 val set : t -> key:string -> value:string -> unit
 (** Insert or update a record. Keys and values are arbitrary byte
@@ -49,9 +54,12 @@ val length : t -> int
 val page_size : t -> int
 
 val pages : t -> string array
-(** The current image as full pages, each exactly [page_size] bytes.
-    Unchanged pages return the {e same} string as the previous call —
-    structural sharing with retained partition trees comes for free. *)
+(** The current image as full pages, each exactly [page_size] bytes,
+    handed out without copying. A returned string stays valid and never
+    changes: the arena copies a page before its next write. Unchanged
+    pages return the {e same} string as the previous call, and every page
+    past the bump pointer is one shared zero page, so retained partition
+    trees share the arena's pages and each other's. *)
 
 val drain_dirty : t -> int list
 (** Sorted indices of pages whose bytes changed since the previous drain
@@ -64,7 +72,8 @@ val reset : t -> unit
     layout and therefore digests do not depend on pre-reset history). *)
 
 val image : t -> string
-(** The raw arena bytes — equal to [String.concat "" (pages t)]. *)
+(** The raw arena bytes — equal to [String.concat "" (pages t)], built in
+    one allocation; freezes nothing. *)
 
 val decode :
   page_size:int -> string -> ((string * string) list, string) result
@@ -75,4 +84,5 @@ val decode :
 
 val restore : t -> string -> ((string * string) list, string) result
 (** Atomically replace the arena with a decoded image; on [Error] the
-    arena is untouched. All pages become dirty. *)
+    arena is untouched. All pages become dirty; the all-zero pages past
+    the bump pointer become the shared zero page. *)

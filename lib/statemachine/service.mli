@@ -18,7 +18,10 @@ type paged = {
       (** The snapshot image as pages: every page exactly [pg_page_size]
           bytes, and the concatenation equals [snapshot ()]. Unchanged
           pages must be returned as physically shared strings across
-          calls. *)
+          calls. A returned string must stay valid after later writes
+          (the replica's checkpoint trees keep them): {!Paged_image}
+          hands out its own page buffers and copies a page before
+          writing it. *)
   pg_drain_dirty : unit -> int list;
       (** Indices of pages that may have changed since the previous
           drain; clears the set. Must over-approximate (a missed dirty

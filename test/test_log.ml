@@ -71,7 +71,7 @@ let test_committed_certificate () =
   Alcotest.(check bool) "2 commits insufficient" false (Log.committed log ~view:0 ~seq:1);
   Log.add_commit log (com ~seq:1 ~d:d1 2);
   Alcotest.(check bool) "2f+1 commits" true (Log.committed log ~view:0 ~seq:1);
-  Alcotest.(check int) "commit count" 3 (Log.commit_count log ~seq:1 d1)
+  Alcotest.(check (pair int int)) "counts" (2, 3) (Log.counts log ~seq:1)
 
 let test_commit_digest_mismatch () =
   let log = Log.create cfg in
@@ -254,11 +254,13 @@ let prop_log_matches_model =
             if Log.committed log ~view ~seq <> Model.committed m ~view ~seq then
               QCheck.Test.fail_reportf "committed v%d n%d" view seq
           done;
-          Array.iter
-            (fun d ->
-              if Log.commit_count log ~seq d <> Model.commit_count m ~seq d then
-                QCheck.Test.fail_reportf "commit_count n%d" seq)
-            digests;
+          let model_commits =
+            match Model.entry m seq with
+            | Some { pp_digest = Some d; _ } -> Model.commit_count m ~seq d
+            | _ -> 0
+          in
+          if snd (Log.counts log ~seq) <> model_commits then
+            QCheck.Test.fail_reportf "commit count n%d" seq;
           let real =
             Option.map
               (fun e -> (e.Log.pp_digest, e.Log.pp_view, votes e.Log.prepares, votes e.Log.commits))
@@ -305,6 +307,46 @@ let prop_log_matches_model =
         ops;
       true)
 
+(* The counts [prepared] and [committed] read, kept as votes arrive, equal
+   a recount over the entry's votes after every step: pre-prepares
+   (a later view rebinding a seqno included), replaced votes, votes out of
+   the window or from ids outside [0, n), truncation and clearing. *)
+let prop_counts_match_recount =
+  QCheck.Test.make ~name:"vote counts match a recount" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       QCheck.Gen.(list_size (int_range 0 80) gen_op))
+    (fun ops ->
+      let log = Log.create qcfg in
+      let recount seq =
+        match Log.entry log seq with
+        | None -> (0, 0)
+        | Some { Log.pp_digest = None; _ } -> (0, 0)
+        | Some ({ Log.pp_digest = Some d; _ } as e) ->
+            let primary = Config.primary qcfg ~view:e.Log.pp_view in
+            let count p a = List.length (List.filter p (votes a)) in
+            ( count
+                (fun (r, (v, d')) -> r <> primary && v = e.Log.pp_view && String.equal d' d)
+                e.Log.prepares,
+              count (fun (_, (_, d')) -> String.equal d' d) e.Log.commits )
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Pp (view, seq, d) -> (
+              try ignore (Log.accept_pre_prepare log ~view (pp ~view seq) digests.(d))
+              with Invalid_argument _ -> ())
+          | Prep (view, seq, d, r) -> Log.add_prepare log (prep ~view ~seq ~d:digests.(d) r)
+          | Com (view, seq, d, r) -> Log.add_commit log (com ~view ~seq ~d:digests.(d) r)
+          | Trunc n -> Log.truncate log n
+          | Clear -> Log.clear_entries log);
+          for seq = -1 to 32 do
+            if Log.counts log ~seq <> recount seq then
+              QCheck.Test.fail_reportf "counts n%d after %s" seq (show_op op)
+          done)
+        ops;
+      true)
+
 (* --- status claims --- *)
 
 (* Reference: [List.mem] over the raw lists. The lists are shaped as a
@@ -346,6 +388,7 @@ let suites =
         Alcotest.test_case "iter ordered" `Quick test_iter_window_ordered;
         Alcotest.test_case "clear entries" `Quick test_clear_entries;
         QCheck_alcotest.to_alcotest prop_log_matches_model;
+        QCheck_alcotest.to_alcotest prop_counts_match_recount;
         QCheck_alcotest.to_alcotest prop_claims_match_list_mem;
       ] );
   ]

@@ -117,6 +117,105 @@ let test_image_decode_malformed () =
   Alcotest.(check string) "arena untouched" good (Img.image a);
   Alcotest.(check (option string)) "record intact" (Some "value") (Img.find a ~key:"key")
 
+(* The bump pointer, read from the image's "ARENA <12 digits>" header *)
+let bump a = int_of_string (String.sub (Img.image a) 6 12)
+
+let physically_same a b = (a == b) [@lint.allow "digest-compare"]
+
+(* Pages hand out the arena's own buffers, so the arena copies a page
+   before writing it: a string [pages] returned never changes, whatever
+   follows (overwrites, records across pages, frees, growth, [reset],
+   [restore]). At every [pages] call the image is the pages' concatenation. *)
+type img_op = Set of int * int | Remove of int | Pages | Reset | Restore of int
+
+let prop_pages_never_change =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (8, map2 (fun k v -> Set (k, v)) (int_range 0 7) (int_range 0 70));
+        (2, map (fun k -> Remove k) (int_range 0 7));
+        (3, return Pages);
+        (1, return Reset);
+        (1, map (fun i -> Restore i) (int_range 0 9));
+      ]
+  in
+  let print =
+    let show = function
+      | Set (k, v) -> Printf.sprintf "set k%d %d" k v
+      | Remove k -> Printf.sprintf "remove k%d" k
+      | Pages -> "pages"
+      | Reset -> "reset"
+      | Restore i -> Printf.sprintf "restore %d" i
+    in
+    fun ops -> String.concat "; " (List.map show ops)
+  in
+  QCheck.Test.make ~name:"handed-out pages never change" ~count:300
+    (QCheck.make ~print (list_size (int_range 0 60) op))
+    (fun ops ->
+      let a = Img.create ~page_size:32 () in
+      let handed = ref [] and images = ref [ Img.image a ] in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Set (k, v) ->
+              Img.set a ~key:(Printf.sprintf "k%d" k) ~value:(String.make v (Char.chr (65 + (i mod 26))))
+          | Remove k -> ignore (Img.remove a ~key:(Printf.sprintf "k%d" k))
+          | Pages ->
+              let ps = Img.pages a in
+              if not (String.equal (Img.image a) (String.concat "" (Array.to_list ps))) then
+                QCheck.Test.fail_reportf "step %d: image <> concatenated pages" i;
+              Array.iter (fun p -> handed := (p, String.sub p 0 (String.length p)) :: !handed) ps;
+              images := Img.image a :: !images
+          | Reset -> Img.reset a
+          | Restore j -> (
+              let im = List.nth !images (j mod List.length !images) in
+              match Img.restore a im with
+              | Ok _ -> ()
+              | Error e -> QCheck.Test.fail_reportf "step %d: restore: %s" i e))
+        ops;
+      List.for_all (fun (p, copy) -> String.equal p copy) !handed)
+
+(* An unwritten page is the same string from one [pages] call to the
+   next, and every page past the bump pointer is one shared zero page —
+   after growth and after [restore] alike. *)
+let test_image_unwritten_pages_shared () =
+  let p = 64 in
+  let a = Img.create ~page_size:p () in
+  let i = ref 0 in
+  (* grow until at least two pages lie wholly past the bump pointer *)
+  while Array.length (Img.pages a) * p - bump a < 2 * p do
+    Img.set a ~key:(Printf.sprintf "k%03d" !i) ~value:"0123456789";
+    incr i
+  done;
+  let check_zero_shared name a =
+    let ps = Img.pages a in
+    let past = List.filter (fun pg -> pg * p >= bump a) (List.init (Array.length ps) Fun.id) in
+    Alcotest.(check bool) (name ^ ": two or more pages past the bump pointer") true
+      (List.length past >= 2);
+    List.iter
+      (fun pg ->
+        Alcotest.(check string) (name ^ ": zero") (String.make p '\000') ps.(pg);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: page %d is the shared zero page" name pg)
+          true
+          (physically_same ps.(pg) ps.(List.hd past)))
+      past
+  in
+  check_zero_shared "grown" a;
+  let before = Img.pages a in
+  (* an in-place overwrite of k000 touches only its own page *)
+  Img.set a ~key:"k000" ~value:"abcdefghij";
+  let after = Img.pages a in
+  let changed =
+    List.filter (fun pg -> not (physically_same before.(pg) after.(pg)))
+      (List.init (Array.length after) Fun.id)
+  in
+  Alcotest.(check (list int)) "only the written page is a new string" [ 0 ] changed;
+  let b = Img.create ~page_size:p () in
+  (match Img.restore b (Img.image a) with Ok _ -> () | Error e -> Alcotest.fail e);
+  check_zero_shared "restored" b
+
 (* --- paged key-value service --- *)
 
 let exec (s : Bft_sm.Service.t) ?(client = 5) ?(nondet = "") op =
@@ -274,6 +373,24 @@ let test_kv_checkpoint_cost_tracks_dirty_pages () =
   Alcotest.(check bool) "a handful of pages per interval" true
     (List.for_all (fun n -> n >= 1 && n <= 3) counts)
 
+(* A paged kv preloaded with 10^4 keys of 100-byte values, plus the
+   checkpoint tree over its pages, holds its state about once: the tree
+   shares the service's page strings, and the pages past the bump pointer
+   are one zero page. Two full copies of the ~2 MiB image would exceed
+   the bound. *)
+let test_kv_paged_memory_bound () =
+  let page_size = 4096 in
+  let svc = Bft_sm.Kv_service.create ~paged:page_size () in
+  for i = 0 to 9_999 do
+    ignore (exec svc (Printf.sprintf "put key%05d %s" i (String.make 100 (Char.chr (97 + (i mod 26))))))
+  done;
+  let pg = Option.get svc.Bft_sm.Service.paged in
+  let tree =
+    Partition_tree.build_pages ~seq:1 ~page_size ~branching:16 (pg.Bft_sm.Service.pg_pages ())
+  in
+  let mib = float_of_int (Obj.reachable_words (Obj.repr (svc, tree)) * (Sys.word_size / 8)) /. 1048576.0 in
+  Alcotest.(check bool) (Printf.sprintf "service + tree = %.2f MiB <= 3 MiB" mib) true (mib <= 3.0)
+
 (* --- paged BFS --- *)
 
 let test_bfs_paged_equiv_flat () =
@@ -426,6 +543,8 @@ let suites =
         Alcotest.test_case "dirty tracking" `Quick test_image_dirty_tracking;
         Alcotest.test_case "determinism across restore" `Quick test_image_determinism_across_restore;
         Alcotest.test_case "malformed images rejected" `Quick test_image_decode_malformed;
+        QCheck_alcotest.to_alcotest prop_pages_never_change;
+        Alcotest.test_case "unwritten pages shared" `Quick test_image_unwritten_pages_shared;
       ] );
     ( "sm.paged_services",
       [
@@ -435,6 +554,7 @@ let suites =
         Alcotest.test_case "kv: acl through arena" `Quick test_kv_paged_acl_sync;
         Alcotest.test_case "kv: checkpoint cost tracks dirty pages" `Quick
           test_kv_checkpoint_cost_tracks_dirty_pages;
+        Alcotest.test_case "kv: state held once" `Quick test_kv_paged_memory_bound;
         Alcotest.test_case "bfs: paged = flat" `Quick test_bfs_paged_equiv_flat;
       ] );
     ( "core.paged_replica",
