@@ -7,8 +7,10 @@ type step = { phase : phase; op : string; read_only : bool }
 (* The script runs the same operations against a local shadow Fs so it can
    predict the inode numbers the replicated service will assign (inode
    allocation is deterministic). *)
-let script ?(scale = 1) ?(file_size = 1024) ?(seed = 7L) () =
-  let rng = Bft_util.Rng.create seed in
+let file_size = 1024
+
+let script ?(scale = 1) () =
+  let rng = Bft_util.Rng.create 7L in
   let shadow = Fs.create () in
   let steps = ref [] in
   let emit phase op read_only = steps := { phase; op; read_only } :: !steps in

@@ -19,8 +19,9 @@ type phase = Mkdir | Copy | Stat | Read | Make
 
 type step = { phase : phase; op : string; read_only : bool }
 
-val script : ?scale:int -> ?file_size:int -> ?seed:int64 -> unit -> step list
-(** Deterministic operation script. Defaults: [scale = 1] (5 directories,
-    10 files), [file_size = 1024] bytes. *)
+val script : ?scale:int -> unit -> step list
+(** Deterministic operation script: [scale = 1] (the default) makes 5
+    directories and 10 source files of 1024 bytes, each written in two
+    512-byte chunks; file contents come from a fixed seed. *)
 
 val ops_per_phase : step list -> (phase * int) list

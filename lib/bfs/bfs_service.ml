@@ -18,8 +18,8 @@ let exec_cost_us op = 1.0 +. (0.002 *. float_of_int (String.length op))
 let mtime_of_nondet nondet =
   match Int64.of_string_opt nondet with Some t -> t | None -> 0L
 
-let create ?(obs = Bft_obs.Obs.null) ?paged () =
-  let fs = Fs.create ?paged () in
+let create ?(obs = Bft_obs.Obs.null) () =
+  let fs = Fs.create () in
   let execute ~client:_ ~op ~nondet =
     let mtime = mtime_of_nondet nondet in
     let int_arg s = int_of_string_opt s in
@@ -93,7 +93,7 @@ let create ?(obs = Bft_obs.Obs.null) ?paged () =
         match Fs.restore fs s with
         | Ok () -> ()
         | Error reason -> Bft_obs.Obs.snapshot_rejected obs ~reason);
-    paged = Option.map Bft_sm.Service.paged_of_image (Fs.paged_image fs);
+    paged = None;
   }
 
 let op_write ~ino ~off data =

@@ -24,12 +24,13 @@
     ["ino=<i> kind=<f|d> size=<s> mtime=<m>"], hex data, or a directory
     listing; errors are NFS-style codes. *)
 
-val create : ?obs:Bft_obs.Obs.t -> ?paged:int -> unit -> Bft_sm.Service.t
+val create : ?obs:Bft_obs.Obs.t -> unit -> Bft_sm.Service.t
 (** [obs] (default: the disabled sink) counts snapshots rejected by
     {!Fs.restore} — a restore handed a malformed snapshot leaves the
-    image untouched and bumps the [snapshot_rejected] metric. [paged]
-    (page size) opts the underlying {!Fs} into the dirty-aware paged
-    snapshot image (see {!Fs.create}). *)
+    image untouched and bumps the [snapshot_rejected] metric. A cluster
+    builds its services from a thunk with no sink at hand, so only a
+    caller holding the service directly passes one. The snapshot is {!Fs.snapshot}'s flat image; BFS
+    has no paged interface. *)
 
 val op_write : ino:int -> off:int -> string -> string
 (** Build a write op from raw (unencoded) data. *)

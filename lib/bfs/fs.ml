@@ -1,5 +1,3 @@
-module Img = Bft_sm.Paged_image
-
 type file = { mutable content : string; mutable f_mtime : int64 }
 type dir = { entries : (string, int) Hashtbl.t; mutable d_mtime : int64 }
 type node = File of file | Dir of dir
@@ -7,7 +5,6 @@ type node = File of file | Dir of dir
 type t = {
   inodes : (int, node) Hashtbl.t;
   mutable next_ino : int;
-  arena : Img.t option; (* paged snapshot image, when opted in *)
 }
 
 type attr = {
@@ -29,45 +26,10 @@ let error_to_string = function
 
 let root = 1
 
-(* Arena-record layout for the paged image: inode [ino] lives under key
-   "i<ino>" with payload "f <mtime> <raw content>" or
-   "d <mtime> <name=ino,...>" (entries sorted), and the allocation counter
-   under key "n". *)
-
-let inode_key ino = "i" ^ string_of_int ino
-
-let encode_inode = function
-  | File f -> "f " ^ Int64.to_string f.f_mtime ^ " " ^ f.content
-  | Dir d ->
-      let entries =
-        Hashtbl.fold (fun name i acc -> (name, i) :: acc) d.entries []
-        |> List.sort compare
-        |> List.map (fun (name, i) -> name ^ "=" ^ string_of_int i)
-      in
-      "d " ^ Int64.to_string d.d_mtime ^ " " ^ String.concat "," entries
-
-let sync_inode t ino =
-  match t.arena with
-  | None -> ()
-  | Some a -> (
-      match Hashtbl.find_opt t.inodes ino with
-      | Some n -> Img.set a ~key:(inode_key ino) ~value:(encode_inode n)
-      | None -> ignore (Img.remove a ~key:(inode_key ino)))
-
-let sync_next t =
-  match t.arena with
-  | None -> ()
-  | Some a -> Img.set a ~key:"n" ~value:(string_of_int t.next_ino)
-
-let create ?paged () =
-  let arena = Option.map (fun page_size -> Img.create ~page_size ()) paged in
-  let t = { inodes = Hashtbl.create 64; next_ino = 2; arena } in
+let create () =
+  let t = { inodes = Hashtbl.create 64; next_ino = 2 } in
   Hashtbl.replace t.inodes root (Dir { entries = Hashtbl.create 8; d_mtime = 0L });
-  sync_next t;
-  sync_inode t root;
   t
-
-let paged_image t = t.arena
 
 let node t ino = Hashtbl.find_opt t.inodes ino
 
@@ -117,9 +79,6 @@ let add_entry t ~dir ~name ~mtime make_node =
           Hashtbl.replace t.inodes ino (make_node ());
           Hashtbl.replace d.entries name ino;
           d.d_mtime <- mtime;
-          sync_inode t ino;
-          sync_inode t dir;
-          sync_next t;
           attr_of t ino
         end
 
@@ -141,8 +100,6 @@ let remove t ~dir ~name =
           | Some (File _) | None ->
               Hashtbl.remove d.entries name;
               Hashtbl.remove t.inodes ino;
-              sync_inode t ino;
-              sync_inode t dir;
               Ok ()))
 
 let rmdir t ~dir ~name =
@@ -159,8 +116,6 @@ let rmdir t ~dir ~name =
               else begin
                 Hashtbl.remove d.entries name;
                 Hashtbl.remove t.inodes ino;
-                sync_inode t ino;
-                sync_inode t dir;
                 Ok ()
               end))
 
@@ -177,8 +132,6 @@ let rename t ~src_dir ~src_name ~dst_dir ~dst_name =
             else begin
               Hashtbl.remove sd.entries src_name;
               Hashtbl.replace dd.entries dst_name ino;
-              sync_inode t src_dir;
-              sync_inode t dst_dir;
               Ok ()
             end)
 
@@ -210,7 +163,6 @@ let write t ~ino ~off ~data ~mtime =
         (* freeze idiom: [b] is never written again after this point *)
         f.content <- (Bytes.unsafe_to_string b [@lint.allow "unsafe-op"]);
         f.f_mtime <- mtime;
-        sync_inode t ino;
         Ok data_len
       end
 
@@ -225,7 +177,6 @@ let truncate t ~ino ~size ~mtime =
         (if size <= old_len then f.content <- String.sub f.content 0 size
          else f.content <- f.content ^ String.make (size - old_len) '\x00');
         f.f_mtime <- mtime;
-        sync_inode t ino;
         Ok ()
       end
 
@@ -234,16 +185,14 @@ let set_mtime t ~ino ~mtime =
   | None -> Error `Noent
   | Some (File f) ->
       f.f_mtime <- mtime;
-      sync_inode t ino;
       Ok ()
   | Some (Dir d) ->
       d.d_mtime <- mtime;
-      sync_inode t ino;
       Ok ()
 
-(* Flat snapshot format: one line per inode, sorted by number, with
+(* Snapshot format: one line per inode, sorted by number, with
    hex-encoded file contents so the encoding is unambiguous. *)
-let flat_snapshot t =
+let snapshot t =
   let b = Buffer.create 1024 in
   Buffer.add_string b (Printf.sprintf "next %d\n" t.next_ino);
   let inos = Hashtbl.fold (fun ino _ acc -> ino :: acc) t.inodes [] |> List.sort compare in
@@ -264,90 +213,9 @@ let flat_snapshot t =
     inos;
   Buffer.contents b
 
-let snapshot t =
-  match t.arena with None -> flat_snapshot t | Some a -> Img.image a
-
-(* Rebuild the arena from the inode tables in a canonical order, so the
-   image layout after a flat-format restore is a pure function of the
-   logical state. *)
-let rebuild_arena t =
-  match t.arena with
-  | None -> ()
-  | Some a ->
-      Img.reset a;
-      sync_next t;
-      Hashtbl.fold (fun ino _ acc -> ino :: acc) t.inodes []
-      |> List.sort compare
-      |> List.iter (fun ino -> sync_inode t ino)
-
-let decode_inode_payload p =
-  let len = String.length p in
-  if len < 2 || p.[1] <> ' ' then None
-  else
-    match String.index_from_opt p 2 ' ' with
-    | None -> None
-    | Some sp -> (
-        let mtime = Int64.of_string_opt (String.sub p 2 (sp - 2)) in
-        let rest = String.sub p (sp + 1) (len - sp - 1) in
-        match (p.[0], mtime) with
-        | 'f', Some mtime -> Some (File { content = rest; f_mtime = mtime })
-        | 'd', Some mtime ->
-            let tbl = Hashtbl.create 8 in
-            let ok = ref true in
-            if not (String.equal rest "") then
-              List.iter
-                (fun kv ->
-                  match String.rindex_opt kv '=' with
-                  | Some i -> (
-                      match
-                        int_of_string_opt (String.sub kv (i + 1) (String.length kv - i - 1))
-                      with
-                      | Some ino -> Hashtbl.replace tbl (String.sub kv 0 i) ino
-                      | None -> ok := false)
-                  | None -> ok := false)
-                (String.split_on_char ',' rest);
-            if !ok then Some (Dir { entries = tbl; d_mtime = mtime }) else None
-        | _ -> None)
-
-(* Arena-image restore: validate every record into fresh tables, then
-   commit arena and tables together. *)
-let restore_arena t a s =
-  match Img.decode ~page_size:(Img.page_size a) s with
-  | Error e -> Error ("Fs.restore: " ^ e)
-  | Ok records -> (
-      let inodes = Hashtbl.create 64 in
-      let next = ref None in
-      let bad = ref None in
-      List.iter
-        (fun (k, v) ->
-          if !bad = None then
-            if String.equal k "n" then
-              match int_of_string_opt v with
-              | Some n -> next := Some n
-              | None -> bad := Some "bad allocation counter"
-            else if String.length k > 1 && k.[0] = 'i' then
-              match (int_of_string_opt (String.sub k 1 (String.length k - 1)),
-                     decode_inode_payload v)
-              with
-              | Some ino, Some node -> Hashtbl.replace inodes ino node
-              | _ -> bad := Some "bad inode record"
-            else bad := Some "unknown record key")
-        records;
-      match (!bad, !next) with
-      | Some m, _ -> Error ("Fs.restore: " ^ m)
-      | None, None -> Error "Fs.restore: missing allocation counter"
-      | None, Some next -> (
-          match Img.restore a s with
-          | Error e -> Error ("Fs.restore: " ^ e)
-          | Ok _ ->
-              Hashtbl.reset t.inodes;
-              Hashtbl.iter (Hashtbl.replace t.inodes) inodes;
-              t.next_ino <- next;
-              Ok ()))
-
 (* Parse into fresh tables first and commit only on success, so a
    malformed snapshot leaves the current image untouched. *)
-let restore_flat t s =
+let restore t s =
   let inodes = Hashtbl.create 64 in
   let next_ino = ref t.next_ino in
   let lines = String.split_on_char '\n' s in
@@ -380,13 +248,7 @@ let restore_flat t s =
       Hashtbl.reset t.inodes;
       Hashtbl.iter (Hashtbl.replace t.inodes) inodes;
       t.next_ino <- !next_ino;
-      rebuild_arena t;
       Ok ()
   | exception Failure msg -> Error (Printf.sprintf "Fs.restore: %s" msg)
   | exception Invalid_argument msg -> Error (Printf.sprintf "Fs.restore: %s" msg)
 
-let restore t s =
-  match t.arena with
-  | Some a when String.length s >= 6 && String.equal (String.sub s 0 6) "ARENA " ->
-      restore_arena t a s
-  | _ -> restore_flat t s

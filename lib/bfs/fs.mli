@@ -22,18 +22,10 @@ type error = [ `Noent | `Exist | `Notdir | `Isdir | `Notempty | `Inval ]
 
 val error_to_string : error -> string
 
-val create : ?paged:int -> unit -> t
-(** [paged] (a page size, >= 32) opts into a paged snapshot image: every
-    mutation writes the affected inode records through a
-    {!Bft_sm.Paged_image} arena, {!snapshot} returns the arena image, and
-    {!paged_image} exposes it for dirty-aware checkpointing. Snapshots
-    then use the arena format (all replicas must agree on the mode);
-    {!restore} still accepts the flat format and rebuilds the arena
-    canonically. *)
+val create : unit -> t
+(** A fresh image holding only the root directory. *)
 
 val root : int
-
-val paged_image : t -> Bft_sm.Paged_image.t option
 
 val getattr : t -> ino:int -> (attr, error) result
 val lookup : t -> dir:int -> name:string -> (attr, error) result
@@ -55,6 +47,11 @@ val truncate : t -> ino:int -> size:int -> mtime:int64 -> (unit, error) result
 val set_mtime : t -> ino:int -> mtime:int64 -> (unit, error) result
 
 val snapshot : t -> string
+(** The whole image as one flat string: one line per inode, in inode
+    order, file contents hex-encoded. The replica checkpoints it in
+    4096-byte pages, so every replica must produce the same bytes from the
+    same operations. *)
+
 val restore : t -> string -> (unit, string) result
 (** [Error] on a malformed snapshot, in which case the current image is
     left untouched (a snapshot produced by {!snapshot} always restores). *)

@@ -296,7 +296,7 @@ let drive_derived_open t ~total_ops ~rate_at =
 
 let mix_seed seed = Int64.add (Int64.mul 2_000_033L (Int64.of_int seed)) 71L
 
-let drive ?(seed = 1) cluster spec ~on_complete =
+let drive ~seed cluster spec ~on_complete =
   if spec.k < 1 then invalid_arg "Cohort.drive: k must be >= 1";
   let cfg = Cluster.config cluster in
   let net = Cluster.network cluster in

@@ -85,14 +85,14 @@ val keys_to_string : keys -> string
 type t
 
 val drive :
-  ?seed:int ->
+  seed:int ->
   Bft_core.Cluster.t ->
   spec ->
   on_complete:(client:int -> op:string -> result:string -> unit) ->
   t
 (** Install the cohort on the cluster and schedule its arrival process;
-    run the cluster's engine to make progress. [seed] (default 1) feeds
-    the group secret and the arrival RNG. [on_complete] fires once per
+    run the cluster's engine to make progress. [seed] feeds the group
+    secret and the arrival RNG. [on_complete] fires once per
     completed operation with the synthesized client id.
 
     Raises [Invalid_argument] when the spec is unsatisfiable: pairwise

@@ -407,11 +407,13 @@ let run_seed params = run_schedule params (generate params)
 let remove_slice l start len =
   List.filteri (fun i _ -> i < start || i >= start + len) l
 
-let shrink ?(budget = 200) params sched =
+let shrink_budget = 200
+
+let shrink params sched =
   let best_run = run_schedule params sched in
   if not (failed best_run) then (sched, best_run)
   else begin
-    let budget = ref (budget - 1) in
+    let budget = ref (shrink_budget - 1) in
     let best = ref sched and best_result = ref best_run in
     let try_candidate cand =
       if !budget <= 0 || List.length cand >= List.length !best then false

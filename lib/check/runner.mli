@@ -153,10 +153,10 @@ val run_schedule : ?obs:Bft_obs.Obs.registry -> params -> Schedule.t -> run_resu
 val run_seed : params -> run_result
 (** [run_schedule] on the schedule generated from [params.seed]. *)
 
-val shrink : ?budget:int -> params -> Schedule.t -> Schedule.t * run_result
+val shrink : params -> Schedule.t -> Schedule.t * run_result
 (** Greedy delta-debugging: starting from a failing schedule, repeatedly
     remove event chunks (halving chunk sizes down to single events) while
-    the failure reproduces, spending at most [budget] (default 200) runs.
+    the failure reproduces, spending at most 200 runs.
     Returns the smallest failing schedule found with its run. If the input
     schedule does not fail, it is returned unchanged. *)
 
@@ -177,4 +177,6 @@ type fuzz_outcome = {
 val fuzz :
   ?progress:(seed:int -> run_result -> unit) -> params -> seeds:int -> fuzz_outcome
 (** Run seeds [params.seed, params.seed + seeds); on each failure, shrink
-    it before recording. [progress] is called after every seed. *)
+    it before recording. [progress] is called after every seed: the CLI
+    prints a line per seed, and every other caller wants the outcome
+    alone. *)

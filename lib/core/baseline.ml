@@ -82,7 +82,8 @@ let client_handle t (c : client) (env : envelope) =
       | _ -> ())
   | _ -> ()
 
-let create ?(seed = 42L) ?(costs = Costs.default) ?service ?(num_clients = 1) () =
+let create ?(seed = 42L) ?service ?(num_clients = 1) () =
+  let costs = Costs.default in
   let engine = Engine.create ~seed () in
   let rng = Engine.rng engine in
   let net = Network.create ~engine ~costs ~rng:(Bft_util.Rng.split rng) () in

@@ -10,12 +10,10 @@
 type t
 
 val create :
-  ?seed:int64 ->
-  ?costs:Bft_net.Costs.t ->
-  ?service:(unit -> Bft_sm.Service.t) ->
-  ?num_clients:int ->
-  unit ->
-  t
+  ?seed:int64 -> ?service:(unit -> Bft_sm.Service.t) -> ?num_clients:int -> unit -> t
+(** The service factory defaults to {!Bft_sm.Null_service.create}; client
+    ids are [1, 2, ...]. The network charges {!Bft_net.Costs.default}:
+    no comparison varies the baseline's cost model. *)
 
 val engine : t -> Bft_sim.Engine.t
 

@@ -55,10 +55,6 @@ type t = {
   port : port;
   rng : Bft_util.Rng.t;
   counters : counters;
-  (* allocate-once wire buffer for this node's outgoing encodes: broadcast
-     and send_to reuse it instead of the module-wide scratch, so a node's
-     encode working set stays one warm buffer *)
-  arena : Bft_net.Wire_arena.t;
   (* protocol state *)
   mutable view : int;
   mutable seqno : int; (* last sequence number assigned (primary) *)
@@ -194,7 +190,7 @@ let corrupt_auth t auth ~dsts =
    signature, a MAC for one destination or an authenticator for several.
    [enc] caches the body's encoding and digest. *)
 let seal t enc body ~dsts =
-  let d = Wire.cached_digest ~arena:t.arena enc body in
+  let d = Wire.cached_digest enc body in
   let auth =
     match (t.d.cfg.Config.auth_mode, body, dsts) with
     | _, New_key _, _ | Config.Sig_auth, _, _ -> sign_digest t d
@@ -948,7 +944,7 @@ and send_pre_prepare t batch nondet =
   Request_store.store_batch t.rq d batch nondet;
   (* encoded once, into the cache the broadcast below sends *)
   let enc = Message.no_cache () in
-  let bytes = Wire.cached_encode ~arena:t.arena enc (Pre_prepare pp) in
+  let bytes = Wire.cached_encode enc (Pre_prepare pp) in
   charge t (Costs.digest_us t.d.costs (String.length bytes));
   ignore (Log.accept_pre_prepare t.log ~view:t.view pp d);
   (Log.find t.log n).Log.self_preprepared <- true;
@@ -1884,7 +1880,6 @@ let create ?(obs = Obs.null) d ~port ~id ~on_execute =
     obs;
     port;
     rng = Bft_util.Rng.split d.rng;
-    arena = Bft_net.Wire_arena.create ~size:1024 ();
     counters =
       {
         n_executed = 0;
@@ -2043,7 +2038,6 @@ let state_digest
        (* drawn only by state transfer, key refresh and recovery, which the
           digest sees through the replier, coproc_counter and the nonce *);
        counters = _ (* statistics the protocol never reads *);
-       arena = _ (* encode scratch buffer *);
        last_reply = _ (* in the snapshot's reply cache *);
        reply_clients = _ (* the reply cache's key order *);
        perf_ewma_us = _ (* a latency: clock-derived *);

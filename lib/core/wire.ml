@@ -39,10 +39,8 @@ let vc_memo_cap = 8192
 let vc_memo : (view_change, digest) Hashtbl.t = Hashtbl.create 64
 let clear_memos () = Hashtbl.reset vc_memo
 
-(* Module-scratch arena for context-free encodes (digests, [size],
-   [Wire.encode]); replicas' encode-once paths pass their own arena to
-   [cached_encode]. Everything runs on one domain, and no encoder
-   re-enters another mid-write. *)
+(* The one scratch arena every encode writes into. Everything runs on one
+   domain, and no encoder re-enters another mid-write. *)
 let scratch = A.create ~size:1024 ()
 
 let request_digest r = r.rq_digest
@@ -249,17 +247,14 @@ let auth_size = function
 
 (* Fill (or reuse) a cache with the body's canonical encoding. The sender
    calls this before authenticating; [envelope_size] and every receiver's
-   verification then reuse the same physical string. [arena] lets a node
-   encode through its own allocate-once buffer (the per-node Wire_arena);
-   the bytes written are identical either way. *)
-let cached_encode ?arena (cache : enc_cache) body =
+   verification then reuse the same physical string. *)
+let cached_encode (cache : enc_cache) body =
   match cache.enc_bytes with
   | Some s -> s
   | None ->
-      let a = match arena with Some a -> a | None -> scratch in
-      A.reset a;
-      encode_body a body;
-      let s = A.contents a in
+      A.reset scratch;
+      encode_body scratch body;
+      let s = A.contents scratch in
       cache.enc_bytes <- Some s;
       s
 
@@ -269,14 +264,14 @@ let envelope_bytes (e : envelope) = cached_encode e.enc e.body
    SHA-256 of 'R' and its fields, which no body's encoding (tags
    0x01-0x14) can collide with; any other body's is the digest of its
    cached encoding, computed once. *)
-let cached_digest ?arena (cache : enc_cache) body =
+let cached_digest (cache : enc_cache) body =
   match body with
   | Request r -> r.rq_digest
   | _ -> (
       match cache.enc_digest with
       | Some d -> d
       | None ->
-          let d = Bft_crypto.Sha256.digest (cached_encode ?arena cache body) in
+          let d = Bft_crypto.Sha256.digest (cached_encode cache body) in
           cache.enc_digest <- Some d;
           d)
 

@@ -37,18 +37,15 @@ val auth_size : Message.auth_token -> int
     one serialization and at most one digest per message lifetime, shared
     by sign/MAC, [envelope_size], transmission and verification. *)
 
-val cached_encode :
-  ?arena:Bft_net.Wire_arena.t -> Message.enc_cache -> Message.t -> string
-(** Canonical encoding of the body, memoized in the cache. [arena] routes
-    the encode through a caller-owned allocate-once buffer (each replica
-    keeps its own); the default is a module-scratch arena. The bytes produced are
-    identical either way. *)
+val cached_encode : Message.enc_cache -> Message.t -> string
+(** Canonical encoding of the body, memoized in the cache. The encode
+    writes into the module's one allocate-once scratch buffer and copies
+    the bytes out once. *)
 
 val envelope_bytes : Message.envelope -> string
 (** [cached_encode e.enc e.body]. *)
 
-val cached_digest :
-  ?arena:Bft_net.Wire_arena.t -> Message.enc_cache -> Message.t -> Message.digest
+val cached_digest : Message.enc_cache -> Message.t -> Message.digest
 (** The 32-byte digest every MAC and signature covers. For a [Request] it
     is the request's carried [rq_digest] (SHA-256 of ['R'] and the
     request's fields; ['R'] is no body's tag byte, so it cannot collide

@@ -2,8 +2,8 @@
    [Paged_image] arena discipline applied to message encoding.
 
    A [Buffer.t] per encode costs an allocation, amortized doubling copies,
-   and a final [Buffer.contents] copy. An arena is allocated once per node
-   and reused for every encode: [reset] rewinds the bump pointer without
+   and a final [Buffer.contents] copy. An arena is allocated once and
+   reused for every encode: [reset] rewinds the bump pointer without
    shrinking, writes go straight into the backing bytes, and the encoder
    finishes with either a single [contents] copy (when an immutable string
    must escape, e.g. the envelope's [enc_bytes]) or no copy at all
@@ -11,8 +11,8 @@
    answers sizing questions) — so digest-only and size-only paths touch no
    intermediate string or Bytes allocation whatsoever.
 
-   Single-writer: an arena belongs to one node (or one scratch site) and
-   encoding is not reentrant — callers must fully finish one encode before
+   Single-writer: an arena belongs to one scratch site and encoding is
+   not reentrant — callers must fully finish one encode before
    starting the next on the same arena. *)
 
 type t = { mutable buf : Bytes.t; mutable len : int }

@@ -1,6 +1,7 @@
 (** Allocate-once bump buffer for the encode-once wire pipeline.
 
-    One arena per replica (plus module-scratch fallbacks): [reset] rewinds
+    [Wire] keeps one module-scratch arena for every encode, and
+    [Message] one for request digests: [reset] rewinds
     the bump pointer without shrinking the backing buffer, the wire
     encoders write bytes directly into it, and the encode finishes with
     either one [contents] copy (when an immutable string must escape, e.g.
@@ -15,7 +16,9 @@
 type t
 
 val create : ?size:int -> unit -> t
-(** Fresh arena with [size] (default 256) bytes of initial capacity. *)
+(** Fresh arena with [size] (default 256) bytes of initial capacity. The
+    two scratch arenas size themselves differently: 1024 bytes for whole
+    messages, 64 for a request digest's header. *)
 
 val reset : t -> unit
 (** Rewind to empty; capacity is retained (the allocate-once discipline). *)

@@ -149,7 +149,8 @@ type registry
 
 val registry : ?capacity:int -> unit -> registry
 (** An enabled registry; [capacity] is the per-node ring size
-    (default 1024). *)
+    (default 1024). Every traced CLI and benchmark run keeps the default;
+    a test that reads a whole run's trace back passes a larger ring. *)
 
 val for_node : registry -> int -> t
 val nodes : registry -> (int * t) list

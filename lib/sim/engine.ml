@@ -270,9 +270,10 @@ let next_live_time t =
   done;
   if !best = max_int then None else Some (Int64.of_int !best)
 
-let default_max_events = 100_000_000
+(* a runaway guard *)
+let max_events = 100_000_000
 
-let run ?until ?(max_events = default_max_events) t =
+let run ?until t =
   let until_i = match until with None -> max_int | Some u -> Int64.to_int u in
   let rec loop remaining =
     if remaining <= 0 then ()

@@ -71,10 +71,9 @@ val step : t -> bool
     A cancelled event surfacing from the queue still advances the clock
     and returns [true]; only its thunk is skipped. *)
 
-val run : ?until:time -> ?max_events:int -> t -> unit
+val run : ?until:time -> t -> unit
 (** Drain the event queue, stopping when it is empty, when virtual time
-    would pass [until], or after [max_events] events (default 100 million,
-    a runaway guard). *)
+    would pass [until], or after 100 million events (a runaway guard). *)
 
 val run_while : t -> ?until:time -> (unit -> bool) -> bool
 (** Run while the predicate is true; returns the final predicate value

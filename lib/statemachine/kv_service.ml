@@ -20,33 +20,41 @@ let encode_snapshot st =
     bindings;
   Buffer.contents b
 
+let acl_of_header first =
+  if String.equal first "open" then None
+  else if String.length first >= 4 && String.equal (String.sub first 0 4) "acl " then
+    let ids = String.sub first 4 (String.length first - 4) in
+    Some (if String.equal ids "" then [] else List.map int_of_string (String.split_on_char ',' ids))
+  else None
+
+(* "<klen> <vlen> <k><v>"; a line without its two spaces is skipped *)
+let binding_of_line line =
+  match String.index_opt line ' ' with
+  | None -> None
+  | Some sp1 -> (
+      let klen = int_of_string (String.sub line 0 sp1) in
+      match String.index_from_opt line (sp1 + 1) ' ' with
+      | None -> None
+      | Some sp2 ->
+          let vlen = int_of_string (String.sub line (sp1 + 1) (sp2 - sp1 - 1)) in
+          Some (String.sub line (sp2 + 1) klen, String.sub line (sp2 + 1 + klen) vlen))
+
+(* The whole snapshot is parsed before the store changes, so a malformed
+   one raises and leaves it as it was. The table is refilled in place:
+   the service's closures hold it. *)
 let decode_snapshot st s =
+  let first, rest =
+    match String.split_on_char '\n' s with first :: rest -> (first, rest) | [] -> ("", [])
+  in
+  let acl = acl_of_header first in
+  let bindings =
+    List.filter_map
+      (fun line -> if String.equal line "" then None else binding_of_line line)
+      rest
+  in
+  st.acl <- acl;
   Hashtbl.reset st.table;
-  let lines = String.split_on_char '\n' s in
-  (match lines with
-  | first :: _ when String.equal first "open" -> st.acl <- None
-  | first :: _ when String.length first >= 4 && String.equal (String.sub first 0 4) "acl " ->
-      let ids = String.sub first 4 (String.length first - 4) in
-      st.acl <-
-        Some
-          (if String.equal ids "" then []
-           else List.map int_of_string (String.split_on_char ',' ids))
-  | _ -> st.acl <- None);
-  List.iteri
-    (fun i line ->
-      if i > 0 && not (String.equal line "") then
-        match String.index_opt line ' ' with
-        | None -> ()
-        | Some sp1 -> (
-            let klen = int_of_string (String.sub line 0 sp1) in
-            match String.index_from_opt line (sp1 + 1) ' ' with
-            | None -> ()
-            | Some sp2 ->
-                let vlen = int_of_string (String.sub line (sp1 + 1) (sp2 - sp1 - 1)) in
-                let k = String.sub line (sp2 + 1) klen in
-                let v = String.sub line (sp2 + 1 + klen) vlen in
-                Hashtbl.replace st.table k v))
-    lines
+  List.iter (fun (k, v) -> Hashtbl.replace st.table k v) bindings
 
 (* Is [w] the first space-separated word of [op]? Reads [op] in place,
    so deciding access does not split it. *)

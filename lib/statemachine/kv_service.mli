@@ -19,7 +19,11 @@
     always allowed. *)
 
 val create : ?restrict:int list -> ?paged:int -> unit -> Service.t
-(** [paged] (a page size, >= 32) opts into the dirty-aware checkpoint
+(** [restrict] installs a starting ACL. No operation can do that inside a
+    cluster: [grant] and [revoke] need the admin id 0, which a cluster
+    gives to a replica, so only tests of the ACL pass it.
+
+    [paged] (a page size, >= 32) opts into the dirty-aware checkpoint
     interface: the store keeps its bindings in a {!Paged_image} arena
     and snapshots become arena images (a different format from the flat
     default — all replicas of a cluster must agree on the mode). Without

@@ -18,7 +18,7 @@ let parse op =
 
 let max_result = 65_536
 
-let create ?(exec_cost_us = 0.0) () =
+let create () =
   let count = ref 0 in
   let execute ~client:_ ~op ~nondet:_ =
     match parse op with
@@ -32,7 +32,7 @@ let create ?(exec_cost_us = 0.0) () =
     execute;
     is_read_only = (fun op -> match parse op with Some (ro, _) -> ro | None -> false);
     has_access = (fun ~client:_ _ -> true);
-    exec_cost_us = (fun _ -> exec_cost_us);
+    exec_cost_us = (fun _ -> 0.0);
     snapshot = (fun () -> string_of_int !count);
     restore = (fun s -> count := int_of_string s);
     paged = None;

@@ -19,6 +19,8 @@ val max_result : int
     execute to {!Service.invalid}, so no client picks a replica's
     allocation. *)
 
-val create : ?exec_cost_us:float -> unit -> Service.t
+val create : unit -> Service.t
 (** The service counts executed operations in its state (so checkpoints are
-    not all identical), but results depend only on the requested size. *)
+    not all identical), but results depend only on the requested size.
+    Execution is free in virtual time: the micro-benchmarks measure the
+    protocol, not the operation. *)

@@ -54,16 +54,15 @@ let init_header t =
   Bytes.set b (header_len - 1) '\n';
   write_header t
 
-let create ?(initial_pages = 1) ~page_size () =
+let create ~page_size () =
   if page_size < min_page_size then invalid_arg "Paged_image.create: page_size";
-  if initial_pages < 1 then invalid_arg "Paged_image.create: initial_pages";
   let zero = Bytes.make page_size '\x00' in
   let t =
     {
       page_size;
       zero;
-      pages = Array.make initial_pages zero;
-      flags = Bytes.make initial_pages (Char.unsafe_chr frozen);
+      pages = [| zero |];
+      flags = Bytes.make 1 (Char.unsafe_chr frozen);
       used = header_len;
       index = Hashtbl.create 64;
     }
@@ -218,13 +217,6 @@ let drain_dirty t =
     end
   done;
   !l
-
-let reset t =
-  t.pages <- [| t.zero |];
-  t.flags <- Bytes.make 1 (Char.unsafe_chr frozen);
-  t.used <- header_len;
-  Hashtbl.reset t.index;
-  init_header t
 
 let image t = read t 0 (num_pages t * t.page_size)
 

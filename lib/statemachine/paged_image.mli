@@ -34,10 +34,10 @@
 
 type t
 
-val create : ?initial_pages:int -> page_size:int -> unit -> t
-(** [page_size] must be at least 32 bytes (the header must fit in page
-    0). Capacity grows by doubling; fresh pages are the shared zero page
-    and marked dirty. *)
+val create : page_size:int -> unit -> t
+(** An arena of one page. [page_size] must be at least 32 bytes (the
+    header must fit in page 0). Capacity grows by doubling; fresh pages
+    are the shared zero page and marked dirty. *)
 
 val set : t -> key:string -> value:string -> unit
 (** Insert or update a record. Keys and values are arbitrary byte
@@ -65,11 +65,6 @@ val drain_dirty : t -> int list
 (** Sorted indices of pages whose bytes changed since the previous drain
     (over-approximation: a page rewritten with identical bytes is not
     reported). Clears the set. *)
-
-val reset : t -> unit
-(** Empty the arena and shrink it back to one page — used when a service
-    rebuilds its image from scratch in a canonical order (so capacity,
-    layout and therefore digests do not depend on pre-reset history). *)
 
 val image : t -> string
 (** The raw arena bytes — equal to [String.concat "" (pages t)], built in

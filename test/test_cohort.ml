@@ -129,7 +129,7 @@ let test_derived_rejects_sig_auth () =
   Alcotest.check_raises "derived needs Mac_auth"
     (Invalid_argument "Cohort.drive: derived cohorts require Mac_auth") (fun () ->
       ignore
-        (Cohort.drive cluster spec ~on_complete:(fun ~client:_ ~op:_ ~result:_ -> ())))
+        (Cohort.drive ~seed:1 cluster spec ~on_complete:(fun ~client:_ ~op:_ ~result:_ -> ())))
 
 let test_derived_refuses_non_replica_ids () =
   (* every replica is muted, so only forged replies reach the cohort: two

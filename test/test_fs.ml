@@ -159,10 +159,11 @@ let test_bfs_snapshot_roundtrip () =
 (* --- Andrew workload --- *)
 
 let test_andrew_phases () =
-  let steps = Andrew.script ~scale:1 ~file_size:512 () in
+  let steps = Andrew.script ~scale:1 () in
   let counts = Andrew.ops_per_phase steps in
   Alcotest.(check int) "mkdir ops" 5 (List.assoc Andrew.Mkdir counts);
-  Alcotest.(check int) "copy ops (create+write)" 20 (List.assoc Andrew.Copy counts);
+  (* each 1024-byte file is one create and two 512-byte writes *)
+  Alcotest.(check int) "copy ops (create+write)" 30 (List.assoc Andrew.Copy counts);
   Alcotest.(check int) "stat ops" 15 (List.assoc Andrew.Stat counts);
   Alcotest.(check int) "read ops" 10 (List.assoc Andrew.Read counts);
   Alcotest.(check bool) "make ops" true (List.assoc Andrew.Make counts > 0);
@@ -190,14 +191,45 @@ let test_andrew_executes_cleanly () =
         || String.equal r "EEXIST"
       then
         Alcotest.failf "step %s failed: %s" st.Andrew.op r)
-    (Andrew.script ~scale:1 ~file_size:256 ());
+    (Andrew.script ~scale:1 ());
   Alcotest.(check bool) "done" true true
 
 let test_andrew_deterministic () =
   let ops l = List.map (fun (s : Andrew.step) -> s.Andrew.op) l in
-  Alcotest.(check (list string)) "same seed same script"
-    (ops (Andrew.script ~seed:9L ()))
-    (ops (Andrew.script ~seed:9L ()))
+  Alcotest.(check (list string)) "same script every time"
+    (ops (Andrew.script ()))
+    (ops (Andrew.script ()))
+
+(* --- BFS replicated --- *)
+
+(* BFS's flat image through the replica's checkpoints and state transfer:
+   replica 3 is cut off while the Andrew script moves the cluster past two
+   checkpoints, then rejoins and must fetch the image. *)
+let test_bfs_state_transfer () =
+  let open Bft_core in
+  let cfg = Config.make ~checkpoint_interval:8 ~f:1 () in
+  let c = Cluster.create ~seed:42L ~service:(fun () -> Bfs_service.create ()) cfg in
+  let net = Cluster.network c in
+  Bft_net.Network.partition net [ 3 ] [ 0; 1; 2; cfg.Config.n ];
+  List.iter
+    (fun (s : Andrew.step) ->
+      ignore (Cluster.invoke_sync c ~client:0 ~read_only:s.Andrew.read_only s.Andrew.op))
+    (Andrew.script ());
+  let r0 = Cluster.replica c 0 and r3 = Cluster.replica c 3 in
+  Alcotest.(check bool) "two checkpoints passed replica 3 by" true
+    (Replica.stable_checkpoint r0 >= 16 && Replica.last_executed r3 = 0);
+  Bft_net.Network.heal net;
+  let caught =
+    Cluster.run_until ~timeout_us:20_000_000.0 c (fun () ->
+        Replica.last_executed r3 >= Replica.last_executed r0)
+  in
+  Alcotest.(check bool) "replica 3 caught up" true caught;
+  Alcotest.(check bool) "used state transfer" true
+    ((Replica.counters r3).Replica.n_state_transfers >= 1);
+  let image = Replica.service_state r0 in
+  Array.iter
+    (fun r -> Alcotest.(check string) "same image" image (Replica.service_state r))
+    (Cluster.replicas c)
 
 let suites =
   [
@@ -219,6 +251,7 @@ let suites =
         Alcotest.test_case "read-only classes" `Quick test_bfs_service_read_only;
         Alcotest.test_case "invalid ops" `Quick test_bfs_service_invalid;
         Alcotest.test_case "snapshot roundtrip" `Quick test_bfs_snapshot_roundtrip;
+        Alcotest.test_case "checkpoints and state transfer" `Quick test_bfs_state_transfer;
       ] );
     ( "bfs.andrew",
       [

@@ -169,14 +169,13 @@ let test_carried_request_digest () =
    its envelope's cached encoding: that length is the fresh encode's, for
    the sender's envelope and for one rebuilt from the wire bytes. *)
 let test_charged_sizes_are_encode_lengths () =
-  let arena = Bft_net.Wire_arena.create () in
   let rng = Bft_util.Rng.create 141421356L in
   for _ = 1 to 50 do
     List.iter
       (fun k ->
         let body = Test_codec.R.message rng k in
         let enc = Message.no_cache () in
-        ignore (Wire.cached_encode ~arena enc body);
+        ignore (Wire.cached_encode enc body);
         let sent = { Message.sender = 0; body; auth = Auth_none; enc } in
         let fresh = String.length (Wire.encode body) in
         let charged env = String.length (Wire.envelope_bytes env) in

@@ -70,6 +70,9 @@ let corpus =
       true,
       [ (Rule.transitive_nondet, 10); (Rule.transitive_nondet, 12) ] );
     ("allowed_pure_stub.ml", true, []);
+    (* I/O-only callees (print, Printf, Sys, In_channel) are benign: no
+       seed, and not an unknown external either *)
+    ("allowed_io_root.ml", true, []);
     (* a file marked protocol core names the simulator only through its
        port; other Bft_net modules (Costs) stay in reach *)
     ( "bad_protocol_core.ml",

@@ -124,9 +124,9 @@ let physically_same a b = (a == b) [@lint.allow "digest-compare"]
 
 (* Pages hand out the arena's own buffers, so the arena copies a page
    before writing it: a string [pages] returned never changes, whatever
-   follows (overwrites, records across pages, frees, growth, [reset],
+   follows (overwrites, records across pages, frees, growth,
    [restore]). At every [pages] call the image is the pages' concatenation. *)
-type img_op = Set of int * int | Remove of int | Pages | Reset | Restore of int
+type img_op = Set of int * int | Remove of int | Pages | Restore of int
 
 let prop_pages_never_change =
   let open QCheck.Gen in
@@ -136,7 +136,6 @@ let prop_pages_never_change =
         (8, map2 (fun k v -> Set (k, v)) (int_range 0 7) (int_range 0 70));
         (2, map (fun k -> Remove k) (int_range 0 7));
         (3, return Pages);
-        (1, return Reset);
         (1, map (fun i -> Restore i) (int_range 0 9));
       ]
   in
@@ -145,7 +144,6 @@ let prop_pages_never_change =
       | Set (k, v) -> Printf.sprintf "set k%d %d" k v
       | Remove k -> Printf.sprintf "remove k%d" k
       | Pages -> "pages"
-      | Reset -> "reset"
       | Restore i -> Printf.sprintf "restore %d" i
     in
     fun ops -> String.concat "; " (List.map show ops)
@@ -167,7 +165,6 @@ let prop_pages_never_change =
                 QCheck.Test.fail_reportf "step %d: image <> concatenated pages" i;
               Array.iter (fun p -> handed := (p, String.sub p 0 (String.length p)) :: !handed) ps;
               images := Img.image a :: !images
-          | Reset -> Img.reset a
           | Restore j -> (
               let im = List.nth !images (j mod List.length !images) in
               match Img.restore a im with
@@ -391,43 +388,6 @@ let test_kv_paged_memory_bound () =
   let mib = float_of_int (Obj.reachable_words (Obj.repr (svc, tree)) * (Sys.word_size / 8)) /. 1048576.0 in
   Alcotest.(check bool) (Printf.sprintf "service + tree = %.2f MiB <= 3 MiB" mib) true (mib <= 3.0)
 
-(* --- paged BFS --- *)
-
-let test_bfs_paged_equiv_flat () =
-  let flat = Bft_bfs.Bfs_service.create () in
-  let paged = Bft_bfs.Bfs_service.create ~paged:128 () in
-  let both op =
-    let a = exec flat ~nondet:"7" op and b = exec paged ~nondet:"7" op in
-    Alcotest.(check string) op a b;
-    a
-  in
-  ignore (both "mkdir 1 src");
-  ignore (both "create 2 main.c");
-  ignore (both (Bft_bfs.Bfs_service.op_write ~ino:3 ~off:0 "hello paged world"));
-  ignore (both "mkdir 1 doc");
-  ignore (both "create 4 readme");
-  ignore (both (Bft_bfs.Bfs_service.op_write ~ino:5 ~off:0 (String.make 300 'z')));
-  ignore (both "rename 1 src 1 lib");
-  ignore (both "truncate 5 100");
-  ignore (both "remove 2 main.c");
-  ignore (both "readdir 1");
-  ignore (both "getattr 5");
-  ignore (both (Bft_bfs.Bfs_service.op_read ~ino:5 ~off:0 ~len:100));
-  (* paged snapshot roundtrip: byte-identical arena *)
-  let snap = paged.Bft_sm.Service.snapshot () in
-  let fresh = Bft_bfs.Bfs_service.create ~paged:128 () in
-  fresh.Bft_sm.Service.restore snap;
-  Alcotest.(check string) "arena roundtrip" snap (fresh.Bft_sm.Service.snapshot ());
-  (* a flat snapshot restores into a paged service (canonical rebuild) *)
-  let flat_snap = flat.Bft_sm.Service.snapshot () in
-  let from_flat = Bft_bfs.Bfs_service.create ~paged:128 () in
-  from_flat.Bft_sm.Service.restore flat_snap;
-  Alcotest.(check string) "content preserved across formats"
-    (exec paged (Bft_bfs.Bfs_service.op_read ~ino:5 ~off:0 ~len:100))
-    (exec from_flat (Bft_bfs.Bfs_service.op_read ~ino:5 ~off:0 ~len:100));
-  Alcotest.(check string) "directory preserved" (exec paged "readdir 1")
-    (exec from_flat "readdir 1")
-
 (* --- replica snapshot hardening --- *)
 
 let make ?(f = 1) ?(seed = 42L) ?service ?(clients = 1) ?(k = 8) () =
@@ -459,6 +419,14 @@ let test_replica_restore_malformed () =
   expect_error "malformed reply header" (good ^ "1 2\nx");
   expect_error "bad reply ints" (good ^ "a b c d\n");
   expect_error "bad paged header" "PAGED 10 10\n";
+  (* well-framed, but the kv body's second binding has no integer length:
+     the service must refuse it before dropping a binding *)
+  let body = "open\n1 1 zq\nX 1 z\n" in
+  let nl = String.index good '\n' in
+  let replies = nl + 1 + int_of_string (String.sub good 0 nl) in
+  expect_error "malformed kv body"
+    (Printf.sprintf "%d\n%s%s" (String.length body) body
+       (String.sub good replies (String.length good - replies)));
   (* the canonical snapshot still restores *)
   (match Replica.restore_snapshot r good with
   | Ok () -> ()
@@ -555,7 +523,6 @@ let suites =
         Alcotest.test_case "kv: checkpoint cost tracks dirty pages" `Quick
           test_kv_checkpoint_cost_tracks_dirty_pages;
         Alcotest.test_case "kv: state held once" `Quick test_kv_paged_memory_bound;
-        Alcotest.test_case "bfs: paged = flat" `Quick test_bfs_paged_equiv_flat;
       ] );
     ( "core.paged_replica",
       [
