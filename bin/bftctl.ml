@@ -192,9 +192,12 @@ let recover_cmd =
       recovered
       (Bft_sim.Engine.to_ms (Int64.sub (Bft_sim.Engine.now (Cluster.engine c)) t0))
       (Replica.counters (Cluster.replica c 1)).Replica.n_state_transfers
-      (Replica.counters (Cluster.replica c 1)).Replica.bytes_fetched
+      (Replica.counters (Cluster.replica c 1)).Replica.bytes_fetched;
+    if not recovered then exit 1
   in
-  Cmd.v (Cmd.info "recover" ~doc:"Corrupt a replica's state and run proactive recovery.")
+  Cmd.v
+    (Cmd.info "recover"
+       ~doc:"Corrupt a replica's state and run proactive recovery; exit 1 if it does not recover.")
     Term.(const run $ verbose $ f_arg $ seed_arg)
 
 (* --- fuzz --- *)

@@ -18,7 +18,7 @@ let exec_cost_us op = 1.0 +. (0.002 *. float_of_int (String.length op))
 let mtime_of_nondet nondet =
   match Int64.of_string_opt nondet with Some t -> t | None -> 0L
 
-let create ?(obs = Bft_obs.Obs.null) () =
+let create () =
   let fs = Fs.create () in
   let execute ~client:_ ~op ~nondet =
     let mtime = mtime_of_nondet nondet in
@@ -88,11 +88,7 @@ let create ?(obs = Bft_obs.Obs.null) () =
     has_access = (fun ~client:_ _ -> true);
     exec_cost_us;
     snapshot = (fun () -> Fs.snapshot fs);
-    restore =
-      (fun s ->
-        match Fs.restore fs s with
-        | Ok () -> ()
-        | Error reason -> Bft_obs.Obs.snapshot_rejected obs ~reason);
+    restore = Fs.restore fs;
     paged = None;
   }
 

@@ -22,13 +22,7 @@ let insert_tree t tr =
   let others = List.filter (fun x -> Partition_tree.seq x <> seq) t.trees in
   t.trees <- List.sort (fun a b -> compare (Partition_tree.seq a) (Partition_tree.seq b)) (tr :: others)
 
-let take t ~seq ~snapshot =
-  let prev = latest t in
-  let tr = Partition_tree.build ?prev ~seq ~page_size:t.page_size ~branching:t.branching snapshot in
-  insert_tree t tr;
-  tr
-
-let take_pages t ~seq ~pages ~dirty =
+let take t ~seq ~pages ~dirty =
   let tr =
     match latest t with
     | Some prev

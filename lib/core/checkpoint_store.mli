@@ -12,18 +12,11 @@ type t
 
 val create : Config.t -> page_size:int -> branching:int -> t
 
-val take : t -> seq:int -> snapshot:string -> Partition_tree.t
-(** Build (incrementally from the latest tree) and retain the checkpoint
-    tree for [seq]. Returns it so the caller can charge digest costs. *)
-
-val take_pages :
-  t -> seq:int -> pages:string array -> dirty:int list -> Partition_tree.t
-(** Like {!take}, but from an already-paged image with a dirty-page set
-    (see [Partition_tree.update]): only dirty pages are re-digested and
-    only their ancestors recomputed when the latest tree matches; falls
-    back to a full copy-on-write build otherwise. [dirty] must
-    over-approximate the pages that changed since the {e latest} held
-    tree. *)
+val take : t -> seq:int -> pages:string array -> dirty:int list -> Partition_tree.t
+(** Build and retain the tree for [seq] from an image's pages and the
+    indices that may differ from the {e latest} held tree: an incremental
+    [Partition_tree.update] of it, or a copy-on-write [build_pages] when
+    the page count changed. Returns the tree for the caller's cost. *)
 
 val install : t -> Partition_tree.t -> unit
 (** Adopt a tree obtained through state transfer. *)

@@ -62,15 +62,8 @@ type t = {
   mutable committed_upto : int;
   log : Log.t;
   ckpts : Checkpoint_store.t;
+  image : Checkpoint_image.t; (* service state + reply cache *)
   rq : Request_store.t; (* requests, batches, queue, waiting set *)
-  last_reply : (int, int64 * string * int) Hashtbl.t; (* client -> t, result, view *)
-  (* client ids present in [last_reply], kept sorted ascending so snapshot
-     encoding streams the cache without a per-checkpoint sort *)
-  mutable reply_clients : int list;
-  (* sequence number of the tree in [ckpts] that the paged service's dirty
-     set is relative to; [None] (or a mismatch with the latest tree) forces
-     the next paged checkpoint to byte-compare every page *)
-  mutable paged_sync : int option;
   (* checkpoints whose CHECKPOINT message is deferred until commit *)
   mutable pending_ckpt_announce : int list;
   (* view change state *)
@@ -129,6 +122,7 @@ let checkpoints_held t = Checkpoint_store.held t.ckpts
 let is_recovering t = t.recovering <> None
 let counters t = t.counters
 let service_state t = t.d.service.Bft_sm.Service.snapshot ()
+let image t = Checkpoint_image.render t.image
 let primary_of t v = Config.primary t.d.cfg ~view:v
 let primary t = primary_of t t.view
 let is_primary t = primary t = t.id
@@ -284,160 +278,30 @@ let verify_token t ~claimed d token =
       Bft_crypto.Auth.verify_authenticator t.d.keychain ~peer:claimed a d
 
 (* ------------------------------------------------------------------ *)
-(* State snapshots: service state + reply cache (the paper's checkpoints
-   snapshot val, last-rep and last-rep-t together, Section 2.4.4).       *)
+(* The checkpoint image: service state + reply cache (2.4.4)          *)
 (* ------------------------------------------------------------------ *)
 
 (* Timestamp of the client's last executed request, -1 before any. *)
 let last_ts t client =
-  match Hashtbl.find_opt t.last_reply client with Some (ts, _, _) -> ts | None -> -1L
+  match Checkpoint_image.reply t.image client with Some (ts, _, _) -> ts | None -> -1L
 
 (* Re-send the client's cached reply, if any. *)
-let resend_last_reply t client ~tentative =
-  match Hashtbl.find_opt t.last_reply client with
+let resend_reply t client ~tentative =
+  match Checkpoint_image.reply t.image client with
   | Some (ts, result, _) -> send_reply t ~client ~ts ~tentative (Full result)
   | None -> ()
 
-(* Record the reply for a client, keeping [reply_clients] sorted. *)
-let set_last_reply t client entry =
-  if not (Hashtbl.mem t.last_reply client) then begin
-    let rec ins = function
-      | c :: tl when c < client -> c :: ins tl
-      | l -> client :: l
-    in
-    t.reply_clients <- ins t.reply_clients
-  end;
-  Hashtbl.replace t.last_reply client entry
-
-(* Stream the reply cache into [b] in ascending client order: one
-   "client ts view len\nresult" record per client, written directly
-   (no per-entry [Printf.sprintf], no per-checkpoint sort). *)
-let encode_reply_cache t b =
-  List.iter
-    (fun c ->
-      match Hashtbl.find_opt t.last_reply c with
-      | None -> ()
-      | Some (ts, res, v) ->
-          Buffer.add_string b (string_of_int c);
-          Buffer.add_char b ' ';
-          Buffer.add_string b (Int64.to_string ts);
-          Buffer.add_char b ' ';
-          Buffer.add_string b (string_of_int v);
-          Buffer.add_char b ' ';
-          Buffer.add_string b (string_of_int (String.length res));
-          Buffer.add_char b '\n';
-          Buffer.add_string b res)
-    t.reply_clients
-
-let full_snapshot t =
-  let b = Buffer.create 256 in
-  let svc = t.d.service.Bft_sm.Service.snapshot () in
-  Buffer.add_string b (string_of_int (String.length svc));
-  Buffer.add_char b '\n';
-  Buffer.add_string b svc;
-  encode_reply_cache t b;
-  Buffer.contents b
-
-(* Parse the reply-cache region [s.(pos..len-1)]; every record is validated
-   before any replica state is touched. *)
-let parse_reply_cache s ~pos ~len =
-  let rec go pos acc =
-    if pos >= len then Ok (List.rev acc)
-    else
-      match String.index_from_opt s pos '\n' with
-      | None -> Error "unterminated reply-cache header"
-      | Some nl -> (
-          match String.split_on_char ' ' (String.sub s pos (nl - pos)) with
-          | [ c; ts; v; rlen ] -> (
-              match
-                ( int_of_string_opt c,
-                  Int64.of_string_opt ts,
-                  int_of_string_opt v,
-                  int_of_string_opt rlen )
-              with
-              | Some c, Some ts, Some v, Some rlen when rlen >= 0 && nl + 1 + rlen <= len ->
-                  let res = String.sub s (nl + 1) rlen in
-                  go (nl + 1 + rlen) ((c, (ts, res, v)) :: acc)
-              | _ -> Error "truncated or malformed reply-cache record")
-          | _ -> Error "malformed reply-cache header")
-  in
-  go pos []
-
-let paged_magic = "PAGED "
-
-(* Checkpoint pages are the paged service's own, so each service page is
-   one leaf; a flat snapshot is cut into 4096-byte pages. *)
-let page_size (d : deps) =
-  match d.service.Bft_sm.Service.paged with Some pg -> pg.Bft_sm.Service.pg_page_size | None -> 4096
-
 let branching = 16
 
-(* Split a snapshot string into (service region, reply-cache parse span).
-   Flat layout: "<svc_len>\n<svc><reply records>". Paged layout (produced
-   by paged checkpoints, page-aligned): one header page
-   "PAGED <svc_len> <reply_len>\n" zero-padded to [page_size], then the
-   service pages, then the reply records. *)
-let split_snapshot t s =
-  let len = String.length s in
-  let flat () =
-    match String.index_opt s '\n' with
-    | None -> Error "missing snapshot header"
-    | Some nl -> (
-        match int_of_string_opt (String.sub s 0 nl) with
-        | Some svc_len when svc_len >= 0 && nl + 1 + svc_len <= len ->
-            Ok (String.sub s (nl + 1) svc_len, nl + 1 + svc_len)
-        | _ -> Error "bad service length in snapshot header")
-  in
-  if not (String.length s >= String.length paged_magic
-          && String.equal (String.sub s 0 (String.length paged_magic)) paged_magic)
-  then flat ()
-  else
-    let p = page_size t.d in
-    if len < p then Error "bad paged snapshot header"
-    else
-    match String.index_opt s '\n' with
-    | Some nl when nl < p -> (
-        let ok_pad = ref true in
-        for i = nl + 1 to p - 1 do
-          if s.[i] <> '\000' then ok_pad := false
-        done;
-        match
-          String.split_on_char ' '
-            (String.sub s (String.length paged_magic) (nl - String.length paged_magic))
-        with
-        | [ svc_len; reply_len ] -> (
-            match (int_of_string_opt svc_len, int_of_string_opt reply_len) with
-            | Some svc_len, Some reply_len
-              when !ok_pad && svc_len >= 0 && reply_len >= 0
-                   && p + svc_len + reply_len = len ->
-                Ok (String.sub s p svc_len, p + svc_len)
-            | _ -> Error "bad paged snapshot header")
-        | _ -> Error "bad paged snapshot header")
-    | _ -> Error "bad paged snapshot header"
-
-(* Install a snapshot. All parsing and validation happens before any state
-   is mutated: a malformed snapshot returns [Error] and leaves the service,
-   the reply cache and [paged_sync] untouched. *)
+(* Install an image; the replica alone counts and logs a refusal, which
+   leaves the service and the reply cache as they were. *)
 let restore_snapshot t s =
-  let reject reason =
-    if Obs.enabled t.obs then Obs.snapshot_rejected t.obs ~reason;
-    L.debug (fun m -> m "replica %d: snapshot rejected: %s" t.id reason);
-    Error reason
-  in
-  match split_snapshot t s with
-  | Error reason -> reject reason
-  | Ok (svc, reply_pos) -> (
-      match parse_reply_cache s ~pos:reply_pos ~len:(String.length s) with
-      | Error reason -> reject reason
-      | Ok entries -> (
-          match t.d.service.Bft_sm.Service.restore svc with
-          | () ->
-              Hashtbl.reset t.last_reply;
-              List.iter (fun (c, e) -> Hashtbl.replace t.last_reply c e) entries;
-              t.reply_clients <- List.sort_uniq compare (List.map fst entries);
-              t.paged_sync <- None;
-              Ok ()
-          | exception _ -> reject "service refused snapshot"))
+  match Checkpoint_image.restore t.image s with
+  | Ok () as ok -> ok
+  | Error reason ->
+      if Obs.enabled t.obs then Obs.snapshot_rejected t.obs ~now:(now t) ~reason;
+      L.debug (fun m -> m "replica %d: snapshot rejected: %s" t.id reason);
+      Error reason
 
 (* A new watchdog epoch: the smoothed latency of the old primary (and of
    the view-change gap itself) says nothing about the new one. *)
@@ -539,7 +403,7 @@ let clear_waiting t digest =
 
 (* A client's execution advancing to timestamp [ts] supersedes every
    waiting request it sent with an earlier timestamp: exactly-once
-   execution (the [last_reply] guard above) will never run them, so their
+   execution (the [last_ts] guard in [execute_batch]) will never run them, so their
    claim on the vc timer is dead. Without this purge, an open-loop
    client whose requests were admission-dropped at the primary but
    accepted here leaves permanent waiting entries that demand a view
@@ -555,63 +419,10 @@ let purge_superseded t ~client ~ts =
 (* Checkpoints and garbage collection                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Checkpoint from the paged service image: header page + service pages +
-   reply-cache pages, re-digesting only pages the service reported dirty
-   (plus the always-churning header and reply region). Only safe when the
-   drained dirty set is relative to the latest held tree ([paged_sync]);
-   otherwise every page is passed as dirty, which degrades to the
-   byte-comparing copy-on-write build. *)
-let take_checkpoint_paged t seq (pg : Bft_sm.Service.paged) =
-  let p = pg.Bft_sm.Service.pg_page_size in
-  let svc_pages = pg.Bft_sm.Service.pg_pages () in
-  let svc_dirty = pg.Bft_sm.Service.pg_drain_dirty () in
-  let n_svc = Array.length svc_pages in
-  let rb = Buffer.create 256 in
-  encode_reply_cache t rb;
-  let reply = Buffer.contents rb in
-  let reply_len = String.length reply in
-  let header_line = Printf.sprintf "PAGED %d %d\n" (n_svc * p) reply_len in
-  let prev = Checkpoint_store.latest t.ckpts in
-  let in_sync =
-    match (t.paged_sync, prev) with
-    | Some s, Some prev -> Partition_tree.seq prev = s
-    | _ -> false
-  in
-  (* An in-sync tree's page 0 is the header page built here; keep it while
-     its line is unchanged (the line's one newline ends it). *)
-  let header =
-    match prev with
-    | Some prev
-      when in_sync && String.starts_with ~prefix:header_line (Partition_tree.page prev 0).data ->
-        (Partition_tree.page prev 0).data
-    | _ -> header_line ^ String.make (p - String.length header_line) '\000'
-  in
-  let n_reply = (reply_len + p - 1) / p in
-  let pages = Array.make (1 + n_svc + n_reply) header in
-  Array.blit svc_pages 0 pages 1 n_svc;
-  for i = 0 to n_reply - 1 do
-    let off = i * p in
-    pages.(1 + n_svc + i) <- String.sub reply off (min p (reply_len - off))
-  done;
-  let dirty =
-    if not in_sync then List.init (Array.length pages) Fun.id
-    else
-      0
-      :: (List.map (fun i -> i + 1) svc_dirty
-          @ List.init n_reply (fun i -> 1 + n_svc + i))
-  in
-  let tree = Checkpoint_store.take_pages t.ckpts ~seq ~pages ~dirty in
-  t.paged_sync <- Some seq;
-  tree
-
 (* Digesting costs a fixed overhead plus the bytes actually re-hashed. *)
 let take_checkpoint t seq =
   charge t (Costs.digest_us t.d.costs 0);
-  let tree =
-    match t.d.service.Bft_sm.Service.paged with
-    | Some pg -> take_checkpoint_paged t seq pg
-    | None -> Checkpoint_store.take t.ckpts ~seq ~snapshot:(full_snapshot t)
-  in
+  let tree = Checkpoint_image.take t.image t.ckpts ~seq in
   charge t (Costs.digest_us t.d.costs (Partition_tree.digested_bytes tree));
   t.counters.n_checkpoints <- t.counters.n_checkpoints + 1;
   if Obs.enabled t.obs then begin
@@ -785,7 +596,7 @@ let send_new_key ?(drop_clients = false) t =
           send_to t ~dst:client
             (New_key { nk_replica = t.id; nk_keys = [ (client, key) ]; nk_counter = t.coproc_counter })
         end)
-      t.reply_clients
+      (Checkpoint_image.clients t.image)
 
 (* ------------------------------------------------------------------ *)
 (* The protocol core: one recursion group                              *)
@@ -860,7 +671,7 @@ and execute_batch t n ~tentative =
                 in
                 t.counters.n_executed <- t.counters.n_executed + 1;
                 wave := (req.client, req.op, result) :: !wave;
-                set_last_reply t req.client (req.timestamp, result, t.view);
+                Checkpoint_image.set_reply t.image req.client (req.timestamp, result, t.view);
                 clear_waiting t (Wire.request_digest req);
                 purge_superseded t ~client:req.client ~ts:req.timestamp;
                 let payload =
@@ -880,7 +691,7 @@ and execute_batch t n ~tentative =
                    longer waiting for this request *)
                 clear_waiting t (Wire.request_digest req);
                 if Int64.compare req.timestamp last_t = 0 then
-                  resend_last_reply t req.client ~tentative
+                  resend_reply t req.client ~tentative
               end)
         elems;
       t.on_execute n (List.rev !wave);
@@ -1327,7 +1138,7 @@ let handle_request t (req : request) token ~verified ~relayed ~size =
   if Int64.compare req.timestamp last_t < 0 then ()
   else if Int64.compare req.timestamp last_t = 0 then
     (* already executed: retransmit cached reply *)
-    resend_last_reply t req.client ~tentative:false
+    resend_reply t req.client ~tentative:false
   else if
     (* Per-client in-flight quota: a new request (retransmissions of a
        request already in the pipeline always pass) beyond the quota is
@@ -1470,7 +1281,8 @@ let check_transfer_done t tx =
     start_transfer t ~target ~root_digest
   in
   match
-    State_transfer.assemble tx ~local:(local_tree t) ~page_size:(page_size t.d) ~branching
+    State_transfer.assemble tx ~local:(local_tree t)
+      ~page_size:(Checkpoint_image.page_size t.image) ~branching
   with
   | State_transfer.Incomplete -> ()
   | State_transfer.Malformed -> restart ()
@@ -1482,13 +1294,9 @@ let check_transfer_done t tx =
       t.port.cancel Transfer_retry;
       t.transfer <- None;
       Checkpoint_store.install t.ckpts tree;
-      (match restore_snapshot t (Partition_tree.snapshot tree) with
-      | Ok () -> ()
-      | Error _ ->
-          (* quorum-certified bytes our own decoder rejects: the local
-             state stays behind, but the installed tree is valid and the
-             protocol continues; recovery will retry *)
-          ());
+      (* quorum-certified bytes our own restore refuses leave the local
+         state behind, but the installed tree is valid; recovery retries *)
+      (match restore_snapshot t (Partition_tree.snapshot tree) with Ok () | Error _ -> ());
       t.last_exec <- target;
       t.committed_upto <- max t.committed_upto target;
       t.seqno <- max t.seqno target;
@@ -1872,8 +1680,7 @@ let handle t env = if from_replica t env then dispatch t env
 (* ------------------------------------------------------------------ *)
 
 let create ?(obs = Obs.null) d ~port ~id ~on_execute =
-  if page_size d < String.length (Printf.sprintf "%s%d %d\n" paged_magic max_int max_int) then
-    invalid_arg "Replica.create: page too small for the paged checkpoint header";
+  let image = Checkpoint_image.create d.service in
   {
     d;
     id;
@@ -1898,11 +1705,9 @@ let create ?(obs = Obs.null) d ~port ~id ~on_execute =
     last_exec = 0;
     committed_upto = 0;
     log = Log.create d.cfg;
-    ckpts = Checkpoint_store.create d.cfg ~page_size:(page_size d) ~branching;
+    ckpts = Checkpoint_store.create d.cfg ~page_size:(Checkpoint_image.page_size image) ~branching;
+    image;
     rq = Request_store.create ();
-    last_reply = Hashtbl.create 16;
-    reply_clients = [];
-    paged_sync = None;
     pending_ckpt_announce = [];
     active = true;
     vc = View_change_store.create ();
@@ -1973,30 +1778,18 @@ let mute t b = t.muted <- b
 let byzantine_wrong_mac t b = t.wrong_mac <- b
 
 let corrupt_state t =
-  (* trash the service state behind the protocol's back *)
-  let s = full_snapshot t in
-  let s' =
-    if String.length s = 0 then "CORRUPT"
-    else String.init (String.length s) (fun i -> if i mod 7 = 0 then '\xff' else s.[i])
+  (* trash the image behind the protocol's back; restoring it goes through
+     the one restore path, so the refusal is counted and logged *)
+  let s =
+    String.mapi (fun i c -> if i mod 7 = 0 then '\xff' else c) (Checkpoint_image.render t.image)
   in
-  (* Route the trashed image through the hardened restore path: a validating
-     service refuses it, and the refusal is counted ([snapshot_rejected])
-     and logged instead of being silently swallowed. *)
-  (match restore_snapshot t s' with
-  | Ok () -> ()
-  | Error _ ->
-      (* rejection recorded by [restore_snapshot]; the digests installed
-         below still diverge, so recovery exercises state transfer *)
-      ());
-  (* also corrupt retained checkpoint trees by rebuilding them from the
-     corrupted snapshot (the attacker controls the whole node); building
-     from the corrupted bytes directly makes the node's checkpoint digests
-     diverge even when the service refused the image *)
+  (match restore_snapshot t s with Ok () | Error _ -> ());
+  (* the attacker controls the whole node: the stable checkpoint becomes
+     the tree of the trashed bytes, so its digest diverges even when the
+     image was refused *)
   let stable = Checkpoint_store.stable_seq t.ckpts in
-  let tree = Partition_tree.build ~seq:stable ~page_size:(page_size t.d) ~branching s' in
-  Checkpoint_store.install t.ckpts tree;
-  (* the installed tree no longer matches the service's dirty accounting *)
-  t.paged_sync <- None
+  Checkpoint_store.install t.ckpts
+    (Partition_tree.build ~seq:stable ~page_size:(Checkpoint_image.page_size t.image) ~branching s)
 
 let force_recovery t = begin_recovery t
 
@@ -2027,7 +1820,7 @@ let crash_reboot t =
    it is digested or bound to [_] with its reason. *)
 let state_digest
     ({
-       id; view; seqno; last_exec; committed_upto; log; ckpts; rq; paged_sync;
+       id; view; seqno; last_exec; committed_upto; log; ckpts; image; rq;
        pending_ckpt_announce; active; vc; vc_timer; vc_timeout_us; retx; perf_samples;
        perf_fired_view; transfer; recovering; hm_bound; coproc_counter; byzantine; muted;
        wrong_mac; null_fill_until;
@@ -2038,13 +1831,11 @@ let state_digest
        (* drawn only by state transfer, key refresh and recovery, which the
           digest sees through the replier, coproc_counter and the nonce *);
        counters = _ (* statistics the protocol never reads *);
-       last_reply = _ (* in the snapshot's reply cache *);
-       reply_clients = _ (* the reply cache's key order *);
        perf_ewma_us = _ (* a latency: clock-derived *);
        perf_baseline_us = _ (* a latency: clock-derived *);
        perf_view_start = _ (* a time *);
        on_execute = _ (* the harness's tap; Explore digests what it recorded *);
-     } as t) =
+     }) =
   let b = Buffer.create 2048 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "r%d v=%d act=%b seqno=%d le=%d cu=%d lw=%d byz=%b muted=%b wmac=%b fill=%d hmb=%d vct=%h vcarm=%b ctr=%Ld|"
@@ -2059,13 +1850,11 @@ let state_digest
   Request_store.digest rq b;
   add "|ckann:";
   List.iter (fun s -> add "%d;" s) pending_ckpt_announce;
-  add "|psync=%s" (match paged_sync with Some s -> string_of_int s | None -> "-");
   View_change_store.digest vc b;
   Retransmit_budget.digest retx b;
   add "|perf=%d:%d" perf_samples perf_fired_view;
   (* state transfer / recovery, coarse but canonical *)
   (match transfer with None -> add "|tx=-" | Some tx -> State_transfer.digest tx b);
   (match recovering with None -> add "|rec=-" | Some rc -> Recovery.digest rc b);
-  (* service state + reply cache *)
-  add "|snap:%s" (Bft_crypto.Sha256.hexdigest (full_snapshot t));
+  add "|snap:%s" (Bft_crypto.Sha256.hexdigest (Checkpoint_image.render image));
   Bft_crypto.Sha256.hexdigest (Buffer.contents b)

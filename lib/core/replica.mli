@@ -21,6 +21,8 @@
 
     The replica's state lives with the modules that own it: {!Log} (the
     message log), {!Checkpoint_store} (checkpoints and their proofs),
+    {!Checkpoint_image} (the service state and reply cache they are
+    taken of),
     {!Request_store} (the request pipeline), {!View_change_store} (the
     view-change evidence) and {!Retransmit_budget} (the per-peer
     retransmission budgets). Two sub-protocols own their records and
@@ -90,7 +92,7 @@ val create :
     are cut into the paged service's own pages, or into 4096-byte pages
     for a flat service, under a partition tree of fan-out 16. Raises
     [Invalid_argument] when the service's page cannot hold the paged
-    checkpoint header ["PAGED <svc_len> <reply_len>\n"]. [obs] defaults to
+    checkpoint header (see {!Checkpoint_image}). [obs] defaults to
     the disabled sink (zero-cost tracing). [on_execute seq wave] is called
     once per batch execution with the batch's [(client, op, result)]
     records in order, an empty list for a null batch or one whose
@@ -135,16 +137,17 @@ val is_recovering : t -> bool
 val service_state : t -> string
 (** Current service snapshot (test observation helper). *)
 
-val full_snapshot : t -> string
-(** The flat checkpoint image: service snapshot plus reply cache
-    (Section 2.4.4). Paged checkpoints use a page-aligned layout of the
-    same content; {!restore_snapshot} accepts both. *)
+val image : t -> string
+(** The checkpoint image: service snapshot plus reply cache (Section
+    2.4.4), in the one layout {!Checkpoint_image} picks from the service
+    kind. *)
 
 val restore_snapshot : t -> string -> (unit, string) result
-(** Install a checkpoint image (service state + reply cache). All header
-    and reply-cache records are validated before anything is mutated: a
-    malformed snapshot returns [Error reason], counts as a rejected
-    snapshot in the metrics, and leaves the replica state untouched. *)
+(** Install a checkpoint image in this replica's layout. The framing,
+    the reply-cache records and the service's own [restore] all check it
+    before anything changes: a malformed image returns [Error reason],
+    counts as a rejected snapshot in the metrics, and leaves the replica
+    state untouched. *)
 
 (** {2 Fault injection (testing / benchmarks)} *)
 

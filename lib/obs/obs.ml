@@ -189,11 +189,10 @@ let transfer_done t ~now ~target =
 let recovery_phase t ~now phase =
   if t.t_enabled then record t ~at:now (Recovery_phase { phase })
 
-let snapshot_rejected t ~reason =
+let snapshot_rejected t ~now ~reason =
   if t.t_enabled then begin
     t.n_snapshot_rejected <- t.n_snapshot_rejected + 1;
-    (* the service has no simulation clock in scope *)
-    record t ~at:(-1L) (Snapshot_rejected { reason })
+    record t ~at:now (Snapshot_rejected { reason })
   end
 
 let checkpoint_taken t ~now ~seq ~bytes ~dirty ~clean =
@@ -288,8 +287,7 @@ let event_to_string = function
         baseline_us
 
 let entry_to_string e =
-  if Int64.equal e.at (-1L) then Printf.sprintf "[        --] %s" (event_to_string e.ev)
-  else Printf.sprintf "[%10.1fus] %s" (Int64.to_float e.at /. 1_000.0) (event_to_string e.ev)
+  Printf.sprintf "[%10.1fus] %s" (Int64.to_float e.at /. 1_000.0) (event_to_string e.ev)
 
 let phase_hist t i = t.phase_hists.(i)
 let e2e_hist t = t.e2e

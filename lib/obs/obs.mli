@@ -47,8 +47,7 @@ type event =
       (** The primary performance watchdog demanded a view change. *)
 
 type entry = { at : int64; ev : event }
-(** [at] is virtual nanoseconds; [-1L] for events recorded outside the
-    simulation clock (e.g. a snapshot rejected inside the service). *)
+(** [at] is virtual nanoseconds. *)
 
 type t
 
@@ -92,7 +91,7 @@ val transfer_start : t -> now:int64 -> target:int -> unit
 val transfer_fetch : t -> now:int64 -> level:int -> index:int -> unit
 val transfer_done : t -> now:int64 -> target:int -> unit
 val recovery_phase : t -> now:int64 -> string -> unit
-val snapshot_rejected : t -> reason:string -> unit
+val snapshot_rejected : t -> now:int64 -> reason:string -> unit
 val invoke_timeout : t -> now:int64 -> op:string -> unit
 
 val admission_drop : t -> now:int64 -> client:int -> unit

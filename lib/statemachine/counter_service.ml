@@ -27,7 +27,11 @@ let create () =
     has_access = (fun ~client:_ _ -> true);
     exec_cost_us = (fun _ -> 0.5);
     snapshot = (fun () -> string_of_int !v);
-    restore = (fun s -> v := int_of_string s);
+    restore =
+      (fun s ->
+        match int_of_string_opt s with
+        | Some n -> Ok (v := n)
+        | None -> Error "counter: not an integer");
     paged = None;
   }
 

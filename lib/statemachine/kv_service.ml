@@ -5,13 +5,18 @@ type state = {
   mutable acl : int list option; (* None = open access *)
 }
 
+(* The ACL as the arena's "A" record holds it: "open", "acl", or
+   "acl 1,2,...". (Paged-arena layout: one record per binding under key
+   "B"<k>, plus this one.) *)
+let acl_payload = function
+  | None -> "open"
+  | Some [] -> "acl"
+  | Some l -> "acl " ^ String.concat "," (List.map string_of_int (List.sort compare l))
+
 let encode_snapshot st =
   let b = Buffer.create 256 in
-  (match st.acl with
-  | None -> Buffer.add_string b "open\n"
-  | Some l ->
-      Buffer.add_string b
-        ("acl " ^ String.concat "," (List.map string_of_int (List.sort compare l)) ^ "\n"));
+  (* the flat header keeps a trailing space for an empty list *)
+  Buffer.add_string b (match st.acl with Some [] -> "acl \n" | acl -> acl_payload acl ^ "\n");
   let bindings =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.table [] |> List.sort compare
   in
@@ -20,41 +25,47 @@ let encode_snapshot st =
     bindings;
   Buffer.contents b
 
-let acl_of_header first =
-  if String.equal first "open" then None
-  else if String.length first >= 4 && String.equal (String.sub first 0 4) "acl " then
-    let ids = String.sub first 4 (String.length first - 4) in
-    Some (if String.equal ids "" then [] else List.map int_of_string (String.split_on_char ',' ids))
-  else None
+(* The ACL as written: "open", or "acl" and the comma-separated ids
+   after a space; the flat header writes "acl " for an empty list, the
+   arena record "acl". *)
+let acl_of_payload s =
+  if String.equal s "open" then Some None
+  else if not (String.starts_with ~prefix:"acl" s) then None
+  else
+    match String.sub s 3 (String.length s - 3) with
+    | "" | " " -> Some (Some [])
+    | ids when ids.[0] = ' ' ->
+        let parts = String.split_on_char ',' (String.sub ids 1 (String.length ids - 1)) in
+        let l = List.filter_map int_of_string_opt parts in
+        if List.length l = List.length parts then Some (Some l) else None
+    | _ -> None
 
-(* "<klen> <vlen> <k><v>"; a line without its two spaces is skipped *)
-let binding_of_line line =
-  match String.index_opt line ' ' with
-  | None -> None
-  | Some sp1 -> (
-      let klen = int_of_string (String.sub line 0 sp1) in
-      match String.index_from_opt line (sp1 + 1) ' ' with
-      | None -> None
-      | Some sp2 ->
-          let vlen = int_of_string (String.sub line (sp1 + 1) (sp2 - sp1 - 1)) in
-          Some (String.sub line (sp2 + 1) klen, String.sub line (sp2 + 1 + klen) vlen))
-
-(* The whole snapshot is parsed before the store changes, so a malformed
-   one raises and leaves it as it was. The table is refilled in place:
-   the service's closures hold it. *)
-let decode_snapshot st s =
-  let first, rest =
-    match String.split_on_char '\n' s with first :: rest -> (first, rest) | [] -> ("", [])
+(* The flat snapshot: the ACL line, then "<klen> <vlen> <k><v>\n" per
+   binding, read by its lengths. The whole image is checked before the
+   store changes. *)
+let decode_snapshot s =
+  let len = String.length s in
+  let int_until pos c =
+    Option.bind (String.index_from_opt s pos c) (fun j ->
+        Option.map (fun n -> (n, j + 1)) (int_of_string_opt (String.sub s pos (j - pos))))
   in
-  let acl = acl_of_header first in
-  let bindings =
-    List.filter_map
-      (fun line -> if String.equal line "" then None else binding_of_line line)
-      rest
+  let rec bindings pos acc =
+    if pos = len then Some (List.rev acc)
+    else
+      match Option.bind (int_until pos ' ') (fun (kl, p1) ->
+          Option.map (fun (vl, p2) -> (kl, vl, p2)) (int_until p1 ' ')) with
+      | Some (kl, vl, p2) when kl >= 0 && vl >= 0 && kl < len - p2 && vl < len - p2 - kl
+                               && s.[p2 + kl + vl] = '\n' ->
+          bindings (p2 + kl + vl + 1) ((String.sub s p2 kl, String.sub s (p2 + kl) vl) :: acc)
+      | _ -> None
   in
-  st.acl <- acl;
-  Hashtbl.reset st.table;
-  List.iter (fun (k, v) -> Hashtbl.replace st.table k v) bindings
+  match String.index_opt s '\n' with
+  | None -> Error "kv: no header line"
+  | Some nl -> (
+      match (acl_of_payload (String.sub s 0 nl), bindings (nl + 1) []) with
+      | Some acl, Some l -> Ok (acl, l)
+      | None, _ -> Error "kv: bad ACL header"
+      | _, None -> Error "kv: malformed binding")
 
 (* Is [w] the first space-separated word of [op]? Reads [op] in place,
    so deciding access does not split it. *)
@@ -63,23 +74,6 @@ let verb_is op w =
   && (String.length op = String.length w || op.[String.length w] = ' ')
 
 let mutating op = not (verb_is op "get" || verb_is op "size")
-
-(* Paged-arena record layout: one record per binding under key "B"<k>,
-   plus the ACL under "A" ("open", "acl", or "acl 1,2,..."). *)
-
-let acl_payload = function
-  | None -> "open"
-  | Some [] -> "acl"
-  | Some l -> "acl " ^ String.concat "," (List.map string_of_int (List.sort compare l))
-
-let acl_of_payload s =
-  if String.equal s "open" then Some None
-  else if String.equal s "acl" then Some (Some [])
-  else if String.length s > 4 && String.equal (String.sub s 0 4) "acl " then
-    let parts = String.split_on_char ',' (String.sub s 4 (String.length s - 4)) in
-    let ids = List.filter_map int_of_string_opt parts in
-    if List.length ids = List.length parts then Some (Some ids) else None
-  else None
 
 let create ?restrict ?paged () =
   let st = { table = Hashtbl.create 64; acl = restrict } in
@@ -152,28 +146,26 @@ let create ?restrict ?paged () =
       | [ "size" ] -> string_of_int (size ())
       | _ -> Service.invalid
   in
-  (* Arena-image restore: validate every record before committing, so a
-     malformed snapshot leaves both the arena and the ACL untouched. *)
+  (* Both restores check the whole image before the store changes. *)
+  let restore_flat s =
+    Result.map
+      (fun (acl, bindings) ->
+        st.acl <- acl;
+        Hashtbl.reset st.table;
+        List.iter (fun (k, v) -> Hashtbl.replace st.table k v) bindings)
+      (decode_snapshot s)
+  in
   let restore_paged a s =
+    let valid (k, v) =
+      if String.equal k "A" then acl_of_payload v <> None else String.length k > 1 && k.[0] = 'B'
+    in
     match Paged_image.decode ~page_size:(Paged_image.page_size a) s with
-    | Error _ -> ()
-    | Ok records ->
-        let valid =
-          List.for_all
-            (fun (k, v) ->
-              if String.equal k "A" then acl_of_payload v <> None
-              else String.length k > 1 && k.[0] = 'B')
-            records
-          && List.exists (fun (k, _) -> String.equal k "A") records
-        in
-        if valid then
-          match Paged_image.restore a s with
-          | Error _ -> ()
-          | Ok records ->
-              List.iter
-                (fun (k, v) ->
-                  if String.equal k "A" then st.acl <- Option.get (acl_of_payload v))
-                records
+    | Error _ as e -> e
+    | Ok records -> (
+        match Option.bind (List.assoc_opt "A" records) acl_of_payload with
+        | Some acl when List.for_all valid records ->
+            Result.map (fun _ -> st.acl <- acl) (Paged_image.restore a s)
+        | _ -> Error "kv: bad arena record")
   in
   {
     Service.name = "kv";
@@ -185,9 +177,6 @@ let create ?restrict ?paged () =
       (match arena with
       | None -> fun () -> encode_snapshot st
       | Some a -> fun () -> Paged_image.image a);
-    restore =
-      (match arena with
-      | None -> fun s -> decode_snapshot st s
-      | Some a -> fun s -> restore_paged a s);
+    restore = (match arena with None -> restore_flat | Some a -> restore_paged a);
     paged = Option.map Service.paged_of_image arena;
   }

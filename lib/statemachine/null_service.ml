@@ -34,6 +34,10 @@ let create () =
     has_access = (fun ~client:_ _ -> true);
     exec_cost_us = (fun _ -> 0.0);
     snapshot = (fun () -> string_of_int !count);
-    restore = (fun s -> count := int_of_string s);
+    restore =
+      (fun s ->
+        match int_of_string_opt s with
+        | Some n -> Ok (count := n)
+        | None -> Error "null: not an integer");
     paged = None;
   }

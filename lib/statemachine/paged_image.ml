@@ -264,21 +264,23 @@ let decode_raw ~page_size s =
                     || not (is_digits s (sp + 1) nl)
                   then fail "bad record lengths"
                   else begin
-                    let klen = int_of_string (String.sub s (!pos + 2) (sp - !pos - 2)) in
-                    let vlen = int_of_string (String.sub s (sp + 1) (nl - sp - 1)) in
-                    let rec_end = nl + 1 + klen + vlen in
-                    if rec_end >= used || s.[rec_end] <> '\n' then
-                      fail "truncated record body"
-                    else begin
-                      let key = String.sub s (nl + 1) klen in
-                      let value = String.sub s (nl + 1 + klen) vlen in
-                      if Hashtbl.mem seen key then fail "duplicate key"
-                      else begin
-                        Hashtbl.replace seen key ();
-                        records := (key, value, !pos, rec_end + 1 - !pos) :: !records;
-                        pos := rec_end + 1
-                      end
-                    end
+                    let int lo hi = int_of_string_opt (String.sub s lo (hi - lo)) in
+                    match (int (!pos + 2) sp, int (sp + 1) nl) with
+                    (* each length is bounded by what is left before it is
+                       added, so [rec_end] cannot overflow and lies below [used] *)
+                    | Some klen, Some vlen
+                      when klen < used - nl && vlen < used - nl - 1 - klen
+                           && s.[nl + 1 + klen + vlen] = '\n' ->
+                        let rec_end = nl + 1 + klen + vlen in
+                        let key = String.sub s (nl + 1) klen in
+                        let value = String.sub s (nl + 1 + klen) vlen in
+                        if Hashtbl.mem seen key then fail "duplicate key"
+                        else begin
+                          Hashtbl.replace seen key ();
+                          records := (key, value, !pos, rec_end + 1 - !pos) :: !records;
+                          pos := rec_end + 1
+                        end
+                    | _ -> fail "truncated record body"
                   end)
         end
       done;

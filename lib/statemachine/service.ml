@@ -11,7 +11,7 @@ type t = {
   has_access : client:int -> string -> bool;
   exec_cost_us : string -> float;
   snapshot : unit -> string;
-  restore : string -> unit;
+  restore : string -> (unit, string) result;
   paged : paged option;
 }
 

@@ -9,8 +9,8 @@
     result rather than raise.
 
     [snapshot]/[restore] capture the full service state for checkpointing
-    and state transfer; they must satisfy [restore (snapshot ()) = identity]
-    on observable behaviour. *)
+    and state transfer; they must satisfy [restore (snapshot ()) = Ok ()]
+    and identity on observable behaviour. *)
 
 type paged = {
   pg_page_size : int;
@@ -48,7 +48,11 @@ type t = {
       (** Virtual CPU cost of executing the operation, charged by the
           simulator. *)
   snapshot : unit -> string;
-  restore : string -> unit;
+  restore : string -> (unit, string) result;
+      (** Install a snapshot. A malformed one returns [Error reason] and
+          leaves the state as it was: [restore] never raises and never
+          accepts what it cannot install. The replica counts and logs
+          the refusal. *)
   paged : paged option;
       (** [None]: checkpointing uses the flat [snapshot] string. *)
 }

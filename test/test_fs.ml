@@ -153,7 +153,7 @@ let test_bfs_snapshot_roundtrip () =
   ignore (exec s (Bfs_service.op_write ~ino:3 ~off:0 "content"));
   let snap = s.Bft_sm.Service.snapshot () in
   let s2 = Bfs_service.create () in
-  s2.Bft_sm.Service.restore snap;
+  Alcotest.(check bool) "restore ok" true (Result.is_ok (s2.Bft_sm.Service.restore snap));
   Alcotest.(check string) "snapshot stable" snap (s2.Bft_sm.Service.snapshot ())
 
 (* --- Andrew workload --- *)
@@ -231,6 +231,26 @@ let test_bfs_state_transfer () =
     (fun r -> Alcotest.(check string) "same image" image (Replica.service_state r))
     (Cluster.replicas c)
 
+(* A well-framed image whose BFS body [Fs.restore] refuses: the replica
+   reports [Error], keeps its state and counts one rejection. *)
+let test_bfs_replica_refuses_bad_body () =
+  let open Bft_core in
+  let reg = Bft_obs.Obs.registry () in
+  let c =
+    Cluster.create ~seed:42L ~service:(fun () -> Bfs_service.create ()) ~obs:reg
+      (Config.make ~f:1 ())
+  in
+  ignore (Cluster.invoke_sync c ~client:0 "mkdir 1 d");
+  let r = Cluster.replica c 0 in
+  let state = Replica.service_state r in
+  let body = "next 3\nd 1 0 a=zz\n" in
+  (match Replica.restore_snapshot r (Printf.sprintf "%d\n%s" (String.length body) body) with
+  | Ok () -> Alcotest.fail "malformed BFS body accepted"
+  | Error _ -> ());
+  Alcotest.(check string) "state kept" state (Replica.service_state r);
+  Alcotest.(check int) "one rejection" 1
+    (Bft_obs.Obs.snapshot_rejections (Bft_obs.Obs.for_node reg 0))
+
 let suites =
   [
     ( "bfs.fs",
@@ -252,6 +272,7 @@ let suites =
         Alcotest.test_case "invalid ops" `Quick test_bfs_service_invalid;
         Alcotest.test_case "snapshot roundtrip" `Quick test_bfs_snapshot_roundtrip;
         Alcotest.test_case "checkpoints and state transfer" `Quick test_bfs_state_transfer;
+        Alcotest.test_case "replica refuses a malformed image" `Quick test_bfs_replica_refuses_bad_body;
       ] );
     ( "bfs.andrew",
       [

@@ -253,8 +253,9 @@ let prop_kv_paged_equiv_flat =
       let mk ?paged () = Bft_sm.Kv_service.create ?paged ~restrict:[ 5 ] () in
       let reload ?paged (s : Bft_sm.Service.t) =
         let s' = mk ?paged () in
-        s'.Bft_sm.Service.restore (s.Bft_sm.Service.snapshot ());
-        s'
+        match s'.Bft_sm.Service.restore (s.Bft_sm.Service.snapshot ()) with
+        | Ok () -> s'
+        | Error e -> QCheck.Test.fail_reportf "restore refused: %s" e
       in
       let flat = ref (mk ()) and paged = ref (mk ~paged:64 ()) in
       List.iteri
@@ -277,7 +278,7 @@ let test_kv_paged_snapshot_roundtrip () =
   List.iter (fun op -> ignore (exec s op)) kv_ops;
   let snap = s.Bft_sm.Service.snapshot () in
   let s2 = Bft_sm.Kv_service.create ~paged:64 () in
-  s2.Bft_sm.Service.restore snap;
+  Alcotest.(check bool) "restore ok" true (Result.is_ok (s2.Bft_sm.Service.restore snap));
   Alcotest.(check string) "snapshot stable" snap (s2.Bft_sm.Service.snapshot ());
   Alcotest.(check string) "value restored" "11" (exec s2 "get a");
   Alcotest.(check string) "deleted stays deleted" "ENOENT" (exec s2 "get c");
@@ -285,19 +286,41 @@ let test_kv_paged_snapshot_roundtrip () =
   Alcotest.(check bool) "flat has none" true
     ((Bft_sm.Kv_service.create ()).Bft_sm.Service.paged = None)
 
+(* A well-framed arena image of [page_size] bytes holding [body] as its
+   records. *)
+let raw_arena ~page_size body =
+  let s = Printf.sprintf "ARENA %012d\n%s" (19 + String.length body) body in
+  s ^ String.make (page_size - String.length s) '\000'
+
+(* Record headers whose key length overflows [int], or whose end does. *)
+let over_long_records =
+  [
+    ("key length past max_int", "R 99999999999999999999 1\nxy\n");
+    ("key length near max_int", Printf.sprintf "R %d 1\nx\n" max_int);
+  ]
+
 let test_kv_paged_restore_rejects_malformed () =
   let s = Bft_sm.Kv_service.create ~paged:64 () in
   ignore (exec s "put a 1");
   let before = s.Bft_sm.Service.snapshot () in
   (* corrupt arena: rejected, state untouched *)
-  s.Bft_sm.Service.restore
-    (String.mapi (fun i c -> if i = 25 then '\255' else c) before);
+  Alcotest.(check bool) "corrupt refused" true
+    (Result.is_error
+       (s.Bft_sm.Service.restore (String.mapi (fun i c -> if i = 25 then '\255' else c) before)));
   Alcotest.(check string) "corrupt rejected" before (s.Bft_sm.Service.snapshot ());
   (* structurally valid arena that is not a kv image (no ACL record) *)
   let alien = Img.create ~page_size:64 () in
   Img.set alien ~key:"Bk" ~value:"v";
-  s.Bft_sm.Service.restore (Img.image alien);
+  Alcotest.(check bool) "alien refused" true
+    (Result.is_error (s.Bft_sm.Service.restore (Img.image alien)));
   Alcotest.(check string) "alien rejected" before (s.Bft_sm.Service.snapshot ());
+  (* record lengths past [max_int], or near it, are refused, not raised *)
+  List.iter
+    (fun (name, record) ->
+      Alcotest.(check bool) (name ^ " refused") true
+        (Result.is_error (s.Bft_sm.Service.restore (raw_arena ~page_size:64 record)));
+      Alcotest.(check string) (name ^ " rejected") before (s.Bft_sm.Service.snapshot ()))
+    over_long_records;
   Alcotest.(check string) "still serves" "1" (exec s "get a")
 
 let test_kv_paged_acl_sync () =
@@ -308,7 +331,8 @@ let test_kv_paged_acl_sync () =
   Alcotest.(check string) "granted" "ok" (exec s ~client:6 "put x 1");
   (* the grant travels through the arena image *)
   let s2 = mk () in
-  s2.Bft_sm.Service.restore (s.Bft_sm.Service.snapshot ());
+  Alcotest.(check bool) "restore ok" true
+    (Result.is_ok (s2.Bft_sm.Service.restore (s.Bft_sm.Service.snapshot ())));
   Alcotest.(check string) "acl restored" "ok" (exec s2 ~client:6 "put y 2")
 
 (* --- checkpoint cost tracks the modified pages (Section 5.3) --- *)
@@ -394,31 +418,44 @@ let make ?(f = 1) ?(seed = 42L) ?service ?(clients = 1) ?(k = 8) () =
   let cfg = Config.make ~checkpoint_interval:k ~vc_timeout_us:30_000.0 ~f () in
   (cfg, Cluster.create ~seed ?service ~num_clients:clients cfg)
 
+(* Every refusal returns [Error], is counted once by the replica, and
+   leaves its service state and image as they were. *)
+let expect_refused reg r name s =
+  let state = Replica.service_state r and image = Replica.image r in
+  let rejections () = Bft_obs.Obs.snapshot_rejections (Bft_obs.Obs.for_node reg 0) in
+  let before = rejections () in
+  (match Replica.restore_snapshot r s with
+  | Ok () -> Alcotest.failf "%s: malformed snapshot accepted" name
+  | Error _ -> ());
+  Alcotest.(check int) (name ^ ": one rejection counted") (before + 1) (rejections ());
+  Alcotest.(check string) (name ^ ": service untouched") state (Replica.service_state r);
+  Alcotest.(check string) (name ^ ": image untouched") image (Replica.image r)
+
+let traced_cluster service =
+  let cfg = Config.make ~checkpoint_interval:8 ~vc_timeout_us:30_000.0 ~f:1 () in
+  let reg = Bft_obs.Obs.registry () in
+  (Cluster.create ~seed:42L ~service ~num_clients:1 ~obs:reg cfg, reg)
+
 let test_replica_restore_malformed () =
-  let _, c = make ~service:(fun () -> Bft_sm.Kv_service.create ()) () in
+  let c, reg = traced_cluster (fun () -> Bft_sm.Kv_service.create ()) in
   for i = 1 to 3 do
     ignore (Cluster.invoke_sync c ~client:0 (Printf.sprintf "put k%d v%d" i i))
   done;
   let r = Cluster.replica c 0 in
-  let good = Replica.full_snapshot r in
+  let good = Replica.image r in
   Alcotest.(check bool) "has reply records" true
     (String.length good > String.length (Replica.service_state r) + 8);
-  let state = Replica.service_state r in
-  let expect_error name s =
-    (match Replica.restore_snapshot r s with
-    | Ok () -> Alcotest.failf "%s: malformed snapshot accepted" name
-    | Error _ -> ());
-    Alcotest.(check string) (name ^ ": service untouched") state (Replica.service_state r);
-    Alcotest.(check string) (name ^ ": snapshot untouched") good (Replica.full_snapshot r)
-  in
+  let expect_error = expect_refused reg r in
   expect_error "no header" "";
   expect_error "non-numeric header" ("xyz\n" ^ String.sub good 4 (String.length good - 4));
   expect_error "length past end" ("999999999\n" ^ good);
+  expect_error "length overflows" (string_of_int max_int ^ "\n" ^ good);
+  expect_error "reply length overflows" (good ^ "1 2 3 " ^ string_of_int max_int ^ "\n");
   expect_error "truncated reply record" (String.sub good 0 (String.length good - 2));
   expect_error "unterminated reply header" (good ^ "1 2 3");
   expect_error "malformed reply header" (good ^ "1 2\nx");
   expect_error "bad reply ints" (good ^ "a b c d\n");
-  expect_error "bad paged header" "PAGED 10 10\n";
+  expect_error "paged header on a flat replica" "PAGED 10 10\n";
   (* well-framed, but the kv body's second binding has no integer length:
      the service must refuse it before dropping a binding *)
   let body = "open\n1 1 zq\nX 1 z\n" in
@@ -431,7 +468,35 @@ let test_replica_restore_malformed () =
   (match Replica.restore_snapshot r good with
   | Ok () -> ()
   | Error e -> Alcotest.failf "good snapshot rejected: %s" e);
-  Alcotest.(check string) "roundtrip" good (Replica.full_snapshot r)
+  Alcotest.(check string) "roundtrip" good (Replica.image r);
+  (* a paged replica has one layout: a well-framed paged image of
+     garbage, and its own state in the flat layout, are both refused *)
+  let c, reg = traced_cluster (fun () -> Bft_sm.Kv_service.create ~paged:256 ()) in
+  for i = 1 to 3 do
+    ignore (Cluster.invoke_sync c ~client:0 (Printf.sprintf "put k%d v%d" i i))
+  done;
+  let r = Cluster.replica c 0 in
+  let header = "PAGED 256 0\n" in
+  expect_refused reg r "paged garbage"
+    (header ^ String.make (256 - String.length header) '\000' ^ String.make 256 'z');
+  let svc = Replica.service_state r in
+  let image = Replica.image r in
+  let reply_records = String.sub image (256 + String.length svc) (String.length image - 256 - String.length svc) in
+  expect_refused reg r "flat layout on a paged replica"
+    (Printf.sprintf "%d\n%s%s" (String.length svc) svc reply_records);
+  expect_refused reg r "nonzero header padding" (String.mapi (fun i c -> if i = 200 then 'x' else c) image);
+  (* lengths whose sum with the header page wraps to the image's own *)
+  expect_refused reg r "paged lengths overflow"
+    (Printf.sprintf "PAGED %d %d\n" max_int (max_int - 208));
+  List.iter
+    (fun (name, record) ->
+      let page = raw_arena ~page_size:256 record in
+      expect_refused reg r name
+        (header ^ String.make (256 - String.length header) '\000' ^ page))
+    over_long_records;
+  (match Replica.restore_snapshot r image with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "paged image rejected: %s" e)
 
 (* --- paged clusters end-to-end --- *)
 

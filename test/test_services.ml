@@ -36,12 +36,15 @@ let test_null_invalid () =
       "ro:4611686018427387903:";
     ]
 
+let restore (s : Bft_sm.Service.t) snap =
+  match s.restore snap with Ok () -> () | Error e -> Alcotest.failf "restore refused: %s" e
+
 let test_null_snapshot () =
   let s = Bft_sm.Null_service.create () in
   ignore (exec s (Bft_sm.Null_service.op ~read_only:false ~arg_size:0 ~result_size:0));
   let snap = s.Bft_sm.Service.snapshot () in
   ignore (exec s (Bft_sm.Null_service.op ~read_only:false ~arg_size:0 ~result_size:0));
-  s.Bft_sm.Service.restore snap;
+  restore s snap;
   Alcotest.(check string) "restored" snap (s.Bft_sm.Service.snapshot ())
 
 (* The rule [parse] replaced: split the whole op on ':'. *)
@@ -88,7 +91,7 @@ let test_counter_snapshot () =
   ignore (exec s "add 42");
   let snap = s.Bft_sm.Service.snapshot () in
   ignore (exec s "inc");
-  s.Bft_sm.Service.restore snap;
+  restore s snap;
   Alcotest.(check string) "value restored" "42" (exec s "get")
 
 (* --- key-value --- *)
@@ -142,7 +145,7 @@ let test_kv_snapshot_roundtrip () =
   let snap = s.Bft_sm.Service.snapshot () in
   ignore (exec s ~client:3 "put gamma 3");
   ignore (exec s ~client:0 "grant 4");
-  s.Bft_sm.Service.restore snap;
+  restore s snap;
   Alcotest.(check string) "alpha" "1" (exec s "get alpha");
   Alcotest.(check string) "gamma gone" "ENOENT" (exec s "get gamma");
   Alcotest.(check string) "acl restored" Bft_sm.Service.denied (exec s ~client:4 "put x y");
@@ -158,8 +161,25 @@ let prop_kv_snapshot_roundtrip =
         kvs;
       let snap = s.Bft_sm.Service.snapshot () in
       let s2 = Bft_sm.Kv_service.create () in
-      s2.Bft_sm.Service.restore snap;
-      String.equal snap (s2.Bft_sm.Service.snapshot ()))
+      Result.is_ok (s2.Bft_sm.Service.restore snap)
+      && String.equal snap (s2.Bft_sm.Service.snapshot ()))
+
+(* The flat image is read by its lengths, so a value holding a newline
+   round-trips, and every malformed image is refused with the store kept. *)
+let test_kv_restore_checks_image () =
+  let s = Bft_sm.Kv_service.create () in
+  ignore (exec s "put k two\nlines");
+  let snap = s.Bft_sm.Service.snapshot () in
+  let s2 = Bft_sm.Kv_service.create () in
+  restore s2 snap;
+  Alcotest.(check string) "newline value restored" "two\nlines" (exec s2 "get k");
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) (Printf.sprintf "%S refused" bad) true
+        (Result.is_error (s2.Bft_sm.Service.restore bad));
+      Alcotest.(check string) "store kept" snap (s2.Bft_sm.Service.snapshot ()))
+    [ ""; "nope\n"; "acl 1,x\n"; "open\n1 1 ab"; "open\n1 9 ab\n"; "open\nx\n";
+      Printf.sprintf "open\n%d %d ab\n" max_int max_int ]
 
 let test_kv_malformed () =
   let s = Bft_sm.Kv_service.create () in
@@ -192,6 +212,7 @@ let suites =
         Alcotest.test_case "read-only classes" `Quick test_kv_read_only_classification;
         Alcotest.test_case "snapshot roundtrip" `Quick test_kv_snapshot_roundtrip;
         Alcotest.test_case "malformed" `Quick test_kv_malformed;
+        Alcotest.test_case "restore checks the image" `Quick test_kv_restore_checks_image;
         QCheck_alcotest.to_alcotest prop_kv_snapshot_roundtrip;
       ] );
   ]
