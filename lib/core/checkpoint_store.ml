@@ -50,6 +50,9 @@ let votes_for t seq =
       Hashtbl.replace t.votes seq h;
       h
 
+let message tree ~replica =
+  { Message.ck_seq = Partition_tree.seq tree; ck_digest = Partition_tree.root_digest tree; ck_replica = replica }
+
 let add_message t (c : Message.checkpoint) =
   if c.ck_seq > t.stable then
     Hashtbl.replace (votes_for t c.ck_seq) c.ck_replica c.ck_digest

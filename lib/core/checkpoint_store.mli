@@ -30,6 +30,9 @@ val held : t -> (int * string) list
 (** [(seq, digest)] of every retained checkpoint, ascending — the C
     component of a view-change message. *)
 
+val message : Partition_tree.t -> replica:int -> Message.checkpoint
+(** The CHECKPOINT message [replica] sends for the tree. *)
+
 val add_message : t -> Message.checkpoint -> unit
 (** Record a CHECKPOINT message (sender deduplicated per sequence). *)
 

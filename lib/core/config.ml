@@ -1,3 +1,4 @@
+[@@@lint.protocol_core]
 type auth_mode = Mac_auth | Sig_auth
 
 let digest_replies_threshold = 32

@@ -10,7 +10,6 @@ type entry = {
   prepares : (int * digest) option array;
   commits : (int * digest) option array;
   mutable executed : bool;
-  mutable exec_tentative : bool;
 }
 
 (* A ring of [log_size] slots: sequence number [n] lives in slot
@@ -42,7 +41,6 @@ let vacant =
     prepares = [||];
     commits = [||];
     executed = false;
-    exec_tentative = false;
   }
 
 let create cfg =
@@ -65,7 +63,7 @@ let entry t n =
 
 let find t n =
   if not (in_window t n) then
-    invalid_arg (Printf.sprintf "Log.find: seq %d outside window (h=%d)" n t.h);
+    invalid_arg (Printf.sprintf "Log: seq %d outside window (h=%d)" n t.h);
   let e = live t n in
   if e != vacant then e
   else begin
@@ -80,7 +78,6 @@ let find t n =
         prepares = Array.make n_replicas None;
         commits = Array.make n_replicas None;
         executed = false;
-        exec_tentative = false;
       }
     in
     let i = slot t n in
@@ -145,6 +142,20 @@ let add_commit t (c : Message.commit) =
     e.commits.(r) <- vote
   end
 
+let mark_self_preprepared t n = (find t n).self_preprepared <- true
+let mark_executed t n = (find t n).executed <- true
+
+(* Condition 2 reads one entry: the backups' prepares that match [view]
+   and [d] at [seq], one per replica id by construction. *)
+let vouchers t ~view ~seq d =
+  let primary = Config.primary t.cfg ~view and count = ref 0 in
+  Array.iteri
+    (fun r -> function
+      | Some (v, d') when v = view && r <> primary && String.equal d' d -> incr count
+      | _ -> ())
+    (live t seq).prepares;
+  !count
+
 let counts t ~seq =
   let e = live t seq in
   if e == vacant then (0, 0) else (t.n_prepares.(slot t seq), t.n_commits.(slot t seq))
@@ -157,6 +168,13 @@ let prepared t ~view ~seq =
 (* [prepared] implies a live entry, so its slot's count is [seq]'s *)
 let committed t ~view ~seq =
   prepared t ~view ~seq && t.n_commits.(slot t seq) >= Config.quorum t.cfg
+
+let max_prepared t ~view =
+  let best = ref 0 in
+  for n = t.h + 1 to t.h + t.cfg.Config.log_size do
+    if prepared t ~view ~seq:n then best := n
+  done;
+  !best
 
 let truncate t n =
   if n > t.h then begin
@@ -181,11 +199,11 @@ let digest t b =
   in
   iter_window t
     (fun
-      { seq; pp_view; self_preprepared; executed; exec_tentative; pp_digest; prepares; commits;
+      { seq; pp_view; self_preprepared; executed; pp_digest; prepares; commits;
         pp = _ (* identified by pp_digest *) }
     ->
-      add "L%d pv=%d self=%b ex=%b tent=%b d=%s(" seq pp_view self_preprepared executed
-        exec_tentative (match pp_digest with Some d -> hexd d | None -> "-");
+      add "L%d pv=%d self=%b ex=%b d=%s(" seq pp_view self_preprepared executed
+        (match pp_digest with Some d -> hexd d | None -> "-");
       votes "p" prepares;
       votes "c" commits;
       add ")")

@@ -16,7 +16,7 @@
 
 type digest = string
 
-type entry = {
+type entry = private {  (* only [Log] writes an entry *)
   seq : int;
   mutable pp : Message.pre_prepare option;  (** accepted pre-prepare *)
   mutable pp_digest : digest option;  (** its batch digest *)
@@ -28,7 +28,6 @@ type entry = {
   commits : (int * digest) option array;
       (** indexed by replica id: that replica's commit as (view, digest) *)
   mutable executed : bool;
-  mutable exec_tentative : bool;  (** executed tentatively, not yet committed *)
 }
 
 type t
@@ -39,15 +38,17 @@ val low_mark : t -> int
 val entry : t -> int -> entry option
 (** [None] when the sequence number is outside the water marks. *)
 
-val find : t -> int -> entry
-(** Like {!entry} but creates the entry; raises [Invalid_argument] outside
-    the water marks. *)
-
 val in_window : t -> int -> bool
 
 val accept_pre_prepare : t -> view:int -> Message.pre_prepare -> digest -> bool
 (** Record an accepted pre-prepare. Returns [false] (no change) if a
-    different digest was already accepted for this view and sequence. *)
+    different digest was already accepted for this view and sequence;
+    raises [Invalid_argument] outside the water marks. *)
+
+val mark_self_preprepared : t -> int -> unit
+(** We sent the pre-prepare or a prepare for it; raises as {!accept_pre_prepare}. *)
+
+val mark_executed : t -> int -> unit
 
 val add_prepare : t -> Message.prepare -> unit
 (** Record a prepare, replacing the sender's earlier one for that sequence
@@ -64,6 +65,13 @@ val committed : t -> view:int -> seq:int -> bool
 (** Committed certificate: prepared plus 2f+1 matching commits. The view of
     commits may trail the current view after a view change, so commits are
     matched on digest and sequence only. *)
+
+val vouchers : t -> view:int -> seq:int -> digest -> int
+(** The backups of [view] whose prepare for [seq] carries [view] and the
+    digest; condition 2 holds at f, so f + 1 replicas vouch with the primary. *)
+
+val max_prepared : t -> view:int -> int
+(** The highest sequence number {!prepared} in [view], 0 if none. *)
 
 val counts : t -> seq:int -> int * int
 (** [(prepares, commits)]: the votes counted towards [seq]'s certificates

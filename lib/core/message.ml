@@ -4,6 +4,7 @@
     ordered by the three-phase protocol (Section 5.1.4); prepares and
     commits carry the batch digest. *)
 
+[@@@lint.protocol_core]
 type digest = string
 
 (** Client requests (Section 2.3.2). A request is named by its digest

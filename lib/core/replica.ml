@@ -7,12 +7,6 @@ let src = Logs.Src.create "bft.replica" ~doc:"BFT replica"
 
 module L = (val Logs.src_log src : Logs.LOG)
 
-(* Performance watchdog ([Config.perf_watchdog]): a backup trusts its
-   latency baseline after [perf_min_samples] executions and calls the
-   primary slow once the smoothed latency exceeds [perf_factor] times it. *)
-let perf_factor = 6.0
-let perf_min_samples = 8
-
 type deps = {
   cfg : Config.t;
   costs : Costs.t;
@@ -72,15 +66,7 @@ type t = {
   mutable vc_timer : timer option; (* the case armed in the "vc" slot *)
   mutable vc_timeout_us : float;
   retx : Retransmit_budget.t; (* per-peer retransmission budgets *)
-  (* primary performance watchdog (Config.perf_watchdog): smoothed
-     accept->execute latency vs the best smoothed latency ever seen *)
-  mutable perf_ewma_us : float;
-  mutable perf_samples : int;
-  mutable perf_baseline_us : float; (* 0.0 = not yet established *)
-  mutable perf_fired_view : int; (* last view the watchdog fired in *)
-  mutable perf_view_start : int64;
-      (* when the current view was entered: requests that arrived earlier
-         waited under the previous primary and must not feed the EWMA *)
+  perf : Perf_watchdog.t;
   mutable transfer : State_transfer.t option;
   mutable recovering : Recovery.t option;
   mutable hm_bound : int; (* don't send protocol messages above this while recovering *)
@@ -303,13 +289,6 @@ let restore_snapshot t s =
       L.debug (fun m -> m "replica %d: snapshot rejected: %s" t.id reason);
       Error reason
 
-(* A new watchdog epoch: the smoothed latency of the old primary (and of
-   the view-change gap itself) says nothing about the new one. *)
-let new_perf_epoch t =
-  t.perf_view_start <- now t;
-  t.perf_ewma_us <- 0.0;
-  t.perf_samples <- 0
-
 (* ------------------------------------------------------------------ *)
 (* Timers: view-change timer driven by the waiting-request set          *)
 (* ------------------------------------------------------------------ *)
@@ -348,42 +327,21 @@ let relay_waiting t =
 let start_vc_timer t =
   if Option.is_none t.vc_timer && not t.d.cfg.Config.debug_no_vc_timer then arm_vc t Vc_active
 
-(* Primary performance watchdog (the slow-primary attack of Chondros et
-   al.): a primary that keeps answering timers but orders requests ever
-   more slowly never trips the silence-based vc timer. Backups smooth
-   the accept->execute latency of each request (EWMA) and keep the best
-   smoothed value ever observed as a baseline; when the current EWMA
-   degrades beyond [perf_factor] times that baseline the backup demands
-   a view change — once per view, from a zero-delay event so the view
-   change never reenters [execute_batch]. *)
-let perf_note_sample t arrival =
-  let cfg = t.d.cfg in
+(* A slow primary's view change starts from a zero-delay event, so it
+   never reenters [execute_batch]. *)
+let watch_latency t arrival =
   if
-    cfg.Config.perf_watchdog && (not (is_primary t))
-    && Int64.compare arrival t.perf_view_start >= 0
+    Perf_watchdog.note t.perf ~now:(now t) ~arrival ~view:t.view ~primary:(is_primary t)
+      ~active:t.active
   then begin
-    let sample = Int64.to_float (Int64.sub (now t) arrival) /. 1_000.0 in
-    t.perf_ewma_us <-
-      (if t.perf_samples = 0 then sample
-       else (0.8 *. t.perf_ewma_us) +. (0.2 *. sample));
-    t.perf_samples <- t.perf_samples + 1;
-    if t.perf_samples >= perf_min_samples then
-      if t.perf_baseline_us = 0.0 || t.perf_ewma_us < t.perf_baseline_us then
-        t.perf_baseline_us <- t.perf_ewma_us
-      else if
-        t.active && t.perf_fired_view < t.view
-        && t.perf_ewma_us > perf_factor *. t.perf_baseline_us
-      then begin
-        t.perf_fired_view <- t.view;
-        t.counters.n_slowness_vc <- t.counters.n_slowness_vc + 1;
-        if Obs.enabled t.obs then
-          Obs.slowness_view_change t.obs ~now:(now t) ~view:t.view
-            ~ewma_us:t.perf_ewma_us ~baseline_us:t.perf_baseline_us;
-        L.debug (fun m ->
-            m "replica %d: slow primary of view %d (ewma %.1fus baseline %.1fus)"
-              t.id t.view t.perf_ewma_us t.perf_baseline_us);
-        t.port.arm t (Perf_vc t.view) ~delay_us:0.0
-      end
+    let ewma_us = Perf_watchdog.ewma_us t.perf and baseline_us = Perf_watchdog.baseline_us t.perf in
+    t.counters.n_slowness_vc <- t.counters.n_slowness_vc + 1;
+    if Obs.enabled t.obs then
+      Obs.slowness_view_change t.obs ~now:(now t) ~view:t.view ~ewma_us ~baseline_us;
+    L.debug (fun m ->
+        m "replica %d: slow primary of view %d (ewma %.1fus baseline %.1fus)" t.id t.view ewma_us
+          baseline_us);
+    t.port.arm t (Perf_vc t.view) ~delay_us:0.0
   end
 
 let restart_vc_timer t =
@@ -398,7 +356,7 @@ let clear_waiting t digest =
   match Request_store.clear_waiting t.rq digest with
   | None -> ()
   | Some arrival ->
-      perf_note_sample t arrival;
+      watch_latency t arrival;
       restart_vc_timer t
 
 (* A client's execution advancing to timestamp [ts] supersedes every
@@ -433,13 +391,10 @@ let take_checkpoint t seq =
   end;
   tree
 
-let checkpoint_msg t tree =
-  { ck_seq = Partition_tree.seq tree; ck_digest = Partition_tree.root_digest tree; ck_replica = t.id }
-
 let announce_checkpoint t seq =
   Option.iter
     (fun tree ->
-      let ck = checkpoint_msg t tree in
+      let ck = Checkpoint_store.message tree ~replica:t.id in
       Checkpoint_store.add_message t.ckpts ck;
       broadcast t (Checkpoint ck))
     (Checkpoint_store.tree_at t.ckpts seq)
@@ -511,7 +466,7 @@ let send_prepare t ~view ~seq digest =
   if allowed_seq t seq then begin
     let p = { pr_view = view; pr_seq = seq; pr_digest = digest; pr_replica = t.id } in
     Log.add_prepare t.log p;
-    (Log.find t.log seq).Log.self_preprepared <- true;
+    Log.mark_self_preprepared t.log seq;
     broadcast t (Prepare p)
   end
 
@@ -635,9 +590,8 @@ let rec try_stabilize t =
 
 (* Execute one batch at sequence [n]; [tentative] per Section 5.1.2. *)
 and execute_batch t n ~tentative =
-  let e = Log.find t.log n in
-  match (e.Log.pp, e.Log.pp_digest) with
-  | Some pp, Some d ->
+  match Log.entry t.log n with
+  | Some { Log.pp = Some pp; pp_digest = Some d; _ } ->
       let is_null = String.equal d Wire.null_batch_digest in
       let elems = if is_null then [] else pp.pp_batch in
       if Obs.enabled t.obs then
@@ -699,8 +653,7 @@ and execute_batch t n ~tentative =
       (* executing a request proves the view is live: reset the view-change
          timeout to its initial value (liveness rule, Section 2.3.5) *)
       t.vc_timeout_us <- t.d.cfg.Config.vc_timeout_us;
-      e.Log.executed <- true;
-      e.Log.exec_tentative <- tentative;
+      Log.mark_executed t.log n;
       t.last_exec <- n;
       if n mod t.d.cfg.Config.checkpoint_interval = 0 then begin
         ignore (take_checkpoint t n);
@@ -716,27 +669,25 @@ and try_execute t =
   while !progress do
     progress := false;
     let n = t.last_exec + 1 in
-    if Log.in_window t.log n || n <= Log.low_mark t.log then begin
-      match Log.entry t.log n with
-      | Some { Log.pp_digest = Some d; executed = false; _ } ->
-          if Request_store.have_batch_bodies t.rq d then begin
-            if Log.committed t.log ~view:t.view ~seq:n then begin
-              execute_batch t n ~tentative:false;
-              update_committed_upto t;
-              progress := true
-            end
-            else if
-              t.d.cfg.Config.tentative_execution
-              && t.active
-              && Log.prepared t.log ~view:t.view ~seq:n
-              && t.committed_upto = n - 1
-            then begin
-              execute_batch t n ~tentative:true;
-              progress := true
-            end
+    match Log.entry t.log n with
+    | Some { Log.pp_digest = Some d; executed = false; _ } ->
+        if Request_store.have_batch_bodies t.rq d then begin
+          if Log.committed t.log ~view:t.view ~seq:n then begin
+            execute_batch t n ~tentative:false;
+            update_committed_upto t;
+            progress := true
           end
-      | _ -> ()
-    end
+          else if
+            t.d.cfg.Config.tentative_execution
+            && t.active
+            && Log.prepared t.log ~view:t.view ~seq:n
+            && t.committed_upto = n - 1
+          then begin
+            execute_batch t n ~tentative:true;
+            progress := true
+          end
+        end
+    | _ -> ()
   done;
   update_committed_upto t;
   (* newly committed tentative executions can trigger checkpoint
@@ -758,7 +709,7 @@ and send_pre_prepare t batch nondet =
   let bytes = Wire.cached_encode enc (Pre_prepare pp) in
   charge t (Costs.digest_us t.d.costs (String.length bytes));
   ignore (Log.accept_pre_prepare t.log ~view:t.view pp d);
-  (Log.find t.log n).Log.self_preprepared <- true;
+  Log.mark_self_preprepared t.log n;
   if Obs.enabled t.obs then begin
     Obs.phase t.obs ~now:(now t) Obs.Preprepared ~view:t.view ~seq:n;
     Obs.batch_assigned t.obs ~now:(now t) ~digests:(List.map elem_digest batch)
@@ -926,7 +877,7 @@ and enter_new_view t (nv : new_view) =
   t.view <- v;
   t.active <- true;
   View_change_store.set_deferred_nv t.vc None;
-  new_perf_epoch t;
+  Perf_watchdog.new_epoch t.perf ~now:(now t);
   stop_vc_timer t;
   (* prune view-change state for views before this one *)
   View_change_store.prune_below t.vc v;
@@ -963,7 +914,7 @@ and enter_new_view t (nv : new_view) =
         in
         let pp = { pp_view = v; pp_seq = n; pp_batch = batch; pp_nondet = nondet } in
         ignore (Log.accept_pre_prepare t.log ~view:v pp c.nc_digest);
-        (Log.find t.log n).Log.self_preprepared <- true;
+        Log.mark_self_preprepared t.log n;
         if not am_primary then send_prepare t ~view:v ~seq:n c.nc_digest
       end)
     nv.nv_chosen;
@@ -1035,21 +986,14 @@ and process_new_view t =
 let note_waiting t digest =
   if Request_store.note_waiting t.rq digest ~now:(now t) && t.active then start_vc_timer t
 
-(* condition 2: f prepares carrying the batch digest vouch for it *)
-let batch_vouched t batch_digest =
-  let count = ref 0 in
-  Log.iter_window t.log (fun e ->
-      Array.iter
-        (function Some (_, d') when String.equal d' batch_digest -> incr count | _ -> ())
-        e.Log.prepares);
-  !count >= t.d.cfg.Config.f
-
-(* A batch element is authentic if (3) we already verified the stored
-   request body, (1) our MAC entry in the client's token verifies, or (2) f
-   prepares vouch for the batch digest. Elements are checked in order and
-   the first failure stops the check, so nothing past it is charged. *)
-let batch_authentic t elems batch_digest =
-  let vouched = lazy (batch_vouched t batch_digest) in
+(* A batch element of the pre-prepare for [view] and [seq] is authentic if
+   (3) we already verified the stored request body, (1) our MAC entry in
+   the client's token verifies, or (2) f backups' prepares for the
+   pre-prepare's view, sequence number and batch digest vouch for it.
+   Elements are checked in order and the first failure stops the check,
+   so nothing past it is charged. *)
+let batch_authentic t ~view ~seq elems batch_digest =
+  let vouched = lazy (Log.vouchers t.log ~view ~seq batch_digest >= t.d.cfg.Config.f) in
   List.for_all
     (function
       | By_digest d -> (
@@ -1086,7 +1030,7 @@ let accept_pre_prepare t (pp : pre_prepare) ~size =
       | None -> false
     in
     if nondet_ok && not already then begin
-      let authentic = batch_authentic t pp.pp_batch d in
+      let authentic = batch_authentic t ~view:v ~seq:n pp.pp_batch d in
       let have_bodies =
         List.for_all
           (fun e -> match e with By_digest dd -> Request_store.mem t.rq dd | Inline _ -> true)
@@ -1338,137 +1282,34 @@ let handle_data t (dmsg : data) =
 (* Status and retransmission (Section 5.2)                              *)
 (* ------------------------------------------------------------------ *)
 
+(* A saturated single-threaded replica gets to its periodic work late:
+   skip the beat instead of accumulating unbounded CPU debt. *)
 let send_status t =
-  (* a saturated single-threaded replica gets to its periodic work late;
-     skip the beat instead of accumulating unbounded CPU debt *)
   let backlogged =
     t.port.backlog () > 8
     || Int64.compare (t.port.busy_until ())
          (Int64.add (now t) (Int64.of_float (t.d.cfg.Config.status_interval_us *. 1_000.0)))
        > 0
   in
-  if backlogged then ()
-  else if t.active then begin
-    (* sa_prepared: prepared but not committed; sa_committed: committed.
-       Under mac_storm we understate our protocol state — an empty window
-       and nothing executed — so every peer re-sends its whole window to
-       us at each status beat (the amplification the per-peer
-       retransmission budget bounds). *)
-    let prepared = ref [] and committed = ref [] in
-    if not t.wrong_mac then
-      Log.iter_window t.log (fun e ->
-          match e.Log.pp_digest with
-          | Some _ when Log.committed t.log ~view:t.view ~seq:e.Log.seq ->
-              committed := e.Log.seq :: !committed
-          | Some _ when Log.prepared t.log ~view:t.view ~seq:e.Log.seq ->
-              prepared := e.Log.seq :: !prepared
-          | _ -> ());
+  if not backlogged then
     broadcast t
-      (Status_active
-         {
-           sa_replica = t.id;
-           sa_view = t.view;
-           sa_h = Log.low_mark t.log;
-           sa_last_exec = (if t.wrong_mac then Log.low_mark t.log else t.last_exec);
-           sa_prepared = !prepared;
-           sa_committed = !committed;
-         })
-  end
-  else begin
-    let seen = View_change_store.senders t.vc t.view in
-    broadcast t
-      (Status_pending
-         {
-           sp_replica = t.id;
-           sp_view = t.view;
-           sp_h = Log.low_mark t.log;
-           sp_last_exec = t.last_exec;
-           sp_has_new_view = View_change_store.has_new_view t.vc t.view;
-           sp_vcs_seen = seen;
-         })
-  end
+      (Retransmission.status ~self:t.id ~view:t.view ~active:t.active ~understate:t.wrong_mac
+         ~last_exec:t.last_exec t.log t.vc)
 
 let handle_status_active t (s : status_active) =
-  let r = s.sa_replica in
-  if r <> t.id then begin
-    if s.sa_view < t.view then begin
-      (* bring the replica to our view *)
-      match View_change_store.my_vc t.vc t.view with
-      | Some vc -> send_retx t ~dst:r (View_change vc)
-      | None -> ()
-    end
-    else if s.sa_view = t.view && t.active then begin
-      (* retransmit our own protocol messages the peer is missing *)
-      let claim = Log.claims t.log ~prepared:s.sa_prepared ~committed:s.sa_committed in
-      Log.iter_window t.log (fun e ->
-          let n = e.Log.seq in
-          if n > s.sa_h then begin
-            match e.Log.pp_digest with
-            | Some _ ->
-                let claimed = claim n in
-                (match claimed with
-                | Log.Unclaimed -> (
-                    (match e.Log.pp with
-                    | Some pp when primary_of t e.Log.pp_view = t.id && e.Log.pp_view = t.view ->
-                        send_retx t ~dst:r (Pre_prepare pp)
-                    | _ -> ());
-                    match e.Log.prepares.(t.id) with
-                    | Some (v, d') when v = t.view ->
-                        send_retx t ~dst:r
-                          (Prepare { pr_view = v; pr_seq = n; pr_digest = d'; pr_replica = t.id })
-                    | _ -> ())
-                | Log.Claimed_prepared | Log.Claimed_committed -> ());
-                (match claimed with
-                | Log.Unclaimed | Log.Claimed_prepared -> (
-                    match e.Log.commits.(t.id) with
-                    | Some (v, d') ->
-                        send_retx t ~dst:r
-                          (Commit { cm_view = v; cm_seq = n; cm_digest = d'; cm_replica = t.id })
-                    | None -> ())
-                | Log.Claimed_committed -> ())
-            | None -> ()
-          end)
-    end;
-    (* peer behind on checkpoints: retransmit our checkpoint message *)
-    if s.sa_h < Checkpoint_store.stable_seq t.ckpts then
-      Option.iter
-        (fun tree -> send_retx t ~dst:r (Checkpoint (checkpoint_msg t tree)))
-        (Checkpoint_store.stable_tree t.ckpts)
-  end
+  if s.sa_replica <> t.id then
+    List.iter (send_retx t ~dst:s.sa_replica)
+      (Retransmission.answer_active t.d.cfg ~self:t.id ~view:t.view ~active:t.active t.log t.vc
+         t.ckpts s)
 
 let handle_status_pending t (s : status_pending) =
   let r = s.sp_replica in
-  if r <> t.id then begin
-    if s.sp_view <= t.view then begin
-      (* the peer's list read once, whatever its length *)
-      let seen = Array.make t.d.cfg.Config.n false in
-      List.iter (fun i -> if i >= 0 && i < Array.length seen then seen.(i) <- true) s.sp_vcs_seen;
-      let peer_holds i = i >= 0 && i < Array.length seen && seen.(i) in
-      (* our view-change for the peer's pending view (or ours, to pull it
-         forward) *)
-      (match View_change_store.my_vc t.vc (max s.sp_view t.view) with
-      | Some vc ->
-          if (not (peer_holds t.id)) || s.sp_view < t.view then send_retx t ~dst:r (View_change vc)
-      | None -> ());
-      (* retransmit acks for view-changes the peer lacks *)
-      List.iter
-        (fun a -> if not (peer_holds a.va_origin) then send_retx t ~dst:r (View_change_ack a))
-        (View_change_store.my_acks t.vc s.sp_view);
-      (* the primary retransmits the new-view *)
-      (match View_change_store.new_view t.vc s.sp_view with
-      | Some nv when primary_of t s.sp_view = t.id && not s.sp_has_new_view ->
-          send_retx t ~dst:r (New_view nv)
-      | _ -> ());
-      (* and the view-change messages backing it *)
-      if not s.sp_has_new_view then
-        View_change_store.iter_view t.vc s.sp_view (fun sender vc ->
-            if not (peer_holds sender) then send_retx t ~dst:r (View_change vc))
-    end
-    else begin
-      (* the peer is ahead: catch up by joining its view change *)
-      handle_view_change t (bare_view_change ~view:s.sp_view ~h:s.sp_h r) ~verified:false
-    end
-  end
+  if r = t.id then ()
+  else if s.sp_view <= t.view then
+    List.iter (send_retx t ~dst:r) (Retransmission.answer_pending t.d.cfg ~self:t.id ~view:t.view t.vc s)
+  else
+    (* the peer is ahead: catch up by joining its view change *)
+    handle_view_change t (bare_view_change ~view:s.sp_view ~h:s.sp_h r) ~verified:false
 
 (* ------------------------------------------------------------------ *)
 (* Proactive recovery (Chapter 4)                                       *)
@@ -1484,19 +1325,15 @@ let handle_new_key t (nk : new_key) =
 (* The estimation's report: our stable checkpoint and the last sequence
    number prepared or committed. *)
 let handle_query_stable t (q : query_stable) =
-  if q.qs_replica <> t.id then begin
-    let prepared = ref t.committed_upto in
-    Log.iter_window t.log (fun e ->
-        if Log.prepared t.log ~view:t.view ~seq:e.Log.seq then prepared := max !prepared e.Log.seq);
+  if q.qs_replica <> t.id then
     send_to t ~dst:q.qs_replica
       (Reply_stable
          {
            rs_checkpoint = Checkpoint_store.stable_seq t.ckpts;
-           rs_prepared = !prepared;
+           rs_prepared = max t.committed_upto (Log.max_prepared t.log ~view:t.view);
            rs_replica = t.id;
            rs_nonce = q.qs_nonce;
          })
-  end
 
 (* Recovery pacing: retransmit the current phase's message until it gets a
    response (the paper's replica "keeps retransmitting the query message",
@@ -1714,11 +1551,7 @@ let create ?(obs = Obs.null) d ~port ~id ~on_execute =
     vc_timer = None;
     vc_timeout_us = d.cfg.Config.vc_timeout_us;
     retx = Retransmit_budget.create ();
-    perf_ewma_us = 0.0;
-    perf_samples = 0;
-    perf_baseline_us = 0.0;
-    perf_view_start = 0L;
-    perf_fired_view = -1;
+    perf = Perf_watchdog.create d.cfg;
     transfer = None;
     recovering = None;
     hm_bound = max_int;
@@ -1799,9 +1632,7 @@ let crash_reboot t =
   Request_store.crash_reset t.rq;
   View_change_store.crash_reset t.vc;
   Retransmit_budget.reset t.retx;
-  new_perf_epoch t;
-  t.perf_baseline_us <- 0.0;
-  t.perf_fired_view <- -1;
+  Perf_watchdog.reset t.perf ~now:(now t);
   stop_vc_timer t;
   t.active <- true;
   send_status t
@@ -1821,9 +1652,8 @@ let crash_reboot t =
 let state_digest
     ({
        id; view; seqno; last_exec; committed_upto; log; ckpts; image; rq;
-       pending_ckpt_announce; active; vc; vc_timer; vc_timeout_us; retx; perf_samples;
-       perf_fired_view; transfer; recovering; hm_bound; coproc_counter; byzantine; muted;
-       wrong_mac; null_fill_until;
+       pending_ckpt_announce; active; vc; vc_timer; vc_timeout_us; retx; perf; transfer;
+       recovering; hm_bound; coproc_counter; byzantine; muted; wrong_mac; null_fill_until;
        d = _ (* configuration and cost model; the service enters through the snapshot *);
        obs = _ (* tracing sink, inert *);
        port = _ (* the shell; Explore digests the pending timers' labels *);
@@ -1831,9 +1661,6 @@ let state_digest
        (* drawn only by state transfer, key refresh and recovery, which the
           digest sees through the replier, coproc_counter and the nonce *);
        counters = _ (* statistics the protocol never reads *);
-       perf_ewma_us = _ (* a latency: clock-derived *);
-       perf_baseline_us = _ (* a latency: clock-derived *);
-       perf_view_start = _ (* a time *);
        on_execute = _ (* the harness's tap; Explore digests what it recorded *);
      }) =
   let b = Buffer.create 2048 in
@@ -1852,7 +1679,7 @@ let state_digest
   List.iter (fun s -> add "%d;" s) pending_ckpt_announce;
   View_change_store.digest vc b;
   Retransmit_budget.digest retx b;
-  add "|perf=%d:%d" perf_samples perf_fired_view;
+  Perf_watchdog.digest perf b;
   (* state transfer / recovery, coarse but canonical *)
   (match transfer with None -> add "|tx=-" | Some tx -> State_transfer.digest tx b);
   (match recovering with None -> add "|rec=-" | Some rc -> Recovery.digest rc b);

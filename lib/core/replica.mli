@@ -19,18 +19,16 @@
     All messages are authenticated per [cfg.auth_mode]; crypto and
     execution costs are charged to the replica's virtual CPU.
 
-    The replica's state lives with the modules that own it: {!Log} (the
-    message log), {!Checkpoint_store} (checkpoints and their proofs),
-    {!Checkpoint_image} (the service state and reply cache they are
-    taken of),
-    {!Request_store} (the request pipeline), {!View_change_store} (the
-    view-change evidence) and {!Retransmit_budget} (the per-peer
-    retransmission budgets). Two sub-protocols own their records and
-    decisions: {!State_transfer} (the fetch walk and the replier's
-    answers) and {!Recovery} (the H_M estimate, the recovery request and
-    the recovery point); the replica sends what they decide, arms their
-    timers, signs, and installs the fetched tree. Each contributes its
-    slice of {!state_digest}.
+    The replica's state lives with the modules that own it: {!Log},
+    {!Checkpoint_store}, {!Checkpoint_image} (the service state and reply
+    cache), {!Request_store}, {!View_change_store}, {!Retransmit_budget}
+    and {!Perf_watchdog}. {!Retransmission} answers status messages as
+    data, and two sub-protocols own their records and decisions:
+    {!State_transfer} (the fetch walk and the replier's answers) and
+    {!Recovery} (the H_M estimate, the recovery request and the recovery
+    point); the replica sends what they decide, arms their timers, signs,
+    and installs the fetched tree. Each contributes its slice of
+    {!state_digest}.
 
     The replica never touches the simulator itself: it reaches the
     network, its CPU and its timers only through the {!port} it is

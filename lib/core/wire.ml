@@ -1,3 +1,4 @@
+[@@@lint.protocol_core]
 open Message
 
 (* Encoders write directly into a Wire_arena: an allocate-once bump buffer

@@ -171,9 +171,7 @@ let new_view_entered t ~now ~view =
 
 let checkpoint_stable t ~now ~seq =
   if t.t_enabled then begin
-    Hashtbl.iter
-      (fun s _ -> if s <= seq then Hashtbl.remove t.marks s)
-      (Hashtbl.copy t.marks);
+    Hashtbl.filter_map_inplace (fun s m -> if s <= seq then None else Some m) t.marks;
     record t ~at:now (Checkpoint_stable { seq })
   end
 

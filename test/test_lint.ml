@@ -249,6 +249,20 @@ let test_no_domain_allowlist () =
          if String.equal rule Rule.domain_containment then Some prefix else None)
        Lint.default_allowlist)
 
+(* The protocol-core rule holds only where the marker is: every
+   lib/core module carries it except the shells that reach the
+   simulator, so no module leaves the seam by forgetting it. *)
+let test_core_marked () =
+  let shells = [ "baseline.ml"; "client.ml"; "cluster.ml"; "proxy.ml" ] in
+  let unmarked =
+    Sys.readdir "../lib/core" |> Array.to_list |> List.sort String.compare
+    |> List.filter (fun f ->
+           Filename.check_suffix f ".ml"
+           && (not (List.mem f shells))
+           && not (contains (read_file (Filename.concat "../lib/core" f)) "[@@@lint.protocol_core]"))
+  in
+  Alcotest.(check (list string)) "unmarked lib/core modules" [] unmarked
+
 (* The replica's protocol cycle is made of direct calls the call graph
    can see: a fired vc timer starts the view change from [on_timer], and
    execution slides the primary's window. *)
@@ -291,6 +305,7 @@ let suites =
       [
         Alcotest.test_case "tree lints clean" `Quick test_repo_lints_clean;
         Alcotest.test_case "replica call edges" `Quick test_replica_call_edges;
+        Alcotest.test_case "lib/core marked protocol core" `Quick test_core_marked;
         Alcotest.test_case "no domain allowlist" `Quick test_no_domain_allowlist;
       ] );
   ]

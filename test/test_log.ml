@@ -20,9 +20,9 @@ let test_window () =
   Alcotest.(check bool) "1 inside" true (Log.in_window log 1);
   Alcotest.(check bool) "L inside" true (Log.in_window log cfg.Config.log_size);
   Alcotest.(check bool) "L+1 outside" false (Log.in_window log (cfg.Config.log_size + 1));
-  Alcotest.check_raises "find outside"
-    (Invalid_argument "Log.find: seq 0 outside window (h=0)") (fun () ->
-      ignore (Log.find log 0))
+  Alcotest.check_raises "pre-prepare outside"
+    (Invalid_argument "Log: seq 0 outside window (h=0)") (fun () ->
+      ignore (Log.accept_pre_prepare log ~view:0 (pp 0) d1))
 
 let test_accept_pre_prepare_conflict () =
   let log = Log.create cfg in

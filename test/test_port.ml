@@ -10,16 +10,22 @@ module P = Recording_port
 let client = 4
 let cfg = Config.make ~f:1 ()
 
-(* Replica [id] of an n = 4 group, created but not started, sharing a
-   session key with [client]; returns the replica, the recorder and the
-   client's chain. *)
-let created ~id =
+(* Replica [id], created but not started, sharing a session key with
+   each of [peers] (each sends to it); returns the replica, the recorder
+   and the peers' chains. *)
+let created_with ~cfg ~id ~peers =
   let rng = Bft_util.Rng.create 11L in
   let mine = Bft_crypto.Keychain.create ~my_id:id in
-  let chain = Bft_crypto.Keychain.create ~my_id:client in
-  assert (
-    Bft_crypto.Keychain.install_out_key chain ~peer:id
-      (Bft_crypto.Keychain.fresh_in_key mine rng ~peer:client));
+  let chains =
+    List.map
+      (fun peer ->
+        let chain = Bft_crypto.Keychain.create ~my_id:peer in
+        assert (
+          Bft_crypto.Keychain.install_out_key chain ~peer:id
+            (Bft_crypto.Keychain.fresh_in_key mine rng ~peer));
+        (peer, chain))
+      peers
+  in
   let registry = Bft_crypto.Signature.create_registry () in
   let deps =
     {
@@ -33,7 +39,12 @@ let created ~id =
     }
   in
   let io = P.create () in
-  (Replica.create deps ~port:(P.port io) ~id ~on_execute:(fun _ _ -> ()), io, chain)
+  (Replica.create deps ~port:(P.port io) ~id ~on_execute:(fun _ _ -> ()), io, chains)
+
+(* Replica [id] of an n = 4 group sharing a session key with [client]. *)
+let created ~id =
+  let r, io, chains = created_with ~cfg ~id ~peers:[ client ] in
+  (r, io, List.assoc client chains)
 
 let replica ~id =
   let r, io, chain = created ~id in
@@ -118,6 +129,40 @@ let test_status_backlog () =
     [ "charge"; "multicast status-active"; "arm status" ]
     (shape (P.take io))
 
+(* Condition 2 of a pre-prepare's authentication at f = 2: the vouching
+   prepares must be for the pre-prepare's own view, sequence number and
+   batch digest, from f distinct backups. Backup 1 is sent MACed prepares
+   for the batch digest at [prepares] (sender, seq), then primary 0's
+   pre-prepare at seq 7 whose one inline request carries no token; did
+   the backup accept it and multicast its prepare? *)
+let vouched prepares =
+  let r, io, chains = created_with ~cfg:(Config.make ~f:2 ()) ~id:1 ~peers:[ 0; 2; 3 ] in
+  Replica.start r;
+  let from p body =
+    let d = Wire.envelope_digest (Message.envelope ~sender:p ~auth:Auth_none body) in
+    let mac = Option.get (Bft_crypto.Auth.compute_mac (List.assoc p chains) ~peer:1 d) in
+    Message.envelope ~sender:p ~auth:(Auth_mac mac) body
+  in
+  let req = Message.request ~op:"op" ~timestamp:1L ~client:9 ~read_only:false ~replier:0 in
+  let batch = [ Inline (req, Auth_none) ] in
+  let d = Wire.batch_digest batch "0" in
+  List.iter
+    (fun (p, seq) ->
+      Replica.handle r (from p (Prepare { pr_view = 0; pr_seq = seq; pr_digest = d; pr_replica = p })))
+    prepares;
+  ignore (P.take io);
+  Replica.handle r
+    (from 0 (Pre_prepare { pp_view = 0; pp_seq = 7; pp_batch = batch; pp_nondet = "0" }));
+  List.exists
+    (function P.Multicast (_, { body = Prepare { pr_seq = 7; _ }; _ }) -> true | _ -> false)
+    (P.take io)
+
+let test_vouching () =
+  Alcotest.(check bool) "one backup's prepares at other seqnos vouch for nothing" false
+    (vouched [ (2, 5); (2, 6) ]);
+  Alcotest.(check bool) "f backups' prepares at the pre-prepare's seqno vouch" true
+    (vouched [ (2, 7); (3, 7) ])
+
 let suites =
   [
     ( "port",
@@ -126,5 +171,6 @@ let suites =
         Alcotest.test_case "primary: verified request -> pre-prepare" `Quick test_primary_request;
         Alcotest.test_case "vc timer -> view-change and re-arm" `Quick test_vc_timer;
         Alcotest.test_case "status tick yields under backlog" `Quick test_status_backlog;
+        Alcotest.test_case "condition 2 counts distinct backups at the seqno" `Quick test_vouching;
       ] );
   ]
