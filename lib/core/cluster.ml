@@ -10,7 +10,8 @@ type t = {
   replicas : Replica.t array;
   (* the execution tap: per replica, seq -> the last [(client, op, result)]
      wave executed there. A view-change rollback re-executes from the
-     restored checkpoint, so the last wave is the content that stands. *)
+     restored checkpoint, so the last wave is the content that stands.
+     Equal waves at one sequence number are one shared value ([record]). *)
   executed : (int, (int * string * string) list) Hashtbl.t array;
   clients : Client.t array;
   correct : int list ref;
@@ -77,6 +78,29 @@ let port engine net id =
     busy_until = (fun () -> Network.busy_until net ~id);
   }
 
+(* Same clients, with equal ops and results, in the same order. *)
+let rec same_wave a b =
+  match (a, b) with
+  | [], [] -> true
+  | (c, op, res) :: a, (c', op', res') :: b ->
+      c = c' && String.equal op op' && String.equal res res' && same_wave a b
+  | _ -> false
+
+(* Replica [i] executed [wave] at [seq]. It is stored as the equal wave
+   another replica already recorded there, if there is one, so each
+   committed op is held once rather than n times. A wave that differs (a
+   faulty replica's, or one re-executed after a rollback) keeps its own
+   copy. *)
+let record executed i seq wave =
+  let rec shared j =
+    if j >= Array.length executed then wave
+    else
+      match Hashtbl.find_opt executed.(j) seq with
+      | Some w when j <> i && same_wave w wave -> w
+      | _ -> shared (j + 1)
+  in
+  Hashtbl.replace executed.(i) seq (shared 0)
+
 let create ?(seed = 42L) ?(costs = Costs.default) ?service ?(num_clients = 1) ?obs cfg =
   let engine = Engine.create ~seed () in
   let rng = Engine.rng engine in
@@ -116,7 +140,7 @@ let create ?(seed = 42L) ?(costs = Costs.default) ?service ?(num_clients = 1) ?o
         let node_obs = Option.map (fun reg -> Obs.for_node reg i) obs in
         let r =
           Replica.create ?obs:node_obs deps ~port:(port engine net i) ~id:i
-            ~on_execute:(Hashtbl.replace executed.(i))
+            ~on_execute:(record executed i)
         in
         Network.add_node net ~id:i ~handler:(Replica.handle r);
         r)

@@ -64,8 +64,11 @@ val invoke_sync_latency :
     execution tap ([Replica.create]'s [on_execute]). The tap keeps, per
     replica and sequence number, only the last wave reported: a
     view-change rollback re-executes from the restored checkpoint, so the
-    last wave is the content that stands. The checks below read the tap
-    up to each replica's [committed_upto]. *)
+    last wave is the content that stands. A wave equal to one another
+    replica recorded at the same sequence number (same clients, equal ops
+    and results) is stored as that one, so each committed op is held once;
+    an unequal wave keeps its own copy. The checks below read the tap up
+    to each replica's [committed_upto]. *)
 
 val committed_records : t -> int -> (int * int * string * string) list
 (** [committed_records t i]: replica [i]'s committed prefix as

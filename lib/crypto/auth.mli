@@ -17,8 +17,12 @@ val tag_size : int
 
 type mac = { tag : string; epoch : int }
 
-type authenticator = (int * mac) list
-(** Association list from receiver id to its MAC entry. *)
+type authenticator
+(** One immutable packed block of 16-byte entries, one per receiver: the
+    receiver id and the key epoch, each a little-endian unsigned 32-bit
+    word, then the {!tag_size}-byte tag. Tags are written into the block
+    when it is built and checked in place, so neither allocates per
+    entry. *)
 
 val compute_mac : Keychain.t -> peer:int -> string -> mac option
 (** MAC over the 32-byte digest with the current out-key for [peer].
@@ -32,12 +36,15 @@ val verify_mac : Keychain.t -> peer:int -> mac -> string -> bool
 val compute_authenticator :
   Keychain.t -> receivers:int list -> string -> authenticator
 (** One MAC over the 32-byte digest per receiver (skipping self and
-    receivers without keys). *)
+    receivers without keys), in [receivers] order. Raises
+    [Invalid_argument] for a receiver id or key epoch past 32 bits. *)
 
 val verify_authenticator :
   Keychain.t -> peer:int -> authenticator -> string -> bool
-(** Verify our own entry in an authenticator sent by [peer] over the
-    32-byte digest. *)
+(** Verify our own entry, the first addressed to us, in an authenticator
+    sent by [peer] over the 32-byte digest. Fails if the block is not a
+    whole number of entries, holds no entry for us, or our entry's epoch
+    or tag is wrong, as {!verify_mac}. *)
 
 val group_authenticator :
   Keychain.group -> src:int -> receivers:int list -> string -> authenticator
@@ -62,3 +69,17 @@ val corrupt_entry : authenticator -> int -> authenticator
 val size : authenticator -> int
 (** Wire size contribution: 8 bytes of nonce plus [tag_size] per entry,
     matching the paper's 8n-byte authenticators. *)
+
+(** {2 Raw blocks}
+
+    For building and inspecting authenticators by hand, as tests and
+    fault injection do. A block need not be well formed: verification
+    refuses one that is not. *)
+
+val of_entries : (int * mac) list -> authenticator
+(** The block holding these entries in order, each tag copied as it is:
+    a tag that is not {!tag_size} bytes leaves a block that is not a
+    whole number of entries. *)
+
+val entry : authenticator -> int -> mac option
+(** [entry a r]: the first entry addressed to receiver [r], as a MAC. *)

@@ -53,16 +53,20 @@ let verify ~key ~tag msg =
    call per tag ([Sha256.hmac_digest]). *)
 let digest_size = 32
 
+let mac_digest_into pre d buf ~off ~len =
+  ignore (Sha256.hmac_digest ~inner:pre.p_inner ~outer:pre.p_outer d buf ~off ~len ~verify:false)
+
 let mac_digest pre n d =
   if n < 1 || n > digest_size then invalid_arg "Hmac.mac_digest: tag length";
   let out = Bytes.create n in
-  ignore (Sha256.hmac_digest ~inner:pre.p_inner ~outer:pre.p_outer d out ~verify:false);
+  mac_digest_into pre d out ~off:0 ~len:n;
   Bytes.unsafe_to_string out
 
-(* The C code only reads [tag], so the unsafe view is sound. *)
-let verify_digest pre ~tag d =
+(* The C code only reads [s], so the unsafe view is sound. *)
+let verify_digest_at pre s ~off ~len d =
   if String.length d <> digest_size then invalid_arg "Hmac: the one-block path MACs a 32-byte digest";
-  let n = String.length tag in
-  n >= 1 && n <= digest_size
-  && Sha256.hmac_digest ~inner:pre.p_inner ~outer:pre.p_outer d (Bytes.unsafe_of_string tag)
-       ~verify:true
+  len >= 1 && len <= digest_size && off >= 0 && off <= String.length s - len
+  && Sha256.hmac_digest ~inner:pre.p_inner ~outer:pre.p_outer d (Bytes.unsafe_of_string s) ~off
+       ~len ~verify:true
+
+let verify_digest pre ~tag d = verify_digest_at pre tag ~off:0 ~len:(String.length tag) d

@@ -52,3 +52,14 @@ val verify_digest : precomputed -> tag:string -> string -> bool
     verifies. A prefix of any length from 1 to 32 does, so a caller that
     expects a fixed tag size checks the length itself ({!Auth} and
     {!Signature} do). Raises [Invalid_argument] if [d] is not 32 bytes. *)
+
+val mac_digest_into : precomputed -> string -> Bytes.t -> off:int -> len:int -> unit
+(** [mac_digest_into pre d buf ~off ~len] writes {!mac_digest}[ pre len d]
+    into [buf] at [off], allocating nothing. Raises [Invalid_argument] if
+    [d] is not 32 bytes, [len] is out of 1..32 or the range leaves
+    [buf]. *)
+
+val verify_digest_at : precomputed -> string -> off:int -> len:int -> string -> bool
+(** [verify_digest_at pre s ~off ~len d] is {!verify_digest} of the tag
+    [String.sub s off len], read in place: it allocates nothing. A range
+    that leaves [s], or a [len] outside 1..32, never verifies. *)

@@ -12,8 +12,9 @@
 external c_compress : int array -> string -> int -> int -> unit = "caml_bft_sha256_compress"
 [@@noalloc] [@@lint.pure "deterministic SHA-256 block compression; no I/O, no raise"]
 
-external c_hmac_digest : int array -> int array -> string -> Bytes.t -> bool -> bool
-  = "caml_bft_hmac_digest"
+external c_hmac_digest :
+  int array -> int array -> string -> Bytes.t -> int -> int -> bool -> bool
+  = "caml_bft_hmac_digest_byte" "caml_bft_hmac_digest"
 [@@noalloc] [@@lint.pure "deterministic one-block HMAC-SHA256; no I/O, no raise"]
 
 external c_kernel : unit -> int = "caml_bft_sha256_kernel" [@@noalloc]
@@ -155,13 +156,14 @@ let digest_from_midstate m s =
   finish scratch_h ~fed:m.m_fed s 0 (String.length s)
 
 (* The one-block HMAC over a 32-byte digest: the only caller of
-   [c_hmac_digest], so the lengths the C code trusts are checked here.
-   Both midstates must have absorbed exactly one 64-byte block, the key
-   pad: the C code's constant padding encodes that length. *)
-let hmac_digest ~inner ~outer d tag ~verify =
-  let n = Bytes.length tag in
-  if inner.m_fed <> 64 || outer.m_fed <> 64 || String.length d <> 32 || n < 1 || n > 32 then
-    invalid_arg "Sha256.hmac_digest";
-  c_hmac_digest inner.mh outer.mh d tag verify
+   [c_hmac_digest], so the lengths and the range the C code trusts are
+   checked here. Both midstates must have absorbed exactly one 64-byte
+   block, the key pad: the C code's constant padding encodes that
+   length. *)
+let hmac_digest ~inner ~outer d buf ~off ~len ~verify =
+  if inner.m_fed <> 64 || outer.m_fed <> 64 || String.length d <> 32 || len < 1 || len > 32
+     || off < 0 || off > Bytes.length buf - len
+  then invalid_arg "Sha256.hmac_digest";
+  c_hmac_digest inner.mh outer.mh d buf off len verify
 
 let hexdigest s = Bft_util.Hex.encode (digest s)

@@ -43,16 +43,17 @@ val digest_from_midstate : midstate -> string -> string
     allocation-free one-shot path. The midstate is not consumed. *)
 
 val hmac_digest :
-  inner:midstate -> outer:midstate -> string -> Bytes.t -> verify:bool -> bool
-(** [hmac_digest ~inner ~outer d tag ~verify]: the HMAC of the 32-byte
-    [d] resumed from the key-block midstates [inner] and [outer], in one
-    native call that pads and runs both compressions. Let [n] be
-    [Bytes.length tag]. With [verify] false it writes the tag's first [n]
-    bytes into [tag] and returns [true]; with [verify] true it returns
-    whether [tag] equals them, comparing every byte without an early exit.
-    Allocates nothing. Raises [Invalid_argument] unless [d] is 32 bytes,
-    [n] is 1..32 and each midstate has absorbed exactly one 64-byte
-    block (an HMAC key pad). *)
+  inner:midstate -> outer:midstate -> string -> Bytes.t -> off:int -> len:int -> verify:bool -> bool
+(** [hmac_digest ~inner ~outer d buf ~off ~len ~verify]: the HMAC of the
+    32-byte [d] resumed from the key-block midstates [inner] and [outer],
+    in one native call that pads and runs both compressions. With
+    [verify] false it writes the tag's first [len] bytes into [buf] at
+    [off] and returns [true]; with [verify] true it returns whether
+    [buf]'s [len] bytes at [off] equal them, comparing every byte without
+    an early exit. Allocates nothing. Raises [Invalid_argument] unless
+    [d] is 32 bytes, [len] is 1..32, [off, off + len) lies within [buf]
+    and each midstate has absorbed exactly one 64-byte block (an HMAC key
+    pad). *)
 
 val hexdigest : string -> string
 

@@ -178,17 +178,18 @@ static void store_be32(uint8_t *p, const uint32_t st[8])
   }
 }
 
-/* [caml_bft_hmac_digest inner outer d tag verify]: HMAC-SHA256 of the
-   32-byte [d], resumed from the key-block midstates [inner] and [outer]
-   (eight-word int arrays, each having absorbed exactly one 64-byte pad
-   block). After the key block, the inner hash has the 32 digest bytes
-   left and the outer hash the 32-byte inner digest, so each is one
-   compression of a block whose padding never changes: 0x80, zeros and
-   the 768-bit length. With [verify] false, the first [n] tag bytes,
-   [n] being [tag]'s length, are written into [tag] and the result is
-   true; with [verify] true, they are compared with [tag] without an
-   early exit. The OCaml caller has checked every length. */
-value caml_bft_hmac_digest(value inner, value outer, value d, value tag, value verify)
+/* [caml_bft_hmac_digest inner outer d buf off len verify]: HMAC-SHA256
+   of the 32-byte [d], resumed from the key-block midstates [inner] and
+   [outer] (eight-word int arrays, each having absorbed exactly one
+   64-byte pad block). After the key block, the inner hash has the 32
+   digest bytes left and the outer hash the 32-byte inner digest, so each
+   is one compression of a block whose padding never changes: 0x80, zeros
+   and the 768-bit length. With [verify] false, the first [len] tag bytes
+   are written into [buf] at [off] and the result is true; with [verify]
+   true, they are compared with [buf]'s bytes at [off] without an early
+   exit. The OCaml caller has checked every length and range. */
+value caml_bft_hmac_digest(value inner, value outer, value d, value buf, value off,
+                           value len, value verify)
 {
   uint8_t block[64] = { 0 };
   uint8_t mac[32];
@@ -202,8 +203,8 @@ value caml_bft_hmac_digest(value inner, value outer, value d, value tag, value v
   load_words(st, outer);
   compress(st, block, 1);
   store_be32(mac, st);
-  size_t n = caml_string_length(tag);
-  unsigned char *t = Bytes_val(tag);
+  size_t n = (size_t)Long_val(len);
+  unsigned char *t = Bytes_val(buf) + Long_val(off);
   if (!Bool_val(verify)) {
     memcpy(t, mac, n);
     return Val_true;
@@ -211,6 +212,12 @@ value caml_bft_hmac_digest(value inner, value outer, value d, value tag, value v
   uint8_t acc = 0;
   for (size_t i = 0; i < n; i++) acc |= mac[i] ^ t[i];
   return Val_bool(acc == 0);
+}
+
+value caml_bft_hmac_digest_byte(value *argv, int argn)
+{
+  (void)argn;
+  return caml_bft_hmac_digest(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5], argv[6]);
 }
 
 value caml_bft_sha256_kernel(value unit)

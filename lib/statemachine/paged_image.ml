@@ -17,8 +17,21 @@ type t = {
   mutable pages : Bytes.t array; (* page count doubles with capacity *)
   mutable flags : Bytes.t; (* one byte per page: [dirty] lor [frozen] bits *)
   mutable used : int; (* bump pointer, includes the header *)
-  index : (string, int * int) Hashtbl.t; (* key -> (offset, record length) *)
+  index : (string, int) Hashtbl.t; (* key -> [slot offset len] *)
 }
+
+(* An index entry is one immediate int: the record's offset above its
+   length's [len_bits] bits. A record must end below 2 GiB, so both
+   fit in 31 bits. *)
+let len_bits = 31
+let len_mask = (1 lsl len_bits) - 1
+
+let slot off len =
+  if off + len > len_mask then invalid_arg "Paged_image: record past the index's range";
+  (off lsl len_bits) lor len
+
+let slot_off e = e lsr len_bits
+let slot_len e = e land len_mask
 
 let dirty = 1 (* touched since the last drain *)
 let frozen = 2 (* shared with a string [pages] returned, or the zero page *)
@@ -159,28 +172,30 @@ let append t key value len =
         Bytes.blit_string s ((pg * p) + lo - off) (writable t pg) lo (hi - lo))
   end;
   t.used <- t.used + len;
-  write_header t;
-  off
+  write_header t
 
 let set t ~key ~value =
   let vlen = String.length value in
   let len = record_len (String.length key) vlen in
   match Hashtbl.find_opt t.index key with
-  | Some (off, l) when l = len ->
+  | Some e when slot_len e = len ->
       (* same key and record size, so the same value length (v + digits v
          is increasing): the header and key bytes are unchanged, and only
          the value can differ *)
-      diff_write t (off + len - 1 - vlen) value
-  | Some (off, l) ->
-      free_region t off l;
-      Hashtbl.replace t.index key (append t key value len, len)
-  | None -> Hashtbl.replace t.index key (append t key value len, len)
+      diff_write t (slot_off e + len - 1 - vlen) value
+  | found ->
+      (* the new record goes at the bump pointer; its index entry is
+         checked before the arena changes *)
+      let e = slot t.used len in
+      (match found with Some old -> free_region t (slot_off old) (slot_len old) | None -> ());
+      append t key value len;
+      Hashtbl.replace t.index key e
 
 let remove t ~key =
   match Hashtbl.find_opt t.index key with
   | None -> false
-  | Some (off, len) ->
-      free_region t off len;
+  | Some e ->
+      free_region t (slot_off e) (slot_len e);
       Hashtbl.remove t.index key;
       true
 
@@ -189,7 +204,8 @@ let remove t ~key =
 let find t ~key =
   match Hashtbl.find_opt t.index key with
   | None -> None
-  | Some (off, len) ->
+  | Some e ->
+      let off = slot_off e and len = slot_len e in
       let pos = ref (off + 2 + digits (String.length key) + 1) and vlen = ref 0 in
       while byte t !pos <> '\n' do
         vlen := (!vlen * 10) + Char.code (byte t !pos) - Char.code '0';
@@ -234,6 +250,7 @@ let decode_raw ~page_size s =
   let err fmt = Printf.ksprintf (fun m -> Error ("Paged_image: " ^ m)) fmt in
   if page_size < min_page_size then err "bad page size"
   else if len < page_size || len mod page_size <> 0 then err "image not page-aligned"
+  else if len > len_mask then err "image past the index's range"
   else if len < header_len
           || (not (String.equal (String.sub s 0 6) "ARENA "))
           || s.[header_len - 1] <> '\n'
@@ -316,5 +333,5 @@ let restore t s =
             Char.unsafe_chr (if pg * p >= used then dirty lor frozen else dirty));
       t.used <- used;
       Hashtbl.reset t.index;
-      List.iter (fun (k, _, off, len) -> Hashtbl.replace t.index k (off, len)) records;
+      List.iter (fun (k, _, off, len) -> Hashtbl.replace t.index k (slot off len)) records;
       Ok (List.map (fun (k, v, _, _) -> (k, v)) records)

@@ -41,7 +41,12 @@ val create : page_size:int -> unit -> t
 
 val set : t -> key:string -> value:string -> unit
 (** Insert or update a record. Keys and values are arbitrary byte
-    strings (the encoding is length-prefixed). *)
+    strings (the encoding is length-prefixed). The index keeps each
+    record's offset and length in one immediate int, so it raises
+    [Invalid_argument], leaving the arena unchanged, for a new record
+    that would end past 2 GiB of total appended bytes: the bump pointer
+    never moves back, so freed and overwritten records count too. That
+    is the image size {!decode} refuses as well. *)
 
 val remove : t -> key:string -> bool
 (** Zero the record's region; [false] if the key was absent. *)
@@ -74,7 +79,8 @@ val decode :
   page_size:int -> string -> ((string * string) list, string) result
 (** Parse an arena image without touching any state: the records in
     offset order, or an error for a malformed image (bad header,
-    truncated or overlapping records, nonzero unallocated tail). Lets a
+    truncated or overlapping records, nonzero unallocated tail, or an
+    image of 2 GiB or more, past what the index can address). Lets a
     service validate payloads before committing with {!restore}. *)
 
 val restore : t -> string -> ((string * string) list, string) result

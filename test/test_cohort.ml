@@ -158,7 +158,7 @@ let test_derived_refuses_non_replica_ids () =
     in
     let d = Wire.envelope_digest (Message.envelope ~sender:replica ~auth:Auth_none body) in
     let auth = Auth.group_authenticator g ~src:replica ~receivers:[ client ] d in
-    let mac = List.assoc client auth in
+    let mac = Option.get (Auth.entry auth client) in
     let env = Message.envelope ~sender:replica ~auth:(Auth_mac mac) body in
     Bft_net.Network.send (Cluster.network cluster) ~src:0 ~dst:client
       ~size:(Wire.envelope_size env) env

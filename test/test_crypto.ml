@@ -196,6 +196,26 @@ let test_compress_bounds () =
     (Invalid_argument "Sha256.For_testing.with_kernel: avx") (fun () ->
       ignore (Sha256.For_testing.with_kernel "avx" Fun.id))
 
+(* Tags written into and checked inside a larger buffer: the same bytes
+   as [mac_digest], and a range that leaves the buffer is refused before
+   the native code sees it. *)
+let test_tag_in_place_bounds () =
+  let pre = Hmac.precompute ~key:"k" and d = Sha256.digest "m" in
+  let b = Bytes.make 24 '\x00' in
+  Hmac.mac_digest_into pre d b ~off:16 ~len:8;
+  let s = Bytes.to_string b in
+  Alcotest.(check string) "same tag" (Hmac.mac_digest pre 8 d) (String.sub s 16 8);
+  Alcotest.(check bool) "verifies in place" true (Hmac.verify_digest_at pre s ~off:16 ~len:8 d);
+  List.iter
+    (fun (name, off, len) ->
+      Alcotest.(check bool) (name ^ ": no verdict") false
+        (Hmac.verify_digest_at pre s ~off ~len d);
+      match Hmac.mac_digest_into pre d b ~off ~len with
+      | () -> Alcotest.failf "%s: expected Invalid_argument" name
+      | exception Invalid_argument _ -> ())
+    [ ("one byte past the end", 17, 8); ("negative offset", -1, 8); ("empty tag", 0, 0);
+      ("longer than a digest", 0, 33); ("offset past the end", 25, 1) ]
+
 (* --- Hex --- *)
 
 let test_hex_known () =
@@ -281,11 +301,9 @@ let test_stale_new_key_rejected () =
   Alcotest.(check bool) "fresh accepted" true (Keychain.install_out_key kc0 ~peer:1 k_new);
   Alcotest.(check bool) "replay rejected" false (Keychain.install_out_key kc0 ~peer:1 k_new)
 
-let test_authenticator () =
-  let rng = Bft_util.Rng.create 5L in
-  let n = 4 in
+(* [n] keychains with full pairwise key establishment *)
+let full_mesh rng n =
   let chains = Array.init n (fun i -> Keychain.create ~my_id:i) in
-  (* full pairwise key establishment *)
   for receiver = 0 to n - 1 do
     for sender = 0 to n - 1 do
       if sender <> receiver then begin
@@ -294,10 +312,17 @@ let test_authenticator () =
       end
     done
   done;
+  chains
+
+let test_authenticator () =
+  let rng = Bft_util.Rng.create 5L in
+  let n = 4 in
+  let chains = full_mesh rng n in
   let msg = Sha256.digest "view-change v3" in
   let receivers = List.init n Fun.id in
   let auth = Auth.compute_authenticator chains.(0) ~receivers msg in
-  Alcotest.(check int) "n-1 entries" (n - 1) (List.length auth);
+  Alcotest.(check (list int)) "n-1 entries" (List.tl receivers)
+    (List.filter (fun r -> Auth.entry auth r <> None) receivers);
   Alcotest.(check int) "wire size 8+8(n-1)" (8 + (8 * (n - 1))) (Auth.size auth);
   for i = 1 to n - 1 do
     Alcotest.(check bool)
@@ -310,6 +335,77 @@ let test_authenticator () =
   Alcotest.(check bool) "2 rejects" false (Auth.verify_authenticator chains.(2) ~peer:0 corrupt msg);
   Alcotest.(check bool) "1 still accepts" true
     (Auth.verify_authenticator chains.(1) ~peer:0 corrupt msg)
+
+(* The packed block: each receiver checks its own entry in place, and
+   every malformed or mislabelled block is refused before the HMAC
+   runs, so a refusal is not counted as a verification. *)
+let test_packed_authenticator () =
+  let rng = Bft_util.Rng.create 7L in
+  let chains = full_mesh rng 4 in
+  let d = Sha256.digest "pre-prepare v1 n9" in
+  let auth = Auth.compute_authenticator chains.(0) ~receivers:[ 0; 1; 2; 3 ] d in
+  let verifies i a = Auth.verify_authenticator chains.(i) ~peer:0 a d in
+  let mac r = Option.get (Auth.entry auth r) in
+  let refused label a i =
+    let before = Auth.mac_verifications () in
+    Alcotest.(check bool) (label ^ ": refused") false (verifies i a);
+    Alcotest.(check int) (label ^ ": not counted") before (Auth.mac_verifications ())
+  in
+  List.iter
+    (fun i -> Alcotest.(check bool) (Printf.sprintf "%d verifies" i) true (verifies i auth))
+    [ 1; 2; 3 ];
+  Alcotest.(check bool) "the sender has no entry" true (Auth.entry auth 0 = None);
+  (* the block is the entries, in order, byte for byte *)
+  Alcotest.(check bool) "of_entries rebuilds the block" true
+    (auth = Auth.of_entries (List.map (fun r -> (r, mac r)) [ 1; 2; 3 ]));
+  (* only the receiver's own entry verifies: 1's tag relabelled for 2 *)
+  Alcotest.(check bool) "another receiver's tag fails" false
+    (verifies 2 (Auth.of_entries [ (2, mac 1) ]));
+  Alcotest.(check bool) "the first entry addressed to us counts" false
+    (verifies 2 (Auth.of_entries [ (2, mac 1); (2, mac 2) ]));
+  (* corrupt_entry breaks only its target *)
+  List.iter
+    (fun target ->
+      let c = Auth.corrupt_entry auth target in
+      List.iter
+        (fun i ->
+          Alcotest.(check bool)
+            (Printf.sprintf "corrupt %d: %d's verdict" target i)
+            (i <> target) (verifies i c))
+        [ 1; 2; 3 ])
+    [ 1; 2; 3 ];
+  Alcotest.(check bool) "corrupting an absent receiver changes nothing" true
+    (auth = Auth.corrupt_entry auth 7);
+  (* stale epoch, missing entry, short tag, ragged block *)
+  let m1 = mac 1 in
+  refused "stale epoch" (Auth.of_entries [ (1, { m1 with Auth.epoch = m1.Auth.epoch + 1 }) ]) 1;
+  refused "missing entry"
+    (Auth.compute_authenticator chains.(0) ~receivers:[ 1; 2 ] d) 3;
+  refused "short tag"
+    (Auth.of_entries [ (1, { m1 with Auth.tag = String.sub m1.Auth.tag 0 7 }) ])
+    1;
+  (* a ragged last entry makes the whole block ragged, even with our
+     well-formed entry first *)
+  let retag r tag = (r, { (mac r) with Auth.tag }) in
+  refused "block one byte short"
+    (Auth.of_entries [ (1, m1); retag 3 (String.sub (mac 3).Auth.tag 0 7) ])
+    1;
+  refused "block one byte long"
+    (Auth.of_entries [ (1, m1); retag 3 ((mac 3).Auth.tag ^ "\x00") ])
+    1;
+  refused "empty block" (Auth.of_entries []) 1;
+  let _ = Keychain.fresh_in_key chains.(1) rng ~peer:0 in
+  refused "key refreshed since" auth 1;
+  (* Auth.size keeps the list form's formula: 8 + tag_size per entry *)
+  List.iter
+    (fun receivers ->
+      let a = Auth.compute_authenticator chains.(3) ~receivers d in
+      let listed = List.filter (fun r -> r <> 3) receivers in
+      Alcotest.(check int)
+        (Printf.sprintf "size for %d receivers" (List.length receivers))
+        (8 + (Auth.tag_size * List.length listed))
+        (Auth.size a))
+    [ []; [ 3 ]; [ 0 ]; [ 0; 1; 2; 3 ]; [ 0; 1; 2 ] ]
 
 (* --- Group-derived keys (million-client cohorts) --- *)
 
@@ -406,7 +502,8 @@ let prop_one_block_is_hmac =
       && refused (fun () -> Auth.compute_mac kc ~peer:1 bad)
       && refused (fun () -> Auth.verify_mac kc ~peer:1 mac bad)
       && refused (fun () -> Auth.compute_authenticator kc ~receivers:[ 1 ] bad)
-      && refused (fun () -> Auth.verify_authenticator kc ~peer:1 [ (0, mac) ] bad))
+      && refused (fun () ->
+             Auth.verify_authenticator kc ~peer:1 (Auth.of_entries [ (0, mac) ]) bad))
 
 (* A tag shorter than the full size is a prefix of the right MAC, and
    [Hmac.verify_digest] accepts prefixes; a 4-byte one would cut
@@ -429,7 +526,7 @@ let test_truncated_tags_refused () =
   Alcotest.(check bool) "longer tag refused" false
     (Auth.verify_mac kc1 ~peer:0 { mac with Auth.tag = mac.Auth.tag ^ "\x00" } d);
   Alcotest.(check bool) "truncated authenticator entry refused" false
-    (Auth.verify_authenticator kc1 ~peer:0 [ (1, cut 4) ] d);
+    (Auth.verify_authenticator kc1 ~peer:0 (Auth.of_entries [ (1, cut 4) ]) d);
   Alcotest.(check int) "wrong lengths are not counted" before (Auth.mac_verifications ());
   Alcotest.(check bool) "full tag verifies" true (Auth.verify_mac kc1 ~peer:0 mac d);
   Alcotest.(check int) "a full tag is counted" (before + 1) (Auth.mac_verifications ());
@@ -608,6 +705,7 @@ let suites =
         Alcotest.test_case "sha-ni vectors" `Quick (test_vectors_on "sha-ni");
         QCheck_alcotest.to_alcotest prop_kernels_agree;
         Alcotest.test_case "compress bounds" `Quick test_compress_bounds;
+        Alcotest.test_case "in-place tag bounds" `Quick test_tag_in_place_bounds;
       ] );
     ( "crypto.hex",
       [
@@ -626,6 +724,7 @@ let suites =
         Alcotest.test_case "stale epoch rejected" `Quick test_mac_stale_epoch_rejected;
         Alcotest.test_case "stale new-key rejected" `Quick test_stale_new_key_rejected;
         Alcotest.test_case "authenticator" `Quick test_authenticator;
+        Alcotest.test_case "packed authenticator" `Quick test_packed_authenticator;
         Alcotest.test_case "group-derived keys" `Quick test_group_keys;
         Alcotest.test_case "group derivation sharing: none, one per verify" `Quick
           test_group_derivation_per_verify;

@@ -839,6 +839,40 @@ let test_linearizable_across_view_change () =
       Replica.committed_upto (Cluster.replica c 0) >= Replica.committed_upto (Cluster.replica c 1)));
   check_lin "kv across view change" c kv
 
+(* The execution tap stores a replica's wave as an equal wave another
+   replica already recorded at that sequence number. Replica 2's counter
+   answers "two" where the others answer "2": the results differ, so
+   replica 2's wave must keep its own copy, while the ops still agree. *)
+let test_tap_keeps_unequal_waves () =
+  let made = ref 0 in
+  let service () =
+    let svc = counter () in
+    incr made;
+    if !made <> 3 then svc
+    else
+      {
+        svc with
+        Bft_sm.Service.execute =
+          (fun ~client ~op ~nondet ->
+            match svc.Bft_sm.Service.execute ~client ~op ~nondet with "2" -> "two" | r -> r);
+      }
+  in
+  let _, c = make ~service () in
+  for i = 1 to 3 do
+    Alcotest.(check string) "f + 1 replies agree" (string_of_int i)
+      (Cluster.invoke_sync c ~client:0 "inc")
+  done;
+  Alcotest.(check bool) "every replica commits all three" true
+    (Cluster.run_until c (fun () ->
+         Array.for_all (fun r -> Replica.committed_upto r >= 3) (Cluster.replicas c)));
+  let results i = List.map (fun (_, _, _, r) -> r) (Cluster.committed_records c i) in
+  List.iter
+    (fun i ->
+      Alcotest.(check (list string)) (Printf.sprintf "replica %d" i) [ "1"; "2"; "3" ] (results i))
+    [ 0; 1; 3 ];
+  Alcotest.(check (list string)) "replica 2 keeps its own result" [ "1"; "two"; "3" ] (results 2);
+  Alcotest.(check bool) "ops agree" true (Cluster.committed_histories_consistent c)
+
 let test_linearizable_mixed_ops () =
   let _, c = make ~service:kv ~clients:2 () in
   let script =
@@ -946,6 +980,7 @@ let suites =
         Alcotest.test_case "under loss" `Quick test_linearizable_under_loss;
         Alcotest.test_case "across view change" `Quick test_linearizable_across_view_change;
         Alcotest.test_case "mixed kv ops" `Quick test_linearizable_mixed_ops;
+        Alcotest.test_case "tap keeps unequal waves apart" `Quick test_tap_keeps_unequal_waves;
       ] );
     ( "integration.recovery",
       [

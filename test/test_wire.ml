@@ -57,7 +57,8 @@ let test_envelope_size_includes_auth () =
   let none = Wire.envelope_size (Message.envelope ~sender:0 ~auth:Auth_none body) in
   let auth =
     Auth_vector
-      (List.init 3 (fun i -> (i, { Bft_crypto.Auth.tag = String.make 8 't'; epoch = 1 })))
+      (Bft_crypto.Auth.of_entries
+         (List.init 3 (fun i -> (i, { Bft_crypto.Auth.tag = String.make 8 't'; epoch = 1 }))))
   in
   let vec = Wire.envelope_size (Message.envelope ~sender:0 ~auth body) in
   Alcotest.(check int) "8 + 8*3 authenticator bytes" (8 + 24) (vec - none);
