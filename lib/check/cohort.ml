@@ -2,7 +2,6 @@ module Engine = Bft_sim.Engine
 module Network = Bft_net.Network
 module Costs = Bft_net.Costs
 module Keychain = Bft_crypto.Keychain
-module Auth = Bft_crypto.Auth
 module Rng = Bft_util.Rng
 module Hist = Bft_obs.Hist
 open Bft_core
@@ -163,17 +162,21 @@ let drive_pairwise t ~think_us ~ops_per_client =
 (* Derived mode: synthesized requests over group keys                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Derived client [id] as a sealing and opening principal: group keys,
+   no signatures. *)
+let principal t id =
+  { Seal.id; n = t.cfg.Config.n; mode = Config.Mac_auth; keys = Cohort (Option.get t.group);
+    signing = None; costs = t.costs; charge = Network.charge t.net ~id }
+
 let send_flight t fl ~to_all =
   let req =
     Message.request ~op:fl.fl_op ~timestamp:fl.fl_ts ~client:fl.fl_client ~read_only:false
       ~replier:(fl.fl_client mod t.cfg.Config.n)
   in
-  Network.charge t.net ~id:fl.fl_client (Costs.auth_gen_us t.costs t.cfg.Config.n);
-  let auth =
-    Auth.group_authenticator (Option.get t.group) ~src:fl.fl_client ~receivers:(replica_ids t)
-      (Wire.request_digest req)
+  let env =
+    Seal.seal (principal t fl.fl_client) ~corrupt:false ~dsts:(replica_ids t)
+      (Message.no_cache ()) (Request req)
   in
-  let env = Message.envelope ~sender:fl.fl_client ~auth:(Auth_vector auth) (Request req) in
   let size = Wire.envelope_size env in
   if to_all then Network.multicast t.net ~src:fl.fl_client ~dsts:(replica_ids t) ~size env
   else Network.send t.net ~src:fl.fl_client ~dst:(primary t) ~size env
@@ -207,14 +210,7 @@ let handle_reply t dst (env : Message.envelope) =
       match Hashtbl.find_opt t.inflight (rp.rp_client, rp.rp_timestamp) with
       | None -> ()
       | Some fl ->
-          let verify () =
-            match env.auth with
-            | Auth_mac m ->
-                Network.charge t.net ~id:dst t.costs.Costs.mac_us;
-                Auth.verify_group_mac (Option.get t.group) ~src:rp.rp_replica ~dst m
-                  (Wire.envelope_digest env)
-            | _ -> false
-          in
+          let verify () = Seal.authentic (principal t dst) env in
           if Proxy.accept fl.fl_cert t.net ~id:dst ~verify rp then begin
             t.view_guess <- Proxy.note_view fl.fl_cert ~guess:t.view_guess rp.rp_view;
             match Proxy.result fl.fl_cert t.cfg ~read_only:false with

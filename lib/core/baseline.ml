@@ -7,6 +7,7 @@ let server_id = 0
 
 type client = {
   c_id : int;
+  c_seal : Seal.t;
   mutable c_timestamp : int64;
   mutable c_pending : (result:string -> latency_us:float -> unit) option;
   mutable c_started : Engine.time;
@@ -18,32 +19,16 @@ type t = {
   net : envelope Network.t;
   costs : Costs.t;
   service : Bft_sm.Service.t;
-  chains : (int, Bft_crypto.Keychain.t) Hashtbl.t;
+  server : Seal.t;
   clients : client array;
 }
 
 let engine t = t.engine
 let client_completed t k = t.clients.(k).c_completed
 
-(* as in the replicated stack: the MAC covers the envelope's cached
-   digest and the receiver verifies the same digest *)
-let mac t ~src ~dst d =
-  let chain = Hashtbl.find t.chains src in
-  Network.charge t.net ~id:src t.costs.Costs.mac_us;
-  match Bft_crypto.Auth.compute_mac chain ~peer:dst d with
-  | Some m -> Auth_mac m
-  | None -> Auth_none
-
-let verify t ~me ~peer (env : envelope) =
-  let chain = Hashtbl.find t.chains me in
-  Network.charge t.net ~id:me t.costs.Costs.mac_us;
-  match env.auth with
-  | Auth_mac m -> Bft_crypto.Auth.verify_mac chain ~peer m (Wire.envelope_digest env)
-  | Auth_none | Auth_vector _ | Auth_sig _ -> false
-
 let server_handle t (env : envelope) =
   match env.body with
-  | Request r when verify t ~me:server_id ~peer:r.client env ->
+  | Request r when Seal.authentic t.server env ->
       Network.charge t.net ~id:server_id
         (Costs.digest_us t.costs (String.length (Wire.envelope_bytes env))
         +. t.service.Bft_sm.Service.exec_cost_us r.op);
@@ -62,9 +47,9 @@ let server_handle t (env : envelope) =
             rp_result = Full result;
           }
       in
-      let enc = Message.no_cache () in
-      let auth = mac t ~src:server_id ~dst:r.client (Wire.cached_digest enc reply) in
-      let env' = { sender = server_id; body = reply; auth; enc } in
+      let env' =
+        Seal.seal t.server ~corrupt:false ~dsts:[ r.client ] (Message.no_cache ()) reply
+      in
       Network.send t.net ~src:server_id ~dst:r.client ~size:(Wire.envelope_size env') env'
   | _ -> ()
 
@@ -73,7 +58,7 @@ let client_handle t (c : client) (env : envelope) =
   | Reply rp
     when rp.rp_client = c.c_id
          && Int64.equal rp.rp_timestamp c.c_timestamp
-         && verify t ~me:c.c_id ~peer:server_id env -> (
+         && Seal.authentic c.c_seal env -> (
       match (c.c_pending, rp.rp_result) with
       | Some k, Full result ->
           c.c_pending <- None;
@@ -90,21 +75,26 @@ let create ?(seed = 42L) ?service ?(num_clients = 1) () =
   let service =
     match service with Some f -> f () | None -> Bft_sm.Null_service.create ()
   in
-  let chains = Hashtbl.create 8 in
-  Hashtbl.replace chains server_id (Bft_crypto.Keychain.create ~my_id:server_id);
+  (* as in the replicated stack, each principal makes and checks its one
+     MAC each way through [Seal]; none holds a signing key *)
+  let principal id =
+    let chain = Bft_crypto.Keychain.create ~my_id:id in
+    ( chain,
+      { Seal.id; n = 1; mode = Config.Mac_auth; keys = Endpoint chain; signing = None; costs;
+        charge = Network.charge net ~id } )
+  in
+  let server_chain, server = principal server_id in
   let clients =
     Array.init num_clients (fun k ->
         let id = 1 + k in
-        let chain = Bft_crypto.Keychain.create ~my_id:id in
-        Hashtbl.replace chains id chain;
-        let server_chain = Hashtbl.find chains server_id in
+        let chain, c_seal = principal id in
         let k1 = Bft_crypto.Keychain.fresh_in_key server_chain rng ~peer:id in
         ignore (Bft_crypto.Keychain.install_out_key chain ~peer:server_id k1);
         let k2 = Bft_crypto.Keychain.fresh_in_key chain rng ~peer:server_id in
         ignore (Bft_crypto.Keychain.install_out_key server_chain ~peer:id k2);
-        { c_id = id; c_timestamp = 0L; c_pending = None; c_started = 0L; c_completed = 0 })
+        { c_id = id; c_seal; c_timestamp = 0L; c_pending = None; c_started = 0L; c_completed = 0 })
   in
-  let t = { engine; net; costs; service; chains; clients } in
+  let t = { engine; net; costs; service; server; clients } in
   Network.add_node net ~id:server_id ~handler:(fun env -> server_handle t env);
   Array.iter
     (fun c -> Network.add_node net ~id:c.c_id ~handler:(fun env -> client_handle t c env))
@@ -124,8 +114,7 @@ let invoke t ~client:k op callback =
   let enc = Message.no_cache () in
   let bytes = Wire.cached_encode enc req in
   Network.charge t.net ~id:c.c_id (Costs.digest_us t.costs (String.length bytes));
-  let auth = mac t ~src:c.c_id ~dst:server_id (Wire.cached_digest enc req) in
-  let env = { sender = c.c_id; body = req; auth; enc } in
+  let env = Seal.seal c.c_seal ~corrupt:false ~dsts:[ server_id ] enc req in
   Network.send t.net ~src:c.c_id ~dst:server_id ~size:(Wire.envelope_size env) env
 
 let run_until ?(timeout_us = 10_000_000.0) t cond =

@@ -1,6 +1,5 @@
 module Engine = Bft_sim.Engine
 module Network = Bft_net.Network
-module Costs = Bft_net.Costs
 module Obs = Bft_obs.Obs
 open Message
 
@@ -28,7 +27,7 @@ type t = {
   id : int;
   obs : Obs.t;
   engine : Engine.t;
-  costs : Costs.t;
+  seal : Seal.t; (* every token it makes and checks *)
   mutable view_guess : int;
   mutable last_timestamp : int64;
   mutable pending : pending option;
@@ -51,35 +50,16 @@ let srtt_us t = t.srtt_us
 let pending_retries t =
   match t.pending with Some p -> Some (Proxy.retries p.p_cert) | None -> None
 let byzantine_partial_auth t b = t.byz_partial <- b
-let charge t us = Network.charge t.d.net ~id:t.id us
 let replica_ids t = Config.replica_ids t.d.cfg
 let primary t = Config.primary t.d.cfg ~view:t.view_guess
 
-(* the token covers the request's carried digest, which every replica
-   verifies: nothing is encoded or hashed to authenticate a request *)
-let request_token t req =
-  let d = Wire.request_digest req in
-  match t.d.cfg.Config.auth_mode with
-  | Config.Sig_auth ->
-      charge t t.costs.Costs.sig_gen_us;
-      Auth_sig (Bft_crypto.Signature.sign t.d.signer d)
-  | Config.Mac_auth ->
-      charge t (Costs.auth_gen_us t.costs t.d.cfg.Config.n);
-      let auth =
-        Bft_crypto.Auth.compute_authenticator t.d.keychain ~receivers:(replica_ids t) d
-      in
-      let auth =
-        if t.byz_partial then
-          (* corrupt the MACs for odd-numbered replicas *)
-          List.fold_left
-            (fun a peer -> if peer mod 2 = 1 then Bft_crypto.Auth.corrupt_entry a peer else a)
-            auth (replica_ids t)
-        else auth
-      in
-      Auth_vector auth
-
+(* the client's token is an authenticator over every replica (or its
+   signature): relays keep it intact, and any replica may check it *)
 let send_request t req ~to_all =
-  let env = Message.envelope ~sender:t.id ~auth:(request_token t req) (Request req) in
+  let env =
+    Seal.seal t.seal ~corrupt:t.byz_partial ~dsts:(replica_ids t) (Message.no_cache ())
+      (Request req)
+  in
   let size = Wire.envelope_size env in
   if to_all then Network.multicast t.d.net ~src:t.id ~dsts:(replica_ids t) ~size env
   else Network.send t.d.net ~src:t.id ~dst:(primary t) ~size env
@@ -142,34 +122,12 @@ let complete t p result =
 
 let handle t (env : envelope) =
   match env.body with
-  | New_key nk -> (
-      (* a recovering replica re-keys us; verify its signature and install
-         the fresh key for sending to it (Section 4.3.2) *)
-      match env.auth with
-      | Auth_sig s
-        when s.Bft_crypto.Signature.signer_id = nk.nk_replica
-             && (charge t t.costs.Costs.sig_verify_us;
-                 Bft_crypto.Signature.verify t.d.registry s (Wire.envelope_digest env)) -> (
-          match List.assoc_opt t.id nk.nk_keys with
-          | Some key ->
-              ignore (Bft_crypto.Keychain.install_out_key t.d.keychain ~peer:nk.nk_replica key)
-          | None -> ())
-      | _ -> ())
+  (* a recovering replica re-keys us (Section 4.3.2) *)
+  | New_key nk -> if Seal.authentic t.seal env then Seal.install_key t.seal nk
   | Reply rp when rp.rp_client = t.id -> (
       match t.pending with
       | Some p when Int64.equal rp.rp_timestamp p.p_req.timestamp ->
-          let verify () =
-            match env.auth with
-            | Auth_sig s ->
-                charge t t.costs.Costs.sig_verify_us;
-                s.Bft_crypto.Signature.signer_id = rp.rp_replica
-                && Bft_crypto.Signature.verify t.d.registry s (Wire.envelope_digest env)
-            | Auth_mac m ->
-                charge t t.costs.Costs.mac_us;
-                Bft_crypto.Auth.verify_mac t.d.keychain ~peer:rp.rp_replica m
-                  (Wire.envelope_digest env)
-            | Auth_none | Auth_vector _ -> false
-          in
+          let verify () = Seal.authentic t.seal env in
           if Proxy.accept p.p_cert t.d.net ~id:t.id ~verify rp then begin
             t.view_guess <- Proxy.note_view p.p_cert ~guess:t.view_guess rp.rp_view;
             let read_only = p.p_req.read_only && not p.p_promoted in
@@ -187,7 +145,10 @@ let create ?(obs = Obs.null) d ~id =
       id;
       obs;
       engine = Network.engine d.net;
-      costs = Network.costs d.net;
+      seal =
+        { Seal.id; n = d.cfg.Config.n; mode = d.cfg.Config.auth_mode; keys = Endpoint d.keychain;
+          signing = Some (d.registry, d.signer); costs = Network.costs d.net;
+          charge = Network.charge d.net ~id };
       view_guess = 0;
       last_timestamp = 0L;
       pending = None;

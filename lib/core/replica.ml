@@ -47,6 +47,7 @@ type t = {
   id : int;
   obs : Obs.t;
   port : port;
+  seal : Seal.t; (* every token it makes and checks *)
   rng : Bft_util.Rng.t;
   counters : counters;
   (* protocol state *)
@@ -119,66 +120,8 @@ let charge t us = t.port.charge us
 let now t = t.port.now ()
 
 (* ------------------------------------------------------------------ *)
-(* Authentication                                                      *)
+(* Sending                                                              *)
 (* ------------------------------------------------------------------ *)
-
-(* Authentication covers the body's 32-byte digest ([Wire.cached_digest]),
-   as the paper's library MACs a fixed-size header holding it. The digest
-   is memoized in the envelope's encoding cache next to the bytes, so the
-   auth token, [envelope_size] and every receiver's verification share
-   one serialization and one digest. *)
-
-let sign_digest t d =
-  charge t t.d.costs.Costs.sig_gen_us;
-  Auth_sig (Bft_crypto.Signature.sign t.d.signer d)
-
-let mac_digest t ~dst d =
-  charge t t.d.costs.Costs.mac_us;
-  match Bft_crypto.Auth.compute_mac t.d.keychain ~peer:dst d with
-  | Some m -> Auth_mac m
-  | None -> Auth_none
-
-let vector_digest t ~dsts d =
-  charge t (Costs.auth_gen_us t.d.costs (List.length dsts));
-  Auth_vector (Bft_crypto.Auth.compute_authenticator t.d.keychain ~receivers:dsts d)
-
-(* mac_storm fault injection (the paper's Section 3.2.2 partial
-   authenticators, mounted by a replica): corrupt the authentication
-   material destined for odd-id peers. Half the group keeps verifying us,
-   so we stay live and inside the protocol; the other half silently drops
-   everything we send and keeps retransmitting its window to us. *)
-let wrong_mac_target t dst = t.wrong_mac && dst <> t.id && dst mod 2 = 1
-
-let corrupt_mac_tag (m : Bft_crypto.Auth.mac) =
-  let tag = Bytes.of_string m.Bft_crypto.Auth.tag in
-  if Bytes.length tag > 0 then
-    Bytes.set tag 0 (Char.chr (Char.code (Bytes.get tag 0) lxor 0xff));
-  { m with Bft_crypto.Auth.tag = Bytes.to_string tag }
-
-let corrupt_auth t auth ~dsts =
-  match auth with
-  | Auth_vector a ->
-      Auth_vector
-        (List.fold_left
-           (fun a dst ->
-             if wrong_mac_target t dst then Bft_crypto.Auth.corrupt_entry a dst else a)
-           a dsts)
-  | Auth_mac m when List.exists (wrong_mac_target t) dsts -> Auth_mac (corrupt_mac_tag m)
-  | auth -> auth
-
-(* The body's envelope, authenticated per [cfg.auth_mode] for [dsts]: a
-   signature, a MAC for one destination or an authenticator for several.
-   [enc] caches the body's encoding and digest. *)
-let seal t enc body ~dsts =
-  let d = Wire.cached_digest enc body in
-  let auth =
-    match (t.d.cfg.Config.auth_mode, body, dsts) with
-    | _, New_key _, _ | Config.Sig_auth, _, _ -> sign_digest t d
-    | Config.Mac_auth, _, [ dst ] -> mac_digest t ~dst d
-    | Config.Mac_auth, _, dsts -> vector_digest t ~dsts d
-  in
-  let auth = if t.wrong_mac then corrupt_auth t auth ~dsts else auth in
-  { sender = t.id; body; auth; enc }
 
 (* Multicast to all replicas (including self: the paper's replicas process
    their own protocol messages through the log). The body is encoded once;
@@ -187,13 +130,13 @@ let seal t enc body ~dsts =
 let broadcast ?(enc = Message.no_cache ()) t body =
   if not t.muted then begin
     let dsts = replica_ids t in
-    let env = seal t enc body ~dsts in
+    let env = Seal.seal t.seal ~corrupt:t.wrong_mac ~dsts enc body in
     t.port.multicast ~dsts ~size:(Wire.envelope_size env) env
   end
 
 let send_to t ~dst body =
   if not t.muted then begin
-    let env = seal t (Message.no_cache ()) body ~dsts:[ dst ] in
+    let env = Seal.seal t.seal ~corrupt:t.wrong_mac ~dsts:[ dst ] (Message.no_cache ()) body in
     t.port.send ~dst ~size:(Wire.envelope_size env) env
   end
 
@@ -245,23 +188,6 @@ let forward_request ?dst t (req : request) token =
     | Some dst -> t.port.send ~dst ~size env
     | None -> t.port.multicast ~dsts:(replica_ids t) ~size env
   end
-
-(* Check the token's claim that [claimed] sent the message with digest
-   [d], charging the receiver's CPU for it. A MAC or authenticator costs
-   one [mac_us]: the receiver checks only its own entry (Section 3.2.1). *)
-let verify_token t ~claimed d token =
-  match token with
-  | Auth_none -> false
-  | Auth_sig s ->
-      charge t t.d.costs.Costs.sig_verify_us;
-      s.Bft_crypto.Signature.signer_id = claimed
-      && Bft_crypto.Signature.verify t.d.registry s d
-  | Auth_mac m ->
-      charge t t.d.costs.Costs.mac_us;
-      Bft_crypto.Auth.verify_mac t.d.keychain ~peer:claimed m d
-  | Auth_vector a ->
-      charge t t.d.costs.Costs.mac_us;
-      Bft_crypto.Auth.verify_authenticator t.d.keychain ~peer:claimed a d
 
 (* ------------------------------------------------------------------ *)
 (* The checkpoint image: service state + reply cache (2.4.4)          *)
@@ -1001,7 +927,7 @@ let batch_authentic t ~view ~seq elems batch_digest =
       | Inline (r, tok) -> (
           match Request_store.find t.rq (Wire.request_digest r) with
           | Some sr when sr.sr_verified -> true
-          | _ -> verify_token t ~claimed:r.client (Wire.request_digest r) tok || Lazy.force vouched))
+          | _ -> Seal.opens_request t.seal r tok || Lazy.force vouched))
     elems
 
 (* [size] is the pre-prepare's wire size (its envelope's cached
@@ -1315,13 +1241,6 @@ let handle_status_pending t (s : status_pending) =
 (* Proactive recovery (Chapter 4)                                       *)
 (* ------------------------------------------------------------------ *)
 
-let handle_new_key t (nk : new_key) =
-  if nk.nk_replica <> t.id then begin
-    match List.assoc_opt t.id nk.nk_keys with
-    | Some key -> ignore (Bft_crypto.Keychain.install_out_key t.d.keychain ~peer:nk.nk_replica key)
-    | None -> ()
-  end
-
 (* The estimation's report: our stable checkpoint and the last sequence
    number prepared or committed. *)
 let handle_query_stable t (q : query_stable) =
@@ -1370,7 +1289,7 @@ let handle_reply_stable t (r : reply_stable) =
           if Obs.enabled t.obs then Obs.recovery_phase t.obs ~now:(now t) "recovery-request";
           t.coproc_counter <- Int64.add t.coproc_counter 1L;
           let req = Recovery.make_request rc ~self:t.id ~counter:t.coproc_counter in
-          let token = sign_digest t (Wire.request_digest req) in
+          let token = Seal.sign t.seal (Wire.request_digest req) in
           ignore (Request_store.store_request t.rq req token true);
           forward_request t req token)
     t.recovering
@@ -1455,62 +1374,38 @@ let handle_checkpoint_msg t (c : checkpoint) =
 (* Dispatcher                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Verification reuses the envelope's cached digest: the sender filled the
-   cache when authenticating, and the simulator delivers the same physical
-   envelope, so no receiver ever re-serializes or re-digests the body. *)
-let verify_envelope t (env : envelope) =
-  match env.body with
-  | Request r -> verify_token t ~claimed:r.client (Wire.envelope_digest env) env.auth
-  | Data _ -> true (* verified against digests, Section 5.3.2 *)
-  | New_key nk -> (
-      match env.auth with
-      | Auth_sig _ -> verify_token t ~claimed:nk.nk_replica (Wire.envelope_digest env) env.auth
-      | _ -> false)
-  | _ -> verify_token t ~claimed:env.sender (Wire.envelope_digest env) env.auth
-
-(* Only replicas speak the replica protocol. Clients hold session keys with
-   every replica, so a client's MAC on a prepare or commit verifies; every
-   body but a request is dropped, unverified, unless its sender is a
-   replica id. *)
-let from_replica t (env : envelope) =
-  match env.body with
-  | Request _ -> true
-  | _ -> env.sender >= 0 && env.sender < t.d.cfg.Config.n
-
 (* The wire size a handler charges is the envelope's cached encoding
    length: the sender encoded the bytes once, and verification read them. *)
-let dispatch t (env : envelope) =
-  let verified = verify_envelope t env in
-  let size = String.length (Wire.envelope_bytes env) in
-  match env.body with
-  | Request r ->
-      let relayed = env.sender <> r.client in
-      if verified || is_primary t then handle_request t r env.auth ~verified ~relayed ~size
-  | Reply rp ->
-      if verified && env.sender = rp.rp_replica && rp.rp_client = t.id then
-        handle_recovery_reply t rp
-  | Pre_prepare pp ->
-      if verified && env.sender = primary_of t pp.pp_view then accept_pre_prepare t pp ~size
-  | Prepare p -> if verified && env.sender = p.pr_replica then handle_prepare t p
-  | Commit c -> if verified && env.sender = c.cm_replica then handle_commit t c
-  | Checkpoint c -> if verified && env.sender = c.ck_replica then handle_checkpoint_msg t c
-  | View_change vc ->
-      if env.sender = vc.vc_replica then handle_view_change t vc ~verified
-  | View_change_ack a -> if verified && env.sender = a.va_replica then handle_view_change_ack t a
-  | New_view nv -> if verified && env.sender = primary_of t nv.nv_view then handle_new_view t nv
-  | Fetch f -> if verified && env.sender = f.ft_replica then handle_fetch t f
-  | Meta_data m -> if verified && env.sender = m.md_replica then handle_meta_data t m ~size
-  | Data d -> handle_data t d
-  | Status_active s -> if verified && env.sender = s.sa_replica then handle_status_active t s
-  | Status_pending s -> if verified && env.sender = s.sp_replica then handle_status_pending t s
-  | New_key nk -> if verified then handle_new_key t nk
-  | Query_stable q -> if verified && env.sender = q.qs_replica then handle_query_stable t q
-  | Reply_stable r -> if verified && env.sender = r.rs_replica then handle_reply_stable t r
-  | Fetch_batch f -> if verified && env.sender = f.fb_replica then handle_fetch_batch t f
-  | Batch_data bd -> if verified then handle_batch_data t bd ~size
-  | Fetch_request f -> if verified && env.sender = f.fr_replica then handle_fetch_request t f
-
-let handle t env = if from_replica t env then dispatch t env
+let handle t (env : envelope) =
+  match Seal.opens t.seal env with
+  | Misattributed -> ()
+  | verdict -> (
+      let verified = verdict = Seal.Authentic in
+      let size = String.length (Wire.envelope_bytes env) in
+      match env.body with
+      | Request r ->
+          let relayed = env.sender <> r.client in
+          if verified || is_primary t then handle_request t r env.auth ~verified ~relayed ~size
+      | View_change vc -> handle_view_change t vc ~verified
+      | Data d -> handle_data t d
+      | _ when not verified -> ()
+      | Reply rp -> if rp.rp_client = t.id then handle_recovery_reply t rp
+      | Pre_prepare pp -> accept_pre_prepare t pp ~size
+      | Prepare p -> handle_prepare t p
+      | Commit c -> handle_commit t c
+      | Checkpoint c -> handle_checkpoint_msg t c
+      | View_change_ack a -> handle_view_change_ack t a
+      | New_view nv -> handle_new_view t nv
+      | Fetch f -> handle_fetch t f
+      | Meta_data m -> handle_meta_data t m ~size
+      | Status_active s -> handle_status_active t s
+      | Status_pending s -> handle_status_pending t s
+      | New_key nk -> Seal.install_key t.seal nk
+      | Query_stable q -> handle_query_stable t q
+      | Reply_stable r -> handle_reply_stable t r
+      | Fetch_batch f -> handle_fetch_batch t f
+      | Batch_data bd -> handle_batch_data t bd ~size
+      | Fetch_request f -> handle_fetch_request t f)
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                         *)
@@ -1523,6 +1418,9 @@ let create ?(obs = Obs.null) d ~port ~id ~on_execute =
     id;
     obs;
     port;
+    seal =
+      { Seal.id; n = d.cfg.Config.n; mode = d.cfg.Config.auth_mode; keys = Replica d.keychain;
+        signing = Some (d.registry, d.signer); costs = d.costs; charge = port.charge };
     rng = Bft_util.Rng.split d.rng;
     counters =
       {
@@ -1657,6 +1555,7 @@ let state_digest
        d = _ (* configuration and cost model; the service enters through the snapshot *);
        obs = _ (* tracing sink, inert *);
        port = _ (* the shell; Explore digests the pending timers' labels *);
+       seal = _ (* the keys in [d] and the port's charge *);
        rng = _
        (* drawn only by state transfer, key refresh and recovery, which the
           digest sees through the replier, coproc_counter and the nonce *);

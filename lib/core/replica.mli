@@ -196,14 +196,6 @@ type counters = {
 
 val counters : t -> counters
 
-val verify_envelope : t -> Message.envelope -> bool
-(** The authentication verdict the replica's message handler acts on: the
-    envelope's token checked against its 32-byte digest
-    ([Wire.envelope_digest]) under the claimed sender's key (the client
-    for a request, the named replica's signature for a new-key). [Data]
-    carries no token and is checked against state digests instead, so it
-    passes here. Charges the replica's virtual CPU for the check. *)
-
 val state_digest : t -> string
 (** Canonical, time-abstract fingerprint of the replica's protocol state
     (log, certificates, view-change state, queues, service snapshot,

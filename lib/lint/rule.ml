@@ -17,6 +17,7 @@ let domain_containment = "domain-containment"
 let transitive_nondet = "transitive-nondet"
 let unused_export = "unused-export"
 let protocol_core = "protocol-core"
+let auth_owner = "auth-owner"
 
 (* id, type-aware?, one-line rationale (the DESIGN.md catalogue mirrors
    this list; test_lint checks every id here has a fixture). *)
@@ -54,6 +55,11 @@ let all =
       false,
       "a file marked [@@@lint.protocol_core] names Bft_sim or Bft_net.Network; the protocol \
        reaches the simulator only through the replica's port" );
+    ( auth_owner,
+      false,
+      "outside lib/crypto, only Seal calls Auth, Hmac or Signature or brings one, or Bft_crypto \
+       whole, into scope (token sizes and signing-key registration excepted): the protocol's \
+       tokens are made and checked in one place" );
   ]
 
 let ids = List.map (fun (id, _, _) -> id) all

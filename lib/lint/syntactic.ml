@@ -84,6 +84,10 @@ let classify_ident flat =
           "domain primitive; the simulator runs on one domain and no file is allowlisted for \
            parallelism" )
   | [ "Obj"; "magic" ] -> Some (Rule.unsafe_op, "Obj.magic defeats the type system")
+  | ( "Bft_crypto" :: ("Auth" | "Hmac" | "Signature") :: f :: _
+    | ("Auth" | "Hmac" | "Signature") :: f :: _ )
+    when not (List.mem f [ "tag_size"; "size"; "create_registry"; "register" ]) ->
+      Some (Rule.auth_owner, "authentication outside Seal; seal and open through Bft_core.Seal")
   | [ m; f ] when is_unsafe_access m f ->
       Some (Rule.unsafe_op, "bounds-unchecked access outside the crypto/Paged_image allowlist")
   | _ -> None
@@ -94,6 +98,12 @@ let classify_module flat =
   | "Unix" :: _ -> Some (Rule.unix, "Unix brought into scope in lib/")
   | "Marshal" :: _ -> Some (Rule.marshal, "Marshal brought into scope in lib/")
   | [ "Random" ] -> Some (Rule.random, "global Random brought into scope in lib/")
+  (* the library whole too: after [open Bft_crypto] or [module C =
+     Bft_crypto], [Auth] is in reach as [Auth] or [C.Auth] *)
+  | [ "Bft_crypto" ]
+  | "Bft_crypto" :: ("Auth" | "Hmac" | "Signature") :: _
+  | ("Auth" | "Hmac" | "Signature") :: _ ->
+      Some (Rule.auth_owner, "an authentication module brought into scope outside Seal")
   | ("Domain" | "Atomic" | "Mutex" | "Condition") :: _ ->
       Some
         ( Rule.domain_containment,

@@ -84,6 +84,22 @@ let corpus =
         (Rule.protocol_core, 5);
         (Rule.protocol_core, 6);
       ] );
+    (* outside Seal, no call makes or checks a token, and no alias,
+       open or include brings an authentication module, or the crypto
+       library whole, into scope; token sizes and signing-key
+       registration stay in reach *)
+    ( "bad_auth_owner.ml",
+      false,
+      [
+        (Rule.auth_owner, 1);
+        (Rule.auth_owner, 2);
+        (Rule.auth_owner, 3);
+        (Rule.auth_owner, 4);
+        (Rule.auth_owner, 7);
+        (Rule.auth_owner, 8);
+        (Rule.auth_owner, 9);
+        (Rule.auth_owner, 10);
+      ] );
   ]
 
 (* Rules that need more than one compilation unit: (case name, units as

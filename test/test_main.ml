@@ -4,4 +4,4 @@ let () =
    @ Test_log.suites @ Test_nv_decision.suites @ Test_codec.suites @ Test_baseline.suites @ Test_util.suites @ Test_checkpoint_store.suites @ Test_config.suites
    @ Test_services.suites @ Test_fs.suites @ Test_paged.suites @ Test_network.suites @ Test_perf.suites
    @ Test_integration.suites @ Test_fuzz.suites @ Test_proxy.suites @ Test_cohort.suites @ Test_attack.suites @ Test_explore.suites @ Test_hotpath.suites @ Test_mac_binding.suites @ Test_obs.suites
-   @ Test_lint.suites @ Test_port.suites @ Test_retransmission.suites)
+   @ Test_lint.suites @ Test_port.suites @ Test_retransmission.suites @ Test_seal.suites)
