@@ -63,7 +63,7 @@ type t = {
   mutable pending_ckpt_announce : int list;
   (* view change state *)
   mutable active : bool;
-  vc : View_change_store.t; (* P/Q sets, view-changes, acks, new-views *)
+  vc : View_change.t; (* P/Q sets, view-changes, acks, new-views *)
   mutable vc_timer : timer option; (* the case armed in the "vc" slot *)
   mutable vc_timeout_us : float;
   retx : Retransmit_budget.t; (* per-peer retransmission budgets *)
@@ -113,7 +113,6 @@ let image t = Checkpoint_image.render t.image
 let primary_of t v = Config.primary t.d.cfg ~view:v
 let primary t = primary_of t t.view
 let is_primary t = primary t = t.id
-let quorum t = Config.quorum t.d.cfg
 let weak t = Config.weak t.d.cfg
 let replica_ids t = Config.replica_ids t.d.cfg
 let charge t us = t.port.charge us
@@ -123,8 +122,10 @@ let now t = t.port.now ()
 (* Sending                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Multicast to all replicas (including self: the paper's replicas process
-   their own protocol messages through the log). The body is encoded once;
+(* Multicast to all replicas, self included. A replica logs its own
+   protocol messages as it sends them; the network loops its own copy back,
+   and [handle] refuses that copy after one MAC check, since an
+   authenticator holds no entry for its sender. The body is encoded once;
    the single precomputed [envelope_size] covers every destination. [enc]
    is a cache the caller already filled with the body's encoding. *)
 let broadcast ?(enc = Message.no_cache ()) t body =
@@ -416,6 +417,21 @@ let rollback_to t s ~committed =
       | Error _ -> ())
   | None -> ()
 
+(* Roll back tentative executions to the latest held checkpoint in
+   [floor, committed_upto], or else to [floor] when it is held: they may be
+   replaced by null requests in the new view (Section 5.1.2). A held
+   checkpoint 0 is always at or below [committed_upto], so [~floor:0]
+   never falls back. *)
+let discard_tentative t ~floor =
+  if t.last_exec > t.committed_upto then begin
+    let s =
+      List.fold_left
+        (fun acc (s, _) -> if s >= floor && s <= t.committed_upto then s else acc)
+        floor (Checkpoint_store.held t.ckpts)
+    in
+    rollback_to t s ~committed:s
+  end
+
 (* ------------------------------------------------------------------ *)
 (* State transfer (Section 5.3.2)                                       *)
 (* ------------------------------------------------------------------ *)
@@ -499,7 +515,7 @@ let rec try_stabilize t =
   | Some (seq, _tree) ->
       Log.truncate t.log seq;
       (* drop PSet/QSet information at or below the new low mark *)
-      View_change_store.prune_stable t.vc seq;
+      View_change.prune_stable t.vc seq;
       L.debug (fun m -> m "replica %d: checkpoint %d stable" t.id seq);
       if Obs.enabled t.obs then Obs.checkpoint_stable t.obs ~now:(now t) ~seq;
       (* recovery completes when the checkpoint at the recovery point is
@@ -720,32 +736,11 @@ and start_view_change t new_view =
     t.view <- new_view;
     t.active <- false;
     stop_vc_timer t;
-    View_change_store.compute_pq t.vc t.log ~log_size:t.d.cfg.Config.log_size;
-    let pset_list, qset_list = View_change_store.pq_lists t.vc in
-    let vc =
-      {
-        vc_view = new_view;
-        vc_h = Checkpoint_store.stable_seq t.ckpts;
-        vc_cset = Checkpoint_store.held t.ckpts;
-        vc_pset = pset_list;
-        vc_qset = qset_list;
-        vc_replica = t.id;
-      }
-    in
-    View_change_store.record_own t.vc vc;
+    let vc = View_change.start t.vc t.d.cfg ~self:t.id ~view:new_view t.log t.ckpts in
     Log.clear_entries t.log;
     Request_store.clear_assigned t.rq;
     t.pending_ckpt_announce <- [];
-    (* roll back any tentative executions: they may be replaced by null
-       requests in the new view (Section 5.1.2) *)
-    if t.last_exec > t.committed_upto then begin
-      let candidates =
-        List.filter (fun (s, _) -> s <= t.committed_upto) (Checkpoint_store.held t.ckpts)
-      in
-      match List.rev candidates with
-      | (s, _) :: _ -> rollback_to t s ~committed:(min t.committed_upto s)
-      | [] -> ()
-    end;
+    discard_tentative t ~floor:0;
     broadcast t (View_change vc);
     (* view-change retry timer: if the new view does not activate in time,
        move to the next one with a doubled timeout (liveness, 2.3.5) *)
@@ -754,47 +749,26 @@ and start_view_change t new_view =
     try_new_view t
   end
 
-(* The new primary assembles S from acknowledged view-changes and tries to
-   decide (Fig 3-3). *)
+(* The new primary decides from S (Fig 3-3). *)
 and try_new_view t =
-  let v = t.view in
-  if
-    (not t.active) && primary_of t v = t.id
-    && Option.is_none (View_change_store.new_view t.vc v)
-    && not t.muted
-  then begin
-    (* S: our own view-change plus every view-change with 2f-1 acks *)
-    let s = View_change_store.s_set t.vc ~self:t.id ~f:t.d.cfg.Config.f v in
-    if List.length s >= quorum t then begin
-      match
-        Nv_decision.decide t.d.cfg s ~has_batch:(Request_store.have_batch_bodies t.rq)
-      with
-      | Nv_decision.Wait ->
-          (* fetch batch bodies that block decisions *)
-          List.iter
-            (fun (_, vc) ->
-              List.iter
-                (fun e ->
-                  if not (Request_store.have_batch_bodies t.rq e.pe_digest) then
-                    broadcast t (Fetch_batch { fb_digest = e.pe_digest; fb_replica = t.id }))
-                vc.vc_pset)
-            s
-      | Nv_decision.Decision { start; start_digest; chosen } ->
-          let nv =
-            {
-              nv_view = v;
-              nv_vcs = List.map (fun (sender, vc) -> (sender, Wire.view_change_digest vc)) s;
-              nv_start = start;
-              nv_start_digest = start_digest;
-              nv_chosen = chosen;
-            }
-          in
-          View_change_store.accept_new_view t.vc nv;
-          broadcast t (New_view nv);
-          View_change_store.set_deferred_nv t.vc (Some nv);
-          process_new_view t
-    end
-  end
+  if (not t.active) && not t.muted then
+    view_step t (View_change.decide t.vc t.d.cfg ~self:t.id ~view:t.view t.rq)
+
+(* A deferred new-view, once its view-changes and batches are here. *)
+and process_new_view t =
+  view_step t (View_change.check t.vc t.d.cfg ~self:t.id ~view:t.view t.rq)
+
+(* Carry out a view-change step: the sends here, the installing in
+   [enter_new_view]. *)
+and view_step t = function
+  | View_change.Nothing -> ()
+  | Fetch digests ->
+      List.iter (fun d -> broadcast t (Fetch_batch { fb_digest = d; fb_replica = t.id })) digests
+  | Announce nv ->
+      broadcast t (New_view nv);
+      enter_new_view t nv
+  | Enter nv -> enter_new_view t nv
+  | Next_view v -> start_view_change t v
 
 and enter_new_view t (nv : new_view) =
   let v = nv.nv_view in
@@ -802,28 +776,15 @@ and enter_new_view t (nv : new_view) =
   if Obs.enabled t.obs then Obs.new_view_entered t.obs ~now:(now t) ~view:v;
   t.view <- v;
   t.active <- true;
-  View_change_store.set_deferred_nv t.vc None;
   Perf_watchdog.new_epoch t.perf ~now:(now t);
   stop_vc_timer t;
-  (* prune view-change state for views before this one *)
-  View_change_store.prune_below t.vc v;
   (* align our state with the chosen start checkpoint *)
-  let have_start = Checkpoint_store.tree_at t.ckpts nv.nv_start <> None in
-  if t.last_exec > t.committed_upto then begin
-    (* discard tentative executions *)
-    let candidates =
-      List.filter
-        (fun (s, _) -> s <= t.committed_upto && s >= nv.nv_start)
-        (Checkpoint_store.held t.ckpts)
-    in
-    match List.rev candidates with
-    | (s, _) :: _ -> rollback_to t s ~committed:s
-    | [] -> if have_start then rollback_to t nv.nv_start ~committed:nv.nv_start
+  let have_start = Option.is_some (Checkpoint_store.tree_at t.ckpts nv.nv_start) in
+  discard_tentative t ~floor:nv.nv_start;
+  if t.last_exec < nv.nv_start then begin
+    if have_start then rollback_to t nv.nv_start ~committed:(max t.committed_upto nv.nv_start)
+    else start_transfer t ~target:nv.nv_start ~root_digest:nv.nv_start_digest
   end;
-  if (not have_start) && t.last_exec < nv.nv_start then
-    start_transfer t ~target:nv.nv_start ~root_digest:nv.nv_start_digest;
-  if t.last_exec < nv.nv_start && have_start then
-    rollback_to t nv.nv_start ~committed:(max t.committed_upto nv.nv_start);
   if Log.low_mark t.log < nv.nv_start then Log.truncate t.log nv.nv_start;
   (* install the chosen pre-prepares and (as a backup) send prepares *)
   let am_primary = primary_of t v = t.id in
@@ -852,58 +813,6 @@ and enter_new_view t (nv : new_view) =
   try_execute t;
   if not (Request_store.waiting_empty t.rq) then start_vc_timer t;
   process_queue t
-
-(* Validate and adopt a deferred new-view once all its view-changes (and
-   the chosen batches) are locally available. *)
-and process_new_view t =
-  match View_change_store.deferred_nv t.vc with
-  | None -> ()
-  | Some nv when nv.nv_view < t.view -> View_change_store.set_deferred_nv t.vc None
-  | Some nv ->
-      let v = nv.nv_view in
-      (* enter once every chosen batch is here (accepting it again is a
-         no-op for the primary, whose decision is recorded), else fetch *)
-      let enter_or_fetch () =
-        match
-          List.filter
-            (fun c -> not (Request_store.have_batch_bodies t.rq c.nc_digest))
-            nv.nv_chosen
-        with
-        | [] ->
-            View_change_store.accept_new_view t.vc nv;
-            enter_new_view t nv
-        | missing ->
-            List.iter
-              (fun c -> broadcast t (Fetch_batch { fb_digest = c.nc_digest; fb_replica = t.id }))
-              missing
-      in
-      if primary_of t v = t.id then begin
-        (* the primary already validated its own decision *)
-        if Option.is_some (View_change_store.new_view t.vc v) then enter_or_fetch ()
-      end
-      else begin
-        let vcs =
-          List.filter_map
-            (fun p ->
-              View_change_store.available t.vc ~self:t.id ~f:t.d.cfg.Config.f v p
-              |> Option.map (fun vc -> (fst p, vc)))
-            nv.nv_vcs
-        in
-        if List.length vcs = List.length nv.nv_vcs && List.length vcs >= quorum t then begin
-          match Nv_decision.decide t.d.cfg vcs ~has_batch:(fun _ -> true) with
-          | Nv_decision.Decision { start; start_digest; chosen }
-            when start = nv.nv_start
-                 && String.equal start_digest nv.nv_start_digest
-                 && List.length chosen = List.length nv.nv_chosen
-                 && List.for_all2
-                      (fun a b -> a.nc_seq = b.nc_seq && String.equal a.nc_digest b.nc_digest)
-                      chosen nv.nv_chosen ->
-              enter_or_fetch ()
-          | Nv_decision.Decision _ | Nv_decision.Wait ->
-              (* invalid or undecidable: move to the next view *)
-              start_view_change t (v + 1)
-        end
-      end
 
 (* ------------------------------------------------------------------ *)
 (* Normal case: requests and pre-prepares                             *)
@@ -938,7 +847,7 @@ let accept_pre_prepare t (pp : pre_prepare) ~size =
     t.active && v = t.view
     && (not (is_primary t))
     && Log.in_window t.log n
-    && View_change_store.has_new_view t.vc v
+    && View_change.has_new_view t.vc v
     && not t.byzantine
   then begin
     let d = Wire.batch_digest pp.pp_batch pp.pp_nondet in
@@ -1070,51 +979,26 @@ let bare_view_change ~view ~h replica =
   { vc_view = view; vc_h = h; vc_cset = []; vc_pset = []; vc_qset = []; vc_replica = replica }
 
 let handle_view_change t (vc : view_change) ~verified =
-  let v = vc.vc_view in
-  if v >= t.view && vc.vc_replica <> t.id then begin
-    (* reject messages whose P/Q components contain tuples for this or a
-       later view (Section 3.2.4) *)
-    let tuples_ok =
-      List.for_all (fun e -> e.pe_view < v) vc.vc_pset
-      && List.for_all
-           (fun q -> List.for_all (fun (_, qv) -> qv < v) q.qe_entries)
-           vc.vc_qset
-    in
-    if tuples_ok then begin
-      View_change_store.add t.vc vc ~verified;
-      if verified then begin
-        (* acknowledge to the new primary (Section 3.2.4) *)
-        let d = Wire.view_change_digest vc in
-        let ack =
-          { va_view = v; va_replica = t.id; va_origin = vc.vc_replica; va_digest = d }
-        in
-        if View_change_store.note_my_ack t.vc ack then
-          send_to t ~dst:(primary_of t v) (View_change_ack ack)
-      end;
-      (* liveness rule: f+1 view-changes for views above ours force us to
-         join the smallest such view *)
-      if v > t.view then begin
-        match View_change_store.join_view t.vc ~above:t.view ~self:t.id ~weak:(weak t) with
-        | Some v' -> start_view_change t v'
-        | None -> ()
-      end;
+  match View_change.receive t.vc t.d.cfg ~self:t.id ~view:t.view vc ~verified with
+  | Refused -> ()
+  | Stored { ack; join } ->
+      (* acknowledge to the new primary (Section 3.2.4) *)
+      Option.iter (fun a -> send_to t ~dst:(primary_of t a.va_view) (View_change_ack a)) ack;
+      (* liveness rule: f+1 view-changes above our view *)
+      Option.iter (start_view_change t) join;
       try_new_view t;
       process_new_view t
-    end
-  end
 
 let handle_view_change_ack t (a : view_change_ack) =
   if a.va_view >= t.view && primary_of t a.va_view = t.id then begin
-    View_change_store.add_ack t.vc a;
+    View_change.add_ack t.vc a;
     try_new_view t
   end
 
 let handle_new_view t (nv : new_view) =
   if nv.nv_view >= t.view && primary_of t nv.nv_view <> t.id && nv.nv_view > 0 then begin
     if nv.nv_view > t.view then start_view_change t nv.nv_view;
-    (match View_change_store.deferred_nv t.vc with
-    | Some old when old.nv_view >= nv.nv_view -> ()
-    | _ -> View_change_store.set_deferred_nv t.vc (Some nv));
+    View_change.offer_new_view t.vc nv;
     process_new_view t
   end
 
@@ -1445,7 +1329,7 @@ let create ?(obs = Obs.null) d ~port ~id ~on_execute =
     rq = Request_store.create ();
     pending_ckpt_announce = [];
     active = true;
-    vc = View_change_store.create ();
+    vc = View_change.create ();
     vc_timer = None;
     vc_timeout_us = d.cfg.Config.vc_timeout_us;
     retx = Retransmit_budget.create ();
@@ -1528,7 +1412,7 @@ let crash_reboot t =
   (* lose volatile state; keep identity and keys; rejoin via state transfer *)
   Log.clear_entries t.log;
   Request_store.crash_reset t.rq;
-  View_change_store.crash_reset t.vc;
+  View_change.crash_reset t.vc;
   Retransmit_budget.reset t.retx;
   Perf_watchdog.reset t.perf ~now:(now t);
   stop_vc_timer t;
@@ -1576,7 +1460,7 @@ let state_digest
   Request_store.digest rq b;
   add "|ckann:";
   List.iter (fun s -> add "%d;" s) pending_ckpt_announce;
-  View_change_store.digest vc b;
+  View_change.digest vc b;
   Retransmit_budget.digest retx b;
   Perf_watchdog.digest perf b;
   (* state transfer / recovery, coarse but canonical *)

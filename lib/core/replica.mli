@@ -21,13 +21,14 @@
 
     The replica's state lives with the modules that own it: {!Log},
     {!Checkpoint_store}, {!Checkpoint_image} (the service state and reply
-    cache), {!Request_store}, {!View_change_store}, {!Retransmit_budget}
-    and {!Perf_watchdog}. {!Retransmission} answers status messages as
-    data, and two sub-protocols own their records and decisions:
-    {!State_transfer} (the fetch walk and the replier's answers) and
-    {!Recovery} (the H_M estimate, the recovery request and the recovery
-    point); the replica sends what they decide, arms their timers, signs,
-    and installs the fetched tree. Each contributes its slice of
+    cache), {!Request_store}, {!Retransmit_budget} and {!Perf_watchdog}.
+    {!Retransmission} answers status messages as data, and three
+    sub-protocols own their records and decisions: {!View_change} (the
+    view-change evidence and the new-view decision), {!State_transfer}
+    (the fetch walk and the replier's answers) and {!Recovery} (the H_M
+    estimate, the recovery request and the recovery point); the replica
+    sends what they decide, arms their timers, signs, and installs the new
+    view or the fetched tree. Each contributes its slice of
     {!state_digest}.
 
     The replica never touches the simulator itself: it reaches the

@@ -21,15 +21,15 @@ let status ~self ~view ~active ~understate ~last_exec log vc =
   else
     Status_pending
       { sp_replica = self; sp_view = view; sp_h = h; sp_last_exec = last_exec;
-        sp_has_new_view = View_change_store.has_new_view vc view;
-        sp_vcs_seen = View_change_store.senders vc view }
+        sp_has_new_view = View_change.has_new_view vc view;
+        sp_vcs_seen = View_change.senders vc view }
 
 let answer_active cfg ~self ~view ~active log vc ckpts (s : status_active) =
   let out = ref [] in
   let send m = out := m :: !out in
   if s.sa_view < view then
     (* bring the peer to our view *)
-    Option.iter (fun m -> send (View_change m)) (View_change_store.my_vc vc view)
+    Option.iter (fun m -> send (View_change m)) (View_change.my_vc vc view)
   else if s.sa_view = view && active then begin
     (* our own protocol messages the peer is missing *)
     let claim = Log.claims log ~prepared:s.sa_prepared ~committed:s.sa_committed in
@@ -68,19 +68,19 @@ let answer_pending cfg ~self ~view vc (s : status_pending) =
   let send m = out := m :: !out in
   (* our view-change for the peer's pending view (or ours, to pull it
      forward) *)
-  (match View_change_store.my_vc vc (max s.sp_view view) with
+  (match View_change.my_vc vc (max s.sp_view view) with
   | Some m when (not (peer_holds self)) || s.sp_view < view -> send (View_change m)
   | _ -> ());
   (* acks for view-changes the peer lacks *)
   List.iter
     (fun a -> if not (peer_holds a.va_origin) then send (View_change_ack a))
-    (View_change_store.my_acks vc s.sp_view);
+    (View_change.my_acks vc s.sp_view);
   if not s.sp_has_new_view then begin
     (* the primary's new-view, and the view-changes backing it *)
-    (match View_change_store.new_view vc s.sp_view with
+    (match View_change.new_view vc s.sp_view with
     | Some nv when Config.primary cfg ~view:s.sp_view = self -> send (New_view nv)
     | _ -> ());
-    View_change_store.iter_view vc s.sp_view (fun sender m ->
+    View_change.iter_view vc s.sp_view (fun sender m ->
         if not (peer_holds sender) then send (View_change m))
   end;
   List.rev !out

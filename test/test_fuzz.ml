@@ -120,6 +120,33 @@ let test_regression_seed_replays_from_string () =
       Alcotest.(check int) "same view changes" a.Runner.view_changes b.Runner.view_changes;
       Alcotest.(check (list string)) "same failures" a.Runner.failures b.Runner.failures
 
+(* The same seed twice in one process, each run from the clean slate
+   bench/perf's trials start from (memo tables emptied, heap compacted):
+   nothing process-global or GC-dependent may reach the run. Seed 46's run
+   includes a view change, where the most state is built and dropped. *)
+let test_same_seed_twice () =
+  let run () =
+    Bft_core.Wire.clear_memos ();
+    Gc.compact ();
+    let p = params ~seed:regression_seed () in
+    let lv = Runner.prepare p (Runner.generate p) in
+    let cluster = lv.Runner.lv_cluster in
+    ignore
+      (Bft_core.Cluster.run_until
+         ~timeout_us:(p.Runner.horizon_us +. p.Runner.drain_us)
+         cluster
+         (fun () -> !(lv.Runner.lv_n_completed) >= lv.Runner.lv_total_ops));
+    let r = Runner.finish lv in
+    (r, Array.map Bft_core.Replica.state_digest (Bft_core.Cluster.replicas cluster))
+  in
+  let a, states_a = run () in
+  let b, states_b = run () in
+  Alcotest.(check bool)
+    (Printf.sprintf "the run includes a view change (%d)" a.Runner.view_changes)
+    true (a.Runner.view_changes > 0);
+  Alcotest.(check string) "same history digest" a.Runner.history_digest b.Runner.history_digest;
+  Alcotest.(check (array string)) "same state digest at every replica" states_a states_b
+
 (* --- the execution tap across a view-change rollback ---
 
    Seed 3569's replica 1 (a correct replica: the schedule's only replica
@@ -222,6 +249,7 @@ let suites =
           test_liveness_flag_clean_seeds;
         Alcotest.test_case "view-change seed regression" `Quick test_view_change_seed_regression;
         Alcotest.test_case "replay from schedule string" `Quick test_regression_seed_replays_from_string;
+        Alcotest.test_case "same seed twice in one process" `Quick test_same_seed_twice;
         Alcotest.test_case "tap keeps the surviving wave" `Quick test_tap_keeps_surviving_wave;
         Alcotest.test_case "shrinker minimizes" `Slow test_shrinker_minimizes;
       ] );

@@ -44,7 +44,7 @@ let active ?(view = 0) ?(h = 0) ?(prepared = []) ?(committed = []) () =
     sa_committed = committed;
   }
 
-let answer ?(view = 0) ?(vc = View_change_store.create ()) ?(ckpts = ckpts ()) ~self log s =
+let answer ?(view = 0) ?(vc = View_change.create ()) ?(ckpts = ckpts ()) ~self log s =
   List.map show (Retransmission.answer_active cfg ~self ~view ~active:true log vc ckpts s)
 
 let test_claims () =
@@ -65,9 +65,8 @@ let test_pre_prepare_from_primary () =
        (answer ~self:1 (own_log ~self:1) (active ())))
 
 let test_peer_behind_view () =
-  let vc = View_change_store.create () in
-  View_change_store.record_own vc
-    { vc_view = 1; vc_h = 0; vc_cset = []; vc_pset = []; vc_qset = []; vc_replica = 1 };
+  let vc = View_change.create () in
+  ignore (View_change.start vc cfg ~self:1 ~view:1 (Log.create cfg) (ckpts ()));
   Alcotest.(check (list string)) "our view-change, and no window" [ "view-change 1 from 1" ]
     (answer ~view:1 ~vc ~self:1 (own_log ~self:1) (active ()))
 
@@ -91,7 +90,7 @@ let test_understate () =
   List.iter (fun n -> ignore (Log.accept_pre_prepare log ~view:0 (pp n) d)) [ 1; 2; 3 ];
   List.iter (fun n -> List.iter (fun r -> Log.add_prepare log (prep n r)) [ 1; 2 ]) [ 1; 2 ];
   List.iter (fun r -> Log.add_commit log (com 1 r)) [ 0; 1; 2 ];
-  let vc = View_change_store.create () in
+  let vc = View_change.create () in
   let status understate =
     Retransmission.status ~self:1 ~view:0 ~active:true ~understate ~last_exec:3 log vc
   in
@@ -114,18 +113,24 @@ let test_understate () =
 (* Replica 1, primary of view 1, holds its own view-change, 2's and 3's,
    its acks of both, and the new-view it sent. *)
 let test_pending () =
-  let vc = View_change_store.create () in
-  let vc_of r = { vc_view = 1; vc_h = 0; vc_cset = []; vc_pset = []; vc_qset = []; vc_replica = r } in
-  View_change_store.record_own vc (vc_of 1);
+  let vc = View_change.create () and store = ckpts () in
+  Checkpoint_store.install store (Partition_tree.build ~seq:0 ~page_size:4096 ~branching:16 "");
+  ignore (View_change.start vc cfg ~self:1 ~view:1 (Log.create cfg) store);
+  let vc_of r =
+    { vc_view = 1; vc_h = 0; vc_cset = Checkpoint_store.held store; vc_pset = []; vc_qset = [];
+      vc_replica = r }
+  in
   List.iter
     (fun r ->
-      View_change_store.add vc (vc_of r) ~verified:true;
-      ignore
-        (View_change_store.note_my_ack vc
-           { va_view = 1; va_replica = 1; va_origin = r; va_digest = Wire.view_change_digest (vc_of r) }))
+      ignore (View_change.receive vc cfg ~self:1 ~view:1 (vc_of r) ~verified:true);
+      (* 2f-1 = 1 ack from another replica puts it in S *)
+      View_change.add_ack vc
+        { va_view = 1; va_replica = 5 - r; va_origin = r;
+          va_digest = Wire.view_change_digest (vc_of r) })
     [ 2; 3 ];
-  View_change_store.accept_new_view vc
-    { nv_view = 1; nv_vcs = []; nv_start = 0; nv_start_digest = d; nv_chosen = [] };
+  (match View_change.decide vc cfg ~self:1 ~view:1 (Request_store.create ()) with
+  | View_change.Announce _ -> ()
+  | _ -> Alcotest.fail "no new-view");
   let answer ~view ~seen ~has_nv =
     List.map show
       (Retransmission.answer_pending cfg ~self:1 ~view:1 vc
